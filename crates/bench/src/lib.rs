@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Shared infrastructure for the experiment binaries (`src/bin/fig*.rs`,
-//! `src/bin/exp_*.rs`) and Criterion benches.
+//! `src/bin/exp_*.rs`).
 //!
 //! Every binary regenerates one figure/table from *Ten Years of ZMap*;
 //! EXPERIMENTS.md records paper-vs-measured for each. The helpers here

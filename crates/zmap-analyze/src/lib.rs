@@ -13,7 +13,7 @@
 //! project-specific lints ([`lints`]) → subtract the checked-in
 //! suppression baseline ([`baseline`]) → render text or JSON
 //! ([`report`]). No dependencies, no `syn`: the hand-rolled lexer is in
-//! the same spirit as the vendored proptest/criterion stubs.
+//! the same spirit as the vendored proptest stub.
 //!
 //! Run it as `cargo run -p zmap-analyze -- check --deny`.
 
@@ -31,9 +31,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directories never scanned: vendored dependency stubs, build output,
-/// version control, and the analyzer's own lint fixtures (which are
-/// violations on purpose).
-const EXCLUDED_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];
+/// version control, the analyzer's own lint fixtures (which are
+/// violations on purpose), and the wall-clock benchmark harness (its own
+/// workspace; it times and prints by design).
+const EXCLUDED_DIRS: [&str; 5] = ["vendor", "target", ".git", "fixtures", "benchmark"];
 
 /// Collects the workspace's lintable `.rs` files, keyed by
 /// workspace-relative forward-slash path, lexed and ready for the lint

@@ -1290,7 +1290,7 @@ impl Graph {
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
-        Some("StagedRender") => matches!(f.name.as_str(), "push" | "render"),
+        Some("ProbeModule") => f.name == "render_into",
         _ => matches!(f.name.as_str(), "send_batch" | "send_batch_at" | "flush_shared"),
     }
 }

@@ -195,12 +195,12 @@ fn alloc_in_hot_path_follows_the_call_graph() {
     let f = fixture("alloc_hot");
     assert_eq!(
         spans(&f, "alloc-in-hot-path"),
-        vec![("crates/zmap-core/src/staged.rs".to_string(), 15)],
-        "to_vec one hop below StagedRender::push fires; the format! in \
-         the unreachable `label` stays quiet"
+        vec![("crates/zmap-core/src/plan.rs".to_string(), 15)],
+        "to_vec one hop below ProbeModule::render_into fires; the format! \
+         in the unreachable `label` stays quiet"
     );
     assert!(
-        f[0].message.contains("StagedRender::push → StagedRender::stage"),
+        f[0].message.contains("ProbeModule::render_into → ProbeModule::patch"),
         "the finding names the reaching chain: {:?}",
         f[0]
     );

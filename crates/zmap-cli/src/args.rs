@@ -133,7 +133,9 @@ RATE & SHARDING
   --tx-pipeline            decouple probe generation from transport:
                            per-thread generator/transport pairs joined
                            by SPSC frame rings (netmap model; identical
-                           output, pure performance topology)
+                           output, pure performance topology). Walks
+                           whole subshards: not with --max-targets,
+                           --max-results or --probes above 1
   --interleaved            2014 interleaved sharding (default: pizza)
 
 OUTPUT (four streams: data, logs, status, metadata)
@@ -446,6 +448,23 @@ fn validate(opts: &CliOptions) -> Result<(), CliError> {
     if cfg.probes_per_target == 0 {
         return Err(CliError::Invalid("--probes must be at least 1".into()));
     }
+    // The pipelined engine walks each subshard to exhaustion, one probe
+    // per target; refuse the caps it would otherwise silently ignore.
+    if cfg.tx_pipeline {
+        for (set, flag) in [
+            (cfg.max_targets > 0, "--max-targets"),
+            (cfg.max_results > 0, "--max-results"),
+            (cfg.probes_per_target > 1, "--probes above 1"),
+        ] {
+            if set {
+                return Err(CliError::Invalid(format!(
+                    "{flag} is not implemented by the --tx-pipeline engine; \
+                     drop one of the two (size a pipelined scan with --subnet \
+                     or --shard/--shards)"
+                )));
+            }
+        }
+    }
     if cfg.cooldown_secs == 0 && cfg.max_retries > 0 {
         return Err(CliError::Invalid(
             "--cooldown-secs 0 discards the late responses the --retries budget \
@@ -738,6 +757,28 @@ mod tests {
     #[test]
     fn zero_probes_is_rejected() {
         assert!(invalid_why("--probes 0").contains("--probes"));
+    }
+
+    #[test]
+    fn tx_pipeline_rejects_max_targets() {
+        let why = invalid_why("--tx-pipeline --max-targets 10");
+        assert!(why.contains("--max-targets"), "{why}");
+        assert!(parse_args(&args("--max-targets 10")).is_ok());
+    }
+
+    #[test]
+    fn tx_pipeline_rejects_max_results() {
+        let why = invalid_why("--tx-pipeline --max-results 5");
+        assert!(why.contains("--max-results"), "{why}");
+        assert!(parse_args(&args("--max-results 5")).is_ok());
+    }
+
+    #[test]
+    fn tx_pipeline_rejects_multiple_probes_per_target() {
+        let why = invalid_why("--tx-pipeline --probes 2");
+        assert!(why.contains("--probes"), "{why}");
+        assert!(parse_args(&args("--tx-pipeline --probes 1")).is_ok());
+        assert!(parse_args(&args("--probes 2")).is_ok());
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod monitor;
 pub mod output;
 pub mod parallel;
 pub mod plan;
-pub mod probe_mod;
 pub mod ratecontrol;
 pub mod ring;
 pub mod scanner;

@@ -23,17 +23,16 @@ use crate::metadata::{ConfigEcho, PermutationEcho, ScanMetadata};
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::monitor::{Monitor, StatusUpdate};
 use crate::output::ScanResult;
-use crate::plan::{build_any_template, AnyProbeBuilder, AnyStaged, ScanPlan};
+use crate::plan::{ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::ring::SpscRing;
-use crate::scanner::{checkpoint_via_metrics, ResumeError};
+use crate::scanner::{checkpoint_via_metrics, ResumeError, RxPath};
 use crate::shutdown::ShutdownToken;
 use crate::transport::FrameBatch;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::collections::BTreeMap;
-use zmap_dedup::SlidingWindow;
 use zmap_metrics::{MetricsSnapshot, TraceSnapshot};
 use zmap_netsim::{EndpointId, SendError, World};
 use zmap_targets::generator::BuildError;
@@ -382,13 +381,9 @@ fn run_inner<T: SharedTransport>(
     // a pure function of (prefix list, ports, seed), which the config
     // digest already pins.
     let gen = ScanPlan::build(cfg, journal.map(|j| (j.generator, j.offset)))?;
-    let builder = AnyProbeBuilder::build(cfg);
-    // The per-scan packet template (paper §4.4): laid out once here,
-    // patched per probe on the send threads. Building it now also
-    // surfaces the one per-probe construction failure (oversized UDP
-    // payload) at setup time.
-    let template = build_any_template(&cfg.probe, &builder)
-        .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))?;
+    // The per-scan packet template (paper §4.4) is laid out once here and
+    // patched per probe on the send threads.
+    let module = ProbeModule::build(cfg)?;
 
     // Counters carried over from the journal when resuming, so the
     // resumed attempt's metadata reports the cumulative truth.
@@ -531,7 +526,7 @@ fn run_inner<T: SharedTransport>(
         Vec::new()
     };
 
-    std::thread::scope(|scope| {
+    summary.results = std::thread::scope(|scope| {
         for t in 0..threads {
             let gen = &gen;
             let metrics = &metrics;
@@ -542,7 +537,7 @@ fn run_inner<T: SharedTransport>(
             let positions = &positions;
             let resume_positions = &resume_positions;
             let transport = &*transport;
-            let template = &template;
+            let module = &module;
             let shard = cfg.shard;
             let max_retries = cfg.max_retries;
             let rate_pps = cfg.rate_pps;
@@ -569,7 +564,6 @@ fn run_inner<T: SharedTransport>(
                         }
                     }
                     let mshard = t as usize;
-                    let mut staged = AnyStaged::for_plan(gen, batch_cap);
                     // The recycle ring is pre-filled at setup, so an empty
                     // pop means the transport half already died (pre-start
                     // kill closed both rings): nothing to render.
@@ -589,8 +583,12 @@ fn run_inner<T: SharedTransport>(
                         };
                         let due = start + rc.mark_sent();
                         entropy = entropy.wrapping_add(0x9E37);
-                        batch.reserve(due, it.elements_consumed());
-                        staged.push(ip, port, entropy);
+                        module.render_into(
+                            ip,
+                            port,
+                            entropy,
+                            batch.reserve(due, it.elements_consumed()),
+                        );
                         metrics.add_at(mshard, CounterId::TargetsTotal, 1);
                         if let Ok(key) = gen.probe_key(ip, port) {
                             metrics.note_probe(key, due);
@@ -598,7 +596,6 @@ fn run_inner<T: SharedTransport>(
                         if !batch.is_full() {
                             continue;
                         }
-                        staged.render(template, &mut batch);
                         // Hand the full batch to the transport thread and
                         // take a drained buffer back. Either ring closing
                         // means the transport thread died (kill); stop
@@ -620,7 +617,6 @@ fn run_inner<T: SharedTransport>(
                     // target's frame reaches the transport thread (or dies
                     // with it) before this generator reports done.
                     if !dead && !batch.is_empty() {
-                        staged.render(template, &mut batch);
                         let _ = ready.push(batch);
                     }
                     ready.close();
@@ -674,7 +670,6 @@ fn run_inner<T: SharedTransport>(
                     flush_shared(transport, metrics, shard, killed, max_retries, batch)
                 };
                 let mut batch = FrameBatch::new(batch_cap);
-                let mut staged = AnyStaged::for_plan(gen, batch_cap);
                 let mut dead = false;
                 loop {
                     // Cycle boundary: the only place a sender stops —
@@ -693,8 +688,12 @@ fn run_inner<T: SharedTransport>(
                     // function of (seed, subshard).
                     let due = start + rc.mark_sent();
                     entropy = entropy.wrapping_add(0x9E37);
-                    batch.reserve(due, it.elements_consumed());
-                    staged.push(ip, port, entropy);
+                    module.render_into(
+                        ip,
+                        port,
+                        entropy,
+                        batch.reserve(due, it.elements_consumed()),
+                    );
                     metrics.add_at(shard, CounterId::TargetsTotal, 1);
                     // Stamp the scheduled send time for RTT measurement.
                     if let Ok(key) = gen.probe_key(ip, port) {
@@ -703,7 +702,6 @@ fn run_inner<T: SharedTransport>(
                     if !batch.is_full() {
                         continue;
                     }
-                    staged.render(template, &mut batch);
                     if flush(&batch) {
                         dead = true;
                         break;
@@ -717,11 +715,8 @@ fn run_inner<T: SharedTransport>(
                 // Flush the final partial batch: every consumed target's
                 // probe leaves (or exhausts its retries) before this
                 // sender reports done — same contract as per-probe sends.
-                if !dead && !batch.is_empty() {
-                    staged.render(template, &mut batch);
-                    if !flush(&batch) {
-                        positions[t as usize].store(it.elements_consumed(), Ordering::Relaxed);
-                    }
+                if !dead && !batch.is_empty() && !flush(&batch) {
+                    positions[t as usize].store(it.elements_consumed(), Ordering::Relaxed);
                 }
                 finished.fetch_add(1, Ordering::Release);
             });
@@ -733,7 +728,7 @@ fn run_inner<T: SharedTransport>(
         // signature freezes for `watchdog_poll_limit` consecutive polls,
         // it records a stall, trips the shutdown token, and abandons the
         // wait rather than spinning forever.
-        let mut dedup = SlidingWindow::new(1_000_000);
+        let mut rx_path = RxPath::new(cfg, &gen, &module, &logger, &metrics, start);
         let deadline_after_done = cfg.cooldown_secs.max(1) * 1_000_000_000;
         let mut done_at: Option<u64> = None;
         let mut last_ckpt_at = 0u64;
@@ -741,45 +736,7 @@ fn run_inner<T: SharedTransport>(
         let mut idle_polls = 0u64;
         loop {
             for (ts, frame) in transport.recv_frames() {
-                match builder.parse_response(&frame) {
-                    Ok(Some(resp)) => {
-                        metrics.add_at(rx, CounterId::ResponsesValidated, 1);
-                        // Map into the plan's dedup index space; a keying
-                        // failure (v6 responder off its prefix's pattern,
-                        // unknown port) degrades this one response only.
-                        let Ok(key) = gen.probe_key(resp.ip, resp.port) else {
-                            metrics.add_at(rx, CounterId::ResponsesDiscarded, 1);
-                            continue;
-                        };
-                        // RTT from the probe's scheduled send to this
-                        // arrival (first response wins the sample).
-                        metrics.record_rtt(rx, key, ts);
-                        if !dedup.check_and_insert(key) {
-                            metrics.add_at(rx, CounterId::DuplicatesSuppressed, 1);
-                            continue;
-                        }
-                        let success = resp.kind.is_success();
-                        if success {
-                            metrics.add_at(rx, CounterId::UniqueSuccesses, 1);
-                            summary.results.push(ScanResult {
-                                ts_ns: ts.saturating_sub(start),
-                                saddr: resp.ip,
-                                sport: resp.port,
-                                classification: crate::plan::classify_kind(&resp.kind),
-                                ttl: resp.ttl,
-                                success,
-                            });
-                        } else {
-                            metrics.add_at(rx, CounterId::UniqueFailures, 1);
-                        }
-                    }
-                    Err(zmap_wire::WireError::BadChecksum) => {
-                        metrics.add_at(rx, CounterId::ResponsesCorrupted, 1);
-                    }
-                    Ok(None) | Err(_) => {
-                        metrics.add_at(rx, CounterId::ResponsesDiscarded, 1);
-                    }
-                }
+                rx_path.on_frame(ts, &frame);
             }
             // Mirror the transport's cumulative poison-recovery count
             // into the receive shard (this loop is its only writer).
@@ -870,6 +827,7 @@ fn run_inner<T: SharedTransport>(
                 std::thread::yield_now();
             }
         }
+        rx_path.results
     });
 
     // Final mirror of the transport's poison-recovery count (senders
@@ -1271,6 +1229,34 @@ mod tests {
         let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
         assert_eq!(distinct.len(), 256);
         assert_eq!(s.shutdown_clean, 1);
+    }
+
+    #[test]
+    fn threaded_rx_honors_dedup_and_failure_reporting() {
+        // The world answers only on 80, so a scan of 81 draws 256 RSTs:
+        // with `report_failures` each becomes a row, and the configured
+        // 64-entry window (not a hard-coded one) does the dedup.
+        for pipeline in [false, true] {
+            let src = Ipv4Addr::new(192, 0, 2, 9);
+            let transport = SharedSimTransport::new(shared_world(), src);
+            let mut cfg = ScanConfig::new(src);
+            cfg.allowlist_prefix(Ipv4Addr::new(44, 15, 0, 0), 24);
+            cfg.apply_default_blocklist = false;
+            cfg.ports = vec![81];
+            cfg.subshards = 2;
+            cfg.rate_pps = 200_000;
+            cfg.cooldown_secs = 1;
+            cfg.dedup = crate::config::DedupMethod::Window(64);
+            cfg.report_failures = true;
+            cfg.tx_pipeline = pipeline;
+            let s = run_parallel(&cfg, &transport).unwrap();
+            assert_eq!(s.unique_successes, 0, "pipeline={pipeline}");
+            assert_eq!(s.metadata.counters.unique_failures, 256, "pipeline={pipeline}");
+            assert_eq!(s.results.len(), 256, "one failure row per RST");
+            assert!(s.results.iter().all(|r| !r.success));
+            let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
+            assert_eq!(distinct.len(), 256);
+        }
     }
 
     #[test]

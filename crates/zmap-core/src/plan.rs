@@ -2,16 +2,14 @@
 //! (sequential and threaded) drive an IPv4 cyclic-group walk or an
 //! XMap-style IPv6 per-prefix walk through the same code path.
 //!
-//! Everything family-specific funnels through four small enums:
-//! [`ScanPlan`] (target space + sharded iteration + dedup keying),
-//! [`AnyProbeBuilder`] (per-scan key material + response validation),
-//! [`AnyTemplate`] (the rendered per-scan packet template), and
-//! [`AnyStaged`] (the interleaved batch-render queue). The engines match
-//! on none of these in their hot loops beyond what lives here.
+//! Everything family-specific funnels through two small enums:
+//! [`ScanPlan`] (target space + sharded iteration + dedup keying) and
+//! [`ProbeModule`] (per-scan key material + packet template: render a
+//! probe, validate a response). The engines match on neither in their
+//! hot loops beyond what lives here.
 
 use crate::config::{DedupMethod, ProbeKind, ScanConfig};
-use crate::transport::FrameBatch;
-use std::net::{IpAddr, Ipv6Addr};
+use std::net::IpAddr;
 use zmap_dedup::target_key;
 use zmap_targets::generator::{BuildError, TargetIter};
 use zmap_targets::{
@@ -65,6 +63,13 @@ impl ScanPlan {
         let ports = effective_ports(cfg);
         match &cfg.ipv6 {
             None => {
+                if cfg.dedup == DedupMethod::FullBitmap && ports.len() > 1 {
+                    return Err(BuildError::Config(
+                        "full-bitmap dedup indexes bare IPv4 addresses and cannot \
+                         distinguish ports; use window dedup for multi-port scans"
+                            .into(),
+                    ));
+                }
                 let mut gen_builder = TargetGenerator::builder()
                     .constraint(cfg.effective_constraint())
                     .ports(&ports)
@@ -236,23 +241,70 @@ pub struct AnyResponse {
     pub ttl: u8,
 }
 
-/// Per-scan probe key material and response validation for one family.
-pub enum AnyProbeBuilder {
-    V4(ProbeBuilder),
-    V6(ProbeBuilderV6),
+/// The scan's probe module for one address family (ZMap's "scan module",
+/// paper §5): the per-scan key material that validates responses plus the
+/// packet template (§4.4) laid out once from it, so the TX loop only
+/// patches addresses, cookie and checksums.
+pub enum ProbeModule {
+    V4 {
+        builder: ProbeBuilder,
+        template: ProbeTemplate,
+    },
+    V6 {
+        builder: ProbeBuilderV6,
+        template: ProbeTemplateV6,
+    },
 }
 
-impl AnyProbeBuilder {
-    /// Builds the family's probe builder from the config.
-    pub fn build(cfg: &ScanConfig) -> AnyProbeBuilder {
+impl ProbeModule {
+    /// Builds the configured module. Laying the template out here also
+    /// surfaces the one per-probe construction failure (oversized UDP
+    /// payload) at setup time, keeping the TX hot path infallible.
+    pub fn build(cfg: &ScanConfig) -> Result<ProbeModule, BuildError> {
+        Self::lay_out(cfg)
+            .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))
+    }
+
+    fn lay_out(cfg: &ScanConfig) -> Result<ProbeModule, WireError> {
         match &cfg.ipv6 {
             None => {
                 let mut builder = ProbeBuilder::new(cfg.source_ip, cfg.seed);
                 builder.layout = cfg.option_layout;
                 builder.ip_id = cfg.ip_id;
-                AnyProbeBuilder::V4(builder)
+                let template = match &cfg.probe {
+                    ProbeKind::TcpSyn => ProbeTemplate::tcp_syn(&builder),
+                    ProbeKind::IcmpEcho => ProbeTemplate::icmp_echo(&builder),
+                    ProbeKind::Udp(payload) => ProbeTemplate::udp(&builder, payload)?,
+                };
+                Ok(ProbeModule::V4 { builder, template })
             }
-            Some(v6) => AnyProbeBuilder::V6(ProbeBuilderV6::new(v6.source_ip, cfg.seed)),
+            Some(v6) => {
+                let builder = ProbeBuilderV6::new(v6.source_ip, cfg.seed);
+                let template = match &cfg.probe {
+                    ProbeKind::TcpSyn => ProbeTemplateV6::tcp_syn(&builder),
+                    ProbeKind::IcmpEcho => ProbeTemplateV6::icmp_echo(&builder),
+                    ProbeKind::Udp(payload) => ProbeTemplateV6::udp(&builder, payload)?,
+                };
+                Ok(ProbeModule::V6 { builder, template })
+            }
+        }
+    }
+
+    /// Renders the probe for one target into `out`, a recycled
+    /// [`FrameBatch`](crate::transport::FrameBatch) slot: a buffer still
+    /// holding a previous render of this module is patched in place.
+    /// `ip_id_entropy` feeds the v4 IP ID and is ignored for v6 (no
+    /// fragment header is emitted). The target's family must match the
+    /// module's — guaranteed when both derive from the same config.
+    pub fn render_into(&self, ip: IpAddr, port: u16, ip_id_entropy: u16, out: &mut Vec<u8>) {
+        match (self, ip) {
+            (ProbeModule::V4 { template, .. }, IpAddr::V4(v4)) => {
+                template.render_into(v4, port, ip_id_entropy, out)
+            }
+            (ProbeModule::V6 { template, .. }, IpAddr::V6(v6)) => {
+                template.render_into(v6, port, out)
+            }
+            _ => unreachable!("probe module fed a target from the other address family"),
         }
     }
 
@@ -260,129 +312,22 @@ impl AnyProbeBuilder {
     /// well-formed frame that is not a response to this scan.
     pub fn parse_response(&self, frame: &[u8]) -> Result<Option<AnyResponse>, WireError> {
         match self {
-            AnyProbeBuilder::V4(b) => Ok(b.parse_response(frame)?.map(|r| AnyResponse {
-                ip: IpAddr::V4(r.ip),
-                port: r.port,
-                kind: r.kind,
-                ttl: r.ttl,
-            })),
-            AnyProbeBuilder::V6(b) => Ok(b.parse_response(frame)?.map(|r| AnyResponse {
-                ip: IpAddr::V6(r.ip),
-                port: r.port,
-                kind: r.kind,
-                ttl: r.ttl,
-            })),
-        }
-    }
-}
-
-/// The per-scan packet template for one family (paper §4.4): the frame is
-/// laid out once; the hot loop only patches addresses and checksums.
-pub enum AnyTemplate {
-    V4(ProbeTemplate),
-    V6(ProbeTemplateV6),
-}
-
-/// Builds the template for the configured module, validating the one
-/// per-probe construction failure (oversized UDP payload) at setup time.
-pub fn build_any_template(
-    kind: &ProbeKind,
-    builder: &AnyProbeBuilder,
-) -> Result<AnyTemplate, WireError> {
-    match builder {
-        AnyProbeBuilder::V4(b) => crate::probe_mod::build_template(kind, b).map(AnyTemplate::V4),
-        AnyProbeBuilder::V6(b) => match kind {
-            ProbeKind::TcpSyn => Ok(AnyTemplate::V6(ProbeTemplateV6::tcp_syn(b))),
-            ProbeKind::IcmpEcho => Ok(AnyTemplate::V6(ProbeTemplateV6::icmp_echo(b))),
-            ProbeKind::Udp(payload) => ProbeTemplateV6::udp(b, payload).map(AnyTemplate::V6),
-        },
-    }
-}
-
-/// Staged batch rendering, family-erased. The v4 arm carries per-probe IP
-/// ID entropy and renders x8 → x4 → scalar; the v6 arm has no IP ID (no
-/// fragment header is emitted) and renders x8 → scalar. Slot `i` of the
-/// frame batch always corresponds to entry `i` here.
-pub(crate) enum AnyStaged {
-    V4(crate::probe_mod::StagedRender),
-    V6(Vec<(Ipv6Addr, u16)>),
-}
-
-impl AnyStaged {
-    /// An empty queue matching the plan's family.
-    pub(crate) fn for_plan(plan: &ScanPlan, capacity: usize) -> AnyStaged {
-        match plan {
-            ScanPlan::V4(_) => {
-                AnyStaged::V4(crate::probe_mod::StagedRender::with_capacity(capacity))
+            ProbeModule::V4 { builder, .. } => {
+                Ok(builder.parse_response(frame)?.map(|r| AnyResponse {
+                    ip: IpAddr::V4(r.ip),
+                    port: r.port,
+                    kind: r.kind,
+                    ttl: r.ttl,
+                }))
             }
-            ScanPlan::V6(_) => AnyStaged::V6(Vec::with_capacity(capacity)),
-        }
-    }
-
-    /// Queues one target; its frame renders at the next [`Self::render`].
-    /// `ip_id_entropy` feeds the v4 IP ID and is ignored for v6. The
-    /// target's family must match the queue's (guaranteed when targets
-    /// come from the same plan's iterator).
-    pub(crate) fn push(&mut self, ip: IpAddr, port: u16, ip_id_entropy: u16) {
-        match (self, ip) {
-            (AnyStaged::V4(staged), IpAddr::V4(v4)) => staged.push(v4, port, ip_id_entropy),
-            (AnyStaged::V6(staged), IpAddr::V6(v6)) => staged.push((v6, port)),
-            _ => unreachable!("staged queue fed a target from the other address family"),
-        }
-    }
-
-    /// Renders every staged frame into the batch and clears the queue.
-    /// The template's family must match the queue's (both derive from
-    /// the same config).
-    pub(crate) fn render(&mut self, template: &AnyTemplate, batch: &mut FrameBatch) {
-        match (self, template) {
-            (AnyStaged::V4(staged), AnyTemplate::V4(t)) => staged.render(t, batch),
-            (AnyStaged::V6(staged), AnyTemplate::V6(t)) => {
-                debug_assert_eq!(
-                    staged.len(),
-                    batch.len(),
-                    "slots and stages move in lockstep"
-                );
-                let n = staged.len();
-                let mut i = 0;
-                while i + 8 <= n {
-                    let lane = |k: usize| staged[i + k];
-                    let vs = t.probe_values_x8(
-                        [
-                            lane(0).0,
-                            lane(1).0,
-                            lane(2).0,
-                            lane(3).0,
-                            lane(4).0,
-                            lane(5).0,
-                            lane(6).0,
-                            lane(7).0,
-                        ],
-                        [
-                            lane(0).1,
-                            lane(1).1,
-                            lane(2).1,
-                            lane(3).1,
-                            lane(4).1,
-                            lane(5).1,
-                            lane(6).1,
-                            lane(7).1,
-                        ],
-                    );
-                    for (k, v) in vs.into_iter().enumerate() {
-                        let (ip, port) = staged[i + k];
-                        t.render_with(v, ip, port, batch.frame_mut(i + k));
-                    }
-                    i += 8;
-                }
-                while i < n {
-                    let (ip, port) = staged[i];
-                    t.render_into(ip, port, batch.frame_mut(i));
-                    i += 1;
-                }
-                staged.clear();
+            ProbeModule::V6 { builder, .. } => {
+                Ok(builder.parse_response(frame)?.map(|r| AnyResponse {
+                    ip: IpAddr::V6(r.ip),
+                    port: r.port,
+                    kind: r.kind,
+                    ttl: r.ttl,
+                }))
             }
-            _ => unreachable!("staged queue rendered with the other family's template"),
         }
     }
 }
@@ -552,25 +497,73 @@ mod tests {
     }
 
     #[test]
-    fn v6_staged_render_x8_matches_scalar() {
-        let cfg = v6_cfg();
-        let plan = ScanPlan::build(&cfg, None).unwrap();
-        let builder = AnyProbeBuilder::build(&cfg);
-        let template = build_any_template(&cfg.probe, &builder).unwrap();
-        let targets: Vec<_> = plan.iter_shard(0, 0).take(11).collect();
-        let mut batch = FrameBatch::new(targets.len());
-        let mut staged = AnyStaged::for_plan(&plan, targets.len());
-        for &(ip, port) in &targets {
-            batch.reserve(0, 0);
-            staged.push(ip, port, 0xABCD);
+    fn render_into_matches_from_scratch_builder_frames() {
+        // {v4, v6} x {TCP SYN, ICMP echo, UDP}: the engine-facing render
+        // must equal the from-scratch builder frame, both into an empty
+        // buffer and into one recycled from the previous target.
+        let kinds = [
+            ProbeKind::TcpSyn,
+            ProbeKind::IcmpEcho,
+            ProbeKind::Udp(b"probe".to_vec()),
+        ];
+        for v6 in [false, true] {
+            for kind in &kinds {
+                let mut cfg = if v6 {
+                    v6_cfg()
+                } else {
+                    ScanConfig::new(Ipv4Addr::new(198, 51, 100, 7))
+                };
+                cfg.probe = kind.clone();
+                let module = ProbeModule::build(&cfg).unwrap();
+                let mut buf = Vec::new();
+                for (host, port, entropy) in [(5u8, 443u16, 7u16), (9, 80, 0xABCD)] {
+                    let (ip, want) = match &module {
+                        ProbeModule::V4 { builder, .. } => {
+                            let ip = Ipv4Addr::new(203, 0, 113, host);
+                            let frame = match kind {
+                                ProbeKind::TcpSyn => builder.tcp_syn(ip, port, entropy),
+                                ProbeKind::IcmpEcho => builder.icmp_echo(ip, entropy),
+                                ProbeKind::Udp(p) => builder.udp(ip, port, p, entropy).unwrap(),
+                            };
+                            (IpAddr::V4(ip), frame)
+                        }
+                        ProbeModule::V6 { builder, .. } => {
+                            let ip = Ipv6Addr::new(0x2001, 0xdb8, 0xa, 0, 0, 0, 0, host.into());
+                            let frame = match kind {
+                                ProbeKind::TcpSyn => builder.tcp_syn(ip, port),
+                                ProbeKind::IcmpEcho => builder.icmp_echo(ip),
+                                ProbeKind::Udp(p) => builder.udp(ip, port, p).unwrap(),
+                            };
+                            (IpAddr::V6(ip), frame)
+                        }
+                    };
+                    module.render_into(ip, port, entropy, &mut buf);
+                    assert_eq!(buf, want, "v6={v6} {kind:?} {ip}:{port}");
+                }
+            }
         }
-        staged.render(&template, &mut batch);
-        let AnyTemplate::V6(ref t) = template else {
-            panic!("v6 config must build a v6 template")
-        };
-        for (i, &(ip, port)) in targets.iter().enumerate() {
-            let IpAddr::V6(v6) = ip else { unreachable!() };
-            assert_eq!(batch.frame(i).1, &t.render(v6, port)[..], "frame {i}");
+    }
+
+    #[test]
+    fn classification_mapping() {
+        use crate::output::Classification;
+        use zmap_wire::icmp::UnreachCode;
+        use zmap_wire::tcp::TcpFlags;
+        for (kind, want) in [
+            (ResponseKind::SynAck, Classification::SynAck),
+            (ResponseKind::Rst, Classification::Rst),
+            (ResponseKind::EchoReply, Classification::EchoReply),
+            (
+                ResponseKind::Unreachable {
+                    code: UnreachCode::Port,
+                    via: Ipv4Addr::new(9, 9, 9, 9),
+                },
+                Classification::Unreach,
+            ),
+            (ResponseKind::UdpData(10), Classification::UdpData),
+            (ResponseKind::OtherTcp(TcpFlags::ACK), Classification::Other),
+        ] {
+            assert_eq!(classify_kind(&kind), want);
         }
     }
 }

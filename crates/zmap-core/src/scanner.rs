@@ -8,7 +8,7 @@ use crate::metadata::{ConfigEcho, Counters, PermutationEcho, ScanMetadata};
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::monitor::{Monitor, StatusUpdate};
 use crate::output::ScanResult;
-use crate::plan::{build_any_template, AnyProbeBuilder, AnyStaged, AnyTemplate, ScanPlan};
+use crate::plan::{ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::shutdown::ShutdownToken;
 use crate::transport::{FrameBatch, Transport};
@@ -166,6 +166,14 @@ enum DedupState {
 }
 
 impl DedupState {
+    fn new(method: DedupMethod) -> Self {
+        match method {
+            DedupMethod::None => DedupState::None,
+            DedupMethod::FullBitmap => DedupState::Bitmap(Box::new(PagedBitmap::new())),
+            DedupMethod::Window(n) => DedupState::Window(SlidingWindow::new(n)),
+        }
+    }
+
     /// Observes a response by its plan-derived key. For v4 the key is
     /// `target_key(ip, port)`; for v6 it is the compact per-prefix index
     /// (the bitmap arm is unreachable there — v6 + full-bitmap is
@@ -192,12 +200,8 @@ impl DedupState {
 pub struct Scanner<T: Transport> {
     cfg: ScanConfig,
     transport: T,
-    builder: AnyProbeBuilder,
-    /// The per-scan packet template (paper §4.4): the frame is laid out
-    /// once here; the hot loop only patches addresses and checksums.
-    template: AnyTemplate,
+    module: ProbeModule,
     gen: ScanPlan,
-    dedup: DedupState,
     logger: Logger,
     rng: StdRng,
     /// Counters carried over from the journal when resuming (so metadata
@@ -286,29 +290,11 @@ impl<T: Transport> Scanner<T> {
         logger: Logger,
         cycle_parts: Option<(u64, u64)>,
     ) -> Result<Self, BuildError> {
-        let ports = crate::plan::effective_ports(&cfg);
-        if cfg.dedup == DedupMethod::FullBitmap && ports.len() > 1 {
-            return Err(BuildError::Config(
-                "full-bitmap dedup indexes bare IPv4 addresses and cannot \
-                 distinguish ports; use window dedup for multi-port scans"
-                    .into(),
-            ));
-        }
         // In v6 mode the journaled cycle parts are ignored: the walk plan
         // is a pure function of (prefix list, ports, seed) and the resume
         // gate compares its fingerprint instead.
         let gen = ScanPlan::build(&cfg, cycle_parts)?;
-        let builder = AnyProbeBuilder::build(&cfg);
-        // Laying the template out now also validates the one per-probe
-        // construction failure (oversized UDP payload) at setup time,
-        // keeping the TX hot path infallible.
-        let template = build_any_template(&cfg.probe, &builder)
-            .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))?;
-        let dedup = match cfg.dedup {
-            DedupMethod::None => DedupState::None,
-            DedupMethod::FullBitmap => DedupState::Bitmap(Box::new(PagedBitmap::new())),
-            DedupMethod::Window(n) => DedupState::Window(SlidingWindow::new(n)),
-        };
+        let module = ProbeModule::build(&cfg)?;
         let (prime, generator, _) = gen.permutation();
         logger.info(format_args!(
             "scan configured: {} targets in shard {}/{}, group p={}, generator={}",
@@ -322,10 +308,8 @@ impl<T: Transport> Scanner<T> {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x005E_ED1D),
             cfg,
             transport,
-            builder,
-            template,
+            module,
             gen,
-            dedup,
             logger,
             baseline: Counters::default(),
             start_positions: None,
@@ -369,10 +353,8 @@ impl<T: Transport> Scanner<T> {
         let Scanner {
             cfg,
             mut transport,
-            builder,
-            template,
+            module,
             gen,
-            mut dedup,
             logger,
             mut rng,
             baseline,
@@ -383,7 +365,7 @@ impl<T: Transport> Scanner<T> {
         let mut rc = RateController::new(start, cfg.rate_pps);
         let mut monitor = Monitor::new();
         let metrics = ScanMetrics::new(1, baseline);
-        let mut results: Vec<ScanResult> = Vec::new();
+        let mut rx = RxPath::new(&cfg, &gen, &module, &logger, &metrics, start);
 
         // Shard-local target count (exact only for the whole scan; for a
         // shard we estimate as total/shards for progress display).
@@ -462,13 +444,13 @@ impl<T: Transport> Scanner<T> {
             );
         }
 
-        // The TX hot path: probes are rendered from the per-scan template
-        // into a reusable frame pool and flushed through one batched
-        // transport call per `cfg.batch` targets — ZMap's packet template
-        // plus sendmmsg shape. After the first batch fills, the loop
-        // performs zero allocations per probe.
+        // The TX hot path: each probe is rendered from the per-scan
+        // template straight into its slot of a reusable frame pool as it
+        // is paced, and the pool is flushed through one batched transport
+        // call per `cfg.batch` targets — ZMap's packet template plus
+        // sendmmsg shape. After the first batch fills, the loop performs
+        // zero allocations per probe.
         let mut batch = FrameBatch::new(cfg.batch.max(1));
-        let mut staged = AnyStaged::for_plan(&gen, cfg.batch.max(1));
         // Local mirror of the TargetsTotal counter (which includes any
         // resume baseline): the hot loop reads it once per target, and a
         // registry read walks every counter shard.
@@ -520,8 +502,7 @@ impl<T: Transport> Scanner<T> {
                 // Tag each frame with the target count including its own
                 // target, so a mid-batch kill can roll the count back to
                 // exactly the targets whose probes were in flight.
-                batch.reserve(at, targets_total);
-                staged.push(ip, port, entropy);
+                module.render_into(ip, port, entropy, batch.reserve(at, targets_total));
                 // Stamp the scheduled send time for RTT measurement;
                 // retransmits to the same target keep the first stamp.
                 if let Some(key) = rtt_key {
@@ -532,7 +513,6 @@ impl<T: Transport> Scanner<T> {
                 continue;
             }
 
-            staged.render(&template, &mut batch);
             match flush_batch(&mut transport, &batch, cfg.max_retries, &metrics) {
                 FlushStatus::Killed { targets_in_flight } => {
                     metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
@@ -543,17 +523,7 @@ impl<T: Transport> Scanner<T> {
             }
             batch.clear();
 
-            drain_rx(
-                &mut transport,
-                &gen,
-                &builder,
-                &mut dedup,
-                &logger,
-                cfg.report_failures,
-                start,
-                &metrics,
-                &mut results,
-            );
+            drain_rx(&mut transport, &mut rx);
             monitor.observe(
                 transport.now().saturating_sub(start),
                 &metrics,
@@ -595,7 +565,6 @@ impl<T: Transport> Scanner<T> {
         // cap, max-results, or shutdown request) with a partial batch whose
         // targets are already counted, so their probes must still leave.
         if !killed && !batch.is_empty() {
-            staged.render(&template, &mut batch);
             match flush_batch(&mut transport, &batch, cfg.max_retries, &metrics) {
                 FlushStatus::Killed { targets_in_flight } => {
                     metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
@@ -665,17 +634,7 @@ impl<T: Transport> Scanner<T> {
                 match pending {
                     Some(t) if t <= cooldown_end => {
                         transport.advance_to(t);
-                        drain_rx(
-                            &mut transport,
-                            &gen,
-                            &builder,
-                            &mut dedup,
-                            &logger,
-                            cfg.report_failures,
-                            start,
-                            &metrics,
-                            &mut results,
-                        );
+                        drain_rx(&mut transport, &mut rx);
                         last_drain = t;
                     }
                     _ => break,
@@ -683,17 +642,7 @@ impl<T: Transport> Scanner<T> {
             }
             if !killed && !stalled {
                 transport.advance_to(cooldown_end);
-                drain_rx(
-                    &mut transport,
-                    &gen,
-                    &builder,
-                    &mut dedup,
-                    &logger,
-                    cfg.report_failures,
-                    start,
-                    &metrics,
-                    &mut results,
-                );
+                drain_rx(&mut transport, &mut rx);
                 killed = transport.killed();
             }
             if !killed && !stalled {
@@ -803,7 +752,7 @@ impl<T: Transport> Scanner<T> {
             shutdown_clean: counters.shutdown_clean,
             killed,
             duration_ns,
-            results,
+            results: rx.results,
             status: monitor.samples().to_vec(),
             metadata,
             metrics: snapshot,
@@ -1003,76 +952,114 @@ fn flush_batch<T: Transport>(
     FlushStatus::Flushed
 }
 
-/// Receive-path processing shared by the send loop and cooldown.
-#[allow(clippy::too_many_arguments)]
-fn drain_rx<T: Transport>(
-    transport: &mut T,
-    plan: &ScanPlan,
-    builder: &AnyProbeBuilder,
-    dedup: &mut DedupState,
-    logger: &Logger,
+/// The receive path of one scan, shared by both engines: validate the
+/// frame, key it into the plan's dedup space, sample its RTT, dedup,
+/// classify, and collect the record.
+pub(crate) struct RxPath<'a> {
+    plan: &'a ScanPlan,
+    module: &'a ProbeModule,
+    dedup: DedupState,
+    logger: &'a Logger,
+    metrics: &'a ScanMetrics,
+    /// The metrics shard owned by the receiving thread.
+    shard: usize,
     report_failures: bool,
+    /// Scan start on the transport clock; record timestamps are relative.
     start: u64,
-    metrics: &ScanMetrics,
-    results: &mut Vec<ScanResult>,
-) {
-    for (ts, frame) in transport.recv_frames() {
-        match builder.parse_response(&frame) {
+    /// The success records (plus failures when `report_failures`).
+    pub(crate) results: Vec<ScanResult>,
+}
+
+impl<'a> RxPath<'a> {
+    pub(crate) fn new(
+        cfg: &ScanConfig,
+        plan: &'a ScanPlan,
+        module: &'a ProbeModule,
+        logger: &'a Logger,
+        metrics: &'a ScanMetrics,
+        start: u64,
+    ) -> Self {
+        RxPath {
+            plan,
+            module,
+            dedup: DedupState::new(cfg.dedup),
+            logger,
+            metrics,
+            shard: metrics.rx_shard(),
+            report_failures: cfg.report_failures,
+            start,
+            results: Vec::new(),
+        }
+    }
+
+    /// Processes one received frame stamped `ts` on the transport clock.
+    pub(crate) fn on_frame(&mut self, ts: u64, frame: &[u8]) {
+        let (metrics, shard) = (self.metrics, self.shard);
+        match self.module.parse_response(frame) {
             Ok(Some(resp)) => {
-                metrics.add(CounterId::ResponsesValidated, 1);
+                metrics.add_at(shard, CounterId::ResponsesValidated, 1);
                 // Map the response into the plan's dedup index space. A
                 // failure (v6 responder off its prefix's host pattern,
                 // unknown port) degrades exactly this response — counted
                 // and dropped — never the run.
-                let key = match plan.probe_key(resp.ip, resp.port) {
+                let key = match self.plan.probe_key(resp.ip, resp.port) {
                     Ok(key) => key,
                     Err(e) => {
-                        metrics.add(CounterId::ResponsesDiscarded, 1);
-                        logger.log(
+                        metrics.add_at(shard, CounterId::ResponsesDiscarded, 1);
+                        self.logger.log(
                             Level::Debug,
                             format_args!("response outside the target space: {e}"),
                         );
-                        continue;
+                        return;
                     }
                 };
                 // RTT from the probe's scheduled send to this arrival;
                 // the tracker releases on first take, so duplicates and
                 // blowback contribute no sample.
-                metrics.record_rtt(0, key, ts);
-                if !dedup.observe(resp.ip, key) {
-                    metrics.add(CounterId::DuplicatesSuppressed, 1);
-                    continue;
+                metrics.record_rtt(shard, key, ts);
+                if !self.dedup.observe(resp.ip, key) {
+                    metrics.add_at(shard, CounterId::DuplicatesSuppressed, 1);
+                    return;
                 }
-                let classification = crate::plan::classify_kind(&resp.kind);
                 let success = resp.kind.is_success();
                 if success {
-                    metrics.add(CounterId::UniqueSuccesses, 1);
+                    metrics.add_at(shard, CounterId::UniqueSuccesses, 1);
                 } else {
-                    metrics.add(CounterId::UniqueFailures, 1);
+                    metrics.add_at(shard, CounterId::UniqueFailures, 1);
                 }
-                if success || report_failures {
-                    results.push(ScanResult {
-                        ts_ns: ts.saturating_sub(start),
+                if success || self.report_failures {
+                    self.results.push(ScanResult {
+                        ts_ns: ts.saturating_sub(self.start),
                         saddr: resp.ip,
                         sport: resp.port,
-                        classification,
+                        classification: crate::plan::classify_kind(&resp.kind),
                         ttl: resp.ttl,
                         success,
                     });
                 }
             }
             Ok(None) => {
-                metrics.add(CounterId::ResponsesDiscarded, 1);
+                metrics.add_at(shard, CounterId::ResponsesDiscarded, 1);
             }
             Err(zmap_wire::WireError::BadChecksum) => {
-                metrics.add(CounterId::ResponsesCorrupted, 1);
-                logger.log(Level::Debug, format_args!("checksum mismatch: frame dropped"));
+                metrics.add_at(shard, CounterId::ResponsesCorrupted, 1);
+                self.logger
+                    .log(Level::Debug, format_args!("checksum mismatch: frame dropped"));
             }
             Err(e) => {
-                metrics.add(CounterId::ResponsesDiscarded, 1);
-                logger.log(Level::Debug, format_args!("malformed frame: {e}"));
+                metrics.add_at(shard, CounterId::ResponsesDiscarded, 1);
+                self.logger
+                    .log(Level::Debug, format_args!("malformed frame: {e}"));
             }
         }
+    }
+}
+
+/// Drains the transport's received frames through the receive path
+/// (send loop and cooldown alike).
+fn drain_rx<T: Transport>(transport: &mut T, rx: &mut RxPath<'_>) {
+    for (ts, frame) in transport.recv_frames() {
+        rx.on_frame(ts, &frame);
     }
 }
 

@@ -25,8 +25,8 @@ use zmap_netsim::{EndpointId, SendError, World, WorldConfig};
 /// Each slot holds `(scheduled send time, engine tag, frame buffer)`.
 /// Buffers are recycled across [`clear`](Self::clear) calls, so after
 /// the first fill the TX hot path performs zero allocations: the engine
-/// renders each probe straight into [`slot`](Self::slot) with
-/// `ProbeTemplate::render_into`.
+/// renders each probe straight into [`reserve`](Self::reserve)'s buffer
+/// with `ProbeModule::render_into`.
 ///
 /// The tag is engine-defined bookkeeping carried alongside the frame
 /// (the single-threaded engine stores its target count, the parallel
@@ -81,10 +81,10 @@ impl FrameBatch {
     }
 
     /// Like [`Self::slot`], but the recycled buffer keeps its previous
-    /// contents. The staged template fill uses this so
-    /// `ProbeTemplate::render_with` can recognise a prior render of the
-    /// same template and patch it in place instead of re-copying the
-    /// frame. Callers must overwrite (or clear) the buffer before flush.
+    /// contents, so `ProbeTemplate::render_into` can recognise a prior
+    /// render of the same template and patch it in place instead of
+    /// re-copying the frame. Callers must overwrite (or clear) the buffer
+    /// before flush.
     pub fn reserve(&mut self, at_ns: u64, tag: u64) -> &mut Vec<u8> {
         if self.len == self.slots.len() {
             self.slots.push((at_ns, tag, Vec::new()));
@@ -106,13 +106,6 @@ impl FrameBatch {
     /// Engine tag of slot `i` (`i < len`).
     pub fn tag(&self, i: usize) -> u64 {
         self.slots[i].1
-    }
-
-    /// Mutable access to slot `i`'s frame buffer (`i < len`) — the
-    /// staged-render fill path writes frames here after reserving slots.
-    pub fn frame_mut(&mut self, i: usize) -> &mut Vec<u8> {
-        assert!(i < self.len, "frame_mut past batch length");
-        &mut self.slots[i].2
     }
 
     /// Scheduled time of the first queued frame (`None` when empty).

@@ -53,122 +53,6 @@ pub fn siphash24_2w(k0: u64, k1: u64, m0: u64, m1: u64) -> u64 {
     finalize(v)
 }
 
-/// Four independent two-block SipHash-2-4 computations, interleaved.
-///
-/// One SipHash round is a ~4-cycle dependency chain but only a handful
-/// of instructions; running four independent states side by side lets
-/// the CPU overlap the chains, so four MACs cost little more than one.
-/// Output lane `i` equals `siphash24_2w(k0, k1, m0[i], m1[i])` exactly.
-#[inline]
-pub fn siphash24_2w_x4(k0: u64, k1: u64, m0: [u64; 4], m1: [u64; 4]) -> [u64; 4] {
-    // Structure-of-arrays: each vN holds one state word across all four
-    // lanes, so every operation below is the same op on four lanes — the
-    // shape autovectorizers and out-of-order cores both like.
-    let mut v0 = [0x736f6d6570736575u64 ^ k0; 4];
-    let mut v1 = [0x646f72616e646f6du64 ^ k1; 4];
-    let mut v2 = [0x6c7967656e657261u64 ^ k0; 4];
-    let mut v3 = [0x7465646279746573u64 ^ k1; 4];
-
-    macro_rules! lanes {
-        (|$i:ident| $body:expr) => {
-            for $i in 0..4 {
-                $body;
-            }
-        };
-    }
-    macro_rules! rounds {
-        ($n:literal) => {
-            for _ in 0..$n {
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(13));
-                lanes!(|i| v1[i] ^= v0[i]);
-                lanes!(|i| v0[i] = v0[i].rotate_left(32));
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(16));
-                lanes!(|i| v3[i] ^= v2[i]);
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(21));
-                lanes!(|i| v3[i] ^= v0[i]);
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(17));
-                lanes!(|i| v1[i] ^= v2[i]);
-                lanes!(|i| v2[i] = v2[i].rotate_left(32));
-            }
-        };
-    }
-
-    lanes!(|i| v3[i] ^= m0[i]);
-    rounds!(2);
-    lanes!(|i| v0[i] ^= m0[i]);
-    lanes!(|i| v3[i] ^= m1[i]);
-    rounds!(2);
-    lanes!(|i| v0[i] ^= m1[i]);
-    lanes!(|i| v2[i] ^= 0xFF);
-    rounds!(4);
-
-    let mut out = [0u64; 4];
-    lanes!(|i| out[i] = v0[i] ^ v1[i] ^ v2[i] ^ v3[i]);
-    out
-}
-
-/// Eight independent two-block SipHash-2-4 computations, interleaved.
-///
-/// The x4 form leaves execution ports idle on wide cores: one SipHash
-/// round is a ~4-cycle dependency chain, and eight side-by-side states
-/// give the scheduler enough independent work to saturate two 256-bit
-/// vector pipes (or eight scalar ALU chains). Output lane `i` equals
-/// `siphash24_2w(k0, k1, m0[i], m1[i])` exactly.
-#[inline]
-pub fn siphash24_2w_x8(k0: u64, k1: u64, m0: [u64; 8], m1: [u64; 8]) -> [u64; 8] {
-    // Structure-of-arrays, as in the x4 form: each vN holds one state
-    // word across all eight lanes.
-    let mut v0 = [0x736f6d6570736575u64 ^ k0; 8];
-    let mut v1 = [0x646f72616e646f6du64 ^ k1; 8];
-    let mut v2 = [0x6c7967656e657261u64 ^ k0; 8];
-    let mut v3 = [0x7465646279746573u64 ^ k1; 8];
-
-    macro_rules! lanes {
-        (|$i:ident| $body:expr) => {
-            for $i in 0..8 {
-                $body;
-            }
-        };
-    }
-    macro_rules! rounds {
-        ($n:literal) => {
-            for _ in 0..$n {
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(13));
-                lanes!(|i| v1[i] ^= v0[i]);
-                lanes!(|i| v0[i] = v0[i].rotate_left(32));
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(16));
-                lanes!(|i| v3[i] ^= v2[i]);
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(21));
-                lanes!(|i| v3[i] ^= v0[i]);
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(17));
-                lanes!(|i| v1[i] ^= v2[i]);
-                lanes!(|i| v2[i] = v2[i].rotate_left(32));
-            }
-        };
-    }
-
-    lanes!(|i| v3[i] ^= m0[i]);
-    rounds!(2);
-    lanes!(|i| v0[i] ^= m0[i]);
-    lanes!(|i| v3[i] ^= m1[i]);
-    rounds!(2);
-    lanes!(|i| v0[i] ^= m1[i]);
-    lanes!(|i| v2[i] ^= 0xFF);
-    rounds!(4);
-
-    let mut out = [0u64; 8];
-    lanes!(|i| out[i] = v0[i] ^ v1[i] ^ v2[i] ^ v3[i]);
-    out
-}
-
 /// SipHash-2-4 of a message that packs into exactly five blocks (32–39
 /// bytes): `m[0..4]` are the first 32 message bytes little-endian, `m[4]`
 /// the padded final block including the length byte on top. Produces the
@@ -182,60 +66,6 @@ pub fn siphash24_5w(k0: u64, k1: u64, m: [u64; 5]) -> u64 {
         block(&mut v, w);
     }
     finalize(v)
-}
-
-/// Eight independent five-block SipHash-2-4 computations, interleaved —
-/// the IPv6 counterpart of [`siphash24_2w_x8`], same structure-of-arrays
-/// shape. Output lane `i` equals `siphash24_5w(k0, k1, m[i])` exactly.
-#[inline]
-pub fn siphash24_5w_x8(k0: u64, k1: u64, m: &[[u64; 5]; 8]) -> [u64; 8] {
-    // Structure-of-arrays, as in the two-block x8 form: each vN holds one
-    // state word across all eight lanes.
-    let mut v0 = [0x736f6d6570736575u64 ^ k0; 8];
-    let mut v1 = [0x646f72616e646f6du64 ^ k1; 8];
-    let mut v2 = [0x6c7967656e657261u64 ^ k0; 8];
-    let mut v3 = [0x7465646279746573u64 ^ k1; 8];
-
-    macro_rules! lanes {
-        (|$i:ident| $body:expr) => {
-            for $i in 0..8 {
-                $body;
-            }
-        };
-    }
-    macro_rules! rounds {
-        ($n:literal) => {
-            for _ in 0..$n {
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(13));
-                lanes!(|i| v1[i] ^= v0[i]);
-                lanes!(|i| v0[i] = v0[i].rotate_left(32));
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(16));
-                lanes!(|i| v3[i] ^= v2[i]);
-                lanes!(|i| v0[i] = v0[i].wrapping_add(v3[i]));
-                lanes!(|i| v3[i] = v3[i].rotate_left(21));
-                lanes!(|i| v3[i] ^= v0[i]);
-                lanes!(|i| v2[i] = v2[i].wrapping_add(v1[i]));
-                lanes!(|i| v1[i] = v1[i].rotate_left(17));
-                lanes!(|i| v1[i] ^= v2[i]);
-                lanes!(|i| v2[i] = v2[i].rotate_left(32));
-            }
-        };
-    }
-
-    #[allow(clippy::needless_range_loop)] // `b` indexes the inner word of every lane's block
-    for b in 0..5 {
-        lanes!(|i| v3[i] ^= m[i][b]);
-        rounds!(2);
-        lanes!(|i| v0[i] ^= m[i][b]);
-    }
-    lanes!(|i| v2[i] ^= 0xFF);
-    rounds!(4);
-
-    let mut out = [0u64; 8];
-    lanes!(|i| out[i] = v0[i] ^ v1[i] ^ v2[i] ^ v3[i]);
-    out
 }
 
 #[inline(always)]
@@ -384,49 +214,6 @@ impl ValidationKey {
         }
     }
 
-    /// Four probe MACs at once via the interleaved SipHash; lane `i`
-    /// equals `probe(src_ip, dst_ip[i], dst_port[i])` exactly. The TX
-    /// batch fill path uses this to hide the hash's round latency.
-    #[inline]
-    pub fn probe_x4(
-        &self,
-        src_ip: u32,
-        dst_ip: [u32; 4],
-        dst_port: [u16; 4],
-    ) -> [ProbeValues; 4] {
-        let mut m0 = [0u64; 4];
-        let mut m1 = [0u64; 4];
-        for i in 0..4 {
-            let (a, b) = probe_msg(src_ip, dst_ip[i], dst_port[i]);
-            m0[i] = a;
-            m1[i] = b;
-        }
-        let macs = siphash24_2w_x4(self.k0, self.k1, m0, m1);
-        macs.map(|mac| ProbeValues { mac })
-    }
-
-    /// Eight probe MACs at once via the 8-lane interleaved SipHash; lane
-    /// `i` equals `probe(src_ip, dst_ip[i], dst_port[i])` exactly. The
-    /// pipelined TX fill path renders in groups of eight to hide the
-    /// hash's round latency across a wider window than the x4 form.
-    #[inline]
-    pub fn probe_x8(
-        &self,
-        src_ip: u32,
-        dst_ip: [u32; 8],
-        dst_port: [u16; 8],
-    ) -> [ProbeValues; 8] {
-        let mut m0 = [0u64; 8];
-        let mut m1 = [0u64; 8];
-        for i in 0..8 {
-            let (a, b) = probe_msg(src_ip, dst_ip[i], dst_port[i]);
-            m0[i] = a;
-            m1[i] = b;
-        }
-        let macs = siphash24_2w_x8(self.k0, self.k1, m0, m1);
-        macs.map(|mac| ProbeValues { mac })
-    }
-
     /// The single per-probe MAC for an IPv6 target: SipHash-2-4 over the
     /// 34-byte message `src ‖ dst ‖ dst_port` (network order), packed
     /// directly into five SipHash blocks. The derived [`ProbeValues`]
@@ -437,23 +224,6 @@ impl ValidationKey {
         ProbeValues {
             mac: siphash24_5w(self.k0, self.k1, probe_msg_v6(src, dst, dst_port)),
         }
-    }
-
-    /// Eight IPv6 probe MACs at once via the 8-lane interleaved SipHash;
-    /// lane `i` equals `probe_v6(src, &dst[i], dst_port[i])` exactly.
-    #[inline]
-    pub fn probe_v6_x8(
-        &self,
-        src: &[u8; 16],
-        dst: &[[u8; 16]; 8],
-        dst_port: [u16; 8],
-    ) -> [ProbeValues; 8] {
-        let mut m = [[0u64; 5]; 8];
-        for i in 0..8 {
-            m[i] = probe_msg_v6(src, &dst[i], dst_port[i]);
-        }
-        let macs = siphash24_5w_x8(self.k0, self.k1, &m);
-        macs.map(|mac| ProbeValues { mac })
     }
 
     /// The 32-bit cookie placed in a TCP SYN's sequence number.
@@ -652,79 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_probe_lanes_match_serial() {
-        let key = ValidationKey::from_seed(1234);
-        let dst = [0u32, 0x0A000001, u32::MAX, 0xC6336455];
-        let port = [0u16, 80, u16::MAX, 443];
-        let lanes = key.probe_x4(0xC0000209, dst, port);
-        for i in 0..4 {
-            assert_eq!(lanes[i], key.probe(0xC0000209, dst[i], port[i]), "lane {i}");
-        }
-    }
-
-    #[test]
-    fn interleaved_x8_lanes_match_serial_and_x4() {
-        let key = ValidationKey::from_seed(1234);
-        let dst = [
-            0u32,
-            0x0A000001,
-            u32::MAX,
-            0xC6336455,
-            1,
-            0x08080808,
-            0x7F000001,
-            0xDEADBEEF,
-        ];
-        let port = [0u16, 80, u16::MAX, 443, 22, 53, 8080, 1];
-        let lanes = key.probe_x8(0xC0000209, dst, port);
-        for i in 0..8 {
-            assert_eq!(lanes[i], key.probe(0xC0000209, dst[i], port[i]), "lane {i}");
-        }
-        // And the x8 form agrees with two x4 invocations lane-for-lane.
-        let lo = key.probe_x4(
-            0xC0000209,
-            [dst[0], dst[1], dst[2], dst[3]],
-            [port[0], port[1], port[2], port[3]],
-        );
-        let hi = key.probe_x4(
-            0xC0000209,
-            [dst[4], dst[5], dst[6], dst[7]],
-            [port[4], port[5], port[6], port[7]],
-        );
-        assert_eq!(&lanes[..4], &lo[..]);
-        assert_eq!(&lanes[4..], &hi[..]);
-    }
-
-    #[test]
-    fn x8_raw_hash_matches_scalar_for_arbitrary_blocks() {
-        let mut x = 0x00DD_BA11_DEAD_BEEF_u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for _ in 0..100 {
-            let k0 = next();
-            let k1 = next();
-            let mut m0 = [0u64; 8];
-            let mut m1 = [0u64; 8];
-            for i in 0..8 {
-                m0[i] = next();
-                m1[i] = next();
-            }
-            let wide = siphash24_2w_x8(k0, k1, m0, m1);
-            let quad_lo = siphash24_2w_x4(k0, k1, m0[..4].try_into().unwrap(), m1[..4].try_into().unwrap());
-            let quad_hi = siphash24_2w_x4(k0, k1, m0[4..].try_into().unwrap(), m1[4..].try_into().unwrap());
-            for i in 0..8 {
-                assert_eq!(wide[i], siphash24_2w(k0, k1, m0[i], m1[i]), "lane {i}");
-            }
-            assert_eq!(&wide[..4], &quad_lo[..]);
-            assert_eq!(&wide[4..], &quad_hi[..]);
-        }
-    }
-
-    #[test]
     fn five_word_fast_path_matches_generic() {
         // The five-block form must agree with the byte-slice SipHash for
         // the message lengths it claims to cover (32–39 bytes).
@@ -775,24 +472,6 @@ mod tests {
                 siphash24(key.k0, key.k1, &msg),
                 "port {port}"
             );
-        }
-    }
-
-    #[test]
-    fn v6_interleaved_x8_lanes_match_serial() {
-        let key = ValidationKey::from_seed(1234);
-        let src: [u8; 16] = [0x20, 1, 0xd, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1];
-        let mut dst = [[0u8; 16]; 8];
-        let mut port = [0u16; 8];
-        for i in 0..8 {
-            dst[i][0] = 0x20;
-            dst[i][1] = 1;
-            dst[i][15] = i as u8;
-            port[i] = 80 + 7 * i as u16;
-        }
-        let lanes = key.probe_v6_x8(&src, &dst, port);
-        for i in 0..8 {
-            assert_eq!(lanes[i], key.probe_v6(&src, &dst[i], port[i]), "lane {i}");
         }
     }
 

@@ -16,7 +16,7 @@
 //! property testing.
 
 use crate::checksum;
-use crate::cookie::{ProbeValues, ValidationKey};
+use crate::cookie::ValidationKey;
 use crate::ipv4::IpIdMode;
 use crate::probe::ProbeBuilder;
 use crate::WireError;
@@ -138,38 +138,8 @@ impl ProbeTemplate {
         }
     }
 
-    /// The MAC-derived per-probe material for one target.
-    pub fn probe_values(&self, dst_ip: Ipv4Addr, dst_port: u16) -> ProbeValues {
-        self.key
-            .probe(self.src_ip, u32::from(dst_ip), self.mac_port(dst_port))
-    }
-
-    /// Four targets' MAC material at once via the interleaved SipHash —
-    /// the batch TX fill path uses this to hide the hash's round
-    /// latency. Lane `i` equals `probe_values(dst_ip[i], dst_port[i])`.
-    pub fn probe_values_x4(&self, dst_ip: [Ipv4Addr; 4], dst_port: [u16; 4]) -> [ProbeValues; 4] {
-        let mut ports = dst_port;
-        for p in ports.iter_mut() {
-            *p = self.mac_port(*p);
-        }
-        self.key
-            .probe_x4(self.src_ip, dst_ip.map(u32::from), ports)
-    }
-
-    /// Eight targets' MAC material at once via the 8-lane interleaved
-    /// SipHash — the pipelined TX fill path renders in lane groups of
-    /// eight. Lane `i` equals `probe_values(dst_ip[i], dst_port[i])`.
-    pub fn probe_values_x8(&self, dst_ip: [Ipv4Addr; 8], dst_port: [u16; 8]) -> [ProbeValues; 8] {
-        let mut ports = dst_port;
-        for p in ports.iter_mut() {
-            *p = self.mac_port(*p);
-        }
-        self.key
-            .probe_x8(self.src_ip, dst_ip.map(u32::from), ports)
-    }
-
-    /// Renders the probe for one target into `out` (cleared first). After
-    /// the first call on a given buffer this allocates nothing.
+    /// Renders the probe for one target into `out`. After the first call
+    /// on a given buffer this allocates nothing.
     pub fn render_into(
         &self,
         dst_ip: Ipv4Addr,
@@ -177,21 +147,8 @@ impl ProbeTemplate {
         ip_id_entropy: u16,
         out: &mut Vec<u8>,
     ) {
-        self.render_with(self.probe_values(dst_ip, dst_port), dst_ip, dst_port, ip_id_entropy, out);
-    }
-
-    /// Renders with MAC material the caller already computed (for the
-    /// interleaved [`Self::probe_values_x4`] fill path). `v` must come
-    /// from [`Self::probe_values`] for the same target; the two-argument
-    /// form [`Self::render_into`] is the safe wrapper.
-    pub fn render_with(
-        &self,
-        v: ProbeValues,
-        dst_ip: Ipv4Addr,
-        dst_port: u16,
-        ip_id_entropy: u16,
-        out: &mut Vec<u8>,
-    ) {
+        // The one MAC per probe: every echoed field below derives from it.
+        let v = self.key.probe(self.src_ip, u32::from(dst_ip), self.mac_port(dst_port));
         // A buffer of exactly this frame's length is a previous render of
         // this template (the batch TX pool recycles them): every byte that
         // varies per target is overwritten below with absolute values, so
@@ -348,64 +305,6 @@ mod tests {
         let big = vec![0u8; crate::probe::MAX_UDP_PAYLOAD + 1];
         assert_eq!(ProbeTemplate::udp(&b, &big).unwrap_err(), WireError::BadLength);
         assert!(ProbeTemplate::udp(&b, &vec![0u8; 1000]).is_ok());
-    }
-
-    #[test]
-    fn x4_fill_path_matches_serial_render() {
-        // The interleaved batch fill (probe_values_x4 + render_with) must
-        // produce byte-identical frames to the one-shot render for every
-        // probe shape.
-        let b = builder();
-        let dst = [
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(0, 0, 0, 0),
-            Ipv4Addr::new(255, 255, 255, 255),
-            Ipv4Addr::new(203, 0, 113, 5),
-        ];
-        let ports = [80u16, 0, 65535, 443];
-        for tpl in [
-            ProbeTemplate::tcp_syn(&b),
-            ProbeTemplate::icmp_echo(&b),
-            ProbeTemplate::udp(&b, b"probe").unwrap(),
-        ] {
-            let vs = tpl.probe_values_x4(dst, ports);
-            for k in 0..4 {
-                let mut out = Vec::new();
-                tpl.render_with(vs[k], dst[k], ports[k], 9, &mut out);
-                assert_eq!(out, tpl.render(dst[k], ports[k], 9), "lane {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn x8_fill_path_matches_serial_render() {
-        // The widened batch fill (probe_values_x8 + render_with) must
-        // produce byte-identical frames to the one-shot render for every
-        // probe shape, exactly like the x4 path.
-        let b = builder();
-        let dst = [
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(0, 0, 0, 0),
-            Ipv4Addr::new(255, 255, 255, 255),
-            Ipv4Addr::new(203, 0, 113, 5),
-            Ipv4Addr::new(8, 8, 8, 8),
-            Ipv4Addr::new(192, 168, 1, 1),
-            Ipv4Addr::new(100, 64, 0, 1),
-            Ipv4Addr::new(1, 1, 1, 1),
-        ];
-        let ports = [80u16, 0, 65535, 443, 53, 22, 8443, 1];
-        for tpl in [
-            ProbeTemplate::tcp_syn(&b),
-            ProbeTemplate::icmp_echo(&b),
-            ProbeTemplate::udp(&b, b"probe").unwrap(),
-        ] {
-            let vs = tpl.probe_values_x8(dst, ports);
-            for k in 0..8 {
-                let mut out = Vec::new();
-                tpl.render_with(vs[k], dst[k], ports[k], 9, &mut out);
-                assert_eq!(out, tpl.render(dst[k], ports[k], 9), "lane {k}");
-            }
-        }
     }
 
     #[test]

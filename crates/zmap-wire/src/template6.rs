@@ -8,7 +8,6 @@
 //! path, so the two paths cannot disagree structurally.
 
 use crate::checksum;
-use crate::cookie::ProbeValues;
 use crate::probe6::ProbeBuilderV6;
 use crate::{ValidationKey, WireError};
 use std::net::Ipv6Addr;
@@ -113,43 +112,13 @@ impl ProbeTemplateV6 {
         }
     }
 
-    /// The MAC-derived per-probe material for one target.
-    pub fn probe_values(&self, dst_ip: Ipv6Addr, dst_port: u16) -> ProbeValues {
-        self.key
-            .probe_v6(&self.src_ip, &dst_ip.octets(), self.mac_port(dst_port))
-    }
-
-    /// Eight targets' MAC material at once via the 8-lane interleaved
-    /// five-block SipHash. Lane `i` equals `probe_values(dst_ip[i],
-    /// dst_port[i])`.
-    pub fn probe_values_x8(
-        &self,
-        dst_ip: [Ipv6Addr; 8],
-        dst_port: [u16; 8],
-    ) -> [ProbeValues; 8] {
-        let mut ports = dst_port;
-        for p in ports.iter_mut() {
-            *p = self.mac_port(*p);
-        }
-        self.key
-            .probe_v6_x8(&self.src_ip, &dst_ip.map(|a| a.octets()), ports)
-    }
-
-    /// Renders the probe for one target into `out` (cleared first). After
-    /// the first call on a given buffer this allocates nothing.
+    /// Renders the probe for one target into `out`. After the first call
+    /// on a given buffer this allocates nothing.
     pub fn render_into(&self, dst_ip: Ipv6Addr, dst_port: u16, out: &mut Vec<u8>) {
-        self.render_with(self.probe_values(dst_ip, dst_port), dst_ip, dst_port, out);
-    }
-
-    /// Renders with MAC material the caller already computed (the x8 fill
-    /// path). `v` must come from [`Self::probe_values`] for this target.
-    pub fn render_with(
-        &self,
-        v: ProbeValues,
-        dst_ip: Ipv6Addr,
-        dst_port: u16,
-        out: &mut Vec<u8>,
-    ) {
+        // The one MAC per probe: every echoed field below derives from it.
+        let v = self
+            .key
+            .probe_v6(&self.src_ip, &dst_ip.octets(), self.mac_port(dst_port));
         // Same buffer-recycling contract as the v4 template: a buffer of
         // exactly this frame's length is a previous render of this
         // template, and every per-target byte is overwritten below.
@@ -274,33 +243,6 @@ mod tests {
             let tpl = ProbeTemplateV6::udp(&b, payload).unwrap();
             for (ip, port) in cases() {
                 assert_eq!(tpl.render(ip, port), b.udp(ip, port, payload).unwrap(), "{ip}");
-            }
-        }
-    }
-
-    #[test]
-    fn x8_fill_path_matches_serial_render() {
-        let b = builder();
-        let mut dst = [Ipv6Addr::UNSPECIFIED; 8];
-        let mut ports = [0u16; 8];
-        for (i, d) in dst.iter_mut().enumerate() {
-            let mut o = [0u8; 16];
-            o[0] = 0x20;
-            o[1] = 1;
-            o[15] = i as u8;
-            *d = Ipv6Addr::from(o);
-            ports[i] = 80 + i as u16;
-        }
-        for tpl in [
-            ProbeTemplateV6::tcp_syn(&b),
-            ProbeTemplateV6::icmp_echo(&b),
-            ProbeTemplateV6::udp(&b, b"probe").unwrap(),
-        ] {
-            let vs = tpl.probe_values_x8(dst, ports);
-            for k in 0..8 {
-                let mut out = Vec::new();
-                tpl.render_with(vs[k], dst[k], ports[k], &mut out);
-                assert_eq!(out, tpl.render(dst[k], ports[k]), "lane {k}");
             }
         }
     }

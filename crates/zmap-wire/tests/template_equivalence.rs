@@ -1,13 +1,10 @@
 //! Property tests: template rendering with RFC 1624 incremental checksum
 //! patching must be byte-identical to from-scratch frame construction for
 //! arbitrary (destination IP, destination port, IP-ID entropy) mutations,
-//! across probe kinds, option layouts, and IP-ID modes — and the
-//! interleaved SipHash lane groups (x8, x4) must agree with the scalar
-//! path for arbitrary keys, messages, and targets.
+//! across probe kinds, option layouts, and IP-ID modes.
 
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
-use zmap_wire::cookie::{siphash24_2w, siphash24_2w_x4, siphash24_2w_x8};
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
 use zmap_wire::probe::ProbeBuilder;
@@ -62,59 +59,6 @@ proptest! {
             tpl.render(ip, port, entropy),
             b.udp(ip, port, &payload, entropy).unwrap()
         );
-    }
-
-    #[test]
-    fn siphash_lanes_agree_with_scalar_for_arbitrary_blocks(
-        k0 in any::<u64>(),
-        k1 in any::<u64>(),
-        m0 in prop::array::uniform8(any::<u64>()),
-        m1 in prop::array::uniform8(any::<u64>()),
-    ) {
-        // x8 == x4 == scalar, lane for lane: the SoA widening must be a
-        // pure layout change with no arithmetic drift anywhere in the
-        // key/message space.
-        let wide = siphash24_2w_x8(k0, k1, m0, m1);
-        let lo = siphash24_2w_x4(k0, k1,
-            [m0[0], m0[1], m0[2], m0[3]], [m1[0], m1[1], m1[2], m1[3]]);
-        let hi = siphash24_2w_x4(k0, k1,
-            [m0[4], m0[5], m0[6], m0[7]], [m1[4], m1[5], m1[6], m1[7]]);
-        for lane in 0..8 {
-            let narrow = if lane < 4 { lo[lane] } else { hi[lane - 4] };
-            prop_assert_eq!(wide[lane], narrow, "x8 vs x4 lane {}", lane);
-            prop_assert_eq!(
-                wide[lane],
-                siphash24_2w(k0, k1, m0[lane], m1[lane]),
-                "x8 vs scalar lane {}", lane
-            );
-        }
-    }
-
-    #[test]
-    fn batched_lane_render_matches_per_target_patching(
-        seed in 0u64..1_000_000,
-        dsts in prop::array::uniform8(any::<u32>()),
-        ports in prop::array::uniform8(any::<u16>()),
-        entropy in any::<u16>(),
-        layout_idx in 0usize..OptionLayout::ALL.len(),
-    ) {
-        // The x8 lane group (batched MAC + checksum patching across the
-        // lanes) must produce exactly the frames the per-target template
-        // path does — same RFC 1624 patches, same bytes.
-        let mut b = builder(seed);
-        b.layout = OptionLayout::ALL[layout_idx];
-        let tpl = ProbeTemplate::tcp_syn(&b);
-        let ips = dsts.map(Ipv4Addr::from);
-        let values = tpl.probe_values_x8(ips, ports);
-        for lane in 0..8 {
-            let mut got = Vec::new();
-            tpl.render_with(values[lane], ips[lane], ports[lane], entropy, &mut got);
-            prop_assert_eq!(
-                &got,
-                &tpl.render(ips[lane], ports[lane], entropy),
-                "lane {} frame drifted", lane
-            );
-        }
     }
 
     #[test]
