@@ -4,12 +4,11 @@
 //! The paper's engineering claims (stateless scanning, cyclic-group
 //! coverage, byte-identical replay) hold only while the codebase never
 //! smuggles in hidden state: unseeded randomness, wall-clock reads in
-//! the engine, panics on the TX/RX hot path, or counters that exist in
-//! metadata but silently vanish from the status stream. Clippy cannot
-//! express these rules; this crate machine-checks them.
+//! the engine, or panics on the TX/RX hot path. Clippy cannot express
+//! these rules; this crate machine-checks them.
 //!
 //! The pipeline is: walk the workspace's `.rs` files ([`walk_workspace`])
-//! → lex each into a line-numbered token stream ([`lexer`]) → run eight
+//! → lex each into a line-numbered token stream ([`lexer`]) → run the
 //! project-specific lints ([`lints`]) → subtract the checked-in
 //! suppression baseline ([`baseline`]) → render text or JSON
 //! ([`report`]). No dependencies, no `syn`: the hand-rolled lexer is in

@@ -1,8 +1,7 @@
-//! The lint pass: twelve project-specific checks over the lexed token
+//! The lint pass: eleven project-specific checks over the lexed token
 //! streams. Each lint exists because a paper invariant (determinism,
-//! statelessness, counter completeness, lock-free-ring correctness) is
-//! only as strong as the codebase's discipline about it; see DESIGN.md
-//! §9 for the mapping.
+//! statelessness, lock-free-ring correctness) is only as strong as the
+//! codebase's discipline about it; see DESIGN.md §9 for the mapping.
 //!
 //! Every lint is one row of the [`LINTS`] registry: id, summary, and a
 //! workspace-level pass fn. `run_lints`, `report.rs`, and the docs all
@@ -65,7 +64,7 @@ fn pass_unsafe(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
 
 /// The lint registry, in the order findings are documented. Adding a
 /// lint means adding a row here — there is no second list to update.
-pub const LINTS: [Lint; 12] = [
+pub const LINTS: [Lint; 11] = [
     Lint {
         id: "no-unwrap-hot-path",
         summary: "no .unwrap()/.expect() on the TX/RX hot path",
@@ -95,11 +94,6 @@ pub const LINTS: [Lint; 12] = [
         id: "unsafe-needs-safety-comment",
         summary: "unsafe needs a SAFETY comment; unsafe-free crates must forbid",
         pass: pass_unsafe,
-    },
-    Lint {
-        id: "counter-wiring",
-        summary: "every metadata counter must reach status and the CLI",
-        pass: lint_counter_wiring,
     },
     Lint {
         id: "todo-fixme-gate",
@@ -310,82 +304,6 @@ fn trait_bodies(lexed: &LexedFile) -> Vec<(usize, usize)> {
         i += 1;
     }
     bodies
-}
-
-/// Fields `(name, line)` of `struct name { … }` in declaration order.
-pub fn struct_fields(lexed: &LexedFile, name: &str) -> Vec<(String, u32)> {
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < lexed.tokens.len() {
-        if lexed.ident(i) == Some("struct") && lexed.ident(i + 1) == Some(name) {
-            let mut k = i + 2;
-            while k < lexed.tokens.len() && !lexed.punct(k, '{') {
-                if lexed.punct(k, ';') {
-                    return fields; // tuple/unit struct: no named fields
-                }
-                k += 1;
-            }
-            let end = skip_brace_block(lexed, k);
-            let mut depth = 0i32;
-            for j in k..end {
-                if lexed.punct(j, '{') {
-                    depth += 1;
-                } else if lexed.punct(j, '}') {
-                    depth -= 1;
-                } else if depth == 1 {
-                    // A field name: ident directly followed by a single
-                    // `:` (not a `::` path segment).
-                    if let Some(id) = lexed.ident(j) {
-                        let follows = lexed.punct(j + 1, ':') && !lexed.punct(j + 2, ':');
-                        let preceded_by_path = j > 0 && lexed.punct(j - 1, ':');
-                        let prev_ok = j == 0
-                            || lexed.punct(j - 1, '{')
-                            || lexed.punct(j - 1, ',')
-                            || lexed.punct(j - 1, ']')
-                            || lexed.punct(j - 1, ')')
-                            || lexed.ident(j - 1) == Some("pub");
-                        if follows && !preceded_by_path && prev_ok {
-                            fields.push((id.to_string(), lexed.line(j)));
-                        }
-                    }
-                }
-            }
-            return fields;
-        }
-        i += 1;
-    }
-    fields
-}
-
-/// Count of `ident` occurrences outside token range `excl`.
-fn ident_occurrences_outside(lexed: &LexedFile, ident: &str, excl: (usize, usize)) -> usize {
-    lexed
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| {
-            !(excl.0..excl.1).contains(i) && matches!(&t.tok, Tok::Ident(s) if s == ident)
-        })
-        .count()
-}
-
-/// Token range of `struct name { … }` (from `struct` to past `}`).
-fn struct_decl_range(lexed: &LexedFile, name: &str) -> Option<(usize, usize)> {
-    let mut i = 0usize;
-    while i + 1 < lexed.tokens.len() {
-        if lexed.ident(i) == Some("struct") && lexed.ident(i + 1) == Some(name) {
-            let mut k = i + 2;
-            while k < lexed.tokens.len() && !lexed.punct(k, '{') {
-                if lexed.punct(k, ';') {
-                    return Some((i, k + 1));
-                }
-                k += 1;
-            }
-            return Some((i, skip_brace_block(lexed, k)));
-        }
-        i += 1;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------
@@ -698,73 +616,7 @@ fn lint_unsafe_attestation(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fi
 }
 
 // ---------------------------------------------------------------------
-// Lint 7: counter-wiring
-// ---------------------------------------------------------------------
-
-const COUNTERS_FILE: &str = "crates/zmap-core/src/metadata.rs";
-const MONITOR_FILE: &str = "crates/zmap-core/src/monitor.rs";
-const CLI_STATUS_FILE: &str = "crates/zmap-cli/src/run.rs";
-
-/// Cross-file completeness: every field of `Counters` (the canonical
-/// counter registry, serialized into scan metadata) must be mirrored as
-/// a `StatusUpdate` field, populated in the monitor, and rendered on the
-/// CLI status path. PR 1 wired three fault counters through all of these
-/// by hand; this lint makes forgetting one a CI failure.
-fn lint_counter_wiring(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
-    let (Some(meta), Some(monitor), Some(cli)) = (
-        files.get(COUNTERS_FILE),
-        files.get(MONITOR_FILE),
-        files.get(CLI_STATUS_FILE),
-    ) else {
-        return;
-    };
-    let counters = struct_fields(meta, "Counters");
-    if counters.is_empty() {
-        return;
-    }
-    let status_fields = struct_fields(monitor, "StatusUpdate");
-    let status_decl = struct_decl_range(monitor, "StatusUpdate").unwrap_or((0, 0));
-    for (field, line) in &counters {
-        if !status_fields.iter().any(|(f, _)| f == field) {
-            out.push(Finding {
-                lint: "counter-wiring",
-                path: COUNTERS_FILE.to_string(),
-                line: *line,
-                message: format!(
-                    "counter `{field}` is not a StatusUpdate field; live status \
-                     (stream #3) must surface every counter the metadata reports"
-                ),
-            });
-            continue;
-        }
-        if ident_occurrences_outside(monitor, field, status_decl) == 0 {
-            out.push(Finding {
-                lint: "counter-wiring",
-                path: COUNTERS_FILE.to_string(),
-                line: *line,
-                message: format!(
-                    "counter `{field}` is declared in StatusUpdate but never \
-                     populated in monitor.rs (Monitor::tick must copy it)"
-                ),
-            });
-            continue;
-        }
-        if ident_occurrences_outside(cli, field, (0, 0)) == 0 {
-            out.push(Finding {
-                lint: "counter-wiring",
-                path: COUNTERS_FILE.to_string(),
-                line: *line,
-                message: format!(
-                    "counter `{field}` never reaches the CLI status path \
-                     ({CLI_STATUS_FILE}); render it in the status line"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 8: todo-fixme-gate
+// Lint 7: todo-fixme-gate
 // ---------------------------------------------------------------------
 
 fn lint_todo_fixme(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
@@ -787,7 +639,7 @@ fn lint_todo_fixme(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------
-// Lint 9: atomics-ordering-discipline
+// Lint 8: atomics-ordering-discipline
 // ---------------------------------------------------------------------
 
 /// Index just past the `)` matching the `(` at `open`.
@@ -960,7 +812,7 @@ fn lint_atomics_ordering(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) 
 }
 
 // ---------------------------------------------------------------------
-// Lint 10: lock-discipline
+// Lint 9: lock-discipline
 // ---------------------------------------------------------------------
 
 /// Calls that hand frames to a transport — blocking or retrying, so a
@@ -1282,7 +1134,7 @@ impl Graph {
 }
 
 // ---------------------------------------------------------------------
-// Lint 11: alloc-in-hot-path
+// Lint 10: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
 /// Hot-path roots: the per-frame TX machinery. A heap allocation
@@ -1375,7 +1227,7 @@ fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fin
 }
 
 // ---------------------------------------------------------------------
-// Lint 12: panic-reachability
+// Lint 11: panic-reachability
 // ---------------------------------------------------------------------
 
 /// Engine entry points: the fns a scan actually enters through.
@@ -1479,14 +1331,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_fields_and_regions_parse() {
-        let src = "pub struct S { pub a: u64, pub b: Vec<(u64, u8)>, c: f64 }";
-        let lexed = lex(src);
-        let names: Vec<_> = struct_fields(&lexed, "S").into_iter().map(|f| f.0).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-    }
-
-    #[test]
     fn must_use_attr_detected_through_other_attrs() {
         let src = "trait T {\n #[doc(hidden)]\n #[must_use]\n fn send_x(&self) -> Result<(), E>;\n\
                    fn send_y(&self) -> Result<(), E>;\n fn recv_ok(&self) -> u64;\n}";
@@ -1538,31 +1382,5 @@ mod tests {
             .collect();
         assert_eq!(safety.len(), 1);
         assert_eq!(safety[0].path, "crates/c/src/lib.rs");
-    }
-
-    #[test]
-    fn counter_wiring_catches_each_break() {
-        let meta = "pub struct Counters { pub ok_one: u64, pub missing_status: u64, \
-                    pub unpopulated: u64, pub missing_cli: u64 }";
-        let monitor = "pub struct StatusUpdate { pub ok_one: u64, pub unpopulated: u64, \
-                       pub missing_cli: u64 }\n\
-                       fn tick(c: &Counters) { let _ = c.ok_one; let _ = c.missing_cli; }";
-        let cli = "fn status(s: &StatusUpdate) { render(s.ok_one); }";
-        let files = files_of(&[
-            ("crates/zmap-core/src/metadata.rs", meta),
-            ("crates/zmap-core/src/monitor.rs", monitor),
-            ("crates/zmap-cli/src/run.rs", cli),
-        ]);
-        let f: Vec<_> = run_lints(&files)
-            .into_iter()
-            .filter(|f| f.lint == "counter-wiring")
-            .collect();
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().any(|f| f.message.contains("missing_status")
-            && f.message.contains("not a StatusUpdate field")));
-        assert!(f.iter().any(|f| f.message.contains("unpopulated")
-            && f.message.contains("populated in monitor.rs")));
-        assert!(f.iter().any(|f| f.message.contains("missing_cli")
-            && f.message.contains("CLI status path")));
     }
 }

@@ -120,25 +120,6 @@ fn unsafe_free_crate_must_attest_with_forbid() {
 }
 
 #[test]
-fn counter_wiring_flags_each_break_at_its_declaration() {
-    let f = fixture("counter_wiring");
-    assert_eq!(
-        spans(&f, "counter-wiring"),
-        vec![
-            ("crates/zmap-core/src/metadata.rs".to_string(), 5),
-            ("crates/zmap-core/src/metadata.rs".to_string(), 6),
-            ("crates/zmap-core/src/metadata.rs".to_string(), 7),
-        ],
-        "one finding per broken counter, anchored at its Counters declaration"
-    );
-    let msgs: Vec<&str> = f.iter().map(|f| f.message.as_str()).collect();
-    assert!(msgs[0].contains("missing_status") && msgs[0].contains("not a StatusUpdate field"));
-    assert!(msgs[1].contains("unpopulated") && msgs[1].contains("monitor.rs"));
-    assert!(msgs[2].contains("missing_cli") && msgs[2].contains("CLI status path"));
-    assert_eq!(f.len(), 3, "ok_one is fully wired and must stay silent: {f:?}");
-}
-
-#[test]
 fn deferred_work_markers_fire() {
     let f = fixture("todo");
     assert_eq!(
@@ -226,7 +207,7 @@ fn panic_reachability_follows_entry_points_and_honors_panics_docs() {
 
 #[test]
 fn findings_come_back_sorted_by_path_line_lint() {
-    let f = fixture("counter_wiring");
+    let f = fixture("atomics_discipline");
     let mut sorted = f.clone();
     sorted.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.lint).cmp(&(b.path.as_str(), b.line, b.lint))

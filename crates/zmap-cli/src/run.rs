@@ -14,7 +14,7 @@ use zmap_core::parallel::{
     DEFAULT_WATCHDOG_POLL_LIMIT,
 };
 use zmap_core::transport::SimNet;
-use zmap_core::{Ipv6Config, RunOptions, Scanner};
+use zmap_core::{Ipv6Config, RunOptions, ScanSummary, Scanner};
 use zmap_netsim::{FaultPlan, ServiceModel, V6Population, World, WorldConfig};
 
 /// Exit code for a scan killed mid-flight (crash injection or a stall the
@@ -101,22 +101,24 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         None
     };
 
+    let world = WorldConfig {
+        seed: opts.sim_seed,
+        model,
+        faults,
+        v6: v6_pop,
+        ..WorldConfig::default()
+    };
+    let watchdog_poll_limit = watchdog_poll_limit(opts.watchdog_secs);
+
     // --tx-pipeline routes through the threaded engine: generator threads
-    // render into per-pair frame rings, transport threads drain them. The
-    // single-threaded Scanner path below stays byte-for-byte untouched.
-    if opts.config.tx_pipeline {
-        let world = Arc::new(Mutex::new(World::new(WorldConfig {
-            seed: opts.sim_seed,
-            model,
-            faults,
-            v6: v6_pop.clone(),
-            ..WorldConfig::default()
-        })));
+    // render into per-pair frame rings, transport threads drain them.
+    let summary = if opts.config.tx_pipeline {
+        let world = Arc::new(Mutex::new(World::new(world)));
         let transport = SharedSimTransport::new(world, opts.config.source_ip);
         let run_opts = ParallelRunOptions {
             shutdown: None,
             checkpoint,
-            watchdog_poll_limit: watchdog_poll_limit(opts.watchdog_secs),
+            watchdog_poll_limit,
         };
         let mut summary = match &journal {
             Some(j) => match resume_parallel(&opts.config, &transport, j, run_opts) {
@@ -140,69 +142,43 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         summary
             .results
             .sort_by_key(|r| (r.ts_ns, r.saddr, r.sport));
-        return emit_streams(
-            &opts,
-            &summary.results,
-            &summary.status,
-            &summary.metadata.to_json(),
-            summary.killed,
+        summary
+    } else {
+        let transport = SimNet::new(world).transport(opts.config.source_ip);
+        let logger = Logger::writer(
+            if opts.verbose { Level::Debug } else { Level::Info },
+            Box::new(io::stderr()),
         );
-    }
-
-    let net = SimNet::new(WorldConfig {
-        seed: opts.sim_seed,
-        model,
-        faults,
-        v6: v6_pop,
-        ..WorldConfig::default()
-    });
-    let transport = net.transport(opts.config.source_ip);
-
-    let logger = Logger::writer(
-        if opts.verbose { Level::Debug } else { Level::Info },
-        Box::new(io::stderr()),
-    );
-
-    let scanner = match &journal {
-        Some(j) => match Scanner::resume_with_logger(opts.config.clone(), transport, j, logger) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ERROR {e}");
-                return Ok(2);
+        let scanner = match &journal {
+            Some(j) => {
+                match Scanner::resume_with_logger(opts.config.clone(), transport, j, logger) {
+                    Ok(s) => s,
+                    Err(e) => {
+                        eprintln!("ERROR {e}");
+                        return Ok(2);
+                    }
+                }
             }
-        },
-        None => match Scanner::with_logger(opts.config.clone(), transport, logger) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ERROR invalid configuration: {e}");
-                return Ok(2);
-            }
-        },
+            None => match Scanner::with_logger(opts.config.clone(), transport, logger) {
+                Ok(s) => s,
+                Err(e) => {
+                    eprintln!("ERROR invalid configuration: {e}");
+                    return Ok(2);
+                }
+            },
+        };
+        scanner.run_with(RunOptions {
+            checkpoint,
+            watchdog_poll_limit,
+            ..RunOptions::default()
+        })
     };
-    let summary = scanner.run_with(RunOptions {
-        checkpoint,
-        watchdog_poll_limit: watchdog_poll_limit(opts.watchdog_secs),
-        ..RunOptions::default()
-    });
-    emit_streams(
-        &opts,
-        &summary.results,
-        &summary.status,
-        &summary.metadata.to_json(),
-        summary.killed,
-    )
+    emit_streams(&opts, &summary)
 }
 
 /// Writes streams 1 (data), 3 (status), and 4 (metadata) and maps the
-/// kill flag to the exit code — shared by the sequential and pipelined
-/// engines so both emit identical shapes from identical summaries.
-fn emit_streams(
-    opts: &CliOptions,
-    results: &[zmap_core::ScanResult],
-    status: &[StatusUpdate],
-    metadata_json: &str,
-    killed: bool,
-) -> io::Result<i32> {
+/// kill flag to the exit code — whichever engine produced the summary.
+fn emit_streams(opts: &CliOptions, summary: &ScanSummary) -> io::Result<i32> {
     // Stream 1: data.
     let sink: Box<dyn Write> = if opts.output_path == "-" {
         Box::new(io::stdout())
@@ -210,19 +186,20 @@ fn emit_streams(
         Box::new(File::create(&opts.output_path)?)
     };
     let mut out = OutputModule::new(opts.format, sink);
-    for r in results {
+    for r in &summary.results {
         out.record(r)?;
     }
     out.finish()?;
 
     // Stream 3: status (replayed at completion in this offline build).
     if !opts.quiet {
-        for s in status {
+        for s in &summary.status {
             eprintln!("{}", status_line(s, opts.status_json));
         }
     }
 
     // Stream 4: metadata.
+    let metadata_json = summary.metadata.to_json();
     match &opts.metadata_path {
         Some(path) => {
             let mut f = File::create(path)?;
@@ -233,7 +210,7 @@ fn emit_streams(
 
     // All four streams are flushed above even when the scan died: the
     // post-mortem is complete, but the exit code says the scan is not.
-    if killed {
+    if summary.killed {
         eprintln!("ERROR scan killed mid-flight; resume with --resume");
         return Ok(EXIT_KILLED);
     }
@@ -244,66 +221,67 @@ fn emit_streams(
 /// [`StatusUpdate`] (every counter, every sample), so machine consumers
 /// never depend on the elision rules of the human-readable form.
 ///
-/// Every Counters field is rendered by name in the text arm — quiet
-/// segments only when nonzero — so nothing the metadata reports is
-/// invisible while a scan runs (enforced by zmap-analyze's
-/// counter-wiring lint).
+/// Every counter is rendered in the text arm — quiet segments only when
+/// nonzero — so nothing the metadata reports is invisible while a scan
+/// runs (`every_counter_reaches_the_text_status_line` walks
+/// `CounterId::ALL` to hold a new counter to that).
 fn status_line(s: &StatusUpdate, json: bool) -> String {
     if json {
         return serde_json::to_string(s)
             .unwrap_or_else(|e| format!("{{\"error\":\"status serialization: {e}\"}}"));
     }
+    let c = &s.counters;
     let mut line = format!(
         "{}s: sent {}/{} ({:.0} pps), {} recv, {} results, {} dups, {:.1}% done",
         s.t_secs,
-        s.sent,
-        s.targets_total,
+        c.sent,
+        c.targets_total,
         s.send_rate,
-        s.responses_validated,
-        s.unique_successes,
-        s.duplicates_suppressed,
+        c.responses_validated,
+        c.unique_successes,
+        c.duplicates_suppressed,
         s.percent_complete
     );
-    if s.unique_failures > 0 {
-        line.push_str(&format!(", {} failures", s.unique_failures));
+    if c.unique_failures > 0 {
+        line.push_str(&format!(", {} failures", c.unique_failures));
     }
-    if s.responses_discarded > 0 {
-        line.push_str(&format!(", {} discarded", s.responses_discarded));
+    if c.responses_discarded > 0 {
+        line.push_str(&format!(", {} discarded", c.responses_discarded));
     }
-    if s.send_retries > 0 || s.sendto_failures > 0 {
+    if c.send_retries > 0 || c.sendto_failures > 0 {
         line.push_str(&format!(
             ", {} retries ({} failed)",
-            s.send_retries, s.sendto_failures
+            c.send_retries, c.sendto_failures
         ));
     }
-    if s.responses_corrupted > 0 {
-        line.push_str(&format!(", {} corrupt", s.responses_corrupted));
+    if c.responses_corrupted > 0 {
+        line.push_str(&format!(", {} corrupt", c.responses_corrupted));
     }
-    if s.lock_poison_recoveries > 0 {
-        line.push_str(&format!(", {} lock-recovered", s.lock_poison_recoveries));
+    if c.lock_poison_recoveries > 0 {
+        line.push_str(&format!(", {} lock-recovered", c.lock_poison_recoveries));
     }
-    if s.checkpoints_written > 0 {
-        line.push_str(&format!(", {} ckpt", s.checkpoints_written));
+    if c.checkpoints_written > 0 {
+        line.push_str(&format!(", {} ckpt", c.checkpoints_written));
     }
-    if s.resume_count > 0 {
-        line.push_str(&format!(", resumed x{}", s.resume_count));
+    if c.resume_count > 0 {
+        line.push_str(&format!(", resumed x{}", c.resume_count));
     }
-    if s.watchdog_stalls > 0 {
-        line.push_str(&format!(", {} stalls", s.watchdog_stalls));
+    if c.watchdog_stalls > 0 {
+        line.push_str(&format!(", {} stalls", c.watchdog_stalls));
     }
-    if s.jobs_admitted > 0 {
-        line.push_str(&format!(", {} jobs", s.jobs_admitted));
+    if c.jobs_admitted > 0 {
+        line.push_str(&format!(", {} jobs", c.jobs_admitted));
     }
-    if s.worker_restarts > 0 {
-        line.push_str(&format!(", {} restarts", s.worker_restarts));
+    if c.worker_restarts > 0 {
+        line.push_str(&format!(", {} restarts", c.worker_restarts));
     }
-    if s.jobs_degraded > 0 {
-        line.push_str(&format!(", {} degraded", s.jobs_degraded));
+    if c.jobs_degraded > 0 {
+        line.push_str(&format!(", {} degraded", c.jobs_degraded));
     }
-    if s.migrations > 0 {
-        line.push_str(&format!(", {} migrations", s.migrations));
+    if c.migrations > 0 {
+        line.push_str(&format!(", {} migrations", c.migrations));
     }
-    if s.shutdown_clean > 0 {
+    if c.shutdown_clean > 0 {
         line.push_str(", clean shutdown");
     }
     line
@@ -312,6 +290,8 @@ fn status_line(s: &StatusUpdate, json: bool) -> String {
 #[cfg(test)]
 mod tests {
     use crate::args::parse_args;
+    use zmap_core::metadata::Counters;
+    use zmap_core::CounterId;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -321,27 +301,23 @@ mod tests {
     fn status_line_json_carries_every_counter() {
         let s = super::StatusUpdate {
             t_secs: 2,
-            targets_total: 10,
-            sent: 10,
             send_rate: 5.0,
-            responses_validated: 4,
-            responses_discarded: 1,
-            duplicates_suppressed: 1,
-            unique_successes: 3,
-            unique_failures: 1,
-            send_retries: 2,
-            sendto_failures: 1,
-            responses_corrupted: 1,
-            lock_poison_recoveries: 0,
-            checkpoints_written: 1,
-            resume_count: 0,
-            watchdog_stalls: 0,
-            shutdown_clean: 1,
-            jobs_admitted: 0,
-            worker_restarts: 0,
-            jobs_degraded: 0,
-            migrations: 0,
             percent_complete: 100.0,
+            counters: Counters {
+                targets_total: 10,
+                sent: 10,
+                responses_validated: 4,
+                responses_discarded: 1,
+                duplicates_suppressed: 1,
+                unique_successes: 3,
+                unique_failures: 1,
+                send_retries: 2,
+                sendto_failures: 1,
+                responses_corrupted: 1,
+                checkpoints_written: 1,
+                shutdown_clean: 1,
+                ..Counters::default()
+            },
         };
         let line = super::status_line(&s, true);
         let v: serde_json::Value = serde_json::from_str(&line).unwrap();
@@ -377,6 +353,26 @@ mod tests {
         let text = super::status_line(&s, false);
         assert!(text.contains("sent 10/10"), "{text}");
         assert!(text.contains("clean shutdown"), "{text}");
+    }
+
+    #[test]
+    fn every_counter_reaches_the_text_status_line() {
+        // A counter added to the table must show up on the operator's
+        // status line, not only in the metadata document.
+        let mut s = super::StatusUpdate {
+            t_secs: 1,
+            send_rate: 0.0,
+            percent_complete: 0.0,
+            counters: Counters::default(),
+        };
+        let quiet = super::status_line(&s, false);
+        for &id in CounterId::ALL {
+            *s.counters.get_mut(id) = 7;
+            let line = super::status_line(&s, false);
+            let name = id.name();
+            assert_ne!(line, quiet, "{name} is missing from the text status line");
+            *s.counters.get_mut(id) = 0;
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! position is sufficient to re-enter the permutation exactly.
 
 use crate::config::ScanConfig;
-use crate::metadata::{ConfigEcho, Counters};
+use crate::metadata::{ConfigEcho, CounterId, Counters};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
@@ -152,34 +152,6 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// One row of the counter table: field name, getter, setter.
-type CounterField = (&'static str, fn(&Counters) -> u64, fn(&mut Counters, u64));
-
-/// Names and accessors for every [`Counters`] field, in journal order.
-/// Adding a field to `Counters` without extending this table is caught
-/// by the `counters_table_is_exhaustive` test below.
-const COUNTER_FIELDS: &[CounterField] = &[
-    ("targets_total", |c| c.targets_total, |c, v| c.targets_total = v),
-    ("sent", |c| c.sent, |c, v| c.sent = v),
-    ("responses_validated", |c| c.responses_validated, |c, v| c.responses_validated = v),
-    ("responses_discarded", |c| c.responses_discarded, |c, v| c.responses_discarded = v),
-    ("duplicates_suppressed", |c| c.duplicates_suppressed, |c, v| c.duplicates_suppressed = v),
-    ("unique_successes", |c| c.unique_successes, |c, v| c.unique_successes = v),
-    ("unique_failures", |c| c.unique_failures, |c, v| c.unique_failures = v),
-    ("send_retries", |c| c.send_retries, |c, v| c.send_retries = v),
-    ("sendto_failures", |c| c.sendto_failures, |c, v| c.sendto_failures = v),
-    ("responses_corrupted", |c| c.responses_corrupted, |c, v| c.responses_corrupted = v),
-    ("lock_poison_recoveries", |c| c.lock_poison_recoveries, |c, v| c.lock_poison_recoveries = v),
-    ("checkpoints_written", |c| c.checkpoints_written, |c, v| c.checkpoints_written = v),
-    ("resume_count", |c| c.resume_count, |c, v| c.resume_count = v),
-    ("watchdog_stalls", |c| c.watchdog_stalls, |c, v| c.watchdog_stalls = v),
-    ("shutdown_clean", |c| c.shutdown_clean, |c, v| c.shutdown_clean = v),
-    ("jobs_admitted", |c| c.jobs_admitted, |c, v| c.jobs_admitted = v),
-    ("worker_restarts", |c| c.worker_restarts, |c, v| c.worker_restarts = v),
-    ("jobs_degraded", |c| c.jobs_degraded, |c, v| c.jobs_degraded = v),
-    ("migrations", |c| c.migrations, |c, v| c.migrations = v),
-];
-
 impl CheckpointState {
     /// Serializes to the canonical journal byte form, checksum included.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -201,8 +173,9 @@ impl CheckpointState {
             body.push_str(&format!(" {p}"));
         }
         body.push('\n');
-        for (name, get, _) in COUNTER_FIELDS {
-            body.push_str(&format!("counter {name} {}\n", get(&self.counters)));
+        for &id in CounterId::ALL {
+            let (name, value) = (id.name(), self.counters.get(id));
+            body.push_str(&format!("counter {name} {value}\n"));
         }
         let crc = siphash24(CRC_K0, CRC_K1, body.as_bytes());
         body.push_str(&format!("crc {crc:016x}\n"));
@@ -304,13 +277,13 @@ impl CheckpointState {
                         .next()
                         .and_then(|w| w.parse().ok())
                         .ok_or(JournalError::MissingField("counter value"))?;
-                    let (_, _, set) = COUNTER_FIELDS
+                    let id = CounterId::ALL
                         .iter()
-                        .find(|(n, _, _)| *n == name)
+                        .find(|id| id.name() == name)
                         .ok_or_else(|| {
                             JournalError::Malformed(format!("unknown counter {name}"))
                         })?;
-                    set(&mut st.counters, v);
+                    *st.counters.get_mut(*id) = v;
                     seen.insert(format!("counter.{name}"));
                     continue;
                 }
@@ -495,21 +468,25 @@ mod tests {
     }
 
     #[test]
-    fn counters_table_is_exhaustive() {
-        // Setting every tabled field to a distinct value must visit each
-        // struct field exactly once — serde and the table must agree on
-        // the field count.
-        let mut c = Counters::default();
-        for (i, (_, _, set)) in COUNTER_FIELDS.iter().enumerate() {
-            set(&mut c, i as u64 + 1);
-        }
-        let json = serde_json::to_string(&c).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj.len(), COUNTER_FIELDS.len(), "table out of sync: {json}");
-        let mut vals: Vec<u64> = obj.values().map(|x| x.as_u64().unwrap()).collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (1..=COUNTER_FIELDS.len() as u64).collect::<Vec<_>>());
+    fn journal_bytes_are_pinned() {
+        // A literal, not a round trip: format 1 is pinned byte for byte
+        // (counter names, their order, the checksum), so a journal from
+        // any other build of this format loads here and vice versa.
+        let journal = "zmapckpt 1\nconfig_digest 16045690981293355021\nseed 7\n\
+            group_prime 4294967311\ngenerator 3\noffset 41\nshard 1\nnum_shards 4\n\
+            num_subshards 3\nvirtual_time_ns 2500000000\ndedup_high_water 17\n\
+            complete 0\npositions 3 10 20 30\ncounter targets_total 60\n\
+            counter sent 60\ncounter responses_validated 0\n\
+            counter responses_discarded 0\ncounter duplicates_suppressed 0\n\
+            counter unique_successes 42\ncounter unique_failures 0\n\
+            counter send_retries 0\ncounter sendto_failures 0\n\
+            counter responses_corrupted 0\ncounter lock_poison_recoveries 0\n\
+            counter checkpoints_written 2\ncounter resume_count 0\n\
+            counter watchdog_stalls 0\ncounter shutdown_clean 0\n\
+            counter jobs_admitted 0\ncounter worker_restarts 0\n\
+            counter jobs_degraded 0\ncounter migrations 0\ncrc 27ec510dbc74c2ca\n";
+        assert_eq!(String::from_utf8(sample().to_bytes()).unwrap(), journal);
+        assert_eq!(CheckpointState::from_bytes(journal.as_bytes()).unwrap(), sample());
     }
 
     #[test]

@@ -113,12 +113,13 @@ pub struct ScanConfig {
     /// knob — the results stream is identical for any value ≥ 1 — so it
     /// is excluded from the config digest.
     pub batch: usize,
-    /// Decouple probe generation from transport in the parallel engine:
-    /// each subshard becomes a generator thread rendering batches into a
-    /// bounded SPSC frame ring drained by a dedicated transport thread
-    /// (the netmap/PF_RING shape from §4.2). Pure performance topology —
-    /// schedule, results, and checkpoints are identical either way — so,
-    /// like `batch`, it is excluded from the config digest.
+    /// Engine selector for front-ends (the CLI, the benchmark adapter):
+    /// `true` asks for the threaded engine, `false` for the sequential
+    /// [`Scanner`](crate::Scanner). Nothing in this crate reads it — the
+    /// threaded engine ([`run_parallel`](crate::parallel::run_parallel))
+    /// is always the generator → SPSC ring → transport pipeline (the
+    /// netmap/PF_RING shape from §4.2), whoever calls it. Like `batch`,
+    /// it is excluded from the config digest.
     pub tx_pipeline: bool,
     /// Internal: whether `allowlist_prefix` has replaced the default
     /// allow-all constraint yet.

@@ -114,51 +114,114 @@ pub struct PermutationEcho {
     pub offset: u64,
 }
 
-/// Outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct Counters {
-    pub targets_total: u64,
-    pub sent: u64,
-    pub responses_validated: u64,
-    pub responses_discarded: u64,
-    pub duplicates_suppressed: u64,
-    pub unique_successes: u64,
-    pub unique_failures: u64,
+/// Declares the counter set once. Each row is `field => Variant` under
+/// its doc line; the macro generates [`Counters`] (one `u64` field per
+/// row, serialized in row order), [`CounterId`] (one variant per row,
+/// discriminant = row index), and the by-id accessors every consumer —
+/// the metrics registry, the checkpoint journal, the status stream —
+/// iterates instead of restating the list. Adding a counter is one row.
+macro_rules! counter_table {
+    ($($(#[$doc:meta])* $field:ident => $id:ident,)*) => {
+        /// Outcome counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+        pub struct Counters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// Index of each [`Counters`] field in the metrics registry's
+        /// counter bank, in declaration order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum CounterId {
+            $($(#[$doc])* $id,)*
+        }
+
+        impl CounterId {
+            /// Every counter, in declaration (= JSON key = journal) order.
+            pub const ALL: &'static [CounterId] = &[$(CounterId::$id,)*];
+
+            /// The counter's [`Counters`] field name: its JSON key and
+            /// its journal `counter <name>` tag.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(CounterId::$id => stringify!($field),)*
+                }
+            }
+        }
+
+        impl Counters {
+            /// Reads one counter by id.
+            #[inline]
+            pub fn get(&self, id: CounterId) -> u64 {
+                match id {
+                    $(CounterId::$id => self.$field,)*
+                }
+            }
+
+            /// Mutable access to one counter by id.
+            #[inline]
+            pub fn get_mut(&mut self, id: CounterId) -> &mut u64 {
+                match id {
+                    $(CounterId::$id => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Targets walked (decoded from the permutation) in this shard.
+    targets_total => TargetsTotal,
+    /// Probes sent.
+    sent => Sent,
+    /// Responses that validated (cookie matched).
+    responses_validated => ResponsesValidated,
+    /// Frames that parsed but failed validation / were not ours.
+    responses_discarded => ResponsesDiscarded,
+    /// Duplicate responses suppressed by dedup.
+    duplicates_suppressed => DuplicatesSuppressed,
+    /// Unique successful targets (open/answering).
+    unique_successes => UniqueSuccesses,
+    /// Unique failed targets (RST/unreachable).
+    unique_failures => UniqueFailures,
     /// Send attempts retried after a transient transport failure.
-    pub send_retries: u64,
+    send_retries => SendRetries,
     /// Probes abandoned after exhausting retries (never sent).
-    pub sendto_failures: u64,
+    sendto_failures => SendtoFailures,
     /// Responses rejected by checksum validation (bit errors in flight).
-    pub responses_corrupted: u64,
+    responses_corrupted => ResponsesCorrupted,
     /// Poisoned world-lock acquisitions recovered instead of cascading
     /// the panic (threaded engine only; always 0 single-threaded).
-    pub lock_poison_recoveries: u64,
+    lock_poison_recoveries => LockPoisonRecoveries,
     /// Checkpoint journals written (periodic plus final).
-    pub checkpoints_written: u64,
+    checkpoints_written => CheckpointsWritten,
     /// Times this scan has been resumed from a checkpoint journal
     /// (cumulative across attempts).
-    pub resume_count: u64,
+    resume_count => ResumeCount,
     /// Supervisor interventions: intervals with no virtual-clock or
     /// counter progress that the watchdog broke out of.
-    pub watchdog_stalls: u64,
+    watchdog_stalls => WatchdogStalls,
     /// 1 when the engine exited through the orderly shutdown path
     /// (cooldown drained, streams flushed, final checkpoint written);
     /// 0 when it was killed mid-flight.
-    pub shutdown_clean: u64,
+    shutdown_clean => ShutdownClean,
     /// Jobs the supervisor admitted to the worker pool (supervisor runs
     /// only; always 0 for a standalone scan).
-    pub jobs_admitted: u64,
+    jobs_admitted => JobsAdmitted,
     /// Worker attempts restarted after a death (kill, panic, or
     /// watchdog stall) — each restart replays the job's journal.
-    pub worker_restarts: u64,
+    worker_restarts => WorkerRestarts,
     /// Jobs the circuit breaker parked as `degraded` after exhausting
     /// the restart budget, instead of crash-looping.
-    pub jobs_degraded: u64,
+    jobs_degraded => JobsDegraded,
     /// Checkpoint journals migrated onto a fresh worker (a restart that
     /// had a journal to rewind; first-attempt retries without one are
     /// restarts but not migrations).
-    pub migrations: u64,
+    migrations => Migrations,
 }
+
+/// Number of counters (the width of the registry's counter bank).
+pub const COUNTER_WIDTH: usize = CounterId::ALL.len();
 
 impl ConfigEcho {
     /// Extracts the echo from a config.
@@ -205,6 +268,25 @@ impl ScanMetadata {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn counter_table_names_match_the_json_keys_and_accessors() {
+        let mut c = Counters::default();
+        let mut members = Vec::new();
+        for (i, &id) in CounterId::ALL.iter().enumerate() {
+            assert_eq!(id as usize, i, "discriminant is the row index");
+            let value = i as u64 + 1;
+            *c.get_mut(id) = value;
+            assert_eq!(c.get(id), value, "{}", id.name());
+            members.push(format!("\"{}\":{value}", id.name()));
+        }
+        // One JSON member per row, keyed by `name()`, in row order.
+        let json = serde_json::to_string(&c).unwrap();
+        assert_eq!(json, format!("{{{}}}", members.join(",")));
+        let names: std::collections::BTreeSet<_> =
+            CounterId::ALL.iter().map(|id| id.name()).collect();
+        assert_eq!(names.len(), COUNTER_WIDTH, "names are unique");
+    }
 
     #[test]
     fn metadata_roundtrips_through_json() {

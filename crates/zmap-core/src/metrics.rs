@@ -15,40 +15,11 @@
 //! snapshots — the determinism contract CI enforces.
 
 use crate::metadata::Counters;
+pub use crate::metadata::{CounterId, COUNTER_WIDTH};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use zmap_metrics::{CounterBank, MetricsSnapshot, SharedHistogram, TraceRing};
-
-/// Index of each [`Counters`] field in the registry's counter bank.
-/// Kept in the declaration order of the struct; `counters()` maps the
-/// bank back into the struct by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum CounterId {
-    TargetsTotal = 0,
-    Sent,
-    ResponsesValidated,
-    ResponsesDiscarded,
-    DuplicatesSuppressed,
-    UniqueSuccesses,
-    UniqueFailures,
-    SendRetries,
-    SendtoFailures,
-    ResponsesCorrupted,
-    LockPoisonRecoveries,
-    CheckpointsWritten,
-    ResumeCount,
-    WatchdogStalls,
-    ShutdownClean,
-    JobsAdmitted,
-    WorkerRestarts,
-    JobsDegraded,
-    Migrations,
-}
-
-/// Number of counters in the bank (one per `Counters` field).
-pub const COUNTER_WIDTH: usize = 19;
 
 /// The engine latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,8 +188,8 @@ impl ScanMetrics {
     /// counters only (`targets_total` rollback after a mid-batch kill).
     #[inline]
     pub fn store_absolute(&self, id: CounterId, v: u64) {
-        let base = counter_field(&self.baseline, id);
-        self.bank.store(0, id as usize, v.saturating_sub(base));
+        self.bank
+            .store(0, id as usize, v.saturating_sub(self.baseline.get(id)));
     }
 
     /// Overwrites a counter's lane in `shard` with the attempt-local
@@ -232,7 +203,7 @@ impl ScanMetrics {
     /// Current total of one counter (baseline + all shards).
     #[inline]
     pub fn get(&self, id: CounterId) -> u64 {
-        counter_field(&self.baseline, id) + self.bank.sum(id as usize)
+        self.baseline.get(id) + self.bank.sum(id as usize)
     }
 
     /// The shard index reserved for the receive loop in a parallel run
@@ -245,31 +216,12 @@ impl ScanMetrics {
     /// have quiesced; during a parallel scan each field is individually
     /// atomic (same contract as the previous ad-hoc atomics).
     pub fn counters(&self) -> Counters {
-        let t = self.bank.totals();
-        let b = &self.baseline;
-        Counters {
-            targets_total: b.targets_total + t[CounterId::TargetsTotal as usize],
-            sent: b.sent + t[CounterId::Sent as usize],
-            responses_validated: b.responses_validated + t[CounterId::ResponsesValidated as usize],
-            responses_discarded: b.responses_discarded + t[CounterId::ResponsesDiscarded as usize],
-            duplicates_suppressed: b.duplicates_suppressed
-                + t[CounterId::DuplicatesSuppressed as usize],
-            unique_successes: b.unique_successes + t[CounterId::UniqueSuccesses as usize],
-            unique_failures: b.unique_failures + t[CounterId::UniqueFailures as usize],
-            send_retries: b.send_retries + t[CounterId::SendRetries as usize],
-            sendto_failures: b.sendto_failures + t[CounterId::SendtoFailures as usize],
-            responses_corrupted: b.responses_corrupted + t[CounterId::ResponsesCorrupted as usize],
-            lock_poison_recoveries: b.lock_poison_recoveries
-                + t[CounterId::LockPoisonRecoveries as usize],
-            checkpoints_written: b.checkpoints_written + t[CounterId::CheckpointsWritten as usize],
-            resume_count: b.resume_count + t[CounterId::ResumeCount as usize],
-            watchdog_stalls: b.watchdog_stalls + t[CounterId::WatchdogStalls as usize],
-            shutdown_clean: b.shutdown_clean + t[CounterId::ShutdownClean as usize],
-            jobs_admitted: b.jobs_admitted + t[CounterId::JobsAdmitted as usize],
-            worker_restarts: b.worker_restarts + t[CounterId::WorkerRestarts as usize],
-            jobs_degraded: b.jobs_degraded + t[CounterId::JobsDegraded as usize],
-            migrations: b.migrations + t[CounterId::Migrations as usize],
+        let totals = self.bank.totals();
+        let mut c = self.baseline;
+        for &id in CounterId::ALL {
+            *c.get_mut(id) += totals[id as usize];
         }
+        c
     }
 
     /// Records a histogram value into shard 0.
@@ -320,31 +272,6 @@ impl ScanMetrics {
                 .insert((*name).to_string(), self.hists[i].merged().snapshot());
         }
         snap
-    }
-}
-
-/// Reads one field of a [`Counters`] by id.
-fn counter_field(c: &Counters, id: CounterId) -> u64 {
-    match id {
-        CounterId::TargetsTotal => c.targets_total,
-        CounterId::Sent => c.sent,
-        CounterId::ResponsesValidated => c.responses_validated,
-        CounterId::ResponsesDiscarded => c.responses_discarded,
-        CounterId::DuplicatesSuppressed => c.duplicates_suppressed,
-        CounterId::UniqueSuccesses => c.unique_successes,
-        CounterId::UniqueFailures => c.unique_failures,
-        CounterId::SendRetries => c.send_retries,
-        CounterId::SendtoFailures => c.sendto_failures,
-        CounterId::ResponsesCorrupted => c.responses_corrupted,
-        CounterId::LockPoisonRecoveries => c.lock_poison_recoveries,
-        CounterId::CheckpointsWritten => c.checkpoints_written,
-        CounterId::ResumeCount => c.resume_count,
-        CounterId::WatchdogStalls => c.watchdog_stalls,
-        CounterId::ShutdownClean => c.shutdown_clean,
-        CounterId::JobsAdmitted => c.jobs_admitted,
-        CounterId::WorkerRestarts => c.worker_restarts,
-        CounterId::JobsDegraded => c.jobs_degraded,
-        CounterId::Migrations => c.migrations,
     }
 }
 

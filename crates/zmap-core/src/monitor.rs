@@ -1,64 +1,44 @@
 //! Real-time status updates — stream #3: per-second send/receive/drop
 //! rates, as ZMap prints while a scan runs.
 //!
-//! Every field of [`Counters`] is mirrored here under the *same name*:
-//! the `counter-wiring` lint in zmap-analyze enforces that a counter
-//! added to the metadata document also reaches this live stream and the
-//! CLI status line, so a scan operator never learns about a new failure
-//! mode only after the scan completes.
+//! A sample carries the whole [`Counters`] set, serialized flat under the
+//! counters' own names, so a counter added to the table in `metadata.rs`
+//! reaches this live stream with no edit here — a scan operator never
+//! learns about a new failure mode only after the scan completes.
 
-use crate::metadata::Counters;
+use crate::metadata::{CounterId, Counters, COUNTER_WIDTH};
 use crate::metrics::ScanMetrics;
 use serde::Serialize;
 
-/// One per-second status sample. Counter fields carry the identical
-/// names of their [`Counters`] sources (machine-checked).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// One per-second status sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatusUpdate {
     /// Seconds since scan start.
     pub t_secs: u64,
-    /// Targets walked so far.
-    pub targets_total: u64,
-    /// Probes sent so far.
-    pub sent: u64,
     /// Send rate over the last interval (pps).
     pub send_rate: f64,
-    /// Validated responses so far.
-    pub responses_validated: u64,
-    /// Frames that parsed but failed validation / were not ours.
-    pub responses_discarded: u64,
-    /// Duplicates suppressed so far.
-    pub duplicates_suppressed: u64,
-    /// Unique successes so far.
-    pub unique_successes: u64,
-    /// Unique failed targets (RST/unreachable) so far.
-    pub unique_failures: u64,
-    /// Send attempts retried after a transient failure so far.
-    pub send_retries: u64,
-    /// Probes abandoned after exhausting retries so far.
-    pub sendto_failures: u64,
-    /// Responses rejected by checksum validation so far.
-    pub responses_corrupted: u64,
-    /// Poisoned world-lock acquisitions recovered so far.
-    pub lock_poison_recoveries: u64,
-    /// Checkpoint journals written so far.
-    pub checkpoints_written: u64,
-    /// Resume attempts recorded for this scan (cumulative).
-    pub resume_count: u64,
-    /// Watchdog stall interventions so far.
-    pub watchdog_stalls: u64,
-    /// 1 once the engine has entered the orderly shutdown path.
-    pub shutdown_clean: u64,
-    /// Jobs admitted by the supervisor (supervisor runs only).
-    pub jobs_admitted: u64,
-    /// Worker attempts restarted after a death.
-    pub worker_restarts: u64,
-    /// Jobs parked as degraded by the circuit breaker.
-    pub jobs_degraded: u64,
-    /// Checkpoint journals migrated onto fresh workers.
-    pub migrations: u64,
     /// Percent of targets completed (0–100).
     pub percent_complete: f64,
+    /// Every counter, as of this sample.
+    pub counters: Counters,
+}
+
+/// Flat, in the stream's historical key order: `t_secs`, the counters in
+/// table order with `send_rate` riding after `sent`, `percent_complete`.
+impl Serialize for StatusUpdate {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut st = serializer.serialize_struct("StatusUpdate", COUNTER_WIDTH + 3)?;
+        st.serialize_field("t_secs", &self.t_secs)?;
+        for &id in CounterId::ALL {
+            st.serialize_field(id.name(), &self.counters.get(id))?;
+            if id == CounterId::Sent {
+                st.serialize_field("send_rate", &self.send_rate)?;
+            }
+        }
+        st.serialize_field("percent_complete", &self.percent_complete)?;
+        st.end()
+    }
 }
 
 /// Collects per-second samples as the scan advances.
@@ -90,27 +70,9 @@ impl Monitor {
             let send_rate = c.sent.saturating_sub(self.last_sent) as f64;
             self.samples.push(StatusUpdate {
                 t_secs,
-                targets_total: c.targets_total,
-                sent: c.sent,
                 send_rate,
-                responses_validated: c.responses_validated,
-                responses_discarded: c.responses_discarded,
-                duplicates_suppressed: c.duplicates_suppressed,
-                unique_successes: c.unique_successes,
-                unique_failures: c.unique_failures,
-                send_retries: c.send_retries,
-                sendto_failures: c.sendto_failures,
-                responses_corrupted: c.responses_corrupted,
-                lock_poison_recoveries: c.lock_poison_recoveries,
-                checkpoints_written: c.checkpoints_written,
-                resume_count: c.resume_count,
-                watchdog_stalls: c.watchdog_stalls,
-                shutdown_clean: c.shutdown_clean,
-                jobs_admitted: c.jobs_admitted,
-                worker_restarts: c.worker_restarts,
-                jobs_degraded: c.jobs_degraded,
-                migrations: c.migrations,
                 percent_complete: percent_complete(c.sent, expected_targets),
+                counters: *c,
             });
             self.last_sent = c.sent;
             self.next_tick += TICK_NS;
@@ -119,74 +81,18 @@ impl Monitor {
 
     /// Like [`tick`](Self::tick), reading the counters from the metrics
     /// registry — the engines' path, which makes the status stream a
-    /// pure consumer of the registry rather than a parallel book.
+    /// pure consumer of the registry rather than a parallel book. The
+    /// registry is snapshotted only when a second boundary has passed:
+    /// the engines call this once per flushed batch or receive poll.
     pub fn observe(&mut self, now_ns: u64, metrics: &ScanMetrics, expected_targets: u64) {
-        self.tick(now_ns, &metrics.counters(), expected_targets);
+        if now_ns >= self.next_tick {
+            self.tick(now_ns, &metrics.counters(), expected_targets);
+        }
     }
 
     /// All samples so far.
     pub fn samples(&self) -> &[StatusUpdate] {
         &self.samples
-    }
-
-    /// Renders the latest sample in ZMap's one-line status style. Fault
-    /// counters appear only once nonzero, keeping the clean-network line
-    /// identical to classic output.
-    pub fn status_line(&self) -> Option<String> {
-        self.samples.last().map(|s| {
-            let mut line = format!(
-                "{}s; send: {} ({:.0} pps); recv: {} ({} app success); drops: {} dup",
-                s.t_secs,
-                s.sent,
-                s.send_rate,
-                s.responses_validated,
-                s.unique_successes,
-                s.duplicates_suppressed
-            );
-            if s.unique_failures > 0 {
-                line.push_str(&format!("; failures: {}", s.unique_failures));
-            }
-            if s.responses_discarded > 0 {
-                line.push_str(&format!("; discarded: {}", s.responses_discarded));
-            }
-            if s.send_retries > 0 || s.sendto_failures > 0 {
-                line.push_str(&format!(
-                    "; retries: {} ({} failed)",
-                    s.send_retries, s.sendto_failures
-                ));
-            }
-            if s.responses_corrupted > 0 {
-                line.push_str(&format!("; corrupt: {}", s.responses_corrupted));
-            }
-            if s.lock_poison_recoveries > 0 {
-                line.push_str(&format!("; lock-recovered: {}", s.lock_poison_recoveries));
-            }
-            if s.checkpoints_written > 0 {
-                line.push_str(&format!("; ckpt: {}", s.checkpoints_written));
-            }
-            if s.resume_count > 0 {
-                line.push_str(&format!("; resumed: {}", s.resume_count));
-            }
-            if s.watchdog_stalls > 0 {
-                line.push_str(&format!("; stalls: {}", s.watchdog_stalls));
-            }
-            if s.jobs_admitted > 0 {
-                line.push_str(&format!("; jobs: {}", s.jobs_admitted));
-            }
-            if s.worker_restarts > 0 {
-                line.push_str(&format!("; restarts: {}", s.worker_restarts));
-            }
-            if s.jobs_degraded > 0 {
-                line.push_str(&format!("; degraded: {}", s.jobs_degraded));
-            }
-            if s.migrations > 0 {
-                line.push_str(&format!("; migrations: {}", s.migrations));
-            }
-            if s.shutdown_clean > 0 {
-                line.push_str("; shutdown: clean");
-            }
-            line
-        })
     }
 }
 
@@ -273,36 +179,9 @@ mod tests {
         metrics.add(CounterId::UniqueSuccesses, 123);
         let mut m = Monitor::new();
         m.observe(0, &metrics, 1000);
-        assert_eq!(m.samples()[0].sent, 500);
-        assert_eq!(m.samples()[0].unique_successes, 123);
+        assert_eq!(m.samples()[0].counters.sent, 500);
+        assert_eq!(m.samples()[0].counters.unique_successes, 123);
         assert!((m.samples()[0].percent_complete - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn status_line_renders() {
-        let mut m = Monitor::new();
-        assert!(m.status_line().is_none());
-        m.tick(1_000_000_000, &counts(9000, 100, 90, 3), 10_000);
-        let line = m.status_line().unwrap();
-        assert!(line.contains("send: 9000"));
-        assert!(line.contains("90 app success"));
-        assert!(!line.contains("retries"), "clean scan omits fault counters");
-        assert!(!line.contains("lock-recovered"), "clean scan omits recoveries");
-    }
-
-    #[test]
-    fn status_line_shows_fault_counters_when_nonzero() {
-        let mut m = Monitor::new();
-        let mut c = counts(9000, 100, 90, 3);
-        c.send_retries = 17;
-        c.sendto_failures = 2;
-        c.responses_corrupted = 5;
-        c.lock_poison_recoveries = 1;
-        m.tick(1_000_000_000, &c, 10_000);
-        let line = m.status_line().unwrap();
-        assert!(line.contains("retries: 17 (2 failed)"), "{line}");
-        assert!(line.contains("corrupt: 5"), "{line}");
-        assert!(line.contains("lock-recovered: 1"), "{line}");
     }
 
     #[test]
@@ -312,42 +191,28 @@ mod tests {
         c.send_retries = 3;
         c.responses_corrupted = 1;
         m.tick(0, &c, 100);
-        assert_eq!(m.samples()[0].send_retries, 3);
-        assert_eq!(m.samples()[0].responses_corrupted, 1);
-        assert_eq!(m.samples()[0].sendto_failures, 0);
-        assert_eq!(m.samples()[0].lock_poison_recoveries, 0);
+        assert_eq!(m.samples()[0].counters, c);
     }
 
     #[test]
-    fn every_counter_field_is_mirrored() {
-        // The serialized sample must carry each Counters field by name;
-        // the zmap-analyze `counter-wiring` lint enforces the same at
-        // token level, this test enforces it at serde level.
-        let mut m = Monitor::new();
-        m.tick(0, &Counters::default(), 1);
-        let json = serde_json::to_string(&m.samples()[0]).unwrap();
-        for field in [
-            "targets_total",
-            "sent",
-            "responses_validated",
-            "responses_discarded",
-            "duplicates_suppressed",
-            "unique_successes",
-            "unique_failures",
-            "send_retries",
-            "sendto_failures",
-            "responses_corrupted",
-            "lock_poison_recoveries",
-            "checkpoints_written",
-            "resume_count",
-            "watchdog_stalls",
-            "shutdown_clean",
-            "jobs_admitted",
-            "worker_restarts",
-            "jobs_degraded",
-            "migrations",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
+    fn status_json_is_pinned() {
+        // The `--status-json` line format: flat, and in this key order.
+        let mut c = Counters::default();
+        for (i, &id) in CounterId::ALL.iter().enumerate() {
+            *c.get_mut(id) = i as u64 + 1;
         }
+        let mut m = Monitor::new();
+        m.tick(1_000_000_000, &c, 8);
+        assert_eq!(
+            serde_json::to_string(&m.samples()[1]).unwrap(),
+            "{\"t_secs\":1,\"targets_total\":1,\"sent\":2,\"send_rate\":0.0,\
+             \"responses_validated\":3,\"responses_discarded\":4,\
+             \"duplicates_suppressed\":5,\"unique_successes\":6,\"unique_failures\":7,\
+             \"send_retries\":8,\"sendto_failures\":9,\"responses_corrupted\":10,\
+             \"lock_poison_recoveries\":11,\"checkpoints_written\":12,\"resume_count\":13,\
+             \"watchdog_stalls\":14,\"shutdown_clean\":15,\"jobs_admitted\":16,\
+             \"worker_restarts\":17,\"jobs_degraded\":18,\"migrations\":19,\
+             \"percent_complete\":25.0}"
+        );
     }
 }

@@ -1,7 +1,10 @@
 //! Multi-threaded scanning: the engine shape real ZMap uses (Adrian et
-//! al. 2014) — N send threads, each owning one subshard of the cyclic
+//! al. 2014) — N send paths, each owning one subshard of the cyclic
 //! group, plus one receive thread — here over a thread-safe transport
-//! paced by a *shared virtual clock*.
+//! paced by a *shared virtual clock*. Each send path is a TX pipeline
+//! (paper §4.2, the netmap shape): a generator thread that walks, paces
+//! and renders into batches, and a transport thread that sends them,
+//! joined by a pair of bounded SPSC rings.
 //!
 //! Two invariants from the single-threaded engine are preserved under
 //! real concurrency, and both are machine-checked by zmap-analyze:
@@ -16,24 +19,20 @@
 //!   locks (the world's data is a simulation, always structurally
 //!   valid) and counts the recovery into the monitor stream.
 
-use crate::checkpoint::{config_digest, CheckpointPolicy, CheckpointState};
+use crate::checkpoint::{CheckpointPolicy, CheckpointState};
 use crate::config::ScanConfig;
 use crate::log::Logger;
-use crate::metadata::{ConfigEcho, PermutationEcho, ScanMetadata};
 use crate::metrics::{CounterId, HistId, ScanMetrics};
-use crate::monitor::{Monitor, StatusUpdate};
-use crate::output::ScanResult;
+use crate::monitor::Monitor;
 use crate::plan::{ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::ring::SpscRing;
-use crate::scanner::{checkpoint_via_metrics, ResumeError, RxPath};
+use crate::scanner::{summarize, Checkpointer, ResumeError, RxPath, ScanSummary};
 use crate::shutdown::ShutdownToken;
 use crate::transport::FrameBatch;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::collections::BTreeMap;
-use zmap_metrics::{MetricsSnapshot, TraceSnapshot};
 use zmap_netsim::{EndpointId, SendError, World};
 use zmap_targets::generator::BuildError;
 
@@ -182,45 +181,6 @@ impl SharedTransport for SharedSimTransport {
     }
 }
 
-/// Outcome of a parallel scan.
-#[derive(Debug)]
-pub struct ParallelSummary {
-    pub sent: u64,
-    pub responses_validated: u64,
-    pub duplicates_suppressed: u64,
-    pub unique_successes: u64,
-    /// Send attempts retried after transient transport failures.
-    pub send_retries: u64,
-    /// Probes abandoned after exhausting retries.
-    pub sendto_failures: u64,
-    /// Responses rejected by checksum validation.
-    pub responses_corrupted: u64,
-    /// Poisoned world-lock acquisitions recovered.
-    pub lock_poison_recoveries: u64,
-    /// Checkpoint journals written (initial + periodic + final).
-    pub checkpoints_written: u64,
-    /// Times this scan has been resumed from a checkpoint journal.
-    pub resume_count: u64,
-    /// Supervisor interventions: receive polls with no virtual-clock or
-    /// counter progress that the watchdog broke out of.
-    pub watchdog_stalls: u64,
-    /// 1 when the engine exited through the orderly shutdown path.
-    pub shutdown_clean: u64,
-    /// True when a fault schedule killed the process mid-flight.
-    pub killed: bool,
-    pub results: Vec<ScanResult>,
-    /// Per-second status samples (stream #3), on the virtual clock.
-    pub status: Vec<StatusUpdate>,
-    /// Virtual duration, nanoseconds.
-    pub duration_ns: u64,
-    /// The metrics registry dump: latency histograms, the event trace,
-    /// and the RTT-tracker overflow count.
-    pub metrics: MetricsSnapshot,
-    /// Stream #4: machine-readable completion metadata, same shape as the
-    /// single-threaded engine's.
-    pub metadata: ScanMetadata,
-}
-
 /// Default consecutive no-progress receive polls before the supervisor
 /// declares a stall. Large enough that host scheduling jitter cannot trip
 /// it (every poll is a full lock + drain round), small enough to bound a
@@ -258,10 +218,10 @@ impl Default for ParallelRunOptions {
 /// any scheduled delivery).
 const COOLDOWN_STEP_NS: u64 = 1_000_000;
 
-/// Batches in flight per generator/transport pair in the TX pipeline
-/// (`cfg.tx_pipeline`), per ring direction. The pre-filled recycle pool
-/// is the *only* source of TX buffers, so pipeline memory is bounded at
-/// `depth × batch × frame` per pair — netmap's preallocated-ring model.
+/// Batches in flight per generator/transport pair, per ring direction.
+/// The pre-filled recycle pool is the *only* source of TX buffers, so
+/// pipeline memory is bounded at `depth × batch × frame` per pair —
+/// netmap's preallocated-ring model.
 const TX_RING_DEPTH: usize = 4;
 
 /// Flushes a rendered batch through the batched shared-transport path,
@@ -328,18 +288,19 @@ fn flush_shared<T: SharedTransport>(
     false
 }
 
-/// Runs `cfg` with `cfg.subshards` real send threads over `transport`.
+/// Runs `cfg` with `cfg.subshards` generator/transport thread pairs over
+/// `transport`.
 ///
 /// The receive loop runs on the calling thread until all senders finish
-/// plus the cooldown. Uses scoped threads so the generator and transport
-/// borrow safely. Pacing is virtual: each sender advances the shared
+/// plus the cooldown. Uses scoped threads so the plan and transport
+/// borrow safely. Pacing is virtual: each pair advances the shared
 /// clock to its next probe's scheduled time, so the scan completes at
 /// memory speed while timestamps — and therefore replay — stay
 /// independent of host timing.
 pub fn run_parallel<T: SharedTransport>(
     cfg: &ScanConfig,
     transport: &T,
-) -> Result<ParallelSummary, BuildError> {
+) -> Result<ScanSummary, BuildError> {
     run_inner(cfg, transport, ParallelRunOptions::default(), None)
 }
 
@@ -349,7 +310,7 @@ pub fn run_parallel_with<T: SharedTransport>(
     cfg: &ScanConfig,
     transport: &T,
     opts: ParallelRunOptions,
-) -> Result<ParallelSummary, BuildError> {
+) -> Result<ScanSummary, BuildError> {
     run_inner(cfg, transport, opts, None)
 }
 
@@ -365,7 +326,7 @@ pub fn resume_parallel<T: SharedTransport>(
     transport: &T,
     journal: &CheckpointState,
     opts: ParallelRunOptions,
-) -> Result<ParallelSummary, ResumeError> {
+) -> Result<ScanSummary, ResumeError> {
     crate::scanner::check_shard_spec(journal, cfg)?;
     journal.check_config(cfg).map_err(ResumeError::Journal)?;
     run_inner(cfg, transport, opts, Some(journal)).map_err(ResumeError::Build)
@@ -376,13 +337,13 @@ fn run_inner<T: SharedTransport>(
     transport: &T,
     opts: ParallelRunOptions,
     journal: Option<&CheckpointState>,
-) -> Result<ParallelSummary, BuildError> {
+) -> Result<ScanSummary, BuildError> {
     // In v6 mode the journaled cycle parts are ignored: the walk plan is
     // a pure function of (prefix list, ports, seed), which the config
     // digest already pins.
     let gen = ScanPlan::build(cfg, journal.map(|j| (j.generator, j.offset)))?;
     // The per-scan packet template (paper §4.4) is laid out once here and
-    // patched per probe on the send threads.
+    // patched per probe on the generator threads.
     let module = ProbeModule::build(cfg)?;
 
     // Counters carried over from the journal when resuming, so the
@@ -393,7 +354,6 @@ fn run_inner<T: SharedTransport>(
         baseline.shutdown_clean = 0;
     }
     let resume_positions = journal.map(|j| j.rewound_positions(cfg.rate_pps));
-    let digest = config_digest(cfg);
     let logger = Logger::null();
 
     // [atomics] finished_senders: Release increment as each sender's last
@@ -413,16 +373,11 @@ fn run_inner<T: SharedTransport>(
     let expected_targets = gen.target_count() / u64::from(cfg.num_shards.max(1));
 
     // The metrics registry: one counter/histogram shard per hot-path
-    // thread (send thread, or generator + transport pair in pipeline
-    // mode) plus one for the receive loop, so every hot-path increment
-    // is an uncontended atomic add. The Monitor, the checkpoint journal,
-    // and the final summary are all consumers of this registry.
-    let metric_shards = if cfg.tx_pipeline {
-        2 * threads as usize + 1
-    } else {
-        threads as usize + 1
-    };
-    let metrics = ScanMetrics::new(metric_shards, baseline);
+    // thread (the generator and the transport half of each pair) plus
+    // one for the receive loop, so every hot-path increment is an
+    // uncontended atomic add. The Monitor, the checkpoint journal, and
+    // the final summary are all consumers of this registry.
+    let metrics = ScanMetrics::new(2 * threads as usize + 1, baseline);
     let rx = metrics.rx_shard();
 
     // Cooperative shutdown: the caller's token if given, else an internal
@@ -444,42 +399,6 @@ fn run_inner<T: SharedTransport>(
         })
         .collect();
 
-    let mut summary = ParallelSummary {
-        sent: 0,
-        responses_validated: 0,
-        duplicates_suppressed: 0,
-        unique_successes: 0,
-        send_retries: 0,
-        sendto_failures: 0,
-        responses_corrupted: 0,
-        lock_poison_recoveries: 0,
-        checkpoints_written: 0,
-        resume_count: baseline.resume_count,
-        watchdog_stalls: 0,
-        shutdown_clean: 0,
-        killed: false,
-        results: Vec::new(),
-        status: Vec::new(),
-        duration_ns: 0,
-        metrics: MetricsSnapshot::default(),
-        metadata: ScanMetadata {
-            version: env!("CARGO_PKG_VERSION").to_string(),
-            config: ConfigEcho::from_config(cfg),
-            permutation: {
-                let (group_prime, generator, offset) = gen.permutation();
-                PermutationEcho {
-                    group_prime,
-                    generator,
-                    offset,
-                }
-            },
-            counters: baseline,
-            duration_ns: 0,
-            histograms: BTreeMap::new(),
-            trace: TraceSnapshot::default(),
-            inflight_overflow: 0,
-        },
-    };
     let mut monitor = Monitor::new();
 
     metrics.trace(0, "scan_start", expected_targets);
@@ -489,19 +408,18 @@ fn run_inner<T: SharedTransport>(
 
     // An initial journal before the first probe: a kill at any point
     // after this leaves something to resume from.
-    if let Some(policy) = &opts.checkpoint {
-        let pos: Vec<u64> = positions.iter().map(|p| p.load(Ordering::Relaxed)).collect();
-        checkpoint_via_metrics(
-            policy,
-            digest,
-            cfg,
-            gen.permutation(),
-            pos,
-            0,
-            false,
-            &metrics,
-            &logger,
-        );
+    let ckpt = opts
+        .checkpoint
+        .as_ref()
+        .map(|policy| Checkpointer::new(policy, cfg, &gen, &metrics, &logger));
+    let snapshot_positions = || -> Vec<u64> {
+        positions
+            .iter()
+            .map(|p| p.load(Ordering::Relaxed))
+            .collect()
+    };
+    if let Some(ckpt) = &ckpt {
+        ckpt.write(snapshot_positions(), 0, false);
     }
 
     // TX pipeline plumbing (paper §4.2, the netmap shape): one `ready`
@@ -509,24 +427,20 @@ fn run_inner<T: SharedTransport>(
     // `recycle` ring carrying drained buffers back, per pair. The
     // recycle rings are pre-filled with every TX buffer that will ever
     // exist, so the steady state allocates nothing.
-    let rings: Vec<(SpscRing<FrameBatch>, SpscRing<FrameBatch>)> = if cfg.tx_pipeline {
-        (0..threads)
-            .map(|_| {
-                let ready = SpscRing::with_capacity(TX_RING_DEPTH);
-                let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
-                for _ in 0..TX_RING_DEPTH {
-                    recycle
-                        .try_push(FrameBatch::new(cfg.batch.max(1)))
-                        .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
-                }
-                (ready, recycle)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let rings: Vec<(SpscRing<FrameBatch>, SpscRing<FrameBatch>)> = (0..threads)
+        .map(|_| {
+            let ready = SpscRing::with_capacity(TX_RING_DEPTH);
+            let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
+            for _ in 0..TX_RING_DEPTH {
+                recycle
+                    .try_push(FrameBatch::new(cfg.batch.max(1)))
+                    .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
+            }
+            (ready, recycle)
+        })
+        .collect();
 
-    summary.results = std::thread::scope(|scope| {
+    let results = std::thread::scope(|scope| {
         for t in 0..threads {
             let gen = &gen;
             let metrics = &metrics;
@@ -542,114 +456,15 @@ fn run_inner<T: SharedTransport>(
             let max_retries = cfg.max_retries;
             let rate_pps = cfg.rate_pps;
             let batch_cap = cfg.batch.max(1);
-            if cfg.tx_pipeline {
-                let (ready, recycle) = &rings[t as usize];
-                // Generator half of the pair: walks the subshard, paces,
-                // renders — and never touches the transport. The rate
-                // controller interleaving is identical to the combined
-                // sender's, so the probe schedule (and therefore every
-                // output stream) is byte-equal either way.
-                scope.spawn(move || {
-                    let mut rc = RateController::new_interleaved(
-                        0,
-                        rate_pps,
-                        u64::from(t),
-                        u64::from(threads),
-                    );
-                    let mut entropy: u16 = t as u16;
-                    let mut it = gen.iter_shard(shard, t);
-                    if let Some(pos) = resume_positions {
-                        if let Some(&p) = pos.get(t as usize) {
-                            it.fast_forward_elements(p);
-                        }
-                    }
-                    let mshard = t as usize;
-                    // The recycle ring is pre-filled at setup, so an empty
-                    // pop means the transport half already died (pre-start
-                    // kill closed both rings): nothing to render.
-                    let Some(mut batch) = recycle.pop() else {
-                        interrupted.fetch_add(1, Ordering::Relaxed);
-                        ready.close();
-                        return;
-                    };
-                    let mut dead = false;
-                    loop {
-                        if token.is_requested() || killed.load(Ordering::Acquire) {
-                            interrupted.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        let Some((ip, port)) = it.next() else {
-                            break;
-                        };
-                        let due = start + rc.mark_sent();
-                        entropy = entropy.wrapping_add(0x9E37);
-                        module.render_into(
-                            ip,
-                            port,
-                            entropy,
-                            batch.reserve(due, it.elements_consumed()),
-                        );
-                        metrics.add_at(mshard, CounterId::TargetsTotal, 1);
-                        if let Ok(key) = gen.probe_key(ip, port) {
-                            metrics.note_probe(key, due);
-                        }
-                        if !batch.is_full() {
-                            continue;
-                        }
-                        // Hand the full batch to the transport thread and
-                        // take a drained buffer back. Either ring closing
-                        // means the transport thread died (kill); stop
-                        // rendering — resume re-walks from its positions.
-                        let refill = match ready.push(batch) {
-                            Ok(()) => recycle.pop(),
-                            Err(_) => None,
-                        };
-                        match refill {
-                            Some(b) => batch = b,
-                            None => {
-                                dead = true;
-                                batch = FrameBatch::new(batch_cap);
-                                break;
-                            }
-                        }
-                    }
-                    // The final partial batch still ships: every consumed
-                    // target's frame reaches the transport thread (or dies
-                    // with it) before this generator reports done.
-                    if !dead && !batch.is_empty() {
-                        let _ = ready.push(batch);
-                    }
-                    ready.close();
-                });
-                // Transport half: drains rendered batches and owns all
-                // NIC interaction plus this pair's checkpoint position —
-                // a position advances only once its batch's frames have
-                // actually left (resume re-walks, never skips).
-                scope.spawn(move || {
-                    let mshard = threads as usize + t as usize;
-                    while let Some(mut batch) = ready.pop() {
-                        if flush_shared(transport, metrics, mshard, killed, max_retries, &batch)
-                        {
-                            break;
-                        }
-                        positions[t as usize].store(batch.tag(batch.len() - 1), Ordering::Relaxed);
-                        batch.clear();
-                        let _ = recycle.try_push(batch);
-                    }
-                    // Unblock a generator waiting on either ring, then
-                    // report this pair's send path done.
-                    ready.close();
-                    recycle.close();
-                    finished.fetch_add(1, Ordering::Release);
-                });
-                continue;
-            }
+            let (ready, recycle) = &rings[t as usize];
+            // Generator half of the pair: walks the subshard, paces,
+            // renders — and never touches the transport.
             scope.spawn(move || {
-                // Interleaved pacing: thread t owns global schedule slots
+                // Interleaved pacing: pair t owns global schedule slots
                 // t, t+threads, t+2·threads, … so the union across all
-                // send threads is exactly the single-sender schedule and
-                // the aggregate rate is conserved — no truncated
-                // remainder, and rates below the thread count still work.
+                // pairs is exactly the single-sender schedule and the
+                // aggregate rate is conserved — no truncated remainder,
+                // and rates below the thread count still work.
                 let mut rc = RateController::new_interleaved(
                     0,
                     rate_pps,
@@ -663,16 +478,18 @@ fn run_inner<T: SharedTransport>(
                         it.fast_forward_elements(p);
                     }
                 }
-                let shard = t as usize;
-                // Flushes the queued frames through the batched path
-                // ([`flush_shared`]); true means a scheduled kill landed.
-                let flush = |batch: &FrameBatch| -> bool {
-                    flush_shared(transport, metrics, shard, killed, max_retries, batch)
+                let mshard = t as usize;
+                // The recycle ring is pre-filled at setup, so an empty
+                // pop means the transport half already died (pre-start
+                // kill closed both rings): nothing to render.
+                let Some(mut batch) = recycle.pop() else {
+                    interrupted.fetch_add(1, Ordering::Relaxed);
+                    ready.close();
+                    return;
                 };
-                let mut batch = FrameBatch::new(batch_cap);
                 let mut dead = false;
                 loop {
-                    // Cycle boundary: the only place a sender stops —
+                    // Cycle boundary: the only place a generator stops —
                     // for shutdown, a dead process, or an exhausted walk.
                     if token.is_requested() || killed.load(Ordering::Acquire) {
                         interrupted.fetch_add(1, Ordering::Relaxed);
@@ -684,7 +501,7 @@ fn run_inner<T: SharedTransport>(
                     // Virtual pacing: this probe is due at `start + due`
                     // on the shared clock; the batched send advances the
                     // clock through it and stamps the frame with this
-                    // thread's own due time, so the stamp is a pure
+                    // pair's own due time, so the stamp is a pure
                     // function of (seed, subshard).
                     let due = start + rc.mark_sent();
                     entropy = entropy.wrapping_add(0x9E37);
@@ -694,7 +511,7 @@ fn run_inner<T: SharedTransport>(
                         entropy,
                         batch.reserve(due, it.elements_consumed()),
                     );
-                    metrics.add_at(shard, CounterId::TargetsTotal, 1);
+                    metrics.add_at(mshard, CounterId::TargetsTotal, 1);
                     // Stamp the scheduled send time for RTT measurement.
                     if let Ok(key) = gen.probe_key(ip, port) {
                         metrics.note_probe(key, due);
@@ -702,22 +519,50 @@ fn run_inner<T: SharedTransport>(
                     if !batch.is_full() {
                         continue;
                     }
-                    if flush(&batch) {
-                        dead = true;
+                    // Hand the full batch to the transport thread and
+                    // take a drained buffer back. Either ring closing
+                    // means the transport thread died (kill); stop
+                    // rendering — resume re-walks from its positions.
+                    let refill = match ready.push(batch) {
+                        Ok(()) => recycle.pop(),
+                        Err(_) => None,
+                    };
+                    match refill {
+                        Some(b) => batch = b,
+                        None => {
+                            dead = true;
+                            batch = FrameBatch::new(batch_cap);
+                            break;
+                        }
+                    }
+                }
+                // The final partial batch still ships: every consumed
+                // target's frame reaches the transport thread (or dies
+                // with it) before this generator reports done.
+                if !dead && !batch.is_empty() {
+                    let _ = ready.push(batch);
+                }
+                ready.close();
+            });
+            // Transport half: drains rendered batches and owns all NIC
+            // interaction plus this pair's checkpoint position — a
+            // position advances only once its batch's frames have
+            // actually left, so a checkpoint can never record a target
+            // whose frame is still queued (resume re-walks, never skips).
+            scope.spawn(move || {
+                let mshard = threads as usize + t as usize;
+                while let Some(mut batch) = ready.pop() {
+                    if flush_shared(transport, metrics, mshard, killed, max_retries, &batch) {
                         break;
                     }
+                    positions[t as usize].store(batch.tag(batch.len() - 1), Ordering::Relaxed);
                     batch.clear();
-                    // Positions advance only at flush boundaries: a
-                    // checkpoint can never record a target whose frame is
-                    // still queued (resume re-walks, never skips).
-                    positions[t as usize].store(it.elements_consumed(), Ordering::Relaxed);
+                    let _ = recycle.try_push(batch);
                 }
-                // Flush the final partial batch: every consumed target's
-                // probe leaves (or exhausts its retries) before this
-                // sender reports done — same contract as per-probe sends.
-                if !dead && !batch.is_empty() && !flush(&batch) {
-                    positions[t as usize].store(it.elements_consumed(), Ordering::Relaxed);
-                }
+                // Unblock a generator waiting on either ring, then
+                // report this pair's send path done.
+                ready.close();
+                recycle.close();
                 finished.fetch_add(1, Ordering::Release);
             });
         }
@@ -756,22 +601,10 @@ fn run_inner<T: SharedTransport>(
             }
             // Periodic checkpoint from the sender positions, without
             // stopping the senders.
-            if let Some(policy) = &opts.checkpoint {
+            if let Some(ckpt) = &ckpt {
                 let rel = transport.now().saturating_sub(start);
-                if rel.saturating_sub(last_ckpt_at) >= policy.interval_ns {
-                    let pos: Vec<u64> =
-                        positions.iter().map(|p| p.load(Ordering::Relaxed)).collect();
-                    checkpoint_via_metrics(
-                        policy,
-                        digest,
-                        cfg,
-                        gen.permutation(),
-                        pos,
-                        rel,
-                        false,
-                        &metrics,
-                        &logger,
-                    );
+                if rel.saturating_sub(last_ckpt_at) >= ckpt.policy.interval_ns {
+                    ckpt.write(snapshot_positions(), rel, false);
                     last_ckpt_at = rel;
                 }
             }
@@ -840,21 +673,13 @@ fn run_inner<T: SharedTransport>(
         // complete only if every sender exhausted its subshard (none
         // stopped for a shutdown request or a stall).
         metrics.add_at(rx, CounterId::ShutdownClean, 1);
-        if let Some(policy) = &opts.checkpoint {
+        if let Some(ckpt) = &ckpt {
             let complete = interrupted_senders.load(Ordering::Relaxed) == 0
                 && metrics.get(CounterId::WatchdogStalls) == baseline.watchdog_stalls;
-            let pos: Vec<u64> = positions.iter().map(|p| p.load(Ordering::Relaxed)).collect();
-            let rel = transport.now().saturating_sub(start);
-            checkpoint_via_metrics(
-                policy,
-                digest,
-                cfg,
-                gen.permutation(),
-                pos,
-                rel,
+            ckpt.write(
+                snapshot_positions(),
+                transport.now().saturating_sub(start),
                 complete,
-                &metrics,
-                &logger,
             );
         }
         metrics.trace(
@@ -866,27 +691,16 @@ fn run_inner<T: SharedTransport>(
         metrics.trace(transport.now().saturating_sub(start), "killed", 0);
     }
 
-    let finals = metrics.counters();
-    summary.sent = finals.sent;
-    summary.responses_validated = finals.responses_validated;
-    summary.duplicates_suppressed = finals.duplicates_suppressed;
-    summary.unique_successes = finals.unique_successes;
-    summary.send_retries = finals.send_retries;
-    summary.sendto_failures = finals.sendto_failures;
-    summary.responses_corrupted = finals.responses_corrupted;
-    summary.lock_poison_recoveries = finals.lock_poison_recoveries;
-    summary.checkpoints_written = finals.checkpoints_written;
-    summary.resume_count = finals.resume_count;
-    summary.watchdog_stalls = finals.watchdog_stalls;
-    summary.shutdown_clean = finals.shutdown_clean;
-    summary.killed = was_killed;
-    summary.status = monitor.samples().to_vec();
-    summary.duration_ns = transport.now() - start;
-    summary.metrics = metrics.snapshot();
-    summary.metadata.counters = finals;
-    summary.metadata.duration_ns = summary.duration_ns;
-    summary.metadata.attach_metrics(summary.metrics.clone());
-    Ok(summary)
+    let duration_ns = transport.now() - start;
+    Ok(summarize(
+        cfg,
+        gen.permutation(),
+        &metrics,
+        &monitor,
+        results,
+        was_killed,
+        duration_ns,
+    ))
 }
 
 #[cfg(test)]
@@ -936,7 +750,8 @@ mod tests {
         assert_eq!(s.unique_successes, 256);
         let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
         assert_eq!(distinct.len(), 256);
-        assert_eq!(s.lock_poison_recoveries, 0);
+        assert_eq!(s.metadata.counters.lock_poison_recoveries, 0);
+        assert_eq!(s.shutdown_clean, 1);
     }
 
     #[test]
@@ -1000,14 +815,11 @@ mod tests {
         let s = run_parallel(&cfg, &transport).unwrap();
         assert_eq!(s.sent, 64, "a poisoned lock must not lose coverage");
         assert_eq!(s.unique_successes, 64);
-        assert!(
-            s.lock_poison_recoveries > 0,
-            "recoveries must be counted, got {}",
-            s.lock_poison_recoveries
-        );
+        let recoveries = s.metadata.counters.lock_poison_recoveries;
+        assert!(recoveries > 0, "recoveries must be counted, got {recoveries}");
         // The recovery surfaces in the status stream.
         let last = s.status.last().expect("at least the t=0 sample");
-        assert!(last.lock_poison_recoveries > 0);
+        assert!(last.counters.lock_poison_recoveries > 0);
     }
 
     /// A transport whose virtual clock never advances: the cooldown
@@ -1049,7 +861,7 @@ mod tests {
         assert_eq!(s.shutdown_clean, 1, "a stall degrades the scan, not crashes it");
         assert!(!s.killed);
         let last = s.status.last().expect("status stream present");
-        assert_eq!(last.watchdog_stalls, 0, "stall happened after the last sample");
+        assert_eq!(last.counters.watchdog_stalls, 0, "stall happened after the last sample");
     }
 
     #[test]
@@ -1212,154 +1024,28 @@ mod tests {
     }
 
     #[test]
-    fn tx_pipeline_covers_everything_once() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 11, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 4;
-        cfg.rate_pps = 200_000;
-        cfg.cooldown_secs = 1;
-        cfg.tx_pipeline = true;
-        let s = run_parallel(&cfg, &transport).unwrap();
-        assert_eq!(s.sent, 256, "4 generator/transport pairs cover the /24");
-        assert_eq!(s.unique_successes, 256);
-        let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
-        assert_eq!(distinct.len(), 256);
-        assert_eq!(s.shutdown_clean, 1);
-    }
-
-    #[test]
     fn threaded_rx_honors_dedup_and_failure_reporting() {
         // The world answers only on 80, so a scan of 81 draws 256 RSTs:
         // with `report_failures` each becomes a row, and the configured
         // 64-entry window (not a hard-coded one) does the dedup.
-        for pipeline in [false, true] {
-            let src = Ipv4Addr::new(192, 0, 2, 9);
-            let transport = SharedSimTransport::new(shared_world(), src);
-            let mut cfg = ScanConfig::new(src);
-            cfg.allowlist_prefix(Ipv4Addr::new(44, 15, 0, 0), 24);
-            cfg.apply_default_blocklist = false;
-            cfg.ports = vec![81];
-            cfg.subshards = 2;
-            cfg.rate_pps = 200_000;
-            cfg.cooldown_secs = 1;
-            cfg.dedup = crate::config::DedupMethod::Window(64);
-            cfg.report_failures = true;
-            cfg.tx_pipeline = pipeline;
-            let s = run_parallel(&cfg, &transport).unwrap();
-            assert_eq!(s.unique_successes, 0, "pipeline={pipeline}");
-            assert_eq!(s.metadata.counters.unique_failures, 256, "pipeline={pipeline}");
-            assert_eq!(s.results.len(), 256, "one failure row per RST");
-            assert!(s.results.iter().all(|r| !r.success));
-            let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
-            assert_eq!(distinct.len(), 256);
-        }
-    }
-
-    #[test]
-    fn tx_pipeline_matches_the_combined_sender_exactly() {
-        // The pipeline is a pure topology change: same interleaved rate
-        // schedule, same frames, same world — so every counter, every
-        // result record, and the virtual duration must be byte-equal to
-        // the combined-sender engine under the same seed.
-        let run = |pipeline: bool| {
-            let world = shared_world();
-            let src = Ipv4Addr::new(192, 0, 2, 9);
-            let transport = SharedSimTransport::new(world, src);
-            let mut cfg = ScanConfig::new(src);
-            cfg.allowlist_prefix(Ipv4Addr::new(44, 12, 0, 0), 24);
-            cfg.apply_default_blocklist = false;
-            cfg.subshards = 3;
-            cfg.rate_pps = 300_000;
-            cfg.cooldown_secs = 1;
-            cfg.batch = 16; // partial final batches on every subshard
-            cfg.tx_pipeline = pipeline;
-            let mut s = run_parallel(&cfg, &transport).unwrap();
-            s.results.sort_by_key(|r| (r.ts_ns, r.saddr, r.sport));
-            s
-        };
-        let plain = run(false);
-        let piped = run(true);
-        assert_eq!(piped.sent, plain.sent);
-        assert_eq!(piped.responses_validated, plain.responses_validated);
-        assert_eq!(piped.duplicates_suppressed, plain.duplicates_suppressed);
-        assert_eq!(piped.unique_successes, plain.unique_successes);
-        assert_eq!(piped.results, plain.results, "records must be identical");
-        assert_eq!(piped.duration_ns, plain.duration_ns);
-    }
-
-    #[test]
-    fn tx_pipeline_kill_then_resume_covers_everything() {
-        use crate::checkpoint::CheckpointPolicy;
-        use zmap_netsim::FaultPlan;
         let src = Ipv4Addr::new(192, 0, 2, 9);
-        let dir = std::env::temp_dir().join("zmap-parallel-ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("pipeline-resume.ckpt");
+        let transport = SharedSimTransport::new(shared_world(), src);
         let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 13, 0, 0), 24);
+        cfg.allowlist_prefix(Ipv4Addr::new(44, 15, 0, 0), 24);
         cfg.apply_default_blocklist = false;
-        cfg.subshards = 4;
+        cfg.ports = vec![81];
+        cfg.subshards = 2;
         cfg.rate_pps = 200_000;
         cfg.cooldown_secs = 1;
-        cfg.tx_pipeline = true;
-        let world = Arc::new(Mutex::new(World::new(WorldConfig {
-            seed: 5,
-            model: ServiceModel::dense(&[80]),
-            loss: LossModel::NONE,
-            faults: FaultPlan::builder().kill_at(300).build(),
-            ..WorldConfig::default()
-        })));
-        let transport = SharedSimTransport::new(world, src);
-        let policy = CheckpointPolicy::new(&path).with_interval_ns(100_000);
-        let opts = ParallelRunOptions {
-            checkpoint: Some(policy),
-            ..Default::default()
-        };
-        let first = run_parallel_with(&cfg, &transport, opts.clone()).unwrap();
-        assert!(first.killed, "kill at NIC event 300 lands mid-scan");
-        assert!(first.checkpoints_written >= 1);
-
-        let journal = CheckpointState::load(&path).unwrap();
-        assert!(!journal.complete);
-        let transport2 = SharedSimTransport::new(shared_world(), src);
-        let second = resume_parallel(&cfg, &transport2, &journal, opts).unwrap();
-        assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
-        let mut union: HashSet<_> = first.results.iter().map(|r| r.saddr).collect();
-        union.extend(second.results.iter().map(|r| r.saddr));
-        assert_eq!(union.len(), 256, "kill/resume must lose nothing");
-    }
-
-    #[test]
-    fn tx_pipeline_honors_a_pre_requested_shutdown() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 14, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 2;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        cfg.tx_pipeline = true;
-        let token = ShutdownToken::new();
-        token.request();
-        let s = run_parallel_with(
-            &cfg,
-            &transport,
-            ParallelRunOptions {
-                shutdown: Some(token),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(s.sent, 0, "no probe leaves after a shutdown request");
-        assert_eq!(s.shutdown_clean, 1);
-        assert!(!s.killed);
+        cfg.dedup = crate::config::DedupMethod::Window(64);
+        cfg.report_failures = true;
+        let s = run_parallel(&cfg, &transport).unwrap();
+        assert_eq!(s.unique_successes, 0);
+        assert_eq!(s.metadata.counters.unique_failures, 256);
+        assert_eq!(s.results.len(), 256, "one failure row per RST");
+        assert!(s.results.iter().all(|r| !r.success));
+        let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
+        assert_eq!(distinct.len(), 256);
     }
 
     #[test]
@@ -1377,8 +1063,8 @@ mod tests {
         assert!(s.status.len() >= 2, "samples: {}", s.status.len());
         let mut prev = 0;
         for sample in &s.status {
-            assert!(sample.sent >= prev);
-            prev = sample.sent;
+            assert!(sample.counters.sent >= prev);
+            prev = sample.counters.sent;
         }
     }
 }

@@ -360,12 +360,14 @@ impl<T: Transport> Scanner<T> {
             baseline,
             start_positions,
         } = self;
-        let digest = config_digest(&cfg);
         let start = transport.now();
         let mut rc = RateController::new(start, cfg.rate_pps);
         let mut monitor = Monitor::new();
         let metrics = ScanMetrics::new(1, baseline);
         let mut rx = RxPath::new(&cfg, &gen, &module, &logger, &metrics, start);
+        let ckpt = checkpoint
+            .as_ref()
+            .map(|policy| Checkpointer::new(policy, &cfg, &gen, &metrics, &logger));
 
         // Shard-local target count (exact only for the whole scan; for a
         // shard we estimate as total/shards for progress display).
@@ -429,18 +431,11 @@ impl<T: Transport> Scanner<T> {
 
         // An initial journal before the first probe: a kill at any point
         // after this — even probe #1 — leaves something to resume from.
-        if let Some(policy) = &checkpoint {
-            let positions: Vec<u64> = iters.iter().map(|it| it.elements_consumed()).collect();
-            checkpoint_via_metrics(
-                policy,
-                digest,
-                &cfg,
-                gen.permutation(),
-                positions,
+        if let Some(ckpt) = &ckpt {
+            ckpt.write(
+                iters.iter().map(|it| it.elements_consumed()).collect(),
                 0,
                 false,
-                &metrics,
-                &logger,
             );
         }
 
@@ -532,21 +527,13 @@ impl<T: Transport> Scanner<T> {
 
             // Periodic snapshot on a virtual-time interval, at a cycle
             // boundary (never mid-target, so positions are consistent).
-            if let Some(policy) = &checkpoint {
+            if let Some(ckpt) = &ckpt {
                 let rel = transport.now().saturating_sub(start);
-                if rel.saturating_sub(last_ckpt_at) >= policy.interval_ns {
-                    let positions: Vec<u64> =
-                        iters.iter().map(|it| it.elements_consumed()).collect();
-                    checkpoint_via_metrics(
-                        policy,
-                        digest,
-                        &cfg,
-                        gen.permutation(),
-                        positions,
+                if rel.saturating_sub(last_ckpt_at) >= ckpt.policy.interval_ns {
+                    ckpt.write(
+                        iters.iter().map(|it| it.elements_consumed()).collect(),
                         rel,
                         false,
-                        &metrics,
-                        &logger,
                     );
                     last_ckpt_at = rel;
                 }
@@ -665,20 +652,12 @@ impl<T: Transport> Scanner<T> {
             if !stalled {
                 metrics.add(CounterId::ShutdownClean, 1);
             }
-            if let Some(policy) = checkpoint.as_ref().filter(|_| !stalled) {
-                let positions: Vec<u64> =
-                    iters.iter().map(|it| it.elements_consumed()).collect();
+            if let Some(ckpt) = ckpt.as_ref().filter(|_| !stalled) {
                 let rel = transport.now().saturating_sub(start);
-                checkpoint_via_metrics(
-                    policy,
-                    digest,
-                    &cfg,
-                    gen.permutation(),
-                    positions,
+                ckpt.write(
+                    iters.iter().map(|it| it.elements_consumed()).collect(),
                     rel,
                     !interrupted,
-                    &metrics,
-                    &logger,
                 );
             }
             // Final status samples covering the cooldown (so the stream
@@ -716,47 +695,69 @@ impl<T: Transport> Scanner<T> {
         // `shutdown_clean` still 0.
 
         let duration_ns = transport.now() - start;
-        let counters = metrics.counters();
-        let snapshot = metrics.snapshot();
-
-        let (group_prime, generator, offset) = gen.permutation();
-        let mut metadata = ScanMetadata {
-            version: env!("CARGO_PKG_VERSION").to_string(),
-            config: ConfigEcho::from_config(&cfg),
-            permutation: PermutationEcho {
-                group_prime,
-                generator,
-                offset,
-            },
-            counters,
-            duration_ns,
-            histograms: BTreeMap::new(),
-            trace: TraceSnapshot::default(),
-            inflight_overflow: 0,
-        };
-        metadata.attach_metrics(snapshot.clone());
-        ScanSummary {
-            sent: counters.sent,
-            targets_total: counters.targets_total,
-            responses_validated: counters.responses_validated,
-            responses_discarded: counters.responses_discarded,
-            duplicates_suppressed: counters.duplicates_suppressed,
-            unique_successes: counters.unique_successes,
-            unique_failures: counters.unique_failures,
-            send_retries: counters.send_retries,
-            sendto_failures: counters.sendto_failures,
-            responses_corrupted: counters.responses_corrupted,
-            checkpoints_written: counters.checkpoints_written,
-            resume_count: counters.resume_count,
-            watchdog_stalls: counters.watchdog_stalls,
-            shutdown_clean: counters.shutdown_clean,
+        summarize(
+            &cfg,
+            gen.permutation(),
+            &metrics,
+            &monitor,
+            rx.results,
             killed,
             duration_ns,
-            results: rx.results,
-            status: monitor.samples().to_vec(),
-            metadata,
-            metrics: snapshot,
-        }
+        )
+    }
+}
+
+/// The one exit of both engines: folds the registry, the status samples
+/// and the collected records into the metadata document (stream #4) and
+/// the summary.
+pub(crate) fn summarize(
+    cfg: &ScanConfig,
+    permutation: (u64, u64, u64),
+    metrics: &ScanMetrics,
+    monitor: &Monitor,
+    results: Vec<ScanResult>,
+    killed: bool,
+    duration_ns: u64,
+) -> ScanSummary {
+    let counters = metrics.counters();
+    let snapshot = metrics.snapshot();
+    let (group_prime, generator, offset) = permutation;
+    let mut metadata = ScanMetadata {
+        version: env!("CARGO_PKG_VERSION").to_string(),
+        config: ConfigEcho::from_config(cfg),
+        permutation: PermutationEcho {
+            group_prime,
+            generator,
+            offset,
+        },
+        counters,
+        duration_ns,
+        histograms: BTreeMap::new(),
+        trace: TraceSnapshot::default(),
+        inflight_overflow: 0,
+    };
+    metadata.attach_metrics(snapshot.clone());
+    ScanSummary {
+        sent: counters.sent,
+        targets_total: counters.targets_total,
+        responses_validated: counters.responses_validated,
+        responses_discarded: counters.responses_discarded,
+        duplicates_suppressed: counters.duplicates_suppressed,
+        unique_successes: counters.unique_successes,
+        unique_failures: counters.unique_failures,
+        send_retries: counters.send_retries,
+        sendto_failures: counters.sendto_failures,
+        responses_corrupted: counters.responses_corrupted,
+        checkpoints_written: counters.checkpoints_written,
+        resume_count: counters.resume_count,
+        watchdog_stalls: counters.watchdog_stalls,
+        shutdown_clean: counters.shutdown_clean,
+        killed,
+        duration_ns,
+        results,
+        status: monitor.samples().to_vec(),
+        metadata,
+        metrics: snapshot,
     }
 }
 
@@ -785,89 +786,78 @@ pub(crate) fn check_shard_spec(
     Ok(())
 }
 
-/// Snapshots the walk into a checkpoint journal. A write failure is
-/// logged and otherwise ignored: a failed checkpoint must never take
-/// down a live scan. `counters` must already include the write being
-/// made (`checkpoints_written` pre-incremented by the caller, who
-/// commits that increment to its own books only on success). Returns
-/// the serialized journal size in bytes when the write landed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn write_checkpoint(
-    policy: &CheckpointPolicy,
+/// A scan's checkpoint writer: the journal identity (policy, config
+/// digest, walk parameters) and the books it reads and commits to (the
+/// metrics registry, the logger), bound once per run so the engines'
+/// checkpoint sites say only what varies — positions, time, completion.
+pub(crate) struct Checkpointer<'a> {
+    pub(crate) policy: &'a CheckpointPolicy,
     digest: u64,
-    cfg: &ScanConfig,
+    cfg: &'a ScanConfig,
+    /// The plan's `(prime, generator, offset)` triple; in v6 mode the
+    /// prime slot carries the walk-plan fingerprint and generator/offset
+    /// are zero (see `ScanPlan::permutation`).
     permutation: (u64, u64, u64),
-    positions: Vec<u64>,
-    virtual_time_ns: u64,
-    complete: bool,
-    counters: Counters,
-    logger: &Logger,
-) -> Option<u64> {
-    // `permutation` is the plan's `(prime, generator, offset)` triple;
-    // in v6 mode the prime slot carries the walk-plan fingerprint and
-    // generator/offset are zero (see `ScanPlan::permutation`).
-    let (group_prime, generator, offset) = permutation;
-    let state = CheckpointState {
-        config_digest: digest,
-        seed: cfg.seed,
-        group_prime,
-        generator,
-        offset,
-        shard: cfg.shard,
-        num_shards: cfg.num_shards.max(1),
-        num_subshards: cfg.subshards.max(1),
-        positions,
-        dedup_high_water: counters.unique_successes + counters.unique_failures,
-        virtual_time_ns,
-        complete,
-        counters,
-    };
-    let bytes = state.to_bytes().len() as u64;
-    match state.write_atomic(&policy.path) {
-        Ok(()) => Some(bytes),
-        Err(e) => {
-            logger.log(
-                Level::Warn,
-                format_args!("checkpoint write failed (scan continues): {e}"),
-            );
-            None
-        }
-    }
+    metrics: &'a ScanMetrics,
+    logger: &'a Logger,
 }
 
-/// The engine-side checkpoint wrapper: snapshots the registry's counters
-/// (with the pending write included), writes the journal, and on success
-/// commits the write to the registry — counter, size histogram, and
-/// trace event. The journal size stands in for write latency because a
-/// wall-clock duration would not replay deterministically.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn checkpoint_via_metrics(
-    policy: &CheckpointPolicy,
-    digest: u64,
-    cfg: &ScanConfig,
-    permutation: (u64, u64, u64),
-    positions: Vec<u64>,
-    virtual_time_ns: u64,
-    complete: bool,
-    metrics: &ScanMetrics,
-    logger: &Logger,
-) {
-    let mut snapshot = metrics.counters();
-    snapshot.checkpoints_written += 1;
-    if let Some(bytes) = write_checkpoint(
-        policy,
-        digest,
-        cfg,
-        permutation,
-        positions,
-        virtual_time_ns,
-        complete,
-        snapshot,
-        logger,
-    ) {
-        metrics.add(CounterId::CheckpointsWritten, 1);
-        metrics.record(HistId::CheckpointWrite, bytes);
-        metrics.trace(virtual_time_ns, "checkpoint_written", bytes);
+impl<'a> Checkpointer<'a> {
+    pub(crate) fn new(
+        policy: &'a CheckpointPolicy,
+        cfg: &'a ScanConfig,
+        plan: &ScanPlan,
+        metrics: &'a ScanMetrics,
+        logger: &'a Logger,
+    ) -> Self {
+        Checkpointer {
+            policy,
+            digest: config_digest(cfg),
+            cfg,
+            permutation: plan.permutation(),
+            metrics,
+            logger,
+        }
+    }
+
+    /// Snapshots the walk into the journal: the registry's counters with
+    /// this write already counted, committed to the registry — counter,
+    /// size histogram, trace event — only once the write has landed. A
+    /// failure is logged and otherwise ignored: a failed checkpoint must
+    /// never take down a live scan. The journal size stands in for write
+    /// latency because a wall-clock duration would not replay
+    /// deterministically.
+    pub(crate) fn write(&self, positions: Vec<u64>, virtual_time_ns: u64, complete: bool) {
+        let mut counters = self.metrics.counters();
+        counters.checkpoints_written += 1;
+        let (group_prime, generator, offset) = self.permutation;
+        let state = CheckpointState {
+            config_digest: self.digest,
+            seed: self.cfg.seed,
+            group_prime,
+            generator,
+            offset,
+            shard: self.cfg.shard,
+            num_shards: self.cfg.num_shards.max(1),
+            num_subshards: self.cfg.subshards.max(1),
+            positions,
+            dedup_high_water: counters.unique_successes + counters.unique_failures,
+            virtual_time_ns,
+            complete,
+            counters,
+        };
+        let bytes = state.to_bytes().len() as u64;
+        match state.write_atomic(&self.policy.path) {
+            Ok(()) => {
+                self.metrics.add(CounterId::CheckpointsWritten, 1);
+                self.metrics.record(HistId::CheckpointWrite, bytes);
+                self.metrics.trace(virtual_time_ns, "checkpoint_written", bytes);
+            }
+            Err(e) => self.logger.log(
+                Level::Warn,
+                format_args!("checkpoint write failed (scan continues): {e}"),
+            ),
+        }
     }
 }
 

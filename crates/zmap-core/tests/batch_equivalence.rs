@@ -113,7 +113,7 @@ fn parallel_results_identical_across_batch_sizes() {
         let b = run(batch);
         assert_eq!(one.sent, b.sent, "batch={batch}");
         assert_eq!(one.unique_successes, b.unique_successes);
-        let key = |s: &zmap_core::parallel::ParallelSummary| {
+        let key = |s: &zmap_core::ScanSummary| {
             s.results
                 .iter()
                 .map(|r| (r.ts_ns, r.saddr, r.sport))

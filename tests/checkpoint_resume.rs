@@ -8,31 +8,18 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use zmap::core::checkpoint::{CheckpointPolicy, CheckpointState};
-use zmap::core::metadata::Counters;
+use zmap::core::metadata::{CounterId, Counters};
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
 
 fn arb_counters() -> impl Strategy<Value = Counters> {
-    prop::collection::vec(any::<u64>(), 19..20).prop_map(|v| Counters {
-        targets_total: v[0],
-        sent: v[1],
-        responses_validated: v[2],
-        responses_discarded: v[3],
-        duplicates_suppressed: v[4],
-        unique_successes: v[5],
-        unique_failures: v[6],
-        send_retries: v[7],
-        sendto_failures: v[8],
-        responses_corrupted: v[9],
-        lock_poison_recoveries: v[10],
-        checkpoints_written: v[11],
-        resume_count: v[12],
-        watchdog_stalls: v[13],
-        shutdown_clean: v[14],
-        jobs_admitted: v[15],
-        worker_restarts: v[16],
-        jobs_degraded: v[17],
-        migrations: v[18],
+    let width = CounterId::ALL.len();
+    prop::collection::vec(any::<u64>(), width..width + 1).prop_map(|v| {
+        let mut c = Counters::default();
+        for (&id, &value) in CounterId::ALL.iter().zip(&v) {
+            *c.get_mut(id) = value;
+        }
+        c
     })
 }
 

@@ -207,8 +207,8 @@ fn acceptance_lossy_network_scenario() {
 
     // Counters surface in the status stream…
     let last = a.status.last().expect("scan spans whole seconds");
-    assert_eq!(last.send_retries, a.send_retries);
-    assert_eq!(last.duplicates_suppressed, a.duplicates_suppressed);
+    assert_eq!(last.counters.send_retries, a.send_retries);
+    assert_eq!(last.counters.duplicates_suppressed, a.duplicates_suppressed);
     // …and in the metadata document.
     let meta = a.metadata.to_json();
     assert!(meta.contains("\"send_retries\""), "{meta}");

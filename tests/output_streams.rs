@@ -91,8 +91,8 @@ fn status_stream_reports_progress_monotonically() {
     let summary = run_with_logger(Logger::null());
     let mut prev_sent = 0;
     for s in &summary.status {
-        assert!(s.sent >= prev_sent, "sent must be monotone");
-        prev_sent = s.sent;
+        assert!(s.counters.sent >= prev_sent, "sent must be monotone");
+        prev_sent = s.counters.sent;
         assert!(s.percent_complete <= 100.0 + 1e-9);
     }
     assert!(summary.status.last().unwrap().percent_complete > 99.0);
