@@ -1137,12 +1137,14 @@ impl Graph {
 // Lint 10: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
-/// Hot-path roots: the per-frame TX machinery. A heap allocation
-/// reachable from any of these runs millions of times per scan.
+/// Hot-path roots: the per-frame TX machinery and the per-row data
+/// stream. A heap allocation reachable from any of these runs millions
+/// of times per scan.
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
         Some("ProbeModule") => f.name == "render_into",
+        Some("OutputModule") => f.name == "record",
         _ => matches!(f.name.as_str(), "send_batch" | "send_batch_at" | "flush_shared"),
     }
 }
@@ -1187,9 +1189,12 @@ fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fin
         let f = g.node(id);
         for call in &f.calls {
             let is_alloc = match (&call.qualifier, call.is_method) {
+                // `Vec::new`, and the allocating conversions in path form
+                // (`serde_json::to_string(r)`, `ToString::to_string(&x)`).
                 (Some(q), _) => {
-                    ALLOC_QUALIFIERS.contains(&q.as_str())
-                        && ALLOC_CTORS.contains(&call.name.as_str())
+                    (ALLOC_QUALIFIERS.contains(&q.as_str())
+                        && ALLOC_CTORS.contains(&call.name.as_str()))
+                        || ALLOC_METHODS.contains(&call.name.as_str())
                 }
                 (None, true) => ALLOC_METHODS.contains(&call.name.as_str()),
                 (None, false) => false,

@@ -176,16 +176,26 @@ fn alloc_in_hot_path_follows_the_call_graph() {
     let f = fixture("alloc_hot");
     assert_eq!(
         spans(&f, "alloc-in-hot-path"),
-        vec![("crates/zmap-core/src/plan.rs".to_string(), 15)],
-        "to_vec one hop below ProbeModule::render_into fires; the format! \
-         in the unreachable `label` stays quiet"
+        vec![
+            ("crates/zmap-core/src/output.rs".to_string(), 16),
+            ("crates/zmap-core/src/plan.rs".to_string(), 15),
+        ],
+        "serde_json::to_string in OutputModule::record and to_vec one hop below \
+         ProbeModule::render_into fire; Vec::with_capacity in OutputModule::new \
+         and the format! in `label`, both unreachable from a root, stay quiet"
     );
     assert!(
-        f[0].message.contains("ProbeModule::render_into → ProbeModule::patch"),
-        "the finding names the reaching chain: {:?}",
+        f[0].message.contains("`to_string` allocates")
+            && f[0].message.contains("OutputModule::record"),
+        "the data stream's record path is a root: {:?}",
         f[0]
     );
-    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(
+        f[1].message.contains("ProbeModule::render_into → ProbeModule::patch"),
+        "the finding names the reaching chain: {:?}",
+        f[1]
+    );
+    assert_eq!(f.len(), 2, "{f:?}");
 }
 
 #[test]

@@ -110,6 +110,15 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
     };
     let watchdog_poll_limit = watchdog_poll_limit(opts.watchdog_secs);
 
+    // Stream 1 opens before the first probe: an unwritable `-o` costs
+    // nothing but this error, not a whole scan.
+    let sink: Box<dyn Write> = if opts.output_path == "-" {
+        Box::new(io::stdout())
+    } else {
+        Box::new(File::create(&opts.output_path)?)
+    };
+    let mut out = OutputModule::new(opts.format, sink);
+
     // --tx-pipeline routes through the threaded engine: generator threads
     // render into per-pair frame rings, transport threads drain them.
     let summary = if opts.config.tx_pipeline {
@@ -138,10 +147,14 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         };
         // Receive order depends on thread interleaving; the output
         // contract does not. Canonical order makes pipelined output
-        // byte-comparable across runs and against the sequential engine.
+        // byte-comparable across runs and against the sequential engine
+        // — and is why this branch holds its rows until the scan ends.
         summary
             .results
             .sort_by_key(|r| (r.ts_ns, r.saddr, r.sport));
+        for r in &summary.results {
+            out.record(r)?;
+        }
         summary
     } else {
         let transport = SimNet::new(world).transport(opts.config.source_ip);
@@ -167,30 +180,25 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
                 }
             },
         };
-        scanner.run_with(RunOptions {
-            checkpoint,
-            watchdog_poll_limit,
-            ..RunOptions::default()
-        })
+        // Rows reach the data stream in arrival order while the scan
+        // runs; none are held.
+        scanner.run_into(
+            RunOptions {
+                checkpoint,
+                watchdog_poll_limit,
+                ..RunOptions::default()
+            },
+            &mut out,
+        )
     };
+    // A killed scan keeps every row it received before it died.
+    out.finish()?;
     emit_streams(&opts, &summary)
 }
 
-/// Writes streams 1 (data), 3 (status), and 4 (metadata) and maps the
-/// kill flag to the exit code — whichever engine produced the summary.
+/// Writes streams 3 (status) and 4 (metadata) and maps the kill flag to
+/// the exit code — whichever engine produced the summary.
 fn emit_streams(opts: &CliOptions, summary: &ScanSummary) -> io::Result<i32> {
-    // Stream 1: data.
-    let sink: Box<dyn Write> = if opts.output_path == "-" {
-        Box::new(io::stdout())
-    } else {
-        Box::new(File::create(&opts.output_path)?)
-    };
-    let mut out = OutputModule::new(opts.format, sink);
-    for r in &summary.results {
-        out.record(r)?;
-    }
-    out.finish()?;
-
     // Stream 3: status (replayed at completion in this offline build).
     if !opts.quiet {
         for s in &summary.status {

@@ -69,7 +69,7 @@ pub use plan::ScanPlan;
 pub use shutdown::ShutdownToken;
 pub use metadata::ScanMetadata;
 pub use metrics::{CounterId, HistId, ScanMetrics};
-pub use output::{Classification, OutputFormat, ScanResult};
+pub use output::{Classification, OutputFormat, RowSink, ScanResult};
 pub use scanner::{ResumeError, RunOptions, ScanSummary, Scanner};
 pub use supervisor::{
     JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorError,

@@ -573,7 +573,11 @@ fn run_inner<T: SharedTransport>(
         // signature freezes for `watchdog_poll_limit` consecutive polls,
         // it records a stall, trips the shutdown token, and abandons the
         // wait rather than spinning forever.
-        let mut rx_path = RxPath::new(cfg, &gen, &module, &logger, &metrics, start);
+        // Collected, not streamed: arrival order here depends on thread
+        // scheduling, and the front-ends sort the records into their
+        // canonical order once the scan is over.
+        let mut results = Vec::new();
+        let mut rx_path = RxPath::new(cfg, &gen, &module, &logger, &metrics, start, &mut results);
         let deadline_after_done = cfg.cooldown_secs.max(1) * 1_000_000_000;
         let mut done_at: Option<u64> = None;
         let mut last_ckpt_at = 0u64;
@@ -660,7 +664,7 @@ fn run_inner<T: SharedTransport>(
                 std::thread::yield_now();
             }
         }
-        rx_path.results
+        results
     });
 
     // Final mirror of the transport's poison-recovery count (senders

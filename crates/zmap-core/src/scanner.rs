@@ -7,7 +7,7 @@ use crate::log::{Level, Logger};
 use crate::metadata::{ConfigEcho, Counters, PermutationEcho, ScanMetadata};
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::monitor::{Monitor, StatusUpdate};
-use crate::output::ScanResult;
+use crate::output::{RowSink, ScanResult};
 use crate::plan::{ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::shutdown::ShutdownToken;
@@ -344,6 +344,18 @@ impl<T: Transport> Scanner<T> {
     /// Like [`run`](Self::run) with checkpointing and cooperative
     /// shutdown wired in.
     pub fn run_with(self, opts: RunOptions) -> ScanSummary {
+        let mut results = Vec::new();
+        let mut summary = self.run_into(opts, &mut results);
+        summary.results = results;
+        summary
+    }
+
+    /// Like [`run_with`](Self::run_with), but each record goes to `rows`
+    /// the moment the receive path accepts it — in arrival order, while
+    /// the scan runs — and the summary's `results` stays empty. Handing in
+    /// an [`OutputModule`](crate::output::OutputModule) streams the data
+    /// file with no row held in memory.
+    pub fn run_into(self, opts: RunOptions, rows: &mut dyn RowSink) -> ScanSummary {
         let RunOptions {
             checkpoint,
             shutdown,
@@ -364,7 +376,7 @@ impl<T: Transport> Scanner<T> {
         let mut rc = RateController::new(start, cfg.rate_pps);
         let mut monitor = Monitor::new();
         let metrics = ScanMetrics::new(1, baseline);
-        let mut rx = RxPath::new(&cfg, &gen, &module, &logger, &metrics, start);
+        let mut rx = RxPath::new(&cfg, &gen, &module, &logger, &metrics, start, rows);
         let ckpt = checkpoint
             .as_ref()
             .map(|policy| Checkpointer::new(policy, &cfg, &gen, &metrics, &logger));
@@ -700,7 +712,7 @@ impl<T: Transport> Scanner<T> {
             gen.permutation(),
             &metrics,
             &monitor,
-            rx.results,
+            Vec::new(),
             killed,
             duration_ns,
         )
@@ -708,8 +720,8 @@ impl<T: Transport> Scanner<T> {
 }
 
 /// The one exit of both engines: folds the registry, the status samples
-/// and the collected records into the metadata document (stream #4) and
-/// the summary.
+/// and the collected records (none when they were streamed to a sink)
+/// into the metadata document (stream #4) and the summary.
 pub(crate) fn summarize(
     cfg: &ScanConfig,
     permutation: (u64, u64, u64),
@@ -944,7 +956,7 @@ fn flush_batch<T: Transport>(
 
 /// The receive path of one scan, shared by both engines: validate the
 /// frame, key it into the plan's dedup space, sample its RTT, dedup,
-/// classify, and collect the record.
+/// classify, and hand the record to the row sink.
 pub(crate) struct RxPath<'a> {
     plan: &'a ScanPlan,
     module: &'a ProbeModule,
@@ -956,8 +968,8 @@ pub(crate) struct RxPath<'a> {
     report_failures: bool,
     /// Scan start on the transport clock; record timestamps are relative.
     start: u64,
-    /// The success records (plus failures when `report_failures`).
-    pub(crate) results: Vec<ScanResult>,
+    /// Takes the success records (plus failures when `report_failures`).
+    rows: &'a mut dyn RowSink,
 }
 
 impl<'a> RxPath<'a> {
@@ -968,6 +980,7 @@ impl<'a> RxPath<'a> {
         logger: &'a Logger,
         metrics: &'a ScanMetrics,
         start: u64,
+        rows: &'a mut dyn RowSink,
     ) -> Self {
         RxPath {
             plan,
@@ -978,7 +991,7 @@ impl<'a> RxPath<'a> {
             shard: metrics.rx_shard(),
             report_failures: cfg.report_failures,
             start,
-            results: Vec::new(),
+            rows,
         }
     }
 
@@ -1018,7 +1031,7 @@ impl<'a> RxPath<'a> {
                     metrics.add_at(shard, CounterId::UniqueFailures, 1);
                 }
                 if success || self.report_failures {
-                    self.results.push(ScanResult {
+                    self.rows.row(&ScanResult {
                         ts_ns: ts.saturating_sub(self.start),
                         saddr: resp.ip,
                         sport: resp.port,

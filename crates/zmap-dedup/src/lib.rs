@@ -9,20 +9,21 @@
 //! last n responses backed by a Judy array; a window of 10^6 entries (the
 //! ZMap default) empirically removes nearly all duplicates (Figure 5).
 //!
-//! This crate provides all three pieces:
+//! This crate provides both structures:
 //!
 //! * [`PagedBitmap`] — the exact, single-port-era structure,
-//! * [`JudySet`] — a from-scratch Judy-style sparse radix set over `u64`,
-//! * [`SlidingWindow`] — the modern FIFO window deduplicator.
+//! * [`SlidingWindow`] — the modern FIFO window deduplicator. The window
+//!   semantics are the reproduction; its membership set is a private
+//!   open-addressed table (`table.rs`) where upstream uses a Judy array
+//!   (DESIGN.md §1 says why).
 //!
-//! All deduplicators implement [`Deduplicator`].
+//! Both implement [`Deduplicator`].
 
 pub mod bitmap;
-pub mod judy;
+mod table;
 pub mod window;
 
 pub use bitmap::PagedBitmap;
-pub use judy::JudySet;
 pub use window::SlidingWindow;
 
 /// Packs an (IPv4, port) target into the 48-bit dedup key space.

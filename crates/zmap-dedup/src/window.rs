@@ -1,19 +1,24 @@
 //! The sliding-window deduplicator (ZMap's multiport-era design).
 //!
 //! Keeps the last `capacity` *distinct* response keys in a FIFO ring with
-//! a [`JudySet`] for membership. A repeat inside the window is suppressed;
-//! a repeat that arrives after the key has been evicted passes through —
-//! that controlled imprecision is the memory/accuracy trade-off Figure 5
-//! sweeps. ZMap's default window is 10^6 entries, which empirically
-//! removes nearly all duplicates at 1 Gbps scan rates.
+//! an open-addressed table (`table.rs`) for membership. A repeat inside
+//! the window is suppressed; a repeat that arrives after the key has been
+//! evicted passes through — that controlled imprecision is the
+//! memory/accuracy trade-off Figure 5 sweeps. ZMap's default window is
+//! 10^6 entries, which empirically removes nearly all duplicates at
+//! 1 Gbps scan rates.
+//!
+//! Ring and table both start small and grow with the keys held, so an
+//! idle window costs under a kilobyte whatever its capacity; full, the
+//! default window is 8 MB of ring and 16 MB of table.
 
-use crate::judy::JudySet;
+use crate::table::KeyTable;
 use crate::Deduplicator;
 use std::collections::VecDeque;
 
 /// FIFO sliding-window deduplicator.
 pub struct SlidingWindow {
-    set: JudySet,
+    set: KeyTable,
     ring: VecDeque<u64>,
     capacity: usize,
     suppressed: u64,
@@ -29,8 +34,8 @@ impl SlidingWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
-            set: JudySet::new(),
-            ring: VecDeque::with_capacity(capacity.min(1 << 20)),
+            set: KeyTable::new(),
+            ring: VecDeque::new(),
             capacity,
             suppressed: 0,
             observed: 0,
@@ -93,8 +98,10 @@ impl Deduplicator for SlidingWindow {
         self.check_and_insert(key)
     }
 
+    /// Bytes in use: one `u64` per remembered key in the ring plus one
+    /// per table slot.
     fn memory_bytes(&self) -> u64 {
-        self.set.memory_bytes() + (self.ring.capacity() * 8) as u64
+        ((self.ring.len() + self.set.slots()) * 8) as u64
     }
 }
 
@@ -158,7 +165,7 @@ mod tests {
         for _ in 0..50_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
             w.check_and_insert(state >> 40); // small key space → duplicates
-            assert_eq!(w.set.len() as usize, w.ring.len());
+            assert_eq!(w.set.len(), w.ring.len());
             assert!(w.ring.len() <= 500);
         }
         assert!(w.suppressed() > 0, "small key space must produce duplicates");
@@ -181,13 +188,80 @@ mod tests {
 
     #[test]
     fn memory_scales_with_occupancy_not_keyspace() {
+        let idle = SlidingWindow::with_default_capacity().memory_bytes();
+        assert!(idle < 4096, "an empty window holds {idle} bytes");
         let mut w = SlidingWindow::new(10_000);
         for i in 0..10_000u64 {
-            // 48-bit-spread keys: the motivating case for Judy backing.
+            // 48-bit-spread keys: the case no bitmap can hold.
             w.check_and_insert(i.wrapping_mul(0x9E3779B97F4A7C15) >> 16);
         }
         let bytes = w.memory_bytes();
         // A flat 48-bit bitmap would be 35 TB; we must be under ~10 MB.
         assert!(bytes < 10 << 20, "memory {bytes} bytes");
+    }
+
+    /// The FIFO rule written out: what every verdict is checked against.
+    struct Model {
+        ring: VecDeque<u64>,
+        held: std::collections::BTreeSet<u64>,
+        capacity: usize,
+        observed: u64,
+        suppressed: u64,
+    }
+
+    impl Model {
+        fn check_and_insert(&mut self, key: u64) -> bool {
+            self.observed += 1;
+            if self.held.contains(&key) {
+                self.suppressed += 1;
+                return false;
+            }
+            if self.ring.len() == self.capacity {
+                let oldest = self.ring.pop_front().unwrap();
+                self.held.remove(&oldest);
+            }
+            self.ring.push_back(key);
+            self.held.insert(key);
+            true
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Four key families sized against the capacity — small integers
+        /// from 0 and a run below `u64::MAX` (both consecutive, as v6's
+        /// compact indices are), a run inside the 48-bit v4 space, and a
+        /// scattered set — so a stream holds hits, evictions, re-entries
+        /// and, at capacities that fill the table to 3/4, long runs.
+        #[test]
+        fn agrees_with_the_reference_model(
+            capacity in (0usize..=64).prop_map(|c| if c == 0 { 1000 } else { c }),
+            percent in 1u64..=100,
+            draws in prop::collection::vec((0u8..4, any::<u64>()), 1..3000),
+        ) {
+            let per_family = (capacity as u64 * percent / 100).max(1);
+            let mut w = SlidingWindow::new(capacity);
+            let mut m = Model {
+                ring: VecDeque::new(),
+                held: Default::default(),
+                capacity,
+                observed: 0,
+                suppressed: 0,
+            };
+            for (family, r) in draws {
+                let i = r % per_family;
+                let key = match family {
+                    0 => i,
+                    1 => u64::MAX - i,
+                    2 => (0x0B16_0000u64 << 16) + i,
+                    _ => i.wrapping_mul(0x2545_F491_4F6C_DD1D),
+                };
+                prop_assert_eq!(w.check_and_insert(key), m.check_and_insert(key), "key {}", key);
+                prop_assert_eq!(w.len(), m.ring.len());
+                prop_assert_eq!(w.observed(), m.observed);
+                prop_assert_eq!(w.suppressed(), m.suppressed);
+            }
+        }
     }
 }

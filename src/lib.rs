@@ -19,7 +19,7 @@ pub use zmap_targets as targets;
 /// Packet construction/parsing, TCP option layouts, validation cookies.
 pub use zmap_wire as wire;
 
-/// Response deduplication: paged bitmap, Judy-style set, sliding window.
+/// Response deduplication: paged bitmap and the sliding window.
 pub use zmap_dedup as dedup;
 
 /// Lock-free counters, log2 latency histograms, bounded event traces.

@@ -93,3 +93,100 @@ fn deterministic_given_seeds() {
     };
     assert_eq!(run(), run());
 }
+
+/// What the data file must hold for `opts`: the library scan of the same
+/// configuration against the same world, its `results` rendered in order.
+fn library_rendering(
+    opts: &zmap_cli::CliOptions,
+    faults: zmap::netsim::FaultPlan,
+) -> (Vec<u8>, bool) {
+    use zmap::core::output::OutputModule;
+    use zmap::prelude::*;
+    let mut model = ServiceModel::default();
+    if let Some(f) = opts.sim_live_fraction {
+        model.live_fraction = f;
+    }
+    let net = SimNet::new(WorldConfig {
+        seed: opts.sim_seed,
+        model,
+        faults,
+        ..WorldConfig::default()
+    });
+    let summary = Scanner::new(opts.config.clone(), net.transport(opts.config.source_ip))
+        .unwrap()
+        .run();
+    let mut out = OutputModule::new(opts.format, Vec::new());
+    for r in &summary.results {
+        out.record(r).unwrap();
+    }
+    (out.finish().unwrap(), summary.killed)
+}
+
+#[test]
+fn sequential_data_file_is_the_library_results_rendered_in_order() {
+    let dir = tmpdir("stream");
+    for format in ["text", "csv", "jsonl"] {
+        let out = dir.join(format!("out.{format}"));
+        let opts = parse_args(&args(&format!(
+            "--subnet 66.40.0.0/22 -p 80,443 -r 50000 --seed 6 --sim-seed 8 \
+             --sim-live-fraction 0.6 --output-failures --cooldown-secs 1 -O {format} -q -o {}",
+            out.display()
+        )))
+        .unwrap();
+        let (expected, _) = library_rendering(&opts, zmap::netsim::FaultPlan::none());
+        assert_eq!(run_scan(opts).unwrap(), 0);
+        let data = std::fs::read(&out).unwrap();
+        assert!(data.len() > 1000, "{format}: {} bytes", data.len());
+        assert_eq!(String::from_utf8(data).unwrap(), String::from_utf8(expected).unwrap());
+    }
+}
+
+#[test]
+fn killed_scan_keeps_exactly_the_rows_received_before_the_kill() {
+    let dir = tmpdir("killed");
+    let kill = r#"{"kill_at": 700}"#;
+    let plan = dir.join("kill.json");
+    std::fs::write(&plan, kill).unwrap();
+    let out = dir.join("out.csv");
+    // 1000 pps: answers arrive while probes still leave, so the kill
+    // lands with rows already accepted and more still on the wire.
+    let opts = parse_args(&args(&format!(
+        "--subnet 66.50.0.0/22 -p 80 -r 1000 --seed 7 --sim-seed 3 \
+         --sim-live-fraction 1.0 -O csv -q --fault-plan {} -o {}",
+        plan.display(),
+        out.display()
+    )))
+    .unwrap();
+    let faults = zmap::netsim::FaultPlan::from_json_str(kill).unwrap();
+    let (expected, killed) = library_rendering(&opts, faults);
+    assert!(killed);
+    assert_eq!(run_scan(opts).unwrap(), zmap_cli::run::EXIT_KILLED);
+    let data = std::fs::read_to_string(&out).unwrap();
+    assert!(data.lines().count() > 20, "rows before the kill: {data}");
+    assert_eq!(data, String::from_utf8(expected).unwrap());
+}
+
+#[test]
+fn unwritable_output_fails_before_the_first_probe() {
+    let dir = tmpdir("badout");
+    let md = dir.join("md.json");
+    let ckpt = dir.join("scan.ckpt");
+    let out = dir.join("no-such-dir").join("out.csv");
+    for engine in ["", "--tx-pipeline --threads 2"] {
+        let opts = parse_args(&args(&format!(
+            "--subnet 66.60.0.0/24 -r 100000 --sim-live-fraction 1.0 --cooldown-secs 1 -q \
+             {engine} -o {} --metadata-file {} --checkpoint {}",
+            out.display(),
+            md.display(),
+            ckpt.display()
+        )))
+        .unwrap();
+        // `main` turns this error into "zmap: io error: …" and exit 1.
+        let err = run_scan(opts).expect_err("the data sink cannot be created");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{engine}: {err}");
+        // Nothing was sent: the scan never started, so no metadata
+        // document and no journal — not even the initial one — exist.
+        assert!(!md.exists(), "{engine}: metadata written");
+        assert!(!ckpt.exists(), "{engine}: journal written");
+    }
+}
