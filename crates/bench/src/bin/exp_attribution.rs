@@ -8,7 +8,7 @@
 //! seeds. The telescope watches a fixed virtual-time window — a slower
 //! scan leaves fewer observations in the window — and attributes each
 //! captured scan with the two-stage pipeline (fingerprint vote, then
-//! cyclic-walk recovery). Results go to `BENCH_pr10.json`:
+//! cyclic-walk recovery). Results go to `results/exp_attribution.json`:
 //!
 //! * the fingerprint stage attributes ~0% of random-IP-ID scans,
 //! * cyclic-walk recovery attributes >=95% of non-stealth scans, but
@@ -241,6 +241,6 @@ fn main() {
     };
     match flag_value("--scenario") {
         Some(path) => scenario_mode(path, flag_value("--report")),
-        None => matrix_mode(args.first().map(String::as_str).unwrap_or("BENCH_pr10.json")),
+        None => matrix_mode(args.first().map(String::as_str).unwrap_or("results/exp_attribution.json")),
     }
 }

@@ -1065,8 +1065,8 @@ impl Graph {
         &self.files[id.0].0
     }
 
-    /// Workspace fns a call site may land in.
-    fn resolve(&self, call: &CallSite) -> Vec<(usize, usize)> {
+    /// Workspace fns a call site in `from` may land in.
+    fn resolve(&self, from: (usize, usize), call: &CallSite) -> Vec<(usize, usize)> {
         let Some(cands) = self.by_name.get(&call.name) else { return Vec::new() };
         cands
             .iter()
@@ -1081,8 +1081,12 @@ impl Graph {
                     }
                     // `x.fn(…)`: any impl method of that name.
                     (None, true) => node.owner.is_some(),
-                    // `fn(…)`: any fn of that name.
-                    (None, false) => true,
+                    // `fn(…)`: a free fn, or a helper nested in an impl
+                    // method of the caller's file (it carries that impl's
+                    // owner). A bare call never reaches another type's
+                    // method: cookie.rs's `finalize(v)` is not
+                    // `Constraint::finalize`.
+                    (None, false) => node.owner.is_none() || id.0 == from.0,
                 }
             })
             .collect()
@@ -1110,7 +1114,7 @@ impl Graph {
             qi += 1;
             let chain = chains[&cur].clone();
             for call in &self.node(cur).calls {
-                for next in self.resolve(call) {
+                for next in self.resolve(cur, call) {
                     if next == cur || chains.contains_key(&next) || excluded(self, next) {
                         continue;
                     }
@@ -1137,11 +1141,13 @@ impl Graph {
 // Lint 10: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
-/// Hot-path roots: the per-frame TX machinery and the per-row data
-/// stream. A heap allocation reachable from any of these runs millions
-/// of times per scan.
+/// Hot-path roots: the per-target walk, the per-frame TX machinery and
+/// the per-row data stream. A heap allocation reachable from any of
+/// these runs millions of times per scan.
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
+        Some("Constraint") => matches!(f.name.as_str(), "lookup" | "is_allowed"),
+        Some("TargetIter") => f.name == "next",
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
         Some("ProbeModule") => f.name == "render_into",
         Some("OutputModule") => f.name == "record",

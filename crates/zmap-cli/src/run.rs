@@ -10,8 +10,7 @@ use zmap_core::log::{Level, Logger};
 use zmap_core::output::OutputModule;
 use zmap_core::monitor::StatusUpdate;
 use zmap_core::parallel::{
-    resume_parallel, run_parallel_with, ParallelRunOptions, SharedSimTransport,
-    DEFAULT_WATCHDOG_POLL_LIMIT,
+    ParallelRunOptions, PreparedScan, SharedSimTransport, DEFAULT_WATCHDOG_POLL_LIMIT,
 };
 use zmap_core::transport::SimNet;
 use zmap_core::{Ipv6Config, RunOptions, ScanSummary, Scanner};
@@ -110,34 +109,31 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
     };
     let watchdog_poll_limit = watchdog_poll_limit(opts.watchdog_secs);
 
-    // Stream 1 opens before the first probe: an unwritable `-o` costs
-    // nothing but this error, not a whole scan.
-    let sink: Box<dyn Write> = if opts.output_path == "-" {
-        Box::new(io::stdout())
-    } else {
-        Box::new(File::create(&opts.output_path)?)
+    // Stream 1 opens after the engine has accepted the config (building
+    // one sends nothing) and before the first probe: a rejected config
+    // leaves an existing `-o` file alone, and an unwritable `-o` costs
+    // nothing but its error, not a whole scan.
+    let open_output = || -> io::Result<OutputModule<Box<dyn Write>>> {
+        let sink: Box<dyn Write> = if opts.output_path == "-" {
+            Box::new(io::stdout())
+        } else {
+            Box::new(File::create(&opts.output_path)?)
+        };
+        Ok(OutputModule::new(opts.format, sink))
     };
-    let mut out = OutputModule::new(opts.format, sink);
 
     // --tx-pipeline routes through the threaded engine: generator threads
     // render into per-pair frame rings, transport threads drain them.
-    let summary = if opts.config.tx_pipeline {
-        let world = Arc::new(Mutex::new(World::new(world)));
-        let transport = SharedSimTransport::new(world, opts.config.source_ip);
-        let run_opts = ParallelRunOptions {
-            shutdown: None,
-            checkpoint,
-            watchdog_poll_limit,
-        };
-        let mut summary = match &journal {
-            Some(j) => match resume_parallel(&opts.config, &transport, j, run_opts) {
+    let (summary, out) = if opts.config.tx_pipeline {
+        let scan = match &journal {
+            Some(j) => match PreparedScan::resume(&opts.config, j) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("ERROR {e}");
                     return Ok(2);
                 }
             },
-            None => match run_parallel_with(&opts.config, &transport, run_opts) {
+            None => match PreparedScan::new(&opts.config) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("ERROR invalid configuration: {e}");
@@ -145,6 +141,15 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
                 }
             },
         };
+        let mut out = open_output()?;
+        let world = Arc::new(Mutex::new(World::new(world)));
+        let transport = SharedSimTransport::new(world, opts.config.source_ip);
+        let run_opts = ParallelRunOptions {
+            shutdown: None,
+            checkpoint,
+            watchdog_poll_limit,
+        };
+        let mut summary = scan.run(&transport, run_opts);
         // Receive order depends on thread interleaving; the output
         // contract does not. Canonical order makes pipelined output
         // byte-comparable across runs and against the sequential engine
@@ -155,7 +160,7 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         for r in &summary.results {
             out.record(r)?;
         }
-        summary
+        (summary, out)
     } else {
         let transport = SimNet::new(world).transport(opts.config.source_ip);
         let logger = Logger::writer(
@@ -180,16 +185,18 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
                 }
             },
         };
+        let mut out = open_output()?;
         // Rows reach the data stream in arrival order while the scan
         // runs; none are held.
-        scanner.run_into(
+        let summary = scanner.run_into(
             RunOptions {
                 checkpoint,
                 watchdog_poll_limit,
                 ..RunOptions::default()
             },
             &mut out,
-        )
+        );
+        (summary, out)
     };
     // A killed scan keeps every row it received before it died.
     out.finish()?;

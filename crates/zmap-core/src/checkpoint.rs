@@ -570,6 +570,25 @@ mod tests {
         assert_ne!(base, config_digest(&d), "constraint changes coverage");
     }
 
+    /// A journal written by an earlier build must still resume: the digest
+    /// hashes `allowed_ranges()`, so its canonical form (sorted, disjoint,
+    /// adjacent runs coalesced) is part of the journal format. Values
+    /// captured from the build before the constraint became a range table.
+    #[test]
+    fn config_digest_is_pinned() {
+        let default_blocklist = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
+        assert_eq!(config_digest(&default_blocklist), 6_612_799_829_941_613_865);
+
+        let mut holes = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
+        holes.seed = 7;
+        holes.allowlist_prefix(Ipv4Addr::new(11, 0, 0, 0), 8);
+        for third in [0, 1, 77, 255] {
+            holes.blocklist_prefix(Ipv4Addr::new(11, 9, third, 0), 24);
+        }
+        holes.blocklist_prefix(Ipv4Addr::new(11, 255, 255, 0), 24);
+        assert_eq!(config_digest(&holes), 606_939_034_905_555_712);
+    }
+
     #[test]
     fn check_config_refuses_mismatch() {
         let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));

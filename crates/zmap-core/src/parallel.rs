@@ -301,7 +301,7 @@ pub fn run_parallel<T: SharedTransport>(
     cfg: &ScanConfig,
     transport: &T,
 ) -> Result<ScanSummary, BuildError> {
-    run_inner(cfg, transport, ParallelRunOptions::default(), None)
+    run_parallel_with(cfg, transport, ParallelRunOptions::default())
 }
 
 /// Like [`run_parallel`] with checkpointing, cooperative shutdown, and
@@ -311,7 +311,7 @@ pub fn run_parallel_with<T: SharedTransport>(
     transport: &T,
     opts: ParallelRunOptions,
 ) -> Result<ScanSummary, BuildError> {
-    run_inner(cfg, transport, opts, None)
+    Ok(PreparedScan::new(cfg)?.run(transport, opts))
 }
 
 /// Resumes a parallel scan from a checkpoint journal: the walk is
@@ -327,24 +327,56 @@ pub fn resume_parallel<T: SharedTransport>(
     journal: &CheckpointState,
     opts: ParallelRunOptions,
 ) -> Result<ScanSummary, ResumeError> {
-    crate::scanner::check_shard_spec(journal, cfg)?;
-    journal.check_config(cfg).map_err(ResumeError::Journal)?;
-    run_inner(cfg, transport, opts, Some(journal)).map_err(ResumeError::Build)
+    Ok(PreparedScan::resume(cfg, journal)?.run(transport, opts))
+}
+
+/// A threaded scan that has passed every configuration check and has sent
+/// nothing yet — the threaded engine's counterpart of a constructed
+/// [`Scanner`](crate::scanner::Scanner). A front-end builds one before it
+/// touches its output files, so a rejected config leaves them alone.
+pub struct PreparedScan<'a> {
+    cfg: &'a ScanConfig,
+    journal: Option<&'a CheckpointState>,
+    plan: ScanPlan,
+    module: ProbeModule,
+}
+
+impl<'a> PreparedScan<'a> {
+    /// Validates `cfg` for a fresh scan.
+    pub fn new(cfg: &'a ScanConfig) -> Result<Self, BuildError> {
+        Self::build(cfg, None)
+    }
+
+    /// Validates `cfg` against `journal` (see [`resume_parallel`]).
+    pub fn resume(cfg: &'a ScanConfig, journal: &'a CheckpointState) -> Result<Self, ResumeError> {
+        crate::scanner::check_shard_spec(journal, cfg)?;
+        journal.check_config(cfg).map_err(ResumeError::Journal)?;
+        Self::build(cfg, Some(journal)).map_err(ResumeError::Build)
+    }
+
+    fn build(cfg: &'a ScanConfig, journal: Option<&'a CheckpointState>) -> Result<Self, BuildError> {
+        // In v6 mode the journaled cycle parts are ignored: the walk plan is
+        // a pure function of (prefix list, ports, seed), which the config
+        // digest already pins.
+        let plan = ScanPlan::build(cfg, journal.map(|j| (j.generator, j.offset)))?;
+        // The per-scan packet template (paper §4.4) is laid out once here and
+        // patched per probe on the generator threads.
+        let module = ProbeModule::build(cfg)?;
+        Ok(PreparedScan { cfg, journal, plan, module })
+    }
+
+    /// Runs the scan over `transport` (see [`run_parallel`]).
+    pub fn run<T: SharedTransport>(self, transport: &T, opts: ParallelRunOptions) -> ScanSummary {
+        run_inner(self, transport, opts)
+    }
 }
 
 fn run_inner<T: SharedTransport>(
-    cfg: &ScanConfig,
+    scan: PreparedScan<'_>,
     transport: &T,
     opts: ParallelRunOptions,
-    journal: Option<&CheckpointState>,
-) -> Result<ScanSummary, BuildError> {
-    // In v6 mode the journaled cycle parts are ignored: the walk plan is
-    // a pure function of (prefix list, ports, seed), which the config
-    // digest already pins.
-    let gen = ScanPlan::build(cfg, journal.map(|j| (j.generator, j.offset)))?;
-    // The per-scan packet template (paper §4.4) is laid out once here and
-    // patched per probe on the generator threads.
-    let module = ProbeModule::build(cfg)?;
+) -> ScanSummary {
+    let PreparedScan { cfg, journal, plan: gen, module } = scan;
 
     // Counters carried over from the journal when resuming, so the
     // resumed attempt's metadata reports the cumulative truth.
@@ -696,7 +728,7 @@ fn run_inner<T: SharedTransport>(
     }
 
     let duration_ns = transport.now() - start;
-    Ok(summarize(
+    summarize(
         cfg,
         gen.permutation(),
         &metrics,
@@ -704,7 +736,7 @@ fn run_inner<T: SharedTransport>(
         results,
         was_killed,
         duration_ns,
-    ))
+    )
 }
 
 #[cfg(test)]

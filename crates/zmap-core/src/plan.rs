@@ -45,8 +45,8 @@ pub struct V6Plan {
 /// A validated target space for one address family.
 pub enum ScanPlan {
     /// IPv4: the classic single cyclic-group permutation over the
-    /// constraint tree.
-    V4(TargetGenerator),
+    /// constraint's allowed set.
+    V4(Box<TargetGenerator>),
     /// IPv6: per-prefix cyclic walks over the prefix list.
     V6(Box<V6Plan>),
 }
@@ -86,7 +86,7 @@ impl ScanPlan {
                         gen_builder = gen_builder.cycle_parts(generator, offset);
                     }
                 }
-                Ok(ScanPlan::V4(gen_builder.build()?))
+                Ok(ScanPlan::V4(Box::new(gen_builder.build()?)))
             }
             Some(v6) => {
                 if cfg.rekey_blocks > 0 {

@@ -1,4 +1,4 @@
-//! The allowlist/blocklist constraint tree.
+//! The allowlist/blocklist constraint: a flat range table.
 //!
 //! ZMap restricts scans with CIDR allowlists and blocklists (reserved
 //! space, opt-out requests, …). Target generation needs two operations,
@@ -9,68 +9,66 @@
 //!   `i`-th allowed address in numeric order, so the cyclic-group walk can
 //!   cover exactly the allowed set.
 //!
-//! Both are O(32) on a binary radix tree over address bits where every
-//! internal node caches the number of allowed addresses in its subtree.
-//! This mirrors ZMap's `constraint.c`.
+//! The mapping is strictly increasing, and that order is a contract: the
+//! journal's config digest hashes the canonical range list, and a telescope
+//! recovering a scan's generator from observed targets (Mazel & Strullu;
+//! `tests/attribution.rs`) inverts exactly this map.
 //!
-//! The tree is built with [`Constraint::set_prefix`] (later calls override
+//! `lookup` runs once per probe, so the finalized form is flat: the allowed
+//! set as sorted, disjoint, non-adjacent [`Span`]s, each carrying the count
+//! of allowed addresses before it (a prefix sum), and a directory keyed on
+//! the top bits of the *index* naming the span that holds each bucket's
+//! first index. `lookup(i)` is one directory read, a binary search over the
+//! (usually zero or one) spans that start inside the bucket, and one add;
+//! `is_allowed` is a binary search over span starts. ZMap's `constraint.c`
+//! gets the same effect by fronting its radix tree with a flat /16 array.
+//!
+//! Rules are logged by [`Constraint::set_prefix`] (later calls override
 //! earlier ones on overlap, like ZMap applying blocklist after allowlist)
-//! and must be [`finalize`](Constraint::finalize)d before counting queries;
-//! `finalize` is idempotent and [`TargetGenerator`](crate::TargetGenerator)
-//! calls it for you.
+//! and compiled by [`finalize`](Constraint::finalize) with one sort and one
+//! sweep — O(N log N) for N rules in any order. `finalize` is required
+//! before counting queries, is idempotent, and
+//! [`TargetGenerator`](crate::TargetGenerator) calls it for you.
 
-/// Maximum prefix length / tree depth (IPv4).
+use std::collections::BinaryHeap;
+
+/// Maximum prefix length (IPv4).
 const MAX_DEPTH: u8 = 32;
 
-#[derive(Debug, Clone)]
-enum Node {
-    /// All addresses under this node share one verdict.
-    Leaf(bool),
-    /// Split on the next address bit; `count` = allowed addresses below
-    /// (valid only after finalize).
-    Internal {
-        children: [Box<Node>; 2],
-        count: u64,
-    },
+/// Directory buckets per span, at most (bucket sizes are powers of two).
+const BUCKETS_PER_SPAN: u64 = 4;
+
+/// Allowed addresses `start..=end` and the count of allowed addresses before
+/// them; 16 bytes, so the prefix sum and its address share a cache line.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    first_index: u64,
+    start: u32,
+    end: u32,
 }
 
-impl Node {
-    fn leaf(value: bool) -> Box<Node> {
-        Box::new(Node::Leaf(value))
-    }
-
-    /// Recomputes subtree counts bottom-up; returns this subtree's count.
-    fn recount(&mut self, depth: u8) -> u64 {
-        match self {
-            Node::Leaf(false) => 0,
-            Node::Leaf(true) => 1u64 << (MAX_DEPTH - depth),
-            Node::Internal { children, count } => {
-                let c = children[0].recount(depth + 1) + children[1].recount(depth + 1);
-                *count = c;
-                c
-            }
-        }
-    }
-
-    /// Merges child leaves with identical verdicts back into one leaf.
-    fn compact(&mut self) {
-        if let Node::Internal { children, .. } = self {
-            children[0].compact();
-            children[1].compact();
-            if let (Node::Leaf(a), Node::Leaf(b)) = (&*children[0], &*children[1]) {
-                if a == b {
-                    *self = Node::Leaf(*a);
-                }
-            }
-        }
-    }
+/// A logged rule: `start..=end` gets verdict `allow`.
+#[derive(Debug, Clone, Copy)]
+struct Rule {
+    start: u32,
+    end: u32,
+    allow: bool,
 }
 
-/// A set of IPv4 addresses defined by CIDR rules, supporting O(32)
-/// membership tests and index→address lookup.
+/// A set of IPv4 addresses defined by CIDR rules, supporting O(log ranges)
+/// membership tests and near-constant-time index→address lookup.
 #[derive(Debug, Clone)]
 pub struct Constraint {
-    root: Box<Node>,
+    /// The allowed set as of the last finalize (or `new`): sorted,
+    /// disjoint, non-adjacent.
+    spans: Vec<Span>,
+    /// Rules set since then, oldest first; they override `spans`.
+    pending: Vec<Rule>,
+    /// `dir[i >> shift]` = the span holding index `(i >> shift) << shift`;
+    /// one trailing entry names the last span. Valid only when finalized.
+    dir: Vec<u32>,
+    shift: u32,
+    total: u64,
     finalized: bool,
 }
 
@@ -79,8 +77,13 @@ impl Constraint {
     /// (`default_allow = true`, blocklist-style) or denied
     /// (`false`, allowlist-style).
     pub fn new(default_allow: bool) -> Self {
+        let everything = Span { first_index: 0, start: 0, end: u32::MAX };
         Constraint {
-            root: Node::leaf(default_allow),
+            spans: if default_allow { vec![everything] } else { Vec::new() },
+            pending: Vec::new(),
+            dir: Vec::new(),
+            shift: 0,
+            total: 0,
             finalized: false,
         }
     }
@@ -92,47 +95,54 @@ impl Constraint {
     pub fn set_prefix(&mut self, addr: u32, len: u8, allow: bool) {
         assert!(len <= MAX_DEPTH, "prefix length {len} exceeds 32");
         self.finalized = false;
-        let mut node = &mut *self.root;
-        for depth in 0..len {
-            // Split a leaf so we can descend through it.
-            if let Node::Leaf(v) = *node {
-                *node = Node::Internal {
-                    children: [Node::leaf(v), Node::leaf(v)],
-                    count: 0,
-                };
-            }
-            let bit = ((addr >> (31 - depth)) & 1) as usize;
-            match node {
-                Node::Internal { children, .. } => node = &mut *children[bit],
-                Node::Leaf(_) => unreachable!("leaf was split above"),
-            }
-        }
-        *node = Node::Leaf(allow);
+        let host_bits = u32::MAX.checked_shr(u32::from(len)).unwrap_or(0);
+        self.pending.push(Rule { start: addr & !host_bits, end: addr | host_bits, allow });
     }
 
-    /// Recomputes subtree counts and compacts redundant splits. Idempotent;
-    /// required before [`allowed_count`](Self::allowed_count) /
-    /// [`lookup`](Self::lookup).
+    /// Compiles the logged rules into the range table and builds the index
+    /// directory. Idempotent; required before
+    /// [`allowed_count`](Self::allowed_count) / [`lookup`](Self::lookup).
     pub fn finalize(&mut self) {
-        self.root.compact();
-        self.root.recount(0);
+        if self.finalized {
+            return;
+        }
+        let ranges = self.allowed_ranges();
+        self.pending = Vec::new();
+        self.total = 0;
+        self.spans.clear();
+        for (start, end) in ranges {
+            self.spans.push(Span { first_index: self.total, start, end });
+            self.total += u64::from(end - start) + 1;
+        }
+        self.dir.clear();
+        if let Some(last) = self.spans.len().checked_sub(1) {
+            // The smallest power-of-two bucket that keeps the directory
+            // within BUCKETS_PER_SPAN entries per span.
+            let max_buckets = BUCKETS_PER_SPAN * self.spans.len() as u64;
+            self.shift = 0;
+            while (self.total - 1) >> self.shift >= max_buckets {
+                self.shift += 1;
+            }
+            let mut k = 0;
+            for bucket in 0..=(self.total - 1) >> self.shift {
+                while k < last && self.spans[k + 1].first_index <= bucket << self.shift {
+                    k += 1;
+                }
+                self.dir.push(k as u32);
+            }
+            self.dir.push(last as u32);
+        }
         self.finalized = true;
     }
 
-    /// Whether `addr` is in the allowed set. Works before finalize.
+    /// Whether `addr` is in the allowed set. Works before finalize, by
+    /// replaying the rule log newest-first: O(rules) per call until then.
     pub fn is_allowed(&self, addr: u32) -> bool {
-        let mut node = &*self.root;
-        let mut depth = 0u8;
-        loop {
-            match node {
-                Node::Leaf(v) => return *v,
-                Node::Internal { children, .. } => {
-                    let bit = ((addr >> (31 - depth)) & 1) as usize;
-                    node = &children[bit];
-                    depth += 1;
-                }
-            }
+        if let Some(rule) = self.pending.iter().rev().find(|r| r.start <= addr && addr <= r.end) {
+            return rule.allow;
         }
+        let after = self.spans.partition_point(|s| s.start <= addr);
+        after > 0 && addr <= self.spans[after - 1].end
     }
 
     /// Number of allowed addresses.
@@ -142,11 +152,7 @@ impl Constraint {
     /// [`finalize`](Self::finalize).
     pub fn allowed_count(&self) -> u64 {
         self.assert_finalized();
-        match &*self.root {
-            Node::Leaf(false) => 0,
-            Node::Leaf(true) => 1u64 << 32,
-            Node::Internal { count, .. } => *count,
-        }
+        self.total
     }
 
     /// The `index`-th allowed address in increasing numeric order, or
@@ -155,67 +161,61 @@ impl Constraint {
     /// # Panics
     /// Panics if the constraint was mutated since the last
     /// [`finalize`](Self::finalize).
-    pub fn lookup(&self, mut index: u64) -> Option<u32> {
+    pub fn lookup(&self, index: u64) -> Option<u32> {
         self.assert_finalized();
-        if index >= self.allowed_count() {
+        if index >= self.total {
             return None;
         }
-        let mut node = &*self.root;
-        let mut addr: u32 = 0;
-        let mut depth: u8 = 0;
-        loop {
-            match node {
-                Node::Leaf(true) => {
-                    // `index` remaining addresses into this allowed block.
-                    return Some(addr | (index as u32));
-                }
-                Node::Leaf(false) => unreachable!("descent never enters denied leaf"),
-                Node::Internal { children, .. } => {
-                    let left_count = match &*children[0] {
-                        Node::Leaf(false) => 0,
-                        Node::Leaf(true) => 1u64 << (MAX_DEPTH - depth - 1),
-                        Node::Internal { count, .. } => *count,
-                    };
-                    if index < left_count {
-                        node = &children[0];
-                    } else {
-                        index -= left_count;
-                        node = &children[1];
-                        addr |= 1 << (31 - depth);
-                    }
-                    depth += 1;
-                }
-            }
-        }
+        // The span holding `index` lies between the one holding its
+        // bucket's first index and the one holding the next bucket's.
+        let bucket = (index >> self.shift) as usize;
+        let (lo, hi) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
+        let k = lo + self.spans[lo + 1..=hi].partition_point(|s| s.first_index <= index);
+        let span = &self.spans[k];
+        Some(span.start + (index - span.first_index) as u32)
     }
 
-    /// The allowed set as sorted, disjoint, inclusive `(start, end)` ranges.
-    /// Works before finalize. Useful for diagnostics and simulation setup.
+    /// The allowed set as sorted, disjoint, non-adjacent inclusive
+    /// `(start, end)` ranges. Works before finalize. Useful for diagnostics
+    /// and simulation setup.
     pub fn allowed_ranges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        fn walk(node: &Node, prefix: u32, depth: u8, out: &mut Vec<(u32, u32)>) {
-            match node {
-                Node::Leaf(false) => {}
-                Node::Leaf(true) => {
-                    let size = if depth == 0 { u32::MAX } else { (1u32 << (32 - depth)) - 1 };
-                    let start = prefix;
-                    let end = prefix | size;
-                    // Coalesce with the previous range when contiguous.
-                    if let Some(last) = out.last_mut() {
-                        if last.1 != u32::MAX && last.1 + 1 == start {
-                            last.1 = end;
-                            return;
-                        }
-                    }
-                    out.push((start, end));
-                }
-                Node::Internal { children, .. } => {
-                    walk(&children[0], prefix, depth + 1, out);
-                    walk(&children[1], prefix | (1 << (31 - depth)), depth + 1, out);
+        if self.pending.is_empty() {
+            return self.spans.iter().map(|s| (s.start, s.end)).collect();
+        }
+        // Later-rule-wins as a sweep over the address line. Rules in
+        // priority order: the compiled set (lowest; everything outside it
+        // is denied), then the log. The verdict can only change where a
+        // rule starts or just past where one ends.
+        let compiled = self.spans.iter().map(|s| Rule { start: s.start, end: s.end, allow: true });
+        let rules: Vec<Rule> = compiled.chain(self.pending.iter().copied()).collect();
+        let mut by_start: Vec<u32> = (0..rules.len() as u32).collect();
+        by_start.sort_unstable_by_key(|&r| rules[r as usize].start);
+        let mut cuts: Vec<u64> =
+            rules.iter().flat_map(|r| [u64::from(r.start), u64::from(r.end) + 1]).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        let mut opened = 0;
+        // Rules covering the current segment (plus expired ones not yet
+        // popped); the newest is on top.
+        let mut live: BinaryHeap<u32> = BinaryHeap::new();
+        for segment in cuts.windows(2) {
+            let (lo, hi) = (segment[0] as u32, (segment[1] - 1) as u32);
+            while opened < by_start.len() && rules[by_start[opened] as usize].start == lo {
+                live.push(by_start[opened]);
+                opened += 1;
+            }
+            while live.peek().is_some_and(|&r| rules[r as usize].end < lo) {
+                live.pop();
+            }
+            if live.peek().is_some_and(|&r| rules[r as usize].allow) {
+                match out.last_mut() {
+                    Some(prev) if u64::from(prev.1) + 1 == u64::from(lo) => prev.1 = hi,
+                    _ => out.push((lo, hi)),
                 }
             }
         }
-        walk(&self.root, 0, 0, &mut out);
         out
     }
 

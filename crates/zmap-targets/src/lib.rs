@@ -11,8 +11,10 @@
 //! * [`cycle::Cycle`] — a per-scan random permutation of the group,
 //! * [`shard`] — both sharding algorithms: interleaved (2014) and
 //!   pizza (2017),
-//! * [`constraint::Constraint`] — the allowlist/blocklist radix tree with
-//!   O(32) index→address lookup,
+//! * [`constraint::Constraint`] — the allowlist/blocklist as a flat table
+//!   of allowed ranges with prefix sums and an index directory, so the
+//!   order-preserving index→address lookup every probe pays is one
+//!   directory read and one add,
 //! * [`TargetGenerator`] — the high-level iterator over `(Ipv4Addr, port)`
 //!   targets for one shard of a scan.
 //!

@@ -190,3 +190,27 @@ fn unwritable_output_fails_before_the_first_probe() {
         assert!(!ckpt.exists(), "{engine}: journal written");
     }
 }
+
+#[test]
+fn rejected_config_leaves_the_output_path_untouched() {
+    let dir = tmpdir("rejected");
+    let kept = dir.join("kept.csv");
+    let absent = dir.join("absent.csv");
+    let earlier = "saddr\n66.1.2.3\n";
+    for engine in ["", "--tx-pipeline --threads 2"] {
+        std::fs::write(&kept, earlier).unwrap();
+        for out in [&kept, &absent] {
+            // Reserved space minus the default blocklist is zero targets:
+            // the engine, not the argument parser, rejects it (exit 2).
+            let opts = parse_args(&args(&format!(
+                "--subnet 10.0.0.0/24 -q {engine} -o {}",
+                out.display()
+            )))
+            .unwrap();
+            assert_eq!(run_scan(opts).unwrap(), 2, "{engine}");
+        }
+        // An earlier scan's results survive the typo; no empty file appears.
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), earlier, "{engine}");
+        assert!(!absent.exists(), "{engine}: an empty data file was left behind");
+    }
+}
