@@ -19,7 +19,7 @@ use zmap_netsim::loss::LossModel;
 use zmap_netsim::{ServiceModel, WorldConfig};
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
-use zmap_wire::probe::ProbeBuilder;
+use zmap_wire::ProbeBuilder;
 
 fn world() -> WorldConfig {
     // Packed prefixes: 1% of /24s front a SYN-ACK-everything middlebox.

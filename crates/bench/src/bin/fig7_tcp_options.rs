@@ -17,7 +17,7 @@ use bench::{print_table, run_prefix_scan};
 use std::net::Ipv4Addr;
 use zmap_netsim::{ServiceModel, WorldConfig};
 use zmap_wire::options::OptionLayout;
-use zmap_wire::probe::ProbeBuilder;
+use zmap_wire::ProbeBuilder;
 use zmap_wire::timing::{line_rate_pps, LinkSpeed};
 
 /// Tail amplification factor (documented in EXPERIMENTS.md).

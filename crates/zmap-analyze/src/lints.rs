@@ -112,7 +112,7 @@ pub const LINTS: [Lint; 11] = [
     },
     Lint {
         id: "alloc-in-hot-path",
-        summary: "no call-graph-reachable allocation from TX hot-path roots",
+        summary: "no call-graph-reachable allocation from TX/RX hot-path roots",
         pass: lint_alloc_in_hot_path,
     },
     Lint {
@@ -1074,6 +1074,13 @@ impl Graph {
             .filter(|&id| {
                 let node = self.node(id);
                 match (&call.qualifier, call.is_method) {
+                    // `L::fn(…)` through a type parameter (a single
+                    // capital, by convention): static dispatch into
+                    // whichever impl the caller is instantiated with —
+                    // any trait-impl method of that name.
+                    (Some(q), _) if q.len() == 1 && q.as_bytes()[0].is_ascii_uppercase() => {
+                        node.trait_name.is_some()
+                    }
                     // `Qual::fn(…)`: only impls of a matching owner (or
                     // free fns, for path-qualified module calls).
                     (Some(q), _) => {
@@ -1141,15 +1148,15 @@ impl Graph {
 // Lint 10: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
-/// Hot-path roots: the per-target walk, the per-frame TX machinery and
-/// the per-row data stream. A heap allocation reachable from any of
-/// these runs millions of times per scan.
+/// Hot-path roots: the per-target walk, the per-frame TX machinery, the
+/// per-frame RX parse and the per-row data stream. A heap allocation
+/// reachable from any of these runs millions of times per scan.
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
         Some("Constraint") => matches!(f.name.as_str(), "lookup" | "is_allowed"),
         Some("TargetIter") => f.name == "next",
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
-        Some("ProbeModule") => f.name == "render_into",
+        Some("ProbeModule") => matches!(f.name.as_str(), "render_into" | "parse_response"),
         Some("OutputModule") => f.name == "record",
         _ => matches!(f.name.as_str(), "send_batch" | "send_batch_at" | "flush_shared"),
     }

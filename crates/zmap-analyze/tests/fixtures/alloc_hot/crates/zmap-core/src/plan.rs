@@ -4,6 +4,7 @@
 
 pub struct ProbeModule {
     frame: Vec<u8>,
+    builder: ProbeBuilder<V4>,
 }
 
 impl ProbeModule {
@@ -18,5 +19,9 @@ impl ProbeModule {
 
     pub fn label(&self) -> String {
         format!("module:{}", self.frame.len())
+    }
+
+    pub fn parse_response(&self, frame: &[u8]) -> Option<usize> {
+        self.builder.parse_response(frame)
     }
 }

@@ -178,17 +178,21 @@ fn alloc_in_hot_path_follows_the_call_graph() {
         spans(&f, "alloc-in-hot-path"),
         vec![
             ("crates/zmap-core/src/output.rs".to_string(), 16),
-            ("crates/zmap-core/src/plan.rs".to_string(), 15),
+            ("crates/zmap-core/src/plan.rs".to_string(), 16),
             ("crates/zmap-targets/src/constraint.rs".to_string(), 18),
             ("crates/zmap-targets/src/constraint.rs".to_string(), 19),
             ("crates/zmap-targets/src/generator.rs".to_string(), 23),
+            ("crates/zmap-wire/src/probe.rs".to_string(), 14),
+            ("crates/zmap-wire/src/probe.rs".to_string(), 30),
         ],
         "serde_json::to_string in OutputModule::record, to_vec one hop below \
-         ProbeModule::render_into, Vec::new and Box::new inside Constraint::lookup \
-         and to_vec one hop below TargetIter::next fire; Vec::with_capacity in \
-         OutputModule::new and Constraint::finalize, the format! in `label` (all \
-         unreachable from a root: decode's bare `finalize(…)` is the free fn, not \
-         the method) and the flat Constraint::is_allowed stay quiet"
+         ProbeModule::render_into, Vec::new and Box::new inside Constraint::lookup, \
+         to_vec one hop below TargetIter::next, and below ProbeModule::parse_response \
+         the to_vec in V4's ICMP arm and the one in the generic TCP arm fire; Vec::with_capacity in \
+         OutputModule::new and Constraint::finalize, the format! in `label`, the \
+         owned banner of `parse_banner` (all unreachable from a root: decode's bare \
+         `finalize(…)` is the free fn, not the method), the borrowing UDP arm and \
+         the flat Constraint::is_allowed stay quiet"
     );
     assert!(
         f[0].message.contains("`to_string` allocates")
@@ -212,7 +216,15 @@ fn alloc_in_hot_path_follows_the_call_graph() {
         "the walk's entry point is a root: {:?}",
         f[4]
     );
-    assert_eq!(f.len(), 5, "{f:?}");
+    assert!(
+        f[5].message.contains("ProbeBuilder::classify → V4::icmp_response")
+            && f[6].message.contains("ProbeModule::parse_response")
+            && f[6].message.contains("ProbeBuilder::classify"),
+        "the RX parse is a root, followed through the seam's `L::` dispatch: {:?} {:?}",
+        f[5],
+        f[6]
+    );
+    assert_eq!(f.len(), 7, "{f:?}");
 }
 
 #[test]

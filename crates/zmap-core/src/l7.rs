@@ -11,7 +11,7 @@
 
 use crate::transport::Transport;
 use std::net::Ipv4Addr;
-use zmap_wire::probe::{ProbeBuilder, ResponseKind};
+use zmap_wire::{ProbeBuilder, ResponseKind};
 
 /// Outcome of interrogating one L4-positive target.
 #[derive(Debug, Clone, PartialEq, Eq)]

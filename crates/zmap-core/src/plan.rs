@@ -16,9 +16,9 @@ use zmap_targets::{
     parse_prefix_list, DedupError, ShardSpec, Target, Target6, TargetGenerator, V6DedupSpace,
     V6TargetIter, V6TargetSpace,
 };
-use zmap_wire::probe::{ProbeBuilder, ResponseKind};
+use zmap_wire::probe::{ProbeBuilder, Response, ResponseKind};
 use zmap_wire::template::ProbeTemplate;
-use zmap_wire::{ProbeBuilderV6, ProbeTemplateV6, WireError};
+use zmap_wire::{WireError, L3, V4, V6};
 
 /// The effective port list: the ICMP modules have no port dimension, so a
 /// single pseudo-port keeps the (IP, port) target machinery uniform.
@@ -228,7 +228,7 @@ impl Iterator for PlanIter<'_> {
     }
 }
 
-/// A validated response, family-erased. `kind` reuses the v4
+/// A validated response, family-erased. `kind` is the one
 /// [`ResponseKind`] enum — the v6 parser never produces `Unreachable`.
 pub struct AnyResponse {
     /// The probed host.
@@ -241,19 +241,48 @@ pub struct AnyResponse {
     pub ttl: u8,
 }
 
+impl<L: L3> From<Response<L>> for AnyResponse {
+    fn from(r: Response<L>) -> AnyResponse {
+        AnyResponse {
+            ip: r.ip.into(),
+            port: r.port,
+            kind: r.kind,
+            ttl: r.ttl,
+        }
+    }
+}
+
 /// The scan's probe module for one address family (ZMap's "scan module",
 /// paper §5): the per-scan key material that validates responses plus the
 /// packet template (§4.4) laid out once from it, so the TX loop only
-/// patches addresses, cookie and checksums.
+/// patches addresses, cookie and checksums. The family is chosen by the
+/// config, so this is the one runtime `V4 | V6` match; everything below
+/// it is `zmap-wire`'s family-generic code, monomorphised.
 pub enum ProbeModule {
     V4 {
-        builder: ProbeBuilder,
-        template: ProbeTemplate,
+        builder: ProbeBuilder<V4>,
+        template: ProbeTemplate<V4>,
     },
     V6 {
-        builder: ProbeBuilderV6,
-        template: ProbeTemplateV6,
+        builder: ProbeBuilder<V6>,
+        template: ProbeTemplate<V6>,
     },
+}
+
+/// Lays out one family's builder and template from the config.
+fn lay_out<L: L3>(
+    source_ip: L::Addr,
+    cfg: &ScanConfig,
+) -> Result<(ProbeBuilder<L>, ProbeTemplate<L>), WireError> {
+    let mut builder = ProbeBuilder::new(source_ip, cfg.seed);
+    builder.layout = cfg.option_layout;
+    builder.ip_id = cfg.ip_id;
+    let template = match &cfg.probe {
+        ProbeKind::TcpSyn => ProbeTemplate::tcp_syn(&builder),
+        ProbeKind::IcmpEcho => ProbeTemplate::icmp_echo(&builder),
+        ProbeKind::Udp(payload) => ProbeTemplate::udp(&builder, payload)?,
+    };
+    Ok((builder, template))
 }
 
 impl ProbeModule {
@@ -261,33 +290,13 @@ impl ProbeModule {
     /// surfaces the one per-probe construction failure (oversized UDP
     /// payload) at setup time, keeping the TX hot path infallible.
     pub fn build(cfg: &ScanConfig) -> Result<ProbeModule, BuildError> {
-        Self::lay_out(cfg)
-            .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))
-    }
-
-    fn lay_out(cfg: &ScanConfig) -> Result<ProbeModule, WireError> {
         match &cfg.ipv6 {
-            None => {
-                let mut builder = ProbeBuilder::new(cfg.source_ip, cfg.seed);
-                builder.layout = cfg.option_layout;
-                builder.ip_id = cfg.ip_id;
-                let template = match &cfg.probe {
-                    ProbeKind::TcpSyn => ProbeTemplate::tcp_syn(&builder),
-                    ProbeKind::IcmpEcho => ProbeTemplate::icmp_echo(&builder),
-                    ProbeKind::Udp(payload) => ProbeTemplate::udp(&builder, payload)?,
-                };
-                Ok(ProbeModule::V4 { builder, template })
-            }
-            Some(v6) => {
-                let builder = ProbeBuilderV6::new(v6.source_ip, cfg.seed);
-                let template = match &cfg.probe {
-                    ProbeKind::TcpSyn => ProbeTemplateV6::tcp_syn(&builder),
-                    ProbeKind::IcmpEcho => ProbeTemplateV6::icmp_echo(&builder),
-                    ProbeKind::Udp(payload) => ProbeTemplateV6::udp(&builder, payload)?,
-                };
-                Ok(ProbeModule::V6 { builder, template })
-            }
+            None => lay_out(cfg.source_ip, cfg)
+                .map(|(builder, template)| ProbeModule::V4 { builder, template }),
+            Some(v6) => lay_out(v6.source_ip, cfg)
+                .map(|(builder, template)| ProbeModule::V6 { builder, template }),
         }
+        .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))
     }
 
     /// Renders the probe for one target into `out`, a recycled
@@ -311,24 +320,10 @@ impl ProbeModule {
     /// Parses and validates a received frame. `Ok(None)` means a
     /// well-formed frame that is not a response to this scan.
     pub fn parse_response(&self, frame: &[u8]) -> Result<Option<AnyResponse>, WireError> {
-        match self {
-            ProbeModule::V4 { builder, .. } => {
-                Ok(builder.parse_response(frame)?.map(|r| AnyResponse {
-                    ip: IpAddr::V4(r.ip),
-                    port: r.port,
-                    kind: r.kind,
-                    ttl: r.ttl,
-                }))
-            }
-            ProbeModule::V6 { builder, .. } => {
-                Ok(builder.parse_response(frame)?.map(|r| AnyResponse {
-                    ip: IpAddr::V6(r.ip),
-                    port: r.port,
-                    kind: r.kind,
-                    ttl: r.ttl,
-                }))
-            }
-        }
+        Ok(match self {
+            ProbeModule::V4 { builder, .. } => builder.parse_response(frame)?.map(Into::into),
+            ProbeModule::V6 { builder, .. } => builder.parse_response(frame)?.map(Into::into),
+        })
     }
 }
 
@@ -530,9 +525,9 @@ mod tests {
                         ProbeModule::V6 { builder, .. } => {
                             let ip = Ipv6Addr::new(0x2001, 0xdb8, 0xa, 0, 0, 0, 0, host.into());
                             let frame = match kind {
-                                ProbeKind::TcpSyn => builder.tcp_syn(ip, port),
-                                ProbeKind::IcmpEcho => builder.icmp_echo(ip),
-                                ProbeKind::Udp(p) => builder.udp(ip, port, p).unwrap(),
+                                ProbeKind::TcpSyn => builder.tcp_syn(ip, port, entropy),
+                                ProbeKind::IcmpEcho => builder.icmp_echo(ip, entropy),
+                                ProbeKind::Udp(p) => builder.udp(ip, port, p, entropy).unwrap(),
                             };
                             (IpAddr::V6(ip), frame)
                         }

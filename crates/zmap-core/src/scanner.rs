@@ -1292,6 +1292,62 @@ mod tests {
     }
 
     #[test]
+    fn forged_unreachable_does_not_hide_the_host_behind_it() {
+        // An off-path sender who knows the scanner's address races a
+        // forged host-unreachable for 10.10.10.5:80 ahead of that host's
+        // genuine SYN-ACK. The forgery quotes a structurally perfect
+        // probe (another key's), so only the cookie tells it apart. It
+        // must not become a failure row — and, by entering the dedup
+        // window first, must not get the real answer suppressed.
+        use crate::transport::LoopbackTransport;
+        use zmap_wire::icmp::UnreachCode;
+        use zmap_wire::{
+            EtherType, EthernetRepr, IcmpRepr, IcmpType, IpProtocol, Ipv4Repr, MacAddr,
+            ProbeBuilder, TcpFlags, TcpRepr, TcpView,
+        };
+        let mut cfg = base_cfg(&[80]);
+        cfg.report_failures = true;
+        let (scanner, host) = (cfg.source_ip, Ipv4Addr::new(10, 10, 10, 5));
+        let reply = |from: Ipv4Addr, protocol, l4_len: usize| {
+            let mut f = Vec::new();
+            let (dst, src) = (MacAddr::local(1), MacAddr::local(2));
+            EthernetRepr { dst, src, ethertype: EtherType::Ipv4 }.emit(&mut f);
+            Ipv4Repr { src: from, dst: scanner, protocol, id: 7, ttl: 60, payload_len: l4_len as u16 }
+                .emit(&mut f)
+                .unwrap();
+            f
+        };
+        let foreign = ProbeBuilder::new(scanner, cfg.seed ^ 1).tcp_syn(host, 80, 0);
+        let mut forged = reply(Ipv4Addr::new(10, 0, 0, 1), IpProtocol::Icmp, 8 + 28);
+        IcmpRepr { icmp_type: IcmpType::DestUnreachable(UnreachCode::Host), id: 0, seq: 0 }
+            .emit(&foreign[14..14 + 28], &mut forged);
+
+        let probe = ProbeBuilder::new(scanner, cfg.seed).tcp_syn(host, 80, 0);
+        let syn = TcpView::parse(&probe[14 + 20..]).unwrap();
+        let tcp = TcpRepr {
+            src_port: 80,
+            dst_port: syn.src_port(),
+            seq: 1,
+            ack: syn.seq().wrapping_add(1),
+            flags: TcpFlags::SYN_ACK,
+            window: 1000,
+            options: vec![],
+        };
+        let mut synack = reply(host, IpProtocol::Tcp, tcp.header_len());
+        let pseudo = zmap_wire::checksum::pseudo_header(host.into(), scanner.into(), 6, 20);
+        tcp.emit(pseudo, &[], &mut synack);
+
+        let mut transport = LoopbackTransport::new();
+        transport.inbox = vec![(1_000, forged), (2_000, synack)];
+        let s = Scanner::new(cfg, transport).unwrap().run();
+        assert_eq!((s.unique_successes, s.unique_failures), (1, 0));
+        assert_eq!((s.responses_discarded, s.duplicates_suppressed), (1, 0));
+        assert_eq!(s.results.len(), 1);
+        assert_eq!(s.results[0].saddr, IpAddr::V4(host));
+        assert_eq!(s.results[0].classification, Classification::SynAck);
+    }
+
+    #[test]
     fn without_dedup_duplicates_pollute_output() {
         let mut model = ServiceModel::dense(&[80]);
         model.blowback_fraction = 1.0;

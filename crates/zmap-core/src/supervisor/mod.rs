@@ -1,6 +1,7 @@
 //! Fault-tolerant multi-tenant scan supervisor (DESIGN.md §10).
 //!
-//! A long-lived scheduler daemon over the sequential [`Scanner`]: scan
+//! A long-lived scheduler daemon over the sequential
+//! [`Scanner`](crate::scanner::Scanner): scan
 //! jobs arrive as [`JobSpec`]s (config + world + shard count), get
 //! admitted through a fair-share reservation ledger
 //! ([`fairshare::FairShareLedger`]), are split into per-shard tasks, and
@@ -45,8 +46,7 @@ use crate::log::Logger;
 use crate::metadata::Counters;
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::output::ScanResult;
-use crate::scanner::Scanner;
-use crate::transport::LoopbackTransport;
+use crate::parallel::PreparedScan;
 use fairshare::{backoff_delay_ns, FairShareLedger, GrantId};
 use serde::Serialize;
 use std::cmp::Reverse;
@@ -310,10 +310,10 @@ impl Supervisor {
                     .into(),
             ));
         }
-        // Shake out config errors now, not on a pool worker: build (and
-        // drop) a scanner for the first task slice.
+        // Shake out config errors now, not on a pool worker: validate
+        // the plan and probe module of the first task slice.
         let probe = task_config(&spec.cfg, 0, spec.tasks, 1);
-        if let Err(e) = Scanner::new(probe, LoopbackTransport::new()) {
+        if let Err(e) = PreparedScan::new(&probe) {
             return Err(SupervisorError::Config(format!("job {:?}: {e}", spec.id)));
         }
         self.specs.push(spec);
@@ -761,6 +761,7 @@ fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scanner::Scanner;
     use std::net::Ipv4Addr;
     use zmap_netsim::faults::WorkerFaultKind;
     use zmap_netsim::loss::LossModel;

@@ -387,7 +387,7 @@ mod tests {
     #[test]
     fn sim_transport_roundtrip() {
         use zmap_netsim::{loss::LossModel, ServiceModel};
-        use zmap_wire::probe::ProbeBuilder;
+        use zmap_wire::ProbeBuilder;
         let net = SimNet::new(WorldConfig {
             model: ServiceModel::dense(&[80]),
             loss: LossModel::NONE,
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn sim_send_batch_matches_single_sends() {
         use zmap_netsim::{loss::LossModel, ServiceModel};
-        use zmap_wire::probe::ProbeBuilder;
+        use zmap_wire::ProbeBuilder;
         let world_cfg = || WorldConfig {
             model: ServiceModel::dense(&[80]),
             loss: LossModel::NONE,

@@ -20,7 +20,7 @@ use zmap_targets::generator::BuildError;
 use zmap_targets::Constraint;
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
-use zmap_wire::probe::{ProbeBuilder, ResponseKind};
+use zmap_wire::{ProbeBuilder, ResponseKind};
 
 /// Masscan-equivalent scan configuration.
 #[derive(Debug, Clone)]

@@ -523,7 +523,7 @@ pub const SECOND: u64 = NS_PER_SEC;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zmap_wire::probe::{ProbeBuilder, ResponseKind};
+    use zmap_wire::{ProbeBuilder, ResponseKind};
 
     fn dense_world() -> (u64, ServiceModel) {
         (42, ServiceModel::dense(&[80]))

@@ -283,8 +283,7 @@ fn reply_v6(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zmap_wire::probe6::ProbeBuilderV6;
-    use zmap_wire::probe::ResponseKind;
+    use zmap_wire::{ProbeBuilderV6, ResponseKind};
 
     fn src_ip() -> Ipv6Addr {
         "2001:db8:ffff::1".parse().unwrap()
@@ -344,12 +343,12 @@ mod tests {
         let pop = population();
         let b = ProbeBuilderV6::new(src_ip(), 1);
         let dst = live_host(&pop, 7, 0);
-        let open = respond_to(&pop, 7, &b.tcp_syn(dst, 80));
+        let open = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
         assert_eq!(open.len(), 1);
         let resp = b.parse_response(&open[0].frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::SynAck);
         assert_eq!(resp.ip, dst);
-        let closed = respond_to(&pop, 7, &b.tcp_syn(dst, 8080));
+        let closed = respond_to(&pop, 7, &b.tcp_syn(dst, 8080, 0));
         let resp = b.parse_response(&closed[0].frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::Rst);
     }
@@ -359,7 +358,7 @@ mod tests {
         let pop = population();
         let b = ProbeBuilderV6::new(src_ip(), 2);
         let dst = live_host(&pop, 9, 1);
-        let replies = respond_to(&pop, 9, &b.icmp_echo(dst));
+        let replies = respond_to(&pop, 9, &b.icmp_echo(dst, 0));
         assert_eq!(replies.len(), 1);
         let resp = b.parse_response(&replies[0].frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::EchoReply);
@@ -371,13 +370,13 @@ mod tests {
         let pop = population();
         let b = ProbeBuilderV6::new(src_ip(), 3);
         let dst = live_host(&pop, 11, 0);
-        let replies = respond_to(&pop, 11, &b.udp(dst, 443, b"ping").unwrap());
+        let replies = respond_to(&pop, 11, &b.udp(dst, 443, b"ping", 0).unwrap());
         assert_eq!(replies.len(), 1);
         let resp = b.parse_response(&replies[0].frame).unwrap().unwrap();
         // The probe payload carries the 8-byte validation tag plus the
         // caller's 4 bytes; the service echoes all of it.
         assert!(matches!(resp.kind, ResponseKind::UdpData(12)), "{:?}", resp.kind);
-        assert!(respond_to(&pop, 11, &b.udp(dst, 9999, b"ping").unwrap()).is_empty());
+        assert!(respond_to(&pop, 11, &b.udp(dst, 9999, b"ping", 0).unwrap()).is_empty());
     }
 
     #[test]
@@ -389,8 +388,8 @@ mod tests {
             .map(|i| s.addr_at(i))
             .find(|a| !pop.responsive(7, *a))
             .expect("density 0.5 leaves dead hosts");
-        assert!(respond_to(&pop, 7, &b.tcp_syn(dead, 80)).is_empty());
-        assert!(respond_to(&pop, 7, &b.icmp_echo(dead)).is_empty());
+        assert!(respond_to(&pop, 7, &b.tcp_syn(dead, 80, 0)).is_empty());
+        assert!(respond_to(&pop, 7, &b.icmp_echo(dead, 0)).is_empty());
     }
 
     #[test]
@@ -398,8 +397,8 @@ mod tests {
         let pop = population();
         let b = ProbeBuilderV6::new(src_ip(), 5);
         let dst = live_host(&pop, 7, 1);
-        let a = respond_to(&pop, 7, &b.tcp_syn(dst, 80));
-        let c = respond_to(&pop, 7, &b.tcp_syn(dst, 80));
+        let a = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
+        let c = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
         assert_eq!(a.len(), c.len());
         assert_eq!(a[0].frame, c[0].frame);
     }

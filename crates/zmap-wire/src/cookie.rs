@@ -225,56 +225,6 @@ impl ValidationKey {
             mac: siphash24_5w(self.k0, self.k1, probe_msg_v6(src, dst, dst_port)),
         }
     }
-
-    /// The 32-bit cookie placed in a TCP SYN's sequence number.
-    pub fn tcp_seq(&self, src_ip: u32, dst_ip: u32, dst_port: u16) -> u32 {
-        self.probe(src_ip, dst_ip, dst_port).tcp_seq()
-    }
-
-    /// Validates a TCP response to a probe: its ACK must equal our
-    /// cookie + 1 (SYN-ACK acknowledges our SYN; compliant RSTs to a SYN
-    /// also carry seq+1 in the ACK field).
-    ///
-    /// Arguments are the *probe's* orientation: `src_ip` is the scanner,
-    /// `dst_port` the probed port.
-    pub fn tcp_validate(
-        &self,
-        src_ip: u32,
-        dst_ip: u32,
-        dst_port: u16,
-        response_ack: u32,
-    ) -> bool {
-        response_ack == self.tcp_seq(src_ip, dst_ip, dst_port).wrapping_add(1)
-    }
-
-    /// The (id, seq) pair for an ICMP echo probe to `dst_ip`.
-    pub fn icmp_id_seq(&self, src_ip: u32, dst_ip: u32) -> (u16, u16) {
-        self.probe(src_ip, dst_ip, 0).icmp_id_seq()
-    }
-
-    /// Validates an ICMP echo reply's echoed (id, seq).
-    pub fn icmp_validate(&self, src_ip: u32, dst_ip: u32, id: u16, seq: u16) -> bool {
-        self.icmp_id_seq(src_ip, dst_ip) == (id, seq)
-    }
-
-    /// An 8-byte payload tag for UDP probes.
-    pub fn udp_tag(&self, src_ip: u32, dst_ip: u32, dst_port: u16) -> [u8; 8] {
-        self.probe(src_ip, dst_ip, dst_port).udp_tag()
-    }
-
-    /// The scanner source port for a target, drawn from `[base, base+count)`
-    /// keyed on the addressing — stateless, so the receive path can
-    /// recompute which source port a valid response must arrive on.
-    pub fn source_port(
-        &self,
-        base: u16,
-        count: u16,
-        src_ip: u32,
-        dst_ip: u32,
-        dst_port: u16,
-    ) -> u16 {
-        self.probe(src_ip, dst_ip, dst_port).source_port(base, count)
-    }
 }
 
 #[cfg(test)]
@@ -381,34 +331,30 @@ mod tests {
     }
 
     #[test]
-    fn tcp_cookie_validates_only_matching_tuple() {
+    fn cookies_are_exact_to_tuple_and_key() {
         let key = ValidationKey::from_seed(7);
-        let seq = key.tcp_seq(1, 2, 80);
-        assert!(key.tcp_validate(1, 2, 80, seq.wrapping_add(1)));
-        assert!(!key.tcp_validate(1, 2, 80, seq)); // off by one
-        assert!(!key.tcp_validate(1, 3, 80, seq.wrapping_add(1))); // wrong ip
-        assert!(!key.tcp_validate(1, 2, 81, seq.wrapping_add(1))); // wrong port
-        let other = ValidationKey::from_seed(8);
-        assert!(!other.tcp_validate(1, 2, 80, seq.wrapping_add(1))); // wrong key
-    }
-
-    #[test]
-    fn icmp_validation() {
-        let key = ValidationKey::from_seed(9);
-        let (id, seq) = key.icmp_id_seq(10, 20);
-        assert!(key.icmp_validate(10, 20, id, seq));
-        assert!(!key.icmp_validate(10, 21, id, seq));
-        assert!(!key.icmp_validate(10, 20, id.wrapping_add(1), seq));
+        let v = key.probe(1, 2, 80);
+        assert_eq!(key.probe(1, 2, 80), v);
+        for other in [
+            key.probe(1, 3, 80),                        // wrong ip
+            key.probe(1, 2, 81),                        // wrong port
+            key.probe(1, 2, 0),                         // the echo probe's keying
+            ValidationKey::from_seed(8).probe(1, 2, 80), // wrong key
+        ] {
+            assert_ne!(other.tcp_seq(), v.tcp_seq());
+            assert_ne!(other.icmp_id_seq(), v.icmp_id_seq());
+            assert_ne!(other.udp_tag(), v.udp_tag());
+        }
     }
 
     #[test]
     fn source_port_is_deterministic_and_in_range() {
         let key = ValidationKey::from_seed(3);
         for dst in [0u32, 1, 0xFFFF_FFFF, 0x08080808] {
-            let p = key.source_port(32768, 28233, 9, dst, 443);
+            let p = key.probe(9, dst, 443).source_port(32768, 28233);
             assert!(p >= 32768, "{p}");
             assert!(u32::from(p) < 32768 + 28233, "{p}");
-            assert_eq!(p, key.source_port(32768, 28233, 9, dst, 443));
+            assert_eq!(p, key.probe(9, dst, 443).source_port(32768, 28233));
         }
     }
 
@@ -416,7 +362,7 @@ mod tests {
     fn source_ports_spread_across_range() {
         let key = ValidationKey::from_seed(3);
         let distinct: std::collections::HashSet<u16> = (0..1000u32)
-            .map(|i| key.source_port(40000, 1000, 9, i, 80))
+            .map(|i| key.probe(9, i, 80).source_port(40000, 1000))
             .collect();
         assert!(distinct.len() > 500, "only {} distinct ports", distinct.len());
     }
@@ -492,20 +438,6 @@ mod tests {
             ValidationKey::from_seed(10).probe_v6(&src, &dst, 0).icmp_id_seq(),
             (id, seq)
         );
-    }
-
-    #[test]
-    fn derived_fields_are_consistent_with_one_mac() {
-        // TX computes ProbeValues once; RX recomputes field-by-field via
-        // the convenience methods. They must agree.
-        let key = ValidationKey::from_seed(77);
-        let v = key.probe(0x01020304, 0x05060708, 443);
-        assert_eq!(v.tcp_seq(), key.tcp_seq(0x01020304, 0x05060708, 443));
-        assert_eq!(
-            v.source_port(32768, 28233),
-            key.source_port(32768, 28233, 0x01020304, 0x05060708, 443)
-        );
-        assert_eq!(v.udp_tag(), key.udp_tag(0x01020304, 0x05060708, 443));
     }
 
     #[test]

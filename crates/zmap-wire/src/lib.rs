@@ -12,10 +12,15 @@
 //! * [`ipv4::IpIdMode`] — ZMap's classic static IP ID of 54321 vs. the
 //!   2024 default of random per-probe IDs,
 //! * [`cookie`] — stateless response validation (SipHash-2-4 cookies in
-//!   the TCP sequence number / ICMP id / UDP payload),
-//! * [`template`] — packet-template construction (§4.4): one immutable
+//!   the TCP sequence number / ICMP id / UDP payload), one MAC per probe,
+//! * [`probe`] — frame assembly and response classification, and
+//!   [`template`] — packet-template construction (§4.4): one immutable
 //!   frame per scan, per-probe fields patched with RFC 1624 incremental
-//!   checksum updates ([`checksum::incr_update`]),
+//!   checksum updates ([`checksum::incr_update`]). Both are written once
+//!   over the [`l3`] seam — the [`L3`] trait's [`V4`] and [`V6`] hold what
+//!   differs between the families — and monomorphised; the header
+//!   modules ([`ipv4`] / [`ipv6`], [`icmp`] / [`icmpv6`]) encode different
+//!   wire formats and stay separate,
 //! * [`timing`] — Ethernet line-rate math (the 1.488/1.389/1.276 Mpps
 //!   figures are pure functions of frame size).
 //!
@@ -30,12 +35,11 @@ pub mod icmp;
 pub mod icmpv6;
 pub mod ipv4;
 pub mod ipv6;
+pub mod l3;
 pub mod options;
 pub mod probe;
-pub mod probe6;
 pub mod tcp;
 pub mod template;
-pub mod template6;
 pub mod timing;
 pub mod udp;
 
@@ -45,13 +49,21 @@ pub use icmp::{IcmpRepr, IcmpType, IcmpView};
 pub use icmpv6::{Icmpv6Repr, Icmpv6Type, Icmpv6View};
 pub use ipv4::{IpIdMode, IpProtocol, Ipv4Repr, Ipv4View};
 pub use ipv6::{Ipv6Repr, Ipv6View};
+pub use l3::{L3, V4, V6};
 pub use options::{OptionLayout, TcpOption};
-pub use probe::{ProbeBuilder, Response, ResponseKind};
-pub use probe6::{ProbeBuilderV6, Response6};
+pub use probe::ResponseKind;
 pub use tcp::{TcpFlags, TcpRepr, TcpView};
-pub use template::ProbeTemplate;
-pub use template6::ProbeTemplateV6;
 pub use udp::{UdpRepr, UdpView};
+
+// The two monomorphisations under the names callers use. Aliases, not a
+// defaulted type parameter, so `ProbeBuilder::new(..)` needs no inference;
+// family-generic code names `probe::ProbeBuilder<L>` and friends.
+pub type ProbeBuilder = probe::ProbeBuilder<V4>;
+pub type ProbeBuilderV6 = probe::ProbeBuilder<V6>;
+pub type ProbeTemplate = template::ProbeTemplate<V4>;
+pub type ProbeTemplateV6 = template::ProbeTemplate<V6>;
+pub type Response = probe::Response<V4>;
+pub type Response6 = probe::Response<V6>;
 
 /// Error type for all packet parsing in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

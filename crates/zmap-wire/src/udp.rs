@@ -73,29 +73,17 @@ impl<'a> UdpView<'a> {
         &self.buf[HEADER_LEN..usize::from(self.len_field())]
     }
 
-    /// Verifies the checksum (0 means "not computed" and passes).
-    ///
-    /// This is the **IPv4** rule (RFC 768): the checksum is optional, and
-    /// a transmitted zero means the sender skipped it. IPv6 receivers must
-    /// use [`verify_checksum_v6`](Self::verify_checksum_v6) instead.
-    pub fn verify_checksum(&self, pseudo: u32) -> bool {
+    /// Verifies the checksum. What a transmitted zero means depends on
+    /// the family underneath: over IPv4 (RFC 768) the checksum is
+    /// optional and zero says the sender skipped it, so `zero_ok`
+    /// receivers accept; RFC 8200 §8.1 makes it mandatory over IPv6, so a
+    /// literal 0x0000 there is a malformed datagram and is **rejected**.
+    /// (A computed zero is transmitted as 0xFFFF under both families, so
+    /// no valid sender ever emits 0x0000 over v6.)
+    pub fn verify_checksum(&self, pseudo: u32, zero_ok: bool) -> bool {
         let stored = u16::from_be_bytes([self.buf[6], self.buf[7]]);
         if stored == 0 {
-            return true;
-        }
-        checksum::verify(&self.buf[..usize::from(self.len_field())], pseudo)
-    }
-
-    /// Verifies the checksum under IPv6 rules: RFC 8200 §8.1 makes the
-    /// UDP checksum mandatory, so a literal 0x0000 on the wire is a
-    /// malformed datagram and is **rejected** — unlike the IPv4 path,
-    /// where zero means "unchecksummed, accept". (A computed zero is
-    /// transmitted as 0xFFFF under both families, so no valid sender
-    /// ever emits 0x0000 over v6.)
-    pub fn verify_checksum_v6(&self, pseudo: u32) -> bool {
-        let stored = u16::from_be_bytes([self.buf[6], self.buf[7]]);
-        if stored == 0 {
-            return false;
+            return zero_ok;
         }
         checksum::verify(&self.buf[..usize::from(self.len_field())], pseudo)
     }
@@ -117,7 +105,7 @@ mod tests {
         assert_eq!(v.dst_port(), 53);
         assert_eq!(v.len_field(), 12);
         assert_eq!(v.payload(), payload);
-        assert!(v.verify_checksum(pseudo));
+        assert!(v.verify_checksum(pseudo, true));
     }
 
     #[test]
@@ -143,7 +131,7 @@ mod tests {
         let mut buf = vec![0u8; 8];
         buf[5] = 8;
         let v = UdpView::parse(&buf).unwrap();
-        assert!(v.verify_checksum(12345));
+        assert!(v.verify_checksum(12345, true));
     }
 
     #[test]
@@ -154,8 +142,8 @@ mod tests {
         let mut buf = vec![0u8; 8];
         buf[5] = 8;
         let v = UdpView::parse(&buf).unwrap();
-        assert!(v.verify_checksum(12345), "v4 rule: zero means unchecksummed");
-        assert!(!v.verify_checksum_v6(12345), "v6 rule: zero is malformed");
+        assert!(v.verify_checksum(12345, true), "v4 rule: zero means unchecksummed");
+        assert!(!v.verify_checksum(12345, false), "v6 rule: zero is malformed");
     }
 
     #[test]
@@ -167,9 +155,9 @@ mod tests {
         let mut buf = Vec::new();
         repr.emit(pseudo, b"abcd", &mut buf);
         let v = UdpView::parse(&buf).unwrap();
-        assert!(v.verify_checksum_v6(pseudo));
+        assert!(v.verify_checksum(pseudo, false));
         buf[8] ^= 0xFF;
-        assert!(!UdpView::parse(&buf).unwrap().verify_checksum_v6(pseudo));
+        assert!(!UdpView::parse(&buf).unwrap().verify_checksum(pseudo, false));
     }
 
     #[test]
@@ -180,7 +168,7 @@ mod tests {
         repr.emit(pseudo, b"x", &mut buf);
         buf[8] ^= 0xFF;
         let v = UdpView::parse(&buf).unwrap();
-        assert!(!v.verify_checksum(pseudo));
+        assert!(!v.verify_checksum(pseudo, true));
     }
 
     #[test]
@@ -192,6 +180,6 @@ mod tests {
         buf.extend_from_slice(&[0u8; 20]); // Ethernet pad
         let v = UdpView::parse(&buf).unwrap();
         assert_eq!(v.payload(), b"ab");
-        assert!(v.verify_checksum(pseudo));
+        assert!(v.verify_checksum(pseudo, true));
     }
 }

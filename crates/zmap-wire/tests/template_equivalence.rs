@@ -1,78 +1,99 @@
 //! Property tests: template rendering with RFC 1624 incremental checksum
 //! patching must be byte-identical to from-scratch frame construction for
-//! arbitrary (destination IP, destination port, IP-ID entropy) mutations,
-//! across probe kinds, option layouts, and IP-ID modes.
+//! arbitrary (destination, destination port, IP-ID entropy) mutations,
+//! across probe kinds, option layouts, IP-ID modes — and both families:
+//! one generic body, 512 cases for `V4` and 512 for `V6`.
 
 use proptest::prelude::*;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
 use zmap_wire::probe::ProbeBuilder;
 use zmap_wire::template::ProbeTemplate;
+use zmap_wire::{L3, V4, V6};
 
-fn builder(seed: u64) -> ProbeBuilder {
-    ProbeBuilder::new(Ipv4Addr::new(192, 0, 2, 9), seed)
+/// A family whose scanner and destination addresses the test can draw
+/// from 128 random bits (IPv4 keeps the low 32).
+trait Family: L3 {
+    const SCANNER: Self::Addr;
+    fn dst(bits: u128) -> Self::Addr;
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn tcp_template_equals_build_probe(
-        seed in 0u64..1_000_000,
-        dst in any::<u32>(),
-        port in any::<u16>(),
-        entropy in any::<u16>(),
-        layout_idx in 0usize..OptionLayout::ALL.len(),
-    ) {
-        let mut b = builder(seed);
-        b.layout = OptionLayout::ALL[layout_idx];
-        let tpl = ProbeTemplate::tcp_syn(&b);
-        let ip = Ipv4Addr::from(dst);
-        prop_assert_eq!(tpl.render(ip, port, entropy), b.tcp_syn(ip, port, entropy));
+impl Family for V4 {
+    const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
+    fn dst(bits: u128) -> Ipv4Addr {
+        Ipv4Addr::from(bits as u32)
     }
+}
 
-    #[test]
-    fn icmp_template_equals_build_probe(
-        seed in 0u64..1_000_000,
-        dst in any::<u32>(),
-        entropy in any::<u16>(),
-    ) {
-        let b = builder(seed);
-        let tpl = ProbeTemplate::icmp_echo(&b);
-        let ip = Ipv4Addr::from(dst);
-        prop_assert_eq!(tpl.render(ip, 0, entropy), b.icmp_echo(ip, entropy));
+impl Family for V6 {
+    const SCANNER: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 9);
+    fn dst(bits: u128) -> Ipv6Addr {
+        Ipv6Addr::from(bits)
     }
+}
 
-    #[test]
-    fn udp_template_equals_build_probe(
-        seed in 0u64..1_000_000,
-        dst in any::<u32>(),
-        port in any::<u16>(),
-        entropy in any::<u16>(),
-        payload in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let b = builder(seed);
-        let tpl = ProbeTemplate::udp(&b, &payload).unwrap();
-        let ip = Ipv4Addr::from(dst);
-        prop_assert_eq!(
-            tpl.render(ip, port, entropy),
-            b.udp(ip, port, &payload, entropy).unwrap()
-        );
-    }
+/// One scan's configuration and one target, family-neutral.
+#[derive(Debug)]
+struct Case {
+    seed: u64,
+    layout: OptionLayout,
+    ip_id: IpIdMode,
+    dst: u128,
+    port: u16,
+    entropy: u16,
+    payload: Vec<u8>,
+}
 
-    #[test]
-    fn ip_id_modes_stay_equivalent(
-        dst in any::<u32>(),
-        entropy in any::<u16>(),
-        fixed in any::<u16>(),
-    ) {
-        for mode in [IpIdMode::Static, IpIdMode::Fixed(fixed), IpIdMode::Random] {
-            let mut b = builder(1);
-            b.ip_id = mode;
-            let tpl = ProbeTemplate::tcp_syn(&b);
-            let ip = Ipv4Addr::from(dst);
-            prop_assert_eq!(tpl.render(ip, 443, entropy), b.tcp_syn(ip, 443, entropy));
+/// All three probe kinds of `c`, template against builder.
+fn assert_template_equals_builder<L: Family>(c: &Case) {
+    let mut b = ProbeBuilder::<L>::new(L::SCANNER, c.seed);
+    b.layout = c.layout;
+    b.ip_id = c.ip_id;
+    let (ip, port, entropy) = (L::dst(c.dst), c.port, c.entropy);
+    let tcp = ProbeTemplate::tcp_syn(&b).render(ip, port, entropy);
+    assert_eq!(tcp, b.tcp_syn(ip, port, entropy), "{c:?}");
+    let echo = ProbeTemplate::icmp_echo(&b).render(ip, 0, entropy);
+    assert_eq!(echo, b.icmp_echo(ip, entropy), "{c:?}");
+    let udp = ProbeTemplate::udp(&b, &c.payload)
+        .unwrap()
+        .render(ip, port, entropy);
+    assert_eq!(udp, b.udp(ip, port, &c.payload, entropy).unwrap(), "{c:?}");
+}
+
+/// The 512-case property for one family.
+macro_rules! template_equals_build_probe {
+    ($name:ident, $family:ty) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn $name(
+                seed in 0u64..1_000_000,
+                // 128 destination bits from two draws (the vendored
+                // proptest has no `any::<u128>()`).
+                hi in any::<u64>(),
+                lo in any::<u64>(),
+                port in any::<u16>(),
+                entropy in any::<u16>(),
+                layout_idx in 0usize..OptionLayout::ALL.len(),
+                ip_id_idx in 0usize..3,
+                fixed in any::<u16>(),
+                payload in prop::collection::vec(any::<u8>(), 0..64),
+            ) {
+                assert_template_equals_builder::<$family>(&Case {
+                    seed,
+                    layout: OptionLayout::ALL[layout_idx],
+                    ip_id: [IpIdMode::Static, IpIdMode::Fixed(fixed), IpIdMode::Random][ip_id_idx],
+                    dst: u128::from(hi) << 64 | u128::from(lo),
+                    port,
+                    entropy,
+                    payload,
+                });
+            }
         }
-    }
+    };
 }
+
+template_equals_build_probe!(v4_template_equals_build_probe, V4);
+template_equals_build_probe!(v6_template_equals_build_probe, V6);

@@ -129,12 +129,15 @@ proptest! {
         wrong_ack in any::<u32>(),
     ) {
         let key = ValidationKey::from_seed(seed);
-        let seq = key.tcp_seq(src, dst, dport);
-        prop_assert!(key.tcp_validate(src, dst, dport, seq.wrapping_add(1)));
+        // The RX path's check: the ACK must be the probe's cookie + 1.
+        let validates =
+            |dst: u32, ack: u32| ack == key.probe(src, dst, dport).tcp_seq().wrapping_add(1);
+        let seq = key.probe(src, dst, dport).tcp_seq();
+        prop_assert!(validates(dst, seq.wrapping_add(1)));
         if wrong_ack != seq.wrapping_add(1) {
-            prop_assert!(!key.tcp_validate(src, dst, dport, wrong_ack));
+            prop_assert!(!validates(dst, wrong_ack));
         }
-        prop_assert!(!key.tcp_validate(src, dst.wrapping_add(1), dport, seq.wrapping_add(1)));
+        prop_assert!(!validates(dst.wrapping_add(1), seq.wrapping_add(1)));
     }
 
     /// Sliding window: never suppresses a first sighting; always

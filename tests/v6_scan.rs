@@ -393,8 +393,8 @@ fn response_outside_the_target_space_degrades_not_aborts() {
     // announced: forge the probe the scanner *would* have sent there
     // (same seed, same source) and answer it.
     let foreign: Ipv6Addr = "2001:db8:ffff::99".parse().unwrap();
-    let b = zmap::wire::probe6::ProbeBuilderV6::new("2001:db8:ffff::1".parse().unwrap(), cfg.seed);
-    let foreign_reply = synthesize_synack_v6(&b.tcp_syn(foreign, 443));
+    let b = zmap::wire::ProbeBuilderV6::new("2001:db8:ffff::1".parse().unwrap(), cfg.seed);
+    let foreign_reply = synthesize_synack_v6(&b.tcp_syn(foreign, 443, 0));
 
     // Pass 2: same scan, inbox preloaded with valid replies for every
     // in-space probe plus the out-of-space one.
