@@ -817,8 +817,7 @@ fn lint_atomics_ordering(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) 
 
 /// Calls that hand frames to a transport — blocking or retrying, so a
 /// lock held across one stalls the peer thread for the full send.
-const TX_SINK_CALLS: [&str; 6] =
-    ["send", "send_batch", "send_batch_at", "send_frame", "flush", "flush_shared"];
+const TX_SINK_CALLS: [&str; 4] = ["send", "send_batch", "send_frame", "flush"];
 
 /// Files whose lock acquisition order is checked for global consistency
 /// (the three subsystems a TX thread can hold locks from).
@@ -1158,7 +1157,9 @@ fn is_alloc_root(f: &FnItem) -> bool {
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
         Some("ProbeModule") => matches!(f.name.as_str(), "render_into" | "parse_response"),
         Some("OutputModule") => f.name == "record",
-        _ => matches!(f.name.as_str(), "send_batch" | "send_batch_at" | "flush_shared"),
+        // The engine's TX stages, shared by both drivers: one root each.
+        None => matches!(f.name.as_str(), "emit" | "flush"),
+        _ => f.name == "send_batch",
     }
 }
 
@@ -1249,8 +1250,7 @@ fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fin
 // ---------------------------------------------------------------------
 
 /// Engine entry points: the fns a scan actually enters through.
-const ENGINE_ENTRY_FNS: [&str; 5] =
-    ["run", "run_with", "run_parallel", "run_parallel_with", "resume_parallel"];
+const ENGINE_ENTRY_FNS: [&str; 4] = ["run", "run_with", "run_into", "run_parallel"];
 const ENGINE_CRATES: [&str; 2] = ["zmap-core", "zmap-masscan"];
 
 /// Macros that abort; `assert!`/`debug_assert!`/`unreachable!` are

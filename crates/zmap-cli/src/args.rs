@@ -134,8 +134,8 @@ RATE & SHARDING
                            per-thread generator/transport pairs joined
                            by SPSC frame rings (netmap model; identical
                            output, pure performance topology). Walks
-                           whole subshards: not with --max-targets,
-                           --max-results or --probes above 1
+                           whole subshards: not with --max-targets
+                           or --max-results
   --interleaved            2014 interleaved sharding (default: pizza)
 
 OUTPUT (four streams: data, logs, status, metadata)
@@ -448,13 +448,13 @@ fn validate(opts: &CliOptions) -> Result<(), CliError> {
     if cfg.probes_per_target == 0 {
         return Err(CliError::Invalid("--probes must be at least 1".into()));
     }
-    // The pipelined engine walks each subshard to exhaustion, one probe
-    // per target; refuse the caps it would otherwise silently ignore.
+    // The threaded driver walks each subshard to exhaustion: a global
+    // cap counted across racing lanes cannot be deterministic, so refuse
+    // the caps it would otherwise silently ignore.
     if cfg.tx_pipeline {
         for (set, flag) in [
             (cfg.max_targets > 0, "--max-targets"),
             (cfg.max_results > 0, "--max-results"),
-            (cfg.probes_per_target > 1, "--probes above 1"),
         ] {
             if set {
                 return Err(CliError::Invalid(format!(
@@ -771,14 +771,6 @@ mod tests {
         let why = invalid_why("--tx-pipeline --max-results 5");
         assert!(why.contains("--max-results"), "{why}");
         assert!(parse_args(&args("--max-results 5")).is_ok());
-    }
-
-    #[test]
-    fn tx_pipeline_rejects_multiple_probes_per_target() {
-        let why = invalid_why("--tx-pipeline --probes 2");
-        assert!(why.contains("--probes"), "{why}");
-        assert!(parse_args(&args("--tx-pipeline --probes 1")).is_ok());
-        assert!(parse_args(&args("--probes 2")).is_ok());
     }
 
     #[test]

@@ -9,21 +9,19 @@ use zmap_core::checkpoint::{CheckpointPolicy, CheckpointState};
 use zmap_core::log::{Level, Logger};
 use zmap_core::output::OutputModule;
 use zmap_core::monitor::StatusUpdate;
-use zmap_core::parallel::{
-    ParallelRunOptions, PreparedScan, SharedSimTransport, DEFAULT_WATCHDOG_POLL_LIMIT,
-};
+use zmap_core::parallel::SharedSimTransport;
+use zmap_core::scanner::DEFAULT_WATCHDOG_POLL_LIMIT;
 use zmap_core::transport::SimNet;
-use zmap_core::{Ipv6Config, RunOptions, ScanSummary, Scanner};
+use zmap_core::{Ipv6Config, PreparedScan, RunOptions, ScanSummary};
 use zmap_netsim::{FaultPlan, ServiceModel, V6Population, World, WorldConfig};
 
 /// Exit code for a scan killed mid-flight (crash injection or a stall the
 /// watchdog tripped). The journal at `--checkpoint` is resumable.
 pub const EXIT_KILLED: i32 = 3;
 
-/// Converts `--watchdog-secs` into the engines' poll-count threshold.
-/// The threaded engine burns one idle poll per millisecond of virtual
-/// time, so N seconds is N × 1000 polls; the sequential drain loop uses
-/// the same count as its frozen-signature budget.
+/// Converts `--watchdog-secs` into the cooldown watchdog's budget of
+/// consecutive frozen-signature polls (both drivers run the same drain):
+/// N × 1000.
 pub fn watchdog_poll_limit(watchdog_secs: Option<u64>) -> u64 {
     watchdog_secs
         .map(|n| n.saturating_mul(1_000).max(1))
@@ -122,37 +120,40 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         Ok(OutputModule::new(opts.format, sink))
     };
 
-    // --tx-pipeline routes through the threaded engine: generator threads
-    // render into per-pair frame rings, transport threads drain them.
-    let (summary, out) = if opts.config.tx_pipeline {
-        let scan = match &journal {
-            Some(j) => match PreparedScan::resume(&opts.config, j) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ERROR {e}");
-                    return Ok(2);
-                }
-            },
-            None => match PreparedScan::new(&opts.config) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ERROR invalid configuration: {e}");
-                    return Ok(2);
-                }
-            },
-        };
-        let mut out = open_output()?;
+    // One logger and one prepared scan (fresh or resumed) ahead of the
+    // engine choice: both drivers log to stream #2 and refuse a bad
+    // config or journal the same way.
+    let logger = Logger::writer(
+        if opts.verbose { Level::Debug } else { Level::Info },
+        Box::new(io::stderr()),
+    );
+    let scan = match &journal {
+        Some(j) => PreparedScan::resume(opts.config.clone(), j, logger).map_err(|e| e.to_string()),
+        None => PreparedScan::new(opts.config.clone(), logger)
+            .map_err(|e| format!("invalid configuration: {e}")),
+    };
+    let scan = match scan {
+        Ok(s) => s,
+        Err(why) => {
+            eprintln!("ERROR {why}");
+            return Ok(2);
+        }
+    };
+    let mut out = open_output()?;
+    let run_opts = RunOptions {
+        checkpoint,
+        watchdog_poll_limit,
+        ..RunOptions::default()
+    };
+    // --tx-pipeline selects the threaded driver: generator threads render
+    // into per-pair frame rings, transport threads drain them.
+    let summary = if opts.config.tx_pipeline {
         let world = Arc::new(Mutex::new(World::new(world)));
         let transport = SharedSimTransport::new(world, opts.config.source_ip);
-        let run_opts = ParallelRunOptions {
-            shutdown: None,
-            checkpoint,
-            watchdog_poll_limit,
-        };
         let mut summary = scan.run(&transport, run_opts);
         // Receive order depends on thread interleaving; the output
         // contract does not. Canonical order makes pipelined output
-        // byte-comparable across runs and against the sequential engine
+        // byte-comparable across runs and against the inline driver
         // — and is why this branch holds its rows until the scan ends.
         summary
             .results
@@ -160,43 +161,12 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         for r in &summary.results {
             out.record(r)?;
         }
-        (summary, out)
+        summary
     } else {
-        let transport = SimNet::new(world).transport(opts.config.source_ip);
-        let logger = Logger::writer(
-            if opts.verbose { Level::Debug } else { Level::Info },
-            Box::new(io::stderr()),
-        );
-        let scanner = match &journal {
-            Some(j) => {
-                match Scanner::resume_with_logger(opts.config.clone(), transport, j, logger) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("ERROR {e}");
-                        return Ok(2);
-                    }
-                }
-            }
-            None => match Scanner::with_logger(opts.config.clone(), transport, logger) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ERROR invalid configuration: {e}");
-                    return Ok(2);
-                }
-            },
-        };
-        let mut out = open_output()?;
         // Rows reach the data stream in arrival order while the scan
         // runs; none are held.
-        let summary = scanner.run_into(
-            RunOptions {
-                checkpoint,
-                watchdog_poll_limit,
-                ..RunOptions::default()
-            },
-            &mut out,
-        );
-        (summary, out)
+        let transport = SimNet::new(world).transport(opts.config.source_ip);
+        scan.on(transport).run_into(run_opts, &mut out)
     };
     // A killed scan keeps every row it received before it died.
     out.finish()?;
@@ -552,6 +522,37 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&pipe_md).unwrap()).unwrap();
         assert_eq!(meta["counters"]["sent"], 256);
         assert_eq!(meta["counters"]["shutdown_clean"], 1);
+    }
+
+    /// Was `args::tx_pipeline_rejects_multiple_probes_per_target`: the
+    /// threaded engine dropped `--probes`, so the CLI refused the pair.
+    #[test]
+    fn tx_pipeline_sends_every_probe_of_a_multi_probe_scan() {
+        let dir = std::env::temp_dir().join("zmap-cli-pipeline-probes-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let base = "--subnet 11.27.0.0/24 -p 80 -r 100000 --seed 3 --sim-seed 5 \
+                    --sim-live-fraction 1.0 --cooldown-secs 1 -O csv -q --probes 2 --threads 1";
+        let run = |name: &str, engine: &str| {
+            let (out, md) = (dir.join(format!("{name}.csv")), dir.join(format!("{name}.json")));
+            let opts = parse_args(&args(&format!(
+                "{base} {engine} -o {} --metadata-file {}",
+                out.display(),
+                md.display()
+            )))
+            .unwrap();
+            assert_eq!(super::run_scan(opts).unwrap(), 0);
+            let meta: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&md).unwrap()).unwrap();
+            assert_eq!(meta["counters"]["targets_total"], 256);
+            assert_eq!(meta["counters"]["sent"], 512, "{name}: two probes per target");
+            let mut rows: Vec<String> =
+                std::fs::read_to_string(&out).unwrap().lines().map(String::from).collect();
+            rows.sort();
+            rows
+        };
+        let seq = run("seq", "");
+        assert!(seq.len() > 20, "the scan found hosts: {}", seq.len());
+        assert_eq!(run("pipe", "--tx-pipeline"), seq, "one lane is one schedule");
     }
 
     #[test]

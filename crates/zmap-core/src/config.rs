@@ -113,10 +113,10 @@ pub struct ScanConfig {
     /// knob — the results stream is identical for any value ≥ 1 — so it
     /// is excluded from the config digest.
     pub batch: usize,
-    /// Engine selector for front-ends (the CLI, the benchmark adapter):
-    /// `true` asks for the threaded engine, `false` for the sequential
-    /// [`Scanner`](crate::Scanner). Nothing in this crate reads it — the
-    /// threaded engine ([`run_parallel`](crate::parallel::run_parallel))
+    /// Driver selector for front-ends (the CLI, the benchmark adapter):
+    /// `true` asks for the threaded driver, `false` for the inline one
+    /// ([`Scanner`](crate::Scanner)). Nothing in this crate reads it — the
+    /// threaded driver ([`PreparedScan::run`](crate::PreparedScan::run))
     /// is always the generator → SPSC ring → transport pipeline (the
     /// netmap/PF_RING shape from §4.2), whoever calls it. Like `batch`,
     /// it is excluded from the config digest.

@@ -17,10 +17,17 @@
 //!   (zmap-targets), response validation is cookie-based (zmap-wire),
 //!   dedup is the sliding window (zmap-dedup) — no per-probe state.
 //!
-//! The engine is generic over [`transport::Transport`]; the default
-//! [`transport::SimTransport`] drives the zmap-netsim simulated Internet
-//! deterministically, which is how every experiment in this repository
-//! runs. A [`transport::LoopbackTransport`] exists for unit tests.
+//! There is one engine and it is generic over [`transport::Transport`].
+//! [`scanner`] holds every stage — a validated [`PreparedScan`], then
+//! `emit` → `flush` → `rx_tick` → `cooldown` → `finish` — and the inline
+//! driver ([`Scanner`], which owns its transport and runs the stages on
+//! the calling thread); [`parallel`] holds the threaded driver
+//! ([`PreparedScan::run`]: a generator/transport thread pair per lane
+//! over a transport shared as `&T: Transport`) and the shared simulated
+//! transport. The default [`transport::SimTransport`] drives the
+//! zmap-netsim simulated Internet deterministically, which is how every
+//! experiment in this repository runs. A [`transport::LoopbackTransport`]
+//! exists for unit tests.
 //!
 //! # Quickstart
 //!
@@ -70,7 +77,7 @@ pub use shutdown::ShutdownToken;
 pub use metadata::ScanMetadata;
 pub use metrics::{CounterId, HistId, ScanMetrics};
 pub use output::{Classification, OutputFormat, RowSink, ScanResult};
-pub use scanner::{ResumeError, RunOptions, ScanSummary, Scanner};
+pub use scanner::{PreparedScan, ResumeError, RunOptions, ScanSummary, Scanner};
 pub use supervisor::{
     JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorError,
     SupervisorReport,

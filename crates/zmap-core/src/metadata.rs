@@ -191,15 +191,15 @@ counter_table! {
     /// Responses rejected by checksum validation (bit errors in flight).
     responses_corrupted => ResponsesCorrupted,
     /// Poisoned world-lock acquisitions recovered instead of cascading
-    /// the panic (threaded engine only; always 0 single-threaded).
+    /// the panic (shared transports only; 0 over an owned one).
     lock_poison_recoveries => LockPoisonRecoveries,
     /// Checkpoint journals written (periodic plus final).
     checkpoints_written => CheckpointsWritten,
     /// Times this scan has been resumed from a checkpoint journal
     /// (cumulative across attempts).
     resume_count => ResumeCount,
-    /// Supervisor interventions: intervals with no virtual-clock or
-    /// counter progress that the watchdog broke out of.
+    /// Cooldown drains with no virtual-clock or counter progress that
+    /// the watchdog broke out of.
     watchdog_stalls => WatchdogStalls,
     /// 1 when the engine exited through the orderly shutdown path
     /// (cooldown drained, streams flushed, final checkpoint written);

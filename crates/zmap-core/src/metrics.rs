@@ -1,13 +1,13 @@
-//! The scan-wide metrics registry: the engines' single store for
+//! The scan-wide metrics registry: the engine's single store for
 //! counters, latency histograms, the event trace, and the probe
 //! in-flight tracker that turns response arrivals into RTT samples.
 //!
-//! Both engines create one [`ScanMetrics`] per run and route *every*
+//! Both drivers create one [`ScanMetrics`] per run and route *every*
 //! counter increment through it (the [`Monitor`](crate::monitor::Monitor)
 //! and the checkpoint journal are consumers of this registry, not
-//! parallel books). The single-threaded engine uses one shard; the
-//! parallel engine gives each send thread its own shard plus one for the
-//! receive loop, so the hot path is an uncontended atomic add either way.
+//! parallel books). The inline driver uses one shard; the threaded one
+//! gives each send thread its own shard plus one for the receive loop,
+//! so the hot path is an uncontended atomic add either way.
 //!
 //! All recorded durations are virtual-clock values handed in by the
 //! engines, and every aggregate is order-independent (sums, min/max,

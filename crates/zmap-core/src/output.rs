@@ -100,7 +100,7 @@ const FLUSH_AT: usize = 64 * 1024;
 const ROW_MAX: usize = 512;
 
 /// Where the receive path puts each record the moment it is accepted:
-/// the one row exit of both engines.
+/// the one row exit of the engine.
 pub trait RowSink {
     /// Takes one record, in arrival order.
     fn row(&mut self, r: &ScanResult);

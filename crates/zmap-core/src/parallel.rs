@@ -1,96 +1,42 @@
-//! Multi-threaded scanning: the engine shape real ZMap uses (Adrian et
-//! al. 2014) — N send paths, each owning one subshard of the cyclic
-//! group, plus one receive thread — here over a thread-safe transport
+//! The threaded driver: the engine shape real ZMap uses (Adrian et al.
+//! 2014) — N send paths, each owning one subshard of the cyclic group,
+//! plus one receive thread — over a transport shared by reference and
 //! paced by a *shared virtual clock*. Each send path is a TX pipeline
 //! (paper §4.2, the netmap shape): a generator thread that walks, paces
-//! and renders into batches, and a transport thread that sends them,
-//! joined by a pair of bounded SPSC rings.
+//! and renders into batches (`scanner::emit`), and a transport thread
+//! that sends them (`scanner::flush`), joined by a pair of bounded SPSC
+//! rings; the calling thread runs `Engine::rx_tick`, `cooldown`, `finish`.
+//! The stages live in `scanner.rs`; this file is who runs them where.
 //!
-//! Two invariants from the single-threaded engine are preserved under
-//! real concurrency, and both are machine-checked by zmap-analyze:
+//! A transport is shareable the way `&TcpStream: Write` says it in std:
+//! `T: Sync` and `&T: Transport`, each thread driving its own copy of the
+//! reference.
 //!
-//! * **No wall clock.** Send threads advance a monotone [`AtomicU64`]
-//!   clock to each probe's scheduled (virtual) send time and stamp the
-//!   frame with that time, so probe ordering, delivery times, and the
-//!   summary are functions of the seed — never of host scheduling.
+//! Two invariants from the inline driver are preserved under real
+//! concurrency, and both are machine-checked by zmap-analyze:
+//!
+//! * **No wall clock.** Each lane stamps its frames with its own slots
+//!   of the interleaved schedule and advances a monotone [`AtomicU64`]
+//!   clock to them, so probe ordering, delivery times, and the summary
+//!   are functions of the seed — never of host scheduling.
 //! * **No poison cascade.** The shared [`World`] sits behind a mutex; a
 //!   panicking worker must not take the whole scan down with it. Every
 //!   acquisition goes through [`lock_world`], which recovers poisoned
 //!   locks (the world's data is a simulation, always structurally
 //!   valid) and counts the recovery into the monitor stream.
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointState};
 use crate::config::ScanConfig;
 use crate::log::Logger;
-use crate::metrics::{CounterId, HistId, ScanMetrics};
-use crate::monitor::Monitor;
-use crate::plan::{ProbeModule, ScanPlan};
+use crate::metrics::{CounterId, ScanMetrics};
 use crate::ratecontrol::RateController;
 use crate::ring::SpscRing;
-use crate::scanner::{summarize, Checkpointer, ResumeError, RxPath, ScanSummary};
-use crate::shutdown::ShutdownToken;
-use crate::transport::FrameBatch;
+use crate::scanner::{emit, flush, Engine, Exit, PreparedScan, RunOptions, ScanSummary};
+use crate::transport::{FrameBatch, Transport};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use zmap_netsim::{EndpointId, SendError, World};
 use zmap_targets::generator::BuildError;
-
-/// A transport shareable across send/receive threads, timed by a shared
-/// virtual clock.
-pub trait SharedTransport: Send + Sync {
-    /// Nanoseconds since the transport's epoch (virtual).
-    fn now(&self) -> u64;
-
-    /// Advances the shared clock to at least `t` (monotone; callers may
-    /// race, the clock only moves forward).
-    fn advance_to(&self, t: u64);
-
-    /// Emits one frame stamped at virtual time `at_ns` (called
-    /// concurrently from send threads). `Err(WouldBlock)` means the
-    /// frame was not sent; callers retry.
-    #[must_use = "an unchecked send error is a silently lost probe"]
-    fn send_frame_at(&self, frame: &[u8], at_ns: u64) -> Result<(), SendError>;
-
-    /// Emits frames `from_idx..` of `batch` in one call (`sendmmsg`),
-    /// advancing the shared clock through each frame's scheduled time and
-    /// stamping each with its own slot time. Returns how many frames were
-    /// accepted before the first refusal plus the refusal itself, if any;
-    /// the caller retries or abandons the frame at `from_idx + accepted`.
-    ///
-    /// The default loops [`send_frame_at`](Self::send_frame_at); batching
-    /// transports override it to pay their per-call cost (a lock, a
-    /// syscall) once per batch.
-    #[must_use = "an unchecked send error is a silently lost probe"]
-    fn send_batch_at(&self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
-        let mut accepted = 0usize;
-        for i in from_idx..batch.len() {
-            let (at, frame) = batch.frame(i);
-            self.advance_to(at);
-            match self.send_frame_at(frame, at) {
-                Ok(()) => accepted += 1,
-                Err(e) => return (accepted, Some(e)),
-            }
-        }
-        (accepted, None)
-    }
-
-    /// Drains frames received so far (single consumer).
-    fn recv_frames(&self) -> Vec<(u64, Vec<u8>)>;
-
-    /// Poisoned-lock acquisitions this transport has recovered.
-    fn poison_recoveries(&self) -> u64 {
-        0
-    }
-
-    /// True once the scanning process has been declared dead by a fault
-    /// schedule. Polled by the receive loop so a kill can land anywhere,
-    /// including mid-cooldown. Real transports never die this way; only
-    /// simulations script it.
-    fn killed(&self) -> bool {
-        false
-    }
-}
 
 /// Acquires the world lock, recovering from poisoning instead of
 /// propagating the panic: a worker that died mid-`send` leaves the
@@ -111,7 +57,8 @@ pub fn lock_world<'a>(
     }
 }
 
-/// The simulated Internet behind a lock, with a shared virtual clock.
+/// The simulated Internet behind a lock, with a shared virtual clock;
+/// the [`Transport`] is `&SharedSimTransport`.
 pub struct SharedSimTransport {
     world: Arc<Mutex<World>>,
     ep: EndpointId,
@@ -138,22 +85,26 @@ impl SharedSimTransport {
     }
 }
 
-impl SharedTransport for SharedSimTransport {
+impl Transport for &SharedSimTransport {
     fn now(&self) -> u64 {
         self.clock.load(Ordering::Acquire)
     }
 
-    fn advance_to(&self, t: u64) {
+    /// Monotone: callers may race, the clock only moves forward.
+    fn advance_to(&mut self, t: u64) {
         self.clock.fetch_max(t, Ordering::AcqRel);
     }
 
-    fn send_frame_at(&self, frame: &[u8], at_ns: u64) -> Result<(), SendError> {
-        lock_world(&self.world, &self.recoveries).send(self.ep, frame, at_ns)
+    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
+        let now = self.now();
+        lock_world(&self.world, &self.recoveries).send(self.ep, frame, now)
     }
 
     /// One lock acquisition for the whole batch — the simulator's
     /// analogue of collapsing per-packet syscalls into one `sendmmsg`.
-    fn send_batch_at(&self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
+    /// Each frame is stamped with its own slot time, not the shared
+    /// clock's, so the stamp is a pure function of (seed, lane).
+    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
         let mut world = lock_world(&self.world, &self.recoveries);
         let mut accepted = 0usize;
         for i in from_idx..batch.len() {
@@ -167,9 +118,13 @@ impl SharedTransport for SharedSimTransport {
         (accepted, None)
     }
 
-    fn recv_frames(&self) -> Vec<(u64, Vec<u8>)> {
+    fn recv_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
         let now = self.now();
         lock_world(&self.world, &self.recoveries).recv_ready(self.ep, now)
+    }
+
+    fn next_rx_at(&self) -> Option<u64> {
+        lock_world(&self.world, &self.recoveries).next_event_at()
     }
 
     fn poison_recoveries(&self) -> u64 {
@@ -181,644 +136,604 @@ impl SharedTransport for SharedSimTransport {
     }
 }
 
-/// Default consecutive no-progress receive polls before the supervisor
-/// declares a stall. Large enough that host scheduling jitter cannot trip
-/// it (every poll is a full lock + drain round), small enough to bound a
-/// genuinely frozen engine.
-pub const DEFAULT_WATCHDOG_POLL_LIMIT: u64 = 1_000_000;
-
-/// Optional run-time machinery for [`run_parallel_with`] /
-/// [`resume_parallel`].
-#[derive(Debug, Clone)]
-pub struct ParallelRunOptions {
-    /// Cooperative shutdown: senders stop at the next cycle boundary.
-    /// The supervisor also trips this token when it detects a stall.
-    pub shutdown: Option<ShutdownToken>,
-    /// Write initial, periodic (virtual-time interval), and final
-    /// checkpoint journals.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Consecutive receive polls with no progress (virtual clock, sends,
-    /// sender completions, validated responses all unchanged) before the
-    /// supervisor records a stall and abandons the wait.
-    pub watchdog_poll_limit: u64,
-}
-
-impl Default for ParallelRunOptions {
-    fn default() -> Self {
-        ParallelRunOptions {
-            shutdown: None,
-            checkpoint: None,
-            watchdog_poll_limit: DEFAULT_WATCHDOG_POLL_LIMIT,
-        }
-    }
-}
-
-/// Virtual time the receive loop advances per idle poll once all
-/// senders have finished (drains the cooldown quickly without skipping
-/// any scheduled delivery).
-const COOLDOWN_STEP_NS: u64 = 1_000_000;
-
 /// Batches in flight per generator/transport pair, per ring direction.
 /// The pre-filled recycle pool is the *only* source of TX buffers, so
 /// pipeline memory is bounded at `depth × batch × frame` per pair —
 /// netmap's preallocated-ring model.
 const TX_RING_DEPTH: usize = 4;
 
-/// Flushes a rendered batch through the batched shared-transport path,
-/// retrying transiently refused frames with the same linear virtual
-/// backoff as the per-probe loop. Returns true when a scheduled kill
-/// landed (and raises `killed`). The flush latency recorded is the
-/// batch's own paced span plus the backoff this flush accrued —
-/// batch-local values that replay identically, unlike a shared-clock
-/// read. Counters land in metrics shard `shard`, which must be owned by
-/// the calling thread.
-fn flush_shared<T: SharedTransport>(
-    transport: &T,
-    metrics: &ScanMetrics,
-    shard: usize,
-    killed: &AtomicBool,
-    max_retries: u32,
-    batch: &FrameBatch,
-) -> bool {
-    let mut idx = 0usize;
-    let mut backoff_total = 0u64;
-    while idx < batch.len() {
-        let (accepted, err) = transport.send_batch_at(batch, idx);
-        metrics.add_at(shard, CounterId::Sent, accepted as u64);
-        idx += accepted;
-        match err {
-            None => break,
-            Some(SendError::Killed) => {
-                killed.store(true, Ordering::Release);
-                return true;
-            }
-            Some(_) => {
-                let (due, frame) = batch.frame(idx);
-                let mut attempt = 0u32;
-                let died = loop {
-                    if attempt == max_retries {
-                        metrics.add_at(shard, CounterId::SendtoFailures, 1);
-                        break false;
-                    }
-                    metrics.add_at(shard, CounterId::SendRetries, 1);
-                    backoff_total += 50_000;
-                    transport.advance_to(due + u64::from(attempt) * 50_000 + 50_000);
-                    attempt += 1;
-                    let at = due + u64::from(attempt) * 50_000;
-                    match transport.send_frame_at(frame, at) {
-                        Ok(()) => {
-                            metrics.add_at(shard, CounterId::Sent, 1);
-                            break false;
-                        }
-                        Err(SendError::Killed) => {
-                            killed.store(true, Ordering::Release);
-                            break true;
-                        }
-                        Err(_) => {}
-                    }
-                };
-                if died {
-                    return true;
+/// Runs `cfg` through the threaded driver with default options and no
+/// logger (see [`PreparedScan::run`]).
+pub fn run_parallel<T>(cfg: &ScanConfig, transport: &T) -> Result<ScanSummary, BuildError>
+where
+    T: Sync,
+    for<'a> &'a T: Transport,
+{
+    Ok(PreparedScan::new(cfg.clone(), Logger::null())?.run(transport, RunOptions::default()))
+}
+
+impl PreparedScan {
+    /// The threaded driver: runs the scan over a shared `transport` with
+    /// `cfg.subshards` generator/transport thread pairs and collects the
+    /// records into the summary (arrival order depends on thread
+    /// scheduling; front-ends sort them once the scan is over).
+    ///
+    /// The receive side runs on the calling thread until all senders
+    /// finish, then through the cooldown. Pacing is virtual: each lane
+    /// owns every `threads`-th slot of the global schedule — fixed slots,
+    /// a lane that runs dry leaves them empty — and the scan completes at
+    /// memory speed while timestamps, and therefore replay, stay
+    /// independent of host timing.
+    pub fn run<T>(self, mut transport: &T, opts: RunOptions) -> ScanSummary
+    where
+        T: Sync,
+        for<'a> &'a T: Transport,
+    {
+        let (scan, cfg, opts) = (&self, &self.cfg, &opts);
+        // [atomics] finished_senders: Release increment as each sender's
+        // last visible write, Acquire load by the receive loop so a full
+        // count means every sender's effects are visible. (Closures bind
+        // it as `finished`; same protocol.)
+        let finished_senders = AtomicU64::new(0);
+        // [atomics] interrupted_senders: Relaxed count of senders that
+        // bailed on shutdown/kill; read after the join barrier, which
+        // orders it. (Closures bind it as `interrupted`; same protocol.)
+        let interrupted_senders = AtomicU64::new(0);
+        // [atomics] killed: Release store when any thread observes the
+        // kill, Acquire load so whoever sees the flag also sees the
+        // killing state.
+        let killed = AtomicBool::new(false);
+        let start = transport.now();
+        let threads = cfg.subshards.max(1);
+
+        // The metrics registry: one counter/histogram shard per hot-path
+        // thread (the generator and the transport half of each pair) plus
+        // one for the receive loop, so every hot-path increment is an
+        // uncontended atomic add.
+        let metrics = ScanMetrics::new(2 * threads as usize + 1, scan.baseline);
+
+        // Per-sender element positions, observable by the receive loop
+        // for checkpointing without stopping the senders.
+        // [atomics] positions: Relaxed stores/loads — checkpoint snapshots
+        // tolerate slight staleness (a rewound resume re-sends, never
+        // skips).
+        let positions: Vec<AtomicU64> = (0..threads as usize)
+            .map(|t| {
+                let resumed = scan.start_positions.as_ref().and_then(|p| p.get(t).copied());
+                AtomicU64::new(resumed.unwrap_or(0))
+            })
+            .collect();
+        let snapshot_positions =
+            || -> Vec<u64> { positions.iter().map(|p| p.load(Ordering::Relaxed)).collect() };
+        let mut results = Vec::new();
+        let (targets, resumed_at) = (scan.shard_targets(), snapshot_positions());
+        let mut engine =
+            Engine::start(scan, &metrics, opts, start, targets, resumed_at, &mut results);
+
+        // TX pipeline plumbing (paper §4.2, the netmap shape): one `ready`
+        // ring carrying rendered batches generator → transport and one
+        // `recycle` ring carrying drained buffers back, per pair. The
+        // recycle rings are pre-filled with every TX buffer that will ever
+        // exist, so the steady state allocates nothing.
+        let rings: Vec<(SpscRing<FrameBatch>, SpscRing<FrameBatch>)> = (0..threads)
+            .map(|_| {
+                let ready = SpscRing::with_capacity(TX_RING_DEPTH);
+                let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
+                for _ in 0..TX_RING_DEPTH {
+                    recycle
+                        .try_push(FrameBatch::new(cfg.batch.max(1)))
+                        .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
                 }
-                idx += 1;
-            }
-        }
-    }
-    metrics.record_at(shard, HistId::BatchFlush, batch.span_ns() + backoff_total);
-    false
-}
+                (ready, recycle)
+            })
+            .collect();
 
-/// Runs `cfg` with `cfg.subshards` generator/transport thread pairs over
-/// `transport`.
-///
-/// The receive loop runs on the calling thread until all senders finish
-/// plus the cooldown. Uses scoped threads so the plan and transport
-/// borrow safely. Pacing is virtual: each pair advances the shared
-/// clock to its next probe's scheduled time, so the scan completes at
-/// memory speed while timestamps — and therefore replay — stay
-/// independent of host timing.
-pub fn run_parallel<T: SharedTransport>(
-    cfg: &ScanConfig,
-    transport: &T,
-) -> Result<ScanSummary, BuildError> {
-    run_parallel_with(cfg, transport, ParallelRunOptions::default())
-}
-
-/// Like [`run_parallel`] with checkpointing, cooperative shutdown, and
-/// the stall supervisor configured explicitly.
-pub fn run_parallel_with<T: SharedTransport>(
-    cfg: &ScanConfig,
-    transport: &T,
-    opts: ParallelRunOptions,
-) -> Result<ScanSummary, BuildError> {
-    Ok(PreparedScan::new(cfg)?.run(transport, opts))
-}
-
-/// Resumes a parallel scan from a checkpoint journal: the walk is
-/// rebuilt from the journal's recorded group parts, each sender
-/// fast-forwards to its recorded position (rewound by the in-flight
-/// grace window), and the journal's counters become the baseline so
-/// metadata stays cumulative across attempts. Refuses a journal whose
-/// config digest does not match `cfg`; a journal recording a different
-/// shard of the same scan gets the distinct [`ResumeError::ShardSpec`].
-pub fn resume_parallel<T: SharedTransport>(
-    cfg: &ScanConfig,
-    transport: &T,
-    journal: &CheckpointState,
-    opts: ParallelRunOptions,
-) -> Result<ScanSummary, ResumeError> {
-    Ok(PreparedScan::resume(cfg, journal)?.run(transport, opts))
-}
-
-/// A threaded scan that has passed every configuration check and has sent
-/// nothing yet — the threaded engine's counterpart of a constructed
-/// [`Scanner`](crate::scanner::Scanner). A front-end builds one before it
-/// touches its output files, so a rejected config leaves them alone.
-pub struct PreparedScan<'a> {
-    cfg: &'a ScanConfig,
-    journal: Option<&'a CheckpointState>,
-    plan: ScanPlan,
-    module: ProbeModule,
-}
-
-impl<'a> PreparedScan<'a> {
-    /// Validates `cfg` for a fresh scan.
-    pub fn new(cfg: &'a ScanConfig) -> Result<Self, BuildError> {
-        Self::build(cfg, None)
-    }
-
-    /// Validates `cfg` against `journal` (see [`resume_parallel`]).
-    pub fn resume(cfg: &'a ScanConfig, journal: &'a CheckpointState) -> Result<Self, ResumeError> {
-        crate::scanner::check_shard_spec(journal, cfg)?;
-        journal.check_config(cfg).map_err(ResumeError::Journal)?;
-        Self::build(cfg, Some(journal)).map_err(ResumeError::Build)
-    }
-
-    fn build(cfg: &'a ScanConfig, journal: Option<&'a CheckpointState>) -> Result<Self, BuildError> {
-        // In v6 mode the journaled cycle parts are ignored: the walk plan is
-        // a pure function of (prefix list, ports, seed), which the config
-        // digest already pins.
-        let plan = ScanPlan::build(cfg, journal.map(|j| (j.generator, j.offset)))?;
-        // The per-scan packet template (paper §4.4) is laid out once here and
-        // patched per probe on the generator threads.
-        let module = ProbeModule::build(cfg)?;
-        Ok(PreparedScan { cfg, journal, plan, module })
-    }
-
-    /// Runs the scan over `transport` (see [`run_parallel`]).
-    pub fn run<T: SharedTransport>(self, transport: &T, opts: ParallelRunOptions) -> ScanSummary {
-        run_inner(self, transport, opts)
-    }
-}
-
-fn run_inner<T: SharedTransport>(
-    scan: PreparedScan<'_>,
-    transport: &T,
-    opts: ParallelRunOptions,
-) -> ScanSummary {
-    let PreparedScan { cfg, journal, plan: gen, module } = scan;
-
-    // Counters carried over from the journal when resuming, so the
-    // resumed attempt's metadata reports the cumulative truth.
-    let mut baseline = journal.map(|j| j.counters).unwrap_or_default();
-    if journal.is_some() {
-        baseline.resume_count += 1;
-        baseline.shutdown_clean = 0;
-    }
-    let resume_positions = journal.map(|j| j.rewound_positions(cfg.rate_pps));
-    let logger = Logger::null();
-
-    // [atomics] finished_senders: Release increment as each sender's last
-    // visible write, Acquire load by the supervisor so a full count means
-    // every sender's effects are visible. (Closures bind it as
-    // `finished`; same protocol.)
-    let finished_senders = AtomicU64::new(0);
-    // [atomics] interrupted_senders: Relaxed count of senders that bailed
-    // on shutdown/kill; read after the join barrier, which orders it.
-    // (Closures bind it as `interrupted`; same protocol.)
-    let interrupted_senders = AtomicU64::new(0);
-    // [atomics] killed: Release store when any thread observes the kill,
-    // Acquire load so whoever sees the flag also sees the killing state.
-    let killed = AtomicBool::new(false);
-    let start = transport.now();
-    let threads = cfg.subshards.max(1);
-    let expected_targets = gen.target_count() / u64::from(cfg.num_shards.max(1));
-
-    // The metrics registry: one counter/histogram shard per hot-path
-    // thread (the generator and the transport half of each pair) plus
-    // one for the receive loop, so every hot-path increment is an
-    // uncontended atomic add. The Monitor, the checkpoint journal, and
-    // the final summary are all consumers of this registry.
-    let metrics = ScanMetrics::new(2 * threads as usize + 1, baseline);
-    let rx = metrics.rx_shard();
-
-    // Cooperative shutdown: the caller's token if given, else an internal
-    // one so the supervisor always has something to trip.
-    let token = opts.shutdown.clone().unwrap_or_default();
-
-    // Per-sender element positions, observable by the receive loop for
-    // checkpointing without stopping the senders.
-    // [atomics] positions: Relaxed stores/loads — checkpoint snapshots
-    // tolerate slight staleness (a rewound resume re-sends, never skips).
-    let positions: Vec<AtomicU64> = (0..threads)
-        .map(|t| {
-            AtomicU64::new(
-                resume_positions
-                    .as_ref()
-                    .and_then(|p| p.get(t as usize).copied())
-                    .unwrap_or(0),
-            )
-        })
-        .collect();
-
-    let mut monitor = Monitor::new();
-
-    metrics.trace(0, "scan_start", expected_targets);
-    if journal.is_some() {
-        metrics.trace(0, "resume_rewind", baseline.resume_count);
-    }
-
-    // An initial journal before the first probe: a kill at any point
-    // after this leaves something to resume from.
-    let ckpt = opts
-        .checkpoint
-        .as_ref()
-        .map(|policy| Checkpointer::new(policy, cfg, &gen, &metrics, &logger));
-    let snapshot_positions = || -> Vec<u64> {
-        positions
-            .iter()
-            .map(|p| p.load(Ordering::Relaxed))
-            .collect()
-    };
-    if let Some(ckpt) = &ckpt {
-        ckpt.write(snapshot_positions(), 0, false);
-    }
-
-    // TX pipeline plumbing (paper §4.2, the netmap shape): one `ready`
-    // ring carrying rendered batches generator → transport and one
-    // `recycle` ring carrying drained buffers back, per pair. The
-    // recycle rings are pre-filled with every TX buffer that will ever
-    // exist, so the steady state allocates nothing.
-    let rings: Vec<(SpscRing<FrameBatch>, SpscRing<FrameBatch>)> = (0..threads)
-        .map(|_| {
-            let ready = SpscRing::with_capacity(TX_RING_DEPTH);
-            let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
-            for _ in 0..TX_RING_DEPTH {
-                recycle
-                    .try_push(FrameBatch::new(cfg.batch.max(1)))
-                    .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
-            }
-            (ready, recycle)
-        })
-        .collect();
-
-    let results = std::thread::scope(|scope| {
-        for t in 0..threads {
-            let gen = &gen;
-            let metrics = &metrics;
-            let finished = &finished_senders;
-            let interrupted = &interrupted_senders;
-            let killed = &killed;
-            let token = &token;
-            let positions = &positions;
-            let resume_positions = &resume_positions;
-            let transport = &*transport;
-            let module = &module;
-            let shard = cfg.shard;
-            let max_retries = cfg.max_retries;
-            let rate_pps = cfg.rate_pps;
-            let batch_cap = cfg.batch.max(1);
-            let (ready, recycle) = &rings[t as usize];
-            // Generator half of the pair: walks the subshard, paces,
-            // renders — and never touches the transport.
-            scope.spawn(move || {
-                // Interleaved pacing: pair t owns global schedule slots
-                // t, t+threads, t+2·threads, … so the union across all
-                // pairs is exactly the single-sender schedule and the
-                // aggregate rate is conserved — no truncated remainder,
-                // and rates below the thread count still work.
-                let mut rc = RateController::new_interleaved(
-                    0,
-                    rate_pps,
-                    u64::from(t),
-                    u64::from(threads),
-                );
-                let mut entropy: u16 = t as u16;
-                let mut it = gen.iter_shard(shard, t);
-                if let Some(pos) = resume_positions {
-                    if let Some(&p) = pos.get(t as usize) {
-                        it.fast_forward_elements(p);
-                    }
-                }
-                let mshard = t as usize;
-                // The recycle ring is pre-filled at setup, so an empty
-                // pop means the transport half already died (pre-start
-                // kill closed both rings): nothing to render.
-                let Some(mut batch) = recycle.pop() else {
-                    interrupted.fetch_add(1, Ordering::Relaxed);
-                    ready.close();
-                    return;
-                };
-                let mut dead = false;
-                loop {
-                    // Cycle boundary: the only place a generator stops —
-                    // for shutdown, a dead process, or an exhausted walk.
-                    if token.is_requested() || killed.load(Ordering::Acquire) {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let metrics = &metrics;
+                let finished = &finished_senders;
+                let interrupted = &interrupted_senders;
+                let killed = &killed;
+                let positions = &positions;
+                let (ready, recycle) = &rings[t as usize];
+                // Generator half of the pair: walks the subshard, paces,
+                // renders — and never touches the transport.
+                scope.spawn(move || {
+                    // Interleaved pacing: pair t owns global schedule
+                    // slots t, t+threads, t+2·threads, … so the union
+                    // across all pairs is exactly the single-sender
+                    // schedule and the aggregate rate is conserved — no
+                    // truncated remainder, and rates below the thread
+                    // count still work.
+                    let (base, stride) = (u64::from(t), u64::from(threads));
+                    let mut rc = RateController::new_interleaved(start, cfg.rate_pps, base, stride);
+                    let mut entropy: u16 = t as u16;
+                    let mut ip_id_entropy = || {
+                        entropy = entropy.wrapping_add(0x9E37);
+                        entropy
+                    };
+                    let mut it = scan.lane(t);
+                    // The recycle ring is pre-filled at setup, so an empty
+                    // pop means the transport half already died (pre-start
+                    // kill closed both rings): nothing to render.
+                    let Some(mut batch) = recycle.pop() else {
                         interrupted.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    let Some((ip, port)) = it.next() else {
-                        break;
+                        ready.close();
+                        return;
                     };
-                    // Virtual pacing: this probe is due at `start + due`
-                    // on the shared clock; the batched send advances the
-                    // clock through it and stamps the frame with this
-                    // pair's own due time, so the stamp is a pure
-                    // function of (seed, subshard).
-                    let due = start + rc.mark_sent();
-                    entropy = entropy.wrapping_add(0x9E37);
-                    module.render_into(
-                        ip,
-                        port,
-                        entropy,
-                        batch.reserve(due, it.elements_consumed()),
-                    );
-                    metrics.add_at(mshard, CounterId::TargetsTotal, 1);
-                    // Stamp the scheduled send time for RTT measurement.
-                    if let Ok(key) = gen.probe_key(ip, port) {
-                        metrics.note_probe(key, due);
-                    }
-                    if !batch.is_full() {
-                        continue;
-                    }
-                    // Hand the full batch to the transport thread and
-                    // take a drained buffer back. Either ring closing
-                    // means the transport thread died (kill); stop
-                    // rendering — resume re-walks from its positions.
-                    let refill = match ready.push(batch) {
-                        Ok(()) => recycle.pop(),
-                        Err(_) => None,
-                    };
-                    match refill {
-                        Some(b) => batch = b,
-                        None => {
-                            dead = true;
-                            batch = FrameBatch::new(batch_cap);
+                    let mut dead = false;
+                    loop {
+                        // Cycle boundary: the only place a generator stops
+                        // — for shutdown, a dead process, or an exhausted
+                        // walk.
+                        if opts.shutdown.as_ref().is_some_and(|s| s.is_requested())
+                            || killed.load(Ordering::Acquire)
+                        {
+                            interrupted.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
+                        let Some(target) = it.next() else {
+                            break;
+                        };
+                        metrics.add_at(t as usize, CounterId::TargetsTotal, 1);
+                        // Tagged with the walk position, which the
+                        // transport half publishes once the frame has left.
+                        let tag = it.elements_consumed();
+                        emit(scan, metrics, &mut rc, &mut batch, target, tag, &mut ip_id_entropy);
+                        if !batch.is_full() {
+                            continue;
+                        }
+                        // Hand the full batch to the transport thread and
+                        // take a drained buffer back. Either ring closing
+                        // means the transport thread died (kill); stop
+                        // rendering — resume re-walks from its positions.
+                        let refill = match ready.push(batch) {
+                            Ok(()) => recycle.pop(),
+                            Err(_) => None,
+                        };
+                        match refill {
+                            Some(b) => batch = b,
+                            None => {
+                                dead = true;
+                                batch = FrameBatch::new(cfg.batch.max(1));
+                                break;
+                            }
+                        }
                     }
-                }
-                // The final partial batch still ships: every consumed
-                // target's frame reaches the transport thread (or dies
-                // with it) before this generator reports done.
-                if !dead && !batch.is_empty() {
-                    let _ = ready.push(batch);
-                }
-                ready.close();
-            });
-            // Transport half: drains rendered batches and owns all NIC
-            // interaction plus this pair's checkpoint position — a
-            // position advances only once its batch's frames have
-            // actually left, so a checkpoint can never record a target
-            // whose frame is still queued (resume re-walks, never skips).
-            scope.spawn(move || {
-                let mshard = threads as usize + t as usize;
-                while let Some(mut batch) = ready.pop() {
-                    if flush_shared(transport, metrics, mshard, killed, max_retries, &batch) {
-                        break;
+                    // The final partial batch still ships: every consumed
+                    // target's frame reaches the transport thread (or dies
+                    // with it) before this generator reports done.
+                    if !dead && !batch.is_empty() {
+                        let _ = ready.push(batch);
                     }
-                    positions[t as usize].store(batch.tag(batch.len() - 1), Ordering::Relaxed);
-                    batch.clear();
-                    let _ = recycle.try_push(batch);
-                }
-                // Unblock a generator waiting on either ring, then
-                // report this pair's send path done.
-                ready.close();
-                recycle.close();
-                finished.fetch_add(1, Ordering::Release);
-            });
-        }
-
-        // Receive loop on this thread. It doubles as the supervisor:
-        // every poll it samples a progress signature (virtual clock,
-        // sends, sender completions, validated responses); if the
-        // signature freezes for `watchdog_poll_limit` consecutive polls,
-        // it records a stall, trips the shutdown token, and abandons the
-        // wait rather than spinning forever.
-        // Collected, not streamed: arrival order here depends on thread
-        // scheduling, and the front-ends sort the records into their
-        // canonical order once the scan is over.
-        let mut results = Vec::new();
-        let mut rx_path = RxPath::new(cfg, &gen, &module, &logger, &metrics, start, &mut results);
-        let deadline_after_done = cfg.cooldown_secs.max(1) * 1_000_000_000;
-        let mut done_at: Option<u64> = None;
-        let mut last_ckpt_at = 0u64;
-        let mut last_sig = (u64::MAX, 0u64, 0u64, 0u64);
-        let mut idle_polls = 0u64;
-        loop {
-            for (ts, frame) in transport.recv_frames() {
-                rx_path.on_frame(ts, &frame);
-            }
-            // Mirror the transport's cumulative poison-recovery count
-            // into the receive shard (this loop is its only writer).
-            metrics.store_at(rx, CounterId::LockPoisonRecoveries, transport.poison_recoveries());
-            // Stream #3: the Monitor samples the registry on the virtual
-            // clock — a pure consumer, no parallel books.
-            monitor.observe(
-                transport.now().saturating_sub(start),
-                &metrics,
-                expected_targets,
-            );
-            // A scheduled kill can land on the receive path too
-            // (mid-cooldown): stop immediately, with no further output.
-            if killed.load(Ordering::Acquire) || transport.killed() {
-                killed.store(true, Ordering::Release);
-                break;
-            }
-            // Periodic checkpoint from the sender positions, without
-            // stopping the senders.
-            if let Some(ckpt) = &ckpt {
-                let rel = transport.now().saturating_sub(start);
-                if rel.saturating_sub(last_ckpt_at) >= ckpt.policy.interval_ns {
-                    ckpt.write(snapshot_positions(), rel, false);
-                    last_ckpt_at = rel;
-                }
-            }
-            // Supervisor: progress signature check.
-            let sig = (
-                transport.now(),
-                metrics.get(CounterId::Sent),
-                finished_senders.load(Ordering::Acquire),
-                metrics.get(CounterId::ResponsesValidated),
-            );
-            if sig == last_sig {
-                idle_polls += 1;
-                if idle_polls >= opts.watchdog_poll_limit {
-                    metrics.add_at(rx, CounterId::WatchdogStalls, 1);
-                    metrics.trace(
-                        transport.now().saturating_sub(start),
-                        "watchdog_stall",
-                        idle_polls,
-                    );
-                    token.request();
-                    break;
-                }
-            } else {
-                last_sig = sig;
-                idle_polls = 0;
-            }
-            // All senders done? Drain the cooldown in virtual time, then
-            // stop. While senders run, the clock is theirs to advance —
-            // this thread only polls (yielding so they get the mutex).
-            if finished_senders.load(Ordering::Acquire) == u64::from(threads) {
-                let now = transport.now();
-                let done = *done_at.get_or_insert_with(|| {
-                    // First poll after the last sender finished: the
-                    // clock still reads the last scheduled send time (no
-                    // one else advances it until this branch does), so
-                    // these marks replay deterministically on clean runs.
-                    metrics.trace(
-                        now.saturating_sub(start),
-                        "send_phase_end",
-                        metrics.get(CounterId::Sent),
-                    );
-                    metrics.trace(now.saturating_sub(start), "cooldown_start", 0);
-                    now
+                    ready.close();
                 });
-                if now.saturating_sub(done) >= deadline_after_done {
-                    let drained = now.saturating_sub(done);
-                    metrics.record(HistId::CooldownDrain, drained);
-                    metrics.trace(now.saturating_sub(start), "cooldown_end", drained);
+                // Transport half: drains rendered batches and owns all NIC
+                // interaction plus this pair's checkpoint position — a
+                // position advances only once its batch's frames have
+                // actually left, so a checkpoint can never record a target
+                // whose frame is still queued (resume re-walks, never
+                // skips).
+                scope.spawn(move || {
+                    let mut transport = transport;
+                    let mut lane_clock = start;
+                    let (retries, shard) = (cfg.max_retries, (threads + t) as usize);
+                    while let Some(mut batch) = ready.pop() {
+                        let flushed =
+                            flush(&mut transport, &mut batch, &mut lane_clock, retries, metrics, shard);
+                        if flushed.is_err() {
+                            killed.store(true, Ordering::Release);
+                            break;
+                        }
+                        positions[t as usize].store(batch.tag(batch.len() - 1), Ordering::Relaxed);
+                        batch.clear();
+                        let _ = recycle.try_push(batch);
+                    }
+                    // Unblock a generator waiting on either ring, then
+                    // report this pair's send path done.
+                    ready.close();
+                    recycle.close();
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+
+            // The receive side on this thread. While senders run, the
+            // clock is theirs to advance — this thread only ticks
+            // (yielding so they get the mutex). A scheduled kill can land
+            // on the receive path too: stop immediately.
+            loop {
+                engine.rx_tick(&mut transport, snapshot_positions);
+                if killed.load(Ordering::Acquire) || transport.killed() {
+                    killed.store(true, Ordering::Release);
                     break;
                 }
-                transport.advance_to(now + COOLDOWN_STEP_NS);
-            } else {
+                if finished_senders.load(Ordering::Acquire) == u64::from(threads) {
+                    break;
+                }
                 std::thread::yield_now();
             }
-        }
-        results
-    });
+        });
 
-    // Final mirror of the transport's poison-recovery count (senders
-    // have quiesced; this thread is again the only writer).
-    metrics.store_at(rx, CounterId::LockPoisonRecoveries, transport.poison_recoveries());
-
-    let was_killed = killed.load(Ordering::Acquire);
-    if !was_killed {
-        // Orderly exit: mark it and write the final journal. The walk is
-        // complete only if every sender exhausted its subshard (none
-        // stopped for a shutdown request or a stall).
-        metrics.add_at(rx, CounterId::ShutdownClean, 1);
-        if let Some(ckpt) = &ckpt {
-            let complete = interrupted_senders.load(Ordering::Relaxed) == 0
-                && metrics.get(CounterId::WatchdogStalls) == baseline.watchdog_stalls;
-            ckpt.write(
-                snapshot_positions(),
-                transport.now().saturating_sub(start),
-                complete,
-            );
-        }
-        metrics.trace(
-            transport.now().saturating_sub(start),
-            "scan_complete",
-            metrics.get(CounterId::UniqueSuccesses),
-        );
-    } else {
-        metrics.trace(transport.now().saturating_sub(start), "killed", 0);
+        // Senders have quiesced: the clock reads the last scheduled send
+        // time and this thread is again its only writer, so the marks the
+        // cooldown and the exit record replay deterministically. The walk
+        // is complete only if every sender exhausted its subshard.
+        let killed = killed.load(Ordering::Acquire);
+        let exit = if killed { Exit::Killed } else { engine.cooldown(&mut transport) };
+        let interrupted = interrupted_senders.load(Ordering::Relaxed) > 0;
+        let mut summary = engine.finish(&transport, exit, interrupted, snapshot_positions());
+        summary.results = results;
+        summary
     }
-
-    let duration_ns = transport.now() - start;
-    summarize(
-        cfg,
-        gen.permutation(),
-        &metrics,
-        &monitor,
-        results,
-        was_killed,
-        duration_ns,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{CheckpointPolicy, CheckpointState};
+    use crate::log::Level;
+    use crate::shutdown::ShutdownToken;
     use std::collections::HashSet;
+    use std::net::IpAddr;
     use zmap_netsim::loss::LossModel;
-    use zmap_netsim::{ServiceModel, WorldConfig};
+    use zmap_netsim::{FaultPlan, ServiceModel, WorldConfig};
 
-    fn shared_world() -> Arc<Mutex<World>> {
+    const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
+
+    /// A lossless world where every host answers on port 80 (and RSTs
+    /// everywhere else): the ground truth of a scan is its prefix.
+    fn shared_world(faults: FaultPlan) -> Arc<Mutex<World>> {
         Arc::new(Mutex::new(World::new(WorldConfig {
             seed: 5,
             model: ServiceModel::dense(&[80]),
             loss: LossModel::NONE,
+            faults,
             ..WorldConfig::default()
         })))
     }
 
-    /// Poisons `world`'s mutex by panicking (silently) while holding it.
-    fn poison(world: &Arc<Mutex<World>>) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let w = Arc::clone(world);
-        let result = std::thread::spawn(move || {
-            let _guard = w.lock().unwrap();
-            panic!("poisoning the world lock");
-        })
-        .join();
-        std::panic::set_hook(prev);
-        assert!(result.is_err(), "the poisoning thread must panic");
-        assert!(world.is_poisoned());
+    fn dense_world(faults: FaultPlan) -> SharedSimTransport {
+        SharedSimTransport::new(shared_world(faults), SRC)
     }
 
-    #[test]
-    fn parallel_scan_covers_everything_once() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 0, 0, 0), 24);
+    /// A scan of `44.<net>.0.0/<len>` over `lanes` subshards.
+    fn prefix_cfg(net: u8, len: u8, lanes: u32, rate_pps: u64) -> ScanConfig {
+        let mut cfg = ScanConfig::new(SRC);
+        cfg.allowlist_prefix(Ipv4Addr::new(44, net, 0, 0), len);
         cfg.apply_default_blocklist = false;
-        cfg.subshards = 4;
-        cfg.rate_pps = 200_000;
+        cfg.subshards = lanes;
+        cfg.rate_pps = rate_pps;
         cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
-        assert_eq!(s.sent, 256, "4 subshards must cover the /24 exactly");
-        assert_eq!(s.unique_successes, 256);
-        let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
-        assert_eq!(distinct.len(), 256);
-        assert_eq!(s.metadata.counters.lock_poison_recoveries, 0);
-        assert_eq!(s.shutdown_clean, 1);
+        cfg
     }
 
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("zmap-parallel-ckpt");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    /// A shared transport that wedges once `healthy` batches have left:
+    /// the clock stops, later sends are swallowed, nothing more arrives
+    /// and the next delivery stays one nanosecond away — the stall the
+    /// cooldown watchdog exists to break. `u64::MAX` never wedges; 0 is a
+    /// clock frozen from the start.
+    struct Wedging {
+        inner: SharedSimTransport,
+        healthy: u64,
+        batches: AtomicU64,
+        polls: AtomicU64,
+        wedged: AtomicBool,
+    }
+
+    impl Wedging {
+        fn after(healthy: u64, faults: FaultPlan) -> Self {
+            let (batches, polls) = (AtomicU64::new(0), AtomicU64::new(0));
+            Wedging { inner: dense_world(faults), healthy, batches, polls, wedged: false.into() }
+        }
+    }
+
+    impl Transport for &Wedging {
+        fn now(&self) -> u64 {
+            (&self.inner).now()
+        }
+        fn advance_to(&mut self, t: u64) {
+            if !self.wedged.load(Ordering::SeqCst) {
+                (&self.inner).advance_to(t);
+            }
+        }
+        fn send_frame(&mut self, _frame: &[u8]) -> Result<(), SendError> {
+            unreachable!("the engine sends through send_batch")
+        }
+        fn send_batch(&mut self, batch: &FrameBatch, from: usize) -> (usize, Option<SendError>) {
+            if self.batches.load(Ordering::SeqCst) == self.healthy {
+                // Force the interleaving a mid-scan wedge is tested under:
+                // two receive polls — so one whole `rx_tick` — see the last
+                // healthy batch before the clock stops. (Threaded driver
+                // only: the inline one polls on this very thread.)
+                let seen = self.polls.load(Ordering::SeqCst);
+                while self.healthy > 0 && self.polls.load(Ordering::SeqCst) < seen + 2 {
+                    std::thread::yield_now();
+                }
+                self.wedged.store(true, Ordering::SeqCst);
+            }
+            if self.wedged.load(Ordering::SeqCst) {
+                return (batch.len() - from, None);
+            }
+            self.batches.fetch_add(1, Ordering::SeqCst);
+            (&self.inner).send_batch(batch, from)
+        }
+        fn recv_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+            match self.wedged.load(Ordering::SeqCst) {
+                true => Vec::new(),
+                false => (&self.inner).recv_frames(),
+            }
+        }
+        fn next_rx_at(&self) -> Option<u64> {
+            match self.wedged.load(Ordering::SeqCst) {
+                true => Some(self.now() + 1),
+                false => (&self.inner).next_rx_at(),
+            }
+        }
+        fn killed(&self) -> bool {
+            (&self.inner).killed()
+        }
+    }
+
+    /// Who runs the stages — name, lanes, entry point. `&T: Transport`
+    /// serves both: the inline driver owns a copy of the reference, the
+    /// threaded one borrows it.
+    type Run = fn(PreparedScan, &Wedging, RunOptions) -> ScanSummary;
+    const DRIVERS: [(&str, u32, Run); 4] = [
+        ("inline", 1, |scan, transport, opts| scan.on(transport).run_with(opts)),
+        ("threaded × 1", 1, |scan, transport, opts| scan.run(transport, opts)),
+        ("threaded × 2", 2, |scan, transport, opts| scan.run(transport, opts)),
+        ("threaded × 4", 4, |scan, transport, opts| scan.run(transport, opts)),
+    ];
+
+    /// One scenario of the cross-driver table, against a dense /24: the
+    /// netsim oracle is the whole prefix, so `found: Some(n)` demands
+    /// exactly `n` of its addresses and `None` one per probe that left.
+    struct Row {
+        name: &'static str,
+        faults: fn() -> FaultPlan,
+        /// See [`Wedging`].
+        healthy: u64,
+        tweak: fn(&mut ScanConfig),
+        /// The fault plan kills the first attempt; the expectations apply
+        /// to the resumed one (found = both attempts' union).
+        resume_after_kill: bool,
+        shutdown_requested: bool,
+        sent: Option<u64>,
+        found: Option<u64>,
+        shutdown_clean: u64,
+        watchdog_stalls: u64,
+    }
+
+    const CLEAN: Row = Row {
+        name: "clean",
+        faults: FaultPlan::none,
+        healthy: u64::MAX,
+        tweak: |_| {},
+        resume_after_kill: false,
+        shutdown_requested: false,
+        sent: Some(256),
+        found: Some(256),
+        shutdown_clean: 1,
+        watchdog_stalls: 0,
+    };
+
+    /// Each row names the per-engine tests it replaced.
+    const ROWS: [Row; 7] = [
+        // single_thread_parallel_matches_engine_coverage,
+        // parallel_scan_covers_everything_once (the four-lane driver),
+        // status_stream_reports_virtual_progress (256 probes at 100 pps
+        // span 2.5 virtual seconds of samples).
+        Row { tweak: |c| c.rate_pps = 100, ..CLEAN },
+        // threaded_rx_honors_dedup_and_failure_reporting: the world
+        // answers only on 80, so port 81 draws 256 RSTs; each is a row,
+        // and the configured 64-entry window does the dedup.
+        Row {
+            name: "failures reported through a 64-entry window",
+            tweak: |c| {
+                c.ports = vec![81];
+                c.dedup = crate::config::DedupMethod::Window(64);
+                c.report_failures = true;
+            },
+            ..CLEAN
+        },
+        // scanner::pre_requested_shutdown_is_clean_and_sends_nothing,
+        // pre_requested_shutdown_stops_senders_at_cycle_boundary.
+        Row {
+            name: "pre-requested shutdown",
+            shutdown_requested: true,
+            sent: Some(0),
+            found: Some(0),
+            ..CLEAN
+        },
+        // scanner::kill_then_resume_covers_the_whole_space,
+        // scanner::killed_scan_reports_unclean_shutdown,
+        // scanner::checkpoint_journal_is_written_and_marks_completion,
+        // parallel_kill_then_resume_covers_everything.
+        Row {
+            name: "kill, then resume",
+            faults: || FaultPlan::builder().kill_at(150).build(),
+            tweak: |c| c.rate_pps = 1_000,
+            resume_after_kill: true,
+            sent: None,
+            ..CLEAN
+        },
+        // watchdog_breaks_a_frozen_cooldown, which asserted
+        // `shutdown_clean == 1`: a stall is not an orderly exit (the
+        // reasoning is on `Engine::finish`).
+        Row {
+            name: "frozen clock",
+            healthy: 0,
+            found: Some(0),
+            shutdown_clean: 0,
+            watchdog_stalls: 1,
+            ..CLEAN
+        },
+        // New: refused sends, with a retry budget small enough that some
+        // probes are abandoned. The engines used to back off on different
+        // schedules (989 vs 986 hosts on the CI scan); the arrival times
+        // compared below pin the one schedule.
+        Row {
+            name: "30% of sends refused",
+            faults: || FaultPlan::builder().send_failures(0.3).build(),
+            tweak: |c| c.max_retries = 2,
+            sent: None,
+            found: None,
+            ..CLEAN
+        },
+        // New: the threaded engine used to drop `probes_per_target`.
+        Row {
+            name: "two probes per target",
+            tweak: |c| c.probes_per_target = 2,
+            sent: Some(512),
+            ..CLEAN
+        },
+    ];
+
     #[test]
-    fn single_thread_parallel_matches_engine_coverage() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 1, 0, 0), 26);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 1;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
-        assert_eq!(s.sent, 64);
-        assert_eq!(s.unique_successes, 64);
+    fn every_driver_runs_every_scenario_to_the_same_result() {
+        for (i, row) in ROWS.iter().enumerate() {
+            let mut agreed = None;
+            for (driver, lanes, run) in DRIVERS {
+                let at = format!("{} / {driver}", row.name);
+                let mut cfg = prefix_cfg(100 + i as u8, 24, lanes, 100_000);
+                (row.tweak)(&mut cfg);
+                let path = temp_path(&format!("table-{i}-{driver}.ckpt"));
+                let token = ShutdownToken::new();
+                if row.shutdown_requested {
+                    token.request();
+                }
+                let opts = || RunOptions {
+                    checkpoint: row
+                        .resume_after_kill
+                        .then(|| CheckpointPolicy::new(&path).with_interval_ns(10_000_000)),
+                    shutdown: Some(token.clone()),
+                    watchdog_poll_limit: 500,
+                    ..Default::default()
+                };
+                let world = Wedging::after(row.healthy, (row.faults)());
+                // scanner::logger_receives_scan_lifecycle, for every driver.
+                let log = Logger::memory(Level::Info);
+                let fresh = PreparedScan::new(cfg.clone(), log.clone()).unwrap();
+                let mut s = run(fresh, &world, opts());
+                let logged = |what| log.lines().iter().any(|(_, l)| l.starts_with(what));
+                let orderly = !row.shutdown_requested && row.watchdog_stalls == 0;
+                assert!(logged("scan configured"), "{at}");
+                assert_eq!(logged("scan complete"), orderly && !s.killed, "{at}");
+                let mut found: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
+                if row.resume_after_kill {
+                    assert!(s.killed && s.shutdown_clean == 0 && s.sent < 256, "{at}");
+                    let journal = CheckpointState::load(&path).unwrap();
+                    assert!(!journal.complete, "{at}");
+                    let resumed = PreparedScan::resume(cfg.clone(), &journal, Logger::null());
+                    let healthy_world = Wedging::after(u64::MAX, FaultPlan::none());
+                    let second = run(resumed.unwrap(), &healthy_world, opts());
+                    assert!(second.sent >= s.sent, "{at}: counters are cumulative");
+                    assert_eq!(second.resume_count, 1, "{at}");
+                    // The final journal: complete, counted, cumulative.
+                    let j2 = CheckpointState::load(&path).unwrap();
+                    assert!(j2.complete, "{at}");
+                    let j2 = j2.counters;
+                    assert_eq!(
+                        (j2.resume_count, j2.shutdown_clean, j2.sent, j2.checkpoints_written),
+                        (1, 1, second.sent, second.checkpoints_written),
+                        "{at}"
+                    );
+                    found.extend(second.results.iter().map(|r| r.saddr));
+                    s = second;
+                } else {
+                    let probes = s.targets_total * u64::from(cfg.probes_per_target);
+                    assert_eq!(s.sent + s.sendto_failures, probes, "{at}: every probe accounted");
+                }
+                let in_prefix = |ip: &IpAddr| match ip {
+                    IpAddr::V4(a) => a.octets()[..3] == [44, 100 + i as u8, 0],
+                    IpAddr::V6(_) => false,
+                };
+                assert!(found.iter().all(in_prefix), "{at}: a result outside the oracle");
+                assert_eq!(found.len() as u64, row.found.unwrap_or(s.sent), "{at}");
+                assert_eq!(s.sent, row.sent.unwrap_or(s.sent), "{at}");
+                assert_eq!(
+                    (s.shutdown_clean, s.killed, s.watchdog_stalls),
+                    (row.shutdown_clean, false, row.watchdog_stalls),
+                    "{at}"
+                );
+                assert_eq!(s.metadata.counters.lock_poison_recoveries, 0, "{at}");
+                let sent_so_far: Vec<_> = s.status.iter().map(|u| u.counters.sent).collect();
+                assert!(!sent_so_far.is_empty(), "{at}: status stream present");
+                assert!(sent_so_far.windows(2).all(|w| w[0] <= w[1]), "{at}");
+                // One lane is one schedule: the inline and the threaded
+                // driver must agree to the counter and the nanosecond (a
+                // threaded kill lands on a scheduling-dependent event, so
+                // not that row).
+                if lanes == 1 && !row.resume_after_kill {
+                    let mut arrivals: Vec<_> =
+                        s.results.iter().map(|r| (r.ts_ns, r.saddr)).collect();
+                    arrivals.sort();
+                    let books =
+                        (s.sent, s.send_retries, s.sendto_failures, s.unique_successes, arrivals);
+                    assert_eq!(*agreed.get_or_insert(books.clone()), books, "{at}");
+                }
+            }
+        }
+    }
+
+    /// A threaded run could not report a failed checkpoint write before
+    /// the logger rode on the prepared scan.
+    #[test]
+    fn threaded_run_logs_a_failed_checkpoint_write_and_continues() {
+        let log = Logger::memory(Level::Warn);
+        let scan = PreparedScan::new(prefix_cfg(20, 26, 2, 100_000), log.clone()).unwrap();
+        let opts = RunOptions {
+            checkpoint: Some(CheckpointPolicy::new(temp_path("no-such-dir").join("scan.ckpt"))),
+            ..Default::default()
+        };
+        let s = scan.run(&dense_world(FaultPlan::none()), opts);
+        assert_eq!((s.sent, s.unique_successes, s.shutdown_clean), (64, 64, 1));
+        assert_eq!(s.checkpoints_written, 0);
+        assert!(log
+            .lines()
+            .iter()
+            .any(|(lvl, l)| *lvl == Level::Warn && l.contains("checkpoint write failed")));
+    }
+
+    /// The case `Engine::finish` documents: the sends a wedged transport
+    /// swallowed still advance the lane's position, so a final journal
+    /// would resume past targets that were never probed.
+    #[test]
+    fn stalled_threaded_run_keeps_its_last_periodic_journal() {
+        let path = temp_path("stalled.ckpt");
+        let transport = Wedging::after(2, FaultPlan::none());
+        let opts = RunOptions {
+            checkpoint: Some(CheckpointPolicy::new(&path).with_interval_ns(1)),
+            watchdog_poll_limit: 500,
+            ..Default::default()
+        };
+        let scan = PreparedScan::new(prefix_cfg(21, 24, 1, 100_000), Logger::null()).unwrap();
+        let mut walk = scan.lane(0);
+        walk.nth(2 * scan.cfg.batch - 1);
+        let sent_before_the_stall = walk.elements_consumed();
+        let s = scan.run(&transport, opts);
+        assert_eq!((s.watchdog_stalls, s.shutdown_clean, s.killed), (1, 0, false));
+        assert_eq!(s.sent, 256, "the wedged transport swallowed the rest");
+        assert!(s.checkpoints_written >= 2, "the initial journal and a periodic one");
+        let journal = CheckpointState::load(&path).unwrap();
+        assert_eq!(journal.counters.checkpoints_written, s.checkpoints_written, "the last write");
+        assert!(!journal.complete);
+        assert_eq!(journal.counters.watchdog_stalls, 0, "written before the stall");
+        assert!(journal.positions[0] <= sent_before_the_stall, "{:?}", journal.positions);
     }
 
     #[test]
     fn parallel_scan_is_deterministic_in_virtual_time() {
         let run = || {
-            let world = shared_world();
-            let src = Ipv4Addr::new(192, 0, 2, 9);
-            let transport = SharedSimTransport::new(world, src);
-            let mut cfg = ScanConfig::new(src);
-            cfg.allowlist_prefix(Ipv4Addr::new(44, 2, 0, 0), 24);
-            cfg.apply_default_blocklist = false;
-            cfg.subshards = 4;
-            cfg.rate_pps = 400_000;
-            cfg.cooldown_secs = 1;
-            let mut s = run_parallel(&cfg, &transport).unwrap();
+            let transport = dense_world(FaultPlan::none());
+            let mut s = run_parallel(&prefix_cfg(2, 24, 4, 400_000), &transport).unwrap();
             // Drain order may interleave across threads; the *content*
             // (which host answered when, on the virtual clock) may not.
             s.results.sort_by_key(|r| (r.ts_ns, r.saddr, r.sport));
@@ -836,19 +751,22 @@ mod tests {
 
     #[test]
     fn poisoned_world_lock_recovers_instead_of_cascading() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(Arc::clone(&world), src);
-        poison(&world);
+        let world = shared_world(FaultPlan::none());
+        let transport = SharedSimTransport::new(Arc::clone(&world), SRC);
+        // Poison the mutex by panicking (silently) while holding it.
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let w = Arc::clone(&world);
+        let result = std::thread::spawn(move || {
+            let _guard = w.lock().unwrap();
+            panic!("poisoning the world lock");
+        })
+        .join();
+        std::panic::set_hook(prev);
+        assert!(result.is_err() && world.is_poisoned(), "the poisoning thread must panic");
 
         // The transport keeps working: attach/send/recv all recover.
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 3, 0, 0), 26);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 2;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
+        let s = run_parallel(&prefix_cfg(3, 26, 2, 100_000), &transport).unwrap();
         assert_eq!(s.sent, 64, "a poisoned lock must not lose coverage");
         assert_eq!(s.unique_successes, 64);
         let recoveries = s.metadata.counters.lock_poison_recoveries;
@@ -858,172 +776,13 @@ mod tests {
         assert!(last.counters.lock_poison_recoveries > 0);
     }
 
-    /// A transport whose virtual clock never advances: the cooldown
-    /// drain can make no progress, which is exactly the stall the
-    /// supervisor exists to break.
-    struct FrozenClockTransport;
-
-    impl SharedTransport for FrozenClockTransport {
-        fn now(&self) -> u64 {
-            0
-        }
-        fn advance_to(&self, _t: u64) {}
-        fn send_frame_at(&self, _frame: &[u8], _at_ns: u64) -> Result<(), SendError> {
-            Ok(())
-        }
-        fn recv_frames(&self) -> Vec<(u64, Vec<u8>)> {
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn watchdog_breaks_a_frozen_cooldown() {
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 5, 0, 0), 28);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 1;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        let opts = ParallelRunOptions {
-            watchdog_poll_limit: 500,
-            ..Default::default()
-        };
-        // Without the supervisor this would spin forever: the clock never
-        // reaches the cooldown deadline.
-        let s = run_parallel_with(&cfg, &FrozenClockTransport, opts).unwrap();
-        assert_eq!(s.watchdog_stalls, 1, "frozen clock must trip the supervisor");
-        assert_eq!(s.sent, 16, "sends completed; only the drain was stuck");
-        assert_eq!(s.shutdown_clean, 1, "a stall degrades the scan, not crashes it");
-        assert!(!s.killed);
-        let last = s.status.last().expect("status stream present");
-        assert_eq!(last.counters.watchdog_stalls, 0, "stall happened after the last sample");
-    }
-
-    #[test]
-    fn pre_requested_shutdown_stops_senders_at_cycle_boundary() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 7, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 2;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        let token = ShutdownToken::new();
-        token.request();
-        let s = run_parallel_with(
-            &cfg,
-            &transport,
-            ParallelRunOptions {
-                shutdown: Some(token),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(s.sent, 0, "no probe leaves after a shutdown request");
-        assert_eq!(s.shutdown_clean, 1, "interrupt is still an orderly exit");
-        assert!(!s.killed);
-    }
-
-    #[test]
-    fn parallel_kill_then_resume_covers_everything() {
-        use crate::checkpoint::CheckpointPolicy;
-        use zmap_netsim::FaultPlan;
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let dir = std::env::temp_dir().join("zmap-parallel-ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume.ckpt");
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 6, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 4;
-        cfg.rate_pps = 200_000;
-        cfg.cooldown_secs = 1;
-        let world = Arc::new(Mutex::new(World::new(WorldConfig {
-            seed: 5,
-            model: ServiceModel::dense(&[80]),
-            loss: LossModel::NONE,
-            faults: FaultPlan::builder().kill_at(300).build(),
-            ..WorldConfig::default()
-        })));
-        let transport = SharedSimTransport::new(world, src);
-        let policy = CheckpointPolicy::new(&path).with_interval_ns(100_000);
-        let opts = ParallelRunOptions {
-            checkpoint: Some(policy),
-            ..Default::default()
-        };
-        let first = run_parallel_with(&cfg, &transport, opts.clone()).unwrap();
-        assert!(first.killed, "kill at NIC event 300 lands mid-scan");
-        assert_eq!(first.shutdown_clean, 0);
-        assert!(first.checkpoints_written >= 1);
-
-        let journal = CheckpointState::load(&path).unwrap();
-        assert!(!journal.complete);
-        let transport2 = SharedSimTransport::new(shared_world(), src);
-        let second = resume_parallel(&cfg, &transport2, &journal, opts).unwrap();
-        assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
-        assert_eq!(second.shutdown_clean, 1);
-        let mut union: HashSet<_> = first.results.iter().map(|r| r.saddr).collect();
-        union.extend(second.results.iter().map(|r| r.saddr));
-        assert_eq!(union.len(), 256, "kill/resume must lose nothing");
-        // The final journal of the resumed run marks completion and
-        // carries the cumulative counters.
-        let j2 = CheckpointState::load(&path).unwrap();
-        assert!(j2.complete);
-        assert_eq!(j2.counters.resume_count, 1);
-        assert!(j2.counters.sent >= first.sent);
-    }
-
-    #[test]
-    fn resume_parallel_refuses_foreign_config() {
-        use crate::checkpoint::CheckpointPolicy;
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let dir = std::env::temp_dir().join("zmap-parallel-ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.ckpt");
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 8, 0, 0), 26);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 2;
-        cfg.rate_pps = 100_000;
-        cfg.cooldown_secs = 1;
-        let transport = SharedSimTransport::new(shared_world(), src);
-        let opts = ParallelRunOptions {
-            checkpoint: Some(CheckpointPolicy::new(&path)),
-            ..Default::default()
-        };
-        run_parallel_with(&cfg, &transport, opts).unwrap();
-        let journal = CheckpointState::load(&path).unwrap();
-        let mut other = cfg.clone();
-        other.seed = 999;
-        let transport2 = SharedSimTransport::new(shared_world(), src);
-        let err = resume_parallel(
-            &other,
-            &transport2,
-            &journal,
-            ParallelRunOptions::default(),
-        );
-        assert!(matches!(err, Err(ResumeError::Journal(_))));
-    }
-
     #[test]
     fn aggregate_rate_survives_awkward_thread_splits() {
         // 1000 pps on 7 threads: the old truncating split paced each
         // thread at 142 pps (994 aggregate). The interleaved schedule's
         // last probe of a /24 is global slot 255 → t = 255 ms exactly.
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 9, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 7;
-        cfg.rate_pps = 1000;
-        cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
+        let transport = dense_world(FaultPlan::none());
+        let s = run_parallel(&prefix_cfg(9, 24, 7, 1000), &transport).unwrap();
         assert_eq!(s.sent, 256);
         // Send phase spans [0, 255 ms]; the clock can only have been
         // pushed past that by the cooldown drain (+1 s) afterwards.
@@ -1040,16 +799,8 @@ mod tests {
     fn rates_below_the_thread_count_pace_correctly() {
         // 3 pps on 7 threads: the old `max(1)` clamp ran the scan at
         // 7 pps. 16 targets at a true 3 pps put the last send at 5 s.
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 10, 0, 0), 28);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 7;
-        cfg.rate_pps = 3;
-        cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
+        let transport = dense_world(FaultPlan::none());
+        let s = run_parallel(&prefix_cfg(10, 28, 7, 3), &transport).unwrap();
         assert_eq!(s.sent, 16);
         assert!(
             s.duration_ns >= 5_000_000_000,
@@ -1057,50 +808,5 @@ mod tests {
             s.duration_ns
         );
         assert_eq!(s.unique_successes, 16, "slow scans still cover everything");
-    }
-
-    #[test]
-    fn threaded_rx_honors_dedup_and_failure_reporting() {
-        // The world answers only on 80, so a scan of 81 draws 256 RSTs:
-        // with `report_failures` each becomes a row, and the configured
-        // 64-entry window (not a hard-coded one) does the dedup.
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(shared_world(), src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 15, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.ports = vec![81];
-        cfg.subshards = 2;
-        cfg.rate_pps = 200_000;
-        cfg.cooldown_secs = 1;
-        cfg.dedup = crate::config::DedupMethod::Window(64);
-        cfg.report_failures = true;
-        let s = run_parallel(&cfg, &transport).unwrap();
-        assert_eq!(s.unique_successes, 0);
-        assert_eq!(s.metadata.counters.unique_failures, 256);
-        assert_eq!(s.results.len(), 256, "one failure row per RST");
-        assert!(s.results.iter().all(|r| !r.success));
-        let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
-        assert_eq!(distinct.len(), 256);
-    }
-
-    #[test]
-    fn status_stream_reports_virtual_progress() {
-        let world = shared_world();
-        let src = Ipv4Addr::new(192, 0, 2, 9);
-        let transport = SharedSimTransport::new(world, src);
-        let mut cfg = ScanConfig::new(src);
-        cfg.allowlist_prefix(Ipv4Addr::new(44, 4, 0, 0), 24);
-        cfg.apply_default_blocklist = false;
-        cfg.subshards = 4;
-        cfg.rate_pps = 100; // 256 probes at 100 pps ≈ 2.5 virtual secs
-        cfg.cooldown_secs = 1;
-        let s = run_parallel(&cfg, &transport).unwrap();
-        assert!(s.status.len() >= 2, "samples: {}", s.status.len());
-        let mut prev = 0;
-        for sample in &s.status {
-            assert!(sample.counters.sent >= prev);
-            prev = sample.counters.sent;
-        }
     }
 }

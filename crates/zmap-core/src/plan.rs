@@ -1,4 +1,4 @@
-//! The address-family plan: one dispatch layer that lets both engines
+//! The address-family plan: one dispatch layer that lets the engine
 //! (sequential and threaded) drive an IPv4 cyclic-group walk or an
 //! XMap-style IPv6 per-prefix walk through the same code path.
 //!

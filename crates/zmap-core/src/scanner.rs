@@ -1,5 +1,15 @@
 //! The scan engine: target walk → paced probes → validated, deduplicated,
-//! classified results.
+//! classified results — every stage written once, in this file.
+//!
+//! A [`PreparedScan`] goes through [`emit`] (pace + render a target's
+//! probes), [`flush`] (batched send, the one retry loop),
+//! [`Engine::rx_tick`] (drain, status, periodic journal),
+//! [`Engine::cooldown`] (drain stragglers under the stall watchdog) and
+//! [`Engine::finish`] (the only exit). Two drivers decide which thread
+//! runs which stage: the **inline** one here ([`Scanner::run_into`] — a
+//! [`Scanner`] owns its transport, so the calling thread does it all) and
+//! the **threaded** one in `parallel.rs` ([`PreparedScan::run`] — the
+//! transport is borrowed and `Sync`, so each lane gets a thread pair).
 
 use crate::checkpoint::{config_digest, CheckpointPolicy, CheckpointState, JournalError};
 use crate::config::{DedupMethod, ScanConfig};
@@ -8,7 +18,7 @@ use crate::metadata::{ConfigEcho, Counters, PermutationEcho, ScanMetadata};
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::monitor::{Monitor, StatusUpdate};
 use crate::output::{RowSink, ScanResult};
-use crate::plan::{ProbeModule, ScanPlan};
+use crate::plan::{PlanIter, ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::shutdown::ShutdownToken;
 use crate::transport::{FrameBatch, Transport};
@@ -50,7 +60,7 @@ pub struct ScanSummary {
     pub checkpoints_written: u64,
     /// Times this scan has been resumed from a checkpoint journal.
     pub resume_count: u64,
-    /// Supervisor interventions (threaded engine; always 0 here).
+    /// Cooldown drains the stall watchdog abandoned.
     pub watchdog_stalls: u64,
     /// 1 when the engine exited through the orderly shutdown path.
     pub shutdown_clean: u64,
@@ -82,8 +92,13 @@ impl ScanSummary {
     }
 }
 
-/// Optional run-time machinery for [`Scanner::run_with`]. `Default` is a
-/// plain uninstrumented run.
+/// Default consecutive frozen cooldown polls before the watchdog declares
+/// a stall: far beyond any drain that is making progress, small enough to
+/// bound a genuinely frozen transport.
+pub const DEFAULT_WATCHDOG_POLL_LIMIT: u64 = 1_000_000;
+
+/// Optional run-time machinery for either driver ([`Scanner::run_with`],
+/// [`PreparedScan::run`]). `Default` is a plain uninstrumented run.
 #[derive(Debug)]
 pub struct RunOptions {
     /// Write an initial, periodic (virtual-time interval), and final
@@ -100,12 +115,13 @@ pub struct RunOptions {
     /// it, a transport whose clock stops advancing pins the drain loop
     /// forever. The supervisor converts `--watchdog-secs` into this.
     pub watchdog_poll_limit: u64,
-    /// Schedule-aligned resume: re-enter the global rate schedule at the
-    /// slot the rewound walk position corresponds to, so a replayed
-    /// probe departs at exactly the virtual time its uninterrupted twin
-    /// would have. Exact for single-subshard scans (the supervisor's
-    /// worker shape); `false` (the default) keeps the historical resume
-    /// pacing, which restarts the schedule from the transport's clock.
+    /// Schedule-aligned resume (inline driver): re-enter the global rate
+    /// schedule at the slot the rewound walk position corresponds to, so
+    /// a replayed probe departs at exactly the virtual time its
+    /// uninterrupted twin would have. Exact for single-subshard scans
+    /// (the supervisor's worker shape); `false` (the default) keeps the
+    /// historical resume pacing, which restarts the schedule from the
+    /// transport's clock.
     pub align_resume: bool,
 }
 
@@ -114,13 +130,13 @@ impl Default for RunOptions {
         RunOptions {
             checkpoint: None,
             shutdown: None,
-            watchdog_poll_limit: crate::parallel::DEFAULT_WATCHDOG_POLL_LIMIT,
+            watchdog_poll_limit: DEFAULT_WATCHDOG_POLL_LIMIT,
             align_resume: false,
         }
     }
 }
 
-/// Why [`Scanner::resume`] refused to build.
+/// Why [`PreparedScan::resume`] refused to build.
 #[derive(Debug)]
 pub enum ResumeError {
     /// The journal is damaged or does not belong to this configuration.
@@ -182,9 +198,9 @@ impl DedupState {
         match self {
             DedupState::None => true,
             // The bitmap indexes bare 32-bit addresses, so it is only
-            // selected for single-port v4 scans (enforced at assemble /
-            // plan build); feeding it a (ip, port) composite would
-            // silently truncate.
+            // selected for single-port v4 scans (enforced at plan
+            // build); feeding it a (ip, port) composite would silently
+            // truncate.
             DedupState::Bitmap(b) => {
                 let IpAddr::V4(v4) = ip else {
                     unreachable!("full-bitmap dedup is rejected for v6 plans")
@@ -196,70 +212,50 @@ impl DedupState {
     }
 }
 
-/// The scanner engine. Generic over [`Transport`].
-pub struct Scanner<T: Transport> {
-    cfg: ScanConfig,
-    transport: T,
+/// A scan that has passed every configuration check and has sent nothing
+/// yet. A front-end builds one before it touches its output files, so a
+/// rejected config leaves them alone; [`on`](Self::on) hands it an owned
+/// transport (inline driver), [`run`](Self::run) a shared one (threaded).
+pub struct PreparedScan {
+    pub(crate) cfg: ScanConfig,
+    pub(crate) plan: ScanPlan,
+    /// The per-scan packet template (paper §4.4), laid out once and
+    /// patched per probe by [`emit`].
     module: ProbeModule,
-    gen: ScanPlan,
     logger: Logger,
-    rng: StdRng,
     /// Counters carried over from the journal when resuming (so metadata
     /// reports the cumulative truth across attempts); zero for fresh runs.
-    baseline: Counters,
+    pub(crate) baseline: Counters,
     /// Per-subshard element positions to fast-forward to before sending
     /// (already rewound by the in-flight grace window); `None` fresh.
-    start_positions: Option<Vec<u64>>,
+    pub(crate) start_positions: Option<Vec<u64>>,
 }
 
-impl<T: Transport> Scanner<T> {
-    /// Validates the configuration and prepares the permutation.
-    pub fn new(cfg: ScanConfig, transport: T) -> Result<Self, BuildError> {
-        Self::with_logger(cfg, transport, Logger::null())
+impl PreparedScan {
+    /// Validates `cfg` for a fresh scan; `logger` is stream #2.
+    pub fn new(cfg: ScanConfig, logger: Logger) -> Result<Self, BuildError> {
+        Self::build(cfg, logger, None)
     }
 
-    /// Like [`new`](Self::new) with an explicit logger (stream #2).
-    pub fn with_logger(
-        cfg: ScanConfig,
-        transport: T,
-        logger: Logger,
-    ) -> Result<Self, BuildError> {
-        Self::assemble(cfg, transport, logger, None)
-    }
-
-    /// Rebuilds a scanner from a checkpoint journal: the cyclic-group walk
+    /// Validates `cfg` against a checkpoint journal: the cyclic-group walk
     /// is reconstructed from the journal's recorded parts (not re-derived
     /// from the seed), per-subshard positions are rewound by the in-flight
     /// grace window, and the journal's counters become the baseline so the
     /// resumed run's metadata is cumulative across attempts.
     ///
     /// Refuses a journal whose config digest does not match `cfg` — a
-    /// journal only resumes the exact scan that wrote it.
+    /// journal only resumes the exact scan that wrote it; one recording a
+    /// different shard of the same scan gets [`ResumeError::ShardSpec`].
     pub fn resume(
         cfg: ScanConfig,
-        transport: T,
-        journal: &CheckpointState,
-    ) -> Result<Self, ResumeError> {
-        Self::resume_with_logger(cfg, transport, journal, Logger::null())
-    }
-
-    /// Like [`resume`](Self::resume) with an explicit logger.
-    pub fn resume_with_logger(
-        cfg: ScanConfig,
-        transport: T,
         journal: &CheckpointState,
         logger: Logger,
     ) -> Result<Self, ResumeError> {
         check_shard_spec(journal, &cfg)?;
         journal.check_config(&cfg).map_err(ResumeError::Journal)?;
-        let mut scanner = Self::assemble(
-            cfg,
-            transport,
-            logger,
-            Some((journal.generator, journal.offset)),
-        )
-        .map_err(ResumeError::Build)?;
-        if scanner.gen.permutation().0 != journal.group_prime {
+        let mut scan = Self::build(cfg, logger, Some((journal.generator, journal.offset)))
+            .map_err(ResumeError::Build)?;
+        if scan.plan.permutation().0 != journal.group_prime {
             // The digest already covers the target space, so this only
             // trips on a corrupted-yet-checksum-valid journal; belt and
             // braces before walking the wrong group. For v6 the prime
@@ -269,57 +265,102 @@ impl<T: Transport> Scanner<T> {
                 "journal group prime does not match the configured target space".into(),
             )));
         }
-        let mut baseline = journal.counters;
-        baseline.resume_count += 1;
-        baseline.shutdown_clean = 0;
-        let positions = journal.rewound_positions(scanner.cfg.rate_pps);
-        scanner.logger.info(format_args!(
+        scan.baseline = journal.counters;
+        scan.baseline.resume_count += 1;
+        scan.baseline.shutdown_clean = 0;
+        let positions = journal.rewound_positions(scan.cfg.rate_pps);
+        scan.logger.info(format_args!(
             "resuming scan (attempt {}): {} probes sent so far, rewinding to positions {:?}",
-            baseline.resume_count + 1,
-            baseline.sent,
+            scan.baseline.resume_count + 1,
+            scan.baseline.sent,
             positions,
         ));
-        scanner.baseline = baseline;
-        scanner.start_positions = Some(positions);
-        Ok(scanner)
+        scan.start_positions = Some(positions);
+        Ok(scan)
     }
 
-    fn assemble(
+    fn build(
         cfg: ScanConfig,
-        transport: T,
         logger: Logger,
         cycle_parts: Option<(u64, u64)>,
     ) -> Result<Self, BuildError> {
         // In v6 mode the journaled cycle parts are ignored: the walk plan
         // is a pure function of (prefix list, ports, seed) and the resume
         // gate compares its fingerprint instead.
-        let gen = ScanPlan::build(&cfg, cycle_parts)?;
+        let plan = ScanPlan::build(&cfg, cycle_parts)?;
         let module = ProbeModule::build(&cfg)?;
-        let (prime, generator, _) = gen.permutation();
+        let (prime, generator, _) = plan.permutation();
         logger.info(format_args!(
             "scan configured: {} targets in shard {}/{}, group p={}, generator={}",
-            gen.target_count(),
+            plan.target_count(),
             cfg.shard,
             cfg.num_shards,
             prime,
             generator,
         ));
-        Ok(Scanner {
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x005E_ED1D),
+        Ok(PreparedScan {
             cfg,
-            transport,
+            plan,
             module,
-            gen,
             logger,
             baseline: Counters::default(),
             start_positions: None,
         })
     }
 
+    /// Pairs the scan with an owned transport: the inline driver.
+    pub fn on<T: Transport>(self, transport: T) -> Scanner<T> {
+        Scanner { scan: self, transport }
+    }
+
+    /// Lane `t`'s walk (subshard `t` of this shard), fast-forwarded to
+    /// its resume position.
+    pub(crate) fn lane(&self, t: u32) -> PlanIter<'_> {
+        let mut it = self.plan.iter_shard(self.cfg.shard, t);
+        if let Some(&p) = self.start_positions.as_ref().and_then(|p| p.get(t as usize)) {
+            it.fast_forward_elements(p);
+        }
+        it
+    }
+
+    /// Shard-local target count (exact only for the whole scan; for a
+    /// shard we estimate as total/shards for progress display).
+    pub(crate) fn shard_targets(&self) -> u64 {
+        self.plan.target_count() / u64::from(self.cfg.num_shards.max(1))
+    }
+}
+
+/// A [`PreparedScan`] plus an owned transport: the inline driver.
+pub struct Scanner<T: Transport> {
+    scan: PreparedScan,
+    transport: T,
+}
+
+impl<T: Transport> Scanner<T> {
+    /// Validates the configuration and prepares the permutation.
+    pub fn new(cfg: ScanConfig, transport: T) -> Result<Self, BuildError> {
+        Self::with_logger(cfg, transport, Logger::null())
+    }
+
+    /// Like [`new`](Self::new) with an explicit logger (stream #2).
+    pub fn with_logger(cfg: ScanConfig, transport: T, logger: Logger) -> Result<Self, BuildError> {
+        Ok(PreparedScan::new(cfg, logger)?.on(transport))
+    }
+
+    /// Rebuilds a scanner from a checkpoint journal (see
+    /// [`PreparedScan::resume`]).
+    pub fn resume(
+        cfg: ScanConfig,
+        transport: T,
+        journal: &CheckpointState,
+    ) -> Result<Self, ResumeError> {
+        Ok(PreparedScan::resume(cfg, journal, Logger::null())?.on(transport))
+    }
+
     /// The v4 target generator (inspectable before running); `None` in
     /// IPv6 mode — use [`plan`](Self::plan) for the family-generic view.
     pub fn generator(&self) -> Option<&TargetGenerator> {
-        match &self.gen {
+        match &self.scan.plan {
             ScanPlan::V4(gen) => Some(gen),
             ScanPlan::V6(_) => None,
         }
@@ -327,12 +368,12 @@ impl<T: Transport> Scanner<T> {
 
     /// The address-family plan (inspectable before running).
     pub fn plan(&self) -> &ScanPlan {
-        &self.gen
+        &self.scan.plan
     }
 
     /// The configuration (read-only).
     pub fn config(&self) -> &ScanConfig {
-        &self.cfg
+        &self.scan.cfg
     }
 
     /// Runs the scan to completion (send phase + cooldown) and returns
@@ -355,102 +396,61 @@ impl<T: Transport> Scanner<T> {
     /// the scan runs — and the summary's `results` stays empty. Handing in
     /// an [`OutputModule`](crate::output::OutputModule) streams the data
     /// file with no row held in memory.
+    ///
+    /// This is the inline driver: the lanes are interleaved round-robin
+    /// into one batch on the calling thread (the temporal mixing of
+    /// ZMap's concurrent send threads, deterministically; a lane that
+    /// runs dry gives up its slots), with an [`Engine::rx_tick`] after
+    /// every full flush. `max_targets`, `max_results` and `align_resume`
+    /// live here: they need one global, ordered count of targets.
     pub fn run_into(self, opts: RunOptions, rows: &mut dyn RowSink) -> ScanSummary {
-        let RunOptions {
-            checkpoint,
-            shutdown,
-            watchdog_poll_limit,
-            align_resume,
-        } = opts;
-        let Scanner {
-            cfg,
-            mut transport,
-            module,
-            gen,
-            logger,
-            mut rng,
-            baseline,
-            start_positions,
-        } = self;
+        let Scanner { scan, mut transport } = self;
+        let cfg = &scan.cfg;
         let start = transport.now();
         let mut rc = RateController::new(start, cfg.rate_pps);
-        let mut monitor = Monitor::new();
-        let metrics = ScanMetrics::new(1, baseline);
-        let mut rx = RxPath::new(&cfg, &gen, &module, &logger, &metrics, start, rows);
-        let ckpt = checkpoint
-            .as_ref()
-            .map(|policy| Checkpointer::new(policy, &cfg, &gen, &metrics, &logger));
-
-        // Shard-local target count (exact only for the whole scan; for a
-        // shard we estimate as total/shards for progress display).
-        let whole = gen.target_count();
-        let shard_targets = if cfg.max_targets > 0 {
-            cfg.max_targets
-        } else {
-            whole / u64::from(cfg.num_shards.max(1))
+        let metrics = ScanMetrics::new(1, scan.baseline);
+        let shard_targets = match cfg.max_targets {
+            0 => scan.shard_targets(),
+            cap => cap,
         };
-
-        // Interleave subshard iterators round-robin: this reproduces the
-        // temporal mixing of ZMap's concurrent send threads while staying
-        // deterministic.
-        let subshards = cfg.subshards.max(1);
-        let mut iters: Vec<_> = (0..subshards)
-            .map(|t| gen.iter_shard(cfg.shard, t))
-            .collect();
-        if let Some(positions) = &start_positions {
-            for (it, &p) in iters.iter_mut().zip(positions.iter()) {
-                it.fast_forward_elements(p);
-            }
-            if align_resume {
-                // Schedule-aligned resume: the first replayed probe must
-                // depart at the slot its uninterrupted twin occupied, not
-                // at slot 0 of a restarted schedule. Count the targets
-                // the walk accepted before each rewound position with a
-                // throwaway iterator — an accept that lands past the
-                // position is the resumed stream's first yield, so it is
-                // not counted — then skip the schedule that many slots.
-                let mut replayed = 0u64;
-                for (t, &p) in positions.iter().enumerate() {
-                    let mut probe_iter = gen.iter_shard(cfg.shard, t as u32);
-                    while probe_iter.elements_consumed() < p {
-                        if probe_iter.next().is_none() {
-                            break;
-                        }
-                        if probe_iter.elements_consumed() <= p {
-                            replayed += 1;
-                        } else {
-                            break;
-                        }
+        let mut iters: Vec<_> = (0..cfg.subshards.max(1)).map(|t| scan.lane(t)).collect();
+        if let Some(positions) = scan.start_positions.as_ref().filter(|_| opts.align_resume) {
+            // Schedule-aligned resume: the first replayed probe must
+            // depart at the slot its uninterrupted twin occupied, not
+            // at slot 0 of a restarted schedule. Count the targets
+            // the walk accepted before each rewound position with a
+            // throwaway iterator — an accept that lands past the
+            // position is the resumed stream's first yield, so it is
+            // not counted — then skip the schedule that many slots.
+            let mut replayed = 0u64;
+            for (t, &p) in positions.iter().enumerate() {
+                let mut probe_iter = scan.plan.iter_shard(cfg.shard, t as u32);
+                while probe_iter.elements_consumed() < p {
+                    if probe_iter.next().is_none() {
+                        break;
+                    }
+                    if probe_iter.elements_consumed() <= p {
+                        replayed += 1;
+                    } else {
+                        break;
                     }
                 }
-                let slots = replayed * u64::from(cfg.probes_per_target.max(1));
-                rc.fast_forward(slots);
-                metrics.trace(0, "resume_align", slots);
             }
+            let slots = replayed * u64::from(cfg.probes_per_target.max(1));
+            rc.fast_forward(slots);
+            metrics.trace(0, "resume_align", slots);
         }
+        let positions =
+            |iters: &[PlanIter<'_>]| iters.iter().map(|it| it.elements_consumed()).collect();
+        let mut engine =
+            Engine::start(&scan, &metrics, &opts, start, shard_targets, positions(&iters), rows);
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x005E_ED1D);
         let mut live: Vec<usize> = (0..iters.len()).collect();
         let mut next = 0usize;
-        let mut done = false;
+        let mut walking = true;
         let mut killed = false;
         let mut interrupted = false;
-        let mut stalled = false;
-        let mut last_ckpt_at = 0u64;
-
-        metrics.trace(0, "scan_start", shard_targets);
-        if start_positions.is_some() {
-            metrics.trace(0, "resume_rewind", baseline.resume_count);
-        }
-
-        // An initial journal before the first probe: a kill at any point
-        // after this — even probe #1 — leaves something to resume from.
-        if let Some(ckpt) = &ckpt {
-            ckpt.write(
-                iters.iter().map(|it| it.elements_consumed()).collect(),
-                0,
-                false,
-            );
-        }
-
         // The TX hot path: each probe is rendered from the per-scan
         // template straight into its slot of a reusable frame pool as it
         // is paced, and the pool is flushed through one batched transport
@@ -458,318 +458,85 @@ impl<T: Transport> Scanner<T> {
         // sendmmsg shape. After the first batch fills, the loop performs
         // zero allocations per probe.
         let mut batch = FrameBatch::new(cfg.batch.max(1));
+        let mut lane_clock = start;
         // Local mirror of the TargetsTotal counter (which includes any
         // resume baseline): the hot loop reads it once per target, and a
         // registry read walks every counter shard.
         let mut targets_total = metrics.get(CounterId::TargetsTotal);
-        'scan: while !done {
-            if shutdown.as_ref().is_some_and(|t| t.is_requested()) {
-                interrupted = true;
-                metrics.trace(
-                    transport.now().saturating_sub(start),
-                    "shutdown_requested",
-                    0,
-                );
-                logger.info(format_args!(
-                    "shutdown requested; stopping sends at cycle boundary"
-                ));
-                break 'scan;
-            }
-            if cfg.max_targets > 0 && targets_total >= cfg.max_targets {
-                break;
-            }
-            // Pick the next target, rotating across subshards.
-            let target = loop {
-                if live.is_empty() {
-                    break None;
-                }
-                next %= live.len();
-                match iters[live[next]].next() {
-                    Some(t) => {
-                        next += 1;
-                        break Some(t);
+        loop {
+            while walking && !batch.is_full() {
+                let target = if opts.shutdown.as_ref().is_some_and(|t| t.is_requested()) {
+                    interrupted = true;
+                    metrics.trace(
+                        transport.now().saturating_sub(start),
+                        "shutdown_requested",
+                        0,
+                    );
+                    scan.logger.info(format_args!(
+                        "shutdown requested; stopping sends at cycle boundary"
+                    ));
+                    None
+                } else if cfg.max_targets > 0 && targets_total >= cfg.max_targets {
+                    None
+                } else {
+                    // Pick the next target, rotating across subshards.
+                    loop {
+                        if live.is_empty() {
+                            break None;
+                        }
+                        next %= live.len();
+                        match iters[live[next]].next() {
+                            Some(t) => {
+                                next += 1;
+                                break Some(t);
+                            }
+                            None => {
+                                live.remove(next);
+                            }
+                        }
                     }
-                    None => {
-                        live.remove(next);
-                    }
-                }
-            };
-            let Some((ip, port)) = target else {
-                break;
-            };
-            metrics.add(CounterId::TargetsTotal, 1);
-            targets_total += 1;
-
-            // TX-side keys never fail — the walk only yields in-space
-            // targets — but degrade to no RTT stamp rather than panic.
-            let rtt_key = gen.probe_key(ip, port).ok();
-            for _ in 0..cfg.probes_per_target.max(1) {
-                let at = rc.mark_sent();
-                let entropy: u16 = rng.gen();
+                };
+                let Some(target) = target else {
+                    walking = false;
+                    break;
+                };
+                metrics.add(CounterId::TargetsTotal, 1);
+                targets_total += 1;
                 // Tag each frame with the target count including its own
                 // target, so a mid-batch kill can roll the count back to
                 // exactly the targets whose probes were in flight.
-                module.render_into(ip, port, entropy, batch.reserve(at, targets_total));
-                // Stamp the scheduled send time for RTT measurement;
-                // retransmits to the same target keep the first stamp.
-                if let Some(key) = rtt_key {
-                    metrics.note_probe(key, at);
-                }
+                emit(&scan, &metrics, &mut rc, &mut batch, target, targets_total, || rng.gen());
             }
-            if !batch.is_full() {
-                continue;
+            // A full batch, or whatever is still queued when the walk
+            // ends (exhausted, shard cap, max-results, or shutdown
+            // request): those targets are already counted, so their
+            // probes must still leave.
+            if batch.is_empty() {
+                break;
             }
-
-            match flush_batch(&mut transport, &batch, cfg.max_retries, &metrics) {
-                FlushStatus::Killed { targets_in_flight } => {
-                    metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
-                    killed = true;
-                    break 'scan;
-                }
-                FlushStatus::Flushed => {}
+            let flushed =
+                flush(&mut transport, &mut batch, &mut lane_clock, cfg.max_retries, &metrics, 0);
+            if let Err(targets_in_flight) = flushed {
+                metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
+                killed = true;
+                break;
             }
             batch.clear();
-
-            drain_rx(&mut transport, &mut rx);
-            monitor.observe(
-                transport.now().saturating_sub(start),
-                &metrics,
-                shard_targets * u64::from(cfg.probes_per_target.max(1)),
-            );
-
-            // Periodic snapshot on a virtual-time interval, at a cycle
-            // boundary (never mid-target, so positions are consistent).
-            if let Some(ckpt) = &ckpt {
-                let rel = transport.now().saturating_sub(start);
-                if rel.saturating_sub(last_ckpt_at) >= ckpt.policy.interval_ns {
-                    ckpt.write(
-                        iters.iter().map(|it| it.elements_consumed()).collect(),
-                        rel,
-                        false,
-                    );
-                    last_ckpt_at = rel;
-                }
+            if !walking {
+                break;
             }
-
+            engine.rx_tick(&mut transport, || positions(&iters));
             if cfg.max_results > 0 && metrics.get(CounterId::UniqueSuccesses) >= cfg.max_results
             {
-                logger.info(format_args!(
+                scan.logger.info(format_args!(
                     "max-results {} reached; entering cooldown",
                     cfg.max_results
                 ));
-                done = true;
+                walking = false;
             }
         }
-        // Flush whatever is still queued: the walk ended (exhausted, shard
-        // cap, max-results, or shutdown request) with a partial batch whose
-        // targets are already counted, so their probes must still leave.
-        if !killed && !batch.is_empty() {
-            match flush_batch(&mut transport, &batch, cfg.max_retries, &metrics) {
-                FlushStatus::Killed { targets_in_flight } => {
-                    metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
-                    killed = true;
-                }
-                FlushStatus::Flushed => {}
-            }
-            batch.clear();
-        }
-        if !killed {
-            metrics.trace(
-                transport.now().saturating_sub(start),
-                "send_phase_end",
-                metrics.get(CounterId::Sent),
-            );
-        }
-        // Cooldown: drain stragglers for cooldown_secs of virtual time.
-        // A scheduled kill can still land here — on the receive path —
-        // so poll the transport's death flag between drains.
-        if !killed {
-            let cooldown_entered = transport.now();
-            metrics.trace(cooldown_entered.saturating_sub(start), "cooldown_start", 0);
-            let cooldown_end = cooldown_entered + cfg.cooldown_secs * 1_000_000_000;
-            let mut last_drain = cooldown_entered;
-            // Drain watchdog: a transport whose clock refuses to advance
-            // (a wedged NIC thread, a stalled shared-clock peer) leaves
-            // `next_rx_at` pending forever and would pin this loop. Track
-            // a progress signature — clock, pending-RX time, RX counters —
-            // and once it freezes for `watchdog_poll_limit` consecutive
-            // polls, record the intervention and abandon the wait. The
-            // interrupted flag keeps the final journal resumable, so a
-            // supervisor can migrate the stalled attempt.
-            let mut signature = (0u64, None, 0u64);
-            let mut frozen_polls = 0u64;
-            loop {
-                if transport.killed() {
-                    killed = true;
-                    break;
-                }
-                let pending = transport.next_rx_at();
-                let rx_seen = metrics.get(CounterId::ResponsesValidated)
-                    + metrics.get(CounterId::ResponsesDiscarded)
-                    + metrics.get(CounterId::ResponsesCorrupted)
-                    + metrics.get(CounterId::DuplicatesSuppressed);
-                let sig = (transport.now(), pending, rx_seen);
-                if sig == signature {
-                    frozen_polls += 1;
-                    if frozen_polls >= watchdog_poll_limit {
-                        metrics.add(CounterId::WatchdogStalls, 1);
-                        metrics.trace(
-                            transport.now().saturating_sub(start),
-                            "watchdog_stall",
-                            frozen_polls,
-                        );
-                        logger.warn(format_args!(
-                            "drain watchdog: no progress across {frozen_polls} polls; \
-                             abandoning cooldown wait"
-                        ));
-                        stalled = true;
-                        interrupted = true;
-                        break;
-                    }
-                } else {
-                    signature = sig;
-                    frozen_polls = 0;
-                }
-                match pending {
-                    Some(t) if t <= cooldown_end => {
-                        transport.advance_to(t);
-                        drain_rx(&mut transport, &mut rx);
-                        last_drain = t;
-                    }
-                    _ => break,
-                }
-            }
-            if !killed && !stalled {
-                transport.advance_to(cooldown_end);
-                drain_rx(&mut transport, &mut rx);
-                killed = transport.killed();
-            }
-            if !killed && !stalled {
-                let drained = last_drain.saturating_sub(cooldown_entered);
-                metrics.record(HistId::CooldownDrain, drained);
-                metrics.trace(cooldown_end.saturating_sub(start), "cooldown_end", drained);
-            }
-        }
-
-        if !killed {
-            // Orderly exit: mark it, write the final journal (complete
-            // unless a shutdown token interrupted the walk), then emit
-            // the closing status sample and log line — so every stream
-            // reflects the clean shutdown. A watchdog stall is neither
-            // orderly nor journaled: the worker was wedged, its walk
-            // positions are untrustworthy (sends may have been swallowed
-            // by the stalled transport), so the last periodic journal —
-            // written while the clock still advanced — stays the resume
-            // point for a supervisor migration.
-            if !stalled {
-                metrics.add(CounterId::ShutdownClean, 1);
-            }
-            if let Some(ckpt) = ckpt.as_ref().filter(|_| !stalled) {
-                let rel = transport.now().saturating_sub(start);
-                ckpt.write(
-                    iters.iter().map(|it| it.elements_consumed()).collect(),
-                    rel,
-                    !interrupted,
-                );
-            }
-            // Final status samples covering the cooldown (so the stream
-            // ends at 100% complete — a zero-sent scan reports 100% via
-            // the zero-denominator guard, never NaN or a stuck 0%).
-            monitor.observe(
-                transport.now().saturating_sub(start),
-                &metrics,
-                metrics.get(CounterId::Sent),
-            );
-            let c = metrics.counters();
-            metrics.trace(
-                transport.now().saturating_sub(start),
-                "scan_complete",
-                c.unique_successes,
-            );
-            logger.info(format_args!(
-                "scan {}: {} sent, {} validated, {} unique successes, {:.4}% hitrate",
-                if interrupted { "interrupted (clean shutdown)" } else { "complete" },
-                c.sent,
-                c.responses_validated,
-                c.unique_successes,
-                if c.targets_total == 0 {
-                    0.0
-                } else {
-                    100.0 * c.unique_successes as f64 / c.targets_total as f64
-                }
-            ));
-        } else {
-            metrics.trace(transport.now().saturating_sub(start), "killed", 0);
-        }
-        // A killed process writes nothing more: no final checkpoint, no
-        // closing status sample, no completion log line. The summary
-        // below is what a post-mortem harness recovers, with
-        // `shutdown_clean` still 0.
-
-        let duration_ns = transport.now() - start;
-        summarize(
-            &cfg,
-            gen.permutation(),
-            &metrics,
-            &monitor,
-            Vec::new(),
-            killed,
-            duration_ns,
-        )
-    }
-}
-
-/// The one exit of both engines: folds the registry, the status samples
-/// and the collected records (none when they were streamed to a sink)
-/// into the metadata document (stream #4) and the summary.
-pub(crate) fn summarize(
-    cfg: &ScanConfig,
-    permutation: (u64, u64, u64),
-    metrics: &ScanMetrics,
-    monitor: &Monitor,
-    results: Vec<ScanResult>,
-    killed: bool,
-    duration_ns: u64,
-) -> ScanSummary {
-    let counters = metrics.counters();
-    let snapshot = metrics.snapshot();
-    let (group_prime, generator, offset) = permutation;
-    let mut metadata = ScanMetadata {
-        version: env!("CARGO_PKG_VERSION").to_string(),
-        config: ConfigEcho::from_config(cfg),
-        permutation: PermutationEcho {
-            group_prime,
-            generator,
-            offset,
-        },
-        counters,
-        duration_ns,
-        histograms: BTreeMap::new(),
-        trace: TraceSnapshot::default(),
-        inflight_overflow: 0,
-    };
-    metadata.attach_metrics(snapshot.clone());
-    ScanSummary {
-        sent: counters.sent,
-        targets_total: counters.targets_total,
-        responses_validated: counters.responses_validated,
-        responses_discarded: counters.responses_discarded,
-        duplicates_suppressed: counters.duplicates_suppressed,
-        unique_successes: counters.unique_successes,
-        unique_failures: counters.unique_failures,
-        send_retries: counters.send_retries,
-        sendto_failures: counters.sendto_failures,
-        responses_corrupted: counters.responses_corrupted,
-        checkpoints_written: counters.checkpoints_written,
-        resume_count: counters.resume_count,
-        watchdog_stalls: counters.watchdog_stalls,
-        shutdown_clean: counters.shutdown_clean,
-        killed,
-        duration_ns,
-        results,
-        status: monitor.samples().to_vec(),
-        metadata,
-        metrics: snapshot,
+        let exit = if killed { Exit::Killed } else { engine.cooldown(&mut transport) };
+        engine.finish(&transport, exit, interrupted, positions(&iters))
     }
 }
 
@@ -779,10 +546,7 @@ pub(crate) fn summarize(
 /// distinguishes "same scan, wrong slice" (everything agrees once the
 /// journal's spec is substituted into the offered config) from a truly
 /// foreign config, which falls through to the digest check.
-pub(crate) fn check_shard_spec(
-    journal: &CheckpointState,
-    cfg: &ScanConfig,
-) -> Result<(), ResumeError> {
+fn check_shard_spec(journal: &CheckpointState, cfg: &ScanConfig) -> Result<(), ResumeError> {
     let config = (cfg.shard, cfg.num_shards.max(1), cfg.subshards.max(1));
     let recorded = (journal.shard, journal.num_shards, journal.num_subshards);
     if recorded == config {
@@ -798,60 +562,187 @@ pub(crate) fn check_shard_spec(
     Ok(())
 }
 
-/// A scan's checkpoint writer: the journal identity (policy, config
-/// digest, walk parameters) and the books it reads and commits to (the
-/// metrics registry, the logger), bound once per run so the engines'
-/// checkpoint sites say only what varies — positions, time, completion.
-pub(crate) struct Checkpointer<'a> {
-    pub(crate) policy: &'a CheckpointPolicy,
-    digest: u64,
-    cfg: &'a ScanConfig,
-    /// The plan's `(prime, generator, offset)` triple; in v6 mode the
-    /// prime slot carries the walk-plan fingerprint and generator/offset
-    /// are zero (see `ScanPlan::permutation`).
-    permutation: (u64, u64, u64),
-    metrics: &'a ScanMetrics,
-    logger: &'a Logger,
-}
-
-impl<'a> Checkpointer<'a> {
-    pub(crate) fn new(
-        policy: &'a CheckpointPolicy,
-        cfg: &'a ScanConfig,
-        plan: &ScanPlan,
-        metrics: &'a ScanMetrics,
-        logger: &'a Logger,
-    ) -> Self {
-        Checkpointer {
-            policy,
-            digest: config_digest(cfg),
-            cfg,
-            permutation: plan.permutation(),
-            metrics,
-            logger,
+/// Stage 1, once per target: paces, renders and RTT-stamps the target's
+/// `probes_per_target` probes into `batch`, each tagged `tag` (the
+/// driver's bookkeeping for rolling progress back to the frames that
+/// left). `ip_id_entropy` is the driver's IP-ID stream, drawn per probe.
+#[inline]
+pub(crate) fn emit(
+    scan: &PreparedScan,
+    metrics: &ScanMetrics,
+    rc: &mut RateController,
+    batch: &mut FrameBatch,
+    (ip, port): (IpAddr, u16),
+    tag: u64,
+    mut ip_id_entropy: impl FnMut() -> u16,
+) {
+    // TX-side keys never fail — the walk only yields in-space targets —
+    // but degrade to no RTT stamp rather than panic.
+    let rtt_key = scan.plan.probe_key(ip, port).ok();
+    for _ in 0..scan.cfg.probes_per_target.max(1) {
+        let at = rc.mark_sent();
+        scan.module.render_into(ip, port, ip_id_entropy(), batch.reserve(at, tag));
+        // Stamp the scheduled send time for RTT measurement; retransmits
+        // to the same target keep the first stamp.
+        if let Some(key) = rtt_key {
+            metrics.note_probe(key, at);
         }
     }
+}
 
-    /// Snapshots the walk into the journal: the registry's counters with
-    /// this write already counted, committed to the registry — counter,
-    /// size histogram, trace event — only once the write has landed. A
-    /// failure is logged and otherwise ignored: a failed checkpoint must
-    /// never take down a live scan. The journal size stands in for write
-    /// latency because a wall-clock duration would not replay
-    /// deterministically.
-    pub(crate) fn write(&self, positions: Vec<u64>, virtual_time_ns: u64, complete: bool) {
-        let mut counters = self.metrics.counters();
+/// Stage 2: flushes a frame batch through [`Transport::send_batch`],
+/// retrying each transiently refused frame (EAGAIN) up to `max_retries`
+/// times with exponential virtual-time backoff (50 µs, then doubling —
+/// ZMap's sendto retry shape). Exhausted probes count as
+/// `sendto_failures` and are never re-queued: a single-pass scanner
+/// treats them like any other lost probe. Counters land in metrics shard
+/// `shard`, which the calling thread must own.
+///
+/// A refusal delays every frame behind it, as a blocked socket would:
+/// the backoff is written into the batch's own slot times, and
+/// `lane_clock` (when this lane's last frame left) carries it into the
+/// lane's next batch. The transport's clock, which other lanes may be
+/// advancing, is never read, so the schedule and the recorded flush
+/// latency (paced span + accrued backoff) replay identically. `Err` is a
+/// scheduled kill — never retried, no counter moves for the dead frame —
+/// and carries the tag of the frame it landed on.
+pub(crate) fn flush<T: Transport>(
+    transport: &mut T,
+    batch: &mut FrameBatch,
+    lane_clock: &mut u64,
+    max_retries: u32,
+    metrics: &ScanMetrics,
+    shard: usize,
+) -> Result<(), u64> {
+    let span = batch.span_ns();
+    batch.delay_from(0, *lane_clock);
+    let mut idx = 0usize;
+    let mut attempt = 0u32;
+    let mut backoff_total = 0u64;
+    while idx < batch.len() {
+        let (accepted, err) = transport.send_batch(batch, idx);
+        metrics.add_at(shard, CounterId::Sent, accepted as u64);
+        idx += accepted;
+        if accepted > 0 {
+            attempt = 0;
+        }
+        match err {
+            None => {}
+            Some(SendError::Killed) => return Err(batch.tag(idx)),
+            Some(_) if attempt == max_retries => {
+                metrics.add_at(shard, CounterId::SendtoFailures, 1);
+                idx += 1;
+                attempt = 0;
+            }
+            // Push the refused frame (and so the rest of the batch) out
+            // by the backoff and re-enter the batched path at it.
+            Some(_) => {
+                metrics.add_at(shard, CounterId::SendRetries, 1);
+                let backoff = 50_000u64 << attempt.min(10);
+                backoff_total += backoff;
+                attempt += 1;
+                batch.delay_from(idx, batch.frame(idx).0 + backoff);
+            }
+        }
+    }
+    *lane_clock = batch.last_at().unwrap_or(*lane_clock);
+    metrics.record_at(shard, HistId::BatchFlush, span + backoff_total);
+    Ok(())
+}
+
+/// How a run left its cooldown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// The drain ran to the cooldown deadline.
+    Orderly,
+    /// The watchdog abandoned a frozen drain.
+    Stalled,
+    /// A fault schedule killed the process.
+    Killed,
+}
+
+/// One run's receive side and books — receive path, status monitor,
+/// checkpoint journal — and the three stages that use them, run by both
+/// drivers on the calling thread over that thread's transport.
+pub(crate) struct Engine<'a> {
+    scan: &'a PreparedScan,
+    metrics: &'a ScanMetrics,
+    opts: &'a RunOptions,
+    dedup: DedupState,
+    /// The metrics shard owned by the receiving thread.
+    rx_shard: usize,
+    /// Takes the success records (plus failures when `report_failures`).
+    rows: &'a mut dyn RowSink,
+    monitor: Monitor,
+    /// Where the journal goes and the digest of the config it belongs to.
+    ckpt: Option<(&'a CheckpointPolicy, u64)>,
+    /// Scan start on the transport clock.
+    start: u64,
+    /// The status stream's progress denominator.
+    expected_probes: u64,
+    last_ckpt_at: u64,
+}
+
+impl<'a> Engine<'a> {
+    /// Opens the run's books at transport time `start`: the opening trace
+    /// marks and an initial journal (of the lanes' starting `positions`),
+    /// so a kill at any point — even probe #1 — leaves a resume point.
+    pub(crate) fn start(
+        scan: &'a PreparedScan,
+        metrics: &'a ScanMetrics,
+        opts: &'a RunOptions,
+        start: u64,
+        shard_targets: u64,
+        positions: Vec<u64>,
+        rows: &'a mut dyn RowSink,
+    ) -> Self {
+        metrics.trace(0, "scan_start", shard_targets);
+        if scan.start_positions.is_some() {
+            metrics.trace(0, "resume_rewind", scan.baseline.resume_count);
+        }
+        let engine = Engine {
+            scan,
+            metrics,
+            opts,
+            dedup: DedupState::new(scan.cfg.dedup),
+            rx_shard: metrics.rx_shard(),
+            rows,
+            monitor: Monitor::new(),
+            ckpt: opts.checkpoint.as_ref().map(|policy| (policy, config_digest(&scan.cfg))),
+            start,
+            expected_probes: shard_targets * u64::from(scan.cfg.probes_per_target.max(1)),
+            last_ckpt_at: 0,
+        };
+        engine.journal(positions, 0, false);
+        engine
+    }
+
+    /// Snapshots the walk into the journal (a no-op without a checkpoint
+    /// policy): the registry's counters with this write already counted,
+    /// committed to the registry — counter, size histogram, trace event —
+    /// only once the write has landed. A failure is logged and otherwise
+    /// ignored: a failed checkpoint must never take down a live scan.
+    /// The journal size stands in for write latency because a wall-clock
+    /// duration would not replay deterministically.
+    fn journal(&self, positions: Vec<u64>, virtual_time_ns: u64, complete: bool) {
+        let Some((policy, digest)) = self.ckpt else {
+            return;
+        };
+        let (cfg, metrics) = (&self.scan.cfg, self.metrics);
+        let mut counters = metrics.counters();
         counters.checkpoints_written += 1;
-        let (group_prime, generator, offset) = self.permutation;
+        // In v6 mode the prime slot carries the walk-plan fingerprint and
+        // generator/offset are zero (see `ScanPlan::permutation`).
+        let (group_prime, generator, offset) = self.scan.plan.permutation();
         let state = CheckpointState {
-            config_digest: self.digest,
-            seed: self.cfg.seed,
+            config_digest: digest,
+            seed: cfg.seed,
             group_prime,
             generator,
             offset,
-            shard: self.cfg.shard,
-            num_shards: self.cfg.num_shards.max(1),
-            num_subshards: self.cfg.subshards.max(1),
+            shard: cfg.shard,
+            num_shards: cfg.num_shards.max(1),
+            num_subshards: cfg.subshards.max(1),
             positions,
             dedup_high_water: counters.unique_successes + counters.unique_failures,
             virtual_time_ns,
@@ -859,157 +750,48 @@ impl<'a> Checkpointer<'a> {
             counters,
         };
         let bytes = state.to_bytes().len() as u64;
-        match state.write_atomic(&self.policy.path) {
+        match state.write_atomic(&policy.path) {
             Ok(()) => {
-                self.metrics.add(CounterId::CheckpointsWritten, 1);
-                self.metrics.record(HistId::CheckpointWrite, bytes);
-                self.metrics.trace(virtual_time_ns, "checkpoint_written", bytes);
+                metrics.add_at(self.rx_shard, CounterId::CheckpointsWritten, 1);
+                metrics.record_at(self.rx_shard, HistId::CheckpointWrite, bytes);
+                metrics.trace(virtual_time_ns, "checkpoint_written", bytes);
             }
-            Err(e) => self.logger.log(
+            Err(e) => self.scan.logger.log(
                 Level::Warn,
                 format_args!("checkpoint write failed (scan continues): {e}"),
             ),
         }
     }
-}
 
-/// What became of one batch flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushStatus {
-    /// Every frame either left the NIC or exhausted its retries.
-    Flushed,
-    /// The process is dead (scheduled crash) — stop everything, now.
-    Killed {
-        /// `targets_total` rolled back to count only the targets up to
-        /// and including the frame on which the kill landed.
-        targets_in_flight: u64,
-    },
-}
-
-/// Flushes a frame batch through [`Transport::send_batch`], retrying each
-/// transiently refused frame (EAGAIN) up to `max_retries` times with
-/// exponential virtual-time backoff (50 µs, then doubling — ZMap's sendto
-/// retry shape) before re-entering the batched path at the next frame.
-/// Exhausted probes count as `sendto_failures` and are never re-queued: a
-/// single-pass scanner treats them like any other lost probe. A
-/// [`SendError::Killed`] is never retried: the process is gone and no
-/// counter moves for the dead frame.
-fn flush_batch<T: Transport>(
-    transport: &mut T,
-    batch: &FrameBatch,
-    max_retries: u32,
-    metrics: &ScanMetrics,
-) -> FlushStatus {
-    let mut idx = 0usize;
-    // Retry backoff accumulated by this flush alone: the recorded flush
-    // latency is the batch's paced span plus this — a batch-local value
-    // that replays identically, unlike a read of a shared clock.
-    let mut backoff_total = 0u64;
-    while idx < batch.len() {
-        let (accepted, err) = transport.send_batch(batch, idx);
-        metrics.add(CounterId::Sent, accepted as u64);
-        idx += accepted;
-        match err {
-            None => break,
-            Some(SendError::Killed) => {
-                return FlushStatus::Killed {
-                    targets_in_flight: batch.tag(idx),
-                };
-            }
-            Some(_) => {
-                // Retry the refused frame alone; the rest of the batch
-                // re-enters the batched path once it goes through.
-                let (_, frame) = batch.frame(idx);
-                let mut attempt = 0u32;
-                loop {
-                    if attempt == max_retries {
-                        metrics.add(CounterId::SendtoFailures, 1);
-                        idx += 1;
-                        break;
-                    }
-                    metrics.add(CounterId::SendRetries, 1);
-                    let backoff = 50_000u64 << attempt.min(10);
-                    backoff_total += backoff;
-                    let t = transport.now() + backoff;
-                    transport.advance_to(t);
-                    attempt += 1;
-                    match transport.send_frame(frame) {
-                        Ok(()) => {
-                            metrics.add(CounterId::Sent, 1);
-                            idx += 1;
-                            break;
-                        }
-                        Err(SendError::Killed) => {
-                            return FlushStatus::Killed {
-                                targets_in_flight: batch.tag(idx),
-                            };
-                        }
-                        Err(_) => {}
-                    }
-                }
-            }
+    /// Drains the received frames through the receive path and mirrors the
+    /// transport's poison-recovery count into the receive shard; returns
+    /// how many frames there were.
+    fn drain<T: Transport>(&mut self, transport: &mut T) -> u64 {
+        let frames = transport.recv_frames();
+        for (ts, frame) in &frames {
+            self.on_frame(*ts, frame);
         }
-    }
-    metrics.record(HistId::BatchFlush, batch.span_ns() + backoff_total);
-    FlushStatus::Flushed
-}
-
-/// The receive path of one scan, shared by both engines: validate the
-/// frame, key it into the plan's dedup space, sample its RTT, dedup,
-/// classify, and hand the record to the row sink.
-pub(crate) struct RxPath<'a> {
-    plan: &'a ScanPlan,
-    module: &'a ProbeModule,
-    dedup: DedupState,
-    logger: &'a Logger,
-    metrics: &'a ScanMetrics,
-    /// The metrics shard owned by the receiving thread.
-    shard: usize,
-    report_failures: bool,
-    /// Scan start on the transport clock; record timestamps are relative.
-    start: u64,
-    /// Takes the success records (plus failures when `report_failures`).
-    rows: &'a mut dyn RowSink,
-}
-
-impl<'a> RxPath<'a> {
-    pub(crate) fn new(
-        cfg: &ScanConfig,
-        plan: &'a ScanPlan,
-        module: &'a ProbeModule,
-        logger: &'a Logger,
-        metrics: &'a ScanMetrics,
-        start: u64,
-        rows: &'a mut dyn RowSink,
-    ) -> Self {
-        RxPath {
-            plan,
-            module,
-            dedup: DedupState::new(cfg.dedup),
-            logger,
-            metrics,
-            shard: metrics.rx_shard(),
-            report_failures: cfg.report_failures,
-            start,
-            rows,
-        }
+        let recoveries = transport.poison_recoveries();
+        self.metrics.store_at(self.rx_shard, CounterId::LockPoisonRecoveries, recoveries);
+        frames.len() as u64
     }
 
-    /// Processes one received frame stamped `ts` on the transport clock.
-    pub(crate) fn on_frame(&mut self, ts: u64, frame: &[u8]) {
-        let (metrics, shard) = (self.metrics, self.shard);
-        match self.module.parse_response(frame) {
+    /// The receive path, per frame stamped `ts` on the transport clock:
+    /// validate, key, sample the RTT, dedup, classify, emit the record.
+    fn on_frame(&mut self, ts: u64, frame: &[u8]) {
+        let (scan, metrics, shard) = (self.scan, self.metrics, self.rx_shard);
+        match scan.module.parse_response(frame) {
             Ok(Some(resp)) => {
                 metrics.add_at(shard, CounterId::ResponsesValidated, 1);
                 // Map the response into the plan's dedup index space. A
                 // failure (v6 responder off its prefix's host pattern,
                 // unknown port) degrades exactly this response — counted
                 // and dropped — never the run.
-                let key = match self.plan.probe_key(resp.ip, resp.port) {
+                let key = match scan.plan.probe_key(resp.ip, resp.port) {
                     Ok(key) => key,
                     Err(e) => {
                         metrics.add_at(shard, CounterId::ResponsesDiscarded, 1);
-                        self.logger.log(
+                        scan.logger.log(
                             Level::Debug,
                             format_args!("response outside the target space: {e}"),
                         );
@@ -1030,7 +812,7 @@ impl<'a> RxPath<'a> {
                 } else {
                     metrics.add_at(shard, CounterId::UniqueFailures, 1);
                 }
-                if success || self.report_failures {
+                if success || scan.cfg.report_failures {
                     self.rows.row(&ScanResult {
                         ts_ns: ts.saturating_sub(self.start),
                         saddr: resp.ip,
@@ -1046,23 +828,205 @@ impl<'a> RxPath<'a> {
             }
             Err(zmap_wire::WireError::BadChecksum) => {
                 metrics.add_at(shard, CounterId::ResponsesCorrupted, 1);
-                self.logger
+                scan.logger
                     .log(Level::Debug, format_args!("checksum mismatch: frame dropped"));
             }
             Err(e) => {
                 metrics.add_at(shard, CounterId::ResponsesDiscarded, 1);
-                self.logger
+                scan.logger
                     .log(Level::Debug, format_args!("malformed frame: {e}"));
             }
         }
     }
-}
 
-/// Drains the transport's received frames through the receive path
-/// (send loop and cooldown alike).
-fn drain_rx<T: Transport>(transport: &mut T, rx: &mut RxPath<'_>) {
-    for (ts, frame) in transport.recv_frames() {
-        rx.on_frame(ts, &frame);
+    /// Stage 3, between flushes: drains responses, lets the monitor
+    /// sample the registry on the virtual clock (stream #3 is a pure
+    /// consumer, no parallel books), and writes the periodic journal from
+    /// `positions` — how far each lane has *sent*, never mid-target.
+    pub(crate) fn rx_tick<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        positions: impl FnOnce() -> Vec<u64>,
+    ) {
+        self.drain(transport);
+        let rel = transport.now().saturating_sub(self.start);
+        self.monitor.observe(rel, self.metrics, self.expected_probes);
+        if let Some((policy, _)) = self.ckpt {
+            if rel.saturating_sub(self.last_ckpt_at) >= policy.interval_ns {
+                self.journal(positions(), rel, false);
+                self.last_ckpt_at = rel;
+            }
+        }
+    }
+
+    /// Stage 4, once the send phase has ended without a kill: drains
+    /// stragglers for `cooldown_secs` of virtual time, jumping the clock
+    /// from one pending delivery to the next. A scheduled kill can still
+    /// land here — on the receive path — so the transport's death flag is
+    /// polled between drains.
+    ///
+    /// Drain watchdog: a transport whose clock refuses to advance (a
+    /// wedged NIC thread, a stalled shared-clock peer) leaves
+    /// `next_rx_at` pending forever and would pin this loop. Track a
+    /// progress signature — clock, pending-RX time, RX counters — and
+    /// once it freezes for `watchdog_poll_limit` consecutive polls,
+    /// record the intervention and abandon the wait.
+    pub(crate) fn cooldown<T: Transport>(&mut self, transport: &mut T) -> Exit {
+        let (metrics, start) = (self.metrics, self.start);
+        let entered = transport.now();
+        let rel = entered.saturating_sub(start);
+        metrics.trace(rel, "send_phase_end", metrics.get(CounterId::Sent));
+        metrics.trace(rel, "cooldown_start", 0);
+        let end = entered + self.scan.cfg.cooldown_secs * 1_000_000_000;
+        let mut last_drain = entered;
+        // Every frame moves one of these counters, so from here on a local
+        // count of drained frames tells "RX made progress" as they would,
+        // without walking the registry on every poll.
+        let mut rx_seen = metrics.get(CounterId::ResponsesValidated)
+            + metrics.get(CounterId::ResponsesDiscarded)
+            + metrics.get(CounterId::ResponsesCorrupted)
+            + metrics.get(CounterId::DuplicatesSuppressed);
+        let mut signature = (0u64, None, 0u64);
+        let mut frozen_polls = 0u64;
+        loop {
+            if transport.killed() {
+                return Exit::Killed;
+            }
+            let pending = transport.next_rx_at();
+            let sig = (transport.now(), pending, rx_seen);
+            if sig == signature {
+                frozen_polls += 1;
+                if frozen_polls >= self.opts.watchdog_poll_limit {
+                    metrics.add_at(self.rx_shard, CounterId::WatchdogStalls, 1);
+                    metrics.trace(
+                        transport.now().saturating_sub(start),
+                        "watchdog_stall",
+                        frozen_polls,
+                    );
+                    self.scan.logger.warn(format_args!(
+                        "drain watchdog: no progress across {frozen_polls} polls; \
+                         abandoning cooldown wait"
+                    ));
+                    return Exit::Stalled;
+                }
+            } else {
+                signature = sig;
+                frozen_polls = 0;
+            }
+            match pending {
+                Some(t) if t <= end => {
+                    transport.advance_to(t);
+                    rx_seen += self.drain(transport);
+                    last_drain = t;
+                }
+                _ => break,
+            }
+        }
+        transport.advance_to(end);
+        self.drain(transport);
+        if transport.killed() {
+            return Exit::Killed;
+        }
+        let drained = last_drain.saturating_sub(entered);
+        metrics.record_at(self.rx_shard, HistId::CooldownDrain, drained);
+        metrics.trace(end.saturating_sub(start), "cooldown_end", drained);
+        Exit::Orderly
+    }
+
+    /// Stage 5, the one exit of both drivers. Orderly exit: mark it, write
+    /// the final journal of the lanes' `positions` (complete unless a
+    /// shutdown request `interrupted` the walk), then emit the closing
+    /// status sample and log line — so every stream reflects the clean
+    /// shutdown. A watchdog stall is neither orderly nor journaled: the
+    /// worker was wedged, its walk positions are untrustworthy (sends may
+    /// have been swallowed by the stalled transport), so the last periodic
+    /// journal — written while the clock still advanced — stays the resume
+    /// point for a supervisor migration. A killed process writes nothing
+    /// more: no final checkpoint, no closing status sample, no completion
+    /// log line; its summary is what a post-mortem harness recovers, with
+    /// `shutdown_clean` still 0.
+    pub(crate) fn finish<T: Transport>(
+        mut self,
+        transport: &T,
+        exit: Exit,
+        interrupted: bool,
+        positions: Vec<u64>,
+    ) -> ScanSummary {
+        let (scan, metrics) = (self.scan, self.metrics);
+        let rel = transport.now().saturating_sub(self.start);
+        if exit == Exit::Killed {
+            metrics.trace(rel, "killed", 0);
+        } else {
+            if exit == Exit::Orderly {
+                metrics.add_at(self.rx_shard, CounterId::ShutdownClean, 1);
+                self.journal(positions, rel, !interrupted);
+            }
+            // Final status samples covering the cooldown (so the stream
+            // ends at 100% complete — a zero-sent scan reports 100% via
+            // the zero-denominator guard, never NaN or a stuck 0%).
+            self.monitor.observe(rel, metrics, metrics.get(CounterId::Sent));
+            let c = metrics.counters();
+            metrics.trace(rel, "scan_complete", c.unique_successes);
+            scan.logger.info(format_args!(
+                "scan {}: {} sent, {} validated, {} unique successes, {:.4}% hitrate",
+                if interrupted || exit == Exit::Stalled {
+                    "interrupted (clean shutdown)"
+                } else {
+                    "complete"
+                },
+                c.sent,
+                c.responses_validated,
+                c.unique_successes,
+                if c.targets_total == 0 {
+                    0.0
+                } else {
+                    100.0 * c.unique_successes as f64 / c.targets_total as f64
+                }
+            ));
+        }
+        // The registry and the status samples become the metadata
+        // document (stream #4) and the summary; the records went to the
+        // row sink (a collecting caller moves them into `results`).
+        let counters = metrics.counters();
+        let snapshot = metrics.snapshot();
+        let (group_prime, generator, offset) = scan.plan.permutation();
+        let mut metadata = ScanMetadata {
+            version: env!("CARGO_PKG_VERSION").to_string(),
+            config: ConfigEcho::from_config(&scan.cfg),
+            permutation: PermutationEcho {
+                group_prime,
+                generator,
+                offset,
+            },
+            counters,
+            duration_ns: rel,
+            histograms: BTreeMap::new(),
+            trace: TraceSnapshot::default(),
+            inflight_overflow: 0,
+        };
+        metadata.attach_metrics(snapshot.clone());
+        ScanSummary {
+            sent: counters.sent,
+            targets_total: counters.targets_total,
+            responses_validated: counters.responses_validated,
+            responses_discarded: counters.responses_discarded,
+            duplicates_suppressed: counters.duplicates_suppressed,
+            unique_successes: counters.unique_successes,
+            unique_failures: counters.unique_failures,
+            send_retries: counters.send_retries,
+            sendto_failures: counters.sendto_failures,
+            responses_corrupted: counters.responses_corrupted,
+            checkpoints_written: counters.checkpoints_written,
+            resume_count: counters.resume_count,
+            watchdog_stalls: counters.watchdog_stalls,
+            shutdown_clean: counters.shutdown_clean,
+            killed: exit == Exit::Killed,
+            duration_ns: rel,
+            results: Vec::new(),
+            status: self.monitor.samples().to_vec(),
+            metadata,
+            metrics: snapshot,
+        }
     }
 }
 
@@ -1094,13 +1058,15 @@ mod tests {
         cfg
     }
 
+    fn scan(net: &SimNet, cfg: ScanConfig) -> ScanSummary {
+        Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9))).unwrap().run()
+    }
+
     #[test]
     fn dense_scan_finds_everything() {
         let net = dense_net(&[80]);
         let cfg = base_cfg(&[80]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.sent, 256);
         assert_eq!(s.unique_successes, 256);
         assert_eq!(s.duplicates_suppressed, 0);
@@ -1122,9 +1088,7 @@ mod tests {
     fn multiport_scan_counts_targets_not_hosts() {
         let net = dense_net(&[80, 443]);
         let cfg = base_cfg(&[80, 443]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.sent, 512);
         assert_eq!(s.unique_successes, 512);
         // Results carry both ports.
@@ -1137,9 +1101,7 @@ mod tests {
         let net = dense_net(&[80]); // only 80 open
         let mut cfg = base_cfg(&[81]);
         cfg.report_failures = true;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.unique_successes, 0);
         assert_eq!(s.unique_failures, 256, "dense world RSTs on closed");
         assert_eq!(s.results.len(), 256);
@@ -1150,9 +1112,7 @@ mod tests {
     fn failures_hidden_by_default() {
         let net = dense_net(&[80]);
         let cfg = base_cfg(&[81]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert!(s.results.is_empty());
         assert_eq!(s.unique_failures, 256);
     }
@@ -1162,9 +1122,7 @@ mod tests {
         let net = dense_net(&[80]);
         let mut cfg = base_cfg(&[80]);
         cfg.max_targets = 10;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert!(s.sent <= 11, "sent {}", s.sent);
     }
 
@@ -1177,9 +1135,7 @@ mod tests {
         // batch so the cap is checked often enough to stop mid-/24.
         cfg.rate_pps = 1_000;
         cfg.batch = 8;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert!(s.unique_successes >= 5);
         assert!(s.sent < 256, "must stop before the whole /24: {}", s.sent);
     }
@@ -1201,9 +1157,7 @@ mod tests {
         let net = dense_net(&[80]);
         let mut cfg = base_cfg(&[80]);
         cfg.dedup = DedupMethod::FullBitmap;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.unique_successes, 256);
     }
 
@@ -1224,9 +1178,7 @@ mod tests {
             let net = dense_net(&[80]);
             let mut cfg = base_cfg(&[80]);
             cfg.batch = batch;
-            Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-                .unwrap()
-                .run()
+            scan(&net, cfg)
         };
         let one = run(1);
         let dflt = run(64);
@@ -1243,9 +1195,7 @@ mod tests {
         let net = dense_net(&[80]);
         let mut cfg = base_cfg(&[80]);
         cfg.probe = ProbeKind::IcmpEcho;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.sent, 256, "one echo per host regardless of ports");
         assert_eq!(s.unique_successes, 256);
         assert!(s
@@ -1259,9 +1209,7 @@ mod tests {
         let net = dense_net(&[53]);
         let mut cfg = base_cfg(&[53]);
         cfg.probe = ProbeKind::Udp(b"probe".to_vec());
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.unique_successes, 256);
         assert!(s.results.iter().all(|r| r.classification == Classification::UdpData));
     }
@@ -1279,9 +1227,7 @@ mod tests {
         let mut cfg = base_cfg(&[80]);
         cfg.rate_pps = 100_000;
         cfg.cooldown_secs = 400; // long enough for the duplicate tail
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert_eq!(s.unique_successes, 256, "dups must not inflate successes");
         assert!(
             s.duplicates_suppressed > 1000,
@@ -1361,9 +1307,7 @@ mod tests {
         cfg.rate_pps = 100_000;
         cfg.cooldown_secs = 400;
         cfg.dedup = DedupMethod::None;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         assert!(
             s.unique_successes > 1000,
             "no dedup: every duplicate counts ({})",
@@ -1377,9 +1321,7 @@ mod tests {
         let mut cfg = base_cfg(&[80]);
         cfg.rate_pps = 256; // exactly 1 second of sending for a /24
         cfg.cooldown_secs = 1;
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         // ~1 s sending + 1 s cooldown.
         assert!(s.duration_ns >= 1_900_000_000, "{}", s.duration_ns);
         assert!(s.duration_ns < 3_000_000_000, "{}", s.duration_ns);
@@ -1396,9 +1338,7 @@ mod tests {
             cfg.shard = shard;
             cfg.num_shards = 3;
             cfg.subshards = 2;
-            let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-                .unwrap()
-                .run();
+            let s = scan(&net, cfg);
             total_sent += s.sent;
             for r in &s.results {
                 assert!(all.insert((r.saddr, r.sport)), "{} duplicated", r.saddr);
@@ -1412,9 +1352,7 @@ mod tests {
     fn metadata_captures_permutation() {
         let net = dense_net(&[80]);
         let cfg = base_cfg(&[80]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let s = scan(&net, cfg);
         let json = s.metadata.to_json();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["counters"]["sent"], 256);
@@ -1428,9 +1366,7 @@ mod tests {
             let net = dense_net(&[80]);
             let mut cfg = base_cfg(&[80]);
             cfg.seed = seed;
-            Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-                .unwrap()
-                .run()
+            scan(&net, cfg)
         };
         let a = run(1);
         let b = run(1);
@@ -1448,28 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_requested_shutdown_is_clean_and_sends_nothing() {
-        let net = dense_net(&[80]);
-        let cfg = base_cfg(&[80]);
-        let token = ShutdownToken::new();
-        token.request();
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run_with(RunOptions {
-                shutdown: Some(token),
-                ..Default::default()
-            });
-        assert_eq!(s.sent, 0, "no probe leaves after a shutdown request");
-        assert_eq!(s.shutdown_clean, 1, "interrupt is still an orderly exit");
-        assert!(!s.killed);
-        // All four streams remain well-formed: metadata serializes and
-        // the status stream has its closing sample.
-        let v: serde_json::Value = serde_json::from_str(&s.metadata.to_json()).unwrap();
-        assert_eq!(v["counters"]["shutdown_clean"], 1);
-        assert!(!s.status.is_empty());
-    }
-
-    #[test]
     fn checkpointing_does_not_perturb_the_walk() {
         let net = dense_net(&[80]);
         let cfg = base_cfg(&[80]);
@@ -1481,131 +1395,28 @@ mod tests {
                 ..Default::default()
             });
         let net2 = dense_net(&[80]);
-        let p = Scanner::new(base_cfg(&[80]), net2.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
+        let p = scan(&net2, base_cfg(&[80]));
         let order = |s: &ScanSummary| s.results.iter().map(|r| r.saddr).collect::<Vec<_>>();
         assert_eq!(order(&s), order(&p), "checkpointing must not perturb the walk");
     }
 
-    #[test]
-    fn checkpoint_journal_is_written_and_marks_completion() {
-        let path = temp_journal("complete.ckpt");
-        let net = dense_net(&[80]);
-        let cfg = base_cfg(&[80]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run_with(RunOptions {
-                checkpoint: Some(CheckpointPolicy::new(&path)),
-                ..Default::default()
-            });
-        assert!(s.checkpoints_written >= 2, "initial + final at minimum");
-        let j = CheckpointState::load(&path).unwrap();
-        assert!(j.complete, "walk exhausted => journal marked complete");
-        assert_eq!(j.counters.sent, s.sent);
-        assert_eq!(j.counters.shutdown_clean, 1);
-        assert_eq!(j.counters.checkpoints_written, s.checkpoints_written);
-    }
-
-    #[test]
-    fn killed_scan_reports_unclean_shutdown() {
-        use zmap_netsim::FaultPlan;
-        let net = SimNet::new(WorldConfig {
-            model: ServiceModel::dense(&[80]),
-            loss: LossModel::NONE,
-            faults: FaultPlan::builder().kill_at(50).build(),
-            ..WorldConfig::default()
-        });
-        let s = Scanner::new(base_cfg(&[80]), net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run();
-        assert!(s.killed);
-        assert_eq!(s.shutdown_clean, 0);
-        assert!(s.sent < 256, "died mid-walk: {}", s.sent);
-    }
-
-    #[test]
-    fn kill_then_resume_covers_the_whole_space() {
-        let path = temp_journal("kill-resume.ckpt");
-        let mut cfg = base_cfg(&[80]);
-        cfg.rate_pps = 1_000; // slow enough that the grace rewind is small
-        use zmap_netsim::FaultPlan;
-        let net = SimNet::new(WorldConfig {
-            model: ServiceModel::dense(&[80]),
-            loss: LossModel::NONE,
-            faults: FaultPlan::builder().kill_at(200).build(),
-            ..WorldConfig::default()
-        });
-        let policy = CheckpointPolicy::new(&path).with_interval_ns(10_000_000);
-        let first = Scanner::new(cfg.clone(), net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run_with(RunOptions {
-                checkpoint: Some(policy.clone()),
-                ..Default::default()
-            });
-        assert!(first.killed);
-
-        let journal = CheckpointState::load(&path).unwrap();
-        assert!(!journal.complete);
-        let net2 = dense_net(&[80]);
-        let second = Scanner::resume(cfg, net2.transport(Ipv4Addr::new(192, 0, 2, 9)), &journal)
-            .unwrap()
-            .run_with(RunOptions {
-                checkpoint: Some(policy),
-                ..Default::default()
-            });
-        assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
-        assert_eq!(second.shutdown_clean, 1);
-
-        let mut union: std::collections::HashSet<_> = first
-            .results
-            .iter()
-            .map(|r| (r.saddr, r.sport))
-            .collect();
-        union.extend(second.results.iter().map(|r| (r.saddr, r.sport)));
-        assert_eq!(union.len(), 256, "kill/resume must lose nothing");
-        // Cumulative counters: the resumed metadata carries both attempts.
-        assert!(second.metadata.counters.sent >= first.sent);
-        let j2 = CheckpointState::load(&temp_journal("kill-resume.ckpt")).unwrap();
-        assert!(j2.complete);
-        assert_eq!(j2.counters.resume_count, 1);
-    }
-
-    #[test]
-    fn resume_refuses_foreign_config() {
-        let path = temp_journal("foreign.ckpt");
-        let net = dense_net(&[80]);
-        let s = Scanner::new(base_cfg(&[80]), net.transport(Ipv4Addr::new(192, 0, 2, 9)))
-            .unwrap()
-            .run_with(RunOptions {
-                checkpoint: Some(CheckpointPolicy::new(&path)),
-                ..Default::default()
-            });
-        assert_eq!(s.shutdown_clean, 1);
-        let journal = CheckpointState::load(&path).unwrap();
-        let mut other = base_cfg(&[80]);
-        other.seed = 999; // different permutation => different scan
-        let net2 = dense_net(&[80]);
-        let err = Scanner::resume(other, net2.transport(Ipv4Addr::new(192, 0, 2, 9)), &journal);
-        assert!(matches!(
-            err,
-            Err(ResumeError::Journal(JournalError::ConfigMismatch { .. }))
-        ));
-    }
-
-    /// Migrating a journal onto the wrong shard of the *same* scan is a
-    /// distinct, precisely-worded refusal — not the opaque digest
+    /// The resume gates are written once (`PreparedScan::resume`), so one
+    /// test covers what `resume_refuses_foreign_config`,
+    /// `resume_names_both_specs_on_a_shard_mismatch` and the threaded
+    /// engine's own foreign-config refusal test covered per engine. Migrating a journal onto the wrong shard of the *same* scan
+    /// is a distinct, precisely-worded refusal — not the opaque digest
     /// mismatch a foreign config gets — so a supervisor can tell a bad
     /// migration from a corrupted or unrelated journal.
     #[test]
-    fn resume_names_both_specs_on_a_shard_mismatch() {
-        let path = temp_journal("shard-mismatch.ckpt");
-        let mut cfg = base_cfg(&[80]);
-        cfg.shard = 1;
-        cfg.num_shards = 4;
+    fn resume_gates_tell_a_wrong_slice_from_a_foreign_config() {
+        let path = temp_journal("resume-gates.ckpt");
+        let sliced = |shard, seed| {
+            let mut cfg = base_cfg(&[80]);
+            (cfg.shard, cfg.num_shards, cfg.seed) = (shard, 4, seed);
+            cfg
+        };
         let net = dense_net(&[80]);
-        let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
+        let s = Scanner::new(sliced(1, 0), net.transport(Ipv4Addr::new(192, 0, 2, 9)))
             .unwrap()
             .run_with(RunOptions {
                 checkpoint: Some(CheckpointPolicy::new(&path)),
@@ -1613,58 +1424,55 @@ mod tests {
             });
         assert_eq!(s.shutdown_clean, 1);
         let journal = CheckpointState::load(&path).unwrap();
+        let resume = |cfg| PreparedScan::resume(cfg, &journal, Logger::null()).err();
+        assert!(resume(sliced(1, 0)).is_none(), "the scan that wrote it resumes");
 
         // Same scan, wrong slice: everything matches but the shard index.
-        let mut wrong_slice = base_cfg(&[80]);
-        wrong_slice.shard = 2;
-        wrong_slice.num_shards = 4;
-        let net2 = dense_net(&[80]);
-        let err = Scanner::resume(
-            wrong_slice,
-            net2.transport(Ipv4Addr::new(192, 0, 2, 9)),
-            &journal,
-        );
-        match err {
-            Err(ResumeError::ShardSpec { journal: j, config: c }) => {
-                assert_eq!(j, (1, 4, 1));
-                assert_eq!(c, (2, 4, 1));
+        match resume(sliced(2, 0)) {
+            Some(ResumeError::ShardSpec { journal: j, config: c }) => {
+                assert_eq!((j, c), ((1, 4, 1), (2, 4, 1)));
                 let msg = ResumeError::ShardSpec { journal: j, config: c }.to_string();
-                assert!(msg.contains("shard 1/4"), "{msg}");
-                assert!(msg.contains("shard 2/4"), "{msg}");
+                assert!(msg.contains("shard 1/4") && msg.contains("shard 2/4"), "{msg}");
             }
-            Err(other) => panic!("expected ShardSpec, got {other}"),
-            Ok(_) => panic!("expected ShardSpec, journal was accepted"),
+            other => panic!("expected ShardSpec, got {:?}", other.map(|e| e.to_string())),
         }
-
-        // A config that differs beyond the slice stays a digest mismatch:
-        // the distinct error must not hide a genuinely foreign journal.
-        let mut foreign = base_cfg(&[80]);
-        foreign.shard = 2;
-        foreign.num_shards = 4;
-        foreign.seed = 999;
-        let net3 = dense_net(&[80]);
-        let err = Scanner::resume(
-            foreign,
-            net3.transport(Ipv4Addr::new(192, 0, 2, 9)),
-            &journal,
-        );
-        assert!(matches!(
-            err,
-            Err(ResumeError::Journal(JournalError::ConfigMismatch { .. }))
-        ));
+        // A config that differs beyond the slice stays a digest mismatch,
+        // on the right slice or the wrong one: the distinct error must
+        // not hide a genuinely foreign journal.
+        for shard in [1, 2] {
+            assert!(matches!(
+                resume(sliced(shard, 999)),
+                Some(ResumeError::Journal(JournalError::ConfigMismatch { .. }))
+            ));
+        }
     }
 
+    /// The one retry loop: exponential backoff, and a refusal delays the
+    /// frames queued behind it — in this batch and the lane's next one.
     #[test]
-    fn logger_receives_scan_lifecycle() {
-        let net = dense_net(&[80]);
-        let cfg = base_cfg(&[80]);
-        let log = Logger::memory(Level::Debug);
-        let s = Scanner::with_logger(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)), log.clone())
-            .unwrap()
-            .run();
-        assert_eq!(s.sent, 256);
-        let lines = log.lines();
-        assert!(lines.iter().any(|(_, l)| l.contains("scan configured")));
-        assert!(lines.iter().any(|(_, l)| l.contains("scan complete")));
+    fn flush_backs_off_exponentially_and_delays_the_frames_behind() {
+        let mut t = crate::transport::LoopbackTransport::new();
+        // Send attempts 1–3 (frame 1 and its two retries) and 5–7 (frame
+        // 3 likewise) are refused; the budget is two retries.
+        t.fail_attempts = vec![1, 2, 3, 5, 6, 7];
+        let metrics = ScanMetrics::new(1, Counters::default());
+        let mut batch = FrameBatch::new(4);
+        for i in 0..4u64 {
+            batch.slot(i * 10_000, i).push(i as u8);
+        }
+        let mut lane_clock = 0;
+        flush(&mut t, &mut batch, &mut lane_clock, 2, &metrics, 0).unwrap();
+        // Frame 1 (slot 10 µs) is retried 50 µs and then 100 µs later and
+        // abandoned; frame 2 (slot 20 µs) leaves behind that backoff.
+        let sent: Vec<(u64, u8)> = t.sent.iter().map(|(at, f)| (*at, f[0])).collect();
+        assert_eq!(sent, vec![(0, 0), (160_000, 2)]);
+        let c = metrics.counters();
+        assert_eq!((c.sent, c.send_retries, c.sendto_failures), (2, 4, 2));
+        assert_eq!(lane_clock, 310_000, "the lane's next batch starts behind the backoff");
+        batch.clear();
+        batch.slot(40_000, 4).push(4);
+        flush(&mut t, &mut batch, &mut lane_clock, 2, &metrics, 0).unwrap();
+        assert_eq!(t.sent.last().map(|(at, _)| *at), Some(310_000));
     }
+
 }

@@ -46,7 +46,7 @@ use crate::log::Logger;
 use crate::metadata::Counters;
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::output::ScanResult;
-use crate::parallel::PreparedScan;
+use crate::scanner::PreparedScan;
 use fairshare::{backoff_delay_ns, FairShareLedger, GrantId};
 use serde::Serialize;
 use std::cmp::Reverse;
@@ -313,7 +313,7 @@ impl Supervisor {
         // Shake out config errors now, not on a pool worker: validate
         // the plan and probe module of the first task slice.
         let probe = task_config(&spec.cfg, 0, spec.tasks, 1);
-        if let Err(e) = PreparedScan::new(&probe) {
+        if let Err(e) = PreparedScan::new(probe, Logger::null()) {
             return Err(SupervisorError::Config(format!("job {:?}: {e}", spec.id)));
         }
         self.specs.push(spec);

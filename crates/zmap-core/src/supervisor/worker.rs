@@ -1,5 +1,5 @@
-//! One supervised worker attempt: a fresh simulated world and a
-//! sequential [`Scanner`] run on a spawned thread, with the scheduled
+//! One supervised worker attempt: a fresh simulated world and an
+//! inline-driver [`Scanner`] run on a spawned thread, with the scheduled
 //! worker fault (if any) injected around the transport.
 //!
 //! The thread boundary exists for *panic isolation*, not parallelism —

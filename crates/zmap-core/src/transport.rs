@@ -11,6 +11,8 @@
 //!
 //! * [`SimTransport`] — couples a scanner to a shared
 //!   [`zmap_netsim::World`]; time is virtual and owned by the scanner.
+//! * `&SharedSimTransport` (`parallel.rs`) — the same world behind a lock
+//!   and a shared clock, for several threads to drive at once.
 //! * [`LoopbackTransport`] — frames sent are scripted/inspected directly
 //!   (engine unit tests); send failures can be scripted per attempt.
 
@@ -28,10 +30,10 @@ use zmap_netsim::{EndpointId, SendError, World, WorldConfig};
 /// renders each probe straight into [`reserve`](Self::reserve)'s buffer
 /// with `ProbeModule::render_into`.
 ///
-/// The tag is engine-defined bookkeeping carried alongside the frame
-/// (the single-threaded engine stores its target count, the parallel
-/// engine its walk position) so a partially accepted batch can roll
-/// progress back to exactly the frames that left the NIC.
+/// The tag is driver-defined bookkeeping carried alongside the frame
+/// (the inline driver stores its target count, the threaded one its walk
+/// position) so a partially accepted batch can roll progress back to
+/// exactly the frames that left the NIC.
 pub struct FrameBatch {
     slots: Vec<(u64, u64, Vec<u8>)>,
     len: usize,
@@ -46,7 +48,7 @@ impl FrameBatch {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "batch capacity must be positive");
         FrameBatch {
-            slots: Vec::with_capacity(capacity),
+            slots: (0..capacity).map(|_| (0, 0, Vec::new())).collect(),
             len: 0,
             capacity,
         }
@@ -67,11 +69,6 @@ impl FrameBatch {
         self.len >= self.capacity
     }
 
-    /// Flush threshold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Grants the next slot's (cleared, capacity-retaining) buffer,
     /// scheduled at `at_ns` and tagged `tag`; render the frame into it.
     pub fn slot(&mut self, at_ns: u64, tag: u64) -> &mut Vec<u8> {
@@ -87,14 +84,14 @@ impl FrameBatch {
     /// before flush.
     pub fn reserve(&mut self, at_ns: u64, tag: u64) -> &mut Vec<u8> {
         if self.len == self.slots.len() {
-            self.slots.push((at_ns, tag, Vec::new()));
-        } else {
-            self.slots[self.len].0 = at_ns;
-            self.slots[self.len].1 = tag;
+            // Past the flush threshold (a multi-probe target straddling
+            // it): the only growth after construction.
+            self.slots.resize_with(self.len + 1, Default::default);
         }
-        let buf = &mut self.slots[self.len].2;
+        let slot = &mut self.slots[self.len];
+        (slot.0, slot.1) = (at_ns, tag);
         self.len += 1;
-        buf
+        &mut slot.2
     }
 
     /// Scheduled time and frame bytes of slot `i` (`i < len`).
@@ -125,6 +122,19 @@ impl FrameBatch {
         match (self.first_at(), self.last_at()) {
             (Some(a), Some(b)) => b.saturating_sub(a),
             _ => 0,
+        }
+    }
+
+    /// Postpones every frame from slot `from_idx` on that is scheduled
+    /// before `at_ns` to `at_ns` — what a refused send does to the frames
+    /// queued behind it. Slots are in paced order, so the scan stops at
+    /// the first frame already due later.
+    pub fn delay_from(&mut self, from_idx: usize, at_ns: u64) {
+        for slot in &mut self.slots[from_idx..self.len] {
+            if slot.0 >= at_ns {
+                break;
+            }
+            slot.0 = at_ns;
         }
     }
 
@@ -178,6 +188,12 @@ pub trait Transport {
     /// know it (lets the engine fast-forward through idle cooldown).
     fn next_rx_at(&self) -> Option<u64> {
         None
+    }
+
+    /// Poisoned-lock acquisitions this transport has recovered (only a
+    /// transport that shares its state behind a lock has any).
+    fn poison_recoveries(&self) -> u64 {
+        0
     }
 
     /// True once the scanning process has been declared dead by a fault

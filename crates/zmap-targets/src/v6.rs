@@ -888,23 +888,23 @@ pub enum DedupError {
     /// The address is inside `prefix` but does not invert under its host
     /// pattern (wrong OUI, stray bits, index beyond `bits=`).
     PatternMismatch {
-        /// The longest matching prefix, canonical form.
-        prefix: String,
+        /// The longest matching prefix, as `(network, length)`.
+        prefix: (Ipv6Addr, u8),
         /// The address that failed to invert.
         addr: Ipv6Addr,
     },
     /// The port is not in the scanned port list.
     UnknownPort {
-        /// The matching prefix, canonical form.
-        prefix: String,
+        /// The matching prefix, as `(network, length)`.
+        prefix: (Ipv6Addr, u8),
         /// The unexpected source port.
         port: u16,
     },
     /// The cumulative index exceeds the 64-bit dedup key space (possible
     /// only when the prefix list enumerates > 2^64 targets).
     KeyOverflow {
-        /// The matching prefix, canonical form.
-        prefix: String,
+        /// The matching prefix, as `(network, length)`.
+        prefix: (Ipv6Addr, u8),
         /// The 128-bit key that did not fit.
         key: u128,
     },
@@ -916,14 +916,14 @@ impl std::fmt::Display for DedupError {
             DedupError::NoMatchingPrefix(a) => {
                 write!(f, "{a} is outside every configured prefix")
             }
-            DedupError::PatternMismatch { prefix, addr } => {
-                write!(f, "{addr} does not match the host pattern of {prefix}")
+            DedupError::PatternMismatch { prefix: (net, len), addr } => {
+                write!(f, "{addr} does not match the host pattern of {net}/{len}")
             }
-            DedupError::UnknownPort { prefix, port } => {
-                write!(f, "port {port} (prefix {prefix}) is not in the scanned set")
+            DedupError::UnknownPort { prefix: (net, len), port } => {
+                write!(f, "port {port} (prefix {net}/{len}) is not in the scanned set")
             }
-            DedupError::KeyOverflow { prefix, key } => {
-                write!(f, "dedup key {key} for prefix {prefix} exceeds 64 bits")
+            DedupError::KeyOverflow { prefix: (net, len), key } => {
+                write!(f, "dedup key {key} for prefix {net}/{len} exceeds 64 bits")
             }
         }
     }
@@ -995,7 +995,7 @@ impl V6DedupSpace {
             .spec
             .index_of(addr)
             .ok_or_else(|| DedupError::PatternMismatch {
-                prefix: entry.spec.canonical_prefix(),
+                prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
                 addr,
             })?;
         let port_idx =
@@ -1003,12 +1003,12 @@ impl V6DedupSpace {
                 .iter()
                 .position(|&p| p == port)
                 .ok_or_else(|| DedupError::UnknownPort {
-                    prefix: entry.spec.canonical_prefix(),
+                    prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
                     port,
                 })?;
         let key = entry.base + index * self.ports.len() as u128 + port_idx as u128;
         u64::try_from(key).map_err(|_| DedupError::KeyOverflow {
-            prefix: entry.spec.canonical_prefix(),
+            prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
             key,
         })
     }
@@ -1338,7 +1338,7 @@ mod tests {
         let off_pattern: Ipv6Addr = "2001:db8:b::1234".parse().unwrap();
         match dedup.key_for(off_pattern, 80) {
             Err(DedupError::PatternMismatch { prefix, addr }) => {
-                assert_eq!(prefix, "2001:db8:b::/48");
+                assert_eq!(prefix, ("2001:db8:b::".parse().unwrap(), 48));
                 assert_eq!(addr, off_pattern);
             }
             other => panic!("expected PatternMismatch, got {other:?}"),
@@ -1346,7 +1346,7 @@ mod tests {
         let good = space.specs()[0].addr_at(1);
         match dedup.key_for(good, 8080) {
             Err(DedupError::UnknownPort { prefix, port }) => {
-                assert_eq!(prefix, "2001:db8:a::/48");
+                assert_eq!(prefix, ("2001:db8:a::".parse().unwrap(), 48));
                 assert_eq!(port, 8080);
             }
             other => panic!("expected UnknownPort, got {other:?}"),
@@ -1380,7 +1380,7 @@ mod tests {
         let high = b.addr_at(b.host_count() - 1);
         match dedup.key_for(high, 443) {
             Err(DedupError::KeyOverflow { prefix, key }) => {
-                assert_eq!(prefix, "2001:db8:b::/48");
+                assert_eq!(prefix, ("2001:db8:b::".parse().unwrap(), 48));
                 assert!(key > u128::from(u64::MAX));
             }
             other => panic!("expected KeyOverflow, got {other:?}"),

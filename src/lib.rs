@@ -41,8 +41,8 @@ pub use zmap_masscan as masscan;
 pub mod prelude {
     pub use zmap_core::{
         CheckpointPolicy, CheckpointState, Classification, DedupMethod, JournalError,
-        OutputFormat, ProbeKind, ResumeError, RunOptions, ScanConfig, ScanResult, ScanSummary,
-        Scanner, ShutdownToken, SimNet, Transport,
+        OutputFormat, PreparedScan, ProbeKind, ResumeError, RunOptions, ScanConfig, ScanResult,
+        ScanSummary, Scanner, ShutdownToken, SimNet, Transport,
     };
     pub use zmap_core::metrics::{CounterId, HistId, ScanMetrics};
     pub use zmap_core::{
