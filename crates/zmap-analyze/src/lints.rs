@@ -1177,10 +1177,15 @@ const CAPTURE_TYPES: [&str; 1] = ["LoopbackTransport"];
 /// Crates whose allocations are not hot-path findings even when
 /// reachable: the simulated network "hardware" (zmap-netsim) allocates
 /// by design — it stands in for the kernel/NIC, not for engine code.
+/// The walk also stops at a `#[cold]` fn: a container's doubling step is
+/// amortised over the items that filled it, not paid per item, and the
+/// attribute says so to the compiler as well as to this lint (growth
+/// spelled `push`/`resize` already passes for the same reason).
 fn alloc_excluded(g: &Graph, id: (usize, usize)) -> bool {
     let path = g.path(id);
     let node = g.node(id);
     node.in_test
+        || node.is_cold
         || is_tests_path(path)
         || is_examples_path(path)
         || in_frontend_crate(path)

@@ -39,6 +39,9 @@ pub struct FnItem {
     /// Whether the doc comments directly above declare a `# Panics`
     /// section (a documented panic contract).
     pub has_panics_doc: bool,
+    /// Whether the fn carries `#[cold]`: declared, to the compiler too,
+    /// off the per-item path (amortised growth, error construction).
+    pub is_cold: bool,
     /// Calls made from this fn's body (innermost attribution).
     pub calls: Vec<CallSite>,
     /// Macro invocations in this fn's body (`name!`).
@@ -177,6 +180,30 @@ fn attr_is_cfg_test(lexed: &LexedFile, start: usize, end: usize) -> bool {
     false
 }
 
+/// Token indices of the `fn` keywords that a `#[cold]` attribute applies
+/// to: the first `fn` after the attribute, before any body or `;`.
+fn cold_fns(lexed: &LexedFile) -> Vec<usize> {
+    let mut out = Vec::new();
+    for i in 0..lexed.tokens.len() {
+        let is_cold_attr = lexed.punct(i, '#')
+            && lexed.punct(i + 1, '[')
+            && lexed.ident(i + 2) == Some("cold")
+            && lexed.punct(i + 3, ']');
+        if !is_cold_attr {
+            continue;
+        }
+        let mut j = i + 4;
+        while j < lexed.tokens.len() && !lexed.punct(j, '{') && !lexed.punct(j, ';') {
+            if lexed.ident(j) == Some("fn") {
+                out.push(j);
+                break;
+            }
+            j += 1;
+        }
+    }
+    out
+}
+
 /// Token-index ranges covered by `#[cfg(test)]` items and `#[test]` fns.
 pub fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
@@ -304,6 +331,7 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
         .filter(|&k| lexed.ident(k) == Some("fn"))
         .map(|k| lexed.line(k))
         .collect();
+    let cold = cold_fns(lexed);
     let mut i = 0usize;
     while i < lexed.tokens.len() {
         if lexed.ident(i) != Some("fn") {
@@ -356,6 +384,7 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
             trait_name: enclosing.and_then(|(_, _, _, t)| t.clone()),
             in_test: in_regions(&tests, i),
             has_panics_doc,
+            is_cold: cold.contains(&i),
             calls: Vec::new(),
             macros: Vec::new(),
         });
@@ -575,6 +604,15 @@ mod tests {
         let t = p.fns.iter().find(|f| f.name == "t").unwrap();
         assert!(t.in_test);
         assert!(!t.has_panics_doc);
+    }
+
+    #[test]
+    fn cold_attribute_marks_the_next_fn_only() {
+        let src = "struct T;\nimpl T {\n #[cold]\n #[inline(never)]\n pub(crate) fn grow(&mut self) {}\n \
+                   fn insert(&mut self) {}\n}\n#[cold]\nstatic X: u8 = 0;\nfn free() {}\n";
+        let p = parse_src(src);
+        let cold: Vec<&str> = p.fns.iter().filter(|f| f.is_cold).map(|f| f.name.as_str()).collect();
+        assert_eq!(cold, vec!["grow"]);
     }
 
     #[test]

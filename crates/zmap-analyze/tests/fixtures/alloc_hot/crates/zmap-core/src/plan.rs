@@ -1,6 +1,6 @@
 //! Fixture: alloc-in-hot-path — an allocation one call-graph hop below
-//! a hot root fires; the same allocation in an unreachable fn stays
-//! quiet.
+//! a hot root fires; one in an unreachable fn, or in a reachable fn
+//! declared `#[cold]` (an amortised doubling step), stays quiet.
 
 pub struct ProbeModule {
     frame: Vec<u8>,
@@ -15,6 +15,16 @@ impl ProbeModule {
     fn patch(&self, out: &mut Vec<u8>) {
         let copy = self.frame.to_vec();
         out.extend_from_slice(&copy);
+        if out.len() == out.capacity() {
+            Self::double(out);
+        }
+    }
+
+    #[cold]
+    fn double(out: &mut Vec<u8>) {
+        let mut grown = Vec::with_capacity(out.len() * 2);
+        grown.extend_from_slice(out);
+        *out = grown;
     }
 
     pub fn label(&self) -> String {

@@ -191,8 +191,9 @@ fn alloc_in_hot_path_follows_the_call_graph() {
          the to_vec in V4's ICMP arm and the one in the generic TCP arm fire; Vec::with_capacity in \
          OutputModule::new and Constraint::finalize, the format! in `label`, the \
          owned banner of `parse_banner` (all unreachable from a root: decode's bare \
-         `finalize(…)` is the free fn, not the method), the borrowing UDP arm and \
-         the flat Constraint::is_allowed stay quiet"
+         `finalize(…)` is the free fn, not the method), the `#[cold]` doubling step \
+         below `patch`, the borrowing UDP arm and the flat Constraint::is_allowed \
+         stay quiet"
     );
     assert!(
         f[0].message.contains("`to_string` allocates")

@@ -30,9 +30,9 @@ pub struct ScanMetadata {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Bounded trace of scan lifecycle events, sorted by virtual time.
     pub trace: TraceSnapshot,
-    /// RTT samples lost to in-flight tracker capacity (nonzero marks the
-    /// `probe_rtt_ns` histogram as a lower bound).
-    pub inflight_overflow: u64,
+    /// `probe_rtt_ns` samples one probe in this many, chosen by a fixed
+    /// hash of the target.
+    pub rtt_sample_one_in: u64,
 }
 
 /// The serializable subset of [`ScanConfig`]. `Serialize` is written by
@@ -256,11 +256,11 @@ impl ScanMetadata {
     }
 
     /// Folds a registry snapshot into the metadata's `histograms`,
-    /// `trace`, and `inflight_overflow` sections.
+    /// `trace`, and `rtt_sample_one_in` sections.
     pub fn attach_metrics(&mut self, snap: MetricsSnapshot) {
         self.histograms = snap.histograms;
         self.trace = snap.trace;
-        self.inflight_overflow = snap.inflight_overflow;
+        self.rtt_sample_one_in = snap.rtt_sample_one_in;
     }
 }
 
@@ -323,13 +323,16 @@ mod tests {
             duration_ns: 5_000_000_000,
             histograms: BTreeMap::new(),
             trace: TraceSnapshot::default(),
-            inflight_overflow: 0,
+            rtt_sample_one_in: 0,
         };
         let mut rtt = zmap_metrics::Log2Histogram::new();
         rtt.record(50_000);
         rtt.record(75_000);
         let mut md = md;
-        let mut snap = MetricsSnapshot::default();
+        let mut snap = MetricsSnapshot {
+            rtt_sample_one_in: 64,
+            ..MetricsSnapshot::default()
+        };
         snap.histograms.insert("probe_rtt_ns".into(), rtt.snapshot());
         snap.trace.events.push(zmap_metrics::TraceEventSnapshot {
             t_ns: 0,
@@ -359,7 +362,7 @@ mod tests {
         assert!(v["version"].as_str().unwrap().contains('.'));
         assert_eq!(v["histograms"]["probe_rtt_ns"]["count"], 2);
         assert_eq!(v["trace"]["events"][0]["kind"], "scan_start");
-        assert_eq!(v["inflight_overflow"], 0);
+        assert_eq!(v["rtt_sample_one_in"], 64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The scan-wide metrics registry: the engine's single store for
-//! counters, latency histograms, the event trace, and the probe
-//! in-flight tracker that turns response arrivals into RTT samples.
+//! counters, latency histograms, the event trace, and the sampled send
+//! stamps that turn response arrivals into RTT samples.
 //!
 //! Both drivers create one [`ScanMetrics`] per run and route *every*
 //! counter increment through it (the [`Monitor`](crate::monitor::Monitor)
@@ -16,9 +16,8 @@
 
 use crate::metadata::Counters;
 pub use crate::metadata::{CounterId, COUNTER_WIDTH};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use zmap_dedup::FifoMap;
 use zmap_metrics::{CounterBank, MetricsSnapshot, SharedHistogram, TraceRing};
 
 /// The engine latency histograms.
@@ -48,88 +47,22 @@ const HIST_NAMES: [&str; 5] = [
     "restart_backoff_ns",
 ];
 
-/// Splitmix64 finalizer for the tracker maps. The keys are already
-/// well-mixed `target_key` packings, and `note`/`take` run once per
-/// probe on the TX hot path — std's default SipHash costs more there
-/// than the map operation itself. Not DoS-resistant, which is fine:
-/// keys come from the scan's own permutation, not from the network.
-#[derive(Clone, Copy, Default)]
-struct KeyHasher(u64);
+/// One probe in this many is RTT-sampled (stated in the metadata).
+pub const RTT_SAMPLE_ONE_IN: u64 = 64;
 
-impl std::hash::Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Sampled stamps remembered: the newest 2^16, i.e. the last ~4.2 M
+/// probes — 0.42 s of round trip at 10 Mpps, 2.8 s at 1.488 Mpps. A
+/// stamp nobody answers ages out instead of filling the map.
+const RTT_HORIZON: usize = 1 << 16;
 
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let mut z = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-type KeyMap = HashMap<u64, u64, std::hash::BuildHasherDefault<KeyHasher>>;
-
-/// In-flight probe tracker: `target key → scheduled send time`, sharded
-/// by key hash so sender inserts and receive-loop takes contend only
-/// within a shard. Bounded: a full shard drops new inserts (counted), so
-/// memory never exceeds `SHARDS × PER_SHARD_CAP` entries even if nothing
-/// ever answers.
-struct InflightClock {
-    shards: Vec<Mutex<KeyMap>>,
-    // [atomics] overflow: Relaxed counter of dropped inserts; summed at
-    // snapshot time after the scan quiesces, so no ordering is needed.
-    overflow: AtomicU64,
-}
-
-const INFLIGHT_SHARDS: usize = 16;
-const INFLIGHT_PER_SHARD_CAP: usize = 1 << 16;
-
-impl InflightClock {
-    fn new() -> Self {
-        InflightClock {
-            shards: (0..INFLIGHT_SHARDS).map(|_| Mutex::new(KeyMap::default())).collect(),
-            overflow: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<KeyMap> {
-        // Multiplicative hash spreads the (ip, port) packing across
-        // shards; the low bits of raw keys are port bits and cluster.
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
-        &self.shards[(h as usize) % INFLIGHT_SHARDS]
-    }
-
-    /// Records `key`'s first scheduled send time (later probes to the
-    /// same target keep the first stamp).
-    fn note(&self, key: u64, t_ns: u64) {
-        let mut g = self.shard(key).lock().unwrap_or_else(|p| p.into_inner());
-        if g.len() < INFLIGHT_PER_SHARD_CAP {
-            // Common case: one probe → one lookup on the TX hot path.
-            g.entry(key).or_insert(t_ns);
-        } else if !g.contains_key(&key) {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-        }
-        // At cap with the key present: first stamp wins, nothing to do.
-    }
-
-    /// Takes `key`'s send time; the first response wins, duplicates get
-    /// `None`.
-    fn take(&self, key: u64) -> Option<u64> {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&key)
-    }
+/// Whether the probe to `key` carries an RTT sample: a pure function of
+/// the key, so the sender and the receive loop agree with no shared
+/// per-target state, and 63 probes in 64 touch nothing. The multiplier
+/// is not `KeyTable`'s (2^64 / φ): sampling on that product's top bits
+/// would home every sampled key in the first 64th of the stamp table.
+#[inline]
+pub fn rtt_sampled(key: u64) -> bool {
+    key.wrapping_mul(0xBF58_476D_1CE4_E5B9) <= u64::MAX / RTT_SAMPLE_ONE_IN
 }
 
 /// The per-scan metrics registry. Shareable across threads by reference
@@ -141,7 +74,9 @@ pub struct ScanMetrics {
     bank: CounterBank,
     hists: [SharedHistogram; 5],
     trace: TraceRing,
-    inflight: InflightClock,
+    /// Sampled probes' scheduled send times, `target key → t_ns`. One
+    /// lock for both drivers: it is taken for one probe in 64.
+    rtt_stamps: Mutex<FifoMap>,
 }
 
 /// Retained trace events. Generous for real scans (tens of events);
@@ -165,7 +100,7 @@ impl ScanMetrics {
                 SharedHistogram::new(shards),
             ],
             trace: TraceRing::new(TRACE_CAP),
-            inflight: InflightClock::new(),
+            rtt_stamps: Mutex::new(FifoMap::new(RTT_HORIZON)),
         }
     }
 
@@ -241,30 +176,43 @@ impl ScanMetrics {
         self.trace.push(t_ns, kind, detail);
     }
 
-    /// Stamps a probe's scheduled send time for RTT tracking. `key` is
-    /// the `zmap_dedup::target_key` packing of `(ip, port)`.
-    #[inline]
-    pub fn note_probe(&self, key: u64, t_ns: u64) {
-        self.inflight.note(key, t_ns);
+    fn rtt_stamps(&self) -> std::sync::MutexGuard<'_, FifoMap> {
+        // Every FifoMap update leaves it usable, so a poisoned lock is
+        // recovered, as the transport's is.
+        self.rtt_stamps.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Resolves a validated response against the in-flight tracker and
-    /// records the RTT into `shard`. Duplicate responses find nothing
-    /// and record nothing.
+    /// Stamps a sampled probe's scheduled send time ([`rtt_sampled`]);
+    /// later probes to the same target keep the first stamp. `key` is
+    /// the plan's dedup key (`zmap_dedup::target_key` on IPv4).
+    #[inline]
+    pub fn note_probe(&self, key: u64, t_ns: u64) {
+        if rtt_sampled(key) {
+            self.rtt_stamps().try_insert(key, t_ns);
+        }
+    }
+
+    /// Resolves a validated response against the sampled stamps and
+    /// records the RTT into `shard`. The first response takes the stamp;
+    /// duplicates, unsampled targets and stamps that aged out find
+    /// nothing and record nothing.
     #[inline]
     pub fn record_rtt(&self, shard: usize, key: u64, arrival_ns: u64) {
-        if let Some(sent_at) = self.inflight.take(key) {
+        if !rtt_sampled(key) {
+            return;
+        }
+        if let Some(sent_at) = self.rtt_stamps().take(key) {
             self.hists[HistId::ProbeRtt as usize]
                 .record(shard, arrival_ns.saturating_sub(sent_at));
         }
     }
 
     /// The full serializable dump: histograms by name, sorted trace, and
-    /// the in-flight overflow count.
+    /// the RTT sampling rate.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             trace: self.trace.snapshot(),
-            inflight_overflow: self.inflight.overflow.load(Ordering::Relaxed),
+            rtt_sample_one_in: RTT_SAMPLE_ONE_IN,
             ..MetricsSnapshot::default()
         };
         for (i, name) in HIST_NAMES.iter().enumerate() {
@@ -319,18 +267,71 @@ mod tests {
         assert_eq!(m.get(CounterId::TargetsTotal), 63);
     }
 
+    /// Distinct keys that are (or are not) RTT-sampled, in a fixed order.
+    fn keys(sampled: bool) -> impl Iterator<Item = u64> {
+        (0u64..)
+            .map(|i| zmap_dedup::target_key(0x0B00_0000 + i as u32, 80))
+            .filter(move |&k| rtt_sampled(k) == sampled)
+    }
+
     #[test]
     fn rtt_tracker_resolves_first_response_only() {
         let m = ScanMetrics::new(1, Counters::default());
-        m.note_probe(42, 1_000);
-        m.note_probe(42, 2_000); // retransmit keeps the first stamp
-        m.record_rtt(0, 42, 51_000);
-        m.record_rtt(0, 42, 99_000); // duplicate: no sample
+        let key = keys(true).next().unwrap();
+        m.note_probe(key, 1_000);
+        m.note_probe(key, 2_000); // retransmit keeps the first stamp
+        m.record_rtt(0, key, 51_000);
+        m.record_rtt(0, key, 99_000); // duplicate: no sample
         let snap = m.snapshot();
         let h = &snap.histograms["probe_rtt_ns"];
         assert_eq!(h.count, 1);
         assert_eq!(h.min, 50_000);
         assert_eq!(h.max, 50_000);
+    }
+
+    #[test]
+    fn unsampled_probes_touch_nothing() {
+        let m = ScanMetrics::new(1, Counters::default());
+        for key in keys(false).take(1000) {
+            m.note_probe(key, 1_000);
+            m.record_rtt(0, key, 51_000);
+        }
+        assert!(m.rtt_stamps().is_empty());
+        assert_eq!(m.snapshot().histograms["probe_rtt_ns"].count, 0);
+    }
+
+    #[test]
+    fn one_key_in_64_is_sampled() {
+        // The two key shapes the plans produce: v4 (ip, port) packings
+        // and v6's consecutive compact indices.
+        let n = 1u64 << 20;
+        let v4 = (0..n).filter(|&i| rtt_sampled(zmap_dedup::target_key(i as u32 * 7, 443)));
+        let v6 = (0..n).filter(|&i| rtt_sampled(i));
+        for (family, hits) in [("v4", v4.count() as u64), ("v6", v6.count() as u64)] {
+            let expect = n / RTT_SAMPLE_ONE_IN;
+            assert!(hits.abs_diff(expect) < expect / 20, "{family}: {hits} of {n}");
+        }
+    }
+
+    #[test]
+    fn unanswered_stamps_age_out_instead_of_filling_the_map() {
+        let m = ScanMetrics::new(1, Counters::default());
+        let mut sampled = keys(true);
+        let oldest = sampled.next().unwrap();
+        m.note_probe(oldest, 0);
+        for (t, key) in sampled.by_ref().take(4 * RTT_HORIZON).enumerate() {
+            m.note_probe(key, t as u64);
+            assert!(m.rtt_stamps().memory_bytes() <= 40 * RTT_HORIZON as u64);
+        }
+        // A probe sent now is still measured ...
+        let fresh = sampled.next().unwrap();
+        m.note_probe(fresh, 5_000_000);
+        m.record_rtt(0, fresh, 5_030_000);
+        // ... and one from beyond the horizon no longer is.
+        m.record_rtt(0, oldest, 5_040_000);
+        let snap = m.snapshot();
+        let h = &snap.histograms["probe_rtt_ns"];
+        assert_eq!((h.count, h.min, h.max), (1, 30_000, 30_000));
     }
 
     #[test]
@@ -350,7 +351,7 @@ mod tests {
             assert!(snap.histograms.contains_key(name), "missing {name}");
         }
         assert_eq!(snap.histograms["batch_flush_ns"].count, 1);
-        assert_eq!(snap.inflight_overflow, 0);
+        assert_eq!(snap.rtt_sample_one_in, 64);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct ScanSummary {
     /// Machine-readable metadata (stream #4).
     pub metadata: ScanMetadata,
     /// The metrics registry dump: latency histograms, the event trace,
-    /// and the RTT-tracker overflow count (also folded into `metadata`).
+    /// and the RTT sampling rate (also folded into `metadata`).
     pub metrics: MetricsSnapshot,
 }
 
@@ -1002,7 +1002,7 @@ impl<'a> Engine<'a> {
             duration_ns: rel,
             histograms: BTreeMap::new(),
             trace: TraceSnapshot::default(),
-            inflight_overflow: 0,
+            rtt_sample_one_in: 0,
         };
         metadata.attach_metrics(snapshot.clone());
         ScanSummary {

@@ -6,8 +6,9 @@
 //! originally filtered duplicates with a paged 2^32-bit bitmap (512 MB,
 //! exact), but the multiport (IP, port) space is 48 bits — a full bitmap
 //! would take 35 TB. ZMap therefore switched to a *sliding window* of the
-//! last n responses backed by a Judy array; a window of 10^6 entries (the
-//! ZMap default) empirically removes nearly all duplicates (Figure 5).
+//! last n responses (upstream backs it with a Judy array); a window of
+//! 10^6 entries (the ZMap default) empirically removes nearly all
+//! duplicates (Figure 5).
 //!
 //! This crate provides both structures:
 //!
@@ -17,14 +18,16 @@
 //!   open-addressed table (`table.rs`) where upstream uses a Judy array
 //!   (DESIGN.md §1 says why).
 //!
-//! Both implement [`Deduplicator`].
+//! Both implement [`Deduplicator`]. [`FifoMap`] is the window's shape
+//! with a value per key — the same table with its value column in use —
+//! and holds the engine's sampled RTT stamps (DESIGN.md §5).
 
 pub mod bitmap;
 mod table;
 pub mod window;
 
 pub use bitmap::PagedBitmap;
-pub use window::SlidingWindow;
+pub use window::{FifoMap, SlidingWindow};
 
 /// Packs an (IPv4, port) target into the 48-bit dedup key space.
 #[inline]

@@ -11,6 +11,9 @@
 //! Ring and table both start small and grow with the keys held, so an
 //! idle window costs under a kilobyte whatever its capacity; full, the
 //! default window is 8 MB of ring and 16 MB of table.
+//!
+//! [`FifoMap`] is the same ring-plus-table shape with a value per key:
+//! the engine's RTT stamps live in one.
 
 use crate::table::KeyTable;
 use crate::Deduplicator;
@@ -18,7 +21,7 @@ use std::collections::VecDeque;
 
 /// FIFO sliding-window deduplicator.
 pub struct SlidingWindow {
-    set: KeyTable,
+    set: KeyTable<()>,
     ring: VecDeque<u64>,
     capacity: usize,
     suppressed: u64,
@@ -62,7 +65,7 @@ impl SlidingWindow {
                 self.set.remove(oldest);
             }
         }
-        self.set.insert(key);
+        self.set.try_insert(key, ());
         self.ring.push_back(key);
         true
     }
@@ -101,7 +104,69 @@ impl Deduplicator for SlidingWindow {
     /// Bytes in use: one `u64` per remembered key in the ring plus one
     /// per table slot.
     fn memory_bytes(&self) -> u64 {
-        ((self.ring.len() + self.set.slots()) * 8) as u64
+        (self.ring.len() * 8 + self.set.memory_bytes()) as u64
+    }
+}
+
+/// A `key → u64` map that remembers its last `capacity` insertions and
+/// forgets the oldest first, so entries nobody takes age out instead of
+/// accumulating. Grows from a new table's 64 slots with the entries held.
+pub struct FifoMap {
+    map: KeyTable<u64>,
+    /// Inserted keys, oldest first. A taken key keeps its place until it
+    /// ages out, so the ring counts insertions, not entries held.
+    ring: VecDeque<u64>,
+    capacity: usize,
+}
+
+impl FifoMap {
+    /// A map remembering the last `capacity` insertions.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "map capacity must be positive");
+        FifoMap {
+            map: KeyTable::new(),
+            ring: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Inserts `key → val` unless `key` is held (the first value wins);
+    /// returns `true` if it was inserted. The insertion `capacity` back
+    /// is forgotten.
+    pub fn try_insert(&mut self, key: u64, val: u64) -> bool {
+        if self.map.contains(key) {
+            return false;
+        }
+        if self.ring.len() == self.capacity {
+            if let Some(oldest) = self.ring.pop_front() {
+                self.map.remove(oldest);
+            }
+        }
+        self.map.try_insert(key, val);
+        self.ring.push_back(key);
+        true
+    }
+
+    /// Removes `key` and returns its value; `None` if it was never
+    /// inserted, was already taken, or has aged out.
+    pub fn take(&mut self, key: u64) -> Option<u64> {
+        self.map.remove(key)
+    }
+
+    /// True when nothing was ever inserted.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Bytes in use: one `u64` per remembered insertion plus a key and a
+    /// value per table slot. Bounded by the capacity: a table just past
+    /// a doubling is 3/8 full, so under 51 bytes per insertion (8 of
+    /// ring, 2⅔ slots of 16) on top of an empty table's kilobyte.
+    pub fn memory_bytes(&self) -> u64 {
+        (self.ring.len() * 8 + self.map.memory_bytes()) as u64
     }
 }
 
@@ -198,6 +263,51 @@ mod tests {
         let bytes = w.memory_bytes();
         // A flat 48-bit bitmap would be 35 TB; we must be under ~10 MB.
         assert!(bytes < 10 << 20, "memory {bytes} bytes");
+    }
+
+    #[test]
+    fn fifo_map_first_value_wins_and_takes_once() {
+        let mut m = FifoMap::new(8);
+        assert!(m.is_empty());
+        assert!(m.try_insert(42, 1_000));
+        assert!(!m.try_insert(42, 2_000));
+        assert_eq!(m.take(42), Some(1_000));
+        assert_eq!(m.take(42), None);
+        assert_eq!(m.take(7), None);
+        // Taken, then inserted again: a new entry with the new value.
+        assert!(m.try_insert(42, 3_000));
+        assert_eq!(m.take(42), Some(3_000));
+        assert_eq!(m.ring.len(), 2, "both insertions are remembered until they age out");
+    }
+
+    #[test]
+    fn fifo_map_forgets_oldest_first_and_stays_bounded() {
+        let cap = 1000;
+        let mut m = FifoMap::new(cap);
+        for k in 0..10 * cap as u64 {
+            assert!(m.try_insert(k.wrapping_mul(0x2545_F491_4F6C_DD1D), k));
+            assert!(m.ring.len() <= cap);
+            assert!(m.memory_bytes() <= 51 * cap as u64 + 1024, "{} bytes at {k}", m.memory_bytes());
+        }
+        let key = |k: u64| k.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        assert_eq!(m.take(key(8_999)), None, "one past the horizon");
+        assert_eq!(m.take(key(9_000)), Some(9_000), "the oldest remembered");
+        assert_eq!(m.take(key(9_999)), Some(9_999));
+    }
+
+    #[test]
+    fn fifo_map_stale_ring_entry_does_not_evict_a_reinserted_key_early() {
+        // 1 is inserted, taken, and inserted again just as its first
+        // (stale) ring entry reaches the front: evicting that entry must
+        // not take the new value with it.
+        let mut m = FifoMap::new(3);
+        m.try_insert(1, 10);
+        m.try_insert(2, 20);
+        m.try_insert(3, 30);
+        assert_eq!(m.take(1), Some(10));
+        assert!(m.try_insert(1, 40)); // evicts the stale entry for 1
+        assert_eq!(m.take(1), Some(40));
+        assert_eq!(m.take(2), Some(20));
     }
 
     /// The FIFO rule written out: what every verdict is checked against.

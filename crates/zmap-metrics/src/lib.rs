@@ -41,17 +41,17 @@ use std::collections::BTreeMap;
 
 /// A complete, serializable dump of a registry: every histogram by name
 /// (BTreeMap, so key order — and therefore the serialized bytes — is
-/// deterministic), the event trace, and the RTT-tracker overflow count.
+/// deterministic), the event trace, and the RTT sampling rate.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Histograms by name (e.g. `probe_rtt_ns`), sorted by key.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// The bounded event trace.
     pub trace: TraceSnapshot,
-    /// Probes whose send time could not be tracked because the in-flight
-    /// tracker was at capacity (their RTT samples are lost; nonzero
-    /// values mark the RTT histogram as a lower bound).
-    pub inflight_overflow: u64,
+    /// `probe_rtt_ns` holds the RTT of one probe in this many, chosen by
+    /// a fixed hash of the target (its `count` is a sample, not the
+    /// number of validated responses).
+    pub rtt_sample_one_in: u64,
 }
 
 #[cfg(test)]

@@ -147,3 +147,73 @@ fn loss_shapes_match_wan_et_al() {
     // draws land in the (seed-derived) probe order.
     assert!(miss > 0.010 && miss < 0.045, "miss rate {miss}");
 }
+
+#[test]
+fn sampled_rtt_equals_the_simulators_ground_truth() {
+    // Every address live, nothing lost, failures reported: each probe
+    // draws one first response and one row. The engine measures the
+    // targets `rtt_sampled` picks; the world records every delivery.
+    use std::sync::{Arc, Mutex};
+    use zmap::core::metrics::{rtt_sampled, RTT_SAMPLE_ONE_IN};
+    use zmap::core::parallel::{run_parallel, SharedSimTransport};
+    use zmap::metrics::bucket_index;
+    use zmap::netsim::World;
+
+    let world = WorldConfig {
+        seed: 12,
+        model: ServiceModel {
+            live_fraction: 1.0,
+            middlebox_fraction: 0.0,
+            blowback_fraction: 0.0,
+            ..ServiceModel::default()
+        },
+        loss: LossModel::NONE,
+        ..WorldConfig::default()
+    };
+    let src = Ipv4Addr::new(192, 0, 2, 1);
+    let mut cfg = ScanConfig::new(src);
+    cfg.allowlist_prefix(Ipv4Addr::new(55, 44, 0, 0), 16);
+    cfg.apply_default_blocklist = false;
+    cfg.ports = vec![80];
+    cfg.rate_pps = 1_000_000;
+    cfg.seed = 5;
+    cfg.cooldown_secs = 2;
+    cfg.report_failures = true;
+
+    let inline = || {
+        let net = SimNet::new(world.clone());
+        let summary = Scanner::new(cfg.clone(), net.transport(src)).unwrap().run();
+        (summary, net.with_world(|w| w.delivery_latency().snapshot()))
+    };
+    let (summary, truth) = inline();
+    let rtt = &summary.metrics.histograms["probe_rtt_ns"];
+
+    let validated = summary.unique_successes + summary.unique_failures;
+    assert_eq!(summary.results.len() as u64, validated);
+    assert!(validated > 40_000, "a dense world answers most probes: {validated}");
+    let sampled = summary
+        .results
+        .iter()
+        .filter(|r| match r.saddr {
+            std::net::IpAddr::V4(ip) => rtt_sampled(zmap::dedup::target_key(ip.into(), r.sport)),
+            std::net::IpAddr::V6(_) => false,
+        })
+        .count() as u64;
+    assert_eq!(rtt.count, sampled, "one sample per sampled target that answered");
+    assert_eq!(summary.metrics.rtt_sample_one_in, 64);
+    let (n, p) = (validated as f64, 1.0 / RTT_SAMPLE_ONE_IN as f64);
+    let sigma = (n * p * (1.0 - p)).sqrt();
+    assert!(
+        (sampled as f64 - n * p).abs() < 5.0 * sigma,
+        "{sampled} sampled of {validated}: expected {:.0} ± {sigma:.1}",
+        n * p
+    );
+    assert!(truth.min <= rtt.min && rtt.max <= truth.max, "{rtt:?} outside {truth:?}");
+    assert_eq!(bucket_index(rtt.p50), bucket_index(truth.p50));
+
+    // The sample is a function of the targets, not of the run or the driver.
+    assert_eq!(inline().0.metrics, summary.metrics);
+    let shared = Arc::new(Mutex::new(World::new(world.clone())));
+    let threaded = run_parallel(&cfg, &SharedSimTransport::new(shared, src)).unwrap();
+    assert_eq!(threaded.metrics, summary.metrics);
+}
