@@ -1147,13 +1147,16 @@ impl Graph {
 // Lint 10: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
-/// Hot-path roots: the per-target walk, the per-frame TX machinery, the
-/// per-frame RX parse and the per-row data stream. A heap allocation
-/// reachable from any of these runs millions of times per scan.
+/// Hot-path roots: the per-target walks (v4, v6, and the scheduler both
+/// multi-walk streams draw through), the per-frame TX machinery, the
+/// per-frame RX parse and its dedup key lookup, and the per-row data
+/// stream. A heap allocation reachable from any of these runs millions
+/// of times per scan.
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
         Some("Constraint") => matches!(f.name.as_str(), "lookup" | "is_allowed"),
-        Some("TargetIter") => f.name == "next",
+        Some("TargetIter" | "V6TargetIter" | "Schedule") => f.name == "next",
+        Some("V6DedupSpace") => f.name == "key_for",
         Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
         Some("ProbeModule") => matches!(f.name.as_str(), "render_into" | "parse_response"),
         Some("OutputModule") => f.name == "record",

@@ -182,18 +182,23 @@ fn alloc_in_hot_path_follows_the_call_graph() {
             ("crates/zmap-targets/src/constraint.rs".to_string(), 18),
             ("crates/zmap-targets/src/constraint.rs".to_string(), 19),
             ("crates/zmap-targets/src/generator.rs".to_string(), 23),
+            ("crates/zmap-targets/src/schedule.rs".to_string(), 22),
+            ("crates/zmap-targets/src/v6.rs".to_string(), 23),
+            ("crates/zmap-targets/src/v6.rs".to_string(), 33),
             ("crates/zmap-wire/src/probe.rs".to_string(), 14),
             ("crates/zmap-wire/src/probe.rs".to_string(), 30),
         ],
         "serde_json::to_string in OutputModule::record, to_vec one hop below \
          ProbeModule::render_into, Vec::new and Box::new inside Constraint::lookup, \
-         to_vec one hop below TargetIter::next, and below ProbeModule::parse_response \
+         to_vec one hop below TargetIter::next, to_vec inside Schedule::next, \
+         format! one hop below V6TargetIter::next, to_vec inside \
+         V6DedupSpace::key_for, and below ProbeModule::parse_response \
          the to_vec in V4's ICMP arm and the one in the generic TCP arm fire; Vec::with_capacity in \
-         OutputModule::new and Constraint::finalize, the format! in `label`, the \
+         OutputModule::new, Schedule::new and Constraint::finalize, the format! in `label`, the \
          owned banner of `parse_banner` (all unreachable from a root: decode's bare \
          `finalize(…)` is the free fn, not the method), the `#[cold]` doubling step \
-         below `patch`, the borrowing UDP arm and the flat Constraint::is_allowed \
-         stay quiet"
+         below `patch` and the `#[cold]` miss path below `key_for`, the borrowing \
+         UDP arm and the flat Constraint::is_allowed stay quiet"
     );
     assert!(
         f[0].message.contains("`to_string` allocates")
@@ -218,14 +223,23 @@ fn alloc_in_hot_path_follows_the_call_graph() {
         f[4]
     );
     assert!(
-        f[5].message.contains("ProbeBuilder::classify → V4::icmp_response")
-            && f[6].message.contains("ProbeModule::parse_response")
-            && f[6].message.contains("ProbeBuilder::classify"),
-        "the RX parse is a root, followed through the seam's `L::` dispatch: {:?} {:?}",
+        f[5].message.contains("via Schedule::next;")
+            && f[6].message.contains("V6TargetIter::next → V6TargetSpace::decode_walk")
+            && f[7].message.contains("via V6DedupSpace::key_for;"),
+        "the scheduler, the v6 walk and the RX key lookup are roots: {:?} {:?} {:?}",
         f[5],
-        f[6]
+        f[6],
+        f[7]
     );
-    assert_eq!(f.len(), 7, "{f:?}");
+    assert!(
+        f[8].message.contains("ProbeBuilder::classify → V4::icmp_response")
+            && f[9].message.contains("ProbeModule::parse_response")
+            && f[9].message.contains("ProbeBuilder::classify"),
+        "the RX parse is a root, followed through the seam's `L::` dispatch: {:?} {:?}",
+        f[8],
+        f[9]
+    );
+    assert_eq!(f.len(), 10, "{f:?}");
 }
 
 #[test]

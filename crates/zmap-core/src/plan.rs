@@ -173,11 +173,10 @@ impl ScanPlan {
         }
     }
 
-    /// The dense dedup/RTT key for a target or response address. On the
-    /// TX path this is infallible (the walk only yields in-space
-    /// targets); on the RX path an `Err` names the response that failed
-    /// to invert — the caller discards that one response and keeps
-    /// scanning.
+    /// The dense dedup/RTT key of a response address (the walk hands TX
+    /// each target's key, so only RX derives one). An `Err` names the
+    /// response that failed to invert — the caller discards that one
+    /// response and keeps scanning.
     pub fn probe_key(&self, ip: IpAddr, port: u16) -> Result<u64, DedupError> {
         match (self, ip) {
             (ScanPlan::V4(_), IpAddr::V4(v4)) => Ok(target_key(u32::from(v4), port)),
@@ -192,7 +191,9 @@ impl ScanPlan {
     }
 }
 
-/// One subshard's target stream, family-erased to `(IpAddr, port)`.
+/// One subshard's target stream, family-erased to `(IpAddr, port, key)`:
+/// each target comes with the dedup/RTT key [`ScanPlan::probe_key`]
+/// would derive for it (`None` only past a v6 list's 64-bit key space).
 pub enum PlanIter<'a> {
     V4(TargetIter<'a>),
     V6(V6TargetIter<'a>),
@@ -218,12 +219,16 @@ impl PlanIter<'_> {
 }
 
 impl Iterator for PlanIter<'_> {
-    type Item = (IpAddr, u16);
+    type Item = (IpAddr, u16, Option<u64>);
 
-    fn next(&mut self) -> Option<(IpAddr, u16)> {
+    fn next(&mut self) -> Option<Self::Item> {
         match self {
-            PlanIter::V4(it) => it.next().map(|Target { ip, port }| (IpAddr::V4(ip), port)),
-            PlanIter::V6(it) => it.next().map(|Target6 { ip, port }| (IpAddr::V6(ip), port)),
+            PlanIter::V4(it) => it.next().map(|Target { ip, port }| {
+                (IpAddr::V4(ip), port, Some(target_key(u32::from(ip), port)))
+            }),
+            PlanIter::V6(it) => {
+                it.next().map(|Target6 { ip, port, key }| (IpAddr::V6(ip), port, key))
+            }
         }
     }
 }
@@ -374,6 +379,7 @@ mod tests {
             .iter_shard(0, 0)
             .take(16)
             .map(|t| (IpAddr::V4(t.ip), t.port))
+            .map(|(ip, port)| (ip, port, plan.probe_key(ip, port).ok()))
             .collect();
         assert_eq!(got, want);
     }
@@ -423,7 +429,8 @@ mod tests {
     fn v6_plan_walks_every_target_once() {
         let plan = ScanPlan::build(&v6_cfg(), None).unwrap();
         assert_eq!(plan.target_count(), 64 + 16);
-        let seen: std::collections::HashSet<_> = plan.iter_shard(0, 0).collect();
+        let seen: std::collections::HashSet<_> =
+            plan.iter_shard(0, 0).map(|(ip, port, _)| (ip, port)).collect();
         assert_eq!(seen.len(), 80, "every (addr, port) exactly once");
         for (ip, port) in &seen {
             assert!(matches!(ip, IpAddr::V6(_)));
@@ -451,8 +458,10 @@ mod tests {
         let cfg = v6_cfg();
         let plan = ScanPlan::build(&cfg, None).unwrap();
         let mut keys = std::collections::HashSet::new();
-        for (ip, port) in plan.iter_shard(0, 0) {
-            keys.insert(plan.probe_key(ip, port).expect("walked targets always key"));
+        for (ip, port, key) in plan.iter_shard(0, 0) {
+            let derived = plan.probe_key(ip, port).expect("walked targets always key");
+            assert_eq!(key, Some(derived), "the walk hands out the RX key");
+            keys.insert(derived);
         }
         assert_eq!(keys.len(), 80, "keys are dense and collision-free");
         // Off-space responses fail with a typed, per-response error.

@@ -565,20 +565,19 @@ fn check_shard_spec(journal: &CheckpointState, cfg: &ScanConfig) -> Result<(), R
 /// Stage 1, once per target: paces, renders and RTT-stamps the target's
 /// `probes_per_target` probes into `batch`, each tagged `tag` (the
 /// driver's bookkeeping for rolling progress back to the frames that
-/// left). `ip_id_entropy` is the driver's IP-ID stream, drawn per probe.
+/// left). The target arrives with the RTT key its walk derived, so TX
+/// makes no key lookup. `ip_id_entropy` is the driver's IP-ID stream,
+/// drawn per probe.
 #[inline]
 pub(crate) fn emit(
     scan: &PreparedScan,
     metrics: &ScanMetrics,
     rc: &mut RateController,
     batch: &mut FrameBatch,
-    (ip, port): (IpAddr, u16),
+    (ip, port, rtt_key): (IpAddr, u16, Option<u64>),
     tag: u64,
     mut ip_id_entropy: impl FnMut() -> u16,
 ) {
-    // TX-side keys never fail — the walk only yields in-space targets —
-    // but degrade to no RTT stamp rather than panic.
-    let rtt_key = scan.plan.probe_key(ip, port).ok();
     for _ in 0..scan.cfg.probes_per_target.max(1) {
         let at = rc.mark_sent();
         scan.module.render_into(ip, port, ip_id_entropy(), batch.reserve(at, tag));

@@ -11,16 +11,16 @@
 //!
 //! — so one committed file drives both the walk and the ground truth, and
 //! a scan's hit-rate-vs-probes-sent curve is a pure function of
-//! (prefix list, seed). A host exists iff its address inverts under some
-//! prefix's pattern ([`PrefixSpec::index_of`]); it answers iff a per-host
-//! hash draw lands under the prefix's `density`. Everything else in the
-//! v6 space — including on-pattern addresses of dead hosts — is silent,
-//! exactly the behavior XMap-style target generation exploits.
+//! (prefix list, seed). A host exists iff some line enumerates its
+//! address — the scanner's own [`PrefixTable`] lookup; it answers iff a
+//! per-host hash draw lands under that line's `density`. Everything else
+//! in the v6 space — including on-pattern addresses of dead hosts — is
+//! silent, exactly the behavior XMap-style target generation exploits.
 
 use crate::responder::ResponseAction;
 use crate::{unit, NS_PER_SEC};
 use std::net::Ipv6Addr;
-use zmap_targets::v6::{parse_prefix_list, PrefixSpec, V6ParseError};
+use zmap_targets::v6::{parse_prefix_list, PrefixSpec, PrefixTable, V6ParseError};
 use zmap_wire::checksum;
 use zmap_wire::ethernet::{EtherType, EthernetRepr, EthernetView, MacAddr};
 use zmap_wire::icmpv6::{Icmpv6Repr, Icmpv6Type, Icmpv6View};
@@ -45,6 +45,7 @@ pub fn hash6(seed: u64, addr: Ipv6Addr, salt: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct V6Population {
     specs: Vec<PrefixSpec>,
+    table: PrefixTable,
     open_ports: Vec<u16>,
 }
 
@@ -53,7 +54,11 @@ impl V6Population {
     /// set every live host listens on (TCP SYN-ACK / UDP echo); other
     /// ports RST (TCP) or stay silent (UDP).
     pub fn new(specs: Vec<PrefixSpec>, open_ports: Vec<u16>) -> Self {
-        V6Population { specs, open_ports }
+        V6Population {
+            table: PrefixTable::new(&specs),
+            specs,
+            open_ports,
+        }
     }
 
     /// Builds a population from prefix-list file contents — the same
@@ -67,26 +72,15 @@ impl V6Population {
         &self.specs
     }
 
-    /// Longest configured prefix containing `addr`.
-    fn spec_for(&self, addr: Ipv6Addr) -> Option<&PrefixSpec> {
-        self.specs
-            .iter()
-            .filter(|s| s.contains(addr))
-            .max_by_key(|s| s.prefix_len())
-    }
-
-    /// Ground truth: does a responsive host live at `addr`? True iff the
-    /// address inverts under the longest matching prefix's pattern AND
-    /// the per-host density draw succeeds. Pure in (seed, addr), so scans
-    /// and oracle counts agree without shared state.
+    /// Ground truth: does a responsive host live at `addr`? True iff a
+    /// line enumerates the address (one [`PrefixTable`] lookup, the one
+    /// the scanner keys responses with) AND the per-host draw lands under
+    /// that line's density. Pure in (seed, addr), so scans and oracle
+    /// counts agree without shared state.
     pub fn responsive(&self, seed: u64, addr: Ipv6Addr) -> bool {
-        match self.spec_for(addr) {
-            Some(spec) => {
-                spec.index_of(addr).is_some()
-                    && unit(hash6(seed, addr, 0x76_616C)) < spec.density()
-            }
-            None => false,
-        }
+        self.table.find(addr).is_some_and(|(line, _)| {
+            unit(hash6(seed, addr, 0x76_616C)) < self.specs[line].density()
+        })
     }
 
     /// Total responsive hosts under `seed` — the oracle denominator for
@@ -96,10 +90,7 @@ impl V6Population {
         let mut n = 0;
         for spec in &self.specs {
             for i in 0..spec.host_count() {
-                let addr = spec.addr_at(i);
-                // Count against the *population's* view (LPM may route a
-                // nested address to a different spec).
-                if self.responsive(seed, addr) {
+                if self.responsive(seed, spec.addr_at(i)) {
                     n += 1;
                 }
             }
@@ -336,6 +327,30 @@ mod tests {
         assert!(!pop.responsive(7, "2001:db8:c::1".parse().unwrap()));
         // Beyond the indexed host range.
         assert!(!pop.responsive(7, "2001:db8:a::1:0".parse().unwrap()));
+    }
+
+    #[test]
+    fn nested_lines_answer_by_the_line_that_walks_them() {
+        // The /64 nests inside the /32, and the /32's hosts 2001:db8::0–ff
+        // are off the /64's EUI-64 pattern: every one of the 256 + 16
+        // walked hosts must answer by the line that enumerates it, not
+        // by its longest matching prefix.
+        let pop = V6Population::from_prefix_list(
+            "2001:db8::/32 bits=8 density=0.5\n2001:db8::/64 pattern=eui64 bits=4 density=0.75\n",
+            vec![443],
+        )
+        .unwrap();
+        let mut live = 0;
+        for spec in pop.specs() {
+            for i in 0..spec.host_count() {
+                let addr = spec.addr_at(i);
+                let drawn = unit(hash6(7, addr, 0x76_616C)) < spec.density();
+                assert_eq!(pop.responsive(7, addr), drawn, "{addr}");
+                live += u64::from(drawn);
+            }
+        }
+        assert!(live > 0);
+        assert_eq!(pop.responsive_count(7), live);
     }
 
     #[test]

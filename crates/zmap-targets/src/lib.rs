@@ -11,6 +11,9 @@
 //! * [`cycle::Cycle`] — a per-scan random permutation of the group,
 //! * [`shard`] — both sharding algorithms: interleaved (2014) and
 //!   pizza (2017),
+//! * one stride scheduler that merges *k* sharded walks into one stream,
+//!   shared by the IPv6 prefix walk ([`v6`]) and the stealth re-keyed
+//!   walk ([`rekey`]),
 //! * [`constraint::Constraint`] — the allowlist/blocklist as a flat table
 //!   of allowed ranges with prefix sums and an index directory, so the
 //!   order-preserving index→address lookup every probe pays is one
@@ -47,6 +50,7 @@ pub mod generator;
 pub mod group;
 pub mod parse;
 pub mod rekey;
+mod schedule;
 pub mod shard;
 pub mod v6;
 
@@ -58,8 +62,8 @@ pub use parse::{parse_cidr, parse_target_file_contents, ParseError};
 pub use rekey::{BlockParams, RekeyError, RekeyIter, RekeyedWalk};
 pub use shard::{ShardAlgorithm, ShardIter, ShardSpec};
 pub use v6::{
-    parse_prefix_list, DedupError, HostPattern, PrefixSpec, Target6, V6DedupSpace, V6Error,
-    V6ParseError, V6TargetIter, V6TargetSpace,
+    parse_prefix_list, DedupError, HostPattern, PrefixSpec, PrefixTable, Target6, V6DedupSpace,
+    V6Error, V6ParseError, V6TargetIter, V6TargetSpace,
 };
 
 #[cfg(test)]

@@ -5,40 +5,20 @@
 //! *without* the IP-ID fingerprint by recovering the cyclic-group walk
 //! from the observed probe order alone: adjacent darknet hits are related
 //! by `x_{i+1} = x_i · g^k mod p` for small gap `k`, so the generator
-//! falls out of the ratios of consecutive observations. The defense
-//! implemented here denies the attacker a single permutation to recover:
-//! the packed (IP, port) candidate space `[0, pool)` is cut into `K`
-//! contiguous blocks, each walked with its *own* independently seeded
-//! cyclic group (the smallest ladder prime that fits the block), and the
-//! blocks themselves are visited in a seeded pseudorandom order. Any one
-//! generator now explains at most ~1/K of the observed transitions — and
-//! because block candidates are offset by the block base before they are
-//! re-encoded as global elements, even the per-block ratios no longer
-//! equal powers of that block's generator.
-//!
-//! The walk is still a pure function of `(constraint, ports, seed, K)`:
-//! every candidate in `[0, pool)` is visited exactly once across the
-//! shard/subshard grid, positions are plain per-subshard element counts
-//! (checkpoint/resume compatible), and [`RekeyedWalk::fingerprint`] gives
-//! the journal a stable identity where the single-walk path records the
-//! group prime.
+//! falls out of the ratios of consecutive observations. The defense cuts
+//! the packed (IP, port) candidate space `[0, pool)` into `K` contiguous
+//! blocks, each walked by its *own* independently seeded smallest-fitting
+//! group, and visits the blocks in a seeded pseudorandom order. Any one
+//! generator explains at most ~1/K of the transitions, and because block
+//! candidates are offset by the block base, not even the per-block ratios
+//! are powers of that block's generator. The walk stays a pure function
+//! of `(constraint, ports, seed, K)` with element-count positions, and
+//! [`RekeyedWalk::fingerprint`] identifies it to the journal.
 
 use crate::cycle::Cycle;
 use crate::group::{CyclicGroup, GroupError};
+use crate::schedule::{derive_seed, splitmix64, Schedule, PASS_UNIT};
 use crate::shard::{ShardAlgorithm, ShardError, ShardIter, ShardSpec};
-
-/// SplitMix64 finalizer: block seed derivation and the walk fingerprint.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Derives stream `ordinal` of `seed` (per-block cycle seeds, visit order).
-fn derive_seed(seed: u64, ordinal: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(ordinal))
-}
 
 /// One re-keyed block: a contiguous candidate range `[base, base+len)`
 /// walked by its own cyclic group.
@@ -185,15 +165,18 @@ impl RekeyedWalk {
         spec: ShardSpec,
         algorithm: ShardAlgorithm,
     ) -> Result<RekeyIter<'_>, ShardError> {
-        let mut iters = Vec::with_capacity(self.blocks.len());
-        for b in &self.blocks {
-            iters.push(ShardIter::new(&b.cycle, spec, algorithm)?);
-        }
+        let walks = self
+            .blocks
+            .iter()
+            .map(|b| ShardIter::new(&b.cycle, spec, algorithm));
+        // Block `i` in visit order owns pass unit `i`: the blocks are
+        // walked one after another.
+        let schedule = Schedule::new(walks.collect::<Result<_, _>>()?, |i, _| {
+            i as u128 * PASS_UNIT
+        });
         Ok(RekeyIter {
             blocks: &self.blocks,
-            iters,
-            cur: 0,
-            consumed: 0,
+            schedule,
         })
     }
 }
@@ -210,62 +193,40 @@ impl RekeyedWalk {
 #[derive(Debug)]
 pub struct RekeyIter<'a> {
     blocks: &'a [Block],
-    iters: Vec<ShardIter<'a>>,
-    cur: usize,
-    consumed: u64,
+    schedule: Schedule<'a>,
 }
 
 impl RekeyIter<'_> {
     /// Raw block elements consumed (yields, in-block rejections, and
     /// fast-forwarded jumps) across all blocks so far.
     pub fn consumed(&self) -> u64 {
-        self.consumed
+        self.schedule.consumed()
     }
 
-    /// Raw block elements left across the current and later blocks.
+    /// Raw block elements left across all blocks.
     pub fn remaining(&self) -> u64 {
-        self.iters[self.cur..].iter().map(ShardIter::remaining).sum()
+        self.schedule.remaining()
     }
 
     /// Skips the next `min(k, remaining)` raw elements, crossing block
     /// boundaries as needed, and returns how many were skipped.
     pub fn fast_forward(&mut self, k: u64) -> u64 {
-        let mut left = k;
-        let mut skipped = 0;
-        while left > 0 && self.cur < self.iters.len() {
-            let n = self.iters[self.cur].fast_forward(left);
-            skipped += n;
-            left -= n;
-            if left > 0 {
-                self.cur += 1;
-            }
-        }
-        self.consumed += skipped;
-        skipped
+        self.schedule.fast_forward(k)
     }
 }
 
 impl Iterator for RekeyIter<'_> {
     type Item = u64;
 
+    #[inline]
     fn next(&mut self) -> Option<u64> {
-        while self.cur < self.iters.len() {
-            match self.iters[self.cur].next() {
-                Some(e) => {
-                    self.consumed += 1;
-                    let b = &self.blocks[self.cur];
-                    if e - 1 < b.len {
-                        return Some(b.base + e);
-                    }
-                }
-                None => self.cur += 1,
+        loop {
+            let (i, e) = self.schedule.next()?;
+            let b = &self.blocks[i];
+            if e - 1 < b.len {
+                return Some(b.base + e);
             }
         }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(usize::try_from(self.remaining()).unwrap_or(usize::MAX)))
     }
 }
 

@@ -1,35 +1,24 @@
-//! IPv6 target generation: per-prefix cyclic walks over a prefix tree.
+//! IPv6 target generation: per-prefix cyclic walks over a prefix list.
 //!
 //! IPv6's 2^128 address space cannot be permuted with one cyclic group the
 //! way IPv4 × ports can (§4.1 tops out at the 2^48 + 21 modulus). Following
 //! XMap and the hitlist literature, a v6 scan instead enumerates a *prefix
 //! list*: each announced prefix carries a procedural host pattern (low-byte
 //! hosts, EUI-64 interface IDs, or embedded-IPv4 addresses) and a bounded
-//! number of host bits, so each prefix spans a small, countable target
-//! pool. Every prefix gets its own smallest-fitting ladder group walked
-//! from its own derived seed, and the per-prefix walks are merged by a
-//! seeded stride-scheduling interleave so probe order stays unpredictable
-//! across prefixes (Mazel & Strullu's objection to per-prefix bursts).
-//!
-//! The pieces:
-//!
-//! * [`PrefixSpec`] — one prefix-list line: prefix, host pattern, host
-//!   bits, and responsiveness density (the density is consumed by the
-//!   netsim population; the walk only needs the bijection).
-//! * [`HostPattern`] — invertible index ↔ address mappings.
-//! * [`V6TargetSpace`] — the walk plan: per-prefix groups, automatic
-//!   splitting of prefixes whose pool exceeds the largest ladder group
-//!   ([`CyclicGroup::max_order`]), and [`ShardSpec`]-compatible iteration
-//!   whose per-subshard position is a single `u64` — the same checkpoint
-//!   shape the IPv4 journal records.
-//! * [`V6DedupSpace`] — maps a response `(addr, port)` back into a dense
-//!   per-prefix index space for dedup bitmaps, with typed errors so a
-//!   malformed address degrades one response, never the run.
+//! number of host bits, so each line enumerates a small, countable range
+//! of addresses, `fixed | index` ([`PrefixSpec`]). The ranges are disjoint
+//! and sorted into a [`PrefixTable`], so an address maps back to its line
+//! and index by one binary search ([`V6DedupSpace::key_for`]). Every
+//! prefix gets its own smallest-fitting ladder group walked from its own
+//! derived seed, and the walks are merged by a seeded stride schedule so
+//! probe order stays unpredictable across prefixes (Mazel & Strullu's
+//! objection to per-prefix bursts); each target carries its dedup key.
 
 use std::net::Ipv6Addr;
 
 use crate::cycle::Cycle;
-use crate::group::{CyclicGroup, GroupError};
+use crate::group::CyclicGroup;
+use crate::schedule::{derive_seed, splitmix64, Schedule};
 use crate::shard::{ShardAlgorithm, ShardError, ShardIter, ShardSpec};
 
 /// One (address, port) scan target drawn from the v6 walk.
@@ -39,36 +28,26 @@ pub struct Target6 {
     pub ip: Ipv6Addr,
     /// Destination port (probe modules without ports scan port 0).
     pub port: u16,
+    /// What [`V6DedupSpace::key_for`] returns for `(ip, port)`, computed
+    /// from the walk's (prefix, index, port slot) without a search;
+    /// `None` past the 64-bit key space.
+    pub key: Option<u64>,
 }
 
-/// SplitMix64 finalizer: the seed-derivation mixer for per-walk seeds and
-/// the space fingerprint. Self-contained so the walk plan depends only on
-/// the prefix list, the ports, and the scan seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Reads the 8 little-endian bytes at offset `k` of a 16-byte address
-/// image (callers pass 0 or 8, so the slice is always in bounds).
-fn le64(o: &[u8; 16], k: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&o[k..k + 8]);
-    u64::from_le_bytes(b)
-}
-
-/// Derives stream `ordinal` of `seed` (walk sub-seeds, interleave offsets).
-fn derive_seed(seed: u64, ordinal: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(ordinal))
+/// The address as two little-endian words: the hash input for the
+/// pattern constants and the fingerprint.
+fn words(addr: Ipv6Addr) -> [u64; 2] {
+    let a = u128::from(addr);
+    [((a >> 64) as u64).swap_bytes(), (a as u64).swap_bytes()]
 }
 
 /// How the host bits of a prefix map to concrete interface identifiers.
 ///
-/// All three patterns are bijections from an index in `[0, 2^bits)` to an
-/// address inside the prefix, and are invertible without state — the RX
-/// path recovers the index from a bare response address.
+/// Every pattern fills the host part above a low `bits`-bit index field
+/// with a constant derived from the prefix, so each is a bijection from
+/// an index in `[0, 2^bits)` to an address inside the prefix that inverts
+/// without state — the RX path recovers the index from a bare response
+/// address. Past parsing, a pattern only decides that constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostPattern {
     /// Hosts numbered from the bottom of the prefix: `prefix | index`.
@@ -86,39 +65,26 @@ pub enum HostPattern {
 }
 
 impl HostPattern {
+    /// Keyword, widest `bits=`, and the host bits the pattern's field
+    /// needs below the prefix (the IID is 64 bits, an embedded v4 32).
+    const TABLE: [(HostPattern, &'static str, u8, u8); 3] = [
+        (HostPattern::Low, "low", 64, 0),
+        (HostPattern::Eui64, "eui64", 24, 64),
+        (HostPattern::EmbeddedV4, "embedded-v4", 32, 32),
+    ];
+
     /// The keyword used in prefix-list files.
     pub fn name(self) -> &'static str {
-        match self {
-            HostPattern::Low => "low",
-            HostPattern::Eui64 => "eui64",
-            HostPattern::EmbeddedV4 => "embedded-v4",
-        }
+        Self::TABLE[self as usize].1
     }
 
     /// The widest `bits=` value the pattern's index field can carry.
     pub fn max_bits(self) -> u8 {
-        match self {
-            HostPattern::Low => 64,
-            HostPattern::Eui64 => 24,
-            HostPattern::EmbeddedV4 => 32,
-        }
+        Self::TABLE[self as usize].2
     }
 
     fn parse(s: &str) -> Option<Self> {
-        match s {
-            "low" => Some(HostPattern::Low),
-            "eui64" => Some(HostPattern::Eui64),
-            "embedded-v4" => Some(HostPattern::EmbeddedV4),
-            _ => None,
-        }
-    }
-
-    fn tag(self) -> u64 {
-        match self {
-            HostPattern::Low => 1,
-            HostPattern::Eui64 => 2,
-            HostPattern::EmbeddedV4 => 3,
-        }
+        Self::TABLE.iter().find(|row| row.1 == s).map(|row| row.0)
     }
 }
 
@@ -138,6 +104,9 @@ pub struct PrefixSpec {
     pattern: HostPattern,
     bits: u8,
     density: f64,
+    /// The prefix plus the pattern's fill above the index field: host
+    /// `index` is `fixed | index`.
+    fixed: u128,
 }
 
 impl PrefixSpec {
@@ -150,15 +119,15 @@ impl PrefixSpec {
         bits: u8,
         density: f64,
     ) -> Result<Self, V6ParseError> {
-        let spec = PrefixSpec {
+        PrefixSpec {
             prefix,
             prefix_len,
             pattern,
             bits,
             density,
-        };
-        spec.validate(0)?;
-        Ok(spec)
+            fixed: 0,
+        }
+        .finish(0)
     }
 
     /// Parses one prefix-list line (used by [`parse_prefix_list`], which
@@ -188,6 +157,7 @@ impl PrefixSpec {
             pattern: HostPattern::Low,
             bits: 8,
             density: 1.0,
+            fixed: 0,
         };
         for field in fields {
             let (key, value) = field
@@ -212,11 +182,12 @@ impl PrefixSpec {
                 _ => return Err(err(format!("unknown field '{key}'"))),
             }
         }
-        spec.validate(lineno)?;
-        Ok(spec)
+        spec.finish(lineno)
     }
 
-    fn validate(&self, lineno: usize) -> Result<(), V6ParseError> {
+    /// Validates the line and derives `fixed`: the prefix plus the fill
+    /// its pattern puts above the index field.
+    fn finish(mut self, lineno: usize) -> Result<Self, V6ParseError> {
         let err = |msg: String| V6ParseError { line: lineno, msg };
         if u128::from(self.prefix) & self.host_mask() != 0 {
             return Err(err(format!(
@@ -224,38 +195,38 @@ impl PrefixSpec {
                 self.prefix, self.prefix_len
             )));
         }
-        let pattern_max = self.pattern.max_bits();
+        let (_, name, pattern_max, field_floor) = HostPattern::TABLE[self.pattern as usize];
         let prefix_max = 128 - self.prefix_len;
         if self.bits > pattern_max.min(prefix_max) {
             return Err(err(format!(
-                "bits={} exceeds pattern {} limit ({}) or the /{} host space ({})",
-                self.bits,
-                self.pattern.name(),
-                pattern_max,
-                self.prefix_len,
-                prefix_max
+                "bits={} exceeds pattern {name} limit ({pattern_max}) or the /{} host space ({prefix_max})",
+                self.bits, self.prefix_len
             )));
         }
-        let field_floor = match self.pattern {
-            // The IID (64 bits) resp. embedded v4 (32 bits) must lie
-            // entirely inside the host part of the prefix.
-            HostPattern::Low => 0,
-            HostPattern::Eui64 => 64,
-            HostPattern::EmbeddedV4 => 32,
-        };
         if prefix_max < field_floor {
             return Err(err(format!(
-                "pattern {} needs at least {} host bits, /{} leaves {}",
-                self.pattern.name(),
-                field_floor,
-                self.prefix_len,
-                prefix_max
+                "pattern {name} needs at least {field_floor} host bits, /{} leaves {prefix_max}",
+                self.prefix_len
             )));
         }
         if !(self.density > 0.0 && self.density <= 1.0) {
             return Err(err(format!("density={} outside (0, 1]", self.density)));
         }
-        Ok(())
+        let [w0, w1] = words(self.prefix);
+        let h = splitmix64(splitmix64(w0 ^ w1) ^ u64::from(self.prefix_len));
+        let fill = match self.pattern {
+            HostPattern::Low => 0,
+            // Modified EUI-64: the derived OUI (universal/local bit set,
+            // multicast bit clear), `ff:fe`, then the 24-bit serial.
+            HostPattern::Eui64 => {
+                let oui = ((h >> 24) & 0xFC_FFFF) | 0x02_0000;
+                u128::from((oui << 40) | (0xFFFE << 24))
+            }
+            // The derived IPv4 base, its low `bits` bits left to the index.
+            HostPattern::EmbeddedV4 => u128::from(h as u32) & !(self.host_count() - 1),
+        };
+        self.fixed = u128::from(self.prefix) | fill;
+        Ok(self)
     }
 
     /// The prefix address (host bits zero).
@@ -293,12 +264,18 @@ impl PrefixSpec {
         format!("{}/{}", self.prefix, self.prefix_len)
     }
 
+    /// `"2001:db8::/32 pattern=low bits=8"` — how errors name this line.
+    fn describe(&self) -> String {
+        format!(
+            "{} pattern={} bits={}",
+            self.canonical_prefix(),
+            self.pattern.name(),
+            self.bits
+        )
+    }
+
     fn host_mask(&self) -> u128 {
-        if self.prefix_len == 0 {
-            u128::MAX
-        } else {
-            (u128::MAX) >> self.prefix_len
-        }
+        u128::MAX.checked_shr(self.prefix_len.into()).unwrap_or(0)
     }
 
     /// Whether `addr` falls inside the prefix (mask match only — the
@@ -307,106 +284,76 @@ impl PrefixSpec {
         u128::from(addr) & !self.host_mask() == u128::from(self.prefix)
     }
 
-    /// A stable 64-bit digest of (prefix, len) — the entropy source for
-    /// the EUI-64 OUI and the embedded IPv4 base, so both scanner and
-    /// netsim derive identical pattern constants from the same line.
-    fn prefix_hash(&self) -> u64 {
-        let o = self.prefix.octets();
-        let mut h = le64(&o, 0);
-        h = splitmix64(h ^ le64(&o, 8));
-        splitmix64(h ^ u64::from(self.prefix_len))
-    }
-
-    /// The fixed (serial-less) part of the modified EUI-64 interface ID:
-    /// derived OUI (universal/local bit set, multicast bit clear), then
-    /// `ff:fe`, then a zero 24-bit serial slot.
-    fn eui64_base(&self) -> u64 {
-        let h = self.prefix_hash();
-        let b0 = (((h >> 40) as u8) & 0xFC) | 0x02;
-        ((b0 as u64) << 56)
-            | (((h >> 32) as u8 as u64) << 48)
-            | (((h >> 24) as u8 as u64) << 40)
-            | (0xFFu64 << 32)
-            | (0xFEu64 << 24)
-    }
-
-    /// The derived IPv4 base for the embedded-v4 pattern.
-    fn v4base(&self) -> u32 {
-        self.prefix_hash() as u32
-    }
-
-    /// The address at host `index`.
+    /// The address at host `index`: `fixed | index`.
     ///
     /// # Panics
     /// Debug-asserts `index < host_count()`; the walk never passes an
     /// out-of-range index.
     pub fn addr_at(&self, index: u128) -> Ipv6Addr {
         debug_assert!(index < self.host_count());
-        let pfx = u128::from(self.prefix);
-        let host = match self.pattern {
-            HostPattern::Low => index,
-            HostPattern::Eui64 => u128::from(self.eui64_base()) | index,
-            HostPattern::EmbeddedV4 => {
-                let mask = if self.bits == 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << self.bits) - 1
-                };
-                u128::from(self.v4base() & !mask) | index
-            }
-        };
-        Ipv6Addr::from(pfx | host)
+        Ipv6Addr::from(self.fixed | index)
     }
 
     /// Inverts [`addr_at`](Self::addr_at): the index whose address is
     /// exactly `addr`, or `None` when `addr` is outside the prefix or off
     /// the pattern (wrong OUI, stray middle bits, index ≥ 2^bits).
     pub fn index_of(&self, addr: Ipv6Addr) -> Option<u128> {
-        let a = u128::from(addr);
-        if a & !self.host_mask() != u128::from(self.prefix) {
-            return None;
-        }
-        let host = a & self.host_mask();
-        match self.pattern {
-            HostPattern::Low => (host < self.host_count()).then_some(host),
-            HostPattern::Eui64 => {
-                if host >> 64 != 0 {
-                    return None;
-                }
-                let iid = host as u64;
-                if iid & !0x00FF_FFFF != self.eui64_base() {
-                    return None;
-                }
-                let serial = u128::from(iid & 0x00FF_FFFF);
-                (serial < self.host_count()).then_some(serial)
-            }
-            HostPattern::EmbeddedV4 => {
-                if host >> 32 != 0 {
-                    return None;
-                }
-                let low = host as u32;
-                let mask = if self.bits == 32 {
-                    u32::MAX
-                } else {
-                    (1u32 << self.bits) - 1
-                };
-                if low & !mask != self.v4base() & !mask {
-                    return None;
-                }
-                Some(u128::from(low & mask))
-            }
-        }
+        let index = u128::from(addr) ^ self.fixed;
+        (index >> self.bits == 0).then_some(index)
     }
 
     /// Folds this spec into a fingerprint accumulator.
-    fn fold_fingerprint(&self, mut h: u64) -> u64 {
-        let o = self.prefix.octets();
-        h = splitmix64(h ^ le64(&o, 0));
-        h = splitmix64(h ^ le64(&o, 8));
-        h = splitmix64(h ^ u64::from(self.prefix_len));
-        h = splitmix64(h ^ self.pattern.tag());
-        h = splitmix64(h ^ u64::from(self.bits));
-        splitmix64(h ^ self.density.to_bits())
+    fn fold_fingerprint(&self, h: u64) -> u64 {
+        let [w0, w1] = words(self.prefix);
+        let (len, tag, bits) = (
+            self.prefix_len.into(),
+            self.pattern as u64 + 1,
+            self.bits.into(),
+        );
+        let parts = [w0, w1, len, tag, bits, self.density.to_bits()];
+        parts.into_iter().fold(h, |h, part| splitmix64(h ^ part))
+    }
+}
+
+/// Every line's on-pattern address range, sorted by start.
+///
+/// Line `i` enumerates exactly `[fixed_i, fixed_i + 2^bits_i)`, so the
+/// line and host index of an address are one binary search away. The
+/// scanner's dedup keys and the netsim population make this one lookup.
+#[derive(Debug, Clone)]
+pub struct PrefixTable {
+    /// `(first address, last address, line)`, sorted.
+    ranges: Vec<(u128, u128, usize)>,
+}
+
+impl PrefixTable {
+    /// Builds the table; lines are numbered by their position in `specs`.
+    pub fn new(specs: &[PrefixSpec]) -> Self {
+        let mut ranges: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.fixed, s.fixed | (s.host_count() - 1), i))
+            .collect();
+        ranges.sort_unstable();
+        PrefixTable { ranges }
+    }
+
+    /// Two lines whose ranges share an address (in line order) and the
+    /// first address they share. Such a list cannot key every target to
+    /// one line, so [`V6TargetSpace::new`] rejects it.
+    pub fn overlap(&self) -> Option<(usize, usize, Ipv6Addr)> {
+        let w = self.ranges.windows(2).find(|w| w[1].0 <= w[0].1)?;
+        let (a, b) = (w[0].2.min(w[1].2), w[0].2.max(w[1].2));
+        Some((a, b, Ipv6Addr::from(w[1].0)))
+    }
+
+    /// The line whose range holds `addr`, and `addr`'s index there.
+    #[inline]
+    pub fn find(&self, addr: Ipv6Addr) -> Option<(usize, u128)> {
+        let a = u128::from(addr);
+        let below = &self.ranges[..self.ranges.partition_point(|r| r.0 <= a)];
+        let &(first, last, line) = below.last()?;
+        (a <= last).then_some((line, a - first))
     }
 }
 
@@ -454,6 +401,16 @@ pub enum V6Error {
     EmptyPrefixList,
     /// No ports were configured.
     NoPorts,
+    /// Two lines enumerate a common address, so a response from it could
+    /// not be keyed to one line. Names both lines.
+    Overlap {
+        /// The earlier line, e.g. `"2001:db8::/32 pattern=low bits=8"`.
+        first: String,
+        /// The later line.
+        second: String,
+        /// The first address both enumerate.
+        at: Ipv6Addr,
+    },
     /// A prefix's pool is so large that even splitting it into
     /// [`MAX_WALKS_PER_PREFIX`] subwalks of the largest ladder group
     /// cannot cover it. Names the prefix so the operator knows which
@@ -466,16 +423,6 @@ pub enum V6Error {
         /// The subwalk cap.
         max_walks: u64,
     },
-    /// Group selection failed for a prefix's subwalk pool. Unreachable
-    /// after splitting (pools are capped at [`CyclicGroup::max_order`]),
-    /// kept so a future ladder change degrades with a named prefix
-    /// instead of a panic.
-    Group {
-        /// The offending prefix.
-        prefix: String,
-        /// The underlying ladder error.
-        source: GroupError,
-    },
 }
 
 impl std::fmt::Display for V6Error {
@@ -483,6 +430,11 @@ impl std::fmt::Display for V6Error {
         match self {
             V6Error::EmptyPrefixList => write!(f, "prefix list is empty"),
             V6Error::NoPorts => write!(f, "at least one port is required"),
+            V6Error::Overlap { first, second, at } => write!(
+                f,
+                "prefix lines {first} and {second} both enumerate {at}; \
+                 every address must belong to one line"
+            ),
             V6Error::PrefixTooLarge {
                 prefix,
                 pool,
@@ -492,21 +444,11 @@ impl std::fmt::Display for V6Error {
                 "prefix {prefix}: pool of {pool} targets exceeds {max_walks} subwalks \
                  of the largest group; lower bits= or the port count"
             ),
-            V6Error::Group { prefix, source } => {
-                write!(f, "prefix {prefix}: group selection failed: {source}")
-            }
         }
     }
 }
 
-impl std::error::Error for V6Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            V6Error::Group { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for V6Error {}
 
 /// Upper bound on subwalks per prefix. A prefix whose pool exceeds
 /// `MAX_WALKS_PER_PREFIX × CyclicGroup::max_order()` (≈ 2^64 targets) is
@@ -529,14 +471,12 @@ struct Walk {
 /// smallest-fitting ladder group, iterated shard-compatibly.
 #[derive(Debug, Clone)]
 pub struct V6TargetSpace {
-    specs: Vec<PrefixSpec>,
-    ports: Vec<u16>,
+    /// The specs, ports and key layout the walk's targets are keyed in.
+    dedup: V6DedupSpace,
     port_bits: u32,
     seed: u64,
     algorithm: ShardAlgorithm,
     walks: Vec<Walk>,
-    /// walks-per-spec, parallel to `specs` (diagnostics + tests).
-    walks_per_spec: Vec<u64>,
 }
 
 impl V6TargetSpace {
@@ -544,14 +484,14 @@ impl V6TargetSpace {
     ///
     /// Each prefix's pool is `2^bits × 2^port_bits` raw slots. A pool
     /// that fits the largest ladder group becomes one walk; a larger one
-    /// is split into `2^k` contiguous host-index slices that each fit —
-    /// the recovery path for [`GroupError::TooManyTargets`]. Every walk
-    /// gets its own cycle seeded from `(seed, walk ordinal)`.
+    /// is split into `2^k` contiguous host-index slices that each fit.
+    /// Every walk gets its own cycle seeded from `(seed, walk ordinal)`.
     ///
     /// # Errors
-    /// [`V6Error::PrefixTooLarge`] (naming the prefix) when a split would
-    /// need more than [`MAX_WALKS_PER_PREFIX`] subwalks; the empty-input
-    /// errors otherwise.
+    /// [`V6Error::Overlap`] (naming both lines) when two specs enumerate
+    /// a common address; [`V6Error::PrefixTooLarge`] (naming the prefix)
+    /// when a split would need more than [`MAX_WALKS_PER_PREFIX`]
+    /// subwalks; the empty-input errors otherwise.
     pub fn new(
         specs: Vec<PrefixSpec>,
         ports: &[u16],
@@ -564,69 +504,57 @@ impl V6TargetSpace {
         if ports.is_empty() {
             return Err(V6Error::NoPorts);
         }
+        let dedup = V6DedupSpace::new(&specs, ports);
+        if let Some((a, b, at)) = dedup.table.overlap() {
+            let (first, second) = (specs[a].describe(), specs[b].describe());
+            return Err(V6Error::Overlap { first, second, at });
+        }
         let port_bits = (ports.len() as u64).next_power_of_two().trailing_zeros();
         // Largest power-of-two pool a ladder group holds: 2^48 ≤ 2^48+20.
         let max_pool_bits = 48u32;
         let mut walks = Vec::new();
-        let mut walks_per_spec = Vec::with_capacity(specs.len());
         for (spec_idx, spec) in specs.iter().enumerate() {
             let bits = u32::from(spec.bits());
             let span_bits = bits.min(max_pool_bits.saturating_sub(port_bits));
             let split = bits - span_bits;
-            if split >= 63 || (1u64 << split) > MAX_WALKS_PER_PREFIX {
-                return Err(V6Error::PrefixTooLarge {
-                    prefix: spec.canonical_prefix(),
-                    pool: spec.host_count() << port_bits,
-                    max_walks: MAX_WALKS_PER_PREFIX,
-                });
-            }
-            let subwalks = 1u64 << split;
-            let host_span = 1u128 << span_bits;
-            let pool = 1u64 << (span_bits + port_bits);
-            let group = CyclicGroup::for_target_count(pool).map_err(|source| V6Error::Group {
+            let too_large = || V6Error::PrefixTooLarge {
                 prefix: spec.canonical_prefix(),
-                source,
-            })?;
-            for w in 0..subwalks {
+                pool: spec.host_count() << port_bits,
+                max_walks: MAX_WALKS_PER_PREFIX,
+            };
+            if split >= 63 || (1u64 << split) > MAX_WALKS_PER_PREFIX {
+                return Err(too_large());
+            }
+            let pool = 1u64 << (span_bits + port_bits);
+            // Never fails: the pool was capped at the largest group.
+            let group = CyclicGroup::for_target_count(pool).map_err(|_| too_large())?;
+            for w in 0..1u64 << split {
                 let ordinal = walks.len() as u64;
                 walks.push(Walk {
                     spec_idx,
-                    host_base: u128::from(w) * host_span,
+                    host_base: u128::from(w) << span_bits,
                     pool,
                     cycle: Cycle::new(group.clone(), derive_seed(seed, ordinal)),
                 });
             }
-            walks_per_spec.push(subwalks);
         }
         Ok(V6TargetSpace {
-            specs,
-            ports: ports.to_vec(),
+            dedup,
             port_bits,
             seed,
             algorithm,
             walks,
-            walks_per_spec,
         })
     }
 
     /// The prefix specs, in file order.
     pub fn specs(&self) -> &[PrefixSpec] {
-        &self.specs
+        &self.dedup.specs
     }
 
     /// The scanned ports.
     pub fn ports(&self) -> &[u16] {
-        &self.ports
-    }
-
-    /// The scan seed the walk plan was derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The sharding algorithm applied inside every walk.
-    pub fn algorithm(&self) -> ShardAlgorithm {
-        self.algorithm
+        &self.dedup.ports
     }
 
     /// Total number of cyclic walks (≥ number of prefixes; larger when
@@ -635,17 +563,9 @@ impl V6TargetSpace {
         self.walks.len()
     }
 
-    /// How many subwalks prefix `spec_idx` was split into (1 = no split).
-    pub fn walks_for_prefix(&self, spec_idx: usize) -> u64 {
-        self.walks_per_spec[spec_idx]
-    }
-
     /// Exact number of (address, port) targets across all prefixes.
     pub fn target_count(&self) -> u128 {
-        self.specs
-            .iter()
-            .map(|s| s.host_count() * self.ports.len() as u128)
-            .sum()
+        self.dedup.key_space()
     }
 
     /// A stable digest of (specs, ports, seed). The scan journal stores
@@ -653,40 +573,36 @@ impl V6TargetSpace {
     /// detects a changed prefix list / port set / seed the same way the
     /// v4 path detects a changed target space.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = splitmix64(self.seed ^ 0x7636_7761_6C6B_2121);
-        for &p in &self.ports {
-            h = splitmix64(h ^ u64::from(p));
-        }
-        for spec in &self.specs {
-            h = spec.fold_fingerprint(h);
-        }
-        h
+        let h = splitmix64(self.seed ^ 0x7636_7761_6C6B_2121);
+        let h = self
+            .ports()
+            .iter()
+            .fold(h, |h, &p| splitmix64(h ^ u64::from(p)));
+        self.specs()
+            .iter()
+            .fold(h, |h, spec| spec.fold_fingerprint(h))
     }
 
     /// The dedup index space over this plan's prefixes and ports.
     pub fn dedup_space(&self) -> V6DedupSpace {
-        V6DedupSpace::new(&self.specs, &self.ports)
+        self.dedup.clone()
     }
 
     /// Decodes one raw group element of walk `walk_idx` into a target, or
     /// `None` for rejection-sampled slots (element beyond the pool, or a
     /// port slot past the real port list).
-    fn decode_walk(&self, walk_idx: usize, element: u64) -> Option<Target6> {
+    fn decode(&self, walk_idx: usize, element: u64) -> Option<Target6> {
         let walk = &self.walks[walk_idx];
-        debug_assert!(element >= 1 && element < walk.cycle.group().prime());
         let candidate = element - 1;
-        if candidate >= walk.pool {
-            return None;
-        }
         let port_idx = (candidate & ((1u64 << self.port_bits) - 1)) as usize;
-        if port_idx >= self.ports.len() {
+        if candidate >= walk.pool || port_idx >= self.dedup.ports.len() {
             return None;
         }
-        let host_off = candidate >> self.port_bits;
-        let spec = &self.specs[walk.spec_idx];
+        let index = walk.host_base + u128::from(candidate >> self.port_bits);
         Some(Target6 {
-            ip: spec.addr_at(walk.host_base + u128::from(host_off)),
-            port: self.ports[port_idx],
+            ip: self.dedup.specs[walk.spec_idx].addr_at(index),
+            port: self.dedup.ports[port_idx],
+            key: u64::try_from(self.dedup.key(walk.spec_idx, index, port_idx)).ok(),
         })
     }
 
@@ -696,38 +612,18 @@ impl V6TargetSpace {
     /// # Errors
     /// Returns `Err` when the spec is invalid for any walk.
     pub fn iter_spec(&self, spec: ShardSpec) -> Result<V6TargetIter<'_>, ShardError> {
-        spec.validate()?;
-        let mut lanes = Vec::new();
-        for (walk_idx, walk) in self.walks.iter().enumerate() {
-            let inner = ShardIter::new(&walk.cycle, spec, self.algorithm)?;
-            let weight = inner.remaining();
-            if weight == 0 {
-                // This subshard's slice of the walk is empty; the walk's
-                // elements belong to other subshards.
-                continue;
-            }
-            // Stride scheduling: each draw advances the lane's pass value
-            // by SCALE/weight, and the next draw always comes from the
-            // lane with the smallest pass — walks contribute elements in
-            // proportion to their slice size, so no prefix is probed in a
-            // burst. The seeded initial offset de-phases equal-weight
-            // lanes beyond the deterministic ordinal tie-break.
-            let stride = STRIDE_SCALE / u128::from(weight);
-            let pass = u128::from(derive_seed(
-                self.seed ^ 0x696E_746C_7636_5F5F,
-                walk_idx as u64,
-            )) % stride.max(1);
-            lanes.push(Lane {
-                walk: walk_idx,
-                inner,
-                pass,
-                stride,
-            });
-        }
+        let walks = self
+            .walks
+            .iter()
+            .map(|w| ShardIter::new(&w.cycle, spec, self.algorithm));
+        // A seeded first pass below the stride de-phases equal-weight
+        // walks beyond the lane-order tie-break.
+        let phase = |lane: usize, stride: u128| {
+            u128::from(derive_seed(self.seed ^ 0x696E_746C_7636_5F5F, lane as u64)) % stride
+        };
         Ok(V6TargetIter {
             space: self,
-            lanes,
-            consumed: 0,
+            schedule: Schedule::new(walks.collect::<Result<_, _>>()?, phase),
         })
     }
 
@@ -752,93 +648,39 @@ impl V6TargetSpace {
     }
 }
 
-/// Fixed-point scale for stride scheduling (per-lane pass increments are
-/// `SCALE / weight`; weights are ≤ 2^48, so increments stay ≥ 2^16 and
-/// accumulated passes stay far below u128 overflow).
-const STRIDE_SCALE: u128 = 1 << 64;
-
-#[derive(Debug, Clone)]
-struct Lane<'a> {
-    walk: usize,
-    inner: ShardIter<'a>,
-    pass: u128,
-    stride: u128,
-}
-
-/// Iterator over one subshard's v6 targets: a seeded stride-scheduling
-/// interleave of every walk's [`ShardIter`].
+/// Iterator over one subshard's v6 targets: every walk's [`ShardIter`]
+/// merged by the seeded stride schedule.
 ///
-/// The checkpointable position is [`elements_consumed`]
-/// (`V6TargetIter::elements_consumed`) — total raw draws across all
-/// walks, a single `u64` exactly like the IPv4 walk position, so the
-/// journal format and `ShardSpec` plumbing carry over unchanged. The
-/// scheduler is deterministic in (specs, ports, seed, spec), so
-/// [`fast_forward_elements`](V6TargetIter::fast_forward_elements) replays
-/// the draw order cheaply and then jumps each walk in O(log k).
+/// The checkpointable position is
+/// [`elements_consumed`](V6TargetIter::elements_consumed) — total raw
+/// draws across all walks, a single `u64` exactly like the IPv4 walk
+/// position, so the journal format and `ShardSpec` plumbing carry over
+/// unchanged. The schedule is deterministic in (specs, ports, seed,
+/// spec), so [`fast_forward_elements`](V6TargetIter::fast_forward_elements)
+/// finds any position in closed form and then jumps each walk in
+/// O(log k).
 #[derive(Debug, Clone)]
 pub struct V6TargetIter<'a> {
     space: &'a V6TargetSpace,
-    lanes: Vec<Lane<'a>>,
-    consumed: u64,
+    schedule: Schedule<'a>,
 }
 
 impl V6TargetIter<'_> {
     /// Raw draws so far (yields + rejection skips + fast-forwarded jumps).
     pub fn elements_consumed(&self) -> u64 {
-        self.consumed
+        self.schedule.consumed()
     }
 
     /// Raw draws left across all walks.
     pub fn elements_remaining(&self) -> u64 {
-        self.lanes.iter().map(|l| l.inner.remaining()).sum()
-    }
-
-    /// Index of the lane the scheduler draws from next: smallest pass,
-    /// ties broken by walk ordinal. `None` when every lane is dry.
-    fn next_lane(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.inner.remaining() == 0 {
-                continue;
-            }
-            match best {
-                Some(b) if self.lanes[b].pass <= lane.pass => {}
-                _ => best = Some(i),
-            }
-        }
-        best
+        self.schedule.remaining()
     }
 
     /// Skips the next `min(k, remaining)` raw draws and returns how many
-    /// were skipped. The scheduler replay is O(k · lanes) integer work;
-    /// the group walks then jump via one modular exponentiation per walk.
+    /// were skipped: O(walks) per bit of the schedule's pass clock, then
+    /// one modular exponentiation per walk.
     pub fn fast_forward_elements(&mut self, k: u64) -> u64 {
-        let mut skips = vec![0u64; self.lanes.len()];
-        let mut rem: Vec<u64> = self.lanes.iter().map(|l| l.inner.remaining()).collect();
-        let mut done = 0u64;
-        while done < k {
-            let mut best: Option<usize> = None;
-            for (i, r) in rem.iter().enumerate() {
-                if *r == 0 {
-                    continue;
-                }
-                match best {
-                    Some(b) if self.lanes[b].pass <= self.lanes[i].pass => {}
-                    _ => best = Some(i),
-                }
-            }
-            let Some(i) = best else { break };
-            skips[i] += 1;
-            rem[i] -= 1;
-            self.lanes[i].pass += self.lanes[i].stride;
-            done += 1;
-        }
-        for (i, &s) in skips.iter().enumerate() {
-            let jumped = self.lanes[i].inner.fast_forward(s);
-            debug_assert_eq!(jumped, s);
-        }
-        self.consumed += done;
-        done
+        self.schedule.fast_forward(k)
     }
 }
 
@@ -847,32 +689,11 @@ impl Iterator for V6TargetIter<'_> {
 
     fn next(&mut self) -> Option<Target6> {
         loop {
-            let i = self.next_lane()?;
-            let lane = &mut self.lanes[i];
-            let element = match lane.inner.next() {
-                Some(e) => e,
-                None => {
-                    // next_lane only returns lanes with remaining > 0, so
-                    // this is unreachable; end the walk rather than panic
-                    // a live scan if the invariant is ever broken.
-                    debug_assert!(false, "lane had remaining > 0");
-                    return None;
-                }
-            };
-            lane.pass += lane.stride;
-            self.consumed += 1;
-            let walk = lane.walk;
-            if let Some(t) = self.space.decode_walk(walk, element) {
+            let (walk, element) = self.schedule.next()?;
+            if let Some(t) = self.space.decode(walk, element) {
                 return Some(t);
             }
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (
-            0,
-            Some(usize::try_from(self.elements_remaining()).unwrap_or(usize::MAX)),
-        )
     }
 }
 
@@ -916,13 +737,25 @@ impl std::fmt::Display for DedupError {
             DedupError::NoMatchingPrefix(a) => {
                 write!(f, "{a} is outside every configured prefix")
             }
-            DedupError::PatternMismatch { prefix: (net, len), addr } => {
+            DedupError::PatternMismatch {
+                prefix: (net, len),
+                addr,
+            } => {
                 write!(f, "{addr} does not match the host pattern of {net}/{len}")
             }
-            DedupError::UnknownPort { prefix: (net, len), port } => {
-                write!(f, "port {port} (prefix {net}/{len}) is not in the scanned set")
+            DedupError::UnknownPort {
+                prefix: (net, len),
+                port,
+            } => {
+                write!(
+                    f,
+                    "port {port} (prefix {net}/{len}) is not in the scanned set"
+                )
             }
-            DedupError::KeyOverflow { prefix: (net, len), key } => {
+            DedupError::KeyOverflow {
+                prefix: (net, len),
+                key,
+            } => {
                 write!(f, "dedup key {key} for prefix {net}/{len} exceeds 64 bits")
             }
         }
@@ -930,14 +763,6 @@ impl std::fmt::Display for DedupError {
 }
 
 impl std::error::Error for DedupError {}
-
-#[derive(Debug, Clone)]
-struct DedupEntry {
-    spec: PrefixSpec,
-    /// Cumulative target offset of this prefix (spec order), in compact
-    /// `host_index × ports + port_idx` units.
-    base: u128,
-}
 
 /// Maps response `(addr, port)` pairs to dense `u64` dedup keys.
 ///
@@ -947,24 +772,32 @@ struct DedupEntry {
 /// real target count.
 #[derive(Debug, Clone)]
 pub struct V6DedupSpace {
-    entries: Vec<DedupEntry>,
+    specs: Vec<PrefixSpec>,
+    table: PrefixTable,
+    /// Each spec's first key: the key counts of the specs before it.
+    bases: Vec<u128>,
     ports: Vec<u16>,
 }
 
 impl V6DedupSpace {
-    /// Builds the space. Offsets follow `specs` order.
+    /// Builds the space. Offsets follow `specs` order. The specs should
+    /// not overlap ([`parse_prefix_list`] and [`V6TargetSpace::new`]
+    /// reject lists that do); where two do, an address keys against the
+    /// range that starts last at or below it.
     pub fn new(specs: &[PrefixSpec], ports: &[u16]) -> Self {
-        let mut entries = Vec::with_capacity(specs.len());
-        let mut base = 0u128;
-        for spec in specs {
-            entries.push(DedupEntry {
-                spec: spec.clone(),
-                base,
-            });
-            base += spec.host_count() * ports.len() as u128;
-        }
+        let mut next = 0u128;
+        let bases = specs
+            .iter()
+            .map(|s| {
+                let base = next;
+                next += s.host_count() * ports.len() as u128;
+                base
+            })
+            .collect();
         V6DedupSpace {
-            entries,
+            specs: specs.to_vec(),
+            table: PrefixTable::new(specs),
+            bases,
             ports: ports.to_vec(),
         }
     }
@@ -972,45 +805,51 @@ impl V6DedupSpace {
     /// Total key-space size (keys are `[0, key_space)`); callers sizing a
     /// full bitmap check this fits their budget first.
     pub fn key_space(&self) -> u128 {
-        self.entries
-            .last()
-            .map(|e| e.base + e.spec.host_count() * self.ports.len() as u128)
-            .unwrap_or(0)
+        self.specs.iter().map(PrefixSpec::host_count).sum::<u128>() * self.ports.len() as u128
+    }
+
+    /// The key of host `index` of spec `spec` on port slot `port_idx` —
+    /// the one layout the walk and [`key_for`](Self::key_for) share.
+    fn key(&self, spec: usize, index: u128, port_idx: usize) -> u128 {
+        self.bases[spec] + index * self.ports.len() as u128 + port_idx as u128
     }
 
     /// The dense dedup key for a response, or a typed error naming the
     /// prefix that failed.
     ///
-    /// Longest-prefix match picks the spec; if the address falls inside
-    /// that prefix but off its pattern, the error names it rather than
-    /// falling through to a shorter, wrong prefix.
+    /// One binary search over the [`PrefixTable`] finds the line that
+    /// enumerates the address. An address no line enumerates is named
+    /// against its longest matching prefix, not a shorter, wrong one.
     pub fn key_for(&self, addr: Ipv6Addr, port: u16) -> Result<u64, DedupError> {
-        let entry = self
-            .entries
+        let Some((spec, index)) = self.table.find(addr) else {
+            return Err(self.miss(addr));
+        };
+        let prefix = (self.specs[spec].prefix, self.specs[spec].prefix_len);
+        let port_idx = self
+            .ports
             .iter()
-            .filter(|e| e.spec.contains(addr))
-            .max_by_key(|e| e.spec.prefix_len())
-            .ok_or(DedupError::NoMatchingPrefix(addr))?;
-        let index = entry
-            .spec
-            .index_of(addr)
-            .ok_or_else(|| DedupError::PatternMismatch {
-                prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
+            .position(|&p| p == port)
+            .ok_or(DedupError::UnknownPort { prefix, port })?;
+        let key = self.key(spec, index, port_idx);
+        u64::try_from(key).map_err(|_| DedupError::KeyOverflow { prefix, key })
+    }
+
+    /// The error for an address no line enumerates: a pattern mismatch
+    /// against its longest matching prefix, or no prefix at all.
+    #[cold]
+    fn miss(&self, addr: Ipv6Addr) -> DedupError {
+        let longest = self
+            .specs
+            .iter()
+            .filter(|s| s.contains(addr))
+            .max_by_key(|s| s.prefix_len);
+        match longest {
+            Some(s) => DedupError::PatternMismatch {
+                prefix: (s.prefix, s.prefix_len),
                 addr,
-            })?;
-        let port_idx =
-            self.ports
-                .iter()
-                .position(|&p| p == port)
-                .ok_or_else(|| DedupError::UnknownPort {
-                    prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
-                    port,
-                })?;
-        let key = entry.base + index * self.ports.len() as u128 + port_idx as u128;
-        u64::try_from(key).map_err(|_| DedupError::KeyOverflow {
-            prefix: (entry.spec.prefix(), entry.spec.prefix_len()),
-            key,
-        })
+            },
+            None => DedupError::NoMatchingPrefix(addr),
+        }
     }
 }
 
@@ -1249,12 +1088,11 @@ mod tests {
         let specs = vec![spec("2001:db8::/32 pattern=low bits=50")];
         let space = V6TargetSpace::new(specs, &[443], 1, ShardAlgorithm::Pizza).unwrap();
         assert_eq!(space.walk_count(), 4);
-        assert_eq!(space.walks_for_prefix(0), 4);
         assert_eq!(space.target_count(), 1u128 << 50);
         // Two ports (port_bits=1): span drops to 47 ⇒ 8 subwalks.
         let specs = vec![spec("2001:db8::/32 pattern=low bits=50")];
         let space = V6TargetSpace::new(specs, &[80, 443], 1, ShardAlgorithm::Pizza).unwrap();
-        assert_eq!(space.walks_for_prefix(0), 8);
+        assert_eq!(space.walk_count(), 8);
     }
 
     #[test]
@@ -1387,6 +1225,78 @@ mod tests {
         }
     }
 
+    #[test]
+    fn nested_lines_key_every_walked_target() {
+        // The /64 sits inside the /32, but their on-pattern ranges are
+        // disjoint: the /32 walks 2001:db8::0–ff, the /64 sixteen EUI-64
+        // hosts. Each target keys against the line that walked it, even
+        // where its longest matching prefix is the other line.
+        let specs = parse_prefix_list("2001:db8::/32 bits=8\n2001:db8::/64 pattern=eui64 bits=4\n")
+            .unwrap();
+        let space = V6TargetSpace::new(specs, &[443], 3, ShardAlgorithm::Pizza).unwrap();
+        let dedup = space.dedup_space();
+        let mut walked = 0;
+        for t in space.iter_shard(0, 1, 0, 1) {
+            assert_eq!(dedup.key_for(t.ip, t.port).map(Some), Ok(t.key), "{}", t.ip);
+            walked += 1;
+        }
+        assert_eq!(walked, 256 + 16);
+        assert_eq!(dedup.key_for("2001:db8::5".parse().unwrap(), 443), Ok(5));
+    }
+
+    #[test]
+    fn overlapping_lines_are_rejected_naming_both() {
+        let specs = parse_prefix_list("2001:db8::/64 bits=16\n2001:db8::/32 bits=20\n").unwrap();
+        let err = V6TargetSpace::new(specs, &[80], 1, ShardAlgorithm::Pizza).unwrap_err();
+        match &err {
+            V6Error::Overlap { first, second, at } => {
+                assert_eq!(first, "2001:db8::/64 pattern=low bits=16");
+                assert_eq!(second, "2001:db8::/32 pattern=low bits=20");
+                assert_eq!(*at, "2001:db8::".parse::<Ipv6Addr>().unwrap());
+            }
+            other => panic!("expected Overlap, got {other:?}"),
+        }
+        let msg = err.to_string();
+        assert!(
+            msg.contains("/64 pattern=low") && msg.contains("/32 pattern=low"),
+            "{msg}"
+        );
+        // One prefix under two patterns enumerates disjoint ranges.
+        let specs = parse_prefix_list("2001:db8::/48 bits=8\n2001:db8::/48 pattern=eui64 bits=8\n");
+        V6TargetSpace::new(specs.unwrap(), &[80], 1, ShardAlgorithm::Pizza).unwrap();
+    }
+
+    /// Resuming at every raw-draw position of `fresh()` yields what the
+    /// uninterrupted walk yields from there, with the same positions.
+    fn assert_resumes_everywhere<I, T>(
+        fresh: impl Fn() -> I,
+        consumed: impl Fn(&I) -> u64,
+        jump: impl Fn(&mut I, u64) -> u64,
+    ) where
+        I: Iterator<Item = T>,
+        T: PartialEq + std::fmt::Debug,
+    {
+        let mut full = fresh();
+        let mut steps = Vec::new();
+        while let Some(t) = full.next() {
+            steps.push((consumed(&full), t));
+        }
+        let total = consumed(&full);
+        for cut in 0..=total {
+            let mut resumed = fresh();
+            assert_eq!(jump(&mut resumed, cut), cut);
+            let from = steps.partition_point(|s| s.0 <= cut);
+            for want in steps[from..].iter().take(8) {
+                let got = resumed.next();
+                assert_eq!(
+                    (consumed(&resumed), got.as_ref()),
+                    (want.0, Some(&want.1)),
+                    "cut {cut}"
+                );
+            }
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -1413,30 +1323,6 @@ mod tests {
                 prop_assert_eq!(union.len() as u128, space.target_count());
             }
 
-            // Kill-anywhere over the interleaved walk: resuming from any
-            // journaled raw-draw position yields exactly the suffix.
-            #[test]
-            fn v6_fast_forward_from_any_position_matches(
-                seed in any::<u64>(),
-                cut in 0u64..300,
-            ) {
-                let space = small_space(seed);
-                let mut full = space.iter_shard(0, 1, 0, 1);
-                let mut prefix_targets = Vec::new();
-                while full.elements_consumed() < cut {
-                    match full.next() {
-                        Some(t) => prefix_targets.push(t),
-                        None => break,
-                    }
-                }
-                let consumed = full.elements_consumed();
-                let suffix: Vec<Target6> = full.collect();
-                let mut resumed = space.iter_shard(0, 1, 0, 1);
-                resumed.fast_forward_elements(consumed);
-                let resumed_suffix: Vec<Target6> = resumed.collect();
-                prop_assert_eq!(suffix, resumed_suffix);
-            }
-
             // Pattern bijections hold for arbitrary prefixes and indices.
             #[test]
             fn pattern_bijection_roundtrips(
@@ -1460,6 +1346,41 @@ mod tests {
                 let addr = spec.addr_at(index);
                 prop_assert_eq!(spec.index_of(addr), Some(index));
                 prop_assert!(spec.contains(addr));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            // Kill-anywhere: resuming every subshard of a sharded v6
+            // space, and a re-keyed walk, from any journaled raw-draw
+            // position yields exactly the suffix.
+            #[test]
+            fn v6_fast_forward_from_any_position_matches(
+                seed in any::<u64>(),
+                (n, t) in (1u32..4, 1u32..3),
+                blocks in 3u32..20,
+                interleaved in any::<bool>(),
+            ) {
+                let space = small_space(seed);
+                for shard in 0..n {
+                    for sub in 0..t {
+                        assert_resumes_everywhere(
+                            || space.iter_shard(shard, n, sub, t),
+                            V6TargetIter::elements_consumed,
+                            V6TargetIter::fast_forward_elements,
+                        );
+                    }
+                }
+                // Blocks of at most 200 candidates: each walks the 257 group.
+                let walk = crate::RekeyedWalk::new(600, blocks, seed).unwrap();
+                let alg = if interleaved { ShardAlgorithm::Interleaved } else { ShardAlgorithm::Pizza };
+                let spec = ShardSpec { shard: 0, num_shards: n, subshard: t - 1, num_subshards: t };
+                assert_resumes_everywhere(
+                    || walk.iter_spec(spec, alg).unwrap(),
+                    crate::RekeyIter::consumed,
+                    crate::RekeyIter::fast_forward,
+                );
             }
         }
     }
