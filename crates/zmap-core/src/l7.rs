@@ -229,6 +229,26 @@ mod tests {
         }
     }
 
+    /// The two-phase shape of `exp_l4_l7`: the L7 phase attaches a second
+    /// endpoint at the finished scanner's address and must get the replies.
+    #[test]
+    fn interrogation_after_a_scan_on_the_same_net() {
+        let (net, b) = setup(ServiceModel::dense(&[80]));
+        let src = Ipv4Addr::new(192, 0, 2, 8);
+        let mut cfg = crate::config::ScanConfig::new(src);
+        cfg.allowlist_prefix(Ipv4Addr::new(9, 9, 9, 0), 30);
+        cfg.apply_default_blocklist = false;
+        cfg.cooldown_secs = 1;
+        let summary = crate::scanner::Scanner::new(cfg, net.transport(src))
+            .expect("valid config")
+            .run();
+        assert_eq!(summary.results.len(), 4, "dense /30 answers fully");
+        let mut t = net.transport(src);
+        let r = interrogate(&mut t, &b, Ipv4Addr::new(9, 9, 9, 9), 80, &L7Config::default());
+        assert!(r.l4_confirmed, "the SYN-ACK reached the interrogating endpoint");
+        assert!(r.l7_confirmed());
+    }
+
     #[test]
     fn timeout_terminates_in_dead_space() {
         let mut model = ServiceModel::dense(&[80]);

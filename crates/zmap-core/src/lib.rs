@@ -79,7 +79,6 @@ pub use metrics::{CounterId, HistId, ScanMetrics};
 pub use output::{Classification, OutputFormat, RowSink, ScanResult};
 pub use scanner::{PreparedScan, ResumeError, RunOptions, ScanSummary, Scanner};
 pub use supervisor::{
-    JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorError,
-    SupervisorReport,
+    JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorReport,
 };
 pub use transport::{LoopbackTransport, SimNet, SimTransport, Transport};

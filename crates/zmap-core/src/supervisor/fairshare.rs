@@ -1,9 +1,7 @@
-//! Multi-tenant TX bandwidth admission: a reservation ledger with
-//! equal-split tenant budgets, layered on the per-worker
-//! [`RateController`](crate::ratecontrol::RateController) token buckets.
+//! Multi-tenant TX bandwidth admission and the restart backoff curve.
 //!
-//! The model (DESIGN.md §10.3): the supervisor owns one link budget of
-//! `capacity_pps`. Every active tenant is entitled to an equal slice
+//! The supervisor owns one link budget of `capacity_pps` (DESIGN.md
+//! §10.3). Every active tenant is entitled to an equal slice
 //! `capacity / tenants`, and a job's grant at admission is
 //!
 //! ```text
@@ -12,68 +10,61 @@
 //!                                    capacity − reserved)))
 //! ```
 //!
-//! Grants are *reservations*: held from admission until the job leaves
-//! (completed or degraded), never re-clamped when later tenants arrive —
-//! re-clamping would change a running job's rate and with it the config
-//! digest its checkpoint journals are bound to, making every in-flight
-//! journal unmigratable. The price of that stability is that an early
-//! sole tenant can hold more than a later equal split would give it;
-//! the budget math only constrains *new* grants.
-//!
-//! `MIN_GRANT_PPS` is the progress guarantee: admission never returns
-//! zero, so a saturated link degrades to slow progress, not starvation.
-//! The link can therefore be oversubscribed by at most one minimum
-//! grant per admitted job.
+//! Grants are *reservations*, held until the job leaves and never
+//! re-clamped: a running job's rate is part of the config digest its
+//! checkpoint journals are bound to, so an early sole tenant may keep
+//! more than a later equal split. `MIN_GRANT_PPS` is the progress
+//! guarantee: a saturated link degrades to slow progress, not starvation,
+//! oversubscribed by at most one minimum grant per admitted job.
 
 /// Smallest rate any admitted job receives, regardless of contention.
-pub const MIN_GRANT_PPS: u64 = 1;
+const MIN_GRANT_PPS: u64 = 1;
 
-/// Opaque handle for releasing a grant.
+/// First restart backoff; doubles per consecutive failure.
+pub const BACKOFF_BASE_NS: u64 = 250_000_000;
+
+/// Backoff ceiling.
+pub const BACKOFF_CAP_NS: u64 = 8_000_000_000;
+
+/// Handle for releasing a grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrantId(u64);
+pub(crate) struct GrantId(usize);
 
+/// The reservation ledger, owned by the supervisor's event loop.
 #[derive(Debug)]
-struct Grant {
-    id: u64,
-    tenant: String,
-    pps: u64,
-}
-
-/// The reservation ledger. Single-threaded, owned by the supervisor's
-/// event loop.
-#[derive(Debug)]
-pub struct FairShareLedger {
+pub(crate) struct FairShareLedger {
     capacity_pps: u64,
-    grants: Vec<Grant>,
-    next_id: u64,
+    /// `(tenant, pps)` by grant id; `None` once released.
+    grants: Vec<Option<(String, u64)>>,
 }
 
 impl FairShareLedger {
     /// A ledger over one link budget.
-    pub fn new(capacity_pps: u64) -> Self {
-        FairShareLedger { capacity_pps: capacity_pps.max(1), grants: Vec::new(), next_id: 0 }
+    pub(crate) fn new(capacity_pps: u64) -> Self {
+        FairShareLedger { capacity_pps: capacity_pps.max(1), grants: Vec::new() }
+    }
+
+    fn held(&self) -> impl Iterator<Item = &(String, u64)> {
+        self.grants.iter().flatten()
     }
 
     /// Total pps currently reserved.
-    pub fn reserved(&self) -> u64 {
-        self.grants.iter().map(|g| g.pps).sum()
+    fn reserved(&self) -> u64 {
+        self.held().map(|g| g.1).sum()
     }
 
     /// Distinct tenants holding at least one grant.
-    pub fn tenants(&self) -> usize {
-        let mut names: Vec<&str> = self.grants.iter().map(|g| g.tenant.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        names.len()
+    fn tenants(&self) -> usize {
+        self.held().map(|g| g.0.as_str()).collect::<std::collections::BTreeSet<_>>().len()
     }
 
     fn tenant_used(&self, tenant: &str) -> u64 {
-        self.grants.iter().filter(|g| g.tenant == tenant).map(|g| g.pps).sum()
+        self.held().filter(|g| g.0 == tenant).map(|g| g.1).sum()
     }
 
     /// Admits a job: reserves and returns its granted pps (≤ `demand`,
     /// ≥ [`MIN_GRANT_PPS`] when `demand` allows).
-    pub fn admit(&mut self, tenant: &str, demand_pps: u64) -> (GrantId, u64) {
+    pub(crate) fn admit(&mut self, tenant: &str, demand_pps: u64) -> (GrantId, u64) {
         let demand = demand_pps.max(1);
         let mut tenants_after = self.tenants() as u64;
         if self.tenant_used(tenant) == 0 {
@@ -83,27 +74,26 @@ impl FairShareLedger {
         let tenant_headroom = tenant_budget.saturating_sub(self.tenant_used(tenant));
         let link_headroom = self.capacity_pps.saturating_sub(self.reserved());
         let grant = demand.min(tenant_headroom.min(link_headroom).max(MIN_GRANT_PPS));
-        let id = self.next_id;
-        self.next_id += 1;
-        self.grants.push(Grant { id, tenant: tenant.to_string(), pps: grant });
-        (GrantId(id), grant)
+        self.grants.push(Some((tenant.to_string(), grant)));
+        (GrantId(self.grants.len() - 1), grant)
     }
 
     /// Releases a grant (no-op for an unknown or already-released id).
-    pub fn release(&mut self, id: GrantId) {
-        self.grants.retain(|g| g.id != id.0);
+    pub(crate) fn release(&mut self, id: GrantId) {
+        if let Some(grant) = self.grants.get_mut(id.0) {
+            *grant = None;
+        }
     }
 }
 
-/// Capped exponential restart backoff: `base · 2^(failures−1)`, clamped
-/// to `cap`. Monotone non-decreasing in `failures` and saturating — the
-/// properties the supervisor's convergence proof leans on, enforced by
-/// proptest in `tests/supervisor_stress.rs`.
-pub fn backoff_delay_ns(base_ns: u64, cap_ns: u64, consecutive_failures: u32) -> u64 {
-    let base = base_ns.max(1);
+/// Capped exponential restart backoff: `BACKOFF_BASE_NS · 2^(failures−1)`,
+/// clamped to [`BACKOFF_CAP_NS`]. Monotone non-decreasing in `failures`
+/// and saturating — the properties the supervisor's convergence proof
+/// leans on, enforced by proptest in `tests/supervisor_stress.rs`.
+pub fn backoff_delay_ns(consecutive_failures: u32) -> u64 {
     let shift = consecutive_failures.saturating_sub(1).min(63);
     // saturating_mul, not shl: a shift can silently drop high bits.
-    base.saturating_mul(1u64 << shift).min(cap_ns.max(base))
+    BACKOFF_BASE_NS.saturating_mul(1u64 << shift).min(BACKOFF_CAP_NS)
 }
 
 #[cfg(test)]
@@ -164,11 +154,10 @@ mod tests {
     fn backoff_is_exponential_then_capped() {
         let base = 250_000_000;
         let cap = 8_000_000_000;
-        assert_eq!(backoff_delay_ns(base, cap, 1), base);
-        assert_eq!(backoff_delay_ns(base, cap, 2), 2 * base);
-        assert_eq!(backoff_delay_ns(base, cap, 3), 4 * base);
-        assert_eq!(backoff_delay_ns(base, cap, 6), cap);
-        assert_eq!(backoff_delay_ns(base, cap, 200), cap, "saturates, never wraps");
-        assert_eq!(backoff_delay_ns(0, 0, 1), 1, "degenerate inputs stay sane");
+        assert_eq!(backoff_delay_ns(1), base);
+        assert_eq!(backoff_delay_ns(2), 2 * base);
+        assert_eq!(backoff_delay_ns(3), 4 * base);
+        assert_eq!(backoff_delay_ns(6), cap);
+        assert_eq!(backoff_delay_ns(200), cap, "saturates, never wraps");
     }
 }

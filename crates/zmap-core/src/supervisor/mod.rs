@@ -1,67 +1,44 @@
 //! Fault-tolerant multi-tenant scan supervisor (DESIGN.md §10).
 //!
-//! A long-lived scheduler daemon over the sequential
-//! [`Scanner`](crate::scanner::Scanner): scan
-//! jobs arrive as [`JobSpec`]s (config + world + shard count), get
-//! admitted through a fair-share reservation ledger
-//! ([`fairshare::FairShareLedger`]), are split into per-shard tasks, and
-//! run on a bounded worker pool. Every attempt executes under the
-//! engine's drain watchdog with periodic checkpoint journals; when a
-//! worker dies — a scheduled netsim kill, an injected panic, or a
-//! watchdog stall — the supervisor quarantines the worker, replays the
-//! task's journal onto a fresh worker with the engine's 2 s
-//! at-least-once rewind, and applies capped exponential restart backoff.
-//! A circuit breaker parks a task as *degraded* after
-//! [`SupervisorConfig::breaker_limit`] consecutive failures instead of
-//! crash-looping.
+//! [`JobSpec`]s are admitted through a fair-share reservation ledger,
+//! split into per-shard tasks, and run on a bounded worker pool, each
+//! attempt an inline-driver [`Scanner`](crate::scanner::Scanner) with
+//! checkpoint journals and the drain watchdog. A worker that dies — a
+//! netsim kill, an injected panic, a watchdog stall — is quarantined; its
+//! task is requeued with capped exponential backoff and replays its
+//! journal, or is parked as *degraded* after [`BREAKER_LIMIT`]
+//! consecutive failures.
 //!
-//! # Determinism
-//!
-//! The supervisor runs a single-threaded discrete-event loop on its own
-//! virtual clock. Events are ordered by `(time, sequence)`; worker
-//! attempts execute synchronously (each on a joined thread, for panic
-//! isolation only) and charge their virtual duration to the loop's
-//! clock. Scheduling, fault landing, restarts, and the status stream
-//! are therefore pure functions of the scenario — two runs of the same
-//! scenario are byte-identical, which is what the CI stress job diffs.
-//!
-//! Recovery keeps *results* exactly-once even though probing is
-//! at-least-once: a resumed attempt uses schedule-aligned resume
-//! ([`RunOptions::align_resume`](crate::scanner::RunOptions)), so every
-//! replayed probe departs at the same virtual instant as its
-//! uninterrupted twin and produces a byte-identical record; the merge
-//! unions attempts, drops identical duplicates, and sorts by
-//! `(ts_ns, saddr, sport)`. A panicked worker is the exception: nothing
-//! it buffered survives, so its task restarts from scratch rather than
-//! from a journal whose pre-checkpoint discoveries are lost.
+//! One thread runs a discrete-event loop on a virtual clock. Events are
+//! ordered by `(time, sequence)`; each attempt runs to its end on the
+//! loop's thread, under `catch_unwind`, and charges its virtual duration
+//! to the clock. Scheduling, fault landing, restarts, and the status
+//! stream are therefore pure functions of the scenario.
 
 pub mod fairshare;
 mod worker;
 
-pub use worker::PANIC_MARKER;
-
-use crate::checkpoint::{CheckpointPolicy, CheckpointState};
+use crate::checkpoint::CheckpointState;
 use crate::config::ScanConfig;
 use crate::log::Logger;
 use crate::metadata::Counters;
 use crate::metrics::{CounterId, HistId, ScanMetrics};
 use crate::output::ScanResult;
-use crate::scanner::PreparedScan;
+use crate::scanner::{PreparedScan, ResumeError};
 use fairshare::{backoff_delay_ns, FairShareLedger, GrantId};
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-use std::fmt;
 use std::path::PathBuf;
-use worker::{run_attempt, AttemptRequest, AttemptResult};
 use zmap_metrics::MetricsSnapshot;
 use zmap_netsim::faults::WorkerFaultPlan;
 use zmap_netsim::WorldConfig;
 
-/// Default drain-watchdog budget for supervised attempts: generous
-/// against healthy cooldowns, small enough that a stalled worker is
-/// declared dead quickly.
-pub const DEFAULT_SUPERVISED_WATCHDOG_POLLS: u64 = 2_048;
+/// Consecutive failures after which a task is parked as degraded.
+pub const BREAKER_LIMIT: u32 = 3;
+
+/// How long a worker that hosted a death stays out of the pool.
+pub const QUARANTINE_NS: u64 = 1_000_000_000;
 
 /// One scan job as submitted by a tenant.
 #[derive(Debug, Clone)]
@@ -83,25 +60,13 @@ pub struct JobSpec {
     pub submit_at_ns: u64,
 }
 
-/// Supervisor-wide policy knobs.
+/// What a deployment chooses; the recovery policy is fixed (DESIGN §10.4).
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Worker pool size.
     pub workers: u32,
     /// Total TX budget shared by all tenants (pps).
     pub capacity_pps: u64,
-    /// Consecutive failures after which a task is parked as degraded.
-    pub breaker_limit: u32,
-    /// First restart backoff; doubles per consecutive failure.
-    pub backoff_base_ns: u64,
-    /// Backoff ceiling.
-    pub backoff_cap_ns: u64,
-    /// How long a worker that hosted a death stays quarantined.
-    pub quarantine_ns: u64,
-    /// Virtual-time interval between periodic checkpoint journals.
-    pub checkpoint_interval_ns: u64,
-    /// Drain-watchdog poll budget for every attempt.
-    pub watchdog_poll_limit: u64,
     /// Directory for per-task checkpoint journals.
     pub journal_dir: PathBuf,
     /// Scheduled worker faults (inert by default).
@@ -109,45 +74,22 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Defaults for everything but the pool size, link budget, and
-    /// journal directory.
+    /// A pool of `workers` sharing `capacity_pps`, with no faults.
     pub fn new(workers: u32, capacity_pps: u64, journal_dir: PathBuf) -> Self {
         SupervisorConfig {
             workers: workers.max(1),
             capacity_pps: capacity_pps.max(1),
-            breaker_limit: 3,
-            backoff_base_ns: 250_000_000,
-            backoff_cap_ns: 8_000_000_000,
-            quarantine_ns: 1_000_000_000,
-            checkpoint_interval_ns: 100_000_000,
-            watchdog_poll_limit: DEFAULT_SUPERVISED_WATCHDOG_POLLS,
             journal_dir,
             worker_faults: WorkerFaultPlan::none(),
         }
     }
 }
 
-/// Why a submission was refused.
-#[derive(Debug)]
-pub enum SupervisorError {
-    /// The job spec failed validation.
-    Config(String),
-}
-
-impl fmt::Display for SupervisorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SupervisorError::Config(m) => write!(f, "invalid job: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for SupervisorError {}
-
 /// Terminal state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub enum JobOutcome {
     /// Every task finished; merged results are exact.
+    #[default]
     Completed,
     /// At least one task tripped the circuit breaker; results cover
     /// whatever the surviving tasks produced.
@@ -166,7 +108,7 @@ pub struct JobEvent {
 }
 
 /// Final per-job accounting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct JobReport {
     pub id: String,
     pub tenant: String,
@@ -208,116 +150,93 @@ impl SupervisorReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Internal scheduling state.
-// ---------------------------------------------------------------------------
-
-/// Discrete events, ordered by `(t_ns, seq)` in the loop's heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// Job `idx` arrives and is admitted.
-    Submit(usize),
-    /// Task `tid` is ready to be dispatched.
-    TaskReady(usize),
-    /// Worker `w` returns to the idle pool.
-    WorkerFree(u32),
-    /// A task of job `idx` reached a terminal phase at this virtual
-    /// time; check whether the whole job is done. Job-completion
-    /// bookkeeping (grant release, counters, the terminal event) runs
-    /// here rather than inside `dispatch` so a later-submitted job
-    /// never sees the ledger post-release of a job that only finishes
-    /// later in virtual time.
-    JobCheck(usize),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TaskPhase {
-    Runnable,
-    Completed,
-    Degraded,
-}
-
-struct TaskState {
-    job: usize,
-    cfg: ScanConfig,
-    journal_path: PathBuf,
-    consecutive_failures: u32,
-    resume: bool,
-    phase: TaskPhase,
-    results: Vec<ScanResult>,
-}
-
-struct JobState {
-    grant: GrantId,
-    granted_pps: u64,
-    per_task_pps: u64,
-    task_ids: Vec<usize>,
-    restarts: u32,
-    migrations: u32,
-    finished: bool,
-}
-
-/// The supervisor daemon. Build, [`submit`](Self::submit) jobs, then
-/// [`run`](Self::run) the scenario to completion.
+/// The supervisor daemon and its event loop's state. Build,
+/// [`submit`](Self::submit) jobs, then [`run`](Self::run) the scenario to
+/// completion; each private method is one step of the loop.
 pub struct Supervisor {
     cfg: SupervisorConfig,
     specs: Vec<JobSpec>,
+    logger: Logger,
+    metrics: ScanMetrics,
+    ledger: FairShareLedger,
+    /// One per job, filled in as it runs; results are merged at the end.
+    reports: Vec<JobReport>,
+    /// Each job's grant, held from admission until the job closes.
+    grants: Vec<Option<GrantId>>,
+    tasks: Vec<Task>,
+    ready: VecDeque<usize>,
+    idle: BTreeSet<u32>,
+    /// Attempts started per worker: the ordinal worker faults key on.
+    attempts: Vec<u64>,
+    /// Pending events, ordered by `(t_ns, seq)`.
+    agenda: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    seq: u64,
+    now: u64,
+    events: Vec<JobEvent>,
 }
 
 impl Supervisor {
-    /// A supervisor over the given policy.
+    /// A supervisor over the given pool.
     pub fn new(cfg: SupervisorConfig) -> Self {
-        Supervisor { cfg, specs: Vec::new() }
+        Supervisor {
+            logger: Logger::null(),
+            metrics: ScanMetrics::new(1, Counters::default()),
+            ledger: FairShareLedger::new(cfg.capacity_pps),
+            idle: (0..cfg.workers).collect(),
+            attempts: vec![0; cfg.workers as usize],
+            cfg,
+            specs: Vec::new(),
+            reports: Vec::new(),
+            grants: Vec::new(),
+            tasks: Vec::new(),
+            ready: VecDeque::new(),
+            agenda: BinaryHeap::new(),
+            seq: 0,
+            now: 0,
+            events: Vec::new(),
+        }
     }
 
-    /// Validates and enqueues a job for the next [`run`](Self::run).
-    pub fn submit(&mut self, spec: JobSpec) -> Result<(), SupervisorError> {
-        if spec.id.is_empty()
+    /// Validates and enqueues a job for the next [`run`](Self::run); `Err`
+    /// says what is wrong with the spec.
+    pub fn submit(&mut self, spec: JobSpec) -> Result<(), String> {
+        let problem = if spec.id.is_empty()
             || !spec.id.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
         {
-            return Err(SupervisorError::Config(format!(
-                "job id {:?} must be non-empty [A-Za-z0-9_-] (it names journal files)",
-                spec.id
-            )));
-        }
-        if self.specs.iter().any(|s| s.id == spec.id) {
-            return Err(SupervisorError::Config(format!("duplicate job id {:?}", spec.id)));
-        }
-        if spec.tenant.is_empty() {
-            return Err(SupervisorError::Config("tenant must be non-empty".into()));
-        }
-        if spec.tasks == 0 {
-            return Err(SupervisorError::Config("a job needs at least one task".into()));
-        }
-        if spec.cfg.num_shards.max(1) != 1 || spec.cfg.shard != 0 {
-            return Err(SupervisorError::Config(
-                "submit the whole scan (shard 0/1); the supervisor does the slicing".into(),
-            ));
-        }
-        if spec.cfg.rate_pps == 0 {
-            return Err(SupervisorError::Config("rate_pps must be at least 1".into()));
-        }
-        if spec.cfg.cooldown_secs == 0 {
-            return Err(SupervisorError::Config(
-                "cooldown_secs must be at least 1 (stall detection needs a drain window)".into(),
-            ));
-        }
-        if !spec.world.faults.is_inert() {
-            return Err(SupervisorError::Config(
-                "job worlds must carry an inert fault plan; worker faults are scheduled \
-                 through the supervisor's worker_faults, and packet-counter-keyed faults \
-                 would break replay identity"
-                    .into(),
-            ));
-        }
-        // Shake out config errors now, not on a pool worker: validate
-        // the plan and probe module of the first task slice.
-        let probe = task_config(&spec.cfg, 0, spec.tasks, 1);
-        if let Err(e) = PreparedScan::new(probe, Logger::null()) {
-            return Err(SupervisorError::Config(format!("job {:?}: {e}", spec.id)));
-        }
-        self.specs.push(spec);
-        Ok(())
+            format!("job id {:?} must be non-empty [A-Za-z0-9_-] (it names journal files)", spec.id)
+        } else if self.specs.iter().any(|s| s.id == spec.id) {
+            format!("duplicate job id {:?}", spec.id)
+        } else if spec.tenant.is_empty() {
+            "tenant must be non-empty".into()
+        } else if spec.tasks == 0 {
+            "a job needs at least one task".into()
+        } else if spec.cfg.num_shards.max(1) != 1 || spec.cfg.shard != 0 {
+            "submit the whole scan (shard 0/1); the supervisor does the slicing".into()
+        } else if spec.cfg.rate_pps == 0 {
+            "rate_pps must be at least 1".into()
+        } else if spec.cfg.cooldown_secs == 0 {
+            "cooldown_secs must be at least 1 (stall detection needs a drain window)".into()
+        } else if !spec.world.faults.is_inert() {
+            "job worlds must carry an inert fault plan; worker faults are scheduled through \
+             the supervisor's worker_faults, and packet-counter-keyed faults would break \
+             replay identity"
+                .into()
+        } else {
+            // Shake out config errors now, not on a pool worker: validate
+            // the plan and probe module of the first task slice.
+            match PreparedScan::new(task_config(&spec.cfg, 0, spec.tasks, 1), Logger::null()) {
+                Ok(_) => {
+                    self.at(spec.submit_at_ns, Ev::Submit(self.specs.len()));
+                    let (id, tenant, tasks) = (spec.id.clone(), spec.tenant.clone(), spec.tasks);
+                    self.reports.push(JobReport { id, tenant, tasks, ..JobReport::default() });
+                    self.grants.push(None);
+                    self.specs.push(spec);
+                    return Ok(());
+                }
+                Err(e) => format!("job {:?}: {e}", spec.id),
+            }
+        };
+        Err(problem)
     }
 
     /// Runs the scenario to completion with a null logger.
@@ -326,192 +245,48 @@ impl Supervisor {
     }
 
     /// Runs every submitted job to a terminal state and reports.
-    pub fn run_with_logger(self, logger: Logger) -> SupervisorReport {
-        let Supervisor { cfg, specs } = self;
-        if let Err(e) = std::fs::create_dir_all(&cfg.journal_dir) {
+    pub fn run_with_logger(mut self, logger: Logger) -> SupervisorReport {
+        if let Err(e) = std::fs::create_dir_all(&self.cfg.journal_dir) {
             logger.warn(format_args!(
                 "cannot create journal dir {}: {e}; journals will not persist",
-                cfg.journal_dir.display()
+                self.cfg.journal_dir.display()
             ));
         }
-        let metrics = ScanMetrics::new(1, Counters::default());
-        let mut ledger = FairShareLedger::new(cfg.capacity_pps);
-        let mut events: Vec<JobEvent> = Vec::new();
-        let mut tasks: Vec<TaskState> = Vec::new();
-        let mut jobs: Vec<Option<JobState>> = specs.iter().map(|_| None).collect();
-        let mut ready: VecDeque<usize> = VecDeque::new();
-        let mut idle: BTreeSet<u32> = (0..cfg.workers).collect();
-        let mut worker_attempts: Vec<u64> = vec![0; cfg.workers as usize];
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut push = |heap: &mut BinaryHeap<_>, seq: &mut u64, t: u64, ev: Ev| {
-            heap.push(Reverse((t, *seq, ev)));
-            *seq += 1;
-        };
-        for (idx, spec) in specs.iter().enumerate() {
-            push(&mut heap, &mut seq, spec.submit_at_ns, Ev::Submit(idx));
-        }
-
-        let mut now = 0u64;
-        while let Some(Reverse((t, _, ev))) = heap.pop() {
-            now = now.max(t);
+        self.logger = logger;
+        while let Some(Reverse((t, _, ev))) = self.agenda.pop() {
+            self.now = t;
             match ev {
-                Ev::Submit(idx) => {
-                    let spec = &specs[idx];
-                    let (grant, granted) = ledger.admit(&spec.tenant, spec.cfg.rate_pps);
-                    let per_task = (granted / u64::from(spec.tasks)).max(1);
-                    metrics.add(CounterId::JobsAdmitted, 1);
-                    metrics.trace(now, "job_admitted", granted);
-                    events.push(JobEvent {
-                        t_ns: now,
-                        job: spec.id.clone(),
-                        kind: "admitted".into(),
-                        detail: format!(
-                            "tenant {} granted {granted} pps across {} tasks ({per_task} pps each)",
-                            spec.tenant, spec.tasks
-                        ),
-                    });
-                    let mut task_ids = Vec::with_capacity(spec.tasks as usize);
-                    for i in 0..spec.tasks {
-                        let path = cfg
-                            .journal_dir
-                            .join(format!("job-{}-task-{i}.ckpt", spec.id));
-                        // A stale journal from a previous scenario must
-                        // never leak into this one.
-                        let _ = std::fs::remove_file(&path);
-                        let tid = tasks.len();
-                        tasks.push(TaskState {
-                            job: idx,
-                            cfg: task_config(&spec.cfg, i, spec.tasks, per_task),
-                            journal_path: path,
-                            consecutive_failures: 0,
-                            resume: false,
-                            phase: TaskPhase::Runnable,
-                            results: Vec::new(),
-                        });
-                        task_ids.push(tid);
-                        push(&mut heap, &mut seq, now, Ev::TaskReady(tid));
-                    }
-                    jobs[idx] = Some(JobState {
-                        grant,
-                        granted_pps: granted,
-                        per_task_pps: per_task,
-                        task_ids,
-                        restarts: 0,
-                        migrations: 0,
-                        finished: false,
-                    });
+                Ev::Submit(job) => self.admit(job),
+                Ev::Ready(tid) => self.ready.push_back(tid),
+                Ev::Free(w) => {
+                    self.idle.insert(w);
                 }
-                Ev::TaskReady(tid) => ready.push_back(tid),
-                Ev::WorkerFree(w) => {
-                    idle.insert(w);
-                }
-                Ev::JobCheck(idx) => {
-                    let terminal = match &jobs[idx] {
-                        Some(s) => {
-                            !s.finished
-                                && s.task_ids
-                                    .iter()
-                                    .all(|&t| tasks[t].phase != TaskPhase::Runnable)
-                        }
-                        None => false,
-                    };
-                    if terminal {
-                        if let Some(s) = &mut jobs[idx] {
-                            s.finished = true;
-                            ledger.release(s.grant);
-                            let degraded = s
-                                .task_ids
-                                .iter()
-                                .any(|&t| tasks[t].phase == TaskPhase::Degraded);
-                            if degraded {
-                                metrics.add(CounterId::JobsDegraded, 1);
-                                metrics.trace(now, "job_degraded", idx as u64);
-                                events.push(JobEvent {
-                                    t_ns: now,
-                                    job: specs[idx].id.clone(),
-                                    kind: "degraded".into(),
-                                    detail: format!(
-                                        "parked after {} worker deaths",
-                                        s.restarts
-                                    ),
-                                });
-                            } else {
-                                metrics.trace(now, "job_completed", idx as u64);
-                                events.push(JobEvent {
-                                    t_ns: now,
-                                    job: specs[idx].id.clone(),
-                                    kind: "completed".into(),
-                                    detail: format!(
-                                        "{} restarts, {} migrations",
-                                        s.restarts, s.migrations
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
+                Ev::Check(job) => self.check(job),
             }
-
-            // Dispatch: lowest idle worker takes the oldest ready task.
-            while let (Some(&w), Some(&tid)) = (idle.iter().next(), ready.front()) {
-                idle.remove(&w);
-                ready.pop_front();
-                if tasks[tid].phase != TaskPhase::Runnable {
-                    idle.insert(w);
-                    continue;
-                }
-                let free_at = dispatch(
-                    &cfg, &specs, &mut tasks, &mut jobs, &metrics, &logger, &mut events,
-                    &mut worker_attempts, &mut heap, &mut seq, &mut push, now, w, tid,
-                );
-                push(&mut heap, &mut seq, free_at, Ev::WorkerFree(w));
+            // The lowest-numbered idle worker takes the oldest ready task.
+            while let (Some(&w), Some(&tid)) = (self.idle.first(), self.ready.front()) {
+                self.idle.remove(&w);
+                self.ready.pop_front();
+                self.attempt(w, tid);
             }
         }
 
-        // Events are emitted in dispatch order but stamped with virtual
-        // times (an attempt's completion is stamped `now + duration`
-        // while dispatch itself runs at `now`). Present the log in
-        // (t_ns, emission order); the sort is stable, so same-instant
-        // events keep their causal order.
-        events.sort_by_key(|e| e.t_ns);
-        let reports = specs
-            .iter()
-            .enumerate()
-            .map(|(idx, spec)| {
-                let state = jobs[idx].take();
-                let (granted_pps, per_task_pps, restarts, migrations, task_ids) = match &state {
-                    Some(s) => {
-                        (s.granted_pps, s.per_task_pps, s.restarts, s.migrations, s.task_ids.clone())
-                    }
-                    None => (0, 0, 0, 0, Vec::new()),
-                };
-                let degraded =
-                    task_ids.iter().any(|&tid| tasks[tid].phase == TaskPhase::Degraded);
-                let mut results: Vec<ScanResult> = Vec::new();
-                for &tid in &task_ids {
-                    results.extend(tasks[tid].results.iter().copied());
-                }
-                merge_results(&mut results);
-                JobReport {
-                    id: spec.id.clone(),
-                    tenant: spec.tenant.clone(),
-                    outcome: if degraded { JobOutcome::Degraded } else { JobOutcome::Completed },
-                    granted_pps,
-                    per_task_pps,
-                    tasks: spec.tasks,
-                    restarts,
-                    migrations,
-                    results,
-                }
-            })
-            .collect();
+        // An attempt's events are emitted when it returns but stamped
+        // with its virtual times; the stable sort keeps same-instant
+        // events in emission order.
+        self.events.sort_by_key(|e| e.t_ns);
+        for task in self.tasks {
+            self.reports[task.job].results.extend(task.results);
+        }
+        for report in &mut self.reports {
+            merge_results(&mut report.results);
+        }
         SupervisorReport {
-            jobs: reports,
-            counters: metrics.counters(),
-            metrics: metrics.snapshot(),
-            events,
-            finished_at_ns: now,
+            jobs: self.reports,
+            counters: self.metrics.counters(),
+            metrics: self.metrics.snapshot(),
+            events: self.events,
+            finished_at_ns: self.now,
         }
     }
 }
@@ -527,235 +302,197 @@ fn task_config(whole: &ScanConfig, index: u32, tasks: u32, rate_pps: u64) -> Sca
 }
 
 /// Union-merge across attempts and tasks: sort by the full record key,
-/// then drop byte-identical duplicates (a replayed probe's response is
-/// the same record, see the module docs).
+/// then drop byte-identical duplicates. A resumed attempt replays probes
+/// schedule-aligned ([`RunOptions::align_resume`](crate::scanner::RunOptions)),
+/// so a replayed response is the same record.
 fn merge_results(results: &mut Vec<ScanResult>) {
     results.sort_by_key(|r| (r.ts_ns, r.saddr, r.sport, r.ttl, r.success));
     results.dedup();
 }
 
-/// How an attempt ended, for the restart policy.
-enum AttemptEnd {
-    Success,
-    Death(&'static str),
-    /// The journal was refused or the config failed to build; handled
-    /// outside the death path.
-    Aborted,
+/// What the loop's agenda holds, ordered by `(t_ns, seq)`. Dispatch runs
+/// after every event, not once per instant: when two workers free up at
+/// the same time, the one whose event was scheduled first takes a
+/// waiting task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Ev {
+    /// Job `idx` arrives and is admitted.
+    Submit(usize),
+    /// Task `tid` joins the ready queue.
+    Ready(usize),
+    /// Worker `w` rejoins the idle pool.
+    Free(u32),
+    /// A task of job `idx` ended at this virtual time. The job closes
+    /// here, never at dispatch, so a later-submitted job never sees the
+    /// ledger after a release that is still in its future.
+    Check(usize),
 }
 
-/// Runs one attempt of `tid` on worker `w` at virtual `now`; returns
-/// when the worker becomes free again.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    cfg: &SupervisorConfig,
-    specs: &[JobSpec],
-    tasks: &mut [TaskState],
-    jobs: &mut [Option<JobState>],
-    metrics: &ScanMetrics,
-    logger: &Logger,
-    events: &mut Vec<JobEvent>,
-    worker_attempts: &mut [u64],
-    heap: &mut BinaryHeap<Reverse<(u64, u64, Ev)>>,
-    seq: &mut u64,
-    push: &mut impl FnMut(&mut BinaryHeap<Reverse<(u64, u64, Ev)>>, &mut u64, u64, Ev),
-    now: u64,
-    w: u32,
-    tid: usize,
-) -> u64 {
-    let job_idx = tasks[tid].job;
-    let job_id = specs[job_idx].id.clone();
-    worker_attempts[w as usize] += 1;
-    let ordinal = worker_attempts[w as usize];
-    let fault = cfg.worker_faults.fault_for(w, ordinal);
+struct Task {
+    job: usize,
+    cfg: ScanConfig,
+    journal: PathBuf,
+    failures: u32,
+    resume: bool,
+    /// `None` while the task is runnable.
+    outcome: Option<JobOutcome>,
+    results: Vec<ScanResult>,
+}
 
-    let journal = if tasks[tid].resume {
-        match CheckpointState::load(&tasks[tid].journal_path) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                logger.warn(format_args!(
+impl Supervisor {
+    fn at(&mut self, t_ns: u64, ev: Ev) {
+        self.agenda.push(Reverse((t_ns, self.seq, ev)));
+        self.seq += 1;
+    }
+
+    /// Appends one line to the status stream.
+    fn emit(&mut self, t_ns: u64, job: usize, kind: &str, detail: String) {
+        let job = self.specs[job].id.clone();
+        self.events.push(JobEvent { t_ns, job, kind: kind.into(), detail });
+    }
+
+    fn admit(&mut self, job: usize) {
+        let spec = self.specs[job].clone();
+        let (grant, granted) = self.ledger.admit(&spec.tenant, spec.cfg.rate_pps);
+        let per_task = (granted / u64::from(spec.tasks)).max(1);
+        self.metrics.add(CounterId::JobsAdmitted, 1);
+        self.metrics.trace(self.now, "job_admitted", granted);
+        let detail = format!(
+            "tenant {} granted {granted} pps across {} tasks ({per_task} pps each)",
+            spec.tenant, spec.tasks
+        );
+        self.emit(self.now, job, "admitted", detail);
+        self.grants[job] = Some(grant);
+        (self.reports[job].granted_pps, self.reports[job].per_task_pps) = (granted, per_task);
+        for i in 0..spec.tasks {
+            let journal = self.cfg.journal_dir.join(format!("job-{}-task-{i}.ckpt", spec.id));
+            // A stale journal from a previous scenario must never leak
+            // into this one.
+            let _ = std::fs::remove_file(&journal);
+            let cfg = task_config(&spec.cfg, i, spec.tasks, per_task);
+            self.at(self.now, Ev::Ready(self.tasks.len()));
+            let (failures, resume, outcome, results) = (0, false, None, Vec::new());
+            self.tasks.push(Task { job, cfg, journal, failures, resume, outcome, results });
+        }
+    }
+
+    /// Closes `job` once none of its tasks is runnable: releases the
+    /// grant and emits the terminal event.
+    fn check(&mut self, job: usize) {
+        let any = |outcome| self.tasks.iter().any(|t| t.job == job && t.outcome == outcome);
+        if any(None) {
+            return;
+        }
+        let degraded = any(Some(JobOutcome::Degraded));
+        let Some(grant) = self.grants[job].take() else { return };
+        self.ledger.release(grant);
+        let JobReport { restarts, migrations, .. } = self.reports[job];
+        if degraded {
+            self.reports[job].outcome = JobOutcome::Degraded;
+            self.metrics.add(CounterId::JobsDegraded, 1);
+            self.metrics.trace(self.now, "job_degraded", job as u64);
+            self.emit(self.now, job, "degraded", format!("parked after {restarts} worker deaths"));
+        } else {
+            self.metrics.trace(self.now, "job_completed", job as u64);
+            let detail = format!("{restarts} restarts, {migrations} migrations");
+            self.emit(self.now, job, "completed", detail);
+        }
+    }
+
+    /// Runs one attempt of task `tid` on worker `w`, starting now, and
+    /// schedules what follows from its virtual end.
+    fn attempt(&mut self, w: u32, tid: usize) {
+        let now = self.now;
+        self.attempts[w as usize] += 1;
+        let fault = self.cfg.worker_faults.fault_for(w, self.attempts[w as usize]);
+        let task = &mut self.tasks[tid];
+        let (job, shard) = (task.job, task.cfg.shard);
+        let job_id = self.specs[job].id.clone();
+        let state = match task.resume.then(|| CheckpointState::load(&task.journal)) {
+            Some(Err(e)) => {
+                self.logger.warn(format_args!(
                     "job {job_id}: journal {} unreadable ({e}); restarting task from scratch",
-                    tasks[tid].journal_path.display()
+                    task.journal.display()
                 ));
-                events.push(JobEvent {
-                    t_ns: now,
-                    job: job_id.clone(),
-                    kind: "journal_unreadable".into(),
-                    detail: "restarting task from scratch".into(),
-                });
-                tasks[tid].resume = false;
+                task.resume = false;
+                self.emit(now, job, "journal_unreadable", "restarting task from scratch".into());
                 None
             }
-        }
-    } else {
-        None
-    };
-    let resuming = journal.is_some();
-    events.push(JobEvent {
-        t_ns: now,
-        job: job_id.clone(),
-        kind: "started".into(),
-        detail: format!(
-            "task {} on worker {w}{}",
-            tasks[tid].cfg.shard,
-            if resuming { " (resume)" } else { "" }
-        ),
-    });
+            loaded => loaded.and_then(Result::ok),
+        };
+        let resume = if state.is_some() { " (resume)" } else { "" };
+        self.emit(now, job, "started", format!("task {shard} on worker {w}{resume}"));
 
-    let outcome = run_attempt(AttemptRequest {
-        cfg: tasks[tid].cfg.clone(),
-        world: specs[job_idx].world.clone(),
-        journal,
-        checkpoint: CheckpointPolicy::new(&tasks[tid].journal_path)
-            .with_interval_ns(cfg.checkpoint_interval_ns),
-        watchdog_poll_limit: cfg.watchdog_poll_limit,
-        fault,
-    });
-
-    let (end, duration) = match outcome.result {
-        None => (AttemptEnd::Death("panic"), outcome.death_clock_ns),
-        Some(AttemptResult::Ran(summary)) => {
-            let duration = summary.duration_ns;
-            tasks[tid].results.extend(summary.results.iter().copied());
-            if summary.killed {
-                (AttemptEnd::Death("kill"), duration)
-            } else if summary.shutdown_clean == 0 {
-                // Neither killed nor orderly: the drain watchdog gave up
-                // on a frozen transport.
-                (AttemptEnd::Death("stall"), duration)
-            } else {
-                (AttemptEnd::Success, duration)
+        let task = &mut self.tasks[tid];
+        let world = &self.specs[job].world;
+        let ran = match worker::run(&task.cfg, world, state.as_ref(), &task.journal, fault) {
+            Ok(ran) => ran,
+            Err(ResumeError::Build(e)) => {
+                self.logger.error(format_args!("job {job_id}: task config rot: {e}"));
+                task.outcome = Some(JobOutcome::Degraded);
+                self.emit(now, job, "build_failed", e.to_string());
+                self.at(now, Ev::Check(job));
+                return self.at(now, Ev::Free(w));
             }
-        }
-        Some(AttemptResult::ResumeRefused(msg)) => {
-            // The clear-message refusal path (ResumeError::ShardSpec or
-            // a digest mismatch): never run a journal on the wrong
-            // slice. Drop the journal, restart the task fresh.
-            logger.warn(format_args!("job {job_id}: migration refused: {msg}"));
-            events.push(JobEvent {
-                t_ns: now,
-                job: job_id.clone(),
-                kind: "migration_refused".into(),
-                detail: msg,
-            });
-            let _ = std::fs::remove_file(&tasks[tid].journal_path);
-            tasks[tid].resume = false;
-            (AttemptEnd::Aborted, 0)
-        }
-        Some(AttemptResult::BuildFailed(msg)) => {
-            logger.error(format_args!("job {job_id}: task config rot: {msg}"));
-            events.push(JobEvent {
-                t_ns: now,
-                job: job_id.clone(),
-                kind: "build_failed".into(),
-                detail: msg,
-            });
-            tasks[tid].phase = TaskPhase::Degraded;
-            (AttemptEnd::Aborted, 0)
-        }
-    };
-
-    if resuming {
-        if let AttemptEnd::Success | AttemptEnd::Death(_) = end {
-            metrics.add(CounterId::Migrations, 1);
-            metrics.trace(now, "migration", w.into());
-            if let Some(j) = &mut jobs[job_idx] {
-                j.migrations += 1;
+            Err(e) => {
+                // Never run a journal on the wrong slice: drop it and
+                // restart the task fresh.
+                self.logger.warn(format_args!("job {job_id}: migration refused: {e}"));
+                let _ = std::fs::remove_file(&task.journal);
+                task.resume = false;
+                self.emit(now, job, "migration_refused", e.to_string());
+                self.at(now, Ev::Ready(tid));
+                return self.at(now, Ev::Free(w));
             }
-            events.push(JobEvent {
-                t_ns: now,
-                job: job_id.clone(),
-                kind: "migrated".into(),
-                detail: format!("journal replayed on worker {w}"),
-            });
+        };
+        task.results.extend(ran.results);
+        if state.is_some() {
+            self.metrics.add(CounterId::Migrations, 1);
+            self.metrics.trace(now, "migration", w.into());
+            self.reports[job].migrations += 1;
+            self.emit(now, job, "migrated", format!("journal replayed on worker {w}"));
         }
+
+        let end = now + ran.duration_ns;
+        let task = &mut self.tasks[tid];
+        let Some(cause) = ran.death else {
+            (task.outcome, task.failures) = (Some(JobOutcome::Completed), 0);
+            let detail = format!("task {shard} after {} ns", ran.duration_ns);
+            self.emit(end, job, "task_completed", detail);
+            self.at(end, Ev::Check(job));
+            return self.at(end, Ev::Free(w));
+        };
+        task.failures += 1;
+        let failures = task.failures;
+        // A panicked worker flushed nothing: its journal's walk positions
+        // are ahead of any output that survived, so a resume would skip
+        // the lost discoveries. Kill and stall leave the attempt's partial
+        // output in hand, so their journals migrate.
+        task.resume = cause != "panic";
+        if !task.resume {
+            let _ = std::fs::remove_file(&task.journal);
+            task.results.clear();
+        }
+        self.metrics.add(CounterId::WorkerRestarts, 1);
+        self.metrics.trace(end, "worker_death", w.into());
+        self.reports[job].restarts += 1;
+        let detail =
+            format!("{cause} on worker {w} (task {shard}, failure {failures} of {BREAKER_LIMIT})");
+        self.emit(end, job, "worker_death", detail);
+        if failures < BREAKER_LIMIT {
+            let backoff = backoff_delay_ns(failures);
+            self.metrics.record(HistId::RestartBackoff, backoff);
+            self.emit(end, job, "requeued", format!("retry after {backoff} ns backoff"));
+            self.at(end + backoff, Ev::Ready(tid));
+        } else {
+            self.tasks[tid].outcome = Some(JobOutcome::Degraded);
+            self.metrics.trace(end, "task_degraded", shard.into());
+            let detail = format!("circuit breaker open after {failures} consecutive failures");
+            self.emit(end, job, "task_degraded", detail);
+            self.at(end, Ev::Check(job));
+        }
+        self.at(end + QUARANTINE_NS, Ev::Free(w));
     }
-
-    let free_at = match end {
-        AttemptEnd::Success => {
-            tasks[tid].phase = TaskPhase::Completed;
-            tasks[tid].consecutive_failures = 0;
-            events.push(JobEvent {
-                t_ns: now + duration,
-                job: job_id.clone(),
-                kind: "task_completed".into(),
-                detail: format!("task {} after {duration} ns", tasks[tid].cfg.shard),
-            });
-            now + duration
-        }
-        AttemptEnd::Death(cause) => {
-            metrics.add(CounterId::WorkerRestarts, 1);
-            metrics.trace(now + duration, "worker_death", w.into());
-            if let Some(j) = &mut jobs[job_idx] {
-                j.restarts += 1;
-            }
-            tasks[tid].consecutive_failures += 1;
-            // A panicked worker flushed nothing: its journal's walk
-            // positions are ahead of any output that survived, so a
-            // resume would silently skip the lost discoveries. Replay
-            // from scratch instead. Kill and stall leave the attempt's
-            // partial output in hand — their journals migrate.
-            if cause == "panic" {
-                let _ = std::fs::remove_file(&tasks[tid].journal_path);
-                tasks[tid].resume = false;
-                tasks[tid].results.clear();
-            } else {
-                tasks[tid].resume = true;
-            }
-            events.push(JobEvent {
-                t_ns: now + duration,
-                job: job_id.clone(),
-                kind: "worker_death".into(),
-                detail: format!(
-                    "{cause} on worker {w} (task {}, failure {} of {})",
-                    tasks[tid].cfg.shard,
-                    tasks[tid].consecutive_failures,
-                    cfg.breaker_limit
-                ),
-            });
-            if tasks[tid].consecutive_failures >= cfg.breaker_limit {
-                tasks[tid].phase = TaskPhase::Degraded;
-                metrics.trace(now + duration, "task_degraded", tasks[tid].cfg.shard.into());
-                events.push(JobEvent {
-                    t_ns: now + duration,
-                    job: job_id.clone(),
-                    kind: "task_degraded".into(),
-                    detail: format!(
-                        "circuit breaker open after {} consecutive failures",
-                        tasks[tid].consecutive_failures
-                    ),
-                });
-            } else {
-                let backoff = backoff_delay_ns(
-                    cfg.backoff_base_ns,
-                    cfg.backoff_cap_ns,
-                    tasks[tid].consecutive_failures,
-                );
-                metrics.record(HistId::RestartBackoff, backoff);
-                events.push(JobEvent {
-                    t_ns: now + duration,
-                    job: job_id.clone(),
-                    kind: "requeued".into(),
-                    detail: format!("retry after {backoff} ns backoff"),
-                });
-                push(heap, seq, now + duration + backoff, Ev::TaskReady(tid));
-            }
-            now + duration + cfg.quarantine_ns
-        }
-        AttemptEnd::Aborted => {
-            if tasks[tid].phase == TaskPhase::Runnable {
-                push(heap, seq, now, Ev::TaskReady(tid));
-            }
-            now
-        }
-    };
-
-    // The attempt ran synchronously but *virtually* finishes at
-    // `now + duration`; job-completion bookkeeping must happen at that
-    // time in the event loop, not here at dispatch time.
-    if tasks[tid].phase != TaskPhase::Runnable {
-        push(heap, seq, now + duration, Ev::JobCheck(job_idx));
-    }
-    free_at
 }
 
 #[cfg(test)]
@@ -953,10 +690,38 @@ mod tests {
     }
 
     #[test]
+    fn unusable_journal_restarts_the_task_from_scratch() {
+        let dir = test_dir("no-journal");
+        std::fs::create_dir_all(&dir).expect("test dir");
+        // A journal directory under a regular file can never be created,
+        // so the killed attempt leaves nothing to migrate.
+        let file = dir.join("plain-file");
+        std::fs::write(&file, b"").expect("plain file");
+        let mut cfg = SupervisorConfig::new(1, 1_000_000, file.join("journals"));
+        cfg.worker_faults = WorkerFaultPlan::none().with(0, 1, WorkerFaultKind::Kill, 40);
+        let mut sup = Supervisor::new(cfg);
+        let s = spec("ujob", "t", job_cfg(11, 100, 17), 1, 0);
+        sup.submit(s.clone()).expect("valid");
+        let report = sup.run();
+        assert!(report.all_completed());
+        let job = &report.jobs[0];
+        assert_eq!(job.restarts, 1);
+        assert_eq!(job.migrations, 0, "no journal was replayed");
+        let unreadable: Vec<&JobEvent> =
+            report.events.iter().filter(|e| e.kind == "journal_unreadable").collect();
+        assert_eq!(unreadable.len(), 1);
+        assert_eq!(unreadable[0].detail, "restarting task from scratch");
+        assert!(report
+            .events
+            .iter()
+            .any(|e| e.kind == "started" && e.detail == "task 0 on worker 0" && e.t_ns > 0));
+        assert_eq!(job.results, solo_results(&s, job.per_task_pps));
+    }
+
+    #[test]
     fn circuit_breaker_parks_a_crash_looping_job_as_degraded() {
         let dir = test_dir("breaker");
         let mut cfg = SupervisorConfig::new(1, 1_000_000, dir);
-        cfg.breaker_limit = 3;
         cfg.worker_faults = WorkerFaultPlan::none()
             .with(0, 1, WorkerFaultKind::Kill, 10)
             .with(0, 2, WorkerFaultKind::Kill, 10)

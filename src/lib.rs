@@ -46,8 +46,7 @@ pub mod prelude {
     };
     pub use zmap_core::metrics::{CounterId, HistId, ScanMetrics};
     pub use zmap_core::{
-        JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorError,
-        SupervisorReport,
+        JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorReport,
     };
     pub use zmap_metrics::{HistogramSnapshot, Log2Histogram, MetricsSnapshot};
     pub use zmap_core::Ipv6Config;

@@ -45,10 +45,10 @@ fn data_section(results: &[zmap_core::output::ScanResult]) -> String {
 }
 
 /// One snapshot: named sections, each a byte-exact stream.
-fn render(sections: &[(&str, String)]) -> String {
+fn render<S: AsRef<str>>(sections: &[(S, String)]) -> String {
     let mut s = String::new();
     for (name, body) in sections {
-        s.push_str(&format!("== {name} ==\n"));
+        s.push_str(&format!("== {} ==\n", name.as_ref()));
         s.push_str(body);
         if !body.ends_with('\n') {
             s.push('\n');
@@ -314,4 +314,75 @@ fn golden_parallel_tx_pipeline() {
 
     cfg.tx_pipeline = true;
     check_golden("parallel_tx_pipeline_24", &snapshot(&cfg));
+}
+
+/// The supervisor under `tests/supervisor_stress.rs`'s headline scenario:
+/// 24 jobs of 6 tenants on 4 workers, with two kills, a panic, a stall
+/// and a third kill. Pins the status stream, every job's report and
+/// merged results, the counters and the metrics dump.
+#[test]
+fn golden_supervisor_stress() {
+    let dir = std::env::temp_dir().join("zmap-golden-supervisor-stress");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut sup_cfg = SupervisorConfig::new(4, 1_000_000, dir);
+    sup_cfg.worker_faults = WorkerFaultPlan::none()
+        .with(0, 1, WorkerFaultKind::Kill, 20)
+        .with(0, 3, WorkerFaultKind::Kill, 25)
+        .with(1, 2, WorkerFaultKind::Panic, 12)
+        .with(2, 1, WorkerFaultKind::Stall, 10)
+        .with(3, 2, WorkerFaultKind::Kill, 18);
+    let mut sup = Supervisor::new(sup_cfg);
+    for j in 0..24u8 {
+        let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 9));
+        cfg.allowlist_prefix(Ipv4Addr::new(10, 70, j, 0), 26);
+        cfg.apply_default_blocklist = false;
+        cfg.ports = vec![80];
+        cfg.rate_pps = 100;
+        cfg.cooldown_secs = 1;
+        cfg.seed = 100 + u64::from(j);
+        cfg.batch = 4;
+        let world = WorldConfig {
+            seed: 5,
+            model: ServiceModel::dense(&[80]),
+            loss: LossModel::NONE,
+            ..WorldConfig::default()
+        };
+        sup.submit(JobSpec {
+            id: format!("job-{j:02}"),
+            tenant: format!("tenant-{}", j % 6),
+            cfg,
+            world,
+            tasks: 1 + u32::from(j) % 2,
+            submit_at_ns: u64::from(j) * 25_000_000,
+        })
+        .expect("stress specs are valid");
+    }
+    let report = sup.run();
+
+    let events = report
+        .events
+        .iter()
+        .map(|e| serde_json::to_string(e).expect("event serializes") + "\n")
+        .collect::<String>();
+    let mut sections = vec![("events (json)".to_string(), events)];
+    for job in &report.jobs {
+        let header = format!(
+            "outcome={:?} granted_pps={} per_task_pps={} tasks={} restarts={} migrations={}\n",
+            job.outcome, job.granted_pps, job.per_task_pps, job.tasks, job.restarts, job.migrations,
+        );
+        sections.push((
+            format!("job {} of {} (csv)", job.id, job.tenant),
+            header + &data_section(&job.results),
+        ));
+    }
+    sections.push((
+        "counters (json)".to_string(),
+        serde_json::to_string(&report.counters).expect("counters serialize"),
+    ));
+    sections.push((
+        "metrics (json)".to_string(),
+        serde_json::to_string(&report.metrics).expect("metrics serialize"),
+    ));
+    sections.push(("finished_at_ns".to_string(), report.finished_at_ns.to_string()));
+    check_golden("supervisor_stress", &render(&sections));
 }

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
-use zmap::core::supervisor::fairshare::backoff_delay_ns;
+use zmap::core::supervisor::fairshare::{backoff_delay_ns, BACKOFF_BASE_NS, BACKOFF_CAP_NS};
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
 
@@ -184,7 +184,6 @@ fn breaker_degrades_deterministically_without_collateral() {
     let run = |tag: &str| {
         let dir = test_dir(&format!("degrade-{tag}"));
         let mut cfg = SupervisorConfig::new(1, 1_000_000, dir);
-        cfg.breaker_limit = 3;
         cfg.worker_faults = WorkerFaultPlan::none()
             .with(0, 1, WorkerFaultKind::Kill, 10)
             .with(0, 2, WorkerFaultKind::Kill, 10)
@@ -234,24 +233,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The restart backoff curve is monotone non-decreasing in the
-    /// failure count and never exceeds `max(cap, base)` — the two
-    /// properties that make "requeue with backoff" converge instead of
-    /// thrash or overflow.
+    /// failure count and stays within `[BACKOFF_BASE_NS, BACKOFF_CAP_NS]`
+    /// — the two properties that make "requeue with backoff" converge
+    /// instead of thrash or overflow.
     #[test]
-    fn backoff_is_monotone_and_capped(
-        base in 1u64..=20_000_000_000,
-        cap in 1u64..=60_000_000_000,
-        failures in 1u32..=512,
-    ) {
-        let here = backoff_delay_ns(base, cap, failures);
-        let next = backoff_delay_ns(base, cap, failures + 1);
+    fn backoff_is_monotone_and_capped(failures in 1u32..=512) {
+        let here = backoff_delay_ns(failures);
+        let next = backoff_delay_ns(failures + 1);
         prop_assert!(next >= here, "backoff regressed: f={failures} {here} -> {next}");
-        let ceiling = cap.max(base);
-        prop_assert!(here <= ceiling, "f={failures}: {here} above ceiling {ceiling}");
-        prop_assert!(here >= base.min(ceiling), "f={failures}: {here} under base");
+        prop_assert!(here <= BACKOFF_CAP_NS, "f={failures}: {here} above the cap");
+        prop_assert!(here >= BACKOFF_BASE_NS, "f={failures}: {here} under base");
         // Far beyond the doubling range the curve is pinned to the cap,
         // never wrapped to something small.
-        prop_assert_eq!(backoff_delay_ns(base, cap, 200), ceiling);
+        prop_assert_eq!(backoff_delay_ns(200), BACKOFF_CAP_NS);
     }
 }
 
