@@ -1149,11 +1149,13 @@ impl Graph {
 
 /// Hot-path roots: the per-target walks (v4, v6, and the scheduler both
 /// multi-walk streams draw through), the per-frame TX machinery, the
-/// per-frame RX parse and its dedup key lookup, and the per-row data
-/// stream. A heap allocation reachable from any of these runs millions
-/// of times per scan.
+/// engine's receive drain (receive ring → parse → dedup key → row) with
+/// the RX parse and key lookup as roots of their own, and the per-row
+/// data stream. A heap allocation reachable from any of these runs
+/// millions of times per scan.
 fn is_alloc_root(f: &FnItem) -> bool {
     match f.owner.as_deref() {
+        Some("Engine") => f.name == "drain",
         Some("Constraint") => matches!(f.name.as_str(), "lookup" | "is_allowed"),
         Some("TargetIter" | "V6TargetIter" | "Schedule") => f.name == "next",
         Some("V6DedupSpace") => f.name == "key_for",

@@ -179,6 +179,7 @@ fn alloc_in_hot_path_follows_the_call_graph() {
         vec![
             ("crates/zmap-core/src/output.rs".to_string(), 16),
             ("crates/zmap-core/src/plan.rs".to_string(), 16),
+            ("crates/zmap-core/src/scanner.rs".to_string(), 19),
             ("crates/zmap-targets/src/constraint.rs".to_string(), 18),
             ("crates/zmap-targets/src/constraint.rs".to_string(), 19),
             ("crates/zmap-targets/src/generator.rs".to_string(), 23),
@@ -189,13 +190,15 @@ fn alloc_in_hot_path_follows_the_call_graph() {
             ("crates/zmap-wire/src/probe.rs".to_string(), 30),
         ],
         "serde_json::to_string in OutputModule::record, to_vec one hop below \
-         ProbeModule::render_into, Vec::new and Box::new inside Constraint::lookup, \
+         ProbeModule::render_into, to_vec one hop below Engine::drain, \
+         Vec::new and Box::new inside Constraint::lookup, \
          to_vec one hop below TargetIter::next, to_vec inside Schedule::next, \
          format! one hop below V6TargetIter::next, to_vec inside \
          V6DedupSpace::key_for, and below ProbeModule::parse_response \
          the to_vec in V4's ICMP arm and the one in the generic TCP arm fire; Vec::with_capacity in \
          OutputModule::new, Schedule::new and Constraint::finalize, the format! in `label`, the \
-         owned banner of `parse_banner` (all unreachable from a root: decode's bare \
+         owned banner of `parse_banner` and the collecting `recv_frames` (all \
+         unreachable from a root: decode's bare \
          `finalize(…)` is the free fn, not the method), the `#[cold]` doubling step \
          below `patch` and the `#[cold]` miss path below `key_for`, the borrowing \
          UDP arm and the flat Constraint::is_allowed stay quiet"
@@ -212,34 +215,39 @@ fn alloc_in_hot_path_follows_the_call_graph() {
         f[1]
     );
     assert!(
-        f[2].message.contains("Constraint::lookup") && f[3].message.contains("Constraint::lookup"),
-        "the index → address map is a root: {:?} {:?}",
-        f[2],
-        f[3]
+        f[2].message.contains("Engine::drain → Engine::on_frame"),
+        "the receive drain is a root: {:?}",
+        f[2]
     );
     assert!(
-        f[4].message.contains("TargetIter::next → TargetGenerator::decode"),
-        "the walk's entry point is a root: {:?}",
+        f[3].message.contains("Constraint::lookup") && f[4].message.contains("Constraint::lookup"),
+        "the index → address map is a root: {:?} {:?}",
+        f[3],
         f[4]
     );
     assert!(
-        f[5].message.contains("via Schedule::next;")
-            && f[6].message.contains("V6TargetIter::next → V6TargetSpace::decode_walk")
-            && f[7].message.contains("via V6DedupSpace::key_for;"),
-        "the scheduler, the v6 walk and the RX key lookup are roots: {:?} {:?} {:?}",
-        f[5],
-        f[6],
-        f[7]
+        f[5].message.contains("TargetIter::next → TargetGenerator::decode"),
+        "the walk's entry point is a root: {:?}",
+        f[5]
     );
     assert!(
-        f[8].message.contains("ProbeBuilder::classify → V4::icmp_response")
-            && f[9].message.contains("ProbeModule::parse_response")
-            && f[9].message.contains("ProbeBuilder::classify"),
-        "the RX parse is a root, followed through the seam's `L::` dispatch: {:?} {:?}",
-        f[8],
-        f[9]
+        f[6].message.contains("via Schedule::next;")
+            && f[7].message.contains("V6TargetIter::next → V6TargetSpace::decode_walk")
+            && f[8].message.contains("via V6DedupSpace::key_for;"),
+        "the scheduler, the v6 walk and the RX key lookup are roots: {:?} {:?} {:?}",
+        f[6],
+        f[7],
+        f[8]
     );
-    assert_eq!(f.len(), 10, "{f:?}");
+    assert!(
+        f[9].message.contains("ProbeBuilder::classify → V4::icmp_response")
+            && f[10].message.contains("ProbeModule::parse_response")
+            && f[10].message.contains("ProbeBuilder::classify"),
+        "the RX parse is a root, followed through the seam's `L::` dispatch: {:?} {:?}",
+        f[9],
+        f[10]
+    );
+    assert_eq!(f.len(), 11, "{f:?}");
 }
 
 #[test]

@@ -89,15 +89,8 @@ impl Logger {
     /// *logging* thread died would invert the priority order.
     pub fn log(&self, level: Level, args: Arguments<'_>) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if level < inner.min {
-            return;
-        }
-        match &mut inner.sink {
-            Sink::Null => {}
-            Sink::Memory(v) => v.push((level, args.to_string())),
-            Sink::Writer(w) => {
-                let _ = writeln!(w, "{} {}", level.tag(), args);
-            }
+        if level >= inner.min {
+            write_line(&mut inner.sink, level, args);
         }
     }
 
@@ -120,6 +113,20 @@ impl Logger {
         match &self.inner.lock().unwrap_or_else(|p| p.into_inner()).sink {
             Sink::Memory(v) => v.clone(),
             _ => Vec::new(),
+        }
+    }
+}
+
+/// Writes one line into `sink`. A line is the exceptional path of
+/// whatever logs it — the receive path logs only rejected frames, at
+/// debug level — so the formatting it costs is kept out of line.
+#[cold]
+fn write_line(sink: &mut Sink, level: Level, args: Arguments<'_>) {
+    match sink {
+        Sink::Null => {}
+        Sink::Memory(v) => v.push((level, args.to_string())),
+        Sink::Writer(w) => {
+            let _ = writeln!(w, "{} {}", level.tag(), args);
         }
     }
 }

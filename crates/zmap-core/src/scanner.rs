@@ -21,7 +21,7 @@ use crate::output::{RowSink, ScanResult};
 use crate::plan::{PlanIter, ProbeModule, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::shutdown::ShutdownToken;
-use crate::transport::{FrameBatch, Transport};
+use crate::transport::{FrameBatch, RxBatch, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -668,6 +668,8 @@ pub(crate) struct Engine<'a> {
     metrics: &'a ScanMetrics,
     opts: &'a RunOptions,
     dedup: DedupState,
+    /// The receive ring each drain fills and the receive path reads.
+    rx: RxBatch,
     /// The metrics shard owned by the receiving thread.
     rx_shard: usize,
     /// Takes the success records (plus failures when `report_failures`).
@@ -704,6 +706,7 @@ impl<'a> Engine<'a> {
             metrics,
             opts,
             dedup: DedupState::new(scan.cfg.dedup),
+            rx: RxBatch::new(),
             rx_shard: metrics.rx_shard(),
             rows,
             monitor: Monitor::new(),
@@ -762,17 +765,22 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Drains the received frames through the receive path and mirrors the
-    /// transport's poison-recovery count into the receive shard; returns
-    /// how many frames there were.
+    /// Drains the received frames through the receive path, each read in
+    /// place from the reused receive ring, and mirrors the transport's
+    /// poison-recovery count into the receive shard; returns how many
+    /// frames there were.
     fn drain<T: Transport>(&mut self, transport: &mut T) -> u64 {
-        let frames = transport.recv_frames();
-        for (ts, frame) in &frames {
-            self.on_frame(*ts, frame);
+        let mut rx = std::mem::take(&mut self.rx);
+        rx.clear();
+        transport.recv_into(&mut rx);
+        for (ts, frame) in rx.iter() {
+            self.on_frame(ts, frame);
         }
+        let frames = rx.len() as u64;
+        self.rx = rx;
         let recoveries = transport.poison_recoveries();
         self.metrics.store_at(self.rx_shard, CounterId::LockPoisonRecoveries, recoveries);
-        frames.len() as u64
+        frames
     }
 
     /// The receive path, per frame stamped `ts` on the transport clock:
@@ -1276,7 +1284,7 @@ mod tests {
             ack: syn.seq().wrapping_add(1),
             flags: TcpFlags::SYN_ACK,
             window: 1000,
-            options: vec![],
+            options: &[],
         };
         let mut synack = reply(host, IpProtocol::Tcp, tcp.header_len());
         let pseudo = zmap_wire::checksum::pseudo_header(host.into(), scanner.into(), 6, 20);

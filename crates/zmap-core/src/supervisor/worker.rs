@@ -6,7 +6,7 @@ use crate::checkpoint::{CheckpointPolicy, CheckpointState};
 use crate::config::ScanConfig;
 use crate::output::ScanResult;
 use crate::scanner::{ResumeError, RunOptions, Scanner};
-use crate::transport::{FrameBatch, SimNet, Transport};
+use crate::transport::{FrameBatch, RxBatch, SimNet, Transport};
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use zmap_netsim::faults::{SendError, WorkerFault, WorkerFaultKind};
@@ -164,11 +164,10 @@ impl<T: Transport> Transport for FaultyNic<T> {
         self.inner.send_batch(batch, from_idx)
     }
 
-    fn recv_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
-        if self.tick(0) {
-            return Vec::new();
+    fn recv_into(&mut self, rx: &mut RxBatch) {
+        if !self.tick(0) {
+            self.inner.recv_into(rx);
         }
-        self.inner.recv_frames()
     }
 
     fn next_rx_at(&self) -> Option<u64> {

@@ -40,7 +40,7 @@ impl PagedBitmap {
     /// Sets `key`; returns `true` if it was previously unset.
     pub fn insert(&mut self, key: u32) -> bool {
         let (p, w, b) = Self::locate(key);
-        let page = self.pages[p].get_or_insert_with(|| Box::new([0u64; PAGE_WORDS]));
+        let page = self.pages[p].get_or_insert_with(new_page);
         let fresh = page[w] & (1 << b) == 0;
         page[w] |= 1 << b;
         self.set_count += u64::from(fresh);
@@ -67,6 +67,13 @@ impl PagedBitmap {
         let bit_in_page = u64::from(key) % PAGE_BITS;
         ((page), (bit_in_page / 64) as usize, (bit_in_page % 64) as u32)
     }
+}
+
+/// A zeroed page: allocated once per 2^16 keys the first time one of
+/// them is set, so its cost is amortised over the keys that fill it.
+#[cold]
+fn new_page() -> Box<[u64; PAGE_WORDS]> {
+    Box::new([0u64; PAGE_WORDS])
 }
 
 impl Default for PagedBitmap {

@@ -16,10 +16,10 @@ const BASE_GAP_NS: u64 = 1_000_000_000; // 1 s
 /// Cap on inter-duplicate gaps (broken stacks re-fire on a timer).
 const MAX_GAP_NS: u64 = 64_000_000_000; // 64 s
 
-/// The delays (relative to the original response) at which a blowback
-/// host re-sends, for `extra` duplicates. Deterministic per (seed, ip).
-pub fn duplicate_delays(seed: u64, ip: u32, extra: u32) -> Vec<u64> {
-    let mut out = Vec::with_capacity(extra as usize);
+/// Appends to `out` the delays (relative to the original response) at
+/// which a blowback host re-sends, for `extra` duplicates. Deterministic
+/// per (seed, ip).
+pub fn duplicate_delays(seed: u64, ip: u32, extra: u32, out: &mut Vec<u64>) {
     let mut gap = BASE_GAP_NS;
     let mut t = 0u64;
     for i in 0..extra {
@@ -35,12 +35,17 @@ pub fn duplicate_delays(seed: u64, ip: u32, extra: u32) -> Vec<u64> {
             gap = (gap * 2).min(MAX_GAP_NS);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn duplicate_delays(seed: u64, ip: u32, extra: u32) -> Vec<u64> {
+        let mut out = Vec::new();
+        super::duplicate_delays(seed, ip, extra, &mut out);
+        out
+    }
 
     #[test]
     fn deterministic() {

@@ -16,18 +16,35 @@ use zmap_wire::checksum;
 use zmap_wire::ethernet::{EtherType, EthernetRepr, EthernetView, MacAddr};
 use zmap_wire::icmp::{IcmpRepr, IcmpType, IcmpView, UnreachCode};
 use zmap_wire::ipv4::{IpProtocol, Ipv4Repr, Ipv4View};
-use zmap_wire::options::{decode, OptionLayout, OptionSet, TcpOption};
+use zmap_wire::options::{OptionLayout, OptionSet};
 use zmap_wire::tcp::{TcpFlags, TcpRepr, TcpView};
 use zmap_wire::udp::{UdpRepr, UdpView};
 
-/// One response the host (or a router on its path) will emit.
-#[derive(Debug, Clone)]
-pub struct ResponseAction {
-    /// Delay after the probe *arrives at the host* (one-way delay is
-    /// added separately by the world).
-    pub delay_ns: u64,
-    /// Complete Ethernet frame.
+/// A host's answer to one probe, rendered once: the frame, and the
+/// delays after the probe *arrives at the host* at which copies of it
+/// leave (one-way delay is added separately by the world). No delays is
+/// silence, one is an ordinary reply, more are blowback duplicates.
+///
+/// The world keeps one and renders every probe's answer into it, so a
+/// warm responder allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Reply {
+    /// Complete Ethernet frame (meaningless when `delays` is empty).
     pub frame: Vec<u8>,
+    /// When each copy leaves the host, in ns after the probe arrives.
+    pub delays: Vec<u64>,
+}
+
+impl Reply {
+    /// True when the probe drew no answer.
+    pub fn is_silent(&self) -> bool {
+        self.delays.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.frame.clear();
+        self.delays.clear();
+    }
 }
 
 /// Identifies the option layout of a probe by exact byte comparison —
@@ -39,17 +56,29 @@ pub fn detect_layout(option_bytes: &[u8]) -> Option<OptionLayout> {
         .copied()
 }
 
-/// Summarizes the substantive options present in raw option bytes.
-pub fn option_set_of(option_bytes: &[u8]) -> OptionSet {
+/// Summarizes the substantive options present in raw option bytes: MSS,
+/// SACK-permitted, timestamp and window scale, each counted only at its
+/// canonical length. A malformed block (a length byte under 2, past the
+/// end, or missing) carries none; End-of-List ends the walk.
+pub fn option_set_of(mut option_bytes: &[u8]) -> OptionSet {
     let mut set = OptionSet::default();
-    if let Ok(opts) = decode(option_bytes) {
-        for o in opts {
-            match o {
-                TcpOption::Mss(_) => set.mss = true,
-                TcpOption::SackPermitted => set.sack = true,
-                TcpOption::Timestamp(..) => set.timestamp = true,
-                TcpOption::WindowScale(_) => set.wscale = true,
-                _ => {}
+    while let Some(&kind) = option_bytes.first() {
+        match kind {
+            0 => break,
+            1 => option_bytes = &option_bytes[1..],
+            _ => {
+                let len = match option_bytes.get(1) {
+                    Some(&len) if len >= 2 && usize::from(len) <= option_bytes.len() => len,
+                    _ => return OptionSet::default(),
+                };
+                match (kind, len) {
+                    (2, 4) => set.mss = true,
+                    (3, 3) => set.wscale = true,
+                    (4, 2) => set.sack = true,
+                    (8, 10) => set.timestamp = true,
+                    _ => {}
+                }
+                option_bytes = &option_bytes[usize::from(len)..];
             }
         }
     }
@@ -61,42 +90,47 @@ fn hops(seed: u64, ip: u32) -> u8 {
     5 + (hash3(seed, ip, 0x4085) % 18) as u8
 }
 
-/// Produces the responses (if any) a probe frame elicits.
+/// The reply (if any) a probe frame elicits.
 ///
-/// Returns an empty vector for dropped/ignored probes. The caller (the
-/// world) applies one-way delays, loss, and routing.
-pub fn respond(seed: u64, model: &ServiceModel, frame: &[u8]) -> Vec<ResponseAction> {
+/// A silent reply for dropped/ignored probes. The caller (the world)
+/// applies one-way delays, loss, and routing.
+pub fn respond(seed: u64, model: &ServiceModel, frame: &[u8]) -> Reply {
+    let mut out = Reply::default();
     let Ok(eth) = EthernetView::parse(frame) else {
-        return vec![];
+        return out;
     };
     if eth.ethertype() != EtherType::Ipv4 {
-        return vec![];
+        return out;
     }
     let Ok(ip) = Ipv4View::parse(eth.payload()) else {
-        return vec![];
+        return out;
     };
     let dst = u32::from(ip.dst());
     let profile = host_profile(seed, dst, model);
-    respond_routed(seed, model, &eth, &ip, profile)
+    respond_routed(seed, model, &eth, &ip, profile, &mut out);
+    out
 }
 
 /// [`respond`] for a caller that already parsed the frame and derived
-/// the destination's profile. The world's delivery path computes the
-/// profile once per probe (it also needs the one-way delay from it);
-/// re-deriving it here would roughly double the per-frame hashing for
-/// live destinations.
+/// the destination's profile, rendering into its reused `out`. The
+/// world's delivery path computes the profile once per probe (it also
+/// needs the one-way delay from it); re-deriving it here would roughly
+/// double the per-frame hashing for live destinations. Every reply is
+/// addressed to the probe's source.
 pub fn respond_routed(
     seed: u64,
     model: &ServiceModel,
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     profile: Option<HostProfile>,
-) -> Vec<ResponseAction> {
+    out: &mut Reply,
+) {
+    out.clear();
     match ip.protocol() {
-        IpProtocol::Tcp => respond_tcp(seed, model, eth, ip, profile),
-        IpProtocol::Icmp => respond_icmp(seed, eth, ip, profile),
-        IpProtocol::Udp => respond_udp(seed, model, eth, ip, profile),
-        IpProtocol::Other(_) => vec![],
+        IpProtocol::Tcp => respond_tcp(seed, model, eth, ip, profile, out),
+        IpProtocol::Icmp => respond_icmp(seed, eth, ip, profile, out),
+        IpProtocol::Udp => respond_udp(seed, model, eth, ip, profile, out),
+        IpProtocol::Other(_) => {}
     }
 }
 
@@ -106,9 +140,10 @@ fn respond_tcp(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     profile: Option<HostProfile>,
-) -> Vec<ResponseAction> {
+    out: &mut Reply,
+) {
     let Ok(tcp) = TcpView::parse(ip.payload()) else {
-        return vec![];
+        return;
     };
     let dst = u32::from(ip.dst());
     // Packed-prefix middleboxes (Sattler et al.) answer SYNs for their
@@ -116,23 +151,19 @@ fn respond_tcp(
     // application layer: data segments vanish.
     if middlebox(seed, dst, model) {
         if tcp.flags().syn() && !tcp.flags().ack() {
-            return vec![ResponseAction {
-                delay_ns: 0,
-                frame: build_middlebox_synack(eth, ip, &tcp, seed),
-            }];
+            build_middlebox_synack(eth, ip, &tcp, seed, &mut out.frame);
+            out.delays.push(0);
         }
-        return vec![];
+        return;
     }
     let Some(profile) = profile else {
         // Dead address: sometimes a router reports host-unreachable.
         if dead_unreach(seed, dst, model) {
             let router = Ipv4Addr::from((dst & 0xFFFF_FF00) | 1);
-            return vec![ResponseAction {
-                delay_ns: 30_000_000,
-                frame: build_unreach(eth, ip, router, UnreachCode::Host, seed),
-            }];
+            build_unreach(eth, ip, router, UnreachCode::Host, seed, &mut out.frame);
+            out.delays.push(30_000_000);
         }
-        return vec![];
+        return;
     };
     if !tcp.flags().syn() || tcp.flags().ack() {
         // A data-bearing ACK aimed at an open port: the service answers
@@ -140,15 +171,12 @@ fn respond_tcp(
         // else stray draws an RST.
         if tcp.flags().ack() && !tcp.payload().is_empty() && port_open(seed, dst, tcp.dst_port(), model)
         {
-            return vec![ResponseAction {
-                delay_ns: 0,
-                frame: build_banner(eth, ip, &tcp, &profile, seed),
-            }];
+            build_banner(eth, ip, &tcp, &profile, seed, &mut out.frame);
+        } else {
+            build_rst(eth, ip, &tcp, &profile, seed, &mut out.frame);
         }
-        return vec![ResponseAction {
-            delay_ns: 0,
-            frame: build_rst(eth, ip, &tcp, &profile, seed),
-        }];
+        out.delays.push(0);
+        return;
     }
     // Option-sensitivity filter (Figure 7 mechanism).
     let layout = detect_layout(tcp.option_bytes());
@@ -157,34 +185,19 @@ fn respond_tcp(
         .sensitivity
         .accepts(layout.unwrap_or(OptionLayout::NoOptions), &opts)
     {
-        return vec![]; // silently dropped by filter
+        return; // silently dropped by filter
     }
     if port_open(seed, dst, tcp.dst_port(), model) {
-        let first = build_synack(eth, ip, &tcp, &profile, seed);
-        let mut out = vec![ResponseAction {
-            delay_ns: 0,
-            frame: first.clone(),
-        }];
-        for d in duplicate_delays(seed, dst, profile.blowback_extra) {
-            out.push(ResponseAction {
-                delay_ns: d,
-                frame: first.clone(),
-            });
-        }
-        out
+        build_synack(eth, ip, &tcp, &profile, seed, &mut out.frame);
+        out.delays.push(0);
+        duplicate_delays(seed, dst, profile.blowback_extra, &mut out.delays);
     } else if profile.rst_on_closed {
-        vec![ResponseAction {
-            delay_ns: 0,
-            frame: build_rst(eth, ip, &tcp, &profile, seed),
-        }]
+        build_rst(eth, ip, &tcp, &profile, seed, &mut out.frame);
+        out.delays.push(0);
     } else if profile.icmp_on_closed {
         let router = Ipv4Addr::from((dst & 0xFFFF_FF00) | 1);
-        vec![ResponseAction {
-            delay_ns: 10_000_000,
-            frame: build_unreach(eth, ip, router, UnreachCode::AdminProhibited, seed),
-        }]
-    } else {
-        vec![]
+        build_unreach(eth, ip, router, UnreachCode::AdminProhibited, seed, &mut out.frame);
+        out.delays.push(10_000_000);
     }
 }
 
@@ -198,18 +211,19 @@ fn respond_icmp(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     profile: Option<HostProfile>,
-) -> Vec<ResponseAction> {
+    out: &mut Reply,
+) {
     let Ok(icmp) = IcmpView::parse(ip.payload()) else {
-        return vec![];
+        return;
     };
     let Some(profile) = profile else {
-        return vec![];
+        return;
     };
     if icmp.icmp_type() != IcmpType::EchoRequest || !profile.echoes {
-        return vec![];
+        return;
     }
-    let mut frame = Vec::with_capacity(64);
-    reply_eth(eth, ip, &mut frame);
+    let frame = &mut out.frame;
+    reply_eth(eth, ip, frame);
     Ipv4Repr {
         src: ip.dst(),
         dst: ip.src(),
@@ -218,18 +232,15 @@ fn respond_icmp(
         ttl: observed_ttl(seed, &profile),
         payload_len: (8 + icmp.payload().len()) as u16,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     IcmpRepr {
         icmp_type: IcmpType::EchoReply,
         id: icmp.id(),
         seq: icmp.seq(),
     }
-    .emit(icmp.payload(), &mut frame);
-    let mut out = vec![ResponseAction { delay_ns: 0, frame: frame.clone() }];
-    for d in duplicate_delays(seed, profile.ip, profile.blowback_extra) {
-        out.push(ResponseAction { delay_ns: d, frame: frame.clone() });
-    }
-    out
+    .emit(icmp.payload(), frame);
+    out.delays.push(0);
+    duplicate_delays(seed, profile.ip, profile.blowback_extra, &mut out.delays);
 }
 
 /// UDP service reply (or ICMP port-unreachable) for a UDP probe.
@@ -243,19 +254,20 @@ fn respond_udp(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     profile: Option<HostProfile>,
-) -> Vec<ResponseAction> {
+    out: &mut Reply,
+) {
     let Ok(udp) = UdpView::parse(ip.payload()) else {
-        return vec![];
+        return;
     };
     let dst = u32::from(ip.dst());
     let Some(profile) = profile else {
-        return vec![];
+        return;
     };
     if port_open(seed, dst, udp.dst_port(), model) {
         // Service echoes the payload (DNS/NTP-style "answers" are beyond
         // the L4 scope of this scanner substrate).
-        let mut frame = Vec::with_capacity(64);
-        reply_eth(eth, ip, &mut frame);
+        let frame = &mut out.frame;
+        reply_eth(eth, ip, frame);
         let udp_len = (8 + udp.payload().len()) as u16;
         Ipv4Repr {
             src: ip.dst(),
@@ -265,25 +277,20 @@ fn respond_udp(
             ttl: observed_ttl(seed, &profile),
             payload_len: udp_len,
         }
-        .emit(&mut frame).expect("reply fits IPv4 length");
+        .emit(frame).expect("reply fits IPv4 length");
         let pseudo = checksum::pseudo_header(dst, u32::from(ip.src()), 17, udp_len);
         UdpRepr {
             src_port: udp.dst_port(),
             dst_port: udp.src_port(),
         }
-        .emit(pseudo, udp.payload(), &mut frame);
-        let mut out = vec![ResponseAction { delay_ns: 0, frame: frame.clone() }];
-        for d in duplicate_delays(seed, dst, profile.blowback_extra) {
-            out.push(ResponseAction { delay_ns: d, frame: frame.clone() });
-        }
-        out
+        .emit(pseudo, udp.payload(), frame);
+        out.delays.push(0);
+        duplicate_delays(seed, dst, profile.blowback_extra, &mut out.delays);
     } else {
         // Closed UDP port: ICMP port unreachable (RFC 1122).
         let router = ip.dst();
-        vec![ResponseAction {
-            delay_ns: 0,
-            frame: build_unreach(eth, ip, router, UnreachCode::Port, seed),
-        }]
+        build_unreach(eth, ip, router, UnreachCode::Port, seed, &mut out.frame);
+        out.delays.push(0);
     }
 }
 
@@ -317,9 +324,9 @@ fn build_synack(
     tcp: &TcpView<'_>,
     profile: &HostProfile,
     seed: u64,
-) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(80);
-    reply_eth(eth, ip, &mut frame);
+    frame: &mut Vec<u8>,
+) {
+    reply_eth(eth, ip, frame);
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
@@ -338,15 +345,14 @@ fn build_synack(
         ttl: observed_ttl(seed, profile),
         payload_len: tcp_len,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     let pseudo = checksum::pseudo_header(
         u32::from(ip.dst()),
         u32::from(ip.src()),
         6,
         tcp_len,
     );
-    reply.emit(pseudo, &[], &mut frame);
-    frame
+    reply.emit(pseudo, &[], frame);
 }
 
 /// Middlebox SYN-ACK: a bland, embedded-looking stack that answers any
@@ -360,10 +366,10 @@ fn build_middlebox_synack(
     ip: &Ipv4View<'_>,
     tcp: &TcpView<'_>,
     seed: u64,
-) -> Vec<u8> {
+    frame: &mut Vec<u8>,
+) {
     let dst = u32::from(ip.dst());
-    let mut frame = Vec::with_capacity(64);
-    reply_eth(eth, ip, &mut frame);
+    reply_eth(eth, ip, frame);
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
@@ -382,11 +388,10 @@ fn build_middlebox_synack(
         ttl: 64u8.saturating_sub(hops(seed, dst) / 2),
         payload_len: tcp_len,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     let pseudo =
         checksum::pseudo_header(dst, u32::from(ip.src()), 6, tcp_len);
-    reply.emit(pseudo, &[], &mut frame);
-    frame
+    reply.emit(pseudo, &[], frame);
 }
 
 /// L7 banner reply: PSH|ACK carrying the service banner, acknowledging
@@ -401,10 +406,10 @@ fn build_banner(
     tcp: &TcpView<'_>,
     profile: &HostProfile,
     seed: u64,
-) -> Vec<u8> {
+    frame: &mut Vec<u8>,
+) {
     let body = banner_for_port(tcp.dst_port());
-    let mut frame = Vec::with_capacity(64 + body.len());
-    reply_eth(eth, ip, &mut frame);
+    reply_eth(eth, ip, frame);
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
@@ -412,7 +417,7 @@ fn build_banner(
         ack: tcp.seq().wrapping_add(tcp.payload().len() as u32),
         flags: TcpFlags::PSH.union(TcpFlags::ACK),
         window: profile.os.window(),
-        options: vec![],
+        options: &[],
     };
     let tcp_len = (reply.header_len() + body.len()) as u16;
     Ipv4Repr {
@@ -423,15 +428,14 @@ fn build_banner(
         ttl: observed_ttl(seed, profile),
         payload_len: tcp_len,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     let pseudo = checksum::pseudo_header(
         u32::from(ip.dst()),
         u32::from(ip.src()),
         6,
         tcp_len,
     );
-    reply.emit(pseudo, body, &mut frame);
-    frame
+    reply.emit(pseudo, body, frame);
 }
 
 /// RST-ACK for a closed port.
@@ -445,9 +449,9 @@ fn build_rst(
     tcp: &TcpView<'_>,
     profile: &HostProfile,
     seed: u64,
-) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(60);
-    reply_eth(eth, ip, &mut frame);
+    frame: &mut Vec<u8>,
+) {
+    reply_eth(eth, ip, frame);
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
@@ -455,7 +459,7 @@ fn build_rst(
         ack: tcp.seq().wrapping_add(1),
         flags: TcpFlags::RST_ACK,
         window: 0,
-        options: vec![],
+        options: &[],
     };
     Ipv4Repr {
         src: ip.dst(),
@@ -465,11 +469,10 @@ fn build_rst(
         ttl: observed_ttl(seed, profile),
         payload_len: 20,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     let pseudo =
         checksum::pseudo_header(u32::from(ip.dst()), u32::from(ip.src()), 6, 20);
-    reply.emit(pseudo, &[], &mut frame);
-    frame
+    reply.emit(pseudo, &[], frame);
 }
 
 /// An ICMP destination-unreachable from `router`, quoting the probe's IP
@@ -485,20 +488,20 @@ pub(crate) fn build_unreach(
     router: Ipv4Addr,
     code: UnreachCode,
     seed: u64,
-) -> Vec<u8> {
+    frame: &mut Vec<u8>,
+) {
     // Quote: the probe's IP header (20 bytes) + first 8 payload bytes.
     let probe_packet = {
         let hdr_and_more = eth.payload();
         let quote_len = (20 + 8).min(hdr_and_more.len());
         &hdr_and_more[..quote_len]
     };
-    let mut frame = Vec::with_capacity(80);
     EthernetRepr {
         dst: eth.src(),
         src: MacAddr::local(u32::from(router)),
         ethertype: EtherType::Ipv4,
     }
-    .emit(&mut frame);
+    .emit(frame);
     Ipv4Repr {
         src: router,
         dst: ip.src(),
@@ -507,14 +510,13 @@ pub(crate) fn build_unreach(
         ttl: 64u8.saturating_sub(hops(seed, u32::from(router)) / 2),
         payload_len: (8 + probe_packet.len()) as u16,
     }
-    .emit(&mut frame).expect("reply fits IPv4 length");
+    .emit(frame).expect("reply fits IPv4 length");
     IcmpRepr {
         icmp_type: IcmpType::DestUnreachable(code),
         id: 0,
         seq: 0,
     }
-    .emit(probe_packet, &mut frame);
-    frame
+    .emit(probe_packet, frame);
 }
 
 /// Re-exported constant: simulations often reason in seconds.
@@ -539,9 +541,9 @@ mod tests {
         let b = scanner();
         let dst = Ipv4Addr::new(9, 9, 9, 9);
         let probe = b.tcp_syn(dst, 80, 0);
-        let actions = respond(seed, &model, &probe);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &probe);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::SynAck);
         assert_eq!(resp.ip, dst);
         assert_eq!(resp.port, 80);
@@ -552,9 +554,9 @@ mod tests {
         let (seed, model) = dense_world();
         let b = scanner();
         let probe = b.tcp_syn(Ipv4Addr::new(9, 9, 9, 9), 81, 0);
-        let actions = respond(seed, &model, &probe);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &probe);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::Rst);
     }
 
@@ -568,7 +570,7 @@ mod tests {
         };
         let b = scanner();
         let probe = b.tcp_syn(Ipv4Addr::new(88, 77, 66, 55), 80, 0);
-        assert!(respond(seed, &model, &probe).is_empty());
+        assert!(respond(seed, &model, &probe).is_silent());
     }
 
     #[test]
@@ -582,9 +584,9 @@ mod tests {
         let b = scanner();
         let dst = Ipv4Addr::new(88, 77, 66, 55);
         let probe = b.tcp_syn(dst, 80, 0);
-        let actions = respond(seed, &model, &probe);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &probe);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         match resp.kind {
             ResponseKind::Unreachable { code, via } => {
                 assert_eq!(code, UnreachCode::Host);
@@ -603,10 +605,10 @@ mod tests {
         let mut b = scanner();
         b.layout = OptionLayout::NoOptions;
         let probe = b.tcp_syn(Ipv4Addr::new(5, 5, 5, 5), 80, 0);
-        assert!(respond(seed, &model, &probe).is_empty(), "bare SYN filtered");
+        assert!(respond(seed, &model, &probe).is_silent(), "bare SYN filtered");
         b.layout = OptionLayout::MssOnly;
         let probe = b.tcp_syn(Ipv4Addr::new(5, 5, 5, 5), 80, 0);
-        assert_eq!(respond(seed, &model, &probe).len(), 1, "MSS probe passes");
+        assert_eq!(respond(seed, &model, &probe).delays.len(), 1, "MSS probe passes");
     }
 
     #[test]
@@ -624,7 +626,7 @@ mod tests {
         ] {
             b.layout = layout;
             let probe = b.tcp_syn(Ipv4Addr::new(6, 6, 6, 6), 80, 0);
-            assert_eq!(respond(seed, &model, &probe).len(), expect, "{layout:?}");
+            assert_eq!(respond(seed, &model, &probe).delays.len(), expect, "{layout:?}");
         }
     }
 
@@ -636,12 +638,13 @@ mod tests {
         model.blowback_max = 100;
         let b = scanner();
         let probe = b.tcp_syn(Ipv4Addr::new(7, 7, 7, 7), 80, 0);
-        let actions = respond(seed, &model, &probe);
-        assert!(actions.len() >= 11, "10+ duplicates expected, got {}", actions.len());
-        // All frames identical; delays strictly increasing after the first.
-        for w in actions.windows(2) {
-            assert!(w[0].delay_ns <= w[1].delay_ns);
-            assert_eq!(w[0].frame, w[1].frame);
+        let reply = respond(seed, &model, &probe);
+        let n = reply.delays.len();
+        assert!(n >= 11, "10+ duplicates expected, got {n}");
+        // One frame, sent at non-decreasing delays.
+        assert!(b.parse_response(&reply.frame).unwrap().is_some());
+        for w in reply.delays.windows(2) {
+            assert!(w[0] <= w[1]);
         }
     }
 
@@ -651,9 +654,9 @@ mod tests {
         let b = scanner();
         let dst = Ipv4Addr::new(4, 4, 4, 4);
         let probe = b.icmp_echo(dst, 0);
-        let actions = respond(seed, &model, &probe);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &probe);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::EchoReply);
         assert_eq!(resp.ip, dst);
     }
@@ -664,15 +667,15 @@ mod tests {
         let b = scanner();
         let dst = Ipv4Addr::new(3, 3, 3, 3);
         let open = b.udp(dst, 80, b"ping", 0).unwrap();
-        let actions = respond(seed, &model, &open);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &open);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         assert!(matches!(resp.kind, ResponseKind::UdpData(_)));
 
         let closed = b.udp(dst, 9999, b"ping", 0).unwrap();
-        let actions = respond(seed, &model, &closed);
-        assert_eq!(actions.len(), 1);
-        let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+        let reply = respond(seed, &model, &closed);
+        assert_eq!(reply.delays.len(), 1);
+        let resp = b.parse_response(&reply.frame).unwrap().unwrap();
         assert!(matches!(
             resp.kind,
             ResponseKind::Unreachable { code: UnreachCode::Port, .. }
@@ -687,8 +690,8 @@ mod tests {
         for i in 0..50u32 {
             let dst = Ipv4Addr::from(0x0B000000 + i);
             let probe = b.tcp_syn(dst, 80, 0);
-            let actions = respond(seed, &model, &probe);
-            let resp = b.parse_response(&actions[0].frame).unwrap().unwrap();
+            let reply = respond(seed, &model, &probe);
+            let resp = b.parse_response(&reply.frame).unwrap().unwrap();
             assert!(resp.ttl >= 40, "ttl {}", resp.ttl);
             ttls.insert(resp.ttl);
         }
@@ -698,8 +701,47 @@ mod tests {
     #[test]
     fn layout_detection() {
         for l in OptionLayout::ALL {
-            assert_eq!(detect_layout(&l.bytes()), Some(l));
+            assert_eq!(detect_layout(l.bytes()), Some(l));
         }
         assert_eq!(detect_layout(&[1, 1, 1, 1]), None);
+    }
+
+    /// The definition `option_set_of` replaced: decode, then look.
+    fn option_set_by_decode(bytes: &[u8]) -> OptionSet {
+        use zmap_wire::options::{decode, TcpOption};
+        let mut set = OptionSet::default();
+        for o in decode(bytes).unwrap_or_default() {
+            match o {
+                TcpOption::Mss(_) => set.mss = true,
+                TcpOption::SackPermitted => set.sack = true,
+                TcpOption::Timestamp(..) => set.timestamp = true,
+                TcpOption::WindowScale(_) => set.wscale = true,
+                _ => {}
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn option_set_of_matches_decode_on_every_layout() {
+        for l in OptionLayout::ALL {
+            assert_eq!(option_set_of(l.bytes()), option_set_by_decode(l.bytes()), "{l:?}");
+            assert_eq!(option_set_of(l.bytes()), l.carries(), "{l:?}");
+        }
+        // Malformed: a length under 2, past the end, missing; options
+        // before the fault do not count.
+        for bad in [&[2u8, 1, 0, 0][..], &[2, 10, 0, 0], &[2], &[2, 4, 5, 0xB4, 4], &[1, 8]] {
+            assert_eq!(option_set_of(bad), option_set_by_decode(bad), "{bad:?}");
+            assert_eq!(option_set_of(bad), OptionSet::default(), "{bad:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn option_set_of_matches_decode_on_any_block(
+            bytes in proptest::collection::vec(0u8..12, 0..40),
+        ) {
+            proptest::prop_assert_eq!(option_set_of(&bytes), option_set_by_decode(&bytes));
+        }
     }
 }

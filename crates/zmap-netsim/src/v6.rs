@@ -17,7 +17,7 @@
 //! in the v6 space — including on-pattern addresses of dead hosts — is
 //! silent, exactly the behavior XMap-style target generation exploits.
 
-use crate::responder::ResponseAction;
+use crate::responder::Reply;
 use crate::{unit, NS_PER_SEC};
 use std::net::Ipv6Addr;
 use zmap_targets::v6::{parse_prefix_list, PrefixSpec, PrefixTable, V6ParseError};
@@ -103,38 +103,40 @@ impl V6Population {
         self.open_ports.contains(&port)
     }
 
-    /// Produces the responses a v6 probe frame elicits (empty for silent
-    /// space). The caller applies delays and routing, as with the v4
-    /// responder.
-    pub fn respond(
-        &self,
-        seed: u64,
-        eth: &EthernetView<'_>,
-        ip: &Ipv6View<'_>,
-    ) -> Vec<ResponseAction> {
-        let dst = ip.dst();
-        if !self.responsive(seed, dst) {
-            return vec![];
+    /// Renders the reply a v6 probe frame elicits into `out` (silent for
+    /// dead space; v6 hosts never blow back). The caller applies delays
+    /// and routing, as with the v4 responder.
+    pub fn respond(&self, seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>, out: &mut Reply) {
+        out.clear();
+        if !self.responsive(seed, ip.dst()) {
+            return;
         }
-        match ip.next_header() {
-            IpProtocol::Tcp => self.respond_tcp(seed, eth, ip),
-            IpProtocol::Udp => self.respond_udp(seed, eth, ip),
-            IpProtocol::Other(NEXT_HEADER_ICMPV6) => self.respond_icmpv6(seed, eth, ip),
-            _ => vec![],
+        let frame = &mut out.frame;
+        let answered = match ip.next_header() {
+            IpProtocol::Tcp => self.respond_tcp(seed, eth, ip, frame),
+            IpProtocol::Udp => self.respond_udp(seed, eth, ip, frame),
+            IpProtocol::Other(NEXT_HEADER_ICMPV6) => self.respond_icmpv6(seed, eth, ip, frame),
+            _ => false,
+        };
+        if answered {
+            out.delays.push(0);
         }
     }
 
+    /// Renders a SYN's SYN-ACK or RST into `frame`; false for any other
+    /// segment.
     fn respond_tcp(
         &self,
         seed: u64,
         eth: &EthernetView<'_>,
         ip: &Ipv6View<'_>,
-    ) -> Vec<ResponseAction> {
+        frame: &mut Vec<u8>,
+    ) -> bool {
         let Ok(tcp) = TcpView::parse(ip.payload()) else {
-            return vec![];
+            return false;
         };
         if !tcp.flags().syn() || tcp.flags().ack() {
-            return vec![];
+            return false;
         }
         let dst = ip.dst();
         let open = self.port_open(tcp.dst_port());
@@ -145,44 +147,38 @@ impl V6Population {
             ack: tcp.seq().wrapping_add(1),
             flags: if open { TcpFlags::SYN_ACK } else { TcpFlags::RST_ACK },
             window: if open { 65535 } else { 0 },
-            options: if open { OptionLayout::MssOnly.bytes() } else { vec![] },
+            options: if open { OptionLayout::MssOnly.bytes() } else { &[] },
         };
         let tcp_len = reply.header_len() as u16;
-        let mut frame = Vec::with_capacity(80);
-        let r = reply_v6(seed, eth, ip, IpProtocol::Tcp, tcp_len, &mut frame);
+        let r = reply_v6(seed, eth, ip, IpProtocol::Tcp, tcp_len, frame);
         let pseudo = checksum::pseudo_header_v6(
             &r.src.octets(),
             &r.dst.octets(),
             6,
             u32::from(tcp_len),
         );
-        reply.emit(pseudo, &[], &mut frame);
-        vec![ResponseAction { delay_ns: 0, frame }]
+        reply.emit(pseudo, &[], frame);
+        true
     }
 
+    /// Renders an echo request's reply into `frame`; false for any other
+    /// ICMPv6 message.
     fn respond_icmpv6(
         &self,
         seed: u64,
         eth: &EthernetView<'_>,
         ip: &Ipv6View<'_>,
-    ) -> Vec<ResponseAction> {
+        frame: &mut Vec<u8>,
+    ) -> bool {
         let Ok(icmp) = Icmpv6View::parse(ip.payload()) else {
-            return vec![];
+            return false;
         };
         if icmp.icmp_type() != Icmpv6Type::EchoRequest {
-            return vec![];
+            return false;
         }
         let payload = icmp.payload();
         let len = (8 + payload.len()) as u16;
-        let mut frame = Vec::with_capacity(14 + 40 + usize::from(len));
-        let r = reply_v6(
-            seed,
-            eth,
-            ip,
-            IpProtocol::Other(NEXT_HEADER_ICMPV6),
-            len,
-            &mut frame,
-        );
+        let r = reply_v6(seed, eth, ip, IpProtocol::Other(NEXT_HEADER_ICMPV6), len, frame);
         let pseudo = checksum::pseudo_header_v6(
             &r.src.octets(),
             &r.dst.octets(),
@@ -194,29 +190,31 @@ impl V6Population {
             id: icmp.id(),
             seq: icmp.seq(),
         }
-        .emit(pseudo, payload, &mut frame);
-        vec![ResponseAction { delay_ns: 0, frame }]
+        .emit(pseudo, payload, frame);
+        true
     }
 
+    /// Renders an open port's echo of the datagram into `frame`; false
+    /// for a closed port.
     fn respond_udp(
         &self,
         seed: u64,
         eth: &EthernetView<'_>,
         ip: &Ipv6View<'_>,
-    ) -> Vec<ResponseAction> {
+        frame: &mut Vec<u8>,
+    ) -> bool {
         let Ok(udp) = UdpView::parse(ip.payload()) else {
-            return vec![];
+            return false;
         };
         if !self.port_open(udp.dst_port()) {
             // Closed v6 UDP stays silent here: synthesizing the ICMPv6
             // unreachable quote chain is beyond what the hit-rate
             // experiments need.
-            return vec![];
+            return false;
         }
         let payload = udp.payload();
         let len = (8 + payload.len()) as u16;
-        let mut frame = Vec::with_capacity(14 + 40 + usize::from(len));
-        let r = reply_v6(seed, eth, ip, IpProtocol::Udp, len, &mut frame);
+        let r = reply_v6(seed, eth, ip, IpProtocol::Udp, len, frame);
         let pseudo = checksum::pseudo_header_v6(
             &r.src.octets(),
             &r.dst.octets(),
@@ -227,8 +225,8 @@ impl V6Population {
             src_port: udp.dst_port(),
             dst_port: udp.src_port(),
         }
-        .emit(pseudo, payload, &mut frame);
-        vec![ResponseAction { delay_ns: 0, frame }]
+        .emit(pseudo, payload, frame);
+        true
     }
 }
 
@@ -289,10 +287,12 @@ mod tests {
         .unwrap()
     }
 
-    fn respond_to(pop: &V6Population, seed: u64, frame: &[u8]) -> Vec<ResponseAction> {
+    fn respond_to(pop: &V6Population, seed: u64, frame: &[u8]) -> Reply {
         let eth = EthernetView::parse(frame).unwrap();
         let ip = Ipv6View::parse(eth.payload()).unwrap();
-        pop.respond(seed, &eth, &ip)
+        let mut out = Reply::default();
+        pop.respond(seed, &eth, &ip, &mut out);
+        out
     }
 
     /// First responsive host of spec 0 under `seed`.
@@ -359,12 +359,12 @@ mod tests {
         let b = ProbeBuilderV6::new(src_ip(), 1);
         let dst = live_host(&pop, 7, 0);
         let open = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
-        assert_eq!(open.len(), 1);
-        let resp = b.parse_response(&open[0].frame).unwrap().unwrap();
+        assert_eq!(open.delays, [0]);
+        let resp = b.parse_response(&open.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::SynAck);
         assert_eq!(resp.ip, dst);
         let closed = respond_to(&pop, 7, &b.tcp_syn(dst, 8080, 0));
-        let resp = b.parse_response(&closed[0].frame).unwrap().unwrap();
+        let resp = b.parse_response(&closed.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::Rst);
     }
 
@@ -374,8 +374,8 @@ mod tests {
         let b = ProbeBuilderV6::new(src_ip(), 2);
         let dst = live_host(&pop, 9, 1);
         let replies = respond_to(&pop, 9, &b.icmp_echo(dst, 0));
-        assert_eq!(replies.len(), 1);
-        let resp = b.parse_response(&replies[0].frame).unwrap().unwrap();
+        assert_eq!(replies.delays, [0]);
+        let resp = b.parse_response(&replies.frame).unwrap().unwrap();
         assert_eq!(resp.kind, ResponseKind::EchoReply);
         assert_eq!(resp.ip, dst);
     }
@@ -386,12 +386,12 @@ mod tests {
         let b = ProbeBuilderV6::new(src_ip(), 3);
         let dst = live_host(&pop, 11, 0);
         let replies = respond_to(&pop, 11, &b.udp(dst, 443, b"ping", 0).unwrap());
-        assert_eq!(replies.len(), 1);
-        let resp = b.parse_response(&replies[0].frame).unwrap().unwrap();
+        assert_eq!(replies.delays, [0]);
+        let resp = b.parse_response(&replies.frame).unwrap().unwrap();
         // The probe payload carries the 8-byte validation tag plus the
         // caller's 4 bytes; the service echoes all of it.
         assert!(matches!(resp.kind, ResponseKind::UdpData(12)), "{:?}", resp.kind);
-        assert!(respond_to(&pop, 11, &b.udp(dst, 9999, b"ping", 0).unwrap()).is_empty());
+        assert!(respond_to(&pop, 11, &b.udp(dst, 9999, b"ping", 0).unwrap()).is_silent());
     }
 
     #[test]
@@ -403,8 +403,8 @@ mod tests {
             .map(|i| s.addr_at(i))
             .find(|a| !pop.responsive(7, *a))
             .expect("density 0.5 leaves dead hosts");
-        assert!(respond_to(&pop, 7, &b.tcp_syn(dead, 80, 0)).is_empty());
-        assert!(respond_to(&pop, 7, &b.icmp_echo(dead, 0)).is_empty());
+        assert!(respond_to(&pop, 7, &b.tcp_syn(dead, 80, 0)).is_silent());
+        assert!(respond_to(&pop, 7, &b.icmp_echo(dead, 0)).is_silent());
     }
 
     #[test]
@@ -414,7 +414,7 @@ mod tests {
         let dst = live_host(&pop, 7, 1);
         let a = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
         let c = respond_to(&pop, 7, &b.tcp_syn(dst, 80, 0));
-        assert_eq!(a.len(), c.len());
-        assert_eq!(a[0].frame, c[0].frame);
+        assert_eq!(a.delays, c.delays);
+        assert_eq!(a.frame, c.frame);
     }
 }

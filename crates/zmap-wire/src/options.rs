@@ -212,9 +212,29 @@ impl OptionLayout {
         }
     }
 
-    /// Encoded, padded option bytes.
-    pub fn bytes(&self) -> Vec<u8> {
-        encode(&self.options())
+    /// Encoded, padded option bytes: [`encode`] of [`options`](Self::options),
+    /// written out as a static table so a probe renderer or a simulated
+    /// host comparing layouts per SYN never allocates.
+    pub const fn bytes(&self) -> &'static [u8] {
+        // MSS 1460 = 0x05B4, TSval "ZMAP" = 5A 4D 41 50, TSecr 0, WS 7.
+        match self {
+            OptionLayout::NoOptions => &[],
+            OptionLayout::MssOnly => &[2, 4, 0x05, 0xB4],
+            OptionLayout::SackPermittedOnly => &[4, 2, 1, 1],
+            OptionLayout::TimestampOnly => &[1, 1, 8, 10, 0x5A, 0x4D, 0x41, 0x50, 0, 0, 0, 0],
+            OptionLayout::WindowScaleOnly => &[1, 3, 3, 7],
+            OptionLayout::OptimalPacked => &[
+                2, 4, 0x05, 0xB4, 8, 10, 0x5A, 0x4D, 0x41, 0x50, 0, 0, 0, 0, 4, 2, 3, 3, 7, 1,
+            ],
+            OptionLayout::Linux => &[
+                2, 4, 0x05, 0xB4, 4, 2, 8, 10, 0x5A, 0x4D, 0x41, 0x50, 0, 0, 0, 0, 1, 3, 3, 7,
+            ],
+            OptionLayout::Bsd => &[
+                2, 4, 0x05, 0xB4, 1, 3, 3, 7, 1, 1, 8, 10, 0x5A, 0x4D, 0x41, 0x50, 0, 0, 0, 0, 4,
+                2, 0, 1,
+            ],
+            OptionLayout::Windows => &[2, 4, 0x05, 0xB4, 1, 3, 3, 7, 1, 1, 4, 2],
+        }
     }
 
     /// Short name used in experiment output (matches Figure 7 labels).
@@ -288,6 +308,13 @@ mod tests {
     }
 
     #[test]
+    fn static_tables_are_the_encoded_option_lists() {
+        for l in OptionLayout::ALL {
+            assert_eq!(l.bytes(), encode(&l.options()).as_slice(), "{l:?}");
+        }
+    }
+
+    #[test]
     fn all_layouts_word_aligned() {
         for l in OptionLayout::ALL {
             assert_eq!(l.bytes().len() % 4, 0, "{l:?}");
@@ -299,7 +326,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         for l in OptionLayout::ALL {
             let bytes = l.bytes();
-            let decoded = decode(&bytes).unwrap();
+            let decoded = decode(bytes).unwrap();
             // Every substantive option must survive the roundtrip.
             let set_in = l.carries();
             let mut set_out = OptionSet::default();

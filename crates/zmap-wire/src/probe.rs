@@ -303,7 +303,7 @@ impl ProbeBuilder<V4> {
             ack: server_seq.wrapping_add(1),
             flags: TcpFlags::PSH.union(TcpFlags::ACK),
             window: 65535,
-            options: vec![],
+            options: &[],
         };
         let tcp_len = tcp.header_len() + payload.len();
         let (mut buf, pseudo) =

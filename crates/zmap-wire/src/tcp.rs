@@ -58,18 +58,20 @@ impl std::fmt::Display for TcpFlags {
 
 /// High-level description of a TCP segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpRepr {
+pub struct TcpRepr<'a> {
     pub src_port: u16,
     pub dst_port: u16,
     pub seq: u32,
     pub ack: u32,
     pub flags: TcpFlags,
     pub window: u16,
-    /// Encoded, already-padded option bytes (see [`crate::options`]).
-    pub options: Vec<u8>,
+    /// Encoded, already-padded option bytes (see [`crate::options`]):
+    /// usually an [`OptionLayout`](crate::options::OptionLayout)'s static
+    /// table, or the received segment's own bytes.
+    pub options: &'a [u8],
 }
 
-impl TcpRepr {
+impl TcpRepr<'_> {
     /// Header length including options.
     pub fn header_len(&self) -> usize {
         HEADER_LEN + self.options.len()
@@ -101,7 +103,7 @@ impl TcpRepr {
         buf.extend_from_slice(&self.window.to_be_bytes());
         buf.extend_from_slice(&[0, 0]); // checksum placeholder
         buf.extend_from_slice(&[0, 0]); // urgent pointer
-        buf.extend_from_slice(&self.options);
+        buf.extend_from_slice(self.options);
         buf.extend_from_slice(payload);
         let csum = checksum::finish(checksum::sum(pseudo, &buf[start..]));
         buf[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
@@ -175,8 +177,8 @@ impl<'a> TcpView<'a> {
         checksum::verify(self.buf, pseudo)
     }
 
-    /// The parsed repr (options copied).
-    pub fn repr(&self) -> TcpRepr {
+    /// The parsed repr (options borrowed from the segment).
+    pub fn repr(&self) -> TcpRepr<'a> {
         TcpRepr {
             src_port: self.src_port(),
             dst_port: self.dst_port(),
@@ -184,7 +186,7 @@ impl<'a> TcpView<'a> {
             ack: self.ack(),
             flags: self.flags(),
             window: self.window(),
-            options: self.option_bytes().to_vec(),
+            options: self.option_bytes(),
         }
     }
 }
@@ -198,7 +200,7 @@ mod tests {
         checksum::pseudo_header(0xC0000201, 0xC6336407, 6, 20)
     }
 
-    fn sample(flags: TcpFlags, opts: Vec<u8>) -> TcpRepr {
+    fn sample(flags: TcpFlags, opts: &[u8]) -> TcpRepr<'_> {
         TcpRepr {
             src_port: 45000,
             dst_port: 80,
@@ -212,7 +214,7 @@ mod tests {
 
     #[test]
     fn emit_parse_roundtrip_no_options() {
-        let repr = sample(TcpFlags::SYN, vec![]);
+        let repr = sample(TcpFlags::SYN, &[]);
         let mut buf = Vec::new();
         repr.emit(pseudo(), &[], &mut buf);
         assert_eq!(buf.len(), 20);
@@ -239,7 +241,7 @@ mod tests {
 
     #[test]
     fn payload_is_carried_and_checksummed() {
-        let repr = sample(TcpFlags::PSH.union(TcpFlags::ACK), vec![]);
+        let repr = sample(TcpFlags::PSH.union(TcpFlags::ACK), &[]);
         let body = b"GET / HTTP/1.0\r\n\r\n";
         let pseudo = checksum::pseudo_header(1, 2, 6, (20 + body.len()) as u16);
         let mut buf = Vec::new();
@@ -251,7 +253,7 @@ mod tests {
 
     #[test]
     fn corruption_fails_checksum() {
-        let repr = sample(TcpFlags::SYN_ACK, vec![]);
+        let repr = sample(TcpFlags::SYN_ACK, &[]);
         let mut buf = Vec::new();
         repr.emit(pseudo(), &[], &mut buf);
         buf[4] ^= 0xFF; // mangle seq
@@ -283,7 +285,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "word-aligned")]
     fn unaligned_options_panic() {
-        let repr = sample(TcpFlags::SYN, vec![1, 1, 1]);
+        let repr = sample(TcpFlags::SYN, &[1, 1, 1]);
         repr.emit(0, &[], &mut Vec::new());
     }
 }

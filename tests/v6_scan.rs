@@ -13,7 +13,7 @@ use zmap::core::checkpoint::{CheckpointPolicy, CheckpointState};
 use zmap::core::log::{Level, Logger};
 use zmap::core::output::OutputModule;
 use zmap::core::parallel::{run_parallel, SharedSimTransport};
-use zmap::core::transport::LoopbackTransport;
+use zmap::core::transport::{LoopbackTransport, RxBatch};
 use zmap::core::Transport;
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
@@ -363,8 +363,8 @@ impl Transport for SharedLoopback {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
         self.0.lock().unwrap().send_frame(frame)
     }
-    fn recv_frames(&mut self) -> Vec<(u64, Vec<u8>)> {
-        self.0.lock().unwrap().recv_frames()
+    fn recv_into(&mut self, rx: &mut RxBatch) {
+        self.0.lock().unwrap().recv_into(rx)
     }
 }
 
