@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Attribution/stealth trade-off experiment: detection rate vs. scan
 //! speed vs. stealth level, scanner and telescope closing the loop over
 //! the simulated Internet.

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! §4.1 experiment — generator-search attempt counts.
 //!
 //! Paper: the 2013 algorithm (random additive generator mapped through a

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! §4.3 experiment — static vs. random IP ID.
 //!
 //! Paper: "We performed three scans of 10% of IPv4 on TCP/80 in April

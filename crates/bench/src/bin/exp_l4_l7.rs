@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! §3 experiment — L4 vs L7 discrepancies (two-phase scanning).
 //!
 //! Paper: "TCP liveness does not reliably indicate service presence

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! §3 experiment — Masscan finds notably fewer hosts than ZMap.
 //!
 //! Paper (citing Adrian et al.): "despite following a similar high-level

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! IPv6 hit-rate curve (exp_v6_hitrate) — the XMap-shaped experiment
 //! behind the EXPERIMENTS.md §IPv6 table.
 //!

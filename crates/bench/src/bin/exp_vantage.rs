@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! §3 experiment — single-probe loss and the value of diverse vantages.
 //!
 //! Paper (Wan et al.): a single-probe scan misses ≈2.7% of responsive

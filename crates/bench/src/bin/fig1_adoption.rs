@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 1 — ZMap-Attributed TCP Scan Traffic, 2014Q1–2024Q1.
 //!
 //! Paper: ZMap's share of Internet-wide IPv4 TCP scan packets grew

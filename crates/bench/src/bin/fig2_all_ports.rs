@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 2 — All TCP Scans: top ports by packet (2024Q1).
 //!
 //! Paper: the overall scan mix is dominated by ports like 23, 80, 445,

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 3 — ZMap Scans: top ports by packet (2024Q1).
 //!
 //! Paper: ZMap traffic concentrates on web-facing ports (80, 8080, 443)

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 4 — ZMap share of scan packets by source country (2024Q1).
 //!
 //! Paper row: US 66%, NL 33%, RU 0.48%, DE 18%, GB 69%, BG 9%, CN 2%,

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 5 — Sliding-window duplicate pass rate vs. window size.
 //!
 //! Paper: ZMap moved from a 2^32-bit bitmap (512 MB; 35 TB for the

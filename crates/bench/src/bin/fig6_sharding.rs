@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 6 — Sharding approaches: interleaved (2014) vs. pizza (2017).
 //!
 //! The paper's figure visualizes how each algorithm assigns the cyclic

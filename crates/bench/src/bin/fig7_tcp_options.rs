@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 7 — Hit rates for varying TCP option layouts (+ line rates).
 //!
 //! Paper: SYNs without options find 1.5–2.0% fewer services on TCP/80

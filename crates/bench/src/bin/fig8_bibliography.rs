@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Figure 8 / Appendix B — Academic papers built on ZMap data, by topic.
 //!
 //! This table is the paper's own manual thematic analysis of 1,034

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout)]
 //! Shared infrastructure for the experiment binaries (`src/bin/fig*.rs`,
 //! `src/bin/exp_*.rs`).
 //!

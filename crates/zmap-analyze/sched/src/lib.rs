@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic interleaving checker for the lock-free TX pipeline.
 //!
 //! The static lints in `zmap-analyze` check that every atomic site

@@ -7,8 +7,8 @@
 //! exact about the things that make naive grep-based linting wrong:
 //! nested block comments, raw strings, byte strings, char literals vs.
 //! lifetimes, and escapes. Comments are preserved in a side channel so
-//! lints like `unsafe-needs-safety-comment` and `todo-fixme-gate` can
-//! inspect them.
+//! `atomics-ordering-discipline` can read protocol declarations and the
+//! parser can find `# Panics` sections.
 
 /// One lexical token (trivia excluded).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,22 +1,25 @@
 #![forbid(unsafe_code)]
-//! # zmap-analyze — workspace lint engine for determinism invariants
+//! # zmap-analyze — workspace lint engine for hot-path invariants
 //!
-//! The paper's engineering claims (stateless scanning, cyclic-group
-//! coverage, byte-identical replay) hold only while the codebase never
-//! smuggles in hidden state: unseeded randomness, wall-clock reads in
-//! the engine, or panics on the TX/RX hot path. Clippy cannot express
-//! these rules; this crate machine-checks them.
+//! The paper's engineering claims (stateless scanning, a lock-free TX
+//! pipeline, line-rate sends) hold only while the engine keeps four
+//! disciplines that follow a declared protocol or the call graph: atomic
+//! orderings match their `[atomics]` comment, no lock is held across a
+//! send, nothing reachable from a hot-path root allocates, and nothing
+//! reachable from an engine entry point panics undocumented. No compiler
+//! lint expresses these; this crate machine-checks them. The rules rustc
+//! and clippy can hold (unwraps on the hot path, console output, the
+//! host clock, undocumented `unsafe`) are workspace lint configuration:
+//! `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
 //!
 //! The pipeline is: walk the workspace's `.rs` files ([`walk_workspace`])
 //! → lex each into a line-numbered token stream ([`lexer`]) → run the
-//! project-specific lints ([`lints`]) → subtract the checked-in
-//! suppression baseline ([`baseline`]) → render text or JSON
-//! ([`report`]). No dependencies, no `syn`: the hand-rolled lexer is in
-//! the same spirit as the vendored proptest stub.
+//! lints ([`lints`]) → render text or JSON ([`report`]). No dependencies,
+//! no `syn`: the hand-rolled lexer is in the same spirit as the vendored
+//! proptest stub.
 //!
-//! Run it as `cargo run -p zmap-analyze -- check --deny`.
+//! Run it as `cargo run -p zmap-analyze -- check`.
 
-pub mod baseline;
 pub mod lexer;
 pub mod lints;
 pub mod parse;

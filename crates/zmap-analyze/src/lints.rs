@@ -1,14 +1,15 @@
-//! The lint pass: eleven project-specific checks over the lexed token
-//! streams. Each lint exists because a paper invariant (determinism,
-//! statelessness, lock-free-ring correctness) is only as strong as the
-//! codebase's discipline about it; see DESIGN.md §9 for the mapping.
+//! The lint pass: four project-specific checks over the lexed token
+//! streams — the ones no compiler lint can express, because each follows
+//! a declared protocol or the workspace call graph. The rules rustc and
+//! clippy can hold live in the workspace's lint configuration instead;
+//! DESIGN.md §9 maps every invariant to what checks it.
 //!
 //! Every lint is one row of the [`LINTS`] registry: id, summary, and a
 //! workspace-level pass fn. `run_lints`, `report.rs`, and the docs all
 //! derive from that single table, so the ID list cannot drift from the
 //! dispatch.
 
-use crate::lexer::{LexedFile, Tok};
+use crate::lexer::LexedFile;
 use crate::parse::{self, CallSite, FnItem, ParsedFile};
 use std::collections::BTreeMap;
 
@@ -25,8 +26,8 @@ pub struct Finding {
 /// pass. Docs and reports enumerate this table; `run_lints` dispatches
 /// through it.
 pub struct Lint {
-    /// Stable machine-readable ID (appears in findings, baseline
-    /// entries, JSON reports, and DESIGN.md §9).
+    /// Stable machine-readable ID (appears in findings, JSON reports,
+    /// and DESIGN.md §9).
     pub id: &'static str,
     /// One-line human summary, mirrored in the docs.
     pub summary: &'static str,
@@ -34,72 +35,16 @@ pub struct Lint {
     pub pass: fn(&BTreeMap<String, LexedFile>, &mut Vec<Finding>),
 }
 
-/// Lifts a per-file lint into the workspace-level pass signature.
-macro_rules! per_file {
-    ($pass:ident, $inner:ident) => {
-        fn $pass(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
-            for (path, lexed) in files {
-                $inner(path, lexed, out);
-            }
-        }
-    };
-}
-
-per_file!(pass_unwrap_hot_path, lint_unwrap_hot_path);
-per_file!(pass_wallclock, lint_wallclock);
-per_file!(pass_unseeded_rng, lint_unseeded_rng);
-per_file!(pass_must_use_fallible, lint_must_use_fallible);
-per_file!(pass_println, lint_println);
-per_file!(pass_todo_fixme, lint_todo_fixme);
-per_file!(pass_atomics_ordering, lint_atomics_ordering);
-
-/// `unsafe-needs-safety-comment` has two halves sharing one ID: the
-/// per-site SAFETY-comment check and the per-crate forbid attestation.
-fn pass_unsafe(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
+/// `atomics-ordering-discipline` checks each file on its own.
+fn pass_atomics_ordering(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
     for (path, lexed) in files {
-        lint_unsafe_comments(path, lexed, out);
+        lint_atomics_ordering(path, lexed, out);
     }
-    lint_unsafe_attestation(files, out);
 }
 
 /// The lint registry, in the order findings are documented. Adding a
 /// lint means adding a row here — there is no second list to update.
-pub const LINTS: [Lint; 11] = [
-    Lint {
-        id: "no-unwrap-hot-path",
-        summary: "no .unwrap()/.expect() on the TX/RX hot path",
-        pass: pass_unwrap_hot_path,
-    },
-    Lint {
-        id: "no-wallclock-in-engine",
-        summary: "engine code must not read the host clock",
-        pass: pass_wallclock,
-    },
-    Lint {
-        id: "no-unseeded-rng",
-        summary: "all randomness derives from an explicit u64 seed",
-        pass: pass_unseeded_rng,
-    },
-    Lint {
-        id: "must-use-fallible-send",
-        summary: "fallible trait send/recv methods must be #[must_use]",
-        pass: pass_must_use_fallible,
-    },
-    Lint {
-        id: "no-println-outside-cli",
-        summary: "library code must not print to the console",
-        pass: pass_println,
-    },
-    Lint {
-        id: "unsafe-needs-safety-comment",
-        summary: "unsafe needs a SAFETY comment; unsafe-free crates must forbid",
-        pass: pass_unsafe,
-    },
-    Lint {
-        id: "todo-fixme-gate",
-        summary: "no TODO/FIXME/XXX comments in committed code",
-        pass: pass_todo_fixme,
-    },
+pub const LINTS: [Lint; 4] = [
     Lint {
         id: "atomics-ordering-discipline",
         summary: "every atomic op must match a declared [atomics] protocol",
@@ -122,20 +67,9 @@ pub const LINTS: [Lint; 11] = [
     },
 ];
 
-/// Lint IDs, derived from [`LINTS`] so the two can never disagree.
-pub const LINT_IDS: [&str; LINTS.len()] = {
-    let mut ids = [""; LINTS.len()];
-    let mut i = 0;
-    while i < LINTS.len() {
-        ids[i] = LINTS[i].id;
-        i += 1;
-    }
-    ids
-};
-
-/// Crates whose code is allowed to read the wall clock and print to the
-/// console: the CLI front-end, the bench/experiment harness, and this
-/// analyzer itself (a build-time tool, never on a scan path).
+/// Crates no lint looks at: the CLI front-end, the bench/experiment
+/// harness, and this analyzer itself (a build-time tool). None of them is
+/// on a scan's hot path.
 const FRONTEND_CRATES: [&str; 3] = ["zmap-cli", "bench", "zmap-analyze"];
 
 /// Runs every registered lint over the workspace file set.
@@ -148,7 +82,7 @@ pub fn run_lints(files: &BTreeMap<String, LexedFile>) -> Vec<Finding> {
         (lint.pass)(files, &mut findings);
     }
     debug_assert!(
-        findings.iter().all(|f| LINT_IDS.contains(&f.lint)),
+        findings.iter().all(|f| LINTS.iter().any(|l| l.id == f.lint)),
         "a pass emitted a finding under an unregistered lint ID"
     );
     findings.sort_by(|a, b| {
@@ -170,476 +104,12 @@ fn is_examples_path(path: &str) -> bool {
     path.starts_with("examples/") || path.contains("/examples/")
 }
 
-fn basename(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
-}
-
 fn in_frontend_crate(path: &str) -> bool {
     crate_of(path).is_some_and(|c| FRONTEND_CRATES.contains(&c))
 }
 
 // ---------------------------------------------------------------------
-// Token-stream geometry helpers.
-// ---------------------------------------------------------------------
-
-/// Index just past the `}` matching the `{` at `open`.
-fn skip_brace_block(lexed: &LexedFile, open: usize) -> usize {
-    debug_assert!(lexed.punct(open, '{'));
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < lexed.tokens.len() {
-        if lexed.punct(i, '{') {
-            depth += 1;
-        } else if lexed.punct(i, '}') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    lexed.tokens.len()
-}
-
-/// Index just past the `]` matching the `[` at `open`.
-fn skip_bracket_group(lexed: &LexedFile, open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < lexed.tokens.len() {
-        if lexed.punct(i, '[') {
-            depth += 1;
-        } else if lexed.punct(i, ']') {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    lexed.tokens.len()
-}
-
-/// True when the attribute group `[start..end)` (token indices spanning
-/// `[` … `]`) gates on `cfg(test)` — conservatively, "mentions `test`
-/// under `cfg` without a `not`".
-fn attr_is_cfg_test(lexed: &LexedFile, start: usize, end: usize) -> bool {
-    let mut saw_cfg = false;
-    for i in start..end {
-        match lexed.ident(i) {
-            Some("cfg") => saw_cfg = true,
-            Some("not") => return false,
-            Some("test") | Some("tests") if saw_cfg => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Token-index ranges covered by `#[cfg(test)]` items and `#[test]` fns.
-fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < lexed.tokens.len() {
-        if lexed.punct(i, '#') && lexed.punct(i + 1, '[') {
-            let attr_end = skip_bracket_group(lexed, i + 1);
-            let is_test_attr = attr_is_cfg_test(lexed, i + 1, attr_end)
-                || (attr_end == i + 3 && lexed.ident(i + 2) == Some("test"));
-            let mut j = attr_end;
-            // Skip any further attributes on the same item.
-            while lexed.punct(j, '#') && lexed.punct(j + 1, '[') {
-                j = skip_bracket_group(lexed, j + 1);
-            }
-            if is_test_attr {
-                // Find the item's body: the first `{` before a `;`.
-                let mut k = j;
-                while k < lexed.tokens.len() {
-                    if lexed.punct(k, ';') {
-                        break;
-                    }
-                    if lexed.punct(k, '{') {
-                        let end = skip_brace_block(lexed, k);
-                        regions.push((i, end));
-                        i = end;
-                        break;
-                    }
-                    k += 1;
-                }
-                if i <= k {
-                    i = k.max(j);
-                }
-            }
-            i = i.max(attr_end);
-            continue;
-        }
-        i += 1;
-    }
-    regions
-}
-
-fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
-    regions.iter().any(|&(s, e)| idx >= s && idx < e)
-}
-
-/// Body ranges (token indices inside the braces) of `trait … { … }`
-/// declarations, with the nesting depth tracked so only direct trait
-/// items are inspected by callers.
-fn trait_bodies(lexed: &LexedFile) -> Vec<(usize, usize)> {
-    let mut bodies = Vec::new();
-    let mut i = 0usize;
-    while i < lexed.tokens.len() {
-        if lexed.ident(i) == Some("trait") {
-            let mut k = i + 1;
-            while k < lexed.tokens.len() {
-                if lexed.punct(k, ';') {
-                    break;
-                }
-                if lexed.punct(k, '{') {
-                    bodies.push((k + 1, skip_brace_block(lexed, k) - 1));
-                    break;
-                }
-                k += 1;
-            }
-            i = k;
-        }
-        i += 1;
-    }
-    bodies
-}
-
-// ---------------------------------------------------------------------
-// Lint 1: no-unwrap-hot-path
-// ---------------------------------------------------------------------
-
-fn is_hot_path_file(path: &str) -> bool {
-    if is_tests_path(path) || is_examples_path(path) {
-        return false;
-    }
-    matches!(basename(path), "scanner.rs" | "parallel.rs" | "transport.rs")
-        || path.starts_with("crates/zmap-wire/src/")
-        || path == "crates/zmap-netsim/src/world.rs"
-}
-
-fn lint_unwrap_hot_path(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    if !is_hot_path_file(path) {
-        return;
-    }
-    let tests = test_regions(lexed);
-    for i in 1..lexed.tokens.len() {
-        let Some(id) = lexed.ident(i) else { continue };
-        if (id == "unwrap" || id == "expect")
-            && lexed.punct(i - 1, '.')
-            && lexed.punct(i + 1, '(')
-            && !in_regions(&tests, i)
-        {
-            out.push(Finding {
-                lint: "no-unwrap-hot-path",
-                path: path.to_string(),
-                line: lexed.line(i),
-                message: format!(
-                    "`.{id}()` on the TX/RX hot path can panic a live scan; \
-                     propagate the error or recover (see parallel::lock_world)"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 2: no-wallclock-in-engine
-// ---------------------------------------------------------------------
-
-fn lint_wallclock(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    if in_frontend_crate(path) {
-        return;
-    }
-    for i in 0..lexed.tokens.len() {
-        let clock = match lexed.ident(i) {
-            Some("Instant") => "Instant",
-            Some("SystemTime") => "SystemTime",
-            _ => continue,
-        };
-        if lexed.punct(i + 1, ':') && lexed.punct(i + 2, ':') && lexed.ident(i + 3) == Some("now")
-        {
-            out.push(Finding {
-                lint: "no-wallclock-in-engine",
-                path: path.to_string(),
-                line: lexed.line(i),
-                message: format!(
-                    "`{clock}::now` reads the host clock; engine code must take time \
-                     from its Transport so replays are byte-identical"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 3: no-unseeded-rng
-// ---------------------------------------------------------------------
-
-fn lint_unseeded_rng(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    for i in 0..lexed.tokens.len() {
-        let Some(id) = lexed.ident(i) else { continue };
-        if matches!(id, "thread_rng" | "from_entropy" | "OsRng") {
-            out.push(Finding {
-                lint: "no-unseeded-rng",
-                path: path.to_string(),
-                line: lexed.line(i),
-                message: format!(
-                    "`{id}` draws OS entropy; every randomized path must derive from \
-                     an explicit u64 seed (StdRng::seed_from_u64) to stay replayable"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 4: must-use-fallible-send
-// ---------------------------------------------------------------------
-
-/// True when the attributes/modifiers immediately before the `fn` at
-/// `fn_idx` include `#[must_use]`. `floor` bounds the backward walk.
-fn has_must_use_attr(lexed: &LexedFile, fn_idx: usize, floor: usize) -> bool {
-    let modifiers = ["pub", "unsafe", "async", "const", "default", "extern", "crate", "super", "self", "in"];
-    let mut j = fn_idx;
-    while j > floor {
-        let prev = j - 1;
-        if lexed.ident(prev).is_some_and(|id| modifiers.contains(&id)) {
-            j = prev;
-        } else if lexed.punct(prev, ')') {
-            // pub(crate) and friends: walk to the opening paren.
-            let mut k = prev;
-            let mut depth = 0i32;
-            while k > floor {
-                if lexed.punct(k, ')') {
-                    depth += 1;
-                } else if lexed.punct(k, '(') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k -= 1;
-            }
-            j = k;
-        } else if lexed.punct(prev, ']') {
-            // An attribute group: scan its contents, then continue past.
-            let mut k = prev;
-            let mut depth = 0i32;
-            while k > floor {
-                if lexed.punct(k, ']') {
-                    depth += 1;
-                } else if lexed.punct(k, '[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                k -= 1;
-            }
-            for t in k..prev {
-                if lexed.ident(t) == Some("must_use") {
-                    return true;
-                }
-            }
-            // Step over the leading `#`.
-            j = k.saturating_sub(1).max(floor);
-        } else {
-            break;
-        }
-    }
-    false
-}
-
-fn lint_must_use_fallible(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    if is_tests_path(path) || is_examples_path(path) {
-        return;
-    }
-    for &(body_start, body_end) in &trait_bodies(lexed) {
-        let mut depth = 0i32;
-        let mut i = body_start;
-        while i < body_end {
-            if lexed.punct(i, '{') {
-                depth += 1;
-            } else if lexed.punct(i, '}') {
-                depth -= 1;
-            } else if depth == 0 && lexed.ident(i) == Some("fn") {
-                let Some(name) = lexed.ident(i + 1) else {
-                    i += 1;
-                    continue;
-                };
-                if name.starts_with("send") || name.starts_with("recv") {
-                    // Signature: tokens until the body `{` or the `;`.
-                    let mut k = i + 2;
-                    let mut saw_arrow = false;
-                    let mut returns_result = false;
-                    while k < body_end && !lexed.punct(k, '{') && !lexed.punct(k, ';') {
-                        if lexed.punct(k, '-') && lexed.punct(k + 1, '>') {
-                            saw_arrow = true;
-                        }
-                        if saw_arrow && lexed.ident(k) == Some("Result") {
-                            returns_result = true;
-                        }
-                        k += 1;
-                    }
-                    if returns_result && !has_must_use_attr(lexed, i, body_start) {
-                        out.push(Finding {
-                            lint: "must-use-fallible-send",
-                            path: path.to_string(),
-                            line: lexed.line(i),
-                            message: format!(
-                                "fallible trait method `{name}` returns Result but is not \
-                                 `#[must_use]`; a dropped send/recv error is a silently \
-                                 lost probe"
-                            ),
-                        });
-                    }
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 5: no-println-outside-cli
-// ---------------------------------------------------------------------
-
-fn lint_println(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    if in_frontend_crate(path) || is_tests_path(path) || is_examples_path(path) {
-        return;
-    }
-    let tests = test_regions(lexed);
-    for i in 0..lexed.tokens.len() {
-        let Some(id) = lexed.ident(i) else { continue };
-        if matches!(id, "println" | "eprintln" | "print" | "eprint" | "dbg")
-            && lexed.punct(i + 1, '!')
-            && !in_regions(&tests, i)
-        {
-            out.push(Finding {
-                lint: "no-println-outside-cli",
-                path: path.to_string(),
-                line: lexed.line(i),
-                message: format!(
-                    "`{id}!` in library code bypasses the four output streams; \
-                     route through Logger or return data to the caller"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 6: unsafe-needs-safety-comment (+ forbid attestation)
-// ---------------------------------------------------------------------
-
-fn lint_unsafe_comments(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    for i in 0..lexed.tokens.len() {
-        if lexed.ident(i) != Some("unsafe") {
-            continue;
-        }
-        let line = lexed.line(i);
-        let documented = lexed
-            .comments
-            .iter()
-            .any(|c| c.text.contains("SAFETY") && c.line + 3 >= line && c.line <= line);
-        if !documented {
-            out.push(Finding {
-                lint: "unsafe-needs-safety-comment",
-                path: path.to_string(),
-                line,
-                message: "`unsafe` without a `// SAFETY:` comment in the preceding \
-                          3 lines; state the invariant that makes this sound"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Crates with zero `unsafe` tokens in `src/` must attest with
-/// `#![forbid(unsafe_code)]` in their crate root, so the zero-unsafe
-/// state is compiler-enforced rather than accidental.
-fn lint_unsafe_attestation(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
-    // crate key -> src dir prefix
-    let mut crates: BTreeMap<String, String> = BTreeMap::new();
-    for path in files.keys() {
-        if let Some(name) = crate_of(path) {
-            crates.insert(format!("crates/{name}"), format!("crates/{name}/src/"));
-        } else if path.starts_with("src/") {
-            crates.insert(String::new(), "src/".to_string());
-        }
-    }
-    for (crate_dir, src_prefix) in crates {
-        let src_files: Vec<(&String, &LexedFile)> = files
-            .iter()
-            .filter(|(p, _)| p.starts_with(src_prefix.as_str()))
-            .collect();
-        let has_unsafe = src_files.iter().any(|(_, f)| {
-            f.tokens
-                .iter()
-                .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "unsafe"))
-        });
-        if has_unsafe {
-            continue;
-        }
-        let root = ["lib.rs", "main.rs"]
-            .iter()
-            .map(|f| format!("{src_prefix}{f}"))
-            .find(|p| files.contains_key(p));
-        let Some(root) = root else { continue };
-        let lexed = &files[&root];
-        let mut attested = false;
-        for i in 0..lexed.tokens.len() {
-            if lexed.ident(i) == Some("forbid")
-                && lexed.punct(i + 1, '(')
-                && lexed.ident(i + 2) == Some("unsafe_code")
-            {
-                attested = true;
-                break;
-            }
-        }
-        if !attested {
-            let display = if crate_dir.is_empty() { "the umbrella crate" } else { &crate_dir };
-            out.push(Finding {
-                lint: "unsafe-needs-safety-comment",
-                path: root.clone(),
-                line: 1,
-                message: format!(
-                    "{display} contains no unsafe code but its root lacks \
-                     `#![forbid(unsafe_code)]`; attest so regressions are \
-                     compile errors"
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 7: todo-fixme-gate
-// ---------------------------------------------------------------------
-
-fn lint_todo_fixme(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
-    for c in &lexed.comments {
-        for marker in ["TODO", "FIXME", "XXX"] {
-            if c.text.contains(marker) {
-                out.push(Finding {
-                    lint: "todo-fixme-gate",
-                    path: path.to_string(),
-                    line: c.line,
-                    message: format!(
-                        "comment carries `{marker}`; deferred work must live in the \
-                         baseline (with a reason) or in ROADMAP.md, not in code"
-                    ),
-                });
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 8: atomics-ordering-discipline
+// Lint 1: atomics-ordering-discipline
 // ---------------------------------------------------------------------
 
 /// Index just past the `)` matching the `(` at `open`.
@@ -812,12 +282,12 @@ fn lint_atomics_ordering(path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) 
 }
 
 // ---------------------------------------------------------------------
-// Lint 9: lock-discipline
+// Lint 2: lock-discipline
 // ---------------------------------------------------------------------
 
 /// Calls that hand frames to a transport — blocking or retrying, so a
 /// lock held across one stalls the peer thread for the full send.
-const TX_SINK_CALLS: [&str; 4] = ["send", "send_batch", "send_frame", "flush"];
+const TX_SINK_CALLS: [&str; 3] = ["send", "send_batch", "flush"];
 
 /// Files whose lock acquisition order is checked for global consistency
 /// (the three subsystems a TX thread can hold locks from).
@@ -898,7 +368,7 @@ fn enclosing_block_end(lexed: &LexedFile, i: usize, hard_end: usize) -> usize {
 
 /// Lock acquisitions in `f`'s body, with guard live ranges.
 fn lock_sites(lexed: &LexedFile, f: &FnItem) -> Vec<LockSite> {
-    let Some((body_start, body_end)) = f.body else { return Vec::new() };
+    let Some((_, body_end)) = f.body else { return Vec::new() };
     let mut sites = Vec::new();
     for call in &f.calls {
         let (name, idx) = match call.name.as_str() {
@@ -930,7 +400,6 @@ fn lock_sites(lexed: &LexedFile, f: &FnItem) -> Vec<LockSite> {
         } else {
             statement_end(lexed, idx)
         };
-        let _ = body_start;
         sites.push(LockSite { name, binding, line: call.line, idx, live_end });
     }
     sites
@@ -1027,7 +496,7 @@ fn lint_lock_discipline(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Findi
 }
 
 // ---------------------------------------------------------------------
-// Call graph (shared by lints 11 and 12)
+// Call graph (shared by lints 3 and 4)
 // ---------------------------------------------------------------------
 
 /// The workspace call graph: every fn in every file, with name-resolved
@@ -1144,7 +613,7 @@ impl Graph {
 }
 
 // ---------------------------------------------------------------------
-// Lint 10: alloc-in-hot-path
+// Lint 3: alloc-in-hot-path
 // ---------------------------------------------------------------------
 
 /// Hot-path roots: the per-target walks (v4, v6, and the scheduler both
@@ -1174,11 +643,6 @@ const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
 const ALLOC_METHODS: [&str; 5] = ["to_string", "to_owned", "to_vec", "into_bytes", "join"];
 const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
 
-/// Types whose methods allocate *as their contract*: capture transports
-/// exist to retain copies of the frames they are handed, so their
-/// allocations are the feature, not a hot-path leak.
-const CAPTURE_TYPES: [&str; 1] = ["LoopbackTransport"];
-
 /// Crates whose allocations are not hot-path findings even when
 /// reachable: the simulated network "hardware" (zmap-netsim) allocates
 /// by design — it stands in for the kernel/NIC, not for engine code.
@@ -1195,7 +659,6 @@ fn alloc_excluded(g: &Graph, id: (usize, usize)) -> bool {
         || is_examples_path(path)
         || in_frontend_crate(path)
         || crate_of(path) == Some("zmap-netsim")
-        || node.owner.as_deref().is_some_and(|o| CAPTURE_TYPES.contains(&o))
 }
 
 fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
@@ -1256,7 +719,7 @@ fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fin
 }
 
 // ---------------------------------------------------------------------
-// Lint 11: panic-reachability
+// Lint 4: panic-reachability
 // ---------------------------------------------------------------------
 
 /// Engine entry points: the fns a scan actually enters through.
@@ -1275,11 +738,11 @@ fn panic_excluded(g: &Graph, id: (usize, usize)) -> bool {
 }
 
 /// Every `panic!`/`.unwrap()`/`.expect()` in a fn reachable from an
-/// engine entry point is a scan-aborting landmine the per-line hot-path
-/// lint cannot see (it only knows file names, not the call graph). Two
-/// escapes: a `# Panics` doc section on the containing fn (the panic is
-/// a documented contract), and sites in hot-path files (already policed
-/// per-line by `no-unwrap-hot-path` — no double reporting).
+/// engine entry point is a scan-aborting landmine. Clippy's
+/// `unwrap_used`/`expect_used` deny them per module in the hot-path
+/// files; this lint follows the call graph out of those files. The one
+/// escape is a `# Panics` doc section on the containing fn (the panic is
+/// a documented contract).
 fn lint_panic_reachability(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
     let g = Graph::build(files);
     let mut roots = Vec::new();
@@ -1297,7 +760,7 @@ fn lint_panic_reachability(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fi
     for (&id, chain) in &reached {
         let f = g.node(id);
         let path = g.path(id);
-        if f.has_panics_doc || is_hot_path_file(path) {
+        if f.has_panics_doc {
             continue;
         }
         for call in &f.calls {
@@ -1330,85 +793,5 @@ fn lint_panic_reachability(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fi
                 });
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    fn files_of(entries: &[(&str, &str)]) -> BTreeMap<String, LexedFile> {
-        entries
-            .iter()
-            .map(|(p, s)| (p.to_string(), lex(s)))
-            .collect()
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_module_is_exempt() {
-        let src = "fn hot() { x.lock().unwrap(); }\n\
-                   #[cfg(test)]\nmod tests {\n fn t() { y.unwrap(); }\n}\n";
-        let files = files_of(&[("crates/zmap-core/src/parallel.rs", src)]);
-        let f: Vec<_> = run_lints(&files)
-            .into_iter()
-            .filter(|f| f.lint == "no-unwrap-hot-path")
-            .collect();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn must_use_attr_detected_through_other_attrs() {
-        let src = "trait T {\n #[doc(hidden)]\n #[must_use]\n fn send_x(&self) -> Result<(), E>;\n\
-                   fn send_y(&self) -> Result<(), E>;\n fn recv_ok(&self) -> u64;\n}";
-        let files = files_of(&[("crates/zmap-core/src/x.rs", src)]);
-        let f: Vec<_> = run_lints(&files)
-            .into_iter()
-            .filter(|f| f.lint == "must-use-fallible-send")
-            .collect();
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("send_y"));
-    }
-
-    #[test]
-    fn wallclock_allowed_in_frontend_crates_only() {
-        let src = "fn f() { let t = Instant::now(); }";
-        let files = files_of(&[
-            ("crates/zmap-core/src/engine.rs", src),
-            ("crates/zmap-cli/src/run.rs", src),
-            ("crates/bench/src/lib.rs", src),
-        ]);
-        let f: Vec<_> = run_lints(&files)
-            .into_iter()
-            .filter(|f| f.lint == "no-wallclock-in-engine")
-            .collect();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].path, "crates/zmap-core/src/engine.rs");
-    }
-
-    #[test]
-    fn attestation_requires_forbid_only_when_unsafe_free() {
-        let clean = "pub fn f() {}";
-        let attested = "#![forbid(unsafe_code)]\npub fn f() {}";
-        let has_unsafe = "pub fn f() { unsafe { g() } }"; // no SAFETY comment
-        let files = files_of(&[
-            ("crates/a/src/lib.rs", clean),
-            ("crates/b/src/lib.rs", attested),
-            ("crates/c/src/lib.rs", has_unsafe),
-        ]);
-        let fs = run_lints(&files);
-        let attest: Vec<_> = fs
-            .iter()
-            .filter(|f| f.message.contains("forbid"))
-            .collect();
-        assert_eq!(attest.len(), 1);
-        assert_eq!(attest[0].path, "crates/a/src/lib.rs");
-        let safety: Vec<_> = fs
-            .iter()
-            .filter(|f| f.message.contains("SAFETY"))
-            .collect();
-        assert_eq!(safety.len(), 1);
-        assert_eq!(safety[0].path, "crates/c/src/lib.rs");
     }
 }

@@ -1,29 +1,23 @@
 #![forbid(unsafe_code)]
-//! CLI: `zmap-analyze check [--deny] [--json] [--baseline <file>]
-//! [--root <dir>]`.
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+//! CLI: `zmap-analyze check [--json] [--root <dir>]`.
 //!
-//! Exit codes: 0 clean (or report-only mode), 1 findings or stale
-//! baseline entries under `--deny`, 2 usage or I/O errors.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zmap_analyze::{analyze_root, baseline, default_root, report};
+use zmap_analyze::{analyze_root, default_root, report};
 
 struct Options {
-    deny: bool,
     json: bool,
-    baseline_path: Option<PathBuf>,
     root: PathBuf,
 }
 
-const USAGE: &str = "usage: zmap-analyze check [--deny] [--json] \
-                     [--baseline <file>] [--root <dir>]";
+const USAGE: &str = "usage: zmap-analyze check [--json] [--root <dir>]";
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
-        deny: false,
         json: false,
-        baseline_path: None,
         root: default_root(),
     };
     let mut it = args.iter();
@@ -34,12 +28,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     }
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--deny" => opts.deny = true,
             "--json" => opts.json = true,
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline requires a file argument")?;
-                opts.baseline_path = Some(PathBuf::from(v));
-            }
             "--root" => {
                 let v = it.next().ok_or("--root requires a directory argument")?;
                 opts.root = PathBuf::from(v);
@@ -53,36 +42,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn run(opts: &Options) -> Result<ExitCode, String> {
     let findings =
         analyze_root(&opts.root).map_err(|e| format!("walking {}: {e}", opts.root.display()))?;
-
-    // Default baseline: <root>/analyze-baseline.toml when present.
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .or_else(|| {
-            let p = opts.root.join("analyze-baseline.toml");
-            p.exists().then_some(p)
-        });
-    let suppressions = match &baseline_path {
-        Some(p) => {
-            let text =
-                std::fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-            baseline::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?
-        }
-        None => Vec::new(),
-    };
-    let applied = baseline::apply(findings, &suppressions);
-
     if opts.json {
-        println!("{}", report::json(&applied));
+        println!("{}", report::json(&findings));
     } else {
-        print!("{}", report::text(&applied));
+        print!("{}", report::text(&findings));
     }
-
-    let dirty = !applied.kept.is_empty() || !applied.stale.is_empty();
-    Ok(if opts.deny && dirty {
-        ExitCode::from(1)
-    } else {
+    Ok(if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     })
 }
 

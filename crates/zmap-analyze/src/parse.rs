@@ -1,7 +1,7 @@
 //! A lightweight item/signature parser on top of the lexer: resolves
-//! `fn` items (with body spans and impl owners), trait method
-//! declarations, call sites, and macro invocations — enough structure to
-//! build an intra-workspace call graph without pulling in `syn`.
+//! `fn` items (with body spans and impl owners), call sites, and macro
+//! invocations — enough structure to build an intra-workspace call graph
+//! without pulling in `syn`.
 //!
 //! Like the lexer, the parser is deliberately approximate where lints
 //! don't care: generics are skipped by angle-bracket matching, closure
@@ -25,8 +25,6 @@ pub struct FnItem {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Token index of the `fn` keyword.
-    pub decl_idx: usize,
     /// Token range `(open_brace, past_close_brace)` of the body; `None`
     /// for body-less trait method declarations.
     pub body: Option<(usize, usize)>,
@@ -78,7 +76,6 @@ pub struct CallSite {
 pub struct MacroSite {
     pub name: String,
     pub line: u32,
-    pub idx: usize,
 }
 
 /// The parsed form of one source file.
@@ -86,9 +83,6 @@ pub struct MacroSite {
 pub struct ParsedFile {
     /// Every fn item, in source order.
     pub fns: Vec<FnItem>,
-    /// Method names declared in `trait … { … }` bodies (used to treat
-    /// `.name(…)` calls as dynamic dispatch over all impls).
-    pub trait_methods: Vec<String>,
 }
 
 impl ParsedFile {
@@ -165,8 +159,9 @@ fn skip_angles(lexed: &LexedFile, open: usize) -> usize {
     lexed.tokens.len()
 }
 
-/// Same `#[cfg(test)]`/`#[test]` region detection as lints.rs (shared
-/// here so parse results carry test membership).
+/// True when the attribute group `[start..end)` (token indices spanning
+/// `[` … `]`) gates on `cfg(test)` — conservatively, "mentions `test`
+/// under `cfg` without a `not`".
 fn attr_is_cfg_test(lexed: &LexedFile, start: usize, end: usize) -> bool {
     let mut saw_cfg = false;
     for i in start..end {
@@ -205,7 +200,7 @@ fn cold_fns(lexed: &LexedFile) -> Vec<usize> {
 }
 
 /// Token-index ranges covered by `#[cfg(test)]` items and `#[test]` fns.
-pub fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
+fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0usize;
     while i < lexed.tokens.len() {
@@ -284,44 +279,30 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
     let tests = test_regions(lexed);
     let mut out = ParsedFile::default();
 
-    // Pass 1: impl block extents (so fns get owners) + trait bodies.
+    // Pass 1: impl block extents, so fns get owners.
     // impl_spans: (body_start, body_end, owner, trait_name)
     let mut impl_spans: Vec<(usize, usize, Option<String>, Option<String>)> = Vec::new();
-    let mut trait_bodies: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
     while i < lexed.tokens.len() {
-        match lexed.ident(i) {
-            Some("impl") => {
-                let mut k = i + 1;
-                while k < lexed.tokens.len() && !lexed.punct(k, '{') && !lexed.punct(k, ';') {
-                    if lexed.punct(k, '<') {
-                        let nk = skip_angles(lexed, k);
-                        k = nk.max(k + 1);
-                    } else {
-                        k += 1;
-                    }
-                }
-                if lexed.punct(k, '{') {
-                    let end = skip_brace(lexed, k);
-                    let (owner, trait_name) = impl_owner(lexed, i + 1, k);
-                    impl_spans.push((k + 1, end - 1, owner, trait_name));
-                }
-                i = k + 1;
-            }
-            Some("trait") => {
-                let mut k = i + 1;
-                while k < lexed.tokens.len() && !lexed.punct(k, '{') && !lexed.punct(k, ';') {
-                    k += 1;
-                }
-                if lexed.punct(k, '{') {
-                    trait_bodies.push((k + 1, skip_brace(lexed, k) - 1));
-                    // Don't skip the body: default method bodies inside
-                    // still get parsed as fns below.
-                }
-                i = k + 1;
-            }
-            _ => i += 1,
+        if lexed.ident(i) != Some("impl") {
+            i += 1;
+            continue;
         }
+        let mut k = i + 1;
+        while k < lexed.tokens.len() && !lexed.punct(k, '{') && !lexed.punct(k, ';') {
+            if lexed.punct(k, '<') {
+                let nk = skip_angles(lexed, k);
+                k = nk.max(k + 1);
+            } else {
+                k += 1;
+            }
+        }
+        if lexed.punct(k, '{') {
+            let end = skip_brace(lexed, k);
+            let (owner, trait_name) = impl_owner(lexed, i + 1, k);
+            impl_spans.push((k + 1, end - 1, owner, trait_name));
+        }
+        i = k + 1;
     }
 
     // Pass 2: fn items. Lines holding a `fn` keyword, so a `# Panics`
@@ -364,10 +345,6 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
             .iter()
             .filter(|(s, e, _, _)| i >= *s && i < *e)
             .max_by_key(|(s, _, _, _)| *s);
-        let in_trait = trait_bodies.iter().any(|&(s, e)| i >= s && i < e);
-        if in_trait {
-            out.trait_methods.push(name.to_string());
-        }
         let line = lexed.line(i + 1);
         let has_panics_doc = lexed.comments.iter().any(|c| {
             c.text.contains("# Panics")
@@ -378,7 +355,6 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
         out.fns.push(FnItem {
             name: name.to_string(),
             line: lexed.line(i),
-            decl_idx: i,
             body: body.map(|(open, end)| (open + 1, end.saturating_sub(1))),
             owner: enclosing.and_then(|(_, _, o, _)| o.clone()),
             trait_name: enclosing.and_then(|(_, _, _, t)| t.clone()),
@@ -410,7 +386,6 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
                 out.fns[f].macros.push(MacroSite {
                     name: name.to_string(),
                     line: lexed.line(idx),
-                    idx,
                 });
             }
             continue;
@@ -447,7 +422,7 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
 /// The receiver ident of a method call, walking back from the `.` at
 /// `dot`: `x.m(…)` → `x`; `self.y.m(…)` → `y`; `a[i].m(…)` → `a`;
 /// `f(…).m(…)` → the ident before the call's `(`.
-pub fn receiver_of(lexed: &LexedFile, dot: usize) -> Option<String> {
+fn receiver_of(lexed: &LexedFile, dot: usize) -> Option<String> {
     let mut j = dot;
     loop {
         if j == 0 {
@@ -521,7 +496,7 @@ mod tests {
     #[test]
     fn impl_owner_attribution() {
         let src = "impl<T: Clone> SpscRing<T> {\n fn try_push(&self) { self.check(); }\n}\n\
-                   impl Transport for SimNet {\n fn send_frame(&self) {}\n}\n";
+                   impl Transport for SimNet {\n fn send_batch(&self) {}\n}\n";
         let p = parse_src(src);
         assert_eq!(p.fns[0].owner.as_deref(), Some("SpscRing"));
         assert_eq!(p.fns[0].trait_name, None);
@@ -530,10 +505,9 @@ mod tests {
     }
 
     #[test]
-    fn trait_methods_and_default_bodies() {
+    fn trait_declarations_and_default_bodies() {
         let src = "trait T {\n fn send(&self) -> Result<(), E>;\n fn helper(&self) { self.send(); }\n}";
         let p = parse_src(src);
-        assert_eq!(p.trait_methods, vec!["send", "helper"]);
         let helper = p.fns.iter().find(|f| f.name == "helper").unwrap();
         assert_eq!(helper.calls.len(), 1);
         assert_eq!(helper.calls[0].name, "send");

@@ -1,34 +1,22 @@
 //! Rendering: human-readable text and machine-readable JSON, both
 //! deterministic (findings arrive pre-sorted from the lint pass).
 
-use crate::baseline::Applied;
+use crate::lints::Finding;
 
 /// Renders the clippy-style text report.
-pub fn text(applied: &Applied) -> String {
+pub fn text(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in &applied.kept {
+    for f in findings {
         out.push_str(&format!("{}:{}: [{}] {}\n", f.path, f.line, f.lint, f.message));
     }
-    for s in &applied.stale {
-        out.push_str(&format!(
-            "analyze-baseline.toml:{}: stale suppression [{}] for {} matches nothing; delete it\n",
-            s.defined_at, s.lint, s.path
-        ));
-    }
-    out.push_str(&format!(
-        "zmap-analyze: {} finding(s), {} suppressed by baseline, {} stale baseline entr{}\n",
-        applied.kept.len(),
-        applied.suppressed,
-        applied.stale.len(),
-        if applied.stale.len() == 1 { "y" } else { "ies" },
-    ));
+    out.push_str(&format!("zmap-analyze: {} finding(s)\n", findings.len()));
     out
 }
 
-/// Renders the single-line JSON report.
-pub fn json(applied: &Applied) -> String {
+/// Renders the single-line JSON report: `{"findings":[…]}`.
+pub fn json(findings: &[Finding]) -> String {
     let mut out = String::from("{\"findings\":[");
-    for (i, f) in applied.kept.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -40,19 +28,7 @@ pub fn json(applied: &Applied) -> String {
             escape(&f.message)
         ));
     }
-    out.push_str("],\"stale_baseline\":[");
-    for (i, s) in applied.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"lint\":{},\"path\":{},\"defined_at\":{}}}",
-            escape(&s.lint),
-            escape(&s.path),
-            s.defined_at
-        ));
-    }
-    out.push_str(&format!("],\"suppressed\":{}}}", applied.suppressed));
+    out.push_str("]}");
     out
 }
 
@@ -78,41 +54,28 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{Applied, Suppression};
-    use crate::lints::Finding;
 
-    fn sample() -> Applied {
-        Applied {
-            kept: vec![Finding {
-                lint: "no-unseeded-rng",
-                path: "crates/x/src/lib.rs".to_string(),
-                line: 7,
-                message: "uses \"thread_rng\"".to_string(),
-            }],
-            suppressed: 2,
-            stale: vec![Suppression {
-                lint: "todo-fixme-gate".to_string(),
-                path: "src/lib.rs".to_string(),
-                reason: "r".to_string(),
-                defined_at: 4,
-            }],
-        }
+    fn sample() -> Vec<Finding> {
+        vec![Finding {
+            lint: "lock-discipline",
+            path: "crates/x/src/lib.rs".to_string(),
+            line: 7,
+            message: "calls \"send\"".to_string(),
+        }]
     }
 
     #[test]
-    fn text_report_lists_findings_and_stale() {
+    fn text_report_lists_findings_and_a_count() {
         let t = text(&sample());
-        assert!(t.contains("crates/x/src/lib.rs:7: [no-unseeded-rng]"));
-        assert!(t.contains("stale suppression [todo-fixme-gate]"));
-        assert!(t.contains("1 finding(s), 2 suppressed"));
+        assert!(t.contains("crates/x/src/lib.rs:7: [lock-discipline]"));
+        assert!(t.ends_with("zmap-analyze: 1 finding(s)\n"));
     }
 
     #[test]
     fn json_report_is_valid_and_escaped() {
         let j = json(&sample());
         assert!(j.contains("\"line\":7"));
-        assert!(j.contains("uses \\\"thread_rng\\\""));
-        assert!(j.contains("\"suppressed\":2"));
-        assert!(j.contains("\"defined_at\":4"));
+        assert!(j.contains("calls \\\"send\\\""));
+        assert!(j.ends_with("]}"));
     }
 }

@@ -27,113 +27,6 @@ fn spans(findings: &[Finding], lint: &str) -> Vec<(String, u32)> {
 }
 
 #[test]
-fn hot_path_unwrap_and_expect_fire_outside_tests() {
-    let f = fixture("hot_unwrap");
-    assert_eq!(
-        spans(&f, "no-unwrap-hot-path"),
-        vec![
-            ("crates/zmap-core/src/scanner.rs".to_string(), 4),
-            ("crates/zmap-core/src/scanner.rs".to_string(), 8),
-        ],
-        "unwrap at L4 and expect at L8 fire; the unwrap in #[cfg(test)] is exempt"
-    );
-    assert_eq!(f.len(), 2, "no other lint fires on this tree: {f:?}");
-}
-
-#[test]
-fn wallclock_reads_fire_in_engine_but_not_cli() {
-    let f = fixture("wallclock");
-    assert_eq!(
-        spans(&f, "no-wallclock-in-engine"),
-        vec![
-            ("crates/zmap-core/src/engine.rs".to_string(), 5),
-            ("crates/zmap-core/src/engine.rs".to_string(), 9),
-        ],
-        "Instant::now at L5 and SystemTime::now at L9; the zmap-cli file is exempt"
-    );
-    assert_eq!(f.len(), 2, "{f:?}");
-}
-
-#[test]
-fn os_entropy_draws_fire() {
-    let f = fixture("unseeded_rng");
-    assert_eq!(
-        spans(&f, "no-unseeded-rng"),
-        vec![
-            ("crates/zmap-targets/src/shuffle.rs".to_string(), 4),
-            ("crates/zmap-targets/src/shuffle.rs".to_string(), 9),
-        ],
-        "thread_rng at L4 and from_entropy at L9"
-    );
-    assert_eq!(f.len(), 2, "{f:?}");
-}
-
-#[test]
-fn fallible_send_recv_without_must_use_fires() {
-    let f = fixture("must_use");
-    assert_eq!(
-        spans(&f, "must-use-fallible-send"),
-        vec![
-            ("crates/zmap-core/src/transport.rs".to_string(), 6),
-            ("crates/zmap-core/src/transport.rs".to_string(), 11),
-        ],
-        "send_frame (L6) and recv_poll (L11) return Result without #[must_use]; \
-         the attributed recv_frames and the infallible send_count are clean"
-    );
-    assert_eq!(f.len(), 2, "{f:?}");
-}
-
-#[test]
-fn console_output_in_library_code_fires() {
-    let f = fixture("println");
-    assert_eq!(
-        spans(&f, "no-println-outside-cli"),
-        vec![
-            ("crates/zmap-dedup/src/window.rs".to_string(), 4),
-            ("crates/zmap-dedup/src/window.rs".to_string(), 8),
-        ],
-        "println! at L4 and dbg! at L8"
-    );
-    assert_eq!(f.len(), 2, "{f:?}");
-}
-
-#[test]
-fn undocumented_unsafe_fires_and_safety_comment_clears() {
-    let f = fixture("unsafe_comment");
-    assert_eq!(
-        spans(&f, "unsafe-needs-safety-comment"),
-        vec![("crates/zmap-wire/src/raw.rs".to_string(), 4)],
-        "the L4 block has no SAFETY comment; the L9 block is documented at L8"
-    );
-    assert_eq!(f.len(), 1, "{f:?}");
-}
-
-#[test]
-fn unsafe_free_crate_must_attest_with_forbid() {
-    let f = fixture("unsafe_attestation");
-    assert_eq!(
-        spans(&f, "unsafe-needs-safety-comment"),
-        vec![("crates/zmap-math/src/lib.rs".to_string(), 1)]
-    );
-    assert!(f[0].message.contains("forbid(unsafe_code)"), "{:?}", f[0]);
-    assert_eq!(f.len(), 1, "{f:?}");
-}
-
-#[test]
-fn deferred_work_markers_fire() {
-    let f = fixture("todo");
-    assert_eq!(
-        spans(&f, "todo-fixme-gate"),
-        vec![
-            ("crates/zmap-core/src/notes.rs".to_string(), 4),
-            ("crates/zmap-core/src/notes.rs".to_string(), 8),
-        ],
-        "line comment at L4, block comment at L8"
-    );
-    assert_eq!(f.len(), 2, "{f:?}");
-}
-
-#[test]
 fn atomics_discipline_requires_protocol_comments_and_bans_seqcst() {
     let f = fixture("atomics_discipline");
     assert_eq!(

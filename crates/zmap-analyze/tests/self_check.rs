@@ -1,11 +1,10 @@
-//! The workspace must pass its own analyzer: `check --deny` exits 0
-//! with an EMPTY baseline. The suppression file shrank to nothing over
-//! successive PRs; these tests keep it that way — any new finding must
-//! be fixed in the code, not suppressed.
+//! The workspace must pass its own analyzer: `check` exits 0 on it, and
+//! exits 1 on every fixture tree of deliberate violations. There is no
+//! suppression file — a finding is fixed in the code.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use zmap_analyze::{analyze_root, baseline};
+use zmap_analyze::analyze_root;
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -16,31 +15,12 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_under_the_shipped_baseline() {
-    let root = workspace_root();
-    let findings = analyze_root(&root).expect("walk the workspace");
-    let text = std::fs::read_to_string(root.join("analyze-baseline.toml"))
-        .expect("the baseline ships with the repo");
-    let suppressions = baseline::parse(&text).expect("baseline parses");
-    let applied = baseline::apply(findings, &suppressions);
+fn workspace_is_clean() {
+    let findings = analyze_root(&workspace_root()).expect("walk the workspace");
     assert!(
-        applied.kept.is_empty(),
-        "unbaselined findings — fix them or baseline them with a reason:\n{}",
-        zmap_analyze::report::text(&applied)
-    );
-    assert!(
-        applied.stale.is_empty(),
-        "stale baseline entries — the finding is gone, delete the entry:\n{}",
-        zmap_analyze::report::text(&applied)
-    );
-    assert_eq!(
-        applied.suppressed, 0,
-        "the baseline is empty and must stay empty — fix findings in \
-         the code instead of suppressing them"
-    );
-    assert!(
-        suppressions.is_empty(),
-        "no entries may be added to analyze-baseline.toml"
+        findings.is_empty(),
+        "fix these findings in the code:\n{}",
+        zmap_analyze::report::text(&findings)
     );
 }
 
@@ -52,9 +32,9 @@ fn run_check(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn deny_exits_zero_on_the_workspace() {
+fn check_exits_zero_on_the_workspace() {
     let root = workspace_root();
-    let out = run_check(&["check", "--deny", "--root", root.to_str().unwrap()]);
+    let out = run_check(&["check", "--root", root.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "stdout:\n{}\nstderr:\n{}",
@@ -64,14 +44,20 @@ fn deny_exits_zero_on_the_workspace() {
 }
 
 #[test]
-fn deny_exits_nonzero_when_violations_are_introduced() {
-    // Point the analyzer at a fixture tree full of violations, with no
-    // baseline: this is what a regression looks like in CI.
-    let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/hot_unwrap");
-    let out = run_check(&["check", "--deny", "--root", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "findings under --deny exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no-unwrap-hot-path"), "{stdout}");
+fn check_exits_one_on_each_fixture_tree() {
+    // Each tree is what a regression of its lint looks like in CI.
+    for (case, lint) in [
+        ("atomics_discipline", "atomics-ordering-discipline"),
+        ("lock_discipline", "lock-discipline"),
+        ("alloc_hot", "alloc-in-hot-path"),
+        ("panic_reach", "panic-reachability"),
+    ] {
+        let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(case);
+        let out = run_check(&["check", "--root", bad.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{case}: findings exit 1");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains(lint), "{case}: {stdout}");
+    }
 }
 
 #[test]
@@ -82,7 +68,6 @@ fn json_report_is_machine_readable() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let v: serde_json::Value =
         serde_json::from_str(stdout.trim()).expect("valid JSON on stdout");
+    assert_eq!(v.as_object().map(|o| o.len()), Some(1), "one key: {stdout}");
     assert_eq!(v["findings"].as_array().map(Vec::len), Some(0));
-    assert_eq!(v["stale_baseline"].as_array().map(Vec::len), Some(0));
-    assert_eq!(v["suppressed"].as_u64(), Some(0));
 }

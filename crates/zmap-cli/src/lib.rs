@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stderr)]
 //! Argument parsing and run orchestration for the `zmap` binary.
 //!
 //! Per the paper's "Library and Command Line Wrapper" lesson, everything

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! `zmap` binary entry point.
 
 use std::process::ExitCode;

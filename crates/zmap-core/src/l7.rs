@@ -9,7 +9,7 @@
 //! fresh handshake, sends an application request, and reports whether a
 //! banner came back.
 
-use crate::transport::Transport;
+use crate::transport::{FrameBatch, Transport};
 use std::net::Ipv4Addr;
 use zmap_wire::{ProbeBuilder, ResponseKind};
 
@@ -67,7 +67,8 @@ pub fn interrogate<T: Transport>(
     };
     // Phase A: fresh handshake. A refused send (transient NIC failure)
     // aborts this target; the two-phase driver treats it as unresponsive.
-    if transport.send_frame(&builder.tcp_syn(ip, port, 0)).is_err() {
+    let mut one = FrameBatch::new(1);
+    if !send_now(transport, &mut one, &builder.tcp_syn(ip, port, 0)) {
         return result;
     }
     let deadline = transport.now() + cfg.timeout_secs * 1_000_000_000;
@@ -100,7 +101,7 @@ pub fn interrogate<T: Transport>(
     let Ok(data_frame) = builder.tcp_ack_data(ip, port, server_seq, &cfg.request, 0) else {
         return result;
     };
-    if transport.send_frame(&data_frame).is_err() {
+    if !send_now(transport, &mut one, &data_frame) {
         return result;
     }
     let deadline = transport.now() + cfg.timeout_secs * 1_000_000_000;
@@ -121,6 +122,13 @@ pub fn interrogate<T: Transport>(
             }
         }
     }
+}
+
+/// Sends `frame` at the transport's current time through the one-slot
+/// `batch`; false when the NIC refused it.
+fn send_now<T: Transport>(transport: &mut T, batch: &mut FrameBatch, frame: &[u8]) -> bool {
+    let now = transport.now();
+    transport.send_batch(batch.refill(now, frame), 0).1.is_none()
 }
 
 /// Advances to the next inbound frame (or the deadline) and returns the

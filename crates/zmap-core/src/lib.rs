@@ -26,8 +26,7 @@
 //! over a transport shared as `&T: Transport`) and the shared simulated
 //! transport. The default [`transport::SimTransport`] drives the
 //! zmap-netsim simulated Internet deterministically, which is how every
-//! experiment in this repository runs. A [`transport::LoopbackTransport`]
-//! exists for unit tests.
+//! experiment in this repository runs.
 //!
 //! # Quickstart
 //!
@@ -81,4 +80,4 @@ pub use scanner::{PreparedScan, ResumeError, RunOptions, ScanSummary, Scanner};
 pub use supervisor::{
     JobEvent, JobOutcome, JobReport, JobSpec, Supervisor, SupervisorConfig, SupervisorReport,
 };
-pub use transport::{LoopbackTransport, SimNet, SimTransport, Transport};
+pub use transport::{SimNet, SimTransport, Transport};

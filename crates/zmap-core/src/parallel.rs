@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The threaded driver: the engine shape real ZMap uses (Adrian et al.
 //! 2014) — N send paths, each owning one subshard of the cyclic group,
 //! plus one receive thread — over a transport shared by reference and
@@ -93,11 +94,6 @@ impl Transport for &SharedSimTransport {
     /// Monotone: callers may race, the clock only moves forward.
     fn advance_to(&mut self, t: u64) {
         self.clock.fetch_max(t, Ordering::AcqRel);
-    }
-
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
-        let now = self.now();
-        lock_world(&self.world, &self.recoveries).send(self.ep, frame, now)
     }
 
     /// One lock acquisition for the whole batch — the simulator's
@@ -441,9 +437,6 @@ mod tests {
             if !self.wedged.load(Ordering::SeqCst) {
                 (&self.inner).advance_to(t);
             }
-        }
-        fn send_frame(&mut self, _frame: &[u8]) -> Result<(), SendError> {
-            unreachable!("the engine sends through send_batch")
         }
         fn send_batch(&mut self, batch: &FrameBatch, from: usize) -> (usize, Option<SendError>) {
             if self.batches.load(Ordering::SeqCst) == self.healthy {

@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The scan engine: target walk → paced probes → validated, deduplicated,
 //! classified results — every stage written once, in this file.
 //!
@@ -1290,7 +1291,7 @@ mod tests {
         let pseudo = zmap_wire::checksum::pseudo_header(host.into(), scanner.into(), 6, 20);
         tcp.emit(pseudo, &[], &mut synack);
 
-        let mut transport = LoopbackTransport::new();
+        let mut transport = LoopbackTransport::default();
         transport.inbox = vec![(1_000, forged), (2_000, synack)];
         let s = Scanner::new(cfg, transport).unwrap().run();
         assert_eq!((s.unique_successes, s.unique_failures), (1, 0));
@@ -1458,7 +1459,7 @@ mod tests {
     /// frames queued behind it — in this batch and the lane's next one.
     #[test]
     fn flush_backs_off_exponentially_and_delays_the_frames_behind() {
-        let mut t = crate::transport::LoopbackTransport::new();
+        let mut t = crate::transport::LoopbackTransport::default();
         // Send attempts 1–3 (frame 1 and its two retries) and 5–7 (frame
         // 3 likewise) are refused; the budget is two retries.
         t.fail_attempts = vec![1, 2, 3, 5, 6, 7];

@@ -148,17 +148,10 @@ impl<T: Transport> Transport for FaultyNic<T> {
         }
     }
 
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
-        if self.tick(1) {
-            // Swallowed: the wedged NIC acknowledges and drops.
-            return Ok(());
-        }
-        self.inner.send_frame(frame)
-    }
-
     fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
         let frames = batch.len().saturating_sub(from_idx);
         if self.tick(frames as u64) {
+            // Swallowed: the wedged NIC acknowledges and drops.
             return (frames, None);
         }
         self.inner.send_batch(batch, from_idx)

@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The engine/wire boundary.
 //!
 //! [`Transport`] is everything the scanner needs from "a NIC": a clock,
@@ -13,8 +14,6 @@
 //!   [`zmap_netsim::World`]; time is virtual and owned by the scanner.
 //! * `&SharedSimTransport` (`parallel.rs`) — the same world behind a lock
 //!   and a shared clock, for several threads to drive at once.
-//! * [`LoopbackTransport`] — frames sent are scripted/inspected directly
-//!   (engine unit tests); send failures can be scripted per attempt.
 
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -142,6 +141,14 @@ impl FrameBatch {
     pub fn clear(&mut self) {
         self.len = 0;
     }
+
+    /// Empties the batch and queues one copy of `frame` at `at_ns`: the
+    /// one-frame send of callers outside the engine's TX path.
+    pub fn refill(&mut self, at_ns: u64, frame: &[u8]) -> &Self {
+        self.clear();
+        self.slot(at_ns, 0).extend_from_slice(frame);
+        self
+    }
 }
 
 /// The RX twin of [`FrameBatch`]: received frames in one byte arena, the
@@ -156,33 +163,15 @@ pub trait Transport {
     /// Advances the clock to `t` (no-op if `t` is in the past).
     fn advance_to(&mut self, t: u64);
 
-    /// Emits one frame at the current time. `Err(WouldBlock)` means the
-    /// frame was not sent and the caller may retry after a backoff.
-    #[must_use = "an unchecked send error is a silently lost probe"]
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError>;
-
     /// Emits frames `from_idx..` of `batch` in one call (`sendmmsg`),
     /// advancing the clock through each frame's scheduled time. Returns
     /// how many frames were accepted before the first refusal, plus the
     /// refusal itself, if any — the caller retries or abandons the frame
-    /// at `from_idx + accepted` and re-enters with the rest.
-    ///
-    /// The default implementation loops [`send_frame`](Self::send_frame);
-    /// batching transports override it to pay their per-call cost (a
-    /// syscall, a lock) once per batch instead of once per frame.
+    /// at `from_idx + accepted` and re-enters with the rest. A refusal of
+    /// `WouldBlock` means the frame was not sent and may be retried after
+    /// a backoff. One-frame senders use [`FrameBatch::refill`].
     #[must_use = "an unchecked send error is a silently lost probe"]
-    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
-        let mut accepted = 0usize;
-        for i in from_idx..batch.len() {
-            let (at, frame) = batch.frame(i);
-            self.advance_to(at);
-            match self.send_frame(frame) {
-                Ok(()) => accepted += 1,
-                Err(e) => return (accepted, Some(e)),
-            }
-        }
-        (accepted, None)
-    }
+    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>);
 
     /// Appends every frame received up to the current time to `rx`, with
     /// receive timestamps, in arrival order.
@@ -267,10 +256,6 @@ impl Transport for SimTransport {
         }
     }
 
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
-        self.world.borrow_mut().send(self.ep, frame, self.now)
-    }
-
     /// One world borrow for the whole batch — the simulator's analogue
     /// of collapsing per-packet `sendto` syscalls into one `sendmmsg`.
     fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
@@ -304,26 +289,21 @@ impl Transport for SimTransport {
 
 /// In-memory transport for engine unit tests: records what the engine
 /// sends; tests push frames to be received and may script send failures.
+#[cfg(test)]
 #[derive(Default)]
-pub struct LoopbackTransport {
+pub(crate) struct LoopbackTransport {
     now: u64,
     /// Frames the engine sent, with send timestamps.
     pub sent: Vec<(u64, Vec<u8>)>,
     /// Frames queued for the engine, with receive timestamps.
     pub inbox: Vec<(u64, Vec<u8>)>,
-    /// Attempt numbers (0-based, counting every `send_frame` call) that
-    /// fail with `WouldBlock` — scripts EAGAIN bursts for retry tests.
+    /// Attempt numbers (0-based, counting every frame offered) that fail
+    /// with `WouldBlock` — scripts EAGAIN bursts for retry tests.
     pub fail_attempts: Vec<u64>,
     attempts: u64,
 }
 
-impl LoopbackTransport {
-    /// An empty loopback transport at t=0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
+#[cfg(test)]
 impl Transport for LoopbackTransport {
     fn now(&self) -> u64 {
         self.now
@@ -335,14 +315,18 @@ impl Transport for LoopbackTransport {
         }
     }
 
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
-        let attempt = self.attempts;
-        self.attempts += 1;
-        if self.fail_attempts.contains(&attempt) {
-            return Err(SendError::WouldBlock);
+    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
+        for i in from_idx..batch.len() {
+            let (at, frame) = batch.frame(i);
+            self.advance_to(at);
+            let attempt = self.attempts;
+            self.attempts += 1;
+            if self.fail_attempts.contains(&attempt) {
+                return (i - from_idx, Some(SendError::WouldBlock));
+            }
+            self.sent.push((self.now, frame.to_vec()));
         }
-        self.sent.push((self.now, frame.to_vec()));
-        Ok(())
+        (batch.len() - from_idx, None)
     }
 
     fn recv_into(&mut self, rx: &mut RxBatch) {
@@ -383,7 +367,7 @@ mod tests {
 
     #[test]
     fn loopback_clock_is_monotone() {
-        let mut t = LoopbackTransport::new();
+        let mut t = LoopbackTransport::default();
         t.advance_to(100);
         t.advance_to(50); // ignored
         assert_eq!(t.now(), 100);
@@ -391,7 +375,7 @@ mod tests {
 
     #[test]
     fn loopback_delivers_by_time() {
-        let mut t = LoopbackTransport::new();
+        let mut t = LoopbackTransport::default();
         t.inbox.push((100, vec![1]));
         t.inbox.push((200, vec![2]));
         t.advance_to(150);
@@ -400,18 +384,6 @@ mod tests {
         assert_eq!(t.next_rx_at(), Some(200));
         t.advance_to(200);
         assert_eq!(t.recv_frames().len(), 1);
-    }
-
-    #[test]
-    fn loopback_scripts_send_failures() {
-        let mut t = LoopbackTransport::new();
-        t.fail_attempts = vec![0, 2];
-        assert_eq!(t.send_frame(&[1]), Err(SendError::WouldBlock));
-        assert_eq!(t.send_frame(&[2]), Ok(()));
-        assert_eq!(t.send_frame(&[3]), Err(SendError::WouldBlock));
-        assert_eq!(t.send_frame(&[3]), Ok(()));
-        let frames: Vec<u8> = t.sent.iter().map(|(_, f)| f[0]).collect();
-        assert_eq!(frames, vec![2, 3], "failed attempts record nothing");
     }
 
     #[test]
@@ -426,7 +398,9 @@ mod tests {
         let src = Ipv4Addr::new(192, 0, 2, 5);
         let mut t = net.transport(src);
         let b = ProbeBuilder::new(src, 7);
-        t.send_frame(&b.tcp_syn(Ipv4Addr::new(7, 7, 7, 7), 80, 0)).unwrap();
+        let mut one = FrameBatch::new(1);
+        let syn = b.tcp_syn(Ipv4Addr::new(7, 7, 7, 7), 80, 0);
+        assert_eq!(t.send_batch(one.refill(0, &syn), 0), (1, None));
         assert!(t.recv_frames().is_empty(), "response takes RTT");
         let rx_at = t.next_rx_at().expect("scheduled");
         t.advance_to(rx_at);
@@ -461,9 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn default_send_batch_paces_and_stops_at_refusal() {
-        let mut t = LoopbackTransport::new();
-        t.fail_attempts = vec![2]; // third send_frame call refuses
+    fn send_batch_paces_and_stops_at_refusal() {
+        // The third frame offered is refused.
+        let mut t = LoopbackTransport { fail_attempts: vec![2], ..Default::default() };
         let mut batch = FrameBatch::new(4);
         for i in 0..4u64 {
             batch.slot(i * 1000, i).push(i as u8);
@@ -506,10 +480,10 @@ mod tests {
 
         let net_b = SimNet::new(world_cfg());
         let mut tb = net_b.transport(src);
+        let mut one = FrameBatch::new(1);
         for i in 0..batch.len() {
             let (at, frame) = batch.frame(i);
-            tb.advance_to(at);
-            tb.send_frame(frame).unwrap();
+            assert_eq!(tb.send_batch(one.refill(at, frame), 0), (1, None));
         }
         tb.advance_to(1 << 42);
         assert_eq!(batched, tb.recv_frames(), "delivery must be path-independent");
@@ -528,8 +502,10 @@ mod tests {
             let src = Ipv4Addr::new(192, 0, 2, 5);
             let mut t = net.transport(src);
             let b = ProbeBuilder::new(src, 7);
+            let mut one = FrameBatch::new(1);
             for i in 0..16u32 {
-                t.send_frame(&b.tcp_syn(Ipv4Addr::from(0x0700_0000 + i * 131), 80, 0)).unwrap();
+                let syn = b.tcp_syn(Ipv4Addr::from(0x0700_0000 + i * 131), 80, 0);
+                assert_eq!(t.send_batch(one.refill(0, &syn), 0), (1, None));
             }
             t.advance_to(1 << 42);
             if !into {

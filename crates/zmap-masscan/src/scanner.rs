@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The Masscan-style scan engine.
 //!
 //! Mirrors `zmap_core::Scanner` closely enough for a fair comparison
@@ -14,7 +15,7 @@
 use crate::blackrock::{Blackrock, LegacyBlackrock};
 use std::net::Ipv4Addr;
 use zmap_core::ratecontrol::RateController;
-use zmap_core::transport::Transport;
+use zmap_core::transport::{FrameBatch, Transport};
 use zmap_dedup::{target_key, SlidingWindow};
 use zmap_targets::generator::BuildError;
 use zmap_targets::Constraint;
@@ -136,6 +137,7 @@ impl<T: Transport> MasscanScanner<T> {
         let range = self.num_ips * self.cfg.ports.len() as u64;
         let mut dedup = SlidingWindow::new(1_000_000);
         let mut probed = SlidingWindow::new(usize::try_from(range.min(1 << 24)).unwrap_or(1 << 24));
+        let mut one = FrameBatch::new(1);
         let mut sum = MasscanSummary {
             sent: 0,
             targets_total: range,
@@ -169,7 +171,7 @@ impl<T: Transport> MasscanScanner<T> {
             let frame = self.builder.tcp_syn(ip, port, ip_id);
             // No retry logic: Masscan shrugs off transient send failures
             // (part of the §3 robustness contrast with ZMap's engine).
-            if self.transport.send_frame(&frame).is_ok() {
+            if self.transport.send_batch(one.refill(at, &frame), 0).1.is_none() {
                 sum.sent += 1;
             }
             self.drain(&mut dedup, &mut sum);

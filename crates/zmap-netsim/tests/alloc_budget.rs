@@ -122,6 +122,7 @@ fn rounds(faults: FaultPlan) -> Vec<(u64, u64, u64, u64)> {
     out
 }
 
+#[allow(clippy::print_stdout)] // the measured figure, shown under --nocapture
 fn assert_budget(shape: &str, faults: FaultPlan) {
     let r = rounds(faults);
     let (probes, frames, send, recv) = r[3];

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! Wire-format packet construction and parsing for Internet-wide scanning.
 //!
 //! This crate is the packet layer of the ZMap reproduction: everything

@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Multiport scanning (the §4.1 redesign).
 //!
 //! ```text

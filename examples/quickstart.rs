@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Quickstart: scan a /16 of the simulated Internet on TCP/80.
 //!
 //! ```text

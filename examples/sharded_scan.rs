@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Sharded scanning across "machines" and "threads" (§4.2).
 //!
 //! ```text

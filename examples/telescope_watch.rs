@@ -1,3 +1,4 @@
+#![allow(clippy::print_stdout)]
 //! Watching scanners from a network telescope (§2.1's methodology).
 //!
 //! ```text

@@ -13,7 +13,7 @@ use zmap::core::checkpoint::{CheckpointPolicy, CheckpointState};
 use zmap::core::log::{Level, Logger};
 use zmap::core::output::OutputModule;
 use zmap::core::parallel::{run_parallel, SharedSimTransport};
-use zmap::core::transport::{LoopbackTransport, RxBatch};
+use zmap::core::transport::{FrameBatch, RxBatch};
 use zmap::core::Transport;
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
@@ -348,23 +348,47 @@ fn synthesize_synack_v6(probe: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// A loopback transport handle the test keeps after the scanner takes
-/// ownership of its twin — both share one inner transport.
-#[derive(Clone)]
-struct SharedLoopback(Arc<Mutex<LoopbackTransport>>);
+/// A scripted wire: the frames a scan sent, and the frames queued for
+/// it with their receive times.
+#[derive(Default)]
+struct Wire {
+    now: u64,
+    sent: Vec<Vec<u8>>,
+    inbox: Vec<(u64, Vec<u8>)>,
+}
 
-impl Transport for SharedLoopback {
+/// A transport handle the test keeps after the scanner takes ownership
+/// of its twin — both share one scripted wire.
+#[derive(Clone, Default)]
+struct Scripted(Arc<Mutex<Wire>>);
+
+impl Transport for Scripted {
     fn now(&self) -> u64 {
-        self.0.lock().unwrap().now()
+        self.0.lock().unwrap().now
     }
     fn advance_to(&mut self, t: u64) {
-        self.0.lock().unwrap().advance_to(t)
+        let mut w = self.0.lock().unwrap();
+        w.now = w.now.max(t);
     }
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), SendError> {
-        self.0.lock().unwrap().send_frame(frame)
+    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
+        let mut w = self.0.lock().unwrap();
+        for i in from_idx..batch.len() {
+            let (at, frame) = batch.frame(i);
+            w.now = w.now.max(at);
+            w.sent.push(frame.to_vec());
+        }
+        (batch.len() - from_idx, None)
     }
     fn recv_into(&mut self, rx: &mut RxBatch) {
-        self.0.lock().unwrap().recv_into(rx)
+        let mut w = self.0.lock().unwrap();
+        let now = w.now;
+        w.inbox.retain(|(t, frame)| {
+            let due = *t <= now;
+            if due {
+                rx.push(*t, frame);
+            }
+            !due
+        });
     }
 }
 
@@ -377,16 +401,13 @@ fn response_outside_the_target_space_degrades_not_aborts() {
     let prefixes = "2001:db8:a::/48 pattern=low bits=2 density=1.0\n";
     let cfg = v6_cfg(prefixes, &[443]);
 
-    // Pass 1: dry run against an empty loopback to harvest the probe
-    // frames this (seed, prefix list) deterministically emits.
-    let inner = Arc::new(Mutex::new(LoopbackTransport::new()));
+    // Pass 1: dry run against an empty wire to harvest the probe frames
+    // this (seed, prefix list) deterministically emits.
+    let wire = Scripted::default();
     let probes = {
-        let s = Scanner::new(cfg.clone(), SharedLoopback(inner.clone()))
-            .unwrap()
-            .run();
+        let s = Scanner::new(cfg.clone(), wire.clone()).unwrap().run();
         assert_eq!(s.sent, 4);
-        let guard = inner.lock().unwrap();
-        guard.sent.iter().map(|(_, f)| f.clone()).collect::<Vec<_>>()
+        wire.0.lock().unwrap().sent.clone()
     };
 
     // A cookie-valid SYN-ACK from an address the prefix list never
@@ -398,17 +419,15 @@ fn response_outside_the_target_space_degrades_not_aborts() {
 
     // Pass 2: same scan, inbox preloaded with valid replies for every
     // in-space probe plus the out-of-space one.
-    let inner = Arc::new(Mutex::new(LoopbackTransport::new()));
+    let wire = Scripted::default();
     {
-        let mut guard = inner.lock().unwrap();
+        let mut w = wire.0.lock().unwrap();
         for p in &probes {
-            guard.inbox.push((1, synthesize_synack_v6(p)));
+            w.inbox.push((1, synthesize_synack_v6(p)));
         }
-        guard.inbox.push((1, foreign_reply));
+        w.inbox.push((1, foreign_reply));
     }
-    let s = Scanner::new(cfg, SharedLoopback(inner))
-        .unwrap()
-        .run();
+    let s = Scanner::new(cfg, wire).unwrap().run();
     assert_eq!(s.sent, 4);
     assert_eq!(s.unique_successes, 4, "in-space responses still land");
     assert_eq!(s.responses_discarded, 1, "the foreign response is dropped");
