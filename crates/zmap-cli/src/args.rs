@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing (keeping the binary dependency-free).
 
 use std::net::{Ipv4Addr, Ipv6Addr};
-use zmap_core::{DedupMethod, OutputFormat, ProbeKind, ScanConfig};
+use zmap_core::{DedupMethod, Ipv6Config, OutputFormat, ProbeKind, ScanConfig};
 use zmap_targets::parse::{parse_cidr, Cidr};
 use zmap_targets::ShardAlgorithm;
 use zmap_wire::ipv4::IpIdMode;
@@ -36,10 +36,6 @@ pub struct CliOptions {
     pub checkpoint_interval_secs: u64,
     /// Resume the scan recorded in the journal at `checkpoint_path`.
     pub resume: bool,
-    /// Drain-watchdog threshold in virtual seconds: how long a frozen
-    /// progress signature is tolerated before the stall is declared
-    /// (`None` = engine default).
-    pub watchdog_secs: Option<u64>,
     /// Supervisor mode: path to a job-spec JSON file. The process runs
     /// the scan supervisor over the jobs in the file instead of a single
     /// scan.
@@ -48,10 +44,11 @@ pub struct CliOptions {
     /// current directory).
     pub serve_output_dir: Option<String>,
     /// IPv6 scan: the scanner's v6 source address (`--ipv6`). Set iff
-    /// `prefix_list_path` is set; the pair switches the scan to v6.
+    /// `prefix_list_path` is set; the pair switches the scan to v6, and
+    /// `config.ipv6` carries the address from parsing on.
     pub ipv6_source: Option<Ipv6Addr>,
     /// Path to the IPv6 prefix spec file (`--prefix-list`). The file is
-    /// read in `run_scan` — parsing stays IO-free.
+    /// read into `config.ipv6` in `run_scan` — parsing stays IO-free.
     pub prefix_list_path: Option<String>,
     /// Print help and exit.
     pub help: bool,
@@ -142,7 +139,7 @@ OUTPUT (four streams: data, logs, status, metadata)
   -O, --output-format F    text | csv | jsonl (default text)
   -o, --output-file PATH   data stream destination (default -)
   --metadata-file PATH     completion metadata JSON (default stderr)
-  --dedup-window N         sliding window size (default 1000000)
+  --dedup-window N         sliding window size (default 1000000; N >= 1)
   --no-dedup               report every response
   --full-bitmap-dedup      exact 2^32 bitmap (single-port only)
   --status-json            status stream as JSON lines (one object per
@@ -163,11 +160,6 @@ CRASH TOLERANCE
                            refuses a journal written by a different
                            configuration. Exit code 3 means the scan was
                            killed mid-flight and the journal is resumable.
-  --watchdog-secs N        declare a worker stalled after N virtual
-                           seconds without progress (clock, pending RX,
-                           or RX counters); must exceed
-                           --checkpoint-interval-secs so a checkpoint
-                           pause can never trip it (default 1000)
 
 SUPERVISOR (scan-as-a-service mode)
   --serve FILE             run the scan supervisor over the jobs in FILE
@@ -222,7 +214,6 @@ pub fn parse_args(argv: &[String]) -> Result<CliOptions, CliError> {
         checkpoint_path: None,
         checkpoint_interval_secs: 1,
         resume: false,
-        watchdog_secs: None,
         serve_path: None,
         serve_output_dir: None,
         ipv6_source: None,
@@ -379,21 +370,17 @@ pub fn parse_args(argv: &[String]) -> Result<CliOptions, CliError> {
                 )?
             }
             "--resume" => opts.resume = true,
-            "--watchdog-secs" => {
-                opts.watchdog_secs = Some(parse_num(
-                    "--watchdog-secs",
-                    &need(&mut it, "--watchdog-secs")?,
-                )?)
-            }
             "--serve" => opts.serve_path = Some(need(&mut it, "--serve")?),
             "--serve-output-dir" => {
                 opts.serve_output_dir = Some(need(&mut it, "--serve-output-dir")?)
             }
             "--ipv6" => {
                 let v = need(&mut it, "--ipv6")?;
-                opts.ipv6_source = Some(v.parse().map_err(|_| {
+                let source_ip = v.parse().map_err(|_| {
                     CliError::BadValue("--ipv6".into(), v.clone(), "not an IPv6 address".into())
-                })?);
+                })?;
+                opts.ipv6_source = Some(source_ip);
+                opts.config.ipv6 = Some(Ipv6Config { source_ip, prefix_list: String::new() });
             }
             "--prefix-list" => opts.prefix_list_path = Some(need(&mut it, "--prefix-list")?),
             "--source-ip" => {
@@ -411,150 +398,28 @@ pub fn parse_args(argv: &[String]) -> Result<CliOptions, CliError> {
     Ok(opts)
 }
 
-/// Cross-flag sanity checks: every rejection here is a scan that would
-/// silently do the wrong thing (send nothing, drop the responses it paid
-/// for, or walk a shard that does not exist).
+/// Cross-flag checks. The rules about CLI-only options live here; every
+/// rule about the scan itself is zmap-core's gate (`ScanConfig::validate`),
+/// which names the flags it refuses. Both run before any file is read.
 fn validate(opts: &CliOptions) -> Result<(), CliError> {
-    let cfg = &opts.config;
-    if cfg.num_shards == 0 {
-        return Err(CliError::Invalid("--shards must be at least 1".into()));
-    }
-    if cfg.shard >= cfg.num_shards {
-        return Err(CliError::Invalid(format!(
-            "--shard {} is out of range for --shards {} (shard indices are 0-based)",
-            cfg.shard, cfg.num_shards
-        )));
-    }
-    if cfg.rate_pps == 0 {
-        return Err(CliError::Invalid(
-            "--rate must be positive: a zero rate never sends a probe".into(),
-        ));
-    }
-    if cfg.subshards == 0 {
-        return Err(CliError::Invalid("--threads must be at least 1".into()));
-    }
-    if cfg.batch == 0 {
-        return Err(CliError::Invalid(
-            "--batch must be at least 1: a zero batch never flushes a frame".into(),
-        ));
-    }
-    if cfg.dedup == DedupMethod::FullBitmap && cfg.ports.len() > 1 {
-        return Err(CliError::Invalid(
-            "--full-bitmap-dedup indexes bare IPv4 addresses and cannot tell \
-             ports apart; use --dedup-window for multi-port scans"
-                .into(),
-        ));
-    }
-    if cfg.probes_per_target == 0 {
-        return Err(CliError::Invalid("--probes must be at least 1".into()));
-    }
-    // The threaded driver walks each subshard to exhaustion: a global
-    // cap counted across racing lanes cannot be deterministic, so refuse
-    // the caps it would otherwise silently ignore.
-    if cfg.tx_pipeline {
-        for (set, flag) in [
-            (cfg.max_targets > 0, "--max-targets"),
-            (cfg.max_results > 0, "--max-results"),
-        ] {
-            if set {
-                return Err(CliError::Invalid(format!(
-                    "{flag} is not implemented by the --tx-pipeline engine; \
-                     drop one of the two (size a pipelined scan with --subnet \
-                     or --shard/--shards)"
-                )));
-            }
-        }
-    }
-    if cfg.cooldown_secs == 0 && cfg.max_retries > 0 {
-        return Err(CliError::Invalid(
-            "--cooldown-secs 0 discards the late responses the --retries budget \
-             exists to recover; pass --retries 0 or a nonzero cooldown"
-                .into(),
-        ));
-    }
-    if opts.checkpoint_interval_secs == 0 {
-        return Err(CliError::Invalid(
-            "--checkpoint-interval-secs must be at least 1".into(),
-        ));
-    }
-    if opts.resume && opts.checkpoint_path.is_none() {
-        return Err(CliError::Invalid(
-            "--resume requires --checkpoint PATH (the journal to resume from)".into(),
-        ));
-    }
-    if opts.status_json && opts.quiet {
-        return Err(CliError::Invalid(
-            "--status-json formats the status stream that --quiet suppresses; \
-             drop one of them"
-                .into(),
-        ));
-    }
-    if let Some(w) = opts.watchdog_secs {
-        if w == 0 {
-            return Err(CliError::Invalid(
-                "--watchdog-secs must be at least 1".into(),
-            ));
-        }
-        if w <= opts.checkpoint_interval_secs {
-            return Err(CliError::Invalid(format!(
-                "--watchdog-secs {w} must exceed --checkpoint-interval-secs {}: \
-                 a checkpoint pause would trip the watchdog",
-                opts.checkpoint_interval_secs
-            )));
-        }
-    }
-    if cfg.rekey_blocks == 1 {
-        return Err(CliError::Invalid(
-            "--rekey-blocks 1 is a single-keyed walk with extra steps; use \
-             2 or more blocks (or drop the flag for the classic walk)"
-                .into(),
-        ));
-    }
-    if cfg.rekey_blocks > 0 && cfg.ip_id == IpIdMode::Static {
-        return Err(CliError::Invalid(
-            "--static-ip-id stamps the fingerprint that --stealth / \
-             --rekey-blocks exist to remove; drop one of them"
-                .into(),
-        ));
-    }
-    if cfg.rekey_blocks > 0 && opts.ipv6_source.is_some() {
-        return Err(CliError::Invalid(
-            "--stealth / --rekey-blocks re-key the IPv4 walk and do not \
-             apply to --ipv6 scans"
-                .into(),
-        ));
-    }
-    match (&opts.ipv6_source, &opts.prefix_list_path) {
-        (Some(_), None) => {
-            return Err(CliError::Invalid(
-                "--ipv6 requires --prefix-list FILE (the v6 target space)".into(),
-            ))
-        }
-        (None, Some(_)) => {
-            return Err(CliError::Invalid(
-                "--prefix-list requires --ipv6 SRC6 (the scanner's v6 address)".into(),
-            ))
-        }
-        _ => {}
-    }
-    if opts.ipv6_source.is_some() && cfg.dedup == DedupMethod::FullBitmap {
-        return Err(CliError::Invalid(
-            "--full-bitmap-dedup indexes the 2^32 IPv4 space and cannot cover \
-             IPv6; use --dedup-window for --ipv6 scans"
-                .into(),
-        ));
-    }
-    if opts.serve_output_dir.is_some() && opts.serve_path.is_none() {
-        return Err(CliError::Invalid(
-            "--serve-output-dir only applies to --serve mode".into(),
-        ));
-    }
-    if opts.serve_path.is_some() && opts.resume {
-        return Err(CliError::Invalid(
-            "--serve manages per-job journals itself; --resume does not apply".into(),
-        ));
-    }
-    Ok(())
+    let why = if opts.checkpoint_interval_secs == 0 {
+        "--checkpoint-interval-secs must be at least 1"
+    } else if opts.resume && opts.checkpoint_path.is_none() {
+        "--resume requires --checkpoint PATH (the journal to resume from)"
+    } else if opts.status_json && opts.quiet {
+        "--status-json formats the status stream that --quiet suppresses; drop one of them"
+    } else if opts.ipv6_source.is_some() && opts.prefix_list_path.is_none() {
+        "--ipv6 requires --prefix-list FILE (the v6 target space)"
+    } else if opts.prefix_list_path.is_some() && opts.ipv6_source.is_none() {
+        "--prefix-list requires --ipv6 SRC6 (the scanner's v6 address)"
+    } else if opts.serve_output_dir.is_some() && opts.serve_path.is_none() {
+        "--serve-output-dir only applies to --serve mode"
+    } else if opts.serve_path.is_some() && opts.resume {
+        "--serve manages per-job journals itself; --resume does not apply"
+    } else {
+        return opts.config.validate().map_err(CliError::Invalid);
+    };
+    Err(CliError::Invalid(why.into()))
 }
 
 #[cfg(test)]
@@ -796,25 +661,6 @@ mod tests {
         assert!(invalid_why("--checkpoint-interval-secs 0").contains("--checkpoint-interval-secs"));
         let o = parse_args(&args("--checkpoint s.ckpt --checkpoint-interval-secs 5")).unwrap();
         assert_eq!(o.checkpoint_interval_secs, 5);
-    }
-
-    #[test]
-    fn watchdog_secs_is_validated_against_the_checkpoint_interval() {
-        assert!(parse_args(&[]).unwrap().watchdog_secs.is_none(), "default unchanged");
-        let o = parse_args(&args("--watchdog-secs 30")).unwrap();
-        assert_eq!(o.watchdog_secs, Some(30));
-        assert!(invalid_why("--watchdog-secs 0").contains("--watchdog-secs"));
-        // A watchdog at or below the checkpoint interval would fire
-        // during a legitimate checkpoint pause.
-        let why = invalid_why("--watchdog-secs 5 --checkpoint-interval-secs 5");
-        assert!(why.contains("--watchdog-secs 5"), "{why}");
-        assert!(why.contains("--checkpoint-interval-secs 5"), "{why}");
-        assert!(invalid_why("--watchdog-secs 1").contains("checkpoint"));
-        assert!(parse_args(&args(
-            "--watchdog-secs 6 --checkpoint-interval-secs 5"
-        ))
-        .is_ok());
-        assert!(USAGE.contains("--watchdog-secs"));
     }
 
     #[test]

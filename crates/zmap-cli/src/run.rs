@@ -10,23 +10,13 @@ use zmap_core::log::{Level, Logger};
 use zmap_core::output::OutputModule;
 use zmap_core::monitor::StatusUpdate;
 use zmap_core::parallel::SharedSimTransport;
-use zmap_core::scanner::DEFAULT_WATCHDOG_POLL_LIMIT;
 use zmap_core::transport::SimNet;
-use zmap_core::{Ipv6Config, PreparedScan, RunOptions, ScanSummary};
+use zmap_core::{PreparedScan, RunOptions, ScanSummary};
 use zmap_netsim::{FaultPlan, ServiceModel, V6Population, World, WorldConfig};
 
 /// Exit code for a scan killed mid-flight (crash injection or a stall the
 /// watchdog tripped). The journal at `--checkpoint` is resumable.
 pub const EXIT_KILLED: i32 = 3;
-
-/// Converts `--watchdog-secs` into the cooldown watchdog's budget of
-/// consecutive frozen-signature polls (both drivers run the same drain):
-/// N × 1000.
-pub fn watchdog_poll_limit(watchdog_secs: Option<u64>) -> u64 {
-    watchdog_secs
-        .map(|n| n.saturating_mul(1_000).max(1))
-        .unwrap_or(DEFAULT_WATCHDOG_POLL_LIMIT)
-}
 
 /// Runs the scan described by `opts`. Returns the process exit code.
 pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
@@ -54,23 +44,18 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         None => FaultPlan::none(),
     };
     // IPv6 mode: one read of the prefix list feeds both sides — the scan
-    // config (target walk + config digest) and the simulated world (the
-    // procedural v6 population the scan probes).
-    let v6_pop = match (&opts.ipv6_source, &opts.prefix_list_path) {
-        (Some(src), Some(path)) => {
-            let contents = std::fs::read_to_string(path)?;
-            let pop = match V6Population::from_prefix_list(&contents, opts.config.ports.clone()) {
-                Ok(p) => p,
+    // config (target walk + config digest; parsing set its source) and the
+    // simulated world (the procedural v6 population the scan probes).
+    let v6_pop = match (opts.config.ipv6.as_mut(), &opts.prefix_list_path) {
+        (Some(v6), Some(path)) => {
+            v6.prefix_list = std::fs::read_to_string(path)?;
+            match V6Population::from_prefix_list(&v6.prefix_list, opts.config.ports.clone()) {
+                Ok(p) => Some(p),
                 Err(e) => {
                     eprintln!("ERROR invalid prefix list {path}: {e}");
                     return Ok(2);
                 }
-            };
-            opts.config.ipv6 = Some(Ipv6Config {
-                source_ip: *src,
-                prefix_list: contents,
-            });
-            Some(pop)
+            }
         }
         _ => None,
     };
@@ -105,8 +90,6 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         v6: v6_pop,
         ..WorldConfig::default()
     };
-    let watchdog_poll_limit = watchdog_poll_limit(opts.watchdog_secs);
-
     // Stream 1 opens after the engine has accepted the config (building
     // one sends nothing) and before the first probe: a rejected config
     // leaves an existing `-o` file alone, and an unwritable `-o` costs
@@ -140,11 +123,7 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
         }
     };
     let mut out = open_output()?;
-    let run_opts = RunOptions {
-        checkpoint,
-        watchdog_poll_limit,
-        ..RunOptions::default()
-    };
+    let run_opts = RunOptions { checkpoint, ..RunOptions::default() };
     // --tx-pipeline selects the threaded driver: generator threads render
     // into per-pair frame rings, transport threads drain them.
     let summary = if opts.config.tx_pipeline {

@@ -322,4 +322,15 @@ mod tests {
             assert!(err.contains(key), "{err}");
         }
     }
+
+    /// A job's scan config goes through the engine's gate at submission,
+    /// and the refusal names the spec key.
+    #[test]
+    fn zero_probes_is_refused_by_name() {
+        let body = r#"{"jobs": [{"id": "x", "tenant": "t", "prefix": "11.0.0.0",
+            "prefix_len": 24, "rate_pps": 100, "probes": 0}]}"#;
+        let dir = std::env::temp_dir().join("zmap-cli-serve-probes-test");
+        let err = super::build_supervisor(body, &dir).err().expect("refused");
+        assert!(err.starts_with("jobs[0]: ") && err.contains("probes"), "{err}");
+    }
 }

@@ -47,7 +47,7 @@ pub struct Ipv6Config {
 }
 
 /// Everything a scan needs. Construct with [`ScanConfig::new`] and adjust
-/// fields; `Scanner::new` validates.
+/// fields; [`validate`](Self::validate) is the gate every scan passes.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
     /// Scanner source address.
@@ -95,7 +95,7 @@ pub struct ScanConfig {
     /// independently keyed blocks in seeded pseudorandom order, so a
     /// darknet cannot recover one permutation from the observed probe
     /// order (Mazel & Strullu countermeasure). `0` (the default) keeps
-    /// the classic single permutation; `1` is rejected at plan build.
+    /// the classic single permutation; `1` is refused by the gate.
     /// CLI `--stealth` sets this together with random IP ID.
     pub rekey_blocks: u32,
     /// Deduplication (§4.1; default 10^6-entry sliding window).
@@ -115,7 +115,7 @@ pub struct ScanConfig {
     pub batch: usize,
     /// Driver selector for front-ends (the CLI, the benchmark adapter):
     /// `true` asks for the threaded driver, `false` for the inline one
-    /// ([`Scanner`](crate::Scanner)). Nothing in this crate reads it — the
+    /// ([`Scanner`](crate::Scanner)). Only the gate reads it here — the
     /// threaded driver ([`PreparedScan::run`](crate::PreparedScan::run))
     /// is always the generator → SPSC ring → transport pipeline (the
     /// netmap/PF_RING shape from §4.2), whoever calls it. Like `batch`,
@@ -178,6 +178,73 @@ impl ScanConfig {
         self.constraint.set_prefix(u32::from(net), len, false);
     }
 
+    /// The gate for a runnable scan: every rule that reads only this
+    /// config's fields, in one place. [`PreparedScan`](crate::PreparedScan)
+    /// runs it before it builds anything, and the CLI and the supervisor
+    /// run it on their input, so each rule has one definition and one
+    /// message. A message names the CLI flag (and the field, where the
+    /// two differ). Fields only: the target space itself — the
+    /// constraint, the prefix list — is checked where it is built.
+    pub fn validate(&self) -> Result<(), String> {
+        let window = match self.dedup {
+            DedupMethod::Window(n) => n as u64,
+            DedupMethod::None | DedupMethod::FullBitmap => 1,
+        };
+        for (value, flag) in [
+            (u64::from(self.num_shards), "--shards (num_shards)"),
+            (u64::from(self.subshards), "--threads (subshards)"),
+            (self.batch as u64, "--batch"),
+            (u64::from(self.probes_per_target), "--probes (probes_per_target)"),
+            (self.rate_pps, "--rate (rate_pps)"),
+            (window, "--dedup-window"),
+        ] {
+            if value == 0 {
+                return Err(format!("{flag} must be at least 1"));
+            }
+        }
+        if self.shard >= self.num_shards {
+            return Err(format!(
+                "--shard {} is out of range for --shards {} (shard indices are 0-based)",
+                self.shard, self.num_shards
+            ));
+        }
+        // The threaded driver walks each subshard to exhaustion: a global
+        // cap counted across racing lanes cannot be deterministic.
+        let caps = [(self.max_targets, "--max-targets"), (self.max_results, "--max-results")];
+        for (cap, flag) in caps {
+            if self.tx_pipeline && cap > 0 {
+                return Err(format!(
+                    "{flag} is not implemented by the --tx-pipeline engine; drop one of \
+                     the two (size a pipelined scan with --subnet or --shard/--shards)"
+                ));
+            }
+        }
+        let bitmap = self.dedup == DedupMethod::FullBitmap;
+        let rekeyed = self.rekey_blocks > 0;
+        let why = if bitmap && self.ipv6.is_some() {
+            "--full-bitmap-dedup indexes the 2^32 IPv4 space and cannot cover IPv6; \
+             use --dedup-window for --ipv6 scans"
+        } else if bitmap && self.probe != ProbeKind::IcmpEcho && self.ports.len() > 1 {
+            "--full-bitmap-dedup indexes bare IPv4 addresses and cannot tell ports \
+             apart; use --dedup-window for multi-port scans"
+        } else if self.rekey_blocks == 1 {
+            "--rekey-blocks 1 is a single-keyed walk with extra steps; use 2 or more \
+             blocks (or drop the flag for the classic walk)"
+        } else if rekeyed && self.ip_id == IpIdMode::Static {
+            "--static-ip-id stamps the fingerprint that --stealth / --rekey-blocks \
+             exist to remove; drop one of them"
+        } else if rekeyed && self.ipv6.is_some() {
+            "--stealth / --rekey-blocks re-key the IPv4 walk and do not apply to \
+             --ipv6 scans"
+        } else if self.cooldown_secs == 0 && self.max_retries > 0 {
+            "--cooldown-secs 0 discards the late responses the --retries budget \
+             exists to recover; pass --retries 0 or a nonzero cooldown"
+        } else {
+            return Ok(());
+        };
+        Err(why.into())
+    }
+
     /// The final constraint with the default blocklist applied (what the
     /// scanner actually walks). Callers must `finalize()` before counting.
     pub fn effective_constraint(&self) -> Constraint {
@@ -207,6 +274,76 @@ mod tests {
         assert_eq!(c.shard_algorithm, ShardAlgorithm::Pizza);
         assert_eq!(c.batch, 64, "ZMap's sendmmsg batch default");
         assert!(c.apply_default_blocklist);
+    }
+
+    /// Every rule of the gate, through the library's front door: each
+    /// config is refused by `PreparedScan::new` with the gate's own
+    /// message, naming the flag, and the unbroken config builds.
+    #[test]
+    fn prepared_scan_refuses_every_gate_rule_by_flag() {
+        use crate::log::Logger;
+        use crate::scanner::PreparedScan;
+        let v6 = |c: &mut ScanConfig| {
+            c.ipv6 = Some(Ipv6Config {
+                source_ip: "2001:db8:ffff::1".parse().unwrap(),
+                prefix_list: "2001:db8:a::/48 pattern=low bits=4\n".into(),
+            });
+        };
+        type Tweak = fn(&mut ScanConfig);
+        let rows: [(&str, Tweak, &[&str]); 17] = [
+            ("v4 shard 3 of 2", |c| (c.shard, c.num_shards) = (3, 2), &["--shard 3", "--shards 2"]),
+            ("zero shards", |c| c.num_shards = 0, &["--shards"]),
+            ("zero rate", |c| c.rate_pps = 0, &["--rate", "rate_pps"]),
+            ("zero probes", |c| c.probes_per_target = 0, &["--probes"]),
+            ("zero threads", |c| c.subshards = 0, &["--threads"]),
+            ("zero batch", |c| c.batch = 0, &["--batch"]),
+            ("dedup window 0", |c| c.dedup = DedupMethod::Window(0), &["--dedup-window"]),
+            (
+                "bitmap, two ports",
+                |c| (c.dedup, c.ports) = (DedupMethod::FullBitmap, vec![80, 443]),
+                &["--full-bitmap-dedup", "--dedup-window"],
+            ),
+            ("rekey 1", |c| c.rekey_blocks = 1, &["--rekey-blocks 1"]),
+            (
+                "rekey, static IP ID",
+                |c| (c.rekey_blocks, c.ip_id) = (16, IpIdMode::Static),
+                &["--static-ip-id"],
+            ),
+            (
+                "cooldown 0 with retries",
+                |c| (c.cooldown_secs, c.max_retries) = (0, 3),
+                &["--cooldown-secs 0", "--retries 0"],
+            ),
+            (
+                "pipeline, max targets",
+                |c| (c.tx_pipeline, c.max_targets) = (true, 5),
+                &["--max-targets", "--tx-pipeline"],
+            ),
+            (
+                "pipeline, max results",
+                |c| (c.tx_pipeline, c.max_results) = (true, 5),
+                &["--max-results", "--tx-pipeline"],
+            ),
+            ("v6 shard 2 of 2", |c| (c.shard, c.num_shards) = (2, 2), &["--shard 2"]),
+            ("v6 dedup window 0", |c| c.dedup = DedupMethod::Window(0), &["--dedup-window"]),
+            ("v6 bitmap", |c| c.dedup = DedupMethod::FullBitmap, &["--full-bitmap-dedup", "--ipv6"]),
+            ("v6 rekey", |c| c.rekey_blocks = 16, &["--stealth", "--ipv6"]),
+        ];
+        for (name, tweak, needles) in rows {
+            let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 9));
+            cfg.allowlist_prefix(Ipv4Addr::new(11, 0, 0, 0), 28);
+            if name.starts_with("v6") {
+                v6(&mut cfg);
+            }
+            assert!(PreparedScan::new(cfg.clone(), Logger::null()).is_ok(), "{name}: base");
+            tweak(&mut cfg);
+            let err = PreparedScan::new(cfg.clone(), Logger::null()).err().expect(name);
+            let msg = err.to_string();
+            assert_eq!(cfg.validate().err().as_deref(), msg.strip_prefix("invalid configuration: "));
+            for needle in needles {
+                assert!(msg.contains(needle), "{name}: {msg:?} should name {needle:?}");
+            }
+        }
     }
 
     #[test]

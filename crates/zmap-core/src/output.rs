@@ -118,7 +118,7 @@ impl RowSink for Vec<ScanResult> {
 /// A streaming output module writing records to `W`.
 ///
 /// Rows are encoded into one reused buffer and reach the writer in
-/// [`FLUSH_AT`]-sized pieces, so `W` needs no `BufWriter` of its own.
+/// `FLUSH_AT`-sized pieces, so `W` needs no `BufWriter` of its own.
 /// [`finish`](Self::finish) must be called: dropping the module discards
 /// the rows still buffered.
 pub struct OutputModule<W: Write> {

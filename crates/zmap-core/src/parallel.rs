@@ -180,7 +180,7 @@ impl PreparedScan {
         // killing state.
         let killed = AtomicBool::new(false);
         let start = transport.now();
-        let threads = cfg.subshards.max(1);
+        let threads = cfg.subshards;
 
         // The metrics registry: one counter/histogram shard per hot-path
         // thread (the generator and the transport half of each pair) plus
@@ -217,7 +217,7 @@ impl PreparedScan {
                 let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
                 for _ in 0..TX_RING_DEPTH {
                     recycle
-                        .try_push(FrameBatch::new(cfg.batch.max(1)))
+                        .try_push(FrameBatch::new(cfg.batch))
                         .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
                 }
                 (ready, recycle)
@@ -291,7 +291,7 @@ impl PreparedScan {
                             Some(b) => batch = b,
                             None => {
                                 dead = true;
-                                batch = FrameBatch::new(cfg.batch.max(1));
+                                batch = FrameBatch::new(cfg.batch);
                                 break;
                             }
                         }
@@ -606,7 +606,6 @@ mod tests {
                         .resume_after_kill
                         .then(|| CheckpointPolicy::new(&path).with_interval_ns(10_000_000)),
                     shutdown: Some(token.clone()),
-                    watchdog_poll_limit: 500,
                     ..Default::default()
                 };
                 let world = Wedging::after(row.healthy, (row.faults)());
@@ -703,7 +702,6 @@ mod tests {
         let transport = Wedging::after(2, FaultPlan::none());
         let opts = RunOptions {
             checkpoint: Some(CheckpointPolicy::new(&path).with_interval_ns(1)),
-            watchdog_poll_limit: 500,
             ..Default::default()
         };
         let scan = PreparedScan::new(prefix_cfg(21, 24, 1, 100_000), Logger::null()).unwrap();

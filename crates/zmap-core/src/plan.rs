@@ -8,13 +8,13 @@
 //! probe, validate a response). The engines match on neither in their
 //! hot loops beyond what lives here.
 
-use crate::config::{DedupMethod, ProbeKind, ScanConfig};
+use crate::config::{ProbeKind, ScanConfig};
 use std::net::IpAddr;
 use zmap_dedup::target_key;
 use zmap_targets::generator::{BuildError, TargetIter};
 use zmap_targets::{
-    parse_prefix_list, DedupError, ShardSpec, Target, Target6, TargetGenerator, V6DedupSpace,
-    V6TargetIter, V6TargetSpace,
+    parse_prefix_list, DedupError, Target, Target6, TargetGenerator, V6DedupSpace, V6TargetIter,
+    V6TargetSpace,
 };
 use zmap_wire::probe::{ProbeBuilder, Response, ResponseKind};
 use zmap_wire::template::ProbeTemplate;
@@ -52,10 +52,14 @@ pub enum ScanPlan {
 }
 
 impl ScanPlan {
-    /// Builds and validates the plan for `cfg`. `cycle_parts` rebuilds a
-    /// journaled v4 permutation verbatim instead of re-deriving it from
-    /// the seed; the v6 walk plan and the stealth re-keyed walk are pure
-    /// functions of the config and seed, so their resume paths ignore it.
+    /// Builds the target space for `cfg`, which must have passed
+    /// [`ScanConfig::validate`] (as every [`PreparedScan`] has).
+    /// `cycle_parts` rebuilds a journaled v4 permutation verbatim instead
+    /// of re-deriving it from the seed; the v6 walk plan and the stealth
+    /// re-keyed walk are pure functions of the config and seed, so their
+    /// resume paths ignore it.
+    ///
+    /// [`PreparedScan`]: crate::PreparedScan
     pub fn build(
         cfg: &ScanConfig,
         cycle_parts: Option<(u64, u64)>,
@@ -63,19 +67,12 @@ impl ScanPlan {
         let ports = effective_ports(cfg);
         match &cfg.ipv6 {
             None => {
-                if cfg.dedup == DedupMethod::FullBitmap && ports.len() > 1 {
-                    return Err(BuildError::Config(
-                        "full-bitmap dedup indexes bare IPv4 addresses and cannot \
-                         distinguish ports; use window dedup for multi-port scans"
-                            .into(),
-                    ));
-                }
                 let mut gen_builder = TargetGenerator::builder()
                     .constraint(cfg.effective_constraint())
                     .ports(&ports)
                     .seed(cfg.seed)
-                    .shards(cfg.num_shards.max(1))
-                    .subshards(cfg.subshards.max(1))
+                    .shards(cfg.num_shards)
+                    .subshards(cfg.subshards)
                     .algorithm(cfg.shard_algorithm)
                     .rekey_blocks(cfg.rekey_blocks);
                 // A re-keyed walk is re-derived from the seed on resume
@@ -89,43 +86,16 @@ impl ScanPlan {
                 Ok(ScanPlan::V4(Box::new(gen_builder.build()?)))
             }
             Some(v6) => {
-                if cfg.rekey_blocks > 0 {
-                    return Err(BuildError::Config(
-                        "stealth re-keying applies to the IPv4 cyclic walk; the v6 \
-                         per-prefix plan already re-keys per prefix"
-                            .into(),
-                    ));
-                }
-                if cfg.dedup == DedupMethod::FullBitmap {
-                    return Err(BuildError::Config(
-                        "full-bitmap dedup indexes bare IPv4 addresses; IPv6 scans \
-                         use window dedup over the per-prefix index space"
-                            .into(),
-                    ));
-                }
                 let specs = parse_prefix_list(&v6.prefix_list)
                     .map_err(|e| BuildError::Config(format!("invalid prefix list: {e}")))?;
                 let space = V6TargetSpace::new(specs, &ports, cfg.seed, cfg.shard_algorithm)
                     .map_err(|e| BuildError::Config(format!("cannot plan v6 walk: {e}")))?;
-                let num_shards = cfg.num_shards.max(1);
-                let num_subshards = cfg.subshards.max(1);
-                // Validate the shard spec once here so the engines'
-                // `iter_shard` calls (which panic on bad specs) cannot
-                // fail later.
-                space
-                    .iter_spec(ShardSpec {
-                        shard: cfg.shard,
-                        num_shards,
-                        subshard: 0,
-                        num_subshards,
-                    })
-                    .map_err(|e| BuildError::Config(format!("invalid shard spec: {e}")))?;
                 let dedup = space.dedup_space();
                 Ok(ScanPlan::V6(Box::new(V6Plan {
                     space,
                     dedup,
-                    num_shards,
-                    num_subshards,
+                    num_shards: cfg.num_shards,
+                    num_subshards: cfg.subshards,
                 })))
             }
         }
@@ -162,8 +132,8 @@ impl ScanPlan {
         }
     }
 
-    /// One subshard's iterator. The plan's shard spec was validated at
-    /// build, so this cannot fail for in-range `shard`/`subshard`.
+    /// One subshard's iterator. The config's shard spec passed the gate,
+    /// so this cannot fail for in-range `shard`/`subshard`.
     pub fn iter_shard(&self, shard: u32, subshard: u32) -> PlanIter<'_> {
         match self {
             ScanPlan::V4(gen) => PlanIter::V4(gen.iter_shard(shard, subshard)),
@@ -416,16 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn stealth_rejects_v6_mode() {
-        let mut cfg = v6_cfg();
-        cfg.rekey_blocks = 4;
-        assert!(matches!(
-            ScanPlan::build(&cfg, None),
-            Err(BuildError::Config(_))
-        ));
-    }
-
-    #[test]
     fn v6_plan_walks_every_target_once() {
         let plan = ScanPlan::build(&v6_cfg(), None).unwrap();
         assert_eq!(plan.target_count(), 64 + 16);
@@ -478,16 +438,6 @@ mod tests {
         assert!(plan
             .probe_key(IpAddr::V4(Ipv4Addr::new(1, 2, 3, 4)), 443)
             .is_err());
-    }
-
-    #[test]
-    fn v6_rejects_full_bitmap_dedup() {
-        let mut cfg = v6_cfg();
-        cfg.dedup = DedupMethod::FullBitmap;
-        assert!(matches!(
-            ScanPlan::build(&cfg, None),
-            Err(BuildError::Config(_))
-        ));
     }
 
     #[test]

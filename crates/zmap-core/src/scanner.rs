@@ -2,15 +2,15 @@
 //! The scan engine: target walk → paced probes → validated, deduplicated,
 //! classified results — every stage written once, in this file.
 //!
-//! A [`PreparedScan`] goes through [`emit`] (pace + render a target's
-//! probes), [`flush`] (batched send, the one retry loop),
-//! [`Engine::rx_tick`] (drain, status, periodic journal),
-//! [`Engine::cooldown`] (drain stragglers under the stall watchdog) and
-//! [`Engine::finish`] (the only exit). Two drivers decide which thread
-//! runs which stage: the **inline** one here ([`Scanner::run_into`] — a
-//! [`Scanner`] owns its transport, so the calling thread does it all) and
-//! the **threaded** one in `parallel.rs` ([`PreparedScan::run`] — the
-//! transport is borrowed and `Sync`, so each lane gets a thread pair).
+//! A [`PreparedScan`] goes through `emit` (pace + render a target's
+//! probes), `flush` (batched send, the one retry loop), `Engine::rx_tick`
+//! (drain, status, periodic journal), `Engine::cooldown` (drain
+//! stragglers under the stall watchdog) and `Engine::finish` (the only
+//! exit). Two drivers decide which thread runs which stage: the
+//! **inline** one here ([`Scanner::run_into`] — a [`Scanner`] owns its
+//! transport, so the calling thread does it all) and the **threaded** one
+//! in `parallel.rs` ([`PreparedScan::run`] — the transport is borrowed and
+//! `Sync`, so each lane gets a thread pair).
 
 use crate::checkpoint::{config_digest, CheckpointPolicy, CheckpointState, JournalError};
 use crate::config::{DedupMethod, ScanConfig};
@@ -93,14 +93,18 @@ impl ScanSummary {
     }
 }
 
-/// Default consecutive frozen cooldown polls before the watchdog declares
-/// a stall: far beyond any drain that is making progress, small enough to
-/// bound a genuinely frozen transport.
-pub const DEFAULT_WATCHDOG_POLL_LIMIT: u64 = 1_000_000;
+/// Consecutive cooldown-drain polls with a frozen progress signature
+/// (virtual clock, pending-RX time, RX counters) tolerated before the
+/// drain watchdog declares the transport stalled, records a
+/// `watchdog_stalls` intervention and abandons the wait. A drain that
+/// makes progress never repeats its signature, so only a frozen transport
+/// clock trips it; the limit only bounds how long such a stall is waited
+/// out.
+pub const WATCHDOG_POLL_LIMIT: u64 = 2_048;
 
 /// Optional run-time machinery for either driver ([`Scanner::run_with`],
 /// [`PreparedScan::run`]). `Default` is a plain uninstrumented run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunOptions {
     /// Write an initial, periodic (virtual-time interval), and final
     /// checkpoint journal to this policy's path.
@@ -109,13 +113,6 @@ pub struct RunOptions {
     /// cycle boundary and the scan proceeds straight through cooldown to
     /// an orderly exit (all four streams flushed, final checkpoint).
     pub shutdown: Option<ShutdownToken>,
-    /// Consecutive cooldown-drain polls with a frozen progress signature
-    /// (virtual clock, pending-RX timestamp, RX counters) tolerated
-    /// before the drain watchdog declares the transport stalled, records
-    /// a `watchdog_stalls` intervention, and abandons the wait. Without
-    /// it, a transport whose clock stops advancing pins the drain loop
-    /// forever. The supervisor converts `--watchdog-secs` into this.
-    pub watchdog_poll_limit: u64,
     /// Schedule-aligned resume (inline driver): re-enter the global rate
     /// schedule at the slot the rewound walk position corresponds to, so
     /// a replayed probe departs at exactly the virtual time its
@@ -124,17 +121,6 @@ pub struct RunOptions {
     /// historical resume pacing, which restarts the schedule from the
     /// transport's clock.
     pub align_resume: bool,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            checkpoint: None,
-            shutdown: None,
-            watchdog_poll_limit: DEFAULT_WATCHDOG_POLL_LIMIT,
-            align_resume: false,
-        }
-    }
 }
 
 /// Why [`PreparedScan::resume`] refused to build.
@@ -194,13 +180,13 @@ impl DedupState {
     /// Observes a response by its plan-derived key. For v4 the key is
     /// `target_key(ip, port)`; for v6 it is the compact per-prefix index
     /// (the bitmap arm is unreachable there — v6 + full-bitmap is
-    /// rejected at plan build).
+    /// refused by the gate).
     fn observe(&mut self, ip: IpAddr, key: u64) -> bool {
         match self {
             DedupState::None => true,
             // The bitmap indexes bare 32-bit addresses, so it is only
-            // selected for single-port v4 scans (enforced at plan
-            // build); feeding it a (ip, port) composite would silently
+            // selected for single-port v4 scans (enforced by the
+            // gate); feeding it a (ip, port) composite would silently
             // truncate.
             DedupState::Bitmap(b) => {
                 let IpAddr::V4(v4) = ip else {
@@ -213,10 +199,12 @@ impl DedupState {
     }
 }
 
-/// A scan that has passed every configuration check and has sent nothing
-/// yet. A front-end builds one before it touches its output files, so a
-/// rejected config leaves them alone; [`on`](Self::on) hands it an owned
-/// transport (inline driver), [`run`](Self::run) a shared one (threaded).
+/// A scan that has passed every configuration check — the gate
+/// ([`ScanConfig::validate`]) first, then the builds of its walk plan and
+/// probe module — and has sent nothing yet. A front-end builds one before
+/// it touches its output files, so a rejected config leaves them alone;
+/// [`on`](Self::on) hands it an owned transport (inline driver),
+/// [`run`](Self::run) a shared one (threaded).
 pub struct PreparedScan {
     pub(crate) cfg: ScanConfig,
     pub(crate) plan: ScanPlan,
@@ -233,7 +221,10 @@ pub struct PreparedScan {
 }
 
 impl PreparedScan {
-    /// Validates `cfg` for a fresh scan; `logger` is stream #2.
+    /// Validates `cfg` for a fresh scan; `logger` is stream #2. This and
+    /// [`resume`](Self::resume) are the only ways to a runnable scan, so
+    /// every entry point (`Scanner::{new, resume}`, `run_parallel`) is
+    /// behind the one gate.
     pub fn new(cfg: ScanConfig, logger: Logger) -> Result<Self, BuildError> {
         Self::build(cfg, logger, None)
     }
@@ -285,6 +276,7 @@ impl PreparedScan {
         logger: Logger,
         cycle_parts: Option<(u64, u64)>,
     ) -> Result<Self, BuildError> {
+        cfg.validate().map_err(BuildError::Config)?;
         // In v6 mode the journaled cycle parts are ignored: the walk plan
         // is a pure function of (prefix list, ports, seed) and the resume
         // gate compares its fingerprint instead.
@@ -327,7 +319,7 @@ impl PreparedScan {
     /// Shard-local target count (exact only for the whole scan; for a
     /// shard we estimate as total/shards for progress display).
     pub(crate) fn shard_targets(&self) -> u64 {
-        self.plan.target_count() / u64::from(self.cfg.num_shards.max(1))
+        self.plan.target_count() / u64::from(self.cfg.num_shards)
     }
 }
 
@@ -401,7 +393,7 @@ impl<T: Transport> Scanner<T> {
     /// This is the inline driver: the lanes are interleaved round-robin
     /// into one batch on the calling thread (the temporal mixing of
     /// ZMap's concurrent send threads, deterministically; a lane that
-    /// runs dry gives up its slots), with an [`Engine::rx_tick`] after
+    /// runs dry gives up its slots), with an `Engine::rx_tick` after
     /// every full flush. `max_targets`, `max_results` and `align_resume`
     /// live here: they need one global, ordered count of targets.
     pub fn run_into(self, opts: RunOptions, rows: &mut dyn RowSink) -> ScanSummary {
@@ -414,7 +406,7 @@ impl<T: Transport> Scanner<T> {
             0 => scan.shard_targets(),
             cap => cap,
         };
-        let mut iters: Vec<_> = (0..cfg.subshards.max(1)).map(|t| scan.lane(t)).collect();
+        let mut iters: Vec<_> = (0..cfg.subshards).map(|t| scan.lane(t)).collect();
         if let Some(positions) = scan.start_positions.as_ref().filter(|_| opts.align_resume) {
             // Schedule-aligned resume: the first replayed probe must
             // depart at the slot its uninterrupted twin occupied, not
@@ -437,7 +429,7 @@ impl<T: Transport> Scanner<T> {
                     }
                 }
             }
-            let slots = replayed * u64::from(cfg.probes_per_target.max(1));
+            let slots = replayed * u64::from(cfg.probes_per_target);
             rc.fast_forward(slots);
             metrics.trace(0, "resume_align", slots);
         }
@@ -458,7 +450,7 @@ impl<T: Transport> Scanner<T> {
         // call per `cfg.batch` targets — ZMap's packet template plus
         // sendmmsg shape. After the first batch fills, the loop performs
         // zero allocations per probe.
-        let mut batch = FrameBatch::new(cfg.batch.max(1));
+        let mut batch = FrameBatch::new(cfg.batch);
         let mut lane_clock = start;
         // Local mirror of the TargetsTotal counter (which includes any
         // resume baseline): the hot loop reads it once per target, and a
@@ -548,7 +540,7 @@ impl<T: Transport> Scanner<T> {
 /// journal's spec is substituted into the offered config) from a truly
 /// foreign config, which falls through to the digest check.
 fn check_shard_spec(journal: &CheckpointState, cfg: &ScanConfig) -> Result<(), ResumeError> {
-    let config = (cfg.shard, cfg.num_shards.max(1), cfg.subshards.max(1));
+    let config = (cfg.shard, cfg.num_shards, cfg.subshards);
     let recorded = (journal.shard, journal.num_shards, journal.num_subshards);
     if recorded == config {
         return Ok(());
@@ -579,7 +571,7 @@ pub(crate) fn emit(
     tag: u64,
     mut ip_id_entropy: impl FnMut() -> u16,
 ) {
-    for _ in 0..scan.cfg.probes_per_target.max(1) {
+    for _ in 0..scan.cfg.probes_per_target {
         let at = rc.mark_sent();
         scan.module.render_into(ip, port, ip_id_entropy(), batch.reserve(at, tag));
         // Stamp the scheduled send time for RTT measurement; retransmits
@@ -667,7 +659,6 @@ pub(crate) enum Exit {
 pub(crate) struct Engine<'a> {
     scan: &'a PreparedScan,
     metrics: &'a ScanMetrics,
-    opts: &'a RunOptions,
     dedup: DedupState,
     /// The receive ring each drain fills and the receive path reads.
     rx: RxBatch,
@@ -705,7 +696,6 @@ impl<'a> Engine<'a> {
         let engine = Engine {
             scan,
             metrics,
-            opts,
             dedup: DedupState::new(scan.cfg.dedup),
             rx: RxBatch::new(),
             rx_shard: metrics.rx_shard(),
@@ -713,7 +703,7 @@ impl<'a> Engine<'a> {
             monitor: Monitor::new(),
             ckpt: opts.checkpoint.as_ref().map(|policy| (policy, config_digest(&scan.cfg))),
             start,
-            expected_probes: shard_targets * u64::from(scan.cfg.probes_per_target.max(1)),
+            expected_probes: shard_targets * u64::from(scan.cfg.probes_per_target),
             last_ckpt_at: 0,
         };
         engine.journal(positions, 0, false);
@@ -744,8 +734,8 @@ impl<'a> Engine<'a> {
             generator,
             offset,
             shard: cfg.shard,
-            num_shards: cfg.num_shards.max(1),
-            num_subshards: cfg.subshards.max(1),
+            num_shards: cfg.num_shards,
+            num_subshards: cfg.subshards,
             positions,
             dedup_high_water: counters.unique_successes + counters.unique_failures,
             virtual_time_ns,
@@ -877,7 +867,7 @@ impl<'a> Engine<'a> {
     /// wedged NIC thread, a stalled shared-clock peer) leaves
     /// `next_rx_at` pending forever and would pin this loop. Track a
     /// progress signature — clock, pending-RX time, RX counters — and
-    /// once it freezes for `watchdog_poll_limit` consecutive polls,
+    /// once it freezes for [`WATCHDOG_POLL_LIMIT`] consecutive polls,
     /// record the intervention and abandon the wait.
     pub(crate) fn cooldown<T: Transport>(&mut self, transport: &mut T) -> Exit {
         let (metrics, start) = (self.metrics, self.start);
@@ -904,7 +894,7 @@ impl<'a> Engine<'a> {
             let sig = (transport.now(), pending, rx_seen);
             if sig == signature {
                 frozen_polls += 1;
-                if frozen_polls >= self.opts.watchdog_poll_limit {
+                if frozen_polls >= WATCHDOG_POLL_LIMIT {
                     metrics.add_at(self.rx_shard, CounterId::WatchdogStalls, 1);
                     metrics.trace(
                         transport.now().saturating_sub(start),

@@ -210,10 +210,8 @@ impl Supervisor {
             "tenant must be non-empty".into()
         } else if spec.tasks == 0 {
             "a job needs at least one task".into()
-        } else if spec.cfg.num_shards.max(1) != 1 || spec.cfg.shard != 0 {
+        } else if spec.cfg.num_shards != 1 || spec.cfg.shard != 0 {
             "submit the whole scan (shard 0/1); the supervisor does the slicing".into()
-        } else if spec.cfg.rate_pps == 0 {
-            "rate_pps must be at least 1".into()
         } else if spec.cfg.cooldown_secs == 0 {
             "cooldown_secs must be at least 1 (stall detection needs a drain window)".into()
         } else if !spec.world.faults.is_inert() {
@@ -222,9 +220,11 @@ impl Supervisor {
              replay identity"
                 .into()
         } else {
-            // Shake out config errors now, not on a pool worker: validate
-            // the plan and probe module of the first task slice.
-            match PreparedScan::new(task_config(&spec.cfg, 0, spec.tasks, 1), Logger::null()) {
+            // Shake out config errors now, not on a pool worker: the gate,
+            // the plan and the probe module of the first task slice, at
+            // the job's own rate.
+            let first = task_config(&spec.cfg, 0, spec.tasks, spec.cfg.rate_pps);
+            match PreparedScan::new(first, Logger::null()) {
                 Ok(_) => {
                     self.at(spec.submit_at_ns, Ev::Submit(self.specs.len()));
                     let (id, tenant, tasks) = (spec.id.clone(), spec.tenant.clone(), spec.tasks);

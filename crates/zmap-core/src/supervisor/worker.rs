@@ -15,10 +15,6 @@ use zmap_netsim::WorldConfig;
 /// Virtual time between an attempt's periodic checkpoint journals.
 const CHECKPOINT_INTERVAL_NS: u64 = 100_000_000;
 
-/// Drain-watchdog budget for every attempt: generous against healthy
-/// cooldowns, small enough that a stalled worker is declared dead quickly.
-const WATCHDOG_POLL_LIMIT: u64 = 2_048;
-
 /// An attempt that reached the engine: how the worker died, if it did, its
 /// virtual time from start to exit or death, and what it delivered.
 pub(super) struct Ran {
@@ -67,7 +63,6 @@ pub(super) fn run(
                 checkpoint: Some(
                     CheckpointPolicy::new(journal_path).with_interval_ns(CHECKPOINT_INTERVAL_NS),
                 ),
-                watchdog_poll_limit: WATCHDOG_POLL_LIMIT,
                 align_resume: true,
                 ..RunOptions::default()
             })

@@ -15,7 +15,7 @@
 //! `tests/attribution.rs`) inverts exactly this map.
 //!
 //! `lookup` runs once per probe, so the finalized form is flat: the allowed
-//! set as sorted, disjoint, non-adjacent [`Span`]s, each carrying the count
+//! set as sorted, disjoint, non-adjacent `Span`s, each carrying the count
 //! of allowed addresses before it (a prefix sum), and a directory keyed on
 //! the top bits of the *index* naming the span that holds each bucket's
 //! first index. `lookup(i)` is one directory read, a binary search over the

@@ -185,8 +185,9 @@ impl RekeyedWalk {
 ///
 /// Yields *synthetic global elements* `base + e` where `e` is a raw
 /// element of the block's private group: subtracting 1 recovers the
-/// packed global candidate, so [`TargetGenerator::decode`]
-/// (`crate::generator::TargetGenerator::decode`) applies unchanged.
+/// packed global candidate, so
+/// [`TargetGenerator::decode`](crate::generator::TargetGenerator::decode)
+/// applies unchanged.
 /// Block-private rejection (elements beyond the block length) happens
 /// here; `consumed` counts raw elements including those rejections, so
 /// checkpoint positions stay element-exact.

@@ -312,8 +312,8 @@ impl ProbeBuilder<V4> {
         Ok(buf)
     }
 
-    /// Parses a frame as an L7 banner reply to a [`tcp_ack_data`]
-    /// (Self::tcp_ack_data) probe of `payload_len` bytes: validates
+    /// Parses a frame as an L7 banner reply to a
+    /// [`tcp_ack_data`](Self::tcp_ack_data) probe of `payload_len` bytes: validates
     /// addressing, our recomputed source port, and the acknowledgment of
     /// our data. Returns the banner bytes.
     pub fn parse_banner(

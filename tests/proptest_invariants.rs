@@ -265,3 +265,91 @@ proptest! {
         );
     }
 }
+
+/// `values[r]` cycled over all but the last entry, which is drawn one
+/// time in 16: a field's bad value comes up often enough to be met and
+/// rarely enough that most sampled configs pass the gate and run.
+fn pick<T: Clone>(r: usize, values: &[T]) -> T {
+    let n = values.len();
+    values[if r % 16 == 15 { n - 1 } else { r % (n - 1) }].clone()
+}
+
+const GRID_V6: &str = "2001:db8:a::/48 pattern=low bits=3 density=1.0\n";
+
+/// One point of a small grid over the fields the gate reads, each axis
+/// ending in its bad value; cross-field rules (shard vs shards, bitmap vs
+/// ports or v6, re-keying vs IP ID or v6, cooldown vs retries, pipeline
+/// vs caps) come from combining good values. A /29 (or a 2^3-host v6
+/// prefix) keeps every run small.
+fn grid_config(r: &[usize]) -> ScanConfig {
+    let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
+    cfg.allowlist_prefix(Ipv4Addr::new(55, 61, 0, 0), 29);
+    cfg.apply_default_blocklist = false;
+    cfg.seed = r[0] as u64;
+    cfg.num_shards = pick(r[1], &[1, 2, 0]);
+    cfg.shard = pick(r[2], &[0, 1, 3]);
+    cfg.subshards = pick(r[3], &[1, 2, 0]);
+    cfg.batch = pick(r[4], &[64, 3, 0]);
+    cfg.probes_per_target = pick(r[5], &[1, 2, 0]);
+    cfg.rate_pps = pick(r[6], &[1_000_000, 7, 0]);
+    let (none, bitmap, window) = (DedupMethod::None, DedupMethod::FullBitmap, DedupMethod::Window);
+    cfg.dedup = pick(r[7], &[window(1_000), window(2), none, bitmap, window(0)]);
+    cfg.rekey_blocks = pick(r[8], &[0, 2, 1]);
+    (cfg.cooldown_secs, cfg.max_retries) = pick(r[9], &[(1, 3), (1, 0), (0, 0), (0, 3)]);
+    let every = |i: usize, n: usize| r[i] % n;
+    cfg.ports = [vec![80], vec![80, 443]][every(10, 2)].clone();
+    let probes = [ProbeKind::TcpSyn, ProbeKind::IcmpEcho, ProbeKind::Udp(b"u".to_vec())];
+    cfg.probe = probes[every(11, 3)].clone();
+    cfg.ip_id = [IpIdMode::Random, IpIdMode::Static][every(12, 2)];
+    cfg.max_targets = [0, 5][every(13, 2)];
+    cfg.max_results = [0, 1][every(14, 2)];
+    cfg.tx_pipeline = every(15, 3) == 0;
+    if every(16, 3) == 0 {
+        cfg.ipv6 = Some(Ipv6Config {
+            source_ip: "2001:db8:ffff::1".parse().unwrap(),
+            prefix_list: GRID_V6.into(),
+        });
+    }
+    cfg
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// No config the library accepts panics: each grid point is refused
+    /// by `PreparedScan::new`, or runs to an orderly end under
+    /// `catch_unwind` through the inline driver and the threaded one (at
+    /// the grid's 1 or 2 lanes) against a dense world.
+    #[test]
+    fn configs_are_refused_or_run_without_panic(
+        r in prop::collection::vec(any::<usize>(), 17..18),
+    ) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::{Arc, Mutex};
+        use zmap::core::log::Logger;
+        use zmap::core::parallel::SharedSimTransport;
+        let cfg = grid_config(&r);
+        let v6 = || V6Population::from_prefix_list(GRID_V6, cfg.ports.clone()).unwrap();
+        let world = || WorldConfig {
+            model: ServiceModel::dense(&[80, 443]),
+            loss: LossModel::NONE,
+            v6: cfg.ipv6.as_ref().map(|_| v6()),
+            ..WorldConfig::default()
+        };
+        let prepared = || PreparedScan::new(cfg.clone(), Logger::null());
+        prop_assert_eq!(prepared().is_ok(), cfg.validate().is_ok(), "{:?}", cfg);
+        if let Ok(scan) = prepared() {
+            let src = cfg.source_ip;
+            let inline =
+                catch_unwind(AssertUnwindSafe(|| scan.on(SimNet::new(world()).transport(src)).run()));
+            let threaded = catch_unwind(AssertUnwindSafe(|| {
+                let transport = SharedSimTransport::new(Arc::new(Mutex::new(World::new(world()))), src);
+                prepared().unwrap().run(&transport, RunOptions::default())
+            }));
+            for (driver, run) in [("inline", inline), ("threaded", threaded)] {
+                let s = run.unwrap_or_else(|_| panic!("{driver} driver panicked on {cfg:?}"));
+                prop_assert_eq!(s.shutdown_clean, 1, "{} {:?}", driver, cfg);
+            }
+        }
+    }
+}
