@@ -71,6 +71,17 @@ pub fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// `unit(hash3(seed, ip, salt)) < p`, the shape of every coin the world
+/// flips. `unit` is in [0, 1), so `p <= 0` never holds and `p >= 1`
+/// always does: either way the hash is skipped.
+#[inline]
+pub fn below(seed: u64, ip: u32, salt: u64, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
+    p >= 1.0 || unit(hash3(seed, ip, salt)) < p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //! 2. **transient loss** — independent per-packet drops,
 //! 3. directional symmetry: response packets face the same transient rate.
 
-use crate::{hash3, unit};
+use crate::below;
 
 /// Loss model parameters.
 #[derive(Debug, Clone, Copy)]
@@ -46,12 +46,9 @@ impl LossModel {
 
     /// Whether the (vantage, destination) path is persistently lossy.
     pub fn path_lossy(&self, seed: u64, vantage: u32, dst: u32) -> bool {
-        if self.path_loss_fraction <= 0.0 {
-            return false;
-        }
         let prefix = dst >> 8; // correlate at /24 granularity
-        let h = hash3(seed ^ 0xD00D_F00D, prefix, u64::from(vantage) | (1 << 40));
-        unit(h) < self.path_loss_fraction
+        let salt = u64::from(vantage) | (1 << 40);
+        below(seed ^ 0xD00D_F00D, prefix, salt, self.path_loss_fraction)
     }
 
     /// Whether the packet for `dst` stamped `at_ns` transiently drops.
@@ -61,11 +58,7 @@ impl LossModel {
     /// the world is nondeterministic — draw identical loss for identical
     /// probe schedules (same invariance the response-jitter draw keeps).
     pub fn transient_drop(&self, seed: u64, dst: u32, at_ns: u64, dir: u64) -> bool {
-        if self.transient <= 0.0 {
-            return false;
-        }
-        let h = hash3(seed ^ 0x7415_0CA7, dst, at_ns ^ (dir << 41));
-        unit(h) < self.transient
+        below(seed ^ 0x7415_0CA7, dst, at_ns ^ (dir << 41), self.transient)
     }
 
     /// Overall per-probe delivery probability from `vantage` to `dst`

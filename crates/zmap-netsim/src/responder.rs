@@ -1,15 +1,16 @@
 //! Host behavior: turning an arriving probe into (delayed) response frames.
 //!
 //! This is the "other half" of every scan — the simulated host stacks.
-//! Behavior is derived from the procedural [`HostProfile`] and mirrors
+//! Behavior is derived from the procedural [`HostDraws`] and mirrors
 //! real stacks: SYN→SYN-ACK/RST/silence/ICMP, echo→reply, UDP→echo or
 //! port-unreachable, plus the option-sensitivity filtering and blowback
 //! duplication the paper's experiments measure.
 
 use crate::banner::banner_for_port;
 use crate::blowback::duplicate_delays;
-use crate::profile::{dead_unreach, host_profile, middlebox, port_open, HostProfile};
-use crate::services::ServiceModel;
+use crate::profile::{
+    dead_unreach, middlebox, port_open, ClosedPort, HostDraws, OptionSensitivity,
+};
 use crate::{hash3, NS_PER_SEC};
 use std::net::Ipv4Addr;
 use zmap_wire::checksum;
@@ -90,11 +91,10 @@ fn hops(seed: u64, ip: u32) -> u8 {
     5 + (hash3(seed, ip, 0x4085) % 18) as u8
 }
 
-/// The reply (if any) a probe frame elicits.
-///
-/// A silent reply for dropped/ignored probes. The caller (the world)
-/// applies one-way delays, loss, and routing.
-pub fn respond(seed: u64, model: &ServiceModel, frame: &[u8]) -> Reply {
+/// The reply (if any) a probe frame elicits: a test's way into
+/// [`respond_routed`], which the world calls with its own parse.
+#[cfg(test)]
+pub fn respond(seed: u64, model: &crate::services::ServiceModel, frame: &[u8]) -> Reply {
     let mut out = Reply::default();
     let Ok(eth) = EthernetView::parse(frame) else {
         return out;
@@ -105,99 +105,97 @@ pub fn respond(seed: u64, model: &ServiceModel, frame: &[u8]) -> Reply {
     let Ok(ip) = Ipv4View::parse(eth.payload()) else {
         return out;
     };
-    let dst = u32::from(ip.dst());
-    let profile = host_profile(seed, dst, model);
-    respond_routed(seed, model, &eth, &ip, profile, &mut out);
+    respond_routed(&HostDraws::new(seed, u32::from(ip.dst()), model), &eth, &ip, &mut out);
     out
 }
 
-/// [`respond`] for a caller that already parsed the frame and derived
-/// the destination's profile, rendering into its reused `out`. The
-/// world's delivery path computes the profile once per probe (it also
-/// needs the one-way delay from it); re-deriving it here would roughly
-/// double the per-frame hashing for live destinations. Every reply is
-/// addressed to the probe's source.
+/// Renders into the reused `out` the reply a parsed v4 probe elicits from
+/// its destination, whose draws `h` holds: silent for dropped or ignored
+/// probes. Each draw is made when the reply first reads it, so a reply
+/// pays only for what it looks at; the caller (the world) reads the
+/// one-way delay from the same `h` and applies loss and routing. Every
+/// reply is addressed to the probe's source.
 pub fn respond_routed(
-    seed: u64,
-    model: &ServiceModel,
+    h: &HostDraws<'_>,
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
-    profile: Option<HostProfile>,
     out: &mut Reply,
 ) {
     out.clear();
     match ip.protocol() {
-        IpProtocol::Tcp => respond_tcp(seed, model, eth, ip, profile, out),
-        IpProtocol::Icmp => respond_icmp(seed, eth, ip, profile, out),
-        IpProtocol::Udp => respond_udp(seed, model, eth, ip, profile, out),
+        IpProtocol::Tcp => respond_tcp(h, eth, ip, out),
+        IpProtocol::Icmp => respond_icmp(h, eth, ip, out),
+        IpProtocol::Udp => respond_udp(h, eth, ip, out),
         IpProtocol::Other(_) => {}
     }
 }
 
-fn respond_tcp(
-    seed: u64,
-    model: &ServiceModel,
-    eth: &EthernetView<'_>,
-    ip: &Ipv4View<'_>,
-    profile: Option<HostProfile>,
-    out: &mut Reply,
-) {
+/// A TCP segment's answer. The questions come in reply order — middlebox,
+/// liveness, option filter, port — so the common silent and RST answers
+/// stop after the fewest draws.
+fn respond_tcp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out: &mut Reply) {
     let Ok(tcp) = TcpView::parse(ip.payload()) else {
         return;
     };
-    let dst = u32::from(ip.dst());
+    let (seed, dst) = (h.seed, h.ip);
     // Packed-prefix middleboxes (Sattler et al.) answer SYNs for their
     // whole /24 — live host behind them or not — but never complete the
     // application layer: data segments vanish.
-    if middlebox(seed, dst, model) {
+    if middlebox(seed, dst, h.model) {
         if tcp.flags().syn() && !tcp.flags().ack() {
             build_middlebox_synack(eth, ip, &tcp, seed, &mut out.frame);
             out.delays.push(0);
         }
         return;
     }
-    let Some(profile) = profile else {
+    if !h.live() {
         // Dead address: sometimes a router reports host-unreachable.
-        if dead_unreach(seed, dst, model) {
+        if dead_unreach(seed, dst, h.model) {
             let router = Ipv4Addr::from((dst & 0xFFFF_FF00) | 1);
             build_unreach(eth, ip, router, UnreachCode::Host, seed, &mut out.frame);
             out.delays.push(30_000_000);
         }
         return;
-    };
+    }
     if !tcp.flags().syn() || tcp.flags().ack() {
         // A data-bearing ACK aimed at an open port: the service answers
         // with its banner (the L7 phase of two-phase scanning). Anything
         // else stray draws an RST.
-        if tcp.flags().ack() && !tcp.payload().is_empty() && port_open(seed, dst, tcp.dst_port(), model)
+        if tcp.flags().ack() && !tcp.payload().is_empty() && port_open(seed, dst, tcp.dst_port(), h.model)
         {
-            build_banner(eth, ip, &tcp, &profile, seed, &mut out.frame);
+            build_banner(eth, ip, &tcp, h, &mut out.frame);
         } else {
-            build_rst(eth, ip, &tcp, &profile, seed, &mut out.frame);
+            build_rst(eth, ip, &tcp, h, &mut out.frame);
         }
         out.delays.push(0);
         return;
     }
-    // Option-sensitivity filter (Figure 7 mechanism).
-    let layout = detect_layout(tcp.option_bytes());
-    let opts = option_set_of(tcp.option_bytes());
-    if !profile
-        .sensitivity
-        .accepts(layout.unwrap_or(OptionLayout::NoOptions), &opts)
-    {
-        return; // silently dropped by filter
+    // Option-sensitivity filter (Figure 7 mechanism). Most hosts accept
+    // any SYN; only a picky one looks at the options.
+    let sensitivity = h.sensitivity();
+    if sensitivity != OptionSensitivity::AcceptsAny {
+        let layout = detect_layout(tcp.option_bytes()).unwrap_or(OptionLayout::NoOptions);
+        if !sensitivity.accepts(layout, &option_set_of(tcp.option_bytes())) {
+            return; // silently dropped by filter
+        }
     }
-    if port_open(seed, dst, tcp.dst_port(), model) {
-        build_synack(eth, ip, &tcp, &profile, seed, &mut out.frame);
+    if port_open(seed, dst, tcp.dst_port(), h.model) {
+        build_synack(eth, ip, &tcp, h, &mut out.frame);
         out.delays.push(0);
-        duplicate_delays(seed, dst, profile.blowback_extra, &mut out.delays);
-    } else if profile.rst_on_closed {
-        build_rst(eth, ip, &tcp, &profile, seed, &mut out.frame);
-        out.delays.push(0);
-    } else if profile.icmp_on_closed {
-        let router = Ipv4Addr::from((dst & 0xFFFF_FF00) | 1);
-        build_unreach(eth, ip, router, UnreachCode::AdminProhibited, seed, &mut out.frame);
-        out.delays.push(10_000_000);
+        duplicate_delays(seed, dst, h.blowback_extra(), &mut out.delays);
+        return;
+    }
+    match h.closed_port() {
+        ClosedPort::Rst => {
+            build_rst(eth, ip, &tcp, h, &mut out.frame);
+            out.delays.push(0);
+        }
+        ClosedPort::AdminProhibited => {
+            let router = Ipv4Addr::from((dst & 0xFFFF_FF00) | 1);
+            build_unreach(eth, ip, router, UnreachCode::AdminProhibited, seed, &mut out.frame);
+            out.delays.push(10_000_000);
+        }
+        ClosedPort::Silent => {}
     }
 }
 
@@ -206,20 +204,11 @@ fn respond_tcp(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the bounded echo replies built here; `emit` checks it.
-fn respond_icmp(
-    seed: u64,
-    eth: &EthernetView<'_>,
-    ip: &Ipv4View<'_>,
-    profile: Option<HostProfile>,
-    out: &mut Reply,
-) {
+fn respond_icmp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out: &mut Reply) {
     let Ok(icmp) = IcmpView::parse(ip.payload()) else {
         return;
     };
-    let Some(profile) = profile else {
-        return;
-    };
-    if icmp.icmp_type() != IcmpType::EchoRequest || !profile.echoes {
+    if icmp.icmp_type() != IcmpType::EchoRequest || !h.live() || !h.echoes() {
         return;
     }
     let frame = &mut out.frame;
@@ -228,8 +217,8 @@ fn respond_icmp(
         src: ip.dst(),
         dst: ip.src(),
         protocol: IpProtocol::Icmp,
-        id: reply_ip_id(seed, &profile),
-        ttl: observed_ttl(seed, &profile),
+        id: reply_ip_id(h),
+        ttl: observed_ttl(h),
         payload_len: (8 + icmp.payload().len()) as u16,
     }
     .emit(frame).expect("reply fits IPv4 length");
@@ -240,7 +229,7 @@ fn respond_icmp(
     }
     .emit(icmp.payload(), frame);
     out.delays.push(0);
-    duplicate_delays(seed, profile.ip, profile.blowback_extra, &mut out.delays);
+    duplicate_delays(h.seed, h.ip, h.blowback_extra(), &mut out.delays);
 }
 
 /// UDP service reply (or ICMP port-unreachable) for a UDP probe.
@@ -248,22 +237,15 @@ fn respond_icmp(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the bounded datagrams built here; `emit` checks it.
-fn respond_udp(
-    seed: u64,
-    model: &ServiceModel,
-    eth: &EthernetView<'_>,
-    ip: &Ipv4View<'_>,
-    profile: Option<HostProfile>,
-    out: &mut Reply,
-) {
+fn respond_udp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out: &mut Reply) {
     let Ok(udp) = UdpView::parse(ip.payload()) else {
         return;
     };
-    let dst = u32::from(ip.dst());
-    let Some(profile) = profile else {
+    let (seed, dst) = (h.seed, h.ip);
+    if !h.live() {
         return;
-    };
-    if port_open(seed, dst, udp.dst_port(), model) {
+    }
+    if port_open(seed, dst, udp.dst_port(), h.model) {
         // Service echoes the payload (DNS/NTP-style "answers" are beyond
         // the L4 scope of this scanner substrate).
         let frame = &mut out.frame;
@@ -273,8 +255,8 @@ fn respond_udp(
             src: ip.dst(),
             dst: ip.src(),
             protocol: IpProtocol::Udp,
-            id: reply_ip_id(seed, &profile),
-            ttl: observed_ttl(seed, &profile),
+            id: reply_ip_id(h),
+            ttl: observed_ttl(h),
             payload_len: udp_len,
         }
         .emit(frame).expect("reply fits IPv4 length");
@@ -285,7 +267,7 @@ fn respond_udp(
         }
         .emit(pseudo, udp.payload(), frame);
         out.delays.push(0);
-        duplicate_delays(seed, dst, profile.blowback_extra, &mut out.delays);
+        duplicate_delays(seed, dst, h.blowback_extra(), &mut out.delays);
     } else {
         // Closed UDP port: ICMP port unreachable (RFC 1122).
         let router = ip.dst();
@@ -295,13 +277,13 @@ fn respond_udp(
 }
 
 /// Observed TTL at the scanner: initial TTL minus path hops.
-fn observed_ttl(seed: u64, profile: &HostProfile) -> u8 {
-    profile.os.initial_ttl().saturating_sub(hops(seed, profile.ip))
+fn observed_ttl(h: &HostDraws<'_>) -> u8 {
+    h.os().initial_ttl().saturating_sub(hops(h.seed, h.ip))
 }
 
 /// Responders use incrementing-ish IP IDs; derive one procedurally.
-fn reply_ip_id(seed: u64, profile: &HostProfile) -> u16 {
-    hash3(seed, profile.ip, 0x1D) as u16
+fn reply_ip_id(h: &HostDraws<'_>) -> u16 {
+    hash3(h.seed, h.ip, 0x1D) as u16
 }
 
 fn reply_eth(eth: &EthernetView<'_>, ip: &Ipv4View<'_>, frame: &mut Vec<u8>) {
@@ -322,27 +304,27 @@ fn build_synack(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     tcp: &TcpView<'_>,
-    profile: &HostProfile,
-    seed: u64,
+    h: &HostDraws<'_>,
     frame: &mut Vec<u8>,
 ) {
     reply_eth(eth, ip, frame);
+    let os = h.os();
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
-        seq: hash3(seed, profile.ip, 0x5EB) as u32,
+        seq: hash3(h.seed, h.ip, 0x5EB) as u32,
         ack: tcp.seq().wrapping_add(1),
         flags: TcpFlags::SYN_ACK,
-        window: profile.os.window(),
-        options: profile.os.reply_layout().bytes(),
+        window: os.window(),
+        options: os.reply_layout().bytes(),
     };
     let tcp_len = reply.header_len() as u16;
     Ipv4Repr {
         src: ip.dst(),
         dst: ip.src(),
         protocol: IpProtocol::Tcp,
-        id: reply_ip_id(seed, profile),
-        ttl: observed_ttl(seed, profile),
+        id: reply_ip_id(h),
+        ttl: observed_ttl(h),
         payload_len: tcp_len,
     }
     .emit(frame).expect("reply fits IPv4 length");
@@ -404,8 +386,7 @@ fn build_banner(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     tcp: &TcpView<'_>,
-    profile: &HostProfile,
-    seed: u64,
+    h: &HostDraws<'_>,
     frame: &mut Vec<u8>,
 ) {
     let body = banner_for_port(tcp.dst_port());
@@ -413,10 +394,10 @@ fn build_banner(
     let reply = TcpRepr {
         src_port: tcp.dst_port(),
         dst_port: tcp.src_port(),
-        seq: hash3(seed, profile.ip, 0x5EC) as u32,
+        seq: hash3(h.seed, h.ip, 0x5EC) as u32,
         ack: tcp.seq().wrapping_add(tcp.payload().len() as u32),
         flags: TcpFlags::PSH.union(TcpFlags::ACK),
-        window: profile.os.window(),
+        window: h.os().window(),
         options: &[],
     };
     let tcp_len = (reply.header_len() + body.len()) as u16;
@@ -424,8 +405,8 @@ fn build_banner(
         src: ip.dst(),
         dst: ip.src(),
         protocol: IpProtocol::Tcp,
-        id: reply_ip_id(seed, profile),
-        ttl: observed_ttl(seed, profile),
+        id: reply_ip_id(h),
+        ttl: observed_ttl(h),
         payload_len: tcp_len,
     }
     .emit(frame).expect("reply fits IPv4 length");
@@ -447,8 +428,7 @@ fn build_rst(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
     tcp: &TcpView<'_>,
-    profile: &HostProfile,
-    seed: u64,
+    h: &HostDraws<'_>,
     frame: &mut Vec<u8>,
 ) {
     reply_eth(eth, ip, frame);
@@ -465,8 +445,8 @@ fn build_rst(
         src: ip.dst(),
         dst: ip.src(),
         protocol: IpProtocol::Tcp,
-        id: reply_ip_id(seed, profile),
-        ttl: observed_ttl(seed, profile),
+        id: reply_ip_id(h),
+        ttl: observed_ttl(h),
         payload_len: 20,
     }
     .emit(frame).expect("reply fits IPv4 length");
@@ -525,6 +505,7 @@ pub const SECOND: u64 = NS_PER_SEC;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::services::ServiceModel;
     use zmap_wire::{ProbeBuilder, ResponseKind};
 
     fn dense_world() -> (u64, ServiceModel) {

@@ -5,7 +5,7 @@
 //! sweep them. All probabilities are *conditional on the host being live*
 //! unless noted.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Tunable population parameters.
 #[derive(Debug, Clone)]
@@ -13,8 +13,9 @@ pub struct ServiceModel {
     /// Fraction of the address space that is a live, responding host.
     /// (Roughly matches the ~5% of IPv4 that answers probes at all.)
     pub live_fraction: f64,
-    /// Per-port probability that a live host has the port open.
-    pub port_open: HashMap<u16, f64>,
+    /// Per-port probability that a live host has the port open. Ordered,
+    /// not hashed: every SYN looks its port up here.
+    pub port_open: BTreeMap<u16, f64>,
     /// Open probability for ports not in the table (port diffusion: the
     /// long tail of services on unassigned ports, Izhikevich et al.).
     pub default_port_open: f64,
@@ -50,7 +51,7 @@ pub struct ServiceModel {
 
 impl Default for ServiceModel {
     fn default() -> Self {
-        let mut port_open = HashMap::new();
+        let mut port_open = BTreeMap::new();
         // Conditional-on-live open rates; absolute rate = live_fraction ×
         // this. Port 80 ⇒ 0.05 × 0.25 ≈ 1.2% of all IPv4, matching the
         // ~50-60M HTTP hosts ZMap-era scans report.
@@ -109,7 +110,7 @@ impl ServiceModel {
             blowback_max: 0,
             unreach_for_dead: 0.0,
             middlebox_fraction: 0.0,
-            port_open: HashMap::new(),
+            port_open: BTreeMap::new(),
         };
         for &p in ports {
             m.port_open.insert(p, 1.0);

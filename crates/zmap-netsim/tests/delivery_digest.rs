@@ -1,24 +1,32 @@
 //! Pins the simulated wire's delivery stream to committed digests.
 //!
 //! `faulted_world_replays_identically` (world.rs) compares a build with
-//! itself; these digests compare it with the bytes the world delivered
-//! before its delivery queue was rebuilt. Each scenario folds into one
-//! FNV-1a digest every `(endpoint, t, frame)` the world hands back, every
-//! `next_event_at` the drain hops through, the counters and the
-//! delivery-latency histogram.
+//! itself; these digests compare it with the bytes earlier worlds
+//! delivered: the first two with the world before its delivery queue was
+//! rebuilt, the third with the host model before its draws became lazy.
+//! Each scenario folds into one FNV-1a digest every `(endpoint, t, frame)`
+//! the world hands back, every `next_event_at` the drain hops through, the
+//! counters and the delivery-latency histogram.
 //!
-//! The traffic covers every path a delivery can take: two endpoints whose
-//! clocks sit half a second apart (the lagging one schedules deliveries
-//! earlier than frames already drained), receives interleaved with sends,
-//! endpoint-to-endpoint frames, RSTs, ICMP unreachables, UDP and echo
-//! replies, blowback tails that run for minutes, fault-layer duplicates,
-//! reordering, corruption, burst loss, an ICMP storm, refused sends and,
-//! in the second scenario, a kill that lands during the drain.
+//! The first two scenarios cover every path a delivery can take: two
+//! endpoints whose clocks sit half a second apart (the lagging one
+//! schedules deliveries earlier than frames already drained), receives
+//! interleaved with sends, endpoint-to-endpoint frames, RSTs, ICMP
+//! unreachables, UDP and echo replies, blowback tails that run for
+//! minutes, fault-layer duplicates, reordering, corruption, burst loss, an
+//! ICMP storm, refused sends and, in the second scenario, a kill that
+//! lands during the drain. Their models use interior thresholds only. The
+//! third holds every threshold at 0 or 1, or past either end — the values
+//! that decide a draw without its hash — across SYNs in every option
+//! layout, ACK + data banners, echo and UDP probes and a v6 population.
 
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 use zmap_netsim::loss::LossModel;
-use zmap_netsim::{EndpointId, FaultPlan, RxBatch, ServiceModel, World, WorldConfig};
-use zmap_wire::ProbeBuilder;
+use zmap_netsim::{
+    EndpointId, FaultPlan, RxBatch, ServiceModel, V6Population, World, WorldConfig,
+};
+use zmap_wire::options::OptionLayout;
+use zmap_wire::{ProbeBuilder, ProbeBuilderV6};
 
 /// FNV-1a, 64-bit.
 struct Digest(u64);
@@ -81,6 +89,34 @@ fn take(d: &mut Digest, w: &mut World, who: u64, ep: EndpointId, now: u64) {
     }
 }
 
+/// Folds the world's counters and its delivery-latency histogram into `d`.
+fn fold_stats(d: &mut Digest, w: &World) {
+    let s = w.stats();
+    for v in [
+        s.frames_sent,
+        s.drops_path,
+        s.drops_transient,
+        s.drops_ratelimit,
+        s.responses_generated,
+        s.drops_response,
+        s.frames_delivered,
+        s.darknet_frames,
+        s.sendto_failures,
+        s.drops_blackout,
+        s.drops_burst,
+        s.frames_corrupted,
+        s.frames_duplicated,
+        s.frames_reordered,
+        s.storm_replies,
+    ] {
+        d.u64(v);
+    }
+    let lat = w.delivery_latency().snapshot();
+    for v in [lat.count, lat.min, lat.max, lat.p50, lat.p90, lat.p99] {
+        d.u64(v);
+    }
+}
+
 /// Runs the scenario and returns its digest plus the NIC-event ordinals
 /// at the end of the send phase and at the end of the drain.
 fn run(kill_at: Option<u64>) -> (u64, u64, u64) {
@@ -123,30 +159,7 @@ fn run(kill_at: Option<u64>) -> (u64, u64, u64) {
         }
     }
     d.u64(w.next_event_at().unwrap_or(u64::MAX));
-    let s = w.stats();
-    for v in [
-        s.frames_sent,
-        s.drops_path,
-        s.drops_transient,
-        s.drops_ratelimit,
-        s.responses_generated,
-        s.drops_response,
-        s.frames_delivered,
-        s.darknet_frames,
-        s.sendto_failures,
-        s.drops_blackout,
-        s.drops_burst,
-        s.frames_corrupted,
-        s.frames_duplicated,
-        s.frames_reordered,
-        s.storm_replies,
-    ] {
-        d.u64(v);
-    }
-    let lat = w.delivery_latency().snapshot();
-    for v in [lat.count, lat.min, lat.max, lat.p50, lat.p90, lat.p99] {
-        d.u64(v);
-    }
+    fold_stats(&mut d, &w);
     (d.0, sent, w.nic_events())
 }
 
@@ -179,3 +192,128 @@ fn kill_in_the_drain_matches_the_pinned_digest() {
 /// A NIC-event ordinal halfway through the drain (the send phase ends at
 /// 9 625 events and the drain at 19 081).
 const KILL_AT: u64 = 14_353;
+
+/// Probes sent into each boundary world: 40 rounds of the 16 kinds.
+const BOUNDARY_ROUNDS: u32 = 640;
+
+/// The boundary scenario's models: every threshold at 0 or 1, or past
+/// either end, so each host draw is decided by its threshold alone.
+fn boundary_models() -> [ServiceModel; 5] {
+    // Live, echo and RST at exactly 1, everything else at 0.
+    let dense = || ServiceModel::dense(&[80, 53]);
+    [
+        dense(),
+        // Every threshold at 1 or past it: every port open, every host
+        // wants an OS option ordering, every reply is a blowback burst.
+        ServiceModel {
+            default_port_open: 1.0,
+            echo_reply: 1.5,
+            icmp_on_closed: 1.0,
+            requires_any_option: 1.0,
+            requires_multi_option: 1.0,
+            requires_os_ordering: 1.0,
+            blowback_fraction: 1.0,
+            blowback_max: 12,
+            unreach_for_dead: 1.0,
+            ..dense()
+        },
+        // Closed ports answer with ICMP, and only SYNs carrying two or
+        // more options pass (the first tier's threshold is below 0);
+        // blowback hosts send fewer than ten copies.
+        ServiceModel {
+            rst_on_closed: 0.0,
+            icmp_on_closed: 1.0,
+            requires_os_ordering: -0.5,
+            requires_multi_option: 2.0,
+            blowback_fraction: 2.0,
+            blowback_max: 5,
+            ..dense()
+        },
+        // Every /24 behind a middlebox, and no live host behind any.
+        ServiceModel {
+            live_fraction: -1.0,
+            middlebox_fraction: 1.0,
+            unreach_for_dead: 1.0,
+            ..dense()
+        },
+        // Dead space that always draws a host-unreachable.
+        ServiceModel {
+            live_fraction: 0.0,
+            unreach_for_dead: 2.0,
+            ..dense()
+        },
+    ]
+}
+
+/// Runs every boundary world in turn into one digest; returns it and the
+/// frames delivered across the worlds.
+fn run_boundary() -> (u64, u64) {
+    let pop = V6Population::from_prefix_list(
+        "2001:db8:a::/48 pattern=low bits=6 density=1.0\n",
+        vec![80],
+    )
+    .expect("valid prefix line");
+    let spec = pop.specs()[0].clone();
+    let src = Ipv4Addr::new(1, 2, 3, 4);
+    let src6: Ipv6Addr = "2001:db8:ffff::1".parse().expect("valid address");
+    let mut d = Digest(0xCBF2_9CE4_8422_2325);
+    let mut delivered = 0;
+    for (k, model) in boundary_models().into_iter().enumerate() {
+        let mut w = World::new(WorldConfig {
+            seed: 31,
+            model,
+            loss: if k % 2 == 0 { LossModel::NONE } else { LossModel::default() },
+            v6: Some(pop.clone()),
+            ..WorldConfig::default()
+        });
+        let ep = w.attach(src);
+        let mut p = ProbeBuilder::new(src, 3);
+        let p6 = ProbeBuilderV6::new(src6, 4);
+        for i in 0..BOUNDARY_ROUNDS {
+            let t = u64::from(i) * 50_000;
+            let dst = Ipv4Addr::from(0x2A00_0000 + i * 65_537);
+            let probe = match i % 16 {
+                layout @ 0..=8 => {
+                    p.layout = OptionLayout::ALL[layout as usize];
+                    p.tcp_syn(dst, 80, 0)
+                }
+                9 => p.tcp_syn(dst, 81, 0),
+                10 => p.tcp_ack_data(dst, 80, i, b"GET / HTTP/1.0\r\n\r\n", 0).expect("small segment"),
+                11 => p.tcp_ack_data(dst, 81, i, b"HELO\r\n", 0).expect("small segment"),
+                12 => p.icmp_echo(dst, 0),
+                13 => p.udp(dst, 53, b"q", 0).expect("small datagram"),
+                14 => p.udp(dst, 54, b"q", 0).expect("small datagram"),
+                _ => {
+                    let dst6 = spec.addr_at(u128::from(i / 16 % 64));
+                    match i / 16 % 4 {
+                        0 => p6.tcp_syn(dst6, 80, 0),
+                        1 => p6.tcp_syn(dst6, 81, 0),
+                        2 => p6.icmp_echo(dst6, 0),
+                        _ => p6.udp(dst6, 80, b"q", 0).expect("small datagram"),
+                    }
+                }
+            };
+            d.u64(u64::from(w.send(ep, &probe, t).is_ok()));
+            if i % 32 == 31 {
+                take(&mut d, &mut w, 5, ep, t);
+            }
+        }
+        while let Some(t) = w.next_event_at() {
+            d.u64(t);
+            take(&mut d, &mut w, 6, ep, t);
+        }
+        fold_stats(&mut d, &w);
+        delivered += w.stats().frames_delivered;
+    }
+    (d.0, delivered)
+}
+
+#[test]
+fn boundary_thresholds_match_the_pinned_digest() {
+    let (digest, delivered) = run_boundary();
+    assert!(delivered > 5_000, "the worlds answer: {delivered} frames");
+    assert_eq!(
+        digest, 0x1B5C_4F07_1F2A_588D,
+        "digest {digest:#018x} ({delivered} frames)"
+    );
+}

@@ -53,14 +53,14 @@ pub fn siphash24_2w(k0: u64, k1: u64, m0: u64, m1: u64) -> u64 {
     finalize(v)
 }
 
-/// SipHash-2-4 of a message that packs into exactly five blocks (32–39
-/// bytes): `m[0..4]` are the first 32 message bytes little-endian, `m[4]`
-/// the padded final block including the length byte on top. Produces the
-/// same output as [`siphash24`] over the equivalent byte string — this is
-/// the per-probe hot path for IPv6, whose 34-byte addressing message
-/// (`src ‖ dst ‖ dst_port`) no longer fits the two-block form.
+/// SipHash-2-4 of a message already packed into `N` blocks: the whole
+/// 8-byte words little-endian, then the padded final block with the
+/// length byte on top. Produces the same output as [`siphash24`] over the
+/// equivalent byte string, without the slice loop. IPv6's 34-byte probe
+/// message (`src ‖ dst ‖ dst_port`) is five blocks — the per-probe hot
+/// path for v6 — and netsim's 24-byte v6 host draws are four.
 #[inline]
-pub fn siphash24_5w(k0: u64, k1: u64, m: [u64; 5]) -> u64 {
+pub fn siphash24_words<const N: usize>(k0: u64, k1: u64, m: [u64; N]) -> u64 {
     let mut v = init(k0, k1);
     for w in m {
         block(&mut v, w);
@@ -222,7 +222,7 @@ impl ValidationKey {
     #[inline]
     pub fn probe_v6(&self, src: &[u8; 16], dst: &[u8; 16], dst_port: u16) -> ProbeValues {
         ProbeValues {
-            mac: siphash24_5w(self.k0, self.k1, probe_msg_v6(src, dst, dst_port)),
+            mac: siphash24_words(self.k0, self.k1, probe_msg_v6(src, dst, dst_port)),
         }
     }
 }
@@ -393,7 +393,7 @@ mod tests {
                 last[..len - 32].copy_from_slice(&msg[32..]);
                 last[7] = len as u8;
                 m[4] = u64::from_le_bytes(last);
-                assert_eq!(siphash24_5w(1, 2, m), siphash24(1, 2, msg), "len {len}");
+                assert_eq!(siphash24_words(1, 2, m), siphash24(1, 2, msg), "len {len}");
             }
         }
     }

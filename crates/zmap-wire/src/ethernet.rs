@@ -84,9 +84,11 @@ pub struct EthernetRepr {
 impl EthernetRepr {
     /// Appends the 14-byte header to `buf`.
     pub fn emit(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.dst.0);
-        buf.extend_from_slice(&self.src.0);
-        buf.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        let mut h = [0u8; HEADER_LEN];
+        h[0..6].copy_from_slice(&self.dst.0);
+        h[6..12].copy_from_slice(&self.src.0);
+        h[12..14].copy_from_slice(&u16::from(self.ethertype).to_be_bytes());
+        buf.extend_from_slice(&h);
     }
 }
 

@@ -99,16 +99,13 @@ pub struct IcmpRepr {
 impl IcmpRepr {
     /// Appends header + payload (checksum filled in) to `buf`.
     pub fn emit(&self, payload: &[u8], buf: &mut Vec<u8>) {
-        let start = buf.len();
         let (t, c) = self.icmp_type.type_code();
-        buf.push(t);
-        buf.push(c);
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.id.to_be_bytes());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
+        let ([i0, i1], [s0, s1]) = (self.id.to_be_bytes(), self.seq.to_be_bytes());
+        let mut h = [t, c, 0, 0, i0, i1, s0, s1]; // checksum filled below
+        let csum = checksum::finish(checksum::sum(checksum::sum(0, &h), payload));
+        h[2..4].copy_from_slice(&csum.to_be_bytes());
+        buf.extend_from_slice(&h);
         buf.extend_from_slice(payload);
-        let csum = checksum::checksum(&buf[start..]);
-        buf[start + 2..start + 4].copy_from_slice(&csum.to_be_bytes());
     }
 }
 

@@ -104,19 +104,15 @@ impl Ipv4Repr {
         let total_len = (HEADER_LEN as u16)
             .checked_add(self.payload_len)
             .ok_or(WireError::BadLength)?;
-        let start = buf.len();
-        buf.push(0x45); // version 4, IHL 5
-        buf.push(0); // DSCP/ECN
-        buf.extend_from_slice(&total_len.to_be_bytes());
-        buf.extend_from_slice(&self.id.to_be_bytes());
-        buf.extend_from_slice(&[0x40, 0x00]); // DF, fragment offset 0
-        buf.push(self.ttl);
-        buf.push(self.protocol.into());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.dst.octets());
-        let csum = checksum::checksum(&buf[start..start + HEADER_LEN]);
-        buf[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        let ([l0, l1], [i0, i1]) = (total_len.to_be_bytes(), self.id.to_be_bytes());
+        let ([s0, s1, s2, s3], [d0, d1, d2, d3]) = (self.src.octets(), self.dst.octets());
+        // Version 4 + IHL 5, DSCP/ECN, total length, ID, DF + fragment
+        // offset 0, TTL, protocol, checksum (filled below), addresses.
+        let (ttl, proto) = (self.ttl, self.protocol.into());
+        let mut h = [0x45, 0, l0, l1, i0, i1, 0x40, 0, ttl, proto, 0, 0, s0, s1, s2, s3, d0, d1, d2, d3];
+        let csum = checksum::checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        buf.extend_from_slice(&h);
         Ok(())
     }
 }

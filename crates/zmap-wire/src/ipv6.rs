@@ -38,13 +38,14 @@ impl Ipv6Repr {
     /// Appends the 40-byte header to `buf`. Version 6, traffic class and
     /// flow label zero. Infallible: `payload_len` is the field itself.
     pub fn emit(&self, buf: &mut Vec<u8>) {
-        buf.push(0x60); // version 6, traffic class 0 (high nibble)
-        buf.extend_from_slice(&[0, 0, 0]); // traffic class low, flow label
-        buf.extend_from_slice(&self.payload_len.to_be_bytes());
-        buf.push(self.next_header.into());
-        buf.push(self.hop_limit);
-        buf.extend_from_slice(&self.src.octets());
-        buf.extend_from_slice(&self.dst.octets());
+        let mut h = [0u8; HEADER_LEN];
+        h[0] = 0x60; // version 6; traffic class and flow label zero
+        h[4..6].copy_from_slice(&self.payload_len.to_be_bytes());
+        h[6] = self.next_header.into();
+        h[7] = self.hop_limit;
+        h[8..24].copy_from_slice(&self.src.octets());
+        h[24..40].copy_from_slice(&self.dst.octets());
+        buf.extend_from_slice(&h);
     }
 }
 

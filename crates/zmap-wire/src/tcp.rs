@@ -92,21 +92,22 @@ impl TcpRepr<'_> {
             "options must be word-aligned"
         );
         assert!(self.options.len() <= 40, "options exceed 40 bytes");
-        let start = buf.len();
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.ack.to_be_bytes());
-        let data_offset_words = (self.header_len() / 4) as u8;
-        buf.push(data_offset_words << 4);
-        buf.push(self.flags.0);
-        buf.extend_from_slice(&self.window.to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&[0, 0]); // urgent pointer
+        let mut h = [0u8; HEADER_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = ((self.header_len() / 4) as u8) << 4; // data offset, in words
+        h[13] = self.flags.0;
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        // Checksum (filled here) and urgent pointer stay zero. Every part
+        // before the payload has even length, so summing the parts one by
+        // one is the sum over the whole segment.
+        let sum = checksum::sum(checksum::sum(pseudo, &h), self.options);
+        h[16..18].copy_from_slice(&checksum::finish(checksum::sum(sum, payload)).to_be_bytes());
+        buf.extend_from_slice(&h);
         buf.extend_from_slice(self.options);
         buf.extend_from_slice(payload);
-        let csum = checksum::finish(checksum::sum(pseudo, &buf[start..]));
-        buf[start + 16..start + 18].copy_from_slice(&csum.to_be_bytes());
     }
 }
 

@@ -17,20 +17,19 @@ impl UdpRepr {
     /// Appends header + payload (checksum filled in) to `buf`.
     /// `pseudo` must cover protocol 17 and length `8 + payload.len()`.
     pub fn emit(&self, pseudo: u32, payload: &[u8], buf: &mut Vec<u8>) {
-        let start = buf.len();
         let len = (HEADER_LEN + payload.len()) as u16;
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&len.to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(payload);
-        let mut csum = checksum::finish(checksum::sum(pseudo, &buf[start..]));
+        let ([s0, s1], [d0, d1], [l0, l1]) =
+            (self.src_port.to_be_bytes(), self.dst_port.to_be_bytes(), len.to_be_bytes());
+        let mut h = [s0, s1, d0, d1, l0, l1, 0, 0]; // checksum filled below
+        let mut csum = checksum::finish(checksum::sum(checksum::sum(pseudo, &h), payload));
         // RFC 768: transmitted checksum 0 means "no checksum"; a computed
         // zero is sent as 0xFFFF.
         if csum == 0 {
             csum = 0xFFFF;
         }
-        buf[start + 6..start + 8].copy_from_slice(&csum.to_be_bytes());
+        h[6..8].copy_from_slice(&csum.to_be_bytes());
+        buf.extend_from_slice(&h);
+        buf.extend_from_slice(payload);
     }
 }
 
