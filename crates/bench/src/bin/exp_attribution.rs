@@ -26,6 +26,7 @@ use std::net::Ipv4Addr;
 use zmap_core::ScanConfig;
 use zmap_netsim::loss::LossModel;
 use zmap_netsim::{FaultPlan, ServiceModel, WorldConfig};
+use zmap_targets::Walk;
 use zmap_telescope::{report_json, Attribution, AttributionMethod, ScanDetector, SpaceHypothesis};
 use zmap_wire::ipv4::IpIdMode;
 
@@ -80,7 +81,7 @@ fn scan_config(
     cfg.cooldown_secs = 2;
     cfg.seed = seed;
     cfg.ip_id = mode.ip_id;
-    cfg.rekey_blocks = mode.rekey_blocks;
+    cfg.walk = Walk::rekeyed(mode.rekey_blocks);
     cfg
 }
 

@@ -724,7 +724,7 @@ fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Fin
 
 /// Engine entry points: the fns a scan actually enters through.
 const ENGINE_ENTRY_FNS: [&str; 4] = ["run", "run_with", "run_into", "run_parallel"];
-const ENGINE_CRATES: [&str; 2] = ["zmap-core", "zmap-masscan"];
+const ENGINE_CRATES: [&str; 1] = ["zmap-core"];
 
 /// Macros that abort; `assert!`/`debug_assert!`/`unreachable!` are
 /// deliberately not counted — they state invariants, and banning them

@@ -3,7 +3,7 @@
 use std::net::{Ipv4Addr, Ipv6Addr};
 use zmap_core::{DedupMethod, Ipv6Config, OutputFormat, ProbeKind, ScanConfig};
 use zmap_targets::parse::{parse_cidr, Cidr};
-use zmap_targets::ShardAlgorithm;
+use zmap_targets::{ShardAlgorithm, Walk};
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
 
@@ -293,13 +293,13 @@ pub fn parse_args(argv: &[String]) -> Result<CliOptions, CliError> {
             "--static-ip-id" => opts.config.ip_id = IpIdMode::Static,
             "--stealth" => {
                 // Explicit --rekey-blocks wins regardless of flag order.
-                if opts.config.rekey_blocks == 0 {
-                    opts.config.rekey_blocks = 16;
+                if opts.config.walk == Walk::Cyclic {
+                    opts.config.walk = Walk::Rekeyed(16);
                 }
             }
             "--rekey-blocks" => {
-                opts.config.rekey_blocks =
-                    parse_num("--rekey-blocks", &need(&mut it, "--rekey-blocks")?)?
+                let blocks = parse_num("--rekey-blocks", &need(&mut it, "--rekey-blocks")?)?;
+                opts.config.walk = Walk::rekeyed(blocks);
             }
             "--probes" => {
                 opts.config.probes_per_target = parse_num("--probes", &need(&mut it, "--probes")?)?
@@ -465,21 +465,14 @@ mod tests {
 
     #[test]
     fn stealth_flags() {
-        assert_eq!(parse_args(&[]).unwrap().config.rekey_blocks, 0, "classic default");
-        assert_eq!(parse_args(&args("--stealth")).unwrap().config.rekey_blocks, 16);
-        assert_eq!(
-            parse_args(&args("--rekey-blocks 4")).unwrap().config.rekey_blocks,
-            4
-        );
+        let walk = |a: &str| parse_args(&args(a)).unwrap().config.walk;
+        assert_eq!(parse_args(&[]).unwrap().config.walk, Walk::Cyclic, "classic default");
+        assert_eq!(walk("--stealth"), Walk::Rekeyed(16));
+        assert_eq!(walk("--rekey-blocks 4"), Walk::Rekeyed(4));
+        assert_eq!(walk("--rekey-blocks 0"), Walk::Cyclic);
         // Explicit block count wins regardless of flag order.
-        assert_eq!(
-            parse_args(&args("--stealth --rekey-blocks 4")).unwrap().config.rekey_blocks,
-            4
-        );
-        assert_eq!(
-            parse_args(&args("--rekey-blocks 4 --stealth")).unwrap().config.rekey_blocks,
-            4
-        );
+        assert_eq!(walk("--stealth --rekey-blocks 4"), Walk::Rekeyed(4));
+        assert_eq!(walk("--rekey-blocks 4 --stealth"), Walk::Rekeyed(4));
         assert!(invalid_why("--rekey-blocks 1").contains("--rekey-blocks 1"));
         assert!(invalid_why("--stealth --static-ip-id").contains("--static-ip-id"));
         assert!(

@@ -3,7 +3,7 @@
 use serde::Serialize;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use zmap_targets::parse::default_blocklist;
-use zmap_targets::{Constraint, ShardAlgorithm};
+use zmap_targets::{Constraint, ShardAlgorithm, Walk};
 use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
 
@@ -91,13 +91,13 @@ pub struct ScanConfig {
     pub option_layout: OptionLayout,
     /// IP ID policy (§4.3; default random since 2024).
     pub ip_id: IpIdMode,
-    /// Stealth re-keying: walk the v4 candidate space as this many
-    /// independently keyed blocks in seeded pseudorandom order, so a
+    /// The v4 walk order (default [`Walk::Cyclic`]). [`Walk::Rekeyed`] is
+    /// the stealth walk: independently keyed blocks in seeded order, so a
     /// darknet cannot recover one permutation from the observed probe
-    /// order (Mazel & Strullu countermeasure). `0` (the default) keeps
-    /// the classic single permutation; `1` is refused by the gate.
-    /// CLI `--stealth` sets this together with random IP ID.
-    pub rekey_blocks: u32,
+    /// order (Mazel & Strullu countermeasure); CLI `--stealth` and
+    /// `--rekey-blocks` set it. The two Blackrock walks are Masscan's
+    /// order (§3), with no CLI flag.
+    pub walk: Walk,
     /// Deduplication (§4.1; default 10^6-entry sliding window).
     pub dedup: DedupMethod,
     /// Report RST/unreachable (host-alive-but-closed) results too, not
@@ -149,7 +149,7 @@ impl ScanConfig {
             shard_algorithm: ShardAlgorithm::Pizza,
             option_layout: OptionLayout::MssOnly,
             ip_id: IpIdMode::Random,
-            rekey_blocks: 0,
+            walk: Walk::Cyclic,
             dedup: DedupMethod::Window(1_000_000),
             report_failures: false,
             max_retries: 3,
@@ -220,22 +220,21 @@ impl ScanConfig {
             }
         }
         let bitmap = self.dedup == DedupMethod::FullBitmap;
-        let rekeyed = self.rekey_blocks > 0;
         let why = if bitmap && self.ipv6.is_some() {
             "--full-bitmap-dedup indexes the 2^32 IPv4 space and cannot cover IPv6; \
              use --dedup-window for --ipv6 scans"
         } else if bitmap && self.probe != ProbeKind::IcmpEcho && self.ports.len() > 1 {
             "--full-bitmap-dedup indexes bare IPv4 addresses and cannot tell ports \
              apart; use --dedup-window for multi-port scans"
-        } else if self.rekey_blocks == 1 {
+        } else if self.walk == Walk::Rekeyed(1) {
             "--rekey-blocks 1 is a single-keyed walk with extra steps; use 2 or more \
              blocks (or drop the flag for the classic walk)"
-        } else if rekeyed && self.ip_id == IpIdMode::Static {
+        } else if matches!(self.walk, Walk::Rekeyed(_)) && self.ip_id == IpIdMode::Static {
             "--static-ip-id stamps the fingerprint that --stealth / --rekey-blocks \
              exist to remove; drop one of them"
-        } else if rekeyed && self.ipv6.is_some() {
-            "--stealth / --rekey-blocks re-key the IPv4 walk and do not apply to \
-             --ipv6 scans"
+        } else if self.walk != Walk::Cyclic && self.ipv6.is_some() {
+            "--stealth / --rekey-blocks (and the Blackrock walks) order the IPv4 walk \
+             and do not apply to --ipv6 scans"
         } else if self.cooldown_secs == 0 && self.max_retries > 0 {
             "--cooldown-secs 0 discards the late responses the --retries budget \
              exists to recover; pass --retries 0 or a nonzero cooldown"
@@ -290,7 +289,7 @@ mod tests {
             });
         };
         type Tweak = fn(&mut ScanConfig);
-        let rows: [(&str, Tweak, &[&str]); 17] = [
+        let rows: [(&str, Tweak, &[&str]); 18] = [
             ("v4 shard 3 of 2", |c| (c.shard, c.num_shards) = (3, 2), &["--shard 3", "--shards 2"]),
             ("zero shards", |c| c.num_shards = 0, &["--shards"]),
             ("zero rate", |c| c.rate_pps = 0, &["--rate", "rate_pps"]),
@@ -303,10 +302,10 @@ mod tests {
                 |c| (c.dedup, c.ports) = (DedupMethod::FullBitmap, vec![80, 443]),
                 &["--full-bitmap-dedup", "--dedup-window"],
             ),
-            ("rekey 1", |c| c.rekey_blocks = 1, &["--rekey-blocks 1"]),
+            ("rekey 1", |c| c.walk = Walk::Rekeyed(1), &["--rekey-blocks 1"]),
             (
                 "rekey, static IP ID",
-                |c| (c.rekey_blocks, c.ip_id) = (16, IpIdMode::Static),
+                |c| (c.walk, c.ip_id) = (Walk::Rekeyed(16), IpIdMode::Static),
                 &["--static-ip-id"],
             ),
             (
@@ -327,7 +326,8 @@ mod tests {
             ("v6 shard 2 of 2", |c| (c.shard, c.num_shards) = (2, 2), &["--shard 2"]),
             ("v6 dedup window 0", |c| c.dedup = DedupMethod::Window(0), &["--dedup-window"]),
             ("v6 bitmap", |c| c.dedup = DedupMethod::FullBitmap, &["--full-bitmap-dedup", "--ipv6"]),
-            ("v6 rekey", |c| c.rekey_blocks = 16, &["--stealth", "--ipv6"]),
+            ("v6 rekey", |c| c.walk = Walk::Rekeyed(16), &["--stealth", "--ipv6"]),
+            ("v6 blackrock", |c| c.walk = Walk::Blackrock, &["Blackrock", "--ipv6"]),
         ];
         for (name, tweak, needles) in rows {
             let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 9));

@@ -9,6 +9,7 @@ use crate::config::ScanConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use zmap_metrics::{HistogramSnapshot, MetricsSnapshot, TraceSnapshot};
+use zmap_targets::Walk;
 
 /// Machine-readable scan metadata, serialized as a single JSON object at
 /// scan completion.
@@ -62,6 +63,8 @@ pub struct ConfigEcho {
     pub ip_id: String,
     /// Stealth re-key block count; present only when re-keying is on.
     pub rekey_blocks: Option<u32>,
+    /// The walk's name; present only for the two Blackrock walks.
+    pub walk: Option<String>,
     pub dedup: String,
     pub max_retries: u32,
 }
@@ -71,7 +74,8 @@ impl Serialize for ConfigEcho {
         use serde::ser::SerializeStruct;
         let extra = self.ipv6_source.is_some() as usize
             + self.prefix_list.is_some() as usize
-            + self.rekey_blocks.is_some() as usize;
+            + self.rekey_blocks.is_some() as usize
+            + self.walk.is_some() as usize;
         let mut st = serializer.serialize_struct("ConfigEcho", 15 + extra)?;
         st.serialize_field("source_ip", &self.source_ip)?;
         // v6-only fields ride between source_ip and seed, but only when
@@ -99,6 +103,9 @@ impl Serialize for ConfigEcho {
         // (and so their pre-stealth config digest).
         if let Some(blocks) = &self.rekey_blocks {
             st.serialize_field("rekey_blocks", blocks)?;
+        }
+        if let Some(walk) = &self.walk {
+            st.serialize_field("walk", walk)?;
         }
         st.serialize_field("dedup", &self.dedup)?;
         st.serialize_field("max_retries", &self.max_retries)?;
@@ -242,7 +249,9 @@ impl ConfigEcho {
             shard_algorithm: format!("{:?}", cfg.shard_algorithm),
             option_layout: format!("{:?}", cfg.option_layout),
             ip_id: format!("{:?}", cfg.ip_id),
-            rekey_blocks: (cfg.rekey_blocks > 0).then_some(cfg.rekey_blocks),
+            rekey_blocks: if let Walk::Rekeyed(blocks) = cfg.walk { Some(blocks) } else { None },
+            walk: matches!(cfg.walk, Walk::Blackrock | Walk::LegacyBlackrock)
+                .then(|| format!("{:?}", cfg.walk)),
             dedup: format!("{:?}", cfg.dedup),
             max_retries: cfg.max_retries,
         }
@@ -386,18 +395,31 @@ mod tests {
     }
 
     #[test]
-    fn rekey_echo_absent_for_classic_configs() {
-        // Same contract as the v6 fields: a non-stealth config's echo
-        // JSON (and so its config digest) must not change because the
-        // stealth field exists.
-        let cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
-        let json = serde_json::to_string(&ConfigEcho::from_config(&cfg)).unwrap();
+    fn walk_echo_absent_for_classic_configs() {
+        // Same contract as the v6 fields: a cyclic config's echo JSON
+        // (and so its config digest) must not change because the walk
+        // fields exist, nor a stealth one's because `walk` does.
+        let echo = |walk| {
+            let mut cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
+            cfg.walk = walk;
+            serde_json::to_string(&ConfigEcho::from_config(&cfg)).unwrap()
+        };
+        let json = echo(Walk::Cyclic);
+        assert!(
+            !json.contains("rekey_blocks") && !json.contains("walk"),
+            "{json}"
+        );
+        let json = echo(Walk::Rekeyed(16));
+        assert!(
+            json.contains("\"rekey_blocks\":16") && !json.contains("walk"),
+            "{json}"
+        );
+        let json = echo(Walk::LegacyBlackrock);
+        assert!(
+            json.contains("\"walk\":\"LegacyBlackrock\",\"dedup\""),
+            "{json}"
+        );
         assert!(!json.contains("rekey_blocks"), "{json}");
-
-        let mut stealth = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
-        stealth.rekey_blocks = 16;
-        let json = serde_json::to_string(&ConfigEcho::from_config(&stealth)).unwrap();
-        assert!(json.contains("\"rekey_blocks\":16"), "{json}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use zmap_dedup::target_key;
 use zmap_targets::generator::{BuildError, TargetIter};
 use zmap_targets::{
     parse_prefix_list, DedupError, Target, Target6, TargetGenerator, V6DedupSpace, V6TargetIter,
-    V6TargetSpace,
+    V6TargetSpace, Walk,
 };
 use zmap_wire::probe::{ProbeBuilder, Response, ResponseKind};
 use zmap_wire::template::ProbeTemplate;
@@ -74,11 +74,11 @@ impl ScanPlan {
                     .shards(cfg.num_shards)
                     .subshards(cfg.subshards)
                     .algorithm(cfg.shard_algorithm)
-                    .rekey_blocks(cfg.rekey_blocks);
-                // A re-keyed walk is re-derived from the seed on resume
+                    .walk(cfg.walk);
+                // The other walks are re-derived from the seed on resume
                 // (the journal's fingerprint gate catches drift); recorded
-                // single-permutation parts only apply to the classic walk.
-                if cfg.rekey_blocks == 0 {
+                // single-permutation parts only apply to the cyclic walk.
+                if cfg.walk == Walk::Cyclic {
                     if let Some((generator, offset)) = cycle_parts {
                         gen_builder = gen_builder.cycle_parts(generator, offset);
                     }
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn stealth_permutation_is_fingerprint_with_zero_parts() {
         let mut cfg = ScanConfig::new(Ipv4Addr::new(198, 51, 100, 7));
-        cfg.rekey_blocks = 8;
+        cfg.walk = Walk::Rekeyed(8);
         let plan = ScanPlan::build(&cfg, None).unwrap();
         let (fp, g, o) = plan.permutation();
         assert_ne!(fp, 0);
@@ -365,24 +365,30 @@ mod tests {
         // Seed shifts the fingerprint: a foreign journal cannot slip
         // through the resume gate.
         let mut other = ScanConfig::new(Ipv4Addr::new(198, 51, 100, 7));
-        other.rekey_blocks = 8;
+        other.walk = Walk::Rekeyed(8);
         other.seed = 1;
         assert_ne!(ScanPlan::build(&other, None).unwrap().permutation().0, fp);
     }
 
     #[test]
-    fn stealth_resume_ignores_cycle_parts() {
-        // A stealth journal records (fingerprint, 0, 0); the resume path
-        // feeds those zero parts back through build, which must re-derive
-        // the walk from the seed instead of choking on generator 0.
-        let mut cfg = ScanConfig::new(Ipv4Addr::new(198, 51, 100, 7));
-        cfg.rekey_blocks = 8;
-        let fresh = ScanPlan::build(&cfg, None).unwrap();
-        let resumed = ScanPlan::build(&cfg, Some((0, 0))).unwrap();
-        assert_eq!(resumed.permutation(), fresh.permutation());
-        let a: Vec<_> = fresh.iter_shard(0, 0).take(64).collect();
-        let b: Vec<_> = resumed.iter_shard(0, 0).take(64).collect();
-        assert_eq!(a, b, "resume must re-enter the identical walk");
+    fn seeded_walks_resume_ignoring_cycle_parts() {
+        // A stealth or Blackrock journal records (fingerprint, 0, 0); the
+        // resume path feeds those zero parts back through build, which
+        // must re-derive the walk from the seed instead of choking on
+        // generator 0.
+        for walk in [Walk::Rekeyed(8), Walk::Blackrock, Walk::LegacyBlackrock] {
+            let mut cfg = ScanConfig::new(Ipv4Addr::new(198, 51, 100, 7));
+            cfg.allowlist_prefix(Ipv4Addr::new(11, 0, 0, 0), 16);
+            cfg.walk = walk;
+            let fresh = ScanPlan::build(&cfg, None).unwrap();
+            let resumed = ScanPlan::build(&cfg, Some((0, 0))).unwrap();
+            assert_eq!(resumed.permutation(), fresh.permutation());
+            let (_, generator, offset) = fresh.permutation();
+            assert_eq!((generator, offset), (0, 0), "{walk:?}");
+            let a: Vec<_> = fresh.iter_shard(0, 0).take(64).collect();
+            let b: Vec<_> = resumed.iter_shard(0, 0).take(64).collect();
+            assert_eq!(a, b, "resume must re-enter the identical walk ({walk:?})");
+        }
     }
 
     #[test]

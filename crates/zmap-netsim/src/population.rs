@@ -18,7 +18,7 @@ use crate::geo::{country_of, Country};
 use crate::{hash3, unit};
 use std::net::Ipv4Addr;
 use zmap_wire::ethernet::{EtherType, EthernetRepr, MacAddr};
-use zmap_wire::ipv4::{IpProtocol, Ipv4Repr, ZMAP_STATIC_IP_ID};
+use zmap_wire::ipv4::{masscan_ip_id, IpProtocol, Ipv4Repr, ZMAP_STATIC_IP_ID};
 use zmap_wire::options::OptionLayout;
 use zmap_wire::tcp::{TcpFlags, TcpRepr};
 use zmap_wire::checksum;
@@ -306,13 +306,6 @@ impl ScannerInstance {
     }
 }
 
-/// Masscan's destination-derived IP ID (the attribution fingerprint):
-/// dst_ip ⊕ dst_port ⊕ tcp_seq folded to 16 bits.
-pub fn masscan_ip_id(dst_ip: u32, dst_port: u16, seq: u32) -> u16 {
-    let x = dst_ip ^ u32::from(dst_port) ^ seq;
-    (x ^ (x >> 16)) as u16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,13 +408,6 @@ mod tests {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn masscan_ip_id_depends_on_fields() {
-        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(2, 80, 3));
-        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(1, 81, 3));
-        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(1, 80, 4));
     }
 
     #[test]

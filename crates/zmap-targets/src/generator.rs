@@ -7,12 +7,15 @@
 //! its bottom ⌈log₂ Ports⌉ bits index the port list. Elements whose IP or
 //! port index falls outside the real pool are rejected and skipped (the
 //! group is the smallest ladder prime that fits, so the walk stays
-//! efficient).
+//! efficient). The other [`Walk`]s hand [`TargetGenerator::decode`] the
+//! same packed elements in their own order.
 
+use crate::blackrock::{Blackrock, LegacyBlackrock};
 use crate::constraint::Constraint;
 use crate::cycle::Cycle;
 use crate::group::{CyclicGroup, GroupError};
 use crate::rekey::{RekeyError, RekeyIter, RekeyedWalk};
+use crate::schedule::splitmix64;
 use crate::shard::{ShardAlgorithm, ShardError, ShardIter, ShardSpec};
 use std::net::Ipv4Addr;
 
@@ -31,6 +34,51 @@ impl std::fmt::Display for Target {
     }
 }
 
+/// How an IPv4 scan orders its (IP, port) targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Walk {
+    /// One cyclic-group permutation (ZMap, paper §4.1).
+    #[default]
+    Cyclic,
+    /// The stealth walk: this many independently keyed blocks in seeded
+    /// order (see [`crate::rekey`]); fewer than 2 fails to build.
+    Rekeyed(u32),
+    /// Masscan's Blackrock shuffle of the target indices ([`Blackrock`]).
+    Blackrock,
+    /// Early Masscan's biased shuffle ([`LegacyBlackrock`]): some targets twice, some never.
+    LegacyBlackrock,
+}
+
+impl Walk {
+    /// The walk `--rekey-blocks blocks` selects: `0` is the cyclic walk.
+    pub fn rekeyed(blocks: u32) -> Walk {
+        if blocks == 0 { Walk::Cyclic } else { Walk::Rekeyed(blocks) }
+    }
+}
+
+/// The built form of a [`Walk`]; a Blackrock walk keeps its fingerprint.
+#[derive(Debug)]
+enum Order {
+    Cyclic,
+    Rekeyed(RekeyedWalk),
+    Blackrock(Shuffle, u64),
+}
+
+#[derive(Debug)]
+enum Shuffle {
+    Fixed(Blackrock),
+    Legacy(LegacyBlackrock),
+}
+
+impl Shuffle {
+    fn shuffle(&self, i: u64) -> u64 {
+        match self {
+            Shuffle::Fixed(b) => b.shuffle(i),
+            Shuffle::Legacy(b) => b.shuffle(i),
+        }
+    }
+}
+
 /// Pseudorandom, exactly-once generator of scan targets.
 ///
 /// Build with [`TargetGenerator::builder`]. The generator is cheap to
@@ -43,7 +91,7 @@ pub struct TargetGenerator {
     num_ips: u64,
     port_bits: u32,
     cycle: Cycle,
-    rekey: Option<RekeyedWalk>,
+    order: Order,
     num_shards: u32,
     num_subshards: u32,
     algorithm: ShardAlgorithm,
@@ -76,29 +124,20 @@ impl TargetGenerator {
         &self.cycle
     }
 
-    /// The stealth re-keyed walk plan, when built with
-    /// [`TargetGeneratorBuilder::rekey_blocks`] — `None` for the classic
-    /// single-permutation walk. Exposes the ground-truth block parameters
-    /// (the attribution oracle) and the journal fingerprint.
-    pub fn rekeyed_walk(&self) -> Option<&RekeyedWalk> {
-        self.rekey.as_ref()
-    }
-
-    /// The re-keyed walk's stable fingerprint, or `None` for a
-    /// single-permutation walk. Scan journals store this where the classic
-    /// path stores the group prime.
+    /// A stable fingerprint of a re-keyed or Blackrock walk, or `None`
+    /// for the cyclic walk. Scan journals store this where the cyclic
+    /// walk stores the group prime.
     pub fn walk_fingerprint(&self) -> Option<u64> {
-        self.rekey.as_ref().map(RekeyedWalk::fingerprint)
+        match &self.order {
+            Order::Cyclic => None,
+            Order::Rekeyed(walk) => Some(walk.fingerprint()),
+            Order::Blackrock(_, fingerprint) => Some(*fingerprint),
+        }
     }
 
     /// The sharding algorithm in use.
     pub fn algorithm(&self) -> ShardAlgorithm {
         self.algorithm
-    }
-
-    /// Configured `(num_shards, num_subshards)`.
-    pub fn shard_counts(&self) -> (u32, u32) {
-        (self.num_shards, self.num_subshards)
     }
 
     /// Decodes one group element into a target, or `None` when the element
@@ -139,9 +178,14 @@ impl TargetGenerator {
     /// Iterator for an explicit [`ShardSpec`] (counts may differ from the
     /// builder's, e.g. when a coordinator hands out specs).
     pub fn iter_spec(&self, spec: ShardSpec) -> Result<TargetIter<'_>, ShardError> {
-        let inner = match &self.rekey {
-            Some(walk) => WalkIter::Rekeyed(walk.iter_spec(spec, self.algorithm)?),
-            None => WalkIter::Single(ShardIter::new(&self.cycle, spec, self.algorithm)?),
+        let inner = match &self.order {
+            Order::Cyclic => WalkIter::Single(ShardIter::new(&self.cycle, spec, self.algorithm)?),
+            Order::Rekeyed(walk) => WalkIter::Rekeyed(walk.iter_spec(spec, self.algorithm)?),
+            Order::Blackrock(shuffle, _) => {
+                spec.validate()?;
+                let indices = (spec.lane()..self.target_count()).step_by(spec.lanes() as usize);
+                WalkIter::Blackrock(BlackrockIter { gen: self, shuffle, indices, consumed: 0 })
+            }
         };
         Ok(TargetIter { gen: self, inner })
     }
@@ -152,13 +196,54 @@ impl TargetGenerator {
     }
 }
 
-/// The walk driving one subshard: a single shared permutation, or the
-/// stealth re-keyed block sequence. Both yield elements whose `− 1` is a
-/// packed global candidate, so [`TargetGenerator::decode`] is common.
+/// The walk driving one subshard: a single shared permutation, the
+/// stealth re-keyed block sequence, or a Blackrock shuffle. All yield
+/// elements whose `− 1` is a packed global candidate, so
+/// [`TargetGenerator::decode`] is common.
 #[derive(Debug)]
 enum WalkIter<'a> {
     Single(ShardIter<'a>),
     Rekeyed(RekeyIter<'a>),
+    Blackrock(BlackrockIter<'a>),
+}
+
+/// One lane of a Blackrock walk: lane `l` of `L` takes the indices
+/// `i ≡ l (mod L)` below the target count. Each shuffled index `v` maps
+/// ip-major, as Masscan does (`ip = v mod #ips`, `port = v div #ips`),
+/// and is re-packed as the cyclic walk's element, so it always decodes.
+/// The position is the number of indices consumed.
+#[derive(Debug)]
+struct BlackrockIter<'a> {
+    gen: &'a TargetGenerator,
+    shuffle: &'a Shuffle,
+    indices: std::iter::StepBy<std::ops::Range<u64>>,
+    consumed: u64,
+}
+
+impl BlackrockIter<'_> {
+    fn remaining(&self) -> u64 {
+        self.indices.size_hint().0 as u64
+    }
+
+    fn fast_forward(&mut self, k: u64) -> u64 {
+        let k = k.min(self.remaining());
+        if k > 0 {
+            self.indices.nth(k as usize - 1);
+        }
+        self.consumed += k;
+        k
+    }
+}
+
+impl Iterator for BlackrockIter<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let v = self.shuffle.shuffle(self.indices.next()?);
+        self.consumed += 1;
+        let ips = self.gen.num_ips;
+        Some(((v % ips) << self.gen.port_bits) + v / ips + 1)
+    }
 }
 
 /// Iterator over one subshard's targets (rejection-sampled group walk).
@@ -177,6 +262,7 @@ impl TargetIter<'_> {
         match &self.inner {
             WalkIter::Single(it) => it.consumed(),
             WalkIter::Rekeyed(it) => it.consumed(),
+            WalkIter::Blackrock(it) => it.consumed,
         }
     }
 
@@ -185,6 +271,7 @@ impl TargetIter<'_> {
         match &self.inner {
             WalkIter::Single(it) => it.remaining(),
             WalkIter::Rekeyed(it) => it.remaining(),
+            WalkIter::Blackrock(it) => it.remaining(),
         }
     }
 
@@ -196,6 +283,7 @@ impl TargetIter<'_> {
         match &mut self.inner {
             WalkIter::Single(it) => it.fast_forward(k),
             WalkIter::Rekeyed(it) => it.fast_forward(k),
+            WalkIter::Blackrock(it) => it.fast_forward(k),
         }
     }
 }
@@ -208,6 +296,7 @@ impl Iterator for TargetIter<'_> {
             let element = match &mut self.inner {
                 WalkIter::Single(it) => it.next()?,
                 WalkIter::Rekeyed(it) => it.next()?,
+                WalkIter::Blackrock(it) => it.next()?,
             };
             if let Some(t) = self.gen.decode(element) {
                 return Some(t);
@@ -264,7 +353,7 @@ pub struct TargetGeneratorBuilder {
     num_subshards: u32,
     algorithm: ShardAlgorithm,
     cycle_parts: Option<(u64, u64)>,
-    rekey_blocks: u32,
+    walk: Walk,
 }
 
 impl Default for TargetGeneratorBuilder {
@@ -277,7 +366,7 @@ impl Default for TargetGeneratorBuilder {
             num_subshards: 1,
             algorithm: ShardAlgorithm::Pizza,
             cycle_parts: None,
-            rekey_blocks: 0,
+            walk: Walk::Cyclic,
         }
     }
 }
@@ -332,16 +421,18 @@ impl TargetGeneratorBuilder {
         self
     }
 
-    /// Stealth re-keying: walk the candidate space as `blocks` contiguous
-    /// blocks, each with an independently seeded cyclic group, visited in
-    /// seeded pseudorandom order (see [`crate::rekey`]). `0` (the
-    /// default) keeps the classic single permutation; `1` is rejected at
-    /// build time. Incompatible with [`cycle_parts`](Self::cycle_parts) —
-    /// a re-keyed walk derives every block from the seed, so resume
-    /// re-derives it rather than replaying recorded parts.
-    pub fn rekey_blocks(mut self, blocks: u32) -> Self {
-        self.rekey_blocks = blocks;
+    /// The walk order. Default [`Walk::Cyclic`]. Every other walk is a
+    /// pure function of the seed, so resume re-derives it: it is
+    /// incompatible with [`cycle_parts`](Self::cycle_parts).
+    pub fn walk(mut self, walk: Walk) -> Self {
+        self.walk = walk;
         self
+    }
+
+    /// [`walk`](Self::walk)`(`[`Walk::rekeyed`]`(blocks))`: `0` keeps the
+    /// cyclic walk, `1` is rejected at build time.
+    pub fn rekey_blocks(self, blocks: u32) -> Self {
+        self.walk(Walk::rekeyed(blocks))
     }
 
     /// Finalizes the constraint, selects the group, and derives the cycle.
@@ -363,15 +454,25 @@ impl TargetGeneratorBuilder {
                 largest_order: CyclicGroup::max_order(),
             }))?;
         let group = CyclicGroup::for_target_count(needed).map_err(BuildError::Group)?;
-        let rekey = if self.rekey_blocks > 0 {
-            if self.cycle_parts.is_some() {
+        let (range, seed) = (num_ips * self.ports.len() as u64, self.seed);
+        let fingerprint = [u64::from(self.walk == Walk::LegacyBlackrock), num_ips, range]
+            .into_iter()
+            .fold(splitmix64(seed ^ 0x626C_6163_6B72_6B31), |h, part| splitmix64(h ^ part));
+        use Shuffle::{Fixed, Legacy};
+        let order = match self.walk {
+            Walk::Cyclic => Order::Cyclic,
+            _ if self.cycle_parts.is_some() => {
                 return Err(BuildError::Config(
-                    "explicit cycle parts do not apply to a re-keyed walk".into(),
-                ));
+                    "explicit cycle parts apply only to the cyclic walk".into(),
+                ))
             }
-            Some(RekeyedWalk::new(needed, self.rekey_blocks, self.seed).map_err(BuildError::Rekey)?)
-        } else {
-            None
+            Walk::Rekeyed(blocks) => Order::Rekeyed(
+                RekeyedWalk::new(needed, blocks, self.seed).map_err(BuildError::Rekey)?,
+            ),
+            Walk::Blackrock => Order::Blackrock(Fixed(Blackrock::new(range, seed)), fingerprint),
+            Walk::LegacyBlackrock => {
+                Order::Blackrock(Legacy(LegacyBlackrock::new(range, seed)), fingerprint)
+            }
         };
         let cycle = match self.cycle_parts {
             Some((generator, offset)) => {
@@ -385,7 +486,7 @@ impl TargetGeneratorBuilder {
             num_ips,
             port_bits,
             cycle,
-            rekey,
+            order,
             num_shards: self.num_shards,
             num_subshards: self.num_subshards,
             algorithm: self.algorithm,
@@ -609,7 +710,7 @@ mod tests {
     #[test]
     fn rekeyed_walk_covers_every_target_exactly_once() {
         let gen = slash24_rekeyed(&[80, 443, 8080], 5, 8);
-        assert!(gen.rekeyed_walk().is_some());
+        assert!(gen.walk_fingerprint().is_some());
         let got: Vec<Target> = gen.iter_shard(0, 0).collect();
         assert_eq!(got.len() as u64, gen.target_count());
         let set: HashSet<Target> = got.iter().copied().collect();
@@ -691,6 +792,132 @@ mod tests {
         let a = slash24_rekeyed(&[80], 3, 4).walk_fingerprint().unwrap();
         let b = slash24_rekeyed(&[80], 4, 4).walk_fingerprint().unwrap();
         assert_ne!(a, b, "fingerprint must track the seed");
+    }
+
+    fn blackrock_gen(
+        prefix: (u32, u8),
+        ports: &[u16],
+        walk: Walk,
+        lanes: (u32, u32),
+    ) -> TargetGenerator {
+        let mut c = Constraint::new(false);
+        c.set_prefix(prefix.0, prefix.1, true);
+        TargetGenerator::builder()
+            .constraint(c)
+            .ports(ports)
+            .seed(5)
+            .shards(lanes.0)
+            .subshards(lanes.1)
+            .walk(walk)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn blackrock_walk_is_the_shuffle_mapped_ip_major() {
+        let ports = [80, 443, 8080];
+        for (walk, legacy) in [(Walk::Blackrock, false), (Walk::LegacyBlackrock, true)] {
+            let gen = blackrock_gen((0xC0000200, 26), &ports, walk, (1, 1));
+            let range = gen.target_count();
+            let shuffle = |i| {
+                if legacy {
+                    LegacyBlackrock::new(range, 5).shuffle(i)
+                } else {
+                    Blackrock::new(range, 5).shuffle(i)
+                }
+            };
+            let want: Vec<Target> = (0..range)
+                .map(|i| {
+                    let v = shuffle(i);
+                    Target {
+                        ip: Ipv4Addr::from(0xC0000200 + (v % 64) as u32),
+                        port: ports[(v / 64) as usize],
+                    }
+                })
+                .collect();
+            let got: Vec<Target> = gen.iter_shard(0, 0).collect();
+            assert_eq!(got, want, "{walk:?}");
+        }
+    }
+
+    #[test]
+    fn blackrock_sharded_union_equals_whole_scan() {
+        for walk in [Walk::Blackrock, Walk::LegacyBlackrock] {
+            let whole: Vec<Target> = blackrock_gen((0x0A000000, 25), &[80, 443], walk, (1, 1))
+                .iter_shard(0, 0)
+                .collect();
+            for (shards, subshards) in [(1, 1), (3, 1), (2, 2)] {
+                let gen = blackrock_gen((0x0A000000, 25), &[80, 443], walk, (shards, subshards));
+                let mut union = Vec::new();
+                for s in 0..shards {
+                    for t in 0..subshards {
+                        union.extend(gen.iter_shard(s, t));
+                    }
+                }
+                let mut want = whole.clone();
+                union.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(union, want, "{walk:?} {shards}x{subshards}");
+            }
+        }
+        let fixed: HashSet<Target> =
+            blackrock_gen((0x0A000000, 25), &[80, 443], Walk::Blackrock, (1, 1))
+                .iter_shard(0, 0)
+                .collect();
+        assert_eq!(fixed.len(), 256, "the fixed walk reaches every target once");
+    }
+
+    #[test]
+    fn blackrock_fast_forward_matches_stepping() {
+        for walk in [Walk::Blackrock, Walk::LegacyBlackrock] {
+            let gen = blackrock_gen((0xC0000200, 24), &[80, 443], walk, (2, 2));
+            for skip in [0u64, 1, 50, 127, 128, 500] {
+                let mut stepped = gen.iter_shard(1, 1);
+                for _ in 0..skip {
+                    stepped.next();
+                }
+                let mut jumped = gen.iter_shard(1, 1);
+                assert_eq!(jumped.fast_forward_elements(skip), skip.min(128));
+                assert_eq!(jumped.elements_consumed(), stepped.elements_consumed());
+                assert_eq!(jumped.elements_remaining(), stepped.elements_remaining());
+                let a: Vec<Target> = stepped.collect();
+                let b: Vec<Target> = jumped.collect();
+                assert_eq!(a, b, "{walk:?} skip {skip}");
+            }
+        }
+    }
+
+    #[test]
+    fn legacy_blackrock_reaches_261_634_of_the_slash_14() {
+        // The §3 experiment's space: 51.64.0.0/14 on one port, seed 5.
+        let gen = blackrock_gen((0x33400000, 14), &[80], Walk::LegacyBlackrock, (1, 1));
+        let mut probes = 0u64;
+        let distinct: HashSet<Target> = gen.iter_shard(0, 0).inspect(|_| probes += 1).collect();
+        assert_eq!((probes, distinct.len()), (262_144, 261_634));
+    }
+
+    #[test]
+    fn blackrock_walks_have_fingerprints_and_refuse_cycle_parts() {
+        let fp = |walk, seed| {
+            let mut c = Constraint::new(false);
+            c.set_prefix(0xC0000200, 24, true);
+            let gen = TargetGenerator::builder()
+                .constraint(c)
+                .seed(seed)
+                .walk(walk)
+                .build();
+            gen.unwrap().walk_fingerprint().unwrap()
+        };
+        assert_ne!(fp(Walk::Blackrock, 3), fp(Walk::LegacyBlackrock, 3));
+        assert_ne!(fp(Walk::Blackrock, 3), fp(Walk::Blackrock, 4));
+        let mut c = Constraint::new(false);
+        c.set_prefix(0xC0000200, 24, true);
+        let err = TargetGenerator::builder()
+            .constraint(c)
+            .walk(Walk::Blackrock)
+            .cycle_parts(3, 0)
+            .build();
+        assert!(matches!(err, Err(BuildError::Config(_))), "{err:?}");
     }
 
     #[test]

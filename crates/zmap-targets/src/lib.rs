@@ -14,6 +14,7 @@
 //! * one stride scheduler that merges *k* sharded walks into one stream,
 //!   shared by the IPv6 prefix walk ([`v6`]) and the stealth re-keyed
 //!   walk ([`rekey`]),
+//! * [`blackrock`] — Masscan's index shuffle, the two Blackrock [`Walk`]s,
 //! * [`constraint::Constraint`] — the allowlist/blocklist as a flat table
 //!   of allowed ranges with prefix sums and an index directory, so the
 //!   order-preserving index→address lookup every probe pays is one
@@ -44,6 +45,7 @@
 //! }
 //! ```
 
+pub mod blackrock;
 pub mod constraint;
 pub mod cycle;
 pub mod generator;
@@ -54,9 +56,10 @@ mod schedule;
 pub mod shard;
 pub mod v6;
 
+pub use blackrock::{Blackrock, LegacyBlackrock};
 pub use constraint::Constraint;
 pub use cycle::Cycle;
-pub use generator::{Target, TargetGenerator, TargetGeneratorBuilder};
+pub use generator::{Target, TargetGenerator, TargetGeneratorBuilder, Walk};
 pub use group::CyclicGroup;
 pub use parse::{parse_cidr, parse_target_file_contents, ParseError};
 pub use rekey::{BlockParams, RekeyError, RekeyIter, RekeyedWalk};

@@ -73,14 +73,19 @@ impl ShardSpec {
         Ok(())
     }
 
-    /// The flattened lane index in `[0, num_shards · num_subshards)`.
+    /// The number of lanes, `num_shards · num_subshards`.
     ///
     /// Interleaved sharding subdivides shard `n` into subshards offset by
     /// `n + t·N` (paper §4.2), i.e. lane = subshard-major; pizza sharding
     /// slices shard `n`'s range into `T` consecutive sub-ranges, i.e.
     /// lane = shard-major. Each algorithm uses its own flattening.
-    fn lanes(&self) -> u64 {
+    pub(crate) fn lanes(&self) -> u64 {
         self.num_shards as u64 * self.num_subshards as u64
+    }
+
+    /// The subshard-major lane index `shard + subshard · num_shards`.
+    pub(crate) fn lane(&self) -> u64 {
+        self.shard as u64 + self.subshard as u64 * self.num_shards as u64
     }
 }
 
@@ -155,7 +160,7 @@ impl<'a> ShardIter<'a> {
                 // when l < order, else 0 — the closed form the paper calls
                 // "prone to off-by-one errors"; property tests pin it.
                 let lanes = spec.lanes();
-                let lane = spec.shard as u64 + spec.subshard as u64 * spec.num_shards as u64;
+                let lane = spec.lane();
                 let remaining = if lane < order {
                     (order - lane).div_ceil(lanes)
                 } else {

@@ -13,7 +13,7 @@
 //! over many packets (see [`crate::detector`]).
 
 use zmap_wire::ethernet::{EtherType, EthernetView};
-use zmap_wire::ipv4::{IpProtocol, Ipv4View, ZMAP_STATIC_IP_ID};
+use zmap_wire::ipv4::{masscan_ip_id, IpProtocol, Ipv4View, ZMAP_STATIC_IP_ID};
 use zmap_wire::tcp::TcpView;
 
 /// Tool classification of one probe packet.
@@ -25,12 +25,6 @@ pub enum Fingerprint {
     Masscan,
     /// No known tool signature.
     Unknown,
-}
-
-/// Masscan's IP ID rule (must match what Masscan-the-tool computes).
-pub fn masscan_ip_id(dst_ip: u32, dst_port: u16, seq: u32) -> u16 {
-    let x = dst_ip ^ u32::from(dst_port) ^ seq;
-    (x ^ (x >> 16)) as u16
 }
 
 /// Fields a telescope extracts from one captured probe.
@@ -104,17 +98,6 @@ mod tests {
             checked += 1;
         }
         assert_eq!(checked, 1000);
-    }
-
-    #[test]
-    fn masscan_rule_matches_netsim() {
-        // The attribution rule and the simulated tool must agree.
-        for (ip, port, seq) in [(1u32, 80u16, 7u32), (0xDEADBEEF, 443, 0xCAFE), (0, 0, 0)] {
-            assert_eq!(
-                masscan_ip_id(ip, port, seq),
-                zmap_netsim::population::masscan_ip_id(ip, port, seq)
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::checksum;
 use crate::WireError;
-use std::net::Ipv4Addr;
+use std::net::{IpAddr, Ipv4Addr};
 
 /// Minimum (and, for our probes, only) IPv4 header length: no options.
 pub const HEADER_LEN: usize = 20;
@@ -61,19 +61,35 @@ pub enum IpIdMode {
     /// Random per probe (ZMap default since early 2024).
     #[default]
     Random,
+    /// Masscan's rule, [`masscan_ip_id`]: the fingerprint telescopes
+    /// attribute Masscan by.
+    DestinationDerived,
 }
 
 impl IpIdMode {
-    /// Resolves the mode to a concrete ID, consuming `entropy` (callers
-    /// supply per-packet randomness; keeping RNG out of the wire layer
-    /// keeps packet building deterministic and testable).
-    pub fn resolve(&self, entropy: u16) -> u16 {
-        match self {
-            IpIdMode::Static => ZMAP_STATIC_IP_ID,
-            IpIdMode::Fixed(v) => *v,
-            IpIdMode::Random => entropy,
+    /// Resolves the mode to a concrete ID for the packet to `dst:dst_port`
+    /// with TCP sequence number `seq`, consuming `entropy` for
+    /// [`IpIdMode::Random`] (callers supply per-packet randomness;
+    /// keeping RNG out of the wire layer keeps packet building
+    /// deterministic and testable). IPv6 has no ID field to resolve: 0.
+    #[inline]
+    pub fn resolve(&self, entropy: u16, dst: impl Into<IpAddr>, dst_port: u16, seq: u32) -> u16 {
+        use IpIdMode::*;
+        match (self, dst.into()) {
+            (Static, _) => ZMAP_STATIC_IP_ID,
+            (Fixed(v), _) => *v,
+            (Random, _) => entropy,
+            (DestinationDerived, IpAddr::V4(v4)) => masscan_ip_id(v4.into(), dst_port, seq),
+            (DestinationDerived, IpAddr::V6(_)) => 0,
         }
     }
+}
+
+/// Masscan's destination-derived IP ID: `dst_ip ⊕ dst_port ⊕ tcp_seq`
+/// folded to 16 bits (netsim's Masscans stamp it, the telescope reads it).
+pub fn masscan_ip_id(dst_ip: u32, dst_port: u16, seq: u32) -> u16 {
+    let x = dst_ip ^ u32::from(dst_port) ^ seq;
+    (x ^ (x >> 16)) as u16
 }
 
 /// High-level description of an IPv4 header (no options).
@@ -315,9 +331,17 @@ mod tests {
 
     #[test]
     fn ip_id_modes() {
-        assert_eq!(IpIdMode::Static.resolve(7), 54321);
-        assert_eq!(IpIdMode::Fixed(42).resolve(7), 42);
-        assert_eq!(IpIdMode::Random.resolve(7), 7);
+        let dst = Ipv4Addr::new(1, 2, 3, 4);
+        assert_eq!(IpIdMode::Static.resolve(7, dst, 80, 9), 54321);
+        assert_eq!(IpIdMode::Fixed(42).resolve(7, dst, 80, 9), 42);
+        assert_eq!(IpIdMode::Random.resolve(7, dst, 80, 9), 7);
+        assert_eq!(
+            IpIdMode::DestinationDerived.resolve(7, dst, 80, 9),
+            masscan_ip_id(0x0102_0304, 80, 9)
+        );
+        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(2, 80, 3));
+        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(1, 81, 3));
+        assert_ne!(masscan_ip_id(1, 80, 3), masscan_ip_id(1, 80, 4));
         assert_eq!(IpIdMode::default(), IpIdMode::Random, "2024 default");
     }
 

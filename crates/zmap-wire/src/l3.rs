@@ -96,13 +96,13 @@ pub trait L3: Copy + Debug + Eq + 'static {
     /// Appends `b`'s IP header for `payload_len` L4 bytes to `dst`.
     /// IPv4's total length includes the header, so it fails with
     /// [`WireError::BadLength`] past 65515 payload bytes, and it alone has
-    /// an ID to resolve from `ip_id_entropy`; IPv6 cannot fail.
+    /// an ID field for `ip_id`; IPv6 cannot fail.
     fn emit_header(
         b: &ProbeBuilder<Self>,
         dst: Self::Addr,
         protocol: IpProtocol,
         payload_len: u16,
-        ip_id_entropy: u16,
+        ip_id: u16,
         buf: &mut Vec<u8>,
     ) -> Result<(), WireError>;
 
@@ -157,14 +157,14 @@ impl L3 for V4 {
         dst: Ipv4Addr,
         protocol: IpProtocol,
         payload_len: u16,
-        ip_id_entropy: u16,
+        ip_id: u16,
         buf: &mut Vec<u8>,
     ) -> Result<(), WireError> {
         Ipv4Repr {
             src: b.src_ip,
             dst,
             protocol,
-            id: b.ip_id.resolve(ip_id_entropy),
+            id: ip_id,
             ttl: b.ttl,
             payload_len,
         }
@@ -238,7 +238,7 @@ impl L3 for V6 {
         dst: Ipv6Addr,
         next_header: IpProtocol,
         payload_len: u16,
-        _ip_id_entropy: u16,
+        _ip_id: u16,
         buf: &mut Vec<u8>,
     ) -> Result<(), WireError> {
         Ipv6Repr {

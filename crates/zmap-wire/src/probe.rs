@@ -99,15 +99,16 @@ impl<L: L3> ProbeBuilder<L> {
         off < self.sport_count
     }
 
-    /// Starts a frame: Ethernet and IP headers announcing `l4_len` bytes
-    /// of `protocol`, plus the pseudo-header seed for that L4 checksum.
-    /// Fails only where the family's length field cannot hold `l4_len`.
+    /// Starts a frame: Ethernet and IP headers (IP ID `ip_id`, resolved)
+    /// announcing `l4_len` bytes of `protocol`, plus the pseudo-header
+    /// seed for that L4 checksum. Fails only where the family's length
+    /// field cannot hold `l4_len`.
     fn start_frame(
         &self,
         dst_ip: L::Addr,
         protocol: IpProtocol,
         l4_len: usize,
-        ip_id_entropy: u16,
+        ip_id: u16,
     ) -> Result<(Vec<u8>, u32), WireError> {
         let l4_len = u16::try_from(l4_len).map_err(|_| WireError::BadLength)?;
         let mut buf =
@@ -118,7 +119,7 @@ impl<L: L3> ProbeBuilder<L> {
             ethertype: L::ETHERTYPE,
         }
         .emit(&mut buf);
-        L::emit_header(self, dst_ip, protocol, l4_len, ip_id_entropy, &mut buf)?;
+        L::emit_header(self, dst_ip, protocol, l4_len, ip_id, &mut buf)?;
         Ok((buf, L::pseudo_header(self.src_ip, dst_ip, protocol, l4_len)))
     }
 
@@ -126,7 +127,7 @@ impl<L: L3> ProbeBuilder<L> {
     ///
     /// `ip_id_entropy` supplies the per-packet randomness for
     /// [`IpIdMode::Random`] (the engine passes RNG output; tests pass
-    /// constants).
+    /// constants); the other modes ignore it.
     pub fn tcp_syn(&self, dst_ip: L::Addr, dst_port: u16, ip_id_entropy: u16) -> Vec<u8> {
         let v = self.probe_values(dst_ip, dst_port);
         let tcp = TcpRepr {
@@ -138,8 +139,9 @@ impl<L: L3> ProbeBuilder<L> {
             window: 65535,
             options: self.layout.bytes(),
         };
+        let ip_id = self.ip_id.resolve(ip_id_entropy, dst_ip, dst_port, tcp.seq);
         let (mut buf, pseudo) = self
-            .start_frame(dst_ip, IpProtocol::Tcp, tcp.header_len(), ip_id_entropy)
+            .start_frame(dst_ip, IpProtocol::Tcp, tcp.header_len(), ip_id)
             .unwrap_or_else(|_| unreachable!("a TCP header (≤ 60 bytes) fits any IP length"));
         tcp.emit(pseudo, &[], &mut buf);
         buf
@@ -148,10 +150,12 @@ impl<L: L3> ProbeBuilder<L> {
     /// A complete Ethernet frame carrying an ICMP / ICMPv6 echo request
     /// probe.
     pub fn icmp_echo(&self, dst_ip: L::Addr, ip_id_entropy: u16) -> Vec<u8> {
-        let (id, seq) = self.probe_values(dst_ip, 0).icmp_id_seq();
+        let v = self.probe_values(dst_ip, 0);
+        let (id, seq) = v.icmp_id_seq();
         let msg_len = crate::icmp::HEADER_LEN + ECHO_PAYLOAD.len();
+        let ip_id = self.ip_id.resolve(ip_id_entropy, dst_ip, 0, v.tcp_seq());
         let (mut buf, pseudo) = self
-            .start_frame(dst_ip, L::ICMP, msg_len, ip_id_entropy)
+            .start_frame(dst_ip, L::ICMP, msg_len, ip_id)
             .unwrap_or_else(|_| unreachable!("a 16-byte echo fits any IP length field"));
         L::emit_echo_request(pseudo, id, seq, &ECHO_PAYLOAD, &mut buf);
         buf
@@ -172,8 +176,8 @@ impl<L: L3> ProbeBuilder<L> {
     ) -> Result<Vec<u8>, WireError> {
         let udp_len = crate::udp::HEADER_LEN + 8 + payload.len();
         let v = self.probe_values(dst_ip, dst_port);
-        let (mut buf, pseudo) =
-            self.start_frame(dst_ip, IpProtocol::Udp, udp_len, ip_id_entropy)?;
+        let ip_id = self.ip_id.resolve(ip_id_entropy, dst_ip, dst_port, v.tcp_seq());
+        let (mut buf, pseudo) = self.start_frame(dst_ip, IpProtocol::Udp, udp_len, ip_id)?;
         let mut body = Vec::with_capacity(8 + payload.len());
         body.extend_from_slice(&v.udp_tag());
         body.extend_from_slice(payload);
@@ -306,8 +310,8 @@ impl ProbeBuilder<V4> {
             options: &[],
         };
         let tcp_len = tcp.header_len() + payload.len();
-        let (mut buf, pseudo) =
-            self.start_frame(dst_ip, IpProtocol::Tcp, tcp_len, ip_id_entropy)?;
+        let ip_id = self.ip_id.resolve(ip_id_entropy, dst_ip, dst_port, tcp.seq);
+        let (mut buf, pseudo) = self.start_frame(dst_ip, IpProtocol::Tcp, tcp_len, ip_id)?;
         tcp.emit(pseudo, payload, &mut buf);
         Ok(buf)
     }

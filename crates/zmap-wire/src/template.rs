@@ -174,7 +174,7 @@ impl<L: L3> ProbeTemplate<L> {
         // new words add.
         let dst_sum = L::write_addr(dst_ip, &mut out[Self::DST]);
         if let Some((id_off, csum_off)) = L::ID_AND_CHECKSUM {
-            let id = self.ip_id.resolve(ip_id_entropy);
+            let id = self.ip_id.resolve(ip_id_entropy, dst_ip, mac_port, v.tcp_seq());
             wr(out, ETH_LEN + id_off, id);
             let acc = self.ip_csum_base + u32::from(id) + dst_sum;
             wr(out, ETH_LEN + csum_off, checksum::incr_finish(acc));
@@ -384,15 +384,22 @@ mod tests {
     );
 
     #[test]
-    fn static_and_fixed_ip_id_modes_render_correctly() {
-        for mode in [IpIdMode::Static, IpIdMode::Fixed(77), IpIdMode::Random] {
+    fn every_ip_id_mode_renders_correctly() {
+        let modes = [
+            IpIdMode::Static,
+            IpIdMode::Fixed(77),
+            IpIdMode::Random,
+            IpIdMode::DestinationDerived,
+        ];
+        for mode in modes {
             let mut b = builder::<V4>();
             b.ip_id = mode;
             let tpl = ProbeTemplate::tcp_syn(&b);
             let frame = tpl.render(Ipv4Addr::new(8, 8, 8, 8), 53, 1234);
             let eth = EthernetView::parse(&frame).unwrap();
             let ipv = Ipv4View::parse(eth.payload()).unwrap();
-            assert_eq!(ipv.id(), mode.resolve(1234), "{mode:?}");
+            let seq = crate::tcp::TcpView::parse(ipv.payload()).unwrap().seq();
+            assert_eq!(ipv.id(), mode.resolve(1234, ipv.dst(), 53, seq), "{mode:?}");
             assert!(ipv.verify_checksum(), "{mode:?}");
         }
     }

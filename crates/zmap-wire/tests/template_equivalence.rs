@@ -77,14 +77,19 @@ macro_rules! template_equals_build_probe {
                 port in any::<u16>(),
                 entropy in any::<u16>(),
                 layout_idx in 0usize..OptionLayout::ALL.len(),
-                ip_id_idx in 0usize..3,
+                ip_id_idx in 0usize..4,
                 fixed in any::<u16>(),
                 payload in prop::collection::vec(any::<u8>(), 0..64),
             ) {
                 assert_template_equals_builder::<$family>(&Case {
                     seed,
                     layout: OptionLayout::ALL[layout_idx],
-                    ip_id: [IpIdMode::Static, IpIdMode::Fixed(fixed), IpIdMode::Random][ip_id_idx],
+                    ip_id: [
+                        IpIdMode::Static,
+                        IpIdMode::Fixed(fixed),
+                        IpIdMode::Random,
+                        IpIdMode::DestinationDerived,
+                    ][ip_id_idx],
                     dst: u128::from(hi) << 64 | u128::from(lo),
                     port,
                     entropy,

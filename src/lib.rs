@@ -3,8 +3,10 @@
 //!
 //! Umbrella crate re-exporting the whole workspace: the scanner library
 //! ([`core`]), its substrates (target generation, wire formats,
-//! deduplication), the simulated-Internet evaluation environment
-//! ([`netsim`], [`telescope`]), and the Masscan baseline ([`masscan`]).
+//! deduplication), and the simulated-Internet evaluation environment
+//! ([`netsim`], [`telescope`]). The Masscan baseline is a configuration
+//! of the one engine: a Blackrock [`targets::Walk`], optionless SYNs and
+//! [`wire::IpIdMode::DestinationDerived`].
 //!
 //! Start with [`core::Scanner`] and the `examples/` directory
 //! (`cargo run --example quickstart`). DESIGN.md maps every paper
@@ -34,9 +36,6 @@ pub use zmap_telescope as telescope;
 /// The scanner engine and its four output streams.
 pub use zmap_core as core;
 
-/// Masscan-style baseline scanner (Blackrock randomization).
-pub use zmap_masscan as masscan;
-
 /// Most-used types, one import away.
 pub mod prelude {
     pub use zmap_core::{
@@ -54,6 +53,6 @@ pub mod prelude {
         FaultPlan, SendError, ServiceModel, V6Population, WorkerFault, WorkerFaultKind,
         WorkerFaultPlan, World, WorldConfig,
     };
-    pub use zmap_targets::{Constraint, ShardAlgorithm, Target, TargetGenerator};
+    pub use zmap_targets::{Constraint, ShardAlgorithm, Target, TargetGenerator, Walk};
     pub use zmap_wire::{IpIdMode, OptionLayout};
 }

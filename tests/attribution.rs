@@ -13,7 +13,9 @@
 //!
 //! A golden snapshot pins the full attribution report byte-for-byte
 //! (regenerate with `UPDATE_GOLDEN=1 cargo test --test attribution`),
-//! and a kill/resume run proves stealth scans stay checkpointable.
+//! and kill/resume runs prove stealth and Blackrock scans stay
+//! checkpointable. The telescope also classifies the engine's own frames
+//! under each IP-ID rule, Masscan's included.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -22,8 +24,10 @@ use std::path::PathBuf;
 use zmap::core::plan::ScanPlan;
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
-use zmap::telescope::fingerprint::{masscan_ip_id, Fingerprint, ProbeInfo};
+use zmap::telescope::fingerprint::{classify_frame, Fingerprint, ProbeInfo};
 use zmap::telescope::{report_json, Attribution, AttributionMethod, ScanDetector, SpaceHypothesis};
+use zmap::wire::ipv4::masscan_ip_id;
+use zmap::wire::OptionLayout;
 
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
 /// The scanned space: 10.20.0.0/16, port 80 → a 65536-candidate pool,
@@ -51,7 +55,7 @@ fn scan_config(rekey_blocks: u32) -> ScanConfig {
     cfg.seed = 7;
     cfg.rate_pps = 1_000_000;
     cfg.cooldown_secs = 2;
-    cfg.rekey_blocks = rekey_blocks;
+    cfg.walk = Walk::rekeyed(rekey_blocks);
     cfg
 }
 
@@ -196,8 +200,53 @@ fn adversarial_matrix_with_golden_report() {
     check_golden("attribution_report", &report);
 }
 
+/// The telescope classifies the frames the engine's template rendered,
+/// captured off the simulated wire: Masscan's configuration reads as
+/// Masscan, the static IP ID as ZMap, and a random ID as ZMap only where
+/// it happens to be 54 321.
+#[test]
+fn telescope_fingerprints_the_engines_probes() {
+    for ip_id in [
+        IpIdMode::DestinationDerived,
+        IpIdMode::Static,
+        IpIdMode::Random,
+    ] {
+        let mut cfg = ScanConfig::new(SRC);
+        cfg.allowlist_prefix(DARKNET.0, DARKNET.1);
+        cfg.apply_default_blocklist = false;
+        cfg.seed = 7;
+        cfg.rate_pps = 1_000_000;
+        cfg.cooldown_secs = 1;
+        cfg.ip_id = ip_id;
+        if ip_id == IpIdMode::DestinationDerived {
+            (cfg.walk, cfg.option_layout, cfg.max_retries) =
+                (Walk::Blackrock, OptionLayout::NoOptions, 0);
+        }
+        let (_, frames) = scan_and_capture(cfg);
+        assert_eq!(frames.len(), 4096, "{ip_id:?}");
+        let mut unknown = 0;
+        for frame in &frames {
+            let info = classify_frame(frame).expect("a TCP SYN probe");
+            assert!(info.is_tcp_syn);
+            let id = u16::from_be_bytes([frame[18], frame[19]]);
+            match ip_id {
+                IpIdMode::DestinationDerived => assert_eq!(info.fingerprint, Fingerprint::Masscan),
+                IpIdMode::Static => assert_eq!(info.fingerprint, Fingerprint::ZMap),
+                _ => assert_eq!(info.fingerprint == Fingerprint::ZMap, id == 54_321),
+            }
+            unknown += usize::from(info.fingerprint == Fingerprint::Unknown);
+        }
+        if ip_id == IpIdMode::Random {
+            assert!(
+                unknown > 4_090,
+                "random IDs carry no fingerprint: {unknown}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Stealth scans stay crash-tolerant.
+// Stealth and Blackrock scans stay crash-tolerant.
 // ---------------------------------------------------------------------------
 
 /// A `--stealth` scan killed mid-flight resumes from its journal and
@@ -206,6 +255,19 @@ fn adversarial_matrix_with_golden_report() {
 /// fingerprint gates drift).
 #[test]
 fn stealth_kill_then_resume_equals_uninterrupted() {
+    kill_then_resume_equals_uninterrupted(Walk::Rekeyed(4));
+}
+
+/// The same for Masscan's configuration, on both Blackrock walks (the
+/// legacy one probes some targets twice and never reaches others; the
+/// union still matches).
+#[test]
+fn blackrock_kill_then_resume_equals_uninterrupted() {
+    kill_then_resume_equals_uninterrupted(Walk::Blackrock);
+    kill_then_resume_equals_uninterrupted(Walk::LegacyBlackrock);
+}
+
+fn kill_then_resume_equals_uninterrupted(walk: Walk) {
     let small = || {
         let mut cfg = ScanConfig::new(SRC);
         cfg.allowlist_prefix(Ipv4Addr::new(66, 7, 0, 0), 24);
@@ -213,7 +275,12 @@ fn stealth_kill_then_resume_equals_uninterrupted() {
         cfg.seed = 11;
         cfg.rate_pps = 1_000;
         cfg.cooldown_secs = 2;
-        cfg.rekey_blocks = 4;
+        cfg.walk = walk;
+        if matches!(walk, Walk::Blackrock | Walk::LegacyBlackrock) {
+            cfg.option_layout = OptionLayout::NoOptions;
+            cfg.ip_id = IpIdMode::DestinationDerived;
+            cfg.max_retries = 0;
+        }
         cfg
     };
     let small_world = |kill_at: Option<u64>| {
@@ -240,7 +307,7 @@ fn stealth_kill_then_resume_equals_uninterrupted() {
     let dir = std::env::temp_dir().join("zmap-attribution-test");
     std::fs::create_dir_all(&dir).unwrap();
     for kill_at in [64u64, 250, 420] {
-        let path = dir.join(format!("stealth-{kill_at}.ckpt"));
+        let path = dir.join(format!("{walk:?}-{kill_at}.ckpt"));
         let _ = std::fs::remove_file(&path);
         let policy = CheckpointPolicy::new(&path).with_interval_ns(10_000_000);
 
@@ -275,7 +342,7 @@ fn stealth_kill_then_resume_equals_uninterrupted() {
         got.extend(discovered(&second));
         assert_eq!(
             got, want,
-            "stealth kill/resume union must equal uninterrupted (kill_at {kill_at})"
+            "{walk:?} kill/resume union must equal uninterrupted (kill_at {kill_at})"
         );
         assert!(CheckpointState::load(&path).unwrap().complete);
     }

@@ -7,8 +7,9 @@ use std::net::Ipv4Addr;
 use zmap::dedup::SlidingWindow;
 use zmap::netsim::loss::LossModel;
 use zmap::prelude::*;
-use zmap::masscan::Blackrock;
-use zmap::targets::{Constraint, Cycle, CyclicGroup, ShardAlgorithm, ShardIter, ShardSpec};
+use zmap::targets::{
+    Blackrock, Constraint, Cycle, CyclicGroup, ShardAlgorithm, ShardIter, ShardSpec, Walk,
+};
 use zmap::wire::checksum;
 use zmap::wire::cookie::ValidationKey;
 use zmap::wire::options;
@@ -294,13 +295,15 @@ fn grid_config(r: &[usize]) -> ScanConfig {
     cfg.rate_pps = pick(r[6], &[1_000_000, 7, 0]);
     let (none, bitmap, window) = (DedupMethod::None, DedupMethod::FullBitmap, DedupMethod::Window);
     cfg.dedup = pick(r[7], &[window(1_000), window(2), none, bitmap, window(0)]);
-    cfg.rekey_blocks = pick(r[8], &[0, 2, 1]);
+    let (cyclic, rekeyed) = (Walk::Cyclic, Walk::Rekeyed);
+    let walks = [cyclic, rekeyed(2), Walk::Blackrock, Walk::LegacyBlackrock, rekeyed(1)];
+    cfg.walk = pick(r[8], &walks);
     (cfg.cooldown_secs, cfg.max_retries) = pick(r[9], &[(1, 3), (1, 0), (0, 0), (0, 3)]);
     let every = |i: usize, n: usize| r[i] % n;
     cfg.ports = [vec![80], vec![80, 443]][every(10, 2)].clone();
     let probes = [ProbeKind::TcpSyn, ProbeKind::IcmpEcho, ProbeKind::Udp(b"u".to_vec())];
     cfg.probe = probes[every(11, 3)].clone();
-    cfg.ip_id = [IpIdMode::Random, IpIdMode::Static][every(12, 2)];
+    cfg.ip_id = [IpIdMode::Random, IpIdMode::Static, IpIdMode::DestinationDerived][every(12, 3)];
     cfg.max_targets = [0, 5][every(13, 2)];
     cfg.max_results = [0, 1][every(14, 2)];
     cfg.tx_pipeline = every(15, 3) == 0;
