@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Deterministic interleaving checker for the lock-free TX pipeline.
 //!
 //! The static lints in `zmap-analyze` check that every atomic site
@@ -267,9 +268,9 @@ impl ChoiceSource {
         // stay reproducible: reseed from (seed, execution index).
         self.rng = self.seed ^ splitmix64(&mut { self.execution });
         self.cursor = 0;
-        while let Some(&(chosen, options)) = self.stack.last() {
-            if chosen + 1 < options {
-                self.stack.last_mut().unwrap().0 += 1;
+        while let Some((chosen, options)) = self.stack.last_mut() {
+            if *chosen + 1 < *options {
+                *chosen += 1;
                 return true;
             }
             self.stack.pop();

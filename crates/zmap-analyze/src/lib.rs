@@ -2,15 +2,17 @@
 //! # zmap-analyze — workspace lint engine for hot-path invariants
 //!
 //! The paper's engineering claims (stateless scanning, a lock-free TX
-//! pipeline, line-rate sends) hold only while the engine keeps four
-//! disciplines that follow a declared protocol or the call graph: atomic
-//! orderings match their `[atomics]` comment, no lock is held across a
-//! send, nothing reachable from a hot-path root allocates, and nothing
-//! reachable from an engine entry point panics undocumented. No compiler
-//! lint expresses these; this crate machine-checks them. The rules rustc
-//! and clippy can hold (unwraps on the hot path, console output, the
-//! host clock, undocumented `unsafe`) are workspace lint configuration:
-//! `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
+//! pipeline, line-rate sends) hold only while the engine keeps two
+//! disciplines that follow a declared protocol: atomic orderings match
+//! their `[atomics]` comment, and no lock is held across a send. No
+//! compiler lint expresses these; this crate machine-checks them. The
+//! rules rustc and clippy can hold (no unwrap, expect or panic in any
+//! library crate, console output, the host clock, undocumented `unsafe`)
+//! are lint configuration: each library crate root's `#![deny(…)]`,
+//! `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`. The hot path's
+//! allocation budget is measured, not inferred: zmap-core's
+//! `tests/alloc_budget.rs` counts warm allocations on every hot-path
+//! root.
 //!
 //! The pipeline is: walk the workspace's `.rs` files ([`walk_workspace`])
 //! → lex each into a line-numbered token stream ([`lexer`]) → run the

@@ -1,8 +1,9 @@
-//! The lint pass: four project-specific checks over the lexed token
+//! The lint pass: two project-specific checks over the lexed token
 //! streams — the ones no compiler lint can express, because each follows
-//! a declared protocol or the workspace call graph. The rules rustc and
-//! clippy can hold live in the workspace's lint configuration instead;
-//! DESIGN.md §9 maps every invariant to what checks it.
+//! a declared protocol. The rules rustc and clippy can hold live in the
+//! workspace's lint configuration, and the allocation budget is measured
+//! by `zmap-core`'s `tests/alloc_budget.rs`; DESIGN.md §9 maps every
+//! invariant to what checks it.
 //!
 //! Every lint is one row of the [`LINTS`] registry: id, summary, and a
 //! workspace-level pass fn. `run_lints`, `report.rs`, and the docs all
@@ -10,7 +11,7 @@
 //! dispatch.
 
 use crate::lexer::LexedFile;
-use crate::parse::{self, CallSite, FnItem, ParsedFile};
+use crate::parse::{self, FnItem};
 use std::collections::BTreeMap;
 
 /// One lint violation, anchored to a workspace-relative `path:line`.
@@ -44,7 +45,7 @@ fn pass_atomics_ordering(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Find
 
 /// The lint registry, in the order findings are documented. Adding a
 /// lint means adding a row here — there is no second list to update.
-pub const LINTS: [Lint; 4] = [
+pub const LINTS: [Lint; 2] = [
     Lint {
         id: "atomics-ordering-discipline",
         summary: "every atomic op must match a declared [atomics] protocol",
@@ -54,16 +55,6 @@ pub const LINTS: [Lint; 4] = [
         id: "lock-discipline",
         summary: "no lock held across sends; consistent acquisition order",
         pass: lint_lock_discipline,
-    },
-    Lint {
-        id: "alloc-in-hot-path",
-        summary: "no call-graph-reachable allocation from TX/RX hot-path roots",
-        pass: lint_alloc_in_hot_path,
-    },
-    Lint {
-        id: "panic-reachability",
-        summary: "no undocumented panic reachable from an engine entry point",
-        pass: lint_panic_reachability,
     },
 ];
 
@@ -490,307 +481,6 @@ fn lint_lock_discipline(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Findi
                         order.entry(pair).or_insert((path.clone(), a.line));
                     }
                 }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Call graph (shared by lints 3 and 4)
-// ---------------------------------------------------------------------
-
-/// The workspace call graph: every fn in every file, with name-resolved
-/// edges. Resolution is by name (plus owner for `Qual::fn` calls) — an
-/// over-approximation by design: a false edge can only make the
-/// reachability lints *stricter*, never let a real path escape.
-struct Graph {
-    /// Parallel to `files` iteration order: (path, parsed).
-    files: Vec<(String, ParsedFile)>,
-    /// fn name -> every (file idx, fn idx) bearing it.
-    by_name: BTreeMap<String, Vec<(usize, usize)>>,
-}
-
-impl Graph {
-    fn build(files: &BTreeMap<String, LexedFile>) -> Graph {
-        let parsed: Vec<(String, ParsedFile)> = files
-            .iter()
-            .map(|(p, l)| (p.clone(), parse::parse(l)))
-            .collect();
-        let mut by_name: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
-        for (fi, (_, pf)) in parsed.iter().enumerate() {
-            for (ni, f) in pf.fns.iter().enumerate() {
-                by_name.entry(f.name.clone()).or_default().push((fi, ni));
-            }
-        }
-        Graph { files: parsed, by_name }
-    }
-
-    fn node(&self, id: (usize, usize)) -> &FnItem {
-        &self.files[id.0].1.fns[id.1]
-    }
-
-    fn path(&self, id: (usize, usize)) -> &str {
-        &self.files[id.0].0
-    }
-
-    /// Workspace fns a call site in `from` may land in.
-    fn resolve(&self, from: (usize, usize), call: &CallSite) -> Vec<(usize, usize)> {
-        let Some(cands) = self.by_name.get(&call.name) else { return Vec::new() };
-        cands
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let node = self.node(id);
-                match (&call.qualifier, call.is_method) {
-                    // `L::fn(…)` through a type parameter (a single
-                    // capital, by convention): static dispatch into
-                    // whichever impl the caller is instantiated with —
-                    // any trait-impl method of that name.
-                    (Some(q), _) if q.len() == 1 && q.as_bytes()[0].is_ascii_uppercase() => {
-                        node.trait_name.is_some()
-                    }
-                    // `Qual::fn(…)`: only impls of a matching owner (or
-                    // free fns, for path-qualified module calls).
-                    (Some(q), _) => {
-                        node.owner.as_deref() == Some(q.as_str()) || node.owner.is_none()
-                    }
-                    // `x.fn(…)`: any impl method of that name.
-                    (None, true) => node.owner.is_some(),
-                    // `fn(…)`: a free fn, or a helper nested in an impl
-                    // method of the caller's file (it carries that impl's
-                    // owner). A bare call never reaches another type's
-                    // method: cookie.rs's `finalize(v)` is not
-                    // `Constraint::finalize`.
-                    (None, false) => node.owner.is_none() || id.0 == from.0,
-                }
-            })
-            .collect()
-    }
-
-    /// Multi-source BFS from `roots`, skipping nodes where `excluded`.
-    /// Returns, per reached node, the chain of fn names from its root.
-    fn reach(
-        &self,
-        roots: &[(usize, usize)],
-        excluded: &dyn Fn(&Graph, (usize, usize)) -> bool,
-    ) -> BTreeMap<(usize, usize), Vec<String>> {
-        let mut chains: BTreeMap<(usize, usize), Vec<String>> = BTreeMap::new();
-        let mut queue: Vec<(usize, usize)> = Vec::new();
-        for &r in roots {
-            if excluded(self, r) || chains.contains_key(&r) {
-                continue;
-            }
-            chains.insert(r, vec![self.qualified_name(r)]);
-            queue.push(r);
-        }
-        let mut qi = 0usize;
-        while qi < queue.len() {
-            let cur = queue[qi];
-            qi += 1;
-            let chain = chains[&cur].clone();
-            for call in &self.node(cur).calls {
-                for next in self.resolve(cur, call) {
-                    if next == cur || chains.contains_key(&next) || excluded(self, next) {
-                        continue;
-                    }
-                    let mut c = chain.clone();
-                    c.push(self.qualified_name(next));
-                    chains.insert(next, c);
-                    queue.push(next);
-                }
-            }
-        }
-        chains
-    }
-
-    fn qualified_name(&self, id: (usize, usize)) -> String {
-        let f = self.node(id);
-        match &f.owner {
-            Some(o) => format!("{o}::{}", f.name),
-            None => f.name.clone(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 3: alloc-in-hot-path
-// ---------------------------------------------------------------------
-
-/// Hot-path roots: the per-target walks (v4, v6, and the scheduler both
-/// multi-walk streams draw through), the per-frame TX machinery, the
-/// engine's receive drain (receive ring → parse → dedup key → row) with
-/// the RX parse and key lookup as roots of their own, and the per-row
-/// data stream. A heap allocation reachable from any of these runs
-/// millions of times per scan.
-fn is_alloc_root(f: &FnItem) -> bool {
-    match f.owner.as_deref() {
-        Some("Engine") => f.name == "drain",
-        Some("Constraint") => matches!(f.name.as_str(), "lookup" | "is_allowed"),
-        Some("TargetIter" | "V6TargetIter" | "Schedule") => f.name == "next",
-        Some("V6DedupSpace") => f.name == "key_for",
-        Some("SpscRing") => matches!(f.name.as_str(), "push" | "try_push" | "pop" | "try_pop"),
-        Some("ProbeModule") => matches!(f.name.as_str(), "render_into" | "parse_response"),
-        Some("OutputModule") => f.name == "record",
-        // The engine's TX stages, shared by both drivers: one root each.
-        None => matches!(f.name.as_str(), "emit" | "flush"),
-        _ => f.name == "send_batch",
-    }
-}
-
-const ALLOC_QUALIFIERS: [&str; 8] =
-    ["Vec", "Box", "String", "VecDeque", "HashMap", "BTreeMap", "HashSet", "BTreeSet"];
-const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
-const ALLOC_METHODS: [&str; 5] = ["to_string", "to_owned", "to_vec", "into_bytes", "join"];
-const ALLOC_MACROS: [&str; 2] = ["vec", "format"];
-
-/// Crates whose allocations are not hot-path findings even when
-/// reachable: the simulated network "hardware" (zmap-netsim) allocates
-/// by design — it stands in for the kernel/NIC, not for engine code.
-/// The walk also stops at a `#[cold]` fn: a container's doubling step is
-/// amortised over the items that filled it, not paid per item, and the
-/// attribute says so to the compiler as well as to this lint (growth
-/// spelled `push`/`resize` already passes for the same reason).
-fn alloc_excluded(g: &Graph, id: (usize, usize)) -> bool {
-    let path = g.path(id);
-    let node = g.node(id);
-    node.in_test
-        || node.is_cold
-        || is_tests_path(path)
-        || is_examples_path(path)
-        || in_frontend_crate(path)
-        || crate_of(path) == Some("zmap-netsim")
-}
-
-fn lint_alloc_in_hot_path(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
-    let g = Graph::build(files);
-    let mut roots = Vec::new();
-    for (fi, (_, pf)) in g.files.iter().enumerate() {
-        for (ni, f) in pf.fns.iter().enumerate() {
-            if is_alloc_root(f) && !alloc_excluded(&g, (fi, ni)) {
-                roots.push((fi, ni));
-            }
-        }
-    }
-    let reached = g.reach(&roots, &alloc_excluded);
-    for (&id, chain) in &reached {
-        let f = g.node(id);
-        for call in &f.calls {
-            let is_alloc = match (&call.qualifier, call.is_method) {
-                // `Vec::new`, and the allocating conversions in path form
-                // (`serde_json::to_string(r)`, `ToString::to_string(&x)`).
-                (Some(q), _) => {
-                    (ALLOC_QUALIFIERS.contains(&q.as_str())
-                        && ALLOC_CTORS.contains(&call.name.as_str()))
-                        || ALLOC_METHODS.contains(&call.name.as_str())
-                }
-                (None, true) => ALLOC_METHODS.contains(&call.name.as_str()),
-                (None, false) => false,
-            };
-            if is_alloc {
-                out.push(Finding {
-                    lint: "alloc-in-hot-path",
-                    path: g.path(id).to_string(),
-                    line: call.line,
-                    message: format!(
-                        "`{}` allocates on a path reachable from hot-path root via \
-                         {}; preallocate outside the TX loop",
-                        call.name,
-                        chain.join(" → ")
-                    ),
-                });
-            }
-        }
-        for m in &f.macros {
-            if ALLOC_MACROS.contains(&m.name.as_str()) {
-                out.push(Finding {
-                    lint: "alloc-in-hot-path",
-                    path: g.path(id).to_string(),
-                    line: m.line,
-                    message: format!(
-                        "`{}!` allocates on a path reachable from hot-path root via \
-                         {}; preallocate outside the TX loop",
-                        m.name,
-                        chain.join(" → ")
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Lint 4: panic-reachability
-// ---------------------------------------------------------------------
-
-/// Engine entry points: the fns a scan actually enters through.
-const ENGINE_ENTRY_FNS: [&str; 4] = ["run", "run_with", "run_into", "run_parallel"];
-const ENGINE_CRATES: [&str; 1] = ["zmap-core"];
-
-/// Macros that abort; `assert!`/`debug_assert!`/`unreachable!` are
-/// deliberately not counted — they state invariants, and banning them
-/// would push people toward silent corruption instead.
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-fn panic_excluded(g: &Graph, id: (usize, usize)) -> bool {
-    let path = g.path(id);
-    g.node(id).in_test || is_tests_path(path) || is_examples_path(path) || in_frontend_crate(path)
-}
-
-/// Every `panic!`/`.unwrap()`/`.expect()` in a fn reachable from an
-/// engine entry point is a scan-aborting landmine. Clippy's
-/// `unwrap_used`/`expect_used` deny them per module in the hot-path
-/// files; this lint follows the call graph out of those files. The one
-/// escape is a `# Panics` doc section on the containing fn (the panic is
-/// a documented contract).
-fn lint_panic_reachability(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
-    let g = Graph::build(files);
-    let mut roots = Vec::new();
-    for (fi, (path, pf)) in g.files.iter().enumerate() {
-        if !crate_of(path).is_some_and(|c| ENGINE_CRATES.contains(&c)) {
-            continue;
-        }
-        for (ni, f) in pf.fns.iter().enumerate() {
-            if ENGINE_ENTRY_FNS.contains(&f.name.as_str()) && !panic_excluded(&g, (fi, ni)) {
-                roots.push((fi, ni));
-            }
-        }
-    }
-    let reached = g.reach(&roots, &panic_excluded);
-    for (&id, chain) in &reached {
-        let f = g.node(id);
-        let path = g.path(id);
-        if f.has_panics_doc {
-            continue;
-        }
-        for call in &f.calls {
-            if call.is_method && PANIC_METHODS.contains(&call.name.as_str()) {
-                out.push(Finding {
-                    lint: "panic-reachability",
-                    path: path.to_string(),
-                    line: call.line,
-                    message: format!(
-                        "`.{}()` can abort a live scan: reachable from engine entry \
-                         via {}; recover, propagate, or document a `# Panics` contract",
-                        call.name,
-                        chain.join(" → ")
-                    ),
-                });
-            }
-        }
-        for m in &f.macros {
-            if PANIC_MACROS.contains(&m.name.as_str()) {
-                out.push(Finding {
-                    lint: "panic-reachability",
-                    path: path.to_string(),
-                    line: m.line,
-                    message: format!(
-                        "`{}!` aborts a live scan: reachable from engine entry via \
-                         {}; recover, propagate, or document a `# Panics` contract",
-                        m.name,
-                        chain.join(" → ")
-                    ),
-                });
             }
         }
     }

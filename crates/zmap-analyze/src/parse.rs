@@ -1,14 +1,13 @@
-//! A lightweight item/signature parser on top of the lexer: resolves
-//! `fn` items (with body spans and impl owners), call sites, and macro
-//! invocations — enough structure to build an intra-workspace call graph
-//! without pulling in `syn`.
+//! A lightweight item parser on top of the lexer: `fn` items with their
+//! body spans and test membership, and the call sites inside each body —
+//! the structure the two protocol lints walk, without pulling in `syn`.
 //!
 //! Like the lexer, the parser is deliberately approximate where lints
-//! don't care: generics are skipped by angle-bracket matching, closure
-//! bodies belong to their enclosing `fn`, and call resolution is by
-//! name (documented per lint). It is exact about the things that make
-//! naive scanning wrong: body extents via brace matching, `impl X for Y`
-//! owner attribution, and innermost-function attribution of call sites.
+//! don't care: generics are skipped by angle-bracket matching and
+//! closure bodies belong to their enclosing `fn`. It is exact about the
+//! things that make naive scanning wrong: body extents via brace
+//! matching, `#[cfg(test)]` regions, and innermost-function attribution
+//! of call sites.
 
 use crate::lexer::LexedFile;
 
@@ -23,27 +22,13 @@ const NON_CALL_KEYWORDS: [&str; 12] = [
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token range `(open_brace, past_close_brace)` of the body; `None`
     /// for body-less trait method declarations.
     pub body: Option<(usize, usize)>,
-    /// Enclosing `impl` type name (`impl SpscRing<T>` → `SpscRing`).
-    pub owner: Option<String>,
-    /// Trait name for `impl Trait for Type` methods.
-    pub trait_name: Option<String>,
     /// Whether the item sits inside a `#[cfg(test)]` region / `#[test]`.
     pub in_test: bool,
-    /// Whether the doc comments directly above declare a `# Panics`
-    /// section (a documented panic contract).
-    pub has_panics_doc: bool,
-    /// Whether the fn carries `#[cold]`: declared, to the compiler too,
-    /// off the per-item path (amortised growth, error construction).
-    pub is_cold: bool,
     /// Calls made from this fn's body (innermost attribution).
     pub calls: Vec<CallSite>,
-    /// Macro invocations in this fn's body (`name!`).
-    pub macros: Vec<MacroSite>,
 }
 
 impl FnItem {
@@ -64,18 +49,9 @@ pub struct CallSite {
     pub idx: usize,
     /// True for `x.foo(…)` method-call syntax.
     pub is_method: bool,
-    /// The path qualifier for `Qual::foo(…)` (e.g. `Vec`), if any.
-    pub qualifier: Option<String>,
     /// Receiver ident for method calls (`x` in `x.foo(…)`; `self.y.foo`
     /// resolves to `y`, `a[b].foo` to `a`), when recoverable.
     pub receiver: Option<String>,
-}
-
-/// One macro invocation (`vec!`, `panic!`, `format!`, …).
-#[derive(Debug, Clone)]
-pub struct MacroSite {
-    pub name: String,
-    pub line: u32,
 }
 
 /// The parsed form of one source file.
@@ -175,30 +151,6 @@ fn attr_is_cfg_test(lexed: &LexedFile, start: usize, end: usize) -> bool {
     false
 }
 
-/// Token indices of the `fn` keywords that a `#[cold]` attribute applies
-/// to: the first `fn` after the attribute, before any body or `;`.
-fn cold_fns(lexed: &LexedFile) -> Vec<usize> {
-    let mut out = Vec::new();
-    for i in 0..lexed.tokens.len() {
-        let is_cold_attr = lexed.punct(i, '#')
-            && lexed.punct(i + 1, '[')
-            && lexed.ident(i + 2) == Some("cold")
-            && lexed.punct(i + 3, ']');
-        if !is_cold_attr {
-            continue;
-        }
-        let mut j = i + 4;
-        while j < lexed.tokens.len() && !lexed.punct(j, '{') && !lexed.punct(j, ';') {
-            if lexed.ident(j) == Some("fn") {
-                out.push(j);
-                break;
-            }
-            j += 1;
-        }
-    }
-    out
-}
-
 /// Token-index ranges covered by `#[cfg(test)]` items and `#[test]` fns.
 fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
@@ -207,7 +159,7 @@ fn test_regions(lexed: &LexedFile) -> Vec<(usize, usize)> {
         if lexed.punct(i, '#') && lexed.punct(i + 1, '[') {
             let attr_end = skip_bracket(lexed, i + 1);
             let is_test_attr = attr_is_cfg_test(lexed, i + 1, attr_end)
-                || (attr_end == i + 3 && lexed.ident(i + 2) == Some("test"));
+                || (attr_end == i + 4 && lexed.ident(i + 2) == Some("test"));
             let mut j = attr_end;
             while lexed.punct(j, '#') && lexed.punct(j + 1, '[') {
                 j = skip_bracket(lexed, j + 1);
@@ -242,77 +194,12 @@ fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
     regions.iter().any(|&(s, e)| idx >= s && idx < e)
 }
 
-/// The impl header's `(owner, trait_name)` given the token index just
-/// past `impl` and the index of the opening `{`. The name recorded for
-/// each side is the *last* path segment outside generics, so
-/// `impl std::fmt::Debug for Foo<T>` yields `(Foo, Debug)`.
-fn impl_owner(lexed: &LexedFile, mut i: usize, open: usize) -> (Option<String>, Option<String>) {
-    let mut before_for: Option<String> = None;
-    let mut after_for: Option<String> = None;
-    let mut seen_for = false;
-    while i < open {
-        if lexed.punct(i, '<') {
-            i = skip_angles(lexed, i).max(i + 1);
-            continue;
-        }
-        match lexed.ident(i) {
-            Some("for") => seen_for = true,
-            Some("where") => break,
-            Some("dyn") | Some("mut") | Some("impl") => {}
-            Some(id) => {
-                let slot = if seen_for { &mut after_for } else { &mut before_for };
-                *slot = Some(id.to_string());
-            }
-            None => {}
-        }
-        i += 1;
-    }
-    match (before_for, after_for, seen_for) {
-        (trait_, Some(owner), true) => (Some(owner), trait_),
-        (Some(owner), None, false) => (Some(owner), None),
-        _ => (None, None),
-    }
-}
-
-/// Parses `lexed` into fn items, trait methods, and call sites.
+/// Parses `lexed` into fn items and their call sites.
 pub fn parse(lexed: &LexedFile) -> ParsedFile {
     let tests = test_regions(lexed);
     let mut out = ParsedFile::default();
 
-    // Pass 1: impl block extents, so fns get owners.
-    // impl_spans: (body_start, body_end, owner, trait_name)
-    let mut impl_spans: Vec<(usize, usize, Option<String>, Option<String>)> = Vec::new();
-    let mut i = 0usize;
-    while i < lexed.tokens.len() {
-        if lexed.ident(i) != Some("impl") {
-            i += 1;
-            continue;
-        }
-        let mut k = i + 1;
-        while k < lexed.tokens.len() && !lexed.punct(k, '{') && !lexed.punct(k, ';') {
-            if lexed.punct(k, '<') {
-                let nk = skip_angles(lexed, k);
-                k = nk.max(k + 1);
-            } else {
-                k += 1;
-            }
-        }
-        if lexed.punct(k, '{') {
-            let end = skip_brace(lexed, k);
-            let (owner, trait_name) = impl_owner(lexed, i + 1, k);
-            impl_spans.push((k + 1, end - 1, owner, trait_name));
-        }
-        i = k + 1;
-    }
-
-    // Pass 2: fn items. Lines holding a `fn` keyword, so a `# Panics`
-    // doc block can be tied to the *next* fn only (no leaking past an
-    // intervening declaration).
-    let fn_lines: Vec<u32> = (0..lexed.tokens.len())
-        .filter(|&k| lexed.ident(k) == Some("fn"))
-        .map(|k| lexed.line(k))
-        .collect();
-    let cold = cold_fns(lexed);
+    // Pass 1: fn items.
     let mut i = 0usize;
     while i < lexed.tokens.len() {
         if lexed.ident(i) != Some("fn") {
@@ -341,28 +228,11 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
             }
             k += 1;
         }
-        let enclosing = impl_spans
-            .iter()
-            .filter(|(s, e, _, _)| i >= *s && i < *e)
-            .max_by_key(|(s, _, _, _)| *s);
-        let line = lexed.line(i + 1);
-        let has_panics_doc = lexed.comments.iter().any(|c| {
-            c.text.contains("# Panics")
-                && c.line < line
-                && c.line + 20 >= line
-                && !fn_lines.iter().any(|&l| l > c.line && l < line)
-        });
         out.fns.push(FnItem {
             name: name.to_string(),
-            line: lexed.line(i),
             body: body.map(|(open, end)| (open + 1, end.saturating_sub(1))),
-            owner: enclosing.and_then(|(_, _, o, _)| o.clone()),
-            trait_name: enclosing.and_then(|(_, _, _, t)| t.clone()),
             in_test: in_regions(&tests, i),
-            has_panics_doc,
-            is_cold: cold.contains(&i),
             calls: Vec::new(),
-            macros: Vec::new(),
         });
         i = match body {
             // Step inside the body so nested fns are found too.
@@ -371,23 +241,12 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
         };
     }
 
-    // Pass 3: call sites and macro invocations, attributed to the
-    // innermost containing fn.
+    // Pass 2: call sites, attributed to the innermost containing fn.
+    // A macro invocation (`name!(…)`) is no call: its `!` stands between
+    // the name and the `(`.
     for idx in 0..lexed.tokens.len() {
         let Some(name) = lexed.ident(idx) else { continue };
         if NON_CALL_KEYWORDS.contains(&name) {
-            continue;
-        }
-        // Macro invocation: `name ! ( | [ | {`.
-        if lexed.punct(idx + 1, '!')
-            && (lexed.punct(idx + 2, '(') || lexed.punct(idx + 2, '[') || lexed.punct(idx + 2, '{'))
-        {
-            if let Some(f) = out.fn_at(idx) {
-                out.fns[f].macros.push(MacroSite {
-                    name: name.to_string(),
-                    line: lexed.line(idx),
-                });
-            }
             continue;
         }
         // Call: `name (` — but not a declaration (`fn name(`) and not a
@@ -401,18 +260,12 @@ pub fn parse(lexed: &LexedFile) -> ParsedFile {
         }
         let Some(f) = out.fn_at(idx) else { continue };
         let is_method = idx > 0 && lexed.punct(idx - 1, '.');
-        let qualifier = if idx >= 3 && lexed.punct(idx - 1, ':') && lexed.punct(idx - 2, ':') {
-            lexed.ident(idx - 3).map(str::to_string)
-        } else {
-            None
-        };
         let receiver = if is_method { receiver_of(lexed, idx - 1) } else { None };
         out.fns[f].calls.push(CallSite {
             name: name.to_string(),
             line: lexed.line(idx),
             idx,
             is_method,
-            qualifier,
             receiver,
         });
     }
@@ -494,17 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn impl_owner_attribution() {
-        let src = "impl<T: Clone> SpscRing<T> {\n fn try_push(&self) { self.check(); }\n}\n\
-                   impl Transport for SimNet {\n fn send_batch(&self) {}\n}\n";
-        let p = parse_src(src);
-        assert_eq!(p.fns[0].owner.as_deref(), Some("SpscRing"));
-        assert_eq!(p.fns[0].trait_name, None);
-        assert_eq!(p.fns[1].owner.as_deref(), Some("SimNet"));
-        assert_eq!(p.fns[1].trait_name.as_deref(), Some("Transport"));
-    }
-
-    #[test]
     fn trait_declarations_and_default_bodies() {
         let src = "trait T {\n fn send(&self) -> Result<(), E>;\n fn helper(&self) { self.send(); }\n}";
         let p = parse_src(src);
@@ -532,27 +374,9 @@ mod tests {
     }
 
     #[test]
-    fn qualified_calls_carry_their_qualifier() {
-        let src = "fn f() { Vec::with_capacity(8); std::mem::take(x); plain(); }";
-        let p = parse_src(src);
-        let calls = &p.fns[0].calls;
-        assert_eq!(
-            calls.iter().find(|c| c.name == "with_capacity").unwrap().qualifier.as_deref(),
-            Some("Vec")
-        );
-        assert_eq!(
-            calls.iter().find(|c| c.name == "take").unwrap().qualifier.as_deref(),
-            Some("mem")
-        );
-        assert_eq!(calls.iter().find(|c| c.name == "plain").unwrap().qualifier, None);
-    }
-
-    #[test]
-    fn macros_are_separated_from_calls() {
+    fn macros_are_not_calls() {
         let src = "fn f() { vec![1]; panic!(\"x\"); format!(\"y\"); real(); }";
         let p = parse_src(src);
-        let macros: Vec<_> = p.fns[0].macros.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(macros, vec!["vec", "panic", "format"]);
         assert_eq!(p.fns[0].calls.len(), 1);
         assert_eq!(p.fns[0].calls[0].name, "real");
     }
@@ -568,25 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn test_region_membership_and_panics_doc() {
-        let src = "/// Checks a thing.\n/// # Panics\n/// Panics when x is 0.\nfn checked(x: u32) { assert!(x > 0); }\n\
-                   #[cfg(test)]\nmod tests {\n fn t() {}\n}\n";
+    fn test_region_membership() {
+        let src = "fn checked(x: u32) { assert!(x > 0); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() {}\n}\n#[test]\nfn u() {}\n";
         let p = parse_src(src);
-        let checked = p.fns.iter().find(|f| f.name == "checked").unwrap();
-        assert!(checked.has_panics_doc);
-        assert!(!checked.in_test);
-        let t = p.fns.iter().find(|f| f.name == "t").unwrap();
-        assert!(t.in_test);
-        assert!(!t.has_panics_doc);
-    }
-
-    #[test]
-    fn cold_attribute_marks_the_next_fn_only() {
-        let src = "struct T;\nimpl T {\n #[cold]\n #[inline(never)]\n pub(crate) fn grow(&mut self) {}\n \
-                   fn insert(&mut self) {}\n}\n#[cold]\nstatic X: u8 = 0;\nfn free() {}\n";
-        let p = parse_src(src);
-        let cold: Vec<&str> = p.fns.iter().filter(|f| f.is_cold).map(|f| f.name.as_str()).collect();
-        assert_eq!(cold, vec!["grow"]);
+        let in_test: Vec<(&str, bool)> = p.fns.iter().map(|f| (f.name.as_str(), f.in_test)).collect();
+        assert_eq!(in_test, vec![("checked", false), ("t", true), ("u", true)]);
     }
 
     #[test]

@@ -10,18 +10,9 @@ use zmap_analyze::lexer::lex;
 use zmap_analyze::lints::{run_lints, LINTS};
 
 /// A corpus that trips every lint: the per-file pass (atomics) and the
-/// workspace passes (a send under a lock, allocation and panic
-/// reachability through the call graph), plus a clean file that must
-/// stay silent.
+/// workspace pass (a send under a lock), plus a clean file that must stay
+/// silent.
 const CORPUS: &[(&str, &str)] = &[
-    (
-        "crates/zmap-core/src/scanner.rs",
-        "impl Engine {\n    fn drain(&mut self) {\n        let v = self.buf.to_vec();\n    }\n}\n",
-    ),
-    (
-        "crates/zmap-core/src/engine.rs",
-        "impl Engine {\n    pub fn run(&self) {\n        self.go()\n    }\n    fn go(&self) {\n        y.unwrap();\n    }\n}\n",
-    ),
     (
         "crates/zmap-core/src/seq.rs",
         "use std::sync::atomic::{AtomicU64, Ordering};\nfn f(c: &AtomicU64) -> u64 {\n    c.load(Ordering::SeqCst)\n}\n",
@@ -63,7 +54,7 @@ proptest! {
 
     #[test]
     fn insertion_order_and_line_endings_never_change_findings(
-        keys in prop::collection::vec(0u64..1_000_000, 5..6),
+        keys in prop::collection::vec(0u64..1_000_000, 3..4),
         crlf in any::<bool>(),
     ) {
         let canonical = findings(&(0..CORPUS.len()).collect::<Vec<_>>(), false);

@@ -49,8 +49,6 @@ fn check_exits_one_on_each_fixture_tree() {
     for (case, lint) in [
         ("atomics_discipline", "atomics-ordering-discipline"),
         ("lock_discipline", "lock-discipline"),
-        ("alloc_hot", "alloc-in-hot-path"),
-        ("panic_reach", "panic-reachability"),
     ] {
         let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(case);
         let out = run_check(&["check", "--root", bad.to_str().unwrap()]);

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! The ZMap scanner as a Rust library.
 //!
 //! *Ten Years of ZMap* (§5) closes with "If we were to implement ZMap

@@ -260,6 +260,11 @@ impl ConfigEcho {
 
 impl ScanMetadata {
     /// Serializes to the canonical single-line JSON form.
+    ///
+    /// # Panics
+    /// Never in practice: every field is a number, string, map or list,
+    /// which the serializer cannot refuse.
+    #[expect(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("metadata is always serializable")
     }

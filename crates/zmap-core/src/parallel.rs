@@ -1,4 +1,3 @@
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The threaded driver: the engine shape real ZMap uses (Adrian et al.
 //! 2014) — N send paths, each owning one subshard of the cyclic group,
 //! plus one receive thread — over a transport shared by reference and

@@ -1,4 +1,3 @@
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The scan engine: target walk → paced probes → validated, deduplicated,
 //! classified results — every stage written once, in this file.
 //!

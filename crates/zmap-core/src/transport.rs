@@ -1,4 +1,3 @@
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! The engine/wire boundary.
 //!
 //! [`Transport`] is everything the scanner needs from "a NIC": a clock,

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Response deduplication (paper §4.1, "Response Deduplication").
 //!
 //! Hosts frequently send repeated responses — some aggressively re-answer

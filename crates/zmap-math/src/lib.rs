@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Number-theoretic primitives backing ZMap's pseudorandom address generation.
 //!
 //! ZMap iterates over the multiplicative group (ℤ/pℤ)^× of a prime p slightly

@@ -53,6 +53,11 @@ pub fn is_primitive_root(g: u64, p: u64, order_fact: &Factorization) -> bool {
 
 /// The smallest primitive root of (ℤ/pℤ)^× — the fixed "known generator" γ
 /// that the 2013 algorithm maps exponents through.
+///
+/// # Panics
+/// Panics if `p` is not prime, or `order_fact` is not the factorization
+/// of `p − 1`: every prime has a primitive root below it.
+#[expect(clippy::expect_used)]
 pub fn smallest_primitive_root(p: u64, order_fact: &Factorization) -> u64 {
     (2..p)
         .find(|&g| is_primitive_root(g, p, order_fact))

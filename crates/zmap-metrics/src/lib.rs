@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Deterministic observability primitives — the substrate behind the
 //! engines' metrics registry (`zmap_core::metrics`).
 //!

@@ -318,6 +318,11 @@ impl FaultPlan {
     }
 
     /// Serializes for the metadata echo.
+    ///
+    /// # Panics
+    /// Never in practice: every field is a number, list or option, which
+    /// the serializer cannot refuse.
+    #[expect(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("fault plan is always serializable")
     }
@@ -445,6 +450,11 @@ impl WorkerFaultPlan {
     }
 
     /// Serializes for the metadata echo.
+    ///
+    /// # Panics
+    /// Never in practice: every field is a number or list, which the
+    /// serializer cannot refuse.
+    #[expect(clippy::expect_used)]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("worker fault plan is always serializable")
     }

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! A deterministic, procedurally generated model of the IPv4 Internet for
 //! evaluating Internet-wide scanners.
 //!
@@ -29,7 +30,6 @@ pub mod blowback;
 pub mod faults;
 pub mod geo;
 pub mod loss;
-pub mod pcap;
 pub mod population;
 pub mod profile;
 mod queue;

@@ -253,6 +253,11 @@ impl PopulationModel {
 impl ScannerInstance {
     /// Synthesizes the `i`-th probe frame this instance lands on a
     /// telescope address, with the tool's on-the-wire fingerprint.
+    ///
+    /// # Panics
+    /// Panics if the probe overflows the IPv4 length field — unreachable
+    /// for the header-only SYNs built here; `emit` checks it.
+    #[expect(clippy::expect_used)]
     pub fn probe_frame(&self, dark_dst: Ipv4Addr, i: u64) -> Vec<u8> {
         let dst = u32::from(dark_dst);
         let h = hash3(self.seed, dst, i);

@@ -70,6 +70,7 @@ impl Pages {
     ///
     /// # Panics
     /// Panics past 2^32 pages (16 TiB of queued frames).
+    #[expect(clippy::expect_used)]
     fn take(&mut self) -> u32 {
         if let Some(p) = self.free.pop() {
             self.pages[p as usize].clear();
@@ -89,6 +90,7 @@ impl Pages {
     /// # Panics
     /// Panics on a frame of 4 GiB or more, whose length the header cannot
     /// hold.
+    #[expect(clippy::expect_used)]
     fn append(
         &mut self,
         tail: Option<u32>,
@@ -258,6 +260,7 @@ impl DeliveryQueue {
     ///
     /// # Panics
     /// Panics on an endpoint index or a frame length past 32 bits.
+    #[expect(clippy::expect_used)]
     pub(crate) fn push(&mut self, at: u64, endpoint: usize, frame: &[u8]) {
         let endpoint = u32::try_from(endpoint).expect("fewer than 2^32 endpoints");
         self.seq += 1;

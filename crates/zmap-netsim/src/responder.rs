@@ -204,6 +204,7 @@ fn respond_tcp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the bounded echo replies built here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn respond_icmp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out: &mut Reply) {
     let Ok(icmp) = IcmpView::parse(ip.payload()) else {
         return;
@@ -237,6 +238,7 @@ fn respond_icmp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, ou
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the bounded datagrams built here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn respond_udp(h: &HostDraws<'_>, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, out: &mut Reply) {
     let Ok(udp) = UdpView::parse(ip.payload()) else {
         return;
@@ -300,6 +302,7 @@ fn reply_eth(eth: &EthernetView<'_>, ip: &Ipv4View<'_>, frame: &mut Vec<u8>) {
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the header-only segments built here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn build_synack(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
@@ -343,6 +346,7 @@ fn build_synack(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the header-only segments built here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn build_middlebox_synack(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
@@ -382,6 +386,7 @@ fn build_middlebox_synack(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the short banners served here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn build_banner(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
@@ -424,6 +429,7 @@ fn build_banner(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the header-only segments built here; `emit` checks it.
+#[expect(clippy::expect_used)]
 fn build_rst(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,
@@ -462,6 +468,7 @@ fn build_rst(
 /// # Panics
 /// Panics if the reply overflows the IPv4 length field — unreachable
 /// for the 28-byte quote bound here; `emit` checks it.
+#[expect(clippy::expect_used)]
 pub(crate) fn build_unreach(
     eth: &EthernetView<'_>,
     ip: &Ipv4View<'_>,

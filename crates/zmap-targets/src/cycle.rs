@@ -32,6 +32,7 @@ impl Cycle {
     /// Panics if the generator search exhausts `u32::MAX` attempts —
     /// mathematically unreachable (φ(p−1)/(p−1) of residues generate the
     /// group, so the expected attempt count is single-digit).
+    #[expect(clippy::expect_used)]
     pub fn new(group: CyclicGroup, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let p = group.prime();

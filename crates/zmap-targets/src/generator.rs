@@ -165,6 +165,7 @@ impl TargetGenerator {
     /// # Panics
     /// Panics if the indices exceed the configured counts (a programming
     /// error — counts are fixed at build time).
+    #[expect(clippy::expect_used)]
     pub fn iter_shard(&self, shard: u32, subshard: u32) -> TargetIter<'_> {
         let spec = ShardSpec {
             shard,

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Target generation for Internet-wide scanning, as described in §4.1–§4.2
 //! of *Ten Years of ZMap* (IMC 2024).
 //!

@@ -127,6 +127,7 @@ pub fn parse_target_file_contents(contents: &str) -> Result<Vec<Cidr>, ParseErro
 /// constant, so only a broken edit can trip it. Silently skipping a
 /// malformed entry would weaken the blocklist, which is safety-relevant;
 /// failing loudly at startup is the correct trade.
+#[expect(clippy::expect_used)]
 pub fn default_blocklist() -> Vec<Cidr> {
     const PREFIXES: [&str; 15] = [
         "0.0.0.0/8",          // "this" network

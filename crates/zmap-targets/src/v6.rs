@@ -631,6 +631,7 @@ impl V6TargetSpace {
     ///
     /// # Panics
     /// Panics when the indices are out of range (programming error).
+    #[expect(clippy::expect_used)]
     pub fn iter_shard(
         &self,
         shard: u32,

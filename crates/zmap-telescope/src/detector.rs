@@ -394,6 +394,37 @@ mod tests {
     }
 
     #[test]
+    fn non_tcp_frames_are_counted_and_never_tagged() {
+        use crate::cryptanalysis::SpaceHypothesis;
+        use std::net::Ipv4Addr;
+        use zmap_wire::ProbeBuilder;
+        let dark = |i: u32| Ipv4Addr::from(u32::from(Ipv4Addr::new(198, 18, 0, 0)) + i);
+        // One source sweeps 20 dark addresses with ICMP echo and UDP —
+        // twice the scan threshold — and another with TCP SYNs.
+        let icmp_udp = ProbeBuilder::new(Ipv4Addr::new(203, 0, 113, 1), 5);
+        let syn = ProbeBuilder::new(Ipv4Addr::new(203, 0, 113, 2), 5);
+        let mut d = ScanDetector::with_sequence_capture(64);
+        for i in 0..20u32 {
+            d.ingest_frame(&icmp_udp.icmp_echo(dark(i), 0));
+            d.ingest_frame(&icmp_udp.udp(dark(i), 53, b"q", 0).unwrap());
+            d.ingest_frame(&syn.tcp_syn(dark(i), 80, 0));
+        }
+        assert_eq!(d.non_tcp_frames(), 40, "every ICMP and UDP frame is counted");
+        let scans = d.scans();
+        assert_eq!(scans.len(), 1, "only the TCP sweep is a scan: {scans:?}");
+        assert_eq!(scans[0].src_ip, u32::from(Ipv4Addr::new(203, 0, 113, 2)));
+        assert_eq!(scans[0].packets, 20);
+        assert!(
+            !d.flows.keys().any(|&(src, _)| src == u32::from(Ipv4Addr::new(203, 0, 113, 1))),
+            "a non-TCP frame opens no flow"
+        );
+        let hyp = SpaceHypothesis::new(Ipv4Addr::new(198, 18, 0, 0), 4096, &[80]);
+        let attrs = d.attributions(&hyp);
+        assert_eq!(attrs.len(), 1, "and is attributed to no tool: {attrs:?}");
+        assert_eq!(attrs[0].src_ip, scans[0].src_ip);
+    }
+
+    #[test]
     fn records_carry_volume() {
         let mut d = ScanDetector::new();
         for i in 0..50u32 {

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Network-telescope analysis: re-deriving the paper's adoption figures
 //! from packets.
 //!

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! Wire-format packet construction and parsing for Internet-wide scanning.
 //!
 //! This crate is the packet layer of the ZMap reproduction: everything

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 //! # zmap-rs — *Ten Years of ZMap*, reproduced in Rust
 //!
 //! Umbrella crate re-exporting the whole workspace: the scanner library
