@@ -283,19 +283,19 @@ const TX_SINK_CALLS: [&str; 3] = ["send", "send_batch", "flush"];
 /// Files whose lock acquisition order is checked for global consistency
 /// (the three subsystems a TX thread can hold locks from).
 const LOCK_ORDER_FILES: [&str; 3] = [
-    "crates/zmap-core/src/parallel.rs",
+    "crates/zmap-core/src/transport.rs",
     "crates/zmap-core/src/log.rs",
     "crates/zmap-core/src/metrics.rs",
 ];
 
 /// One lock acquisition inside a fn body.
 struct LockSite {
-    /// Lock identity: receiver of `.lock()` or first-arg of `lock_world`.
+    /// Lock identity: the receiver of `.lock()`.
     name: String,
     /// Guard binding (`let g = …`), when the statement is a let.
     binding: Option<String>,
     line: u32,
-    /// Token index of the `lock`/`lock_world` ident.
+    /// Token index of the `lock` ident.
     idx: usize,
     /// Token index past which the guard is certainly dead.
     live_end: usize,
@@ -362,29 +362,10 @@ fn lock_sites(lexed: &LexedFile, f: &FnItem) -> Vec<LockSite> {
     let Some((_, body_end)) = f.body else { return Vec::new() };
     let mut sites = Vec::new();
     for call in &f.calls {
-        let (name, idx) = match call.name.as_str() {
-            "lock" if call.is_method => {
-                (call.receiver.clone().unwrap_or_else(|| "<lock>".into()), call.idx)
-            }
-            "lock_world" => {
-                // Identity is the last ident of the first argument:
-                // `lock_world(&self.world, &recoveries)` → `world`.
-                let args_end = skip_paren_group(lexed, call.idx + 1);
-                let mut ident = None;
-                for t in call.idx + 2..args_end {
-                    if lexed.punct(t, ',') {
-                        break;
-                    }
-                    if let Some(id) = lexed.ident(t) {
-                        if id != "self" {
-                            ident = Some(id.to_string());
-                        }
-                    }
-                }
-                (ident.unwrap_or_else(|| "world".into()), call.idx)
-            }
-            _ => continue,
-        };
+        if call.name != "lock" || !call.is_method {
+            continue;
+        }
+        let (name, idx) = (call.receiver.clone().unwrap_or_else(|| "<lock>".into()), call.idx);
         let binding = let_binding_of(lexed, idx);
         let live_end = if binding.is_some() {
             enclosing_block_end(lexed, idx, body_end)
@@ -401,7 +382,7 @@ fn lock_sites(lexed: &LexedFile, f: &FnItem) -> Vec<LockSite> {
 /// `world` is the guard: the lock IS the transport's serialization
 /// point, which is calling through the lock, not holding an unrelated
 /// one across it). An explicit `drop(guard)` before the send also ends
-/// the hazard. (b) Across `parallel.rs`/`log.rs`/`metrics.rs`, any two
+/// the hazard. (b) Across `transport.rs`/`log.rs`/`metrics.rs`, any two
 /// locks acquired in one fn must be acquired in a globally consistent
 /// order, or two threads taking them in opposite orders deadlock.
 fn lint_lock_discipline(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Finding>) {
@@ -437,9 +418,7 @@ fn lint_lock_discipline(files: &BTreeMap<String, LexedFile>, out: &mut Vec<Findi
                     }
                     let recv = call.receiver.as_deref();
                     let through_guard = recv.is_some()
-                        && (recv == site.binding.as_deref()
-                            || recv == Some("lock_world")
-                            || recv == Some("lock"));
+                        && (recv == site.binding.as_deref() || recv == Some("lock"));
                     if through_guard {
                         continue;
                     }

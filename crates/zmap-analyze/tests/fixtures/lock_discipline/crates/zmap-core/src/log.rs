@@ -1,5 +1,5 @@
 //! Fixture: acquires the same two locks in the opposite order from
-//! parallel.rs — the classic ABBA deadlock shape.
+//! transport.rs — the classic ABBA deadlock shape.
 
 pub fn reversed(tx: &Tx) {
     let _stats = tx.stats.lock().unwrap_or_else(|p| p.into_inner());

@@ -52,8 +52,8 @@ fn lock_discipline_flags_sends_under_guard_and_abba_order() {
     assert_eq!(
         spans(&f, "lock-discipline"),
         vec![
-            ("crates/zmap-core/src/parallel.rs".to_string(), 7),
-            ("crates/zmap-core/src/parallel.rs".to_string(), 24),
+            ("crates/zmap-core/src/transport.rs".to_string(), 7),
+            ("crates/zmap-core/src/transport.rs".to_string(), 24),
         ],
         "L7: send_batch while the world guard lives; L24: log→stats order \
          reversed by log.rs. drop-before-send and sending through the \

@@ -4,15 +4,13 @@ use crate::args::CliOptions;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 use zmap_core::checkpoint::{CheckpointPolicy, CheckpointState};
 use zmap_core::log::{Level, Logger};
 use zmap_core::output::OutputModule;
 use zmap_core::monitor::StatusUpdate;
-use zmap_core::parallel::SharedSimTransport;
 use zmap_core::transport::SimNet;
 use zmap_core::{PreparedScan, RunOptions, ScanSummary};
-use zmap_netsim::{FaultPlan, ServiceModel, V6Population, World, WorldConfig};
+use zmap_netsim::{FaultPlan, ServiceModel, V6Population, WorldConfig};
 
 /// Exit code for a scan killed mid-flight (crash injection or a stall the
 /// watchdog tripped). The journal at `--checkpoint` is resumable.
@@ -124,11 +122,10 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
     };
     let mut out = open_output()?;
     let run_opts = RunOptions { checkpoint, ..RunOptions::default() };
+    let transport = SimNet::new(world).transport(opts.config.source_ip);
     // --tx-pipeline selects the threaded driver: generator threads render
     // into per-pair frame rings, transport threads drain them.
     let summary = if opts.config.tx_pipeline {
-        let world = Arc::new(Mutex::new(World::new(world)));
-        let transport = SharedSimTransport::new(world, opts.config.source_ip);
         let mut summary = scan.run(&transport, run_opts);
         // Receive order depends on thread interleaving; the output
         // contract does not. Canonical order makes pipelined output
@@ -144,8 +141,7 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
     } else {
         // Rows reach the data stream in arrival order while the scan
         // runs; none are held.
-        let transport = SimNet::new(world).transport(opts.config.source_ip);
-        scan.on(transport).run_into(run_opts, &mut out)
+        scan.on(&transport).run_into(run_opts, &mut out)
     };
     // A killed scan keeps every row it received before it died.
     out.finish()?;
@@ -220,9 +216,6 @@ fn status_line(s: &StatusUpdate, json: bool) -> String {
     }
     if c.responses_corrupted > 0 {
         line.push_str(&format!(", {} corrupt", c.responses_corrupted));
-    }
-    if c.lock_poison_recoveries > 0 {
-        line.push_str(&format!(", {} lock-recovered", c.lock_poison_recoveries));
     }
     if c.checkpoints_written > 0 {
         line.push_str(&format!(", {} ckpt", c.checkpoints_written));
@@ -299,7 +292,6 @@ mod tests {
             "send_retries",
             "sendto_failures",
             "responses_corrupted",
-            "lock_poison_recoveries",
             "checkpoints_written",
             "resume_count",
             "watchdog_stalls",

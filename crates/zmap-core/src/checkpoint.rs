@@ -16,7 +16,7 @@
 //! corrupted journal can never half-parse into a plausible state:
 //!
 //! ```text
-//! zmapckpt 1
+//! zmapckpt 2
 //! config_digest <u64>
 //! seed <u64>
 //! group_prime <u64>
@@ -52,10 +52,13 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use zmap_wire::cookie::siphash24;
 
-/// Journal format version. Bump on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// Journal format version. Bump on any incompatible layout change
+/// (format 2 dropped the counter of world-lock poison recoveries).
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Fixed SipHash key for the journal checksum ("zmapckpt" / version).
+/// Fixed SipHash key for the journal checksum ("zmapckpt" / 1). It is
+/// the same for every format version, so an older journal is refused by
+/// its version line rather than by its checksum.
 const CRC_K0: u64 = 0x7A6D_6170_636B_7074;
 const CRC_K1: u64 = 0x0000_0000_0000_0001;
 
@@ -469,9 +472,30 @@ mod tests {
 
     #[test]
     fn journal_bytes_are_pinned() {
-        // A literal, not a round trip: format 1 is pinned byte for byte
+        // A literal, not a round trip: format 2 is pinned byte for byte
         // (counter names, their order, the checksum), so a journal from
         // any other build of this format loads here and vice versa.
+        let journal = "zmapckpt 2\nconfig_digest 16045690981293355021\nseed 7\n\
+            group_prime 4294967311\ngenerator 3\noffset 41\nshard 1\nnum_shards 4\n\
+            num_subshards 3\nvirtual_time_ns 2500000000\ndedup_high_water 17\n\
+            complete 0\npositions 3 10 20 30\ncounter targets_total 60\n\
+            counter sent 60\ncounter responses_validated 0\n\
+            counter responses_discarded 0\ncounter duplicates_suppressed 0\n\
+            counter unique_successes 42\ncounter unique_failures 0\n\
+            counter send_retries 0\ncounter sendto_failures 0\n\
+            counter responses_corrupted 0\n\
+            counter checkpoints_written 2\ncounter resume_count 0\n\
+            counter watchdog_stalls 0\ncounter shutdown_clean 0\n\
+            counter jobs_admitted 0\ncounter worker_restarts 0\n\
+            counter jobs_degraded 0\ncounter migrations 0\ncrc 56fb5bc270b7981b\n";
+        assert_eq!(String::from_utf8(sample().to_bytes()).unwrap(), journal);
+        assert_eq!(CheckpointState::from_bytes(journal.as_bytes()).unwrap(), sample());
+    }
+
+    /// Format 1's pinned bytes, checksum intact (one counter line more),
+    /// refused by their version line.
+    #[test]
+    fn format_1_journals_are_refused_by_version() {
         let journal = "zmapckpt 1\nconfig_digest 16045690981293355021\nseed 7\n\
             group_prime 4294967311\ngenerator 3\noffset 41\nshard 1\nnum_shards 4\n\
             num_subshards 3\nvirtual_time_ns 2500000000\ndedup_high_water 17\n\
@@ -485,8 +509,10 @@ mod tests {
             counter watchdog_stalls 0\ncounter shutdown_clean 0\n\
             counter jobs_admitted 0\ncounter worker_restarts 0\n\
             counter jobs_degraded 0\ncounter migrations 0\ncrc 27ec510dbc74c2ca\n";
-        assert_eq!(String::from_utf8(sample().to_bytes()).unwrap(), journal);
-        assert_eq!(CheckpointState::from_bytes(journal.as_bytes()).unwrap(), sample());
+        assert!(matches!(
+            CheckpointState::from_bytes(journal.as_bytes()),
+            Err(JournalError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]
@@ -523,7 +549,7 @@ mod tests {
         let bytes = sample().to_bytes();
         // Re-sign a future-version body: must still be refused.
         let text = String::from_utf8(bytes).unwrap();
-        let body = text.replace("zmapckpt 1\n", "zmapckpt 99\n");
+        let body = text.replace("zmapckpt 2\n", "zmapckpt 99\n");
         let body = &body[..body.rfind("crc ").unwrap()];
         let crc = siphash24(CRC_K0, CRC_K1, body.as_bytes());
         let doc = format!("{body}crc {crc:016x}\n");

@@ -24,10 +24,10 @@
 //! driver ([`Scanner`], which owns its transport and runs the stages on
 //! the calling thread); [`parallel`] holds the threaded driver
 //! ([`PreparedScan::run`]: a generator/transport thread pair per lane
-//! over a transport shared as `&T: Transport`) and the shared simulated
-//! transport. The default [`transport::SimTransport`] drives the
-//! zmap-netsim simulated Internet deterministically, which is how every
-//! experiment in this repository runs.
+//! over a transport shared as `&T: Transport`). Both drivers run on
+//! [`transport::SimTransport`], which drives the zmap-netsim simulated
+//! Internet deterministically, which is how every experiment in this
+//! repository runs.
 //!
 //! # Quickstart
 //!

@@ -197,9 +197,6 @@ counter_table! {
     sendto_failures => SendtoFailures,
     /// Responses rejected by checksum validation (bit errors in flight).
     responses_corrupted => ResponsesCorrupted,
-    /// Poisoned world-lock acquisitions recovered instead of cascading
-    /// the panic (shared transports only; 0 over an owned one).
-    lock_poison_recoveries => LockPoisonRecoveries,
     /// Checkpoint journals written (periodic plus final).
     checkpoints_written => CheckpointsWritten,
     /// Times this scan has been resumed from a checkpoint journal
@@ -324,7 +321,6 @@ mod tests {
                 send_retries: 4,
                 sendto_failures: 1,
                 responses_corrupted: 2,
-                lock_poison_recoveries: 1,
                 checkpoints_written: 3,
                 resume_count: 1,
                 watchdog_stalls: 0,
@@ -363,7 +359,6 @@ mod tests {
         assert_eq!(v["counters"]["send_retries"], 4);
         assert_eq!(v["counters"]["sendto_failures"], 1);
         assert_eq!(v["counters"]["responses_corrupted"], 2);
-        assert_eq!(v["counters"]["lock_poison_recoveries"], 1);
         assert_eq!(v["counters"]["checkpoints_written"], 3);
         assert_eq!(v["counters"]["resume_count"], 1);
         assert_eq!(v["counters"]["watchdog_stalls"], 0);

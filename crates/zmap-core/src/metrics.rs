@@ -127,14 +127,6 @@ impl ScanMetrics {
             .store(0, id as usize, v.saturating_sub(self.baseline.get(id)));
     }
 
-    /// Overwrites a counter's lane in `shard` with the attempt-local
-    /// value `v` (receive loop mirroring the transport's cumulative
-    /// poison-recovery count).
-    #[inline]
-    pub fn store_at(&self, shard: usize, id: CounterId, v: u64) {
-        self.bank.store(shard, id as usize, v);
-    }
-
     /// Current total of one counter (baseline + all shards).
     #[inline]
     pub fn get(&self, id: CounterId) -> u64 {

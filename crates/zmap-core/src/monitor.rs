@@ -209,9 +209,9 @@ mod tests {
              \"responses_validated\":3,\"responses_discarded\":4,\
              \"duplicates_suppressed\":5,\"unique_successes\":6,\"unique_failures\":7,\
              \"send_retries\":8,\"sendto_failures\":9,\"responses_corrupted\":10,\
-             \"lock_poison_recoveries\":11,\"checkpoints_written\":12,\"resume_count\":13,\
-             \"watchdog_stalls\":14,\"shutdown_clean\":15,\"jobs_admitted\":16,\
-             \"worker_restarts\":17,\"jobs_degraded\":18,\"migrations\":19,\
+             \"checkpoints_written\":11,\"resume_count\":12,\"watchdog_stalls\":13,\
+             \"shutdown_clean\":14,\"jobs_admitted\":15,\"worker_restarts\":16,\
+             \"jobs_degraded\":17,\"migrations\":18,\
              \"percent_complete\":25.0}"
         );
     }

@@ -9,21 +9,13 @@
 //! The stages live in `scanner.rs`; this file is who runs them where.
 //!
 //! A transport is shareable the way `&TcpStream: Write` says it in std:
-//! `T: Sync` and `&T: Transport`, each thread driving its own copy of the
-//! reference.
+//! `T: Sync` and `&T: Transport` (the simulator's `&SimTransport`), each
+//! thread driving its own copy of the reference.
 //!
-//! Two invariants from the inline driver are preserved under real
-//! concurrency, and both are machine-checked by zmap-analyze:
-//!
-//! * **No wall clock.** Each lane stamps its frames with its own slots
-//!   of the interleaved schedule and advances a monotone [`AtomicU64`]
-//!   clock to them, so probe ordering, delivery times, and the summary
-//!   are functions of the seed — never of host scheduling.
-//! * **No poison cascade.** The shared [`World`] sits behind a mutex; a
-//!   panicking worker must not take the whole scan down with it. Every
-//!   acquisition goes through [`lock_world`], which recovers poisoned
-//!   locks (the world's data is a simulation, always structurally
-//!   valid) and counts the recovery into the monitor stream.
+//! **No wall clock.** Each lane stamps its frames with its own slots of
+//! the interleaved schedule and advances the transport's monotone clock
+//! to them, so probe ordering, delivery times, and the summary are
+//! functions of the seed — never of host scheduling.
 
 use crate::config::ScanConfig;
 use crate::log::Logger;
@@ -31,105 +23,12 @@ use crate::metrics::{CounterId, ScanMetrics};
 use crate::ratecontrol::RateController;
 use crate::ring::SpscRing;
 use crate::scanner::{emit, flush, Engine, Exit, PreparedScan, RunOptions, ScanSummary};
-use crate::transport::{FrameBatch, RxBatch, Transport};
-use std::net::Ipv4Addr;
+use crate::transport::{FrameBatch, SimTransport, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use zmap_netsim::{EndpointId, SendError, World};
 use zmap_targets::generator::BuildError;
 
-/// Acquires the world lock, recovering from poisoning instead of
-/// propagating the panic: a worker that died mid-`send` leaves the
-/// simulation in a consistent state (every [`World`] mutation is
-/// internally complete before control returns), so the right response
-/// is to keep scanning and surface the event as a counter — one faulted
-/// thread must not cascade into a lost scan.
-pub fn lock_world<'a>(
-    world: &'a Mutex<World>,
-    recoveries: &AtomicU64,
-) -> MutexGuard<'a, World> {
-    match world.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        }
-    }
-}
-
-/// The simulated Internet behind a lock, with a shared virtual clock;
-/// the [`Transport`] is `&SharedSimTransport`.
-pub struct SharedSimTransport {
-    world: Arc<Mutex<World>>,
-    ep: EndpointId,
-    // [atomics] clock: monotone virtual time — AcqRel fetch_max to
-    // publish each thread's latest send time, Acquire load so a reader
-    // sees every event at or before the observed instant.
-    clock: AtomicU64,
-    // [atomics] recoveries: Relaxed counter of poisoned-lock recoveries;
-    // diagnostic only, ordered by the world mutex it annotates.
-    recoveries: AtomicU64,
-}
-
-impl SharedSimTransport {
-    /// Wraps a world (typically freshly built) and attaches at `ip`.
-    pub fn new(world: Arc<Mutex<World>>, ip: Ipv4Addr) -> Self {
-        let recoveries = AtomicU64::new(0);
-        let ep = lock_world(&world, &recoveries).attach(ip);
-        SharedSimTransport {
-            world,
-            ep,
-            clock: AtomicU64::new(0),
-            recoveries,
-        }
-    }
-}
-
-impl Transport for &SharedSimTransport {
-    fn now(&self) -> u64 {
-        self.clock.load(Ordering::Acquire)
-    }
-
-    /// Monotone: callers may race, the clock only moves forward.
-    fn advance_to(&mut self, t: u64) {
-        self.clock.fetch_max(t, Ordering::AcqRel);
-    }
-
-    /// One lock acquisition for the whole batch — the simulator's
-    /// analogue of collapsing per-packet syscalls into one `sendmmsg`.
-    /// Each frame is stamped with its own slot time, not the shared
-    /// clock's, so the stamp is a pure function of (seed, lane).
-    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
-        let mut world = lock_world(&self.world, &self.recoveries);
-        let mut accepted = 0usize;
-        for i in from_idx..batch.len() {
-            let (at, frame) = batch.frame(i);
-            self.clock.fetch_max(at, Ordering::AcqRel);
-            match world.send(self.ep, frame, at) {
-                Ok(()) => accepted += 1,
-                Err(e) => return (accepted, Some(e)),
-            }
-        }
-        (accepted, None)
-    }
-
-    fn recv_into(&mut self, rx: &mut RxBatch) {
-        let now = self.now();
-        lock_world(&self.world, &self.recoveries).recv_into(self.ep, now, rx);
-    }
-
-    fn next_rx_at(&self) -> Option<u64> {
-        lock_world(&self.world, &self.recoveries).next_event_at()
-    }
-
-    fn poison_recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
-    }
-
-    fn killed(&self) -> bool {
-        lock_world(&self.world, &self.recoveries).kill_fired()
-    }
-}
+/// The former name of [`SimTransport`].
+pub type SharedSimTransport = SimTransport;
 
 /// Batches in flight per generator/transport pair, per ring direction.
 /// The pre-filled recycle pool is the *only* source of TX buffers, so
@@ -256,7 +155,6 @@ impl PreparedScan {
                         ready.close();
                         return;
                     };
-                    let mut dead = false;
                     loop {
                         // Cycle boundary: the only place a generator stops
                         // — for shutdown, a dead process, or an exhausted
@@ -282,23 +180,18 @@ impl PreparedScan {
                         // take a drained buffer back. Either ring closing
                         // means the transport thread died (kill); stop
                         // rendering — resume re-walks from its positions.
-                        let refill = match ready.push(batch) {
-                            Ok(()) => recycle.pop(),
-                            Err(_) => None,
-                        };
-                        match refill {
+                        match ready.push(batch).ok().and_then(|()| recycle.pop()) {
                             Some(b) => batch = b,
                             None => {
-                                dead = true;
-                                batch = FrameBatch::new(cfg.batch);
-                                break;
+                                ready.close();
+                                return;
                             }
                         }
                     }
                     // The final partial batch still ships: every consumed
                     // target's frame reaches the transport thread (or dies
                     // with it) before this generator reports done.
-                    if !dead && !batch.is_empty() {
+                    if !batch.is_empty() {
                         let _ = ready.push(batch);
                     }
                     ready.close();
@@ -368,27 +261,28 @@ mod tests {
     use crate::checkpoint::{CheckpointPolicy, CheckpointState};
     use crate::log::Level;
     use crate::shutdown::ShutdownToken;
+    use crate::transport::{RxBatch, SimNet};
     use std::collections::HashSet;
-    use std::net::IpAddr;
+    use std::net::{IpAddr, Ipv4Addr};
     use zmap_netsim::loss::LossModel;
-    use zmap_netsim::{FaultPlan, ServiceModel, WorldConfig};
+    use zmap_netsim::{FaultPlan, SendError, ServiceModel, WorldConfig};
 
     const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
 
     /// A lossless world where every host answers on port 80 (and RSTs
     /// everywhere else): the ground truth of a scan is its prefix.
-    fn shared_world(faults: FaultPlan) -> Arc<Mutex<World>> {
-        Arc::new(Mutex::new(World::new(WorldConfig {
+    fn dense_net(faults: FaultPlan) -> SimNet {
+        SimNet::new(WorldConfig {
             seed: 5,
             model: ServiceModel::dense(&[80]),
             loss: LossModel::NONE,
             faults,
             ..WorldConfig::default()
-        })))
+        })
     }
 
-    fn dense_world(faults: FaultPlan) -> SharedSimTransport {
-        SharedSimTransport::new(shared_world(faults), SRC)
+    fn dense_world(faults: FaultPlan) -> SimTransport {
+        dense_net(faults).transport(SRC)
     }
 
     /// A scan of `44.<net>.0.0/<len>` over `lanes` subshards.
@@ -414,7 +308,7 @@ mod tests {
     /// cooldown watchdog exists to break. `u64::MAX` never wedges; 0 is a
     /// clock frozen from the start.
     struct Wedging {
-        inner: SharedSimTransport,
+        inner: SimTransport,
         healthy: u64,
         batches: AtomicU64,
         polls: AtomicU64,
@@ -430,7 +324,7 @@ mod tests {
 
     impl Transport for &Wedging {
         fn now(&self) -> u64 {
-            (&self.inner).now()
+            self.inner.now()
         }
         fn advance_to(&mut self, t: u64) {
             if !self.wedged.load(Ordering::SeqCst) {
@@ -464,11 +358,11 @@ mod tests {
         fn next_rx_at(&self) -> Option<u64> {
             match self.wedged.load(Ordering::SeqCst) {
                 true => Some(self.now() + 1),
-                false => (&self.inner).next_rx_at(),
+                false => self.inner.next_rx_at(),
             }
         }
         fn killed(&self) -> bool {
-            (&self.inner).killed()
+            self.inner.killed()
         }
     }
 
@@ -653,7 +547,6 @@ mod tests {
                     (row.shutdown_clean, false, row.watchdog_stalls),
                     "{at}"
                 );
-                assert_eq!(s.metadata.counters.lock_poison_recoveries, 0, "{at}");
                 let sent_so_far: Vec<_> = s.status.iter().map(|u| u.counters.sent).collect();
                 assert!(!sent_so_far.is_empty(), "{at}: status stream present");
                 assert!(sent_so_far.windows(2).all(|w| w[0] <= w[1]), "{at}");
@@ -738,31 +631,74 @@ mod tests {
         assert_eq!(a.duration_ns, b.duration_ns);
     }
 
+    /// A thread that panicked while holding the world lock leaves it
+    /// poisoned and the world whole: the next scan takes the lock.
     #[test]
-    fn poisoned_world_lock_recovers_instead_of_cascading() {
-        let world = shared_world(FaultPlan::none());
-        let transport = SharedSimTransport::new(Arc::clone(&world), SRC);
-        // Poison the mutex by panicking (silently) while holding it.
+    fn a_poisoned_world_lock_is_taken() {
+        let net = dense_net(FaultPlan::none());
+        let transport = net.transport(SRC);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let w = Arc::clone(&world);
-        let result = std::thread::spawn(move || {
-            let _guard = w.lock().unwrap();
-            panic!("poisoning the world lock");
-        })
-        .join();
+        let poisoning = std::panic::AssertUnwindSafe(|| {
+            net.with_world(|_| panic!("poisoning the world lock"))
+        });
+        let result = std::panic::catch_unwind(poisoning);
         std::panic::set_hook(prev);
-        assert!(result.is_err() && world.is_poisoned(), "the poisoning thread must panic");
-
-        // The transport keeps working: attach/send/recv all recover.
+        assert!(result.is_err(), "the poisoning closure must panic");
         let s = run_parallel(&prefix_cfg(3, 26, 2, 100_000), &transport).unwrap();
-        assert_eq!(s.sent, 64, "a poisoned lock must not lose coverage");
-        assert_eq!(s.unique_successes, 64);
-        let recoveries = s.metadata.counters.lock_poison_recoveries;
-        assert!(recoveries > 0, "recoveries must be counted, got {recoveries}");
-        // The recovery surfaces in the status stream.
-        let last = s.status.last().expect("at least the t=0 sample");
-        assert!(last.counters.lock_poison_recoveries > 0);
+        assert_eq!((s.sent, s.unique_successes), (64, 64), "a poisoned lock loses no coverage");
+    }
+
+    /// A dense world whose receive path panics on its `fault_at`-th poll.
+    struct PanicsOnRecv {
+        inner: SimTransport,
+        fault_at: u64,
+        polls: AtomicU64,
+    }
+
+    impl Transport for &PanicsOnRecv {
+        fn now(&self) -> u64 {
+            self.inner.now()
+        }
+        fn advance_to(&mut self, t: u64) {
+            (&self.inner).advance_to(t);
+        }
+        fn send_batch(&mut self, batch: &FrameBatch, from: usize) -> (usize, Option<SendError>) {
+            (&self.inner).send_batch(batch, from)
+        }
+        fn recv_into(&mut self, rx: &mut RxBatch) {
+            if self.polls.fetch_add(1, Ordering::SeqCst) == self.fault_at {
+                panic!("receive path fault");
+            }
+            (&self.inner).recv_into(rx);
+        }
+        fn next_rx_at(&self) -> Option<u64> {
+            self.inner.next_rx_at()
+        }
+        fn killed(&self) -> bool {
+            self.inner.killed()
+        }
+    }
+
+    /// A panic on the receive loop's thread reaches the caller once the
+    /// lanes have finished; it neither hangs them nor is swallowed.
+    #[test]
+    fn a_receive_path_panic_reaches_the_caller() {
+        for fault_at in [0, 40] {
+            let transport = PanicsOnRecv {
+                inner: dense_world(FaultPlan::none()),
+                fault_at,
+                polls: AtomicU64::new(0),
+            };
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let scan = std::panic::AssertUnwindSafe(|| {
+                run_parallel(&prefix_cfg(11, 18, 2, 1_000_000), &transport)
+            });
+            let result = std::panic::catch_unwind(scan);
+            std::panic::set_hook(prev);
+            assert!(result.is_err(), "poll {fault_at}: the panic must reach the caller");
+        }
     }
 
     #[test]

@@ -756,9 +756,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Drains the received frames through the receive path, each read in
-    /// place from the reused receive ring, and mirrors the transport's
-    /// poison-recovery count into the receive shard; returns how many
-    /// frames there were.
+    /// place from the reused receive ring; returns how many frames there
+    /// were.
     fn drain<T: Transport>(&mut self, transport: &mut T) -> u64 {
         let mut rx = std::mem::take(&mut self.rx);
         rx.clear();
@@ -768,8 +767,6 @@ impl<'a> Engine<'a> {
         }
         let frames = rx.len() as u64;
         self.rx = rx;
-        let recoveries = transport.poison_recoveries();
-        self.metrics.store_at(self.rx_shard, CounterId::LockPoisonRecoveries, recoveries);
         frames
     }
 

@@ -9,14 +9,12 @@
 //! ([`SendError::WouldBlock`], the simulator's EAGAIN), and the engine is
 //! responsible for retrying with backoff.
 //!
-//! * [`SimTransport`] — couples a scanner to a shared
-//!   [`zmap_netsim::World`]; time is virtual and owned by the scanner.
-//! * `&SharedSimTransport` (`parallel.rs`) — the same world behind a lock
-//!   and a shared clock, for several threads to drive at once.
+//! [`SimTransport`] couples both drivers to a [`SimNet`], the simulated
+//! Internet ([`zmap_netsim::World`]) behind one lock, on a virtual clock.
 
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use zmap_netsim::{EndpointId, SendError, World, WorldConfig};
 
 /// A reusable pool of rendered frames awaiting one batched send — the
@@ -190,12 +188,6 @@ pub trait Transport {
         None
     }
 
-    /// Poisoned-lock acquisitions this transport has recovered (only a
-    /// transport that shares its state behind a lock has any).
-    fn poison_recoveries(&self) -> u64 {
-        0
-    }
-
     /// True once the scanning process has been declared dead by a fault
     /// schedule. Engines poll this on the receive path so a kill can land
     /// mid-cooldown, where no sends occur. Real transports never die this
@@ -205,84 +197,125 @@ pub trait Transport {
     }
 }
 
-/// A shared simulated Internet that multiple scanner transports attach to.
+/// A simulated Internet that scanner transports attach to.
 ///
 /// Cloning the handle is cheap; all clones refer to one world.
 #[derive(Clone)]
 pub struct SimNet {
-    world: Rc<RefCell<World>>,
+    world: Arc<Mutex<World>>,
 }
 
 impl SimNet {
     /// Builds a world from config.
     pub fn new(cfg: WorldConfig) -> Self {
         SimNet {
-            world: Rc::new(RefCell::new(World::new(cfg))),
+            world: Arc::new(Mutex::new(World::new(cfg))),
         }
     }
 
     /// Attaches a scanner endpoint at `ip` and returns its transport.
     pub fn transport(&self, ip: Ipv4Addr) -> SimTransport {
-        let ep = self.world.borrow_mut().attach(ip);
-        SimTransport {
-            world: self.world.clone(),
-            ep,
-            now: 0,
-        }
+        SimTransport::new(Arc::clone(&self.world), ip)
     }
 
     /// Access the underlying world (stats, darknet captures).
     pub fn with_world<R>(&self, f: impl FnOnce(&mut World) -> R) -> R {
-        f(&mut self.world.borrow_mut())
+        f(&mut self.world.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
-/// Transport backed by a [`SimNet`].
+/// One endpoint on a [`SimNet`], the transport of both drivers:
+/// `&SimTransport` is the [`Transport`] (any number of threads drive it
+/// through copies of the reference), and the owned one forwards to it.
+///
+/// A poisoned world lock is simply taken: the world is whole after any
+/// panic, and a scan whose own thread panicked returns no summary anyway.
 pub struct SimTransport {
-    world: Rc<RefCell<World>>,
+    world: Arc<Mutex<World>>,
     ep: EndpointId,
-    now: u64,
+    // [atomics] clock: monotone virtual time — AcqRel fetch_max, once per
+    // batch (the latest slot attempted) and per advance_to; Acquire load so
+    // a reader sees every event at or before the observed instant.
+    clock: AtomicU64,
+}
+
+impl SimTransport {
+    /// Attaches a new endpoint at `ip` to `world`, its clock at 0.
+    pub fn new(world: Arc<Mutex<World>>, ip: Ipv4Addr) -> Self {
+        let ep = world.lock().unwrap_or_else(PoisonError::into_inner).attach(ip);
+        SimTransport { world, ep, clock: AtomicU64::new(0) }
+    }
+}
+
+impl Transport for &SimTransport {
+    fn now(&self) -> u64 {
+        self.clock.load(Ordering::Acquire)
+    }
+
+    /// Monotone: callers may race, the clock only moves forward.
+    fn advance_to(&mut self, t: u64) {
+        self.clock.fetch_max(t, Ordering::AcqRel);
+    }
+
+    /// One lock acquisition for the whole batch — the simulator's
+    /// analogue of collapsing per-packet syscalls into one `sendmmsg`.
+    /// Each frame goes out at its own slot time, never the shared
+    /// clock's, so the stamp is a pure function of (seed, lane); the
+    /// clock then moves to the latest slot attempted.
+    fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
+        let mut world = self.world.lock().unwrap_or_else(PoisonError::into_inner);
+        let (mut accepted, mut refused, mut latest) = (0usize, None, 0u64);
+        for i in from_idx..batch.len() {
+            let (at, frame) = batch.frame(i);
+            latest = latest.max(at);
+            if let Err(e) = world.send(self.ep, frame, at) {
+                refused = Some(e);
+                break;
+            }
+            accepted += 1;
+        }
+        drop(world);
+        self.advance_to(latest);
+        (accepted, refused)
+    }
+
+    fn recv_into(&mut self, rx: &mut RxBatch) {
+        let now = self.now();
+        self.world.lock().unwrap_or_else(PoisonError::into_inner).recv_into(self.ep, now, rx);
+    }
+
+    fn next_rx_at(&self) -> Option<u64> {
+        self.world.lock().unwrap_or_else(PoisonError::into_inner).next_event_at()
+    }
+
+    fn killed(&self) -> bool {
+        self.world.lock().unwrap_or_else(PoisonError::into_inner).kill_fired()
+    }
 }
 
 impl Transport for SimTransport {
     fn now(&self) -> u64 {
-        self.now
+        Transport::now(&self)
     }
 
     fn advance_to(&mut self, t: u64) {
-        if t > self.now {
-            self.now = t;
-        }
+        Transport::advance_to(&mut &*self, t);
     }
 
-    /// One world borrow for the whole batch — the simulator's analogue
-    /// of collapsing per-packet `sendto` syscalls into one `sendmmsg`.
     fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
-        let mut world = self.world.borrow_mut();
-        let mut accepted = 0usize;
-        for i in from_idx..batch.len() {
-            let (at, frame) = batch.frame(i);
-            if at > self.now {
-                self.now = at;
-            }
-            match world.send(self.ep, frame, self.now) {
-                Ok(()) => accepted += 1,
-                Err(e) => return (accepted, Some(e)),
-            }
-        }
-        (accepted, None)
+        Transport::send_batch(&mut &*self, batch, from_idx)
     }
 
     fn recv_into(&mut self, rx: &mut RxBatch) {
-        self.world.borrow_mut().recv_into(self.ep, self.now, rx);
+        Transport::recv_into(&mut &*self, rx);
     }
 
     fn next_rx_at(&self) -> Option<u64> {
-        self.world.borrow().next_event_at()
+        Transport::next_rx_at(&self)
     }
 
     fn killed(&self) -> bool {
-        self.world.borrow().kill_fired()
+        Transport::killed(&self)
     }
 }
 

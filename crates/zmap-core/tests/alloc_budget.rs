@@ -21,8 +21,8 @@
 //! | `V6TargetIter::next`, `Schedule::next`, `V6DedupSpace::key_for` | `v6` |
 //! | `emit`, `flush` | every cell |
 //! | `ProbeModule::render_into` | SYN: `cyclic`; ICMP echo: `icmp`; UDP: `udp` |
-//! | `send_batch` on `SimTransport` | every inline cell |
-//! | `send_batch` on `&SharedSimTransport`, `SpscRing` push and pop | `threaded` |
+//! | `send_batch` on `&SimTransport` | every cell |
+//! | `SpscRing` push and pop | `threaded` |
 //! | `Engine::drain` → `on_frame`, `ProbeModule::parse_response` | v4: every other cell; v6: `v6` |
 //! | dedup: an evicting window | `blackrock` |
 //! | dedup: `--full-bitmap-dedup` | `legacy-blackrock` |
@@ -30,32 +30,29 @@
 //!
 //! The simulated world (zmap-netsim) stands in for the kernel and the NIC
 //! and may allocate by design: it grows its delivery queue's page pool to
-//! hold the frames in flight, and a frame due more than the queue's ring
-//! (about 1 s) ahead of the receiver pays one allocation. The inline
-//! scans run at 20 000 probes/s, so the in-flight set (rate × RTT) stays
-//! far below the scan size and the world's pool is warm long before the
-//! n-th probe; netsim's own budget is its `tests/alloc_budget.rs`.
+//! hold the frames in flight. The inline scans run at 20 000 probes/s on
+//! a fresh world, so the in-flight set (rate × RTT) stays far below the
+//! scan size and the world's pool is warm long before the n-th probe;
+//! netsim's own budget is its `tests/alloc_budget.rs`.
 //!
 //! The threaded driver's receive thread may trail its senders by a whole
-//! scan, so the threaded cell runs at 1 Mpps (a whole scan stays inside
-//! the ring) on one world warmed by a scan of 4n targets, and — its count
-//! still depending on thread scheduling — is bounded on the median of
-//! five runs at each size.
+//! scan, so the frames in flight, and the world's pool, grow with the
+//! scan. The threaded cell therefore runs at 1 Mpps on one world warmed
+//! by a scan of 4n targets, and — its count still depending on thread
+//! scheduling — is bounded on the median of five runs at each size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use zmap_core::log::Logger;
 use zmap_core::output::OutputModule;
-use zmap_core::parallel::SharedSimTransport;
 use zmap_core::{
     DedupMethod, Ipv6Config, OutputFormat, PreparedScan, ProbeKind, RunOptions, ScanConfig,
-    ScanSummary, Scanner, SimNet,
+    ScanSummary, Scanner, SimNet, SimTransport,
 };
 use zmap_netsim::loss::LossModel;
-use zmap_netsim::{ServiceModel, V6Population, World, WorldConfig};
+use zmap_netsim::{ServiceModel, V6Population, WorldConfig};
 use zmap_targets::Walk;
 
 struct Counting;
@@ -119,7 +116,7 @@ enum Driver {
     /// [`Scanner::run_into`] on a [`SimNet`] transport, rows streamed
     /// through an [`OutputModule`] in this format.
     Inline(OutputFormat),
-    /// [`PreparedScan::run`] with two lanes over a [`SharedSimTransport`].
+    /// [`PreparedScan::run`] with two lanes over the same transport.
     Threaded,
 }
 
@@ -232,7 +229,7 @@ fn config(cell: &Cell, log_n: u8) -> ScanConfig {
 /// One run of `cell` over `2^log_n` targets: `(probes, frames,
 /// allocations)`. An inline run gets a world of its own; a threaded run
 /// goes through `shared`.
-fn run(cell: &Cell, log_n: u8, shared: &SharedSimTransport) -> (u64, u64, u64) {
+fn run(cell: &Cell, log_n: u8, shared: &SimTransport) -> (u64, u64, u64) {
     let cfg = config(cell, log_n);
     let (s, allocs): (ScanSummary, u64) = match cell.driver {
         Driver::Inline(format) => {
@@ -276,7 +273,7 @@ fn median(mut v: Vec<u64>) -> u64 {
 
 /// `(extra probes, extra frames, marginal allocations)` from n to 2n.
 fn marginal(cell: &Cell) -> (u64, u64, i64) {
-    let shared = SharedSimTransport::new(Arc::new(Mutex::new(World::new(world(None)))), SRC);
+    let shared = SimNet::new(world(None)).transport(SRC);
     let runs = if cell.driver == Driver::Threaded {
         // Warm the shared world's queue with a scan twice the largest.
         run(cell, LOG_N + 2, &shared);

@@ -8,12 +8,11 @@
 //! engines, including a scheduled kill landing inside a batch.
 
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
-use zmap_core::parallel::{run_parallel, SharedSimTransport};
+use zmap_core::parallel::run_parallel;
 use zmap_core::transport::SimNet;
 use zmap_core::{ScanConfig, Scanner};
 use zmap_netsim::loss::LossModel;
-use zmap_netsim::{FaultPlan, ServiceModel, World, WorldConfig};
+use zmap_netsim::{FaultPlan, ServiceModel, WorldConfig};
 
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
 
@@ -99,8 +98,7 @@ fn early_kill_lands_on_the_same_ordinal_mid_batch() {
 #[test]
 fn parallel_results_identical_across_batch_sizes() {
     let run = |batch: usize| {
-        let world = Arc::new(Mutex::new(World::new(world_cfg(FaultPlan::default()))));
-        let transport = SharedSimTransport::new(world, SRC);
+        let transport = SimNet::new(world_cfg(FaultPlan::default())).transport(SRC);
         let mut cfg = scan_cfg(batch);
         cfg.subshards = 4;
         let mut s = run_parallel(&cfg, &transport).unwrap();

@@ -29,7 +29,7 @@ const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
 type Sent = Vec<(u64, Vec<u8>)>;
 
 /// A [`SimTransport`] that logs every frame the world accepted, stamped
-/// with the time the world saw it (the later of its slot and the clock).
+/// with the time the world saw it: its slot.
 struct Recorder {
     inner: SimTransport,
     sent: Rc<RefCell<Sent>>,
@@ -45,13 +45,11 @@ impl Transport for Recorder {
     }
 
     fn send_batch(&mut self, batch: &FrameBatch, from_idx: usize) -> (usize, Option<SendError>) {
-        let mut now = self.inner.now();
         let (accepted, err) = self.inner.send_batch(batch, from_idx);
         let mut sent = self.sent.borrow_mut();
         for i in from_idx..from_idx + accepted {
             let (at, frame) = batch.frame(i);
-            now = now.max(at);
-            sent.push((now, frame.to_vec()));
+            sent.push((at, frame.to_vec()));
         }
         (accepted, err)
     }

@@ -6,11 +6,13 @@
 //! * **Buckets.** Bucket `b` holds the deliveries with `at_ns >> 22 == b`
 //!   (about 4.2 ms each). A ring of 256 buckets covers about 1.07 s past
 //!   `cur`, the earliest bucket that can still hold a record; deliveries
-//!   beyond that horizon (blowback tails) wait in a small overflow heap,
-//!   each owning its frame, and are copied into the ring as `cur`
-//!   advances: to the earliest due bucket on a pop, or up to the
-//!   receiver's clock when nothing is due. A push into an empty queue
-//!   restarts the ring at its own bucket.
+//!   beyond that horizon (blowback tails) wait in an overflow log of
+//!   pages from the same pool, ordered by a heap of `Copy` entries, and
+//!   are copied into the ring as `cur` advances: to the earliest due
+//!   bucket on a pop, or up to the receiver's clock when nothing is due.
+//!   An overflow page goes back to the pool once its last record has
+//!   moved. A push into an empty queue restarts the ring at its own
+//!   bucket.
 //! * **Pages.** A bucket is an append-only log of records, each a
 //!   `(at, seq, endpoint, len)` header followed by the frame bytes, kept
 //!   in 4 KiB pages from one free list. A drained bucket returns its
@@ -26,7 +28,6 @@
 //!   order a binary heap of the same pushes gives.
 
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 
@@ -41,8 +42,9 @@ const PAGE: usize = 4096;
 /// A record's header: `at` (8), `seq` (8), `endpoint` (4), `len` (4).
 const HEADER: usize = 24;
 
-/// One record's pop key and where its bytes sit.
-#[derive(Debug, Clone, Copy)]
+/// One record's pop key and where its bytes sit. `(at, seq)` is unique,
+/// so the derived order is the `(at, seq)` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: u64,
     seq: u64,
@@ -116,19 +118,7 @@ impl Pages {
 
     /// `(at, seq, endpoint, frame range)` of the record at `off` in `page`.
     fn header(&self, page: u32, off: u32) -> (u64, u64, u32, Range<usize>) {
-        let h = &self.pages[page as usize][off as usize..off as usize + HEADER];
-        let le = |r: Range<usize>| {
-            h[r].iter()
-                .rev()
-                .fold(0u64, |v, &b| (v << 8) | u64::from(b))
-        };
-        let start = off as usize + HEADER;
-        (
-            le(0..8),
-            le(8..16),
-            le(16..20) as u32,
-            start..start + le(20..24) as usize,
-        )
+        header_at(&self.pages[page as usize], off)
     }
 
     /// The endpoint and frame of the record at `off` in `page`.
@@ -136,6 +126,24 @@ impl Pages {
         let (_, _, endpoint, frame) = self.header(page, off);
         (endpoint, &self.pages[page as usize][frame])
     }
+}
+
+/// `(at, seq, endpoint, frame range)` of the record at `off` in the page
+/// bytes `page`.
+fn header_at(page: &[u8], off: u32) -> (u64, u64, u32, Range<usize>) {
+    let h = &page[off as usize..off as usize + HEADER];
+    let le = |r: Range<usize>| {
+        h[r].iter()
+            .rev()
+            .fold(0u64, |v, &b| (v << 8) | u64::from(b))
+    };
+    let start = off as usize + HEADER;
+    (
+        le(0..8),
+        le(8..16),
+        le(16..20) as u32,
+        start..start + le(20..24) as usize,
+    )
 }
 
 /// One bucket's log: its pages in append order and its earliest `at`.
@@ -225,9 +233,42 @@ impl Ring {
     }
 }
 
-/// A delivery past the ring's horizon: `(at, seq, endpoint, frame)`.
-/// `(at, seq)` is unique, so the derived order is the `(at, seq)` order.
-type Far = (u64, u64, u32, Box<[u8]>);
+/// The deliveries past the ring's horizon: records appended to their own
+/// pages, popped in `(at, seq)` order.
+#[derive(Default)]
+struct Overflow {
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// The page new records are appended to.
+    tail: Option<u32>,
+    /// Records not yet moved into the ring, per page index (0 for pages
+    /// that hold none).
+    live: Vec<u32>,
+}
+
+impl Overflow {
+    fn push(&mut self, pages: &mut Pages, at: u64, seq: u64, endpoint: u32, frame: &[u8]) {
+        let (page, off) = pages.append(self.tail, at, seq, endpoint, frame);
+        self.tail = Some(page);
+        if self.live.len() <= page as usize {
+            self.live.resize(pages.pages.len(), 0);
+        }
+        self.live[page as usize] += 1;
+        self.heap.push(Reverse(Entry { at, seq, page, off }));
+    }
+
+    /// Marks the record on `page` moved; the page goes back to the pool
+    /// with its last record.
+    fn moved(&mut self, pages: &mut Pages, page: u32) {
+        let live = &mut self.live[page as usize];
+        *live -= 1;
+        if *live == 0 {
+            pages.give(page);
+            if self.tail == Some(page) {
+                self.tail = None;
+            }
+        }
+    }
+}
 
 /// The world's pending deliveries (see the module docs).
 pub(crate) struct DeliveryQueue {
@@ -239,7 +280,7 @@ pub(crate) struct DeliveryQueue {
     /// Bucket `cur`'s entries, sorted by descending `(at, seq)`; non-empty
     /// exactly while `cur` is indexed.
     index: Vec<Entry>,
-    far: BinaryHeap<Reverse<Far>>,
+    far: Overflow,
     seq: u64,
 }
 
@@ -250,7 +291,7 @@ impl DeliveryQueue {
             ring: Ring::new(),
             cur: 0,
             index: Vec::new(),
-            far: BinaryHeap::new(),
+            far: Overflow::default(),
             seq: 0,
         }
     }
@@ -267,8 +308,8 @@ impl DeliveryQueue {
         let seq = self.seq;
         let b = (at >> BUCKET_SHIFT).max(self.cur);
         if b - self.cur >= RING {
-            if !(self.far.is_empty() && self.ring.is_empty()) {
-                self.far.push(Reverse((at, seq, endpoint, frame.into())));
+            if !(self.far.heap.is_empty() && self.ring.is_empty()) {
+                self.far.push(&mut self.pages, at, seq, endpoint, frame);
                 return;
             }
             // Nothing pending: the ring restarts at this push, however
@@ -292,7 +333,7 @@ impl DeliveryQueue {
         }
         match self.ring.first_from(self.cur) {
             Some(b) => Some(self.ring.buckets[Ring::slot(b)].min_at),
-            None => self.far.peek().map(|Reverse(f)| f.0),
+            None => self.far.heap.peek().map(|Reverse(e)| e.at),
         }
     }
 
@@ -320,7 +361,7 @@ impl DeliveryQueue {
     fn advance(&mut self, now: u64) -> bool {
         let earliest = match self.ring.first_from(self.cur) {
             Some(b) => Some((b, self.ring.buckets[Ring::slot(b)].min_at)),
-            None => self.far.peek().map(|Reverse(f)| (f.0 >> BUCKET_SHIFT, f.0)),
+            None => self.far.heap.peek().map(|Reverse(e)| (e.at >> BUCKET_SHIFT, e.at)),
         };
         let (b, due) = match earliest {
             Some((b, at)) if at <= now => (b, true),
@@ -350,14 +391,21 @@ impl DeliveryQueue {
 
     /// Copies every overflow record now inside the horizon into its bucket.
     fn migrate(&mut self) {
-        while let Some(top) = self.far.peek_mut() {
-            let b = top.0 .0 >> BUCKET_SHIFT;
+        while let Some(&Reverse(e)) = self.far.heap.peek() {
+            let b = e.at >> BUCKET_SHIFT;
             if b >= self.cur + RING {
                 break;
             }
-            let Reverse((at, seq, endpoint, frame)) = PeekMut::pop(top);
+            self.far.heap.pop();
+            // The record's page is out of the pool's hands while its bytes
+            // are appended to a ring page (never the same page: an overflow
+            // page holds overflow records only), then put back unchanged.
+            let src = std::mem::take(&mut self.pages.pages[e.page as usize]);
+            let (_, _, endpoint, frame) = header_at(&src, e.off);
             self.ring
-                .append(&mut self.pages, b, at, seq, endpoint, &frame);
+                .append(&mut self.pages, b, e.at, e.seq, endpoint, &src[frame]);
+            self.pages.pages[e.page as usize] = src;
+            self.far.moved(&mut self.pages, e.page);
         }
     }
 }

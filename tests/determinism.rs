@@ -6,9 +6,8 @@
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use zmap::prelude::*;
-use zmap_core::parallel::{run_parallel, SharedSimTransport};
+use zmap_core::parallel::run_parallel;
 use zmap_netsim::loss::LossModel;
 
 fn world_cfg(seed: u64) -> WorldConfig {
@@ -43,8 +42,7 @@ fn sequential_and_parallel_engines_find_the_same_targets() {
         .run();
 
     // Engine B: four real send threads over a fresh copy of the world.
-    let world = Arc::new(Mutex::new(World::new(world_cfg(31))));
-    let transport = SharedSimTransport::new(world, src);
+    let transport = SimNet::new(world_cfg(31)).transport(src);
     let parallel = run_parallel(&scan_cfg(src, 4), &transport).unwrap();
 
     assert_eq!(sequential.sent, 512);

@@ -153,11 +153,9 @@ fn sampled_rtt_equals_the_simulators_ground_truth() {
     // Every address live, nothing lost, failures reported: each probe
     // draws one first response and one row. The engine measures the
     // targets `rtt_sampled` picks; the world records every delivery.
-    use std::sync::{Arc, Mutex};
     use zmap::core::metrics::{rtt_sampled, RTT_SAMPLE_ONE_IN};
-    use zmap::core::parallel::{run_parallel, SharedSimTransport};
+    use zmap::core::parallel::run_parallel;
     use zmap::metrics::bucket_index;
-    use zmap::netsim::World;
 
     let world = WorldConfig {
         seed: 12,
@@ -213,7 +211,6 @@ fn sampled_rtt_equals_the_simulators_ground_truth() {
 
     // The sample is a function of the targets, not of the run or the driver.
     assert_eq!(inline().0.metrics, summary.metrics);
-    let shared = Arc::new(Mutex::new(World::new(world.clone())));
-    let threaded = run_parallel(&cfg, &SharedSimTransport::new(shared, src)).unwrap();
+    let threaded = run_parallel(&cfg, &SimNet::new(world.clone()).transport(src)).unwrap();
     assert_eq!(threaded.metrics, summary.metrics);
 }

@@ -18,11 +18,10 @@
 
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 use zmap::prelude::*;
 use zmap_core::log::{Level, Logger};
 use zmap_core::output::OutputModule;
-use zmap_core::parallel::{run_parallel, SharedSimTransport};
+use zmap_core::parallel::run_parallel;
 use zmap_netsim::loss::LossModel;
 
 fn world_cfg(seed: u64) -> WorldConfig {
@@ -238,8 +237,7 @@ fn golden_icmpv6_echo() {
 #[test]
 fn golden_parallel_two_threads() {
     let src = Ipv4Addr::new(192, 0, 2, 9);
-    let world = Arc::new(Mutex::new(World::new(world_cfg(5))));
-    let transport = SharedSimTransport::new(world, src);
+    let transport = SimNet::new(world_cfg(5)).transport(src);
     let mut cfg = ScanConfig::new(src);
     cfg.allowlist_prefix(Ipv4Addr::new(81, 41, 0, 0), 24);
     cfg.apply_default_blocklist = false;
@@ -289,8 +287,7 @@ fn golden_parallel_tx_pipeline() {
     cfg.cooldown_secs = 2;
 
     let snapshot = |cfg: &ScanConfig| {
-        let world = Arc::new(Mutex::new(World::new(world_cfg(5))));
-        let transport = SharedSimTransport::new(world, src);
+        let transport = SimNet::new(world_cfg(5)).transport(src);
         let summary = run_parallel(cfg, &transport).expect("golden config is valid");
         assert!(!summary.killed, "golden scans are fault-free");
         let mut results = summary.results.clone();

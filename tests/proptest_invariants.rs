@@ -328,9 +328,7 @@ proptest! {
         r in prop::collection::vec(any::<usize>(), 17..18),
     ) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::{Arc, Mutex};
         use zmap::core::log::Logger;
-        use zmap::core::parallel::SharedSimTransport;
         let cfg = grid_config(&r);
         let v6 = || V6Population::from_prefix_list(GRID_V6, cfg.ports.clone()).unwrap();
         let world = || WorldConfig {
@@ -346,7 +344,7 @@ proptest! {
             let inline =
                 catch_unwind(AssertUnwindSafe(|| scan.on(SimNet::new(world()).transport(src)).run()));
             let threaded = catch_unwind(AssertUnwindSafe(|| {
-                let transport = SharedSimTransport::new(Arc::new(Mutex::new(World::new(world()))), src);
+                let transport = SimNet::new(world()).transport(src);
                 prepared().unwrap().run(&transport, RunOptions::default())
             }));
             for (driver, run) in [("inline", inline), ("threaded", threaded)] {

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 use zmap::core::checkpoint::{CheckpointPolicy, CheckpointState};
 use zmap::core::log::{Level, Logger};
 use zmap::core::output::OutputModule;
-use zmap::core::parallel::{run_parallel, SharedSimTransport};
+use zmap::core::parallel::run_parallel;
 use zmap::core::transport::{FrameBatch, RxBatch};
 use zmap::core::Transport;
 use zmap::netsim::loss::LossModel;
@@ -135,8 +135,8 @@ fn sequential_and_parallel_engines_agree() {
             .run()
     };
     let par = {
-        let world = Arc::new(Mutex::new(World::new(v6_world(5, PREFIXES, &[443]))));
-        let transport = SharedSimTransport::new(world, Ipv4Addr::new(192, 0, 2, 9));
+        let net = SimNet::new(v6_world(5, PREFIXES, &[443]));
+        let transport = net.transport(Ipv4Addr::new(192, 0, 2, 9));
         let mut cfg = v6_cfg(PREFIXES, &[443]);
         cfg.subshards = 2;
         run_parallel(&cfg, &transport).unwrap()
