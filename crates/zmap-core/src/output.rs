@@ -13,7 +13,7 @@
 
 use serde::Serialize;
 use std::io::{self, Write};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Classification of a validated response (ZMap's `classification` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,7 +150,7 @@ impl<W: Write> OutputModule<W> {
         let buf = &mut self.buf;
         match self.format {
             OutputFormat::Text => {
-                push_ip(buf, r.saddr)?;
+                push_ip(buf, r.saddr);
                 if r.sport != 0 {
                     buf.push(b':');
                     push_u64(buf, u64::from(r.sport));
@@ -169,7 +169,7 @@ impl<W: Write> OutputModule<W> {
                 }
                 push_u64(buf, r.ts_ns);
                 buf.push(b',');
-                push_ip(buf, r.saddr)?;
+                push_ip(buf, r.saddr);
                 buf.push(b',');
                 push_u64(buf, u64::from(r.sport));
                 buf.push(b',');
@@ -185,7 +185,7 @@ impl<W: Write> OutputModule<W> {
                 buf.extend_from_slice(b"{\"ts_ns\":");
                 push_u64(buf, r.ts_ns);
                 buf.extend_from_slice(b",\"saddr\":\"");
-                push_ip(buf, r.saddr)?;
+                push_ip(buf, r.saddr);
                 buf.extend_from_slice(b"\",\"sport\":");
                 push_u64(buf, u64::from(r.sport));
                 buf.extend_from_slice(b",\"classification\":\"");
@@ -260,20 +260,68 @@ fn push_bool(buf: &mut Vec<u8>, b: bool) {
     buf.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-/// Appends the address as `Display` prints it. The v6 text form
-/// (longest zero run compressed, embedded-v4 tails) stays std's.
-fn push_ip(buf: &mut Vec<u8>, ip: IpAddr) -> io::Result<()> {
+/// Appends the address as `Display` prints it.
+fn push_ip(buf: &mut Vec<u8>, ip: IpAddr) {
     match ip {
-        IpAddr::V4(v4) => {
-            for (i, octet) in v4.octets().into_iter().enumerate() {
-                if i > 0 {
-                    buf.push(b'.');
-                }
-                push_u64(buf, u64::from(octet));
-            }
-            Ok(())
+        IpAddr::V4(v4) => push_v4(buf, v4),
+        IpAddr::V6(v6) => push_v6(buf, v6),
+    }
+}
+
+fn push_v4(buf: &mut Vec<u8>, v4: Ipv4Addr) {
+    for (i, octet) in v4.octets().into_iter().enumerate() {
+        if i > 0 {
+            buf.push(b'.');
         }
-        IpAddr::V6(v6) => write!(buf, "{v6}"),
+        push_u64(buf, u64::from(octet));
+    }
+}
+
+/// Appends a v6 address by std's `Display` rules: `::ffff:a.b.c.d` for a
+/// v4-mapped address; otherwise lowercase hex groups without leading
+/// zeros, with the longest run of two or more zero groups (the first, on
+/// a tie) written `::`.
+fn push_v6(buf: &mut Vec<u8>, v6: Ipv6Addr) {
+    if let Some(v4) = v6.to_ipv4_mapped() {
+        buf.extend_from_slice(b"::ffff:");
+        push_v4(buf, v4);
+        return;
+    }
+    let groups = v6.segments();
+    // (start, len) of the current and of the longest zero run.
+    let (mut run, mut longest) = ((0, 0), (0, 0));
+    for (i, &g) in groups.iter().enumerate() {
+        if g != 0 {
+            run.1 = 0;
+            continue;
+        }
+        if run.1 == 0 {
+            run.0 = i;
+        }
+        run.1 += 1;
+        if run.1 > longest.1 {
+            longest = run;
+        }
+    }
+    if longest.1 > 1 {
+        push_groups(buf, &groups[..longest.0]);
+        buf.extend_from_slice(b"::");
+        push_groups(buf, &groups[longest.0 + longest.1..]);
+    } else {
+        push_groups(buf, &groups);
+    }
+}
+
+/// Appends `groups` as `:`-separated lowercase hex without leading zeros.
+fn push_groups(buf: &mut Vec<u8>, groups: &[u16]) {
+    for (i, &g) in groups.iter().enumerate() {
+        if i > 0 {
+            buf.push(b':');
+        }
+        let digits = (u16::BITS - g.leading_zeros()).div_ceil(4).max(1);
+        for k in (0..digits).rev() {
+            buf.push(b"0123456789abcdef"[usize::from((g >> (4 * k)) & 0xf)]);
+        }
     }
 }
 
@@ -480,6 +528,74 @@ mod tests {
                     "{:?}", format
                 );
             }
+        }
+    }
+
+    /// v6 addresses whose zero runs sit at the start, middle and end,
+    /// tie, or stand alone, built from 8 group shapes: 0 → zero,
+    /// 1 → one digit, 2 → four digits, else the random group.
+    fn arb_v6() -> impl Strategy<Value = Ipv6Addr> {
+        let shapes = prop::collection::vec(0u8..4, 8..9);
+        (any::<u64>(), any::<u64>(), shapes, 0u8..3).prop_map(|(hi, lo, shapes, kind)| {
+            let bits = (u128::from(hi) << 64) | u128::from(lo);
+            match kind {
+                0 => Ipv6Addr::from(bits),
+                1 => Ipv6Addr::from(0xffff_0000_0000 | (bits & 0xffff_ffff)),
+                _ => {
+                    let mut groups = Ipv6Addr::from(bits).segments();
+                    for (g, shape) in groups.iter_mut().zip(shapes) {
+                        *g = match shape {
+                            0 => 0,
+                            1 => *g & 0xf,
+                            2 => *g | 0x1000,
+                            _ => *g,
+                        };
+                    }
+                    Ipv6Addr::from(groups)
+                }
+            }
+        })
+    }
+
+    fn v6_text(v6: Ipv6Addr) -> String {
+        let mut buf = Vec::new();
+        push_v6(&mut buf, v6);
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn v6_text_is_display_on_every_zero_run_shape() {
+        for text in [
+            "::",
+            "::1",
+            "1::",
+            "::2:3:4:5:6:7:8",
+            "1:2:3:4:5:6:7::",
+            "1:0:0:4:5:6:7:8",
+            "1:2:3:0:0:0:7:8",
+            "1:0:0:4:5:0:0:8",
+            "0:0:3:4:5:6:0:0",
+            "1:0:3:4:5:6:7:8",
+            "1:2:3:4:5:6:7:0",
+            "1:0:2:0:3:0:4:0",
+            "0:0:0:0:0:ffff:102:304",
+            "::ffff:0:0",
+            "::fffe:1.2.3.4",
+            "::1.2.3.4",
+            "2001:db8:a::51",
+            "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+        ] {
+            let v6: Ipv6Addr = text.parse().unwrap();
+            assert_eq!(v6_text(v6), v6.to_string(), "{text}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn v6_text_is_display(v6 in arb_v6()) {
+            prop_assert_eq!(v6_text(v6), v6.to_string());
         }
     }
 

@@ -453,7 +453,10 @@ impl<T: Transport> Scanner<T> {
         let mut lane_clock = start;
         // Local mirror of the TargetsTotal counter (which includes any
         // resume baseline): the hot loop reads it once per target, and a
-        // registry read walks every counter shard.
+        // registry read walks every counter shard. It is published to the
+        // registry once per batch, before the flush: every reader (kill
+        // rollback, `rx_tick`'s status sample and journal, `finish`) looks
+        // after one.
         let mut targets_total = metrics.get(CounterId::TargetsTotal);
         loop {
             while walking && !batch.is_full() {
@@ -492,7 +495,6 @@ impl<T: Transport> Scanner<T> {
                     walking = false;
                     break;
                 };
-                metrics.add(CounterId::TargetsTotal, 1);
                 targets_total += 1;
                 // Tag each frame with the target count including its own
                 // target, so a mid-batch kill can roll the count back to
@@ -506,6 +508,7 @@ impl<T: Transport> Scanner<T> {
             if batch.is_empty() {
                 break;
             }
+            metrics.store_absolute(CounterId::TargetsTotal, targets_total);
             let flushed =
                 flush(&mut transport, &mut batch, &mut lane_clock, cfg.max_retries, &metrics, 0);
             if let Err(targets_in_flight) = flushed {

@@ -9,7 +9,8 @@
 //! that makes that possible:
 //!
 //! * [`modmul`] / [`modpow`] — overflow-safe modular arithmetic on `u64`
-//!   via `u128` intermediates,
+//!   via `u128` intermediates, and [`modmul_shoup`], the division-free
+//!   product by a fixed multiplier that each walk step uses,
 //! * [`is_prime`] — deterministic Miller–Rabin for all 64-bit integers,
 //! * [`factor`] / [`factorization`] — Pollard's rho factorization,
 //! * [`primroot`] — both primitive-root-search algorithms ZMap has used:
@@ -22,7 +23,7 @@ pub mod prime;
 pub mod primroot;
 
 pub use factorize::{factor, factorization, Factorization};
-pub use modular::{gcd, modinv, modmul, modpow};
+pub use modular::{gcd, modinv, modmul, modmul_shoup, modpow, shoup_quotient};
 pub use prime::{is_prime, next_prime};
 pub use primroot::{
     find_generator_2013, find_generator_2024, is_primitive_root, GeneratorSearch,

@@ -2,7 +2,10 @@
 //!
 //! ZMap's largest group modulus is 2^48 + 21, so products of two group
 //! elements can exceed 2^64. All multiplication routes through `u128`,
-//! which compiles to a single widening multiply on 64-bit targets.
+//! which compiles to a single widening multiply on 64-bit targets; the
+//! reduction in [`modmul`] is a 128-bit division, so a walk, which
+//! multiplies by one fixed step millions of times, uses
+//! [`modmul_shoup`] instead.
 
 /// Modular multiplication: `(a * b) mod m` without overflow.
 ///
@@ -11,6 +14,30 @@
 #[inline]
 pub fn modmul(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
+}
+
+/// Shoup's precomputed quotient for multiplying by the fixed `b` modulo
+/// `p`: `⌊b · 2^64 / p⌋`, the one division [`modmul_shoup`] needs.
+/// Requires `b < p`.
+#[inline]
+pub fn shoup_quotient(b: u64, p: u64) -> u64 {
+    (((b as u128) << 64) / p as u128) as u64
+}
+
+/// `(a * b) mod p` by Shoup's fixed-multiplier product, with no division:
+/// `w = shoup_quotient(b, p)` estimates the quotient `q = ⌊a · w / 2^64⌋`,
+/// which is at most one short, so `a·b − q·p` lies in `[0, 2p)` and one
+/// conditional subtract finishes it. Exact for any `a`, `b < p` and
+/// `p < 2^63` (so that `2p` fits the wrapping arithmetic).
+#[inline]
+pub fn modmul_shoup(a: u64, b: u64, w: u64, p: u64) -> u64 {
+    let q = ((a as u128 * w as u128) >> 64) as u64;
+    let r = a.wrapping_mul(b).wrapping_sub(q.wrapping_mul(p));
+    if r >= p {
+        r - p
+    } else {
+        r
+    }
 }
 
 /// Modular addition: `(a + b) mod m` without overflow.
@@ -100,6 +127,38 @@ mod tests {
         // (p-1)^2 mod p == 1 for any modulus p > 1.
         assert_eq!(modmul(P48 - 1, P48 - 1, P48), 1);
         assert_eq!(modmul(u64::MAX - 1, u64::MAX - 1, u64::MAX), 1);
+    }
+
+    /// The ladder of group moduli (`zmap-targets`' `GROUP_MODULI`).
+    const LADDER: [u64; 6] = [
+        (1 << 8) + 1,
+        (1 << 16) + 1,
+        (1 << 24) + 43,
+        (1 << 32) + 15,
+        (1 << 40) + 15,
+        (1 << 48) + 21,
+    ];
+
+    #[test]
+    fn modmul_shoup_matches_modmul_at_each_ladder_prime() {
+        for p in LADDER {
+            for b in [1, 2, p - 1] {
+                let w = shoup_quotient(b, p);
+                for a in [1, 2, p - 1] {
+                    assert_eq!(modmul_shoup(a, b, w, p), modmul(a, b, p), "{a}·{b} mod {p}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn modmul_shoup_matches_modmul(p in 2u64..1 << 49, a in 0u64..1 << 49, b in 0u64..1 << 49) {
+            let (a, b) = (a % p, b % p);
+            proptest::prop_assert_eq!(modmul_shoup(a, b, shoup_quotient(b, p), p), modmul(a, b, p));
+        }
     }
 
     #[test]

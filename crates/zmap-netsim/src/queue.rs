@@ -132,18 +132,10 @@ impl Pages {
 /// bytes `page`.
 fn header_at(page: &[u8], off: u32) -> (u64, u64, u32, Range<usize>) {
     let h = &page[off as usize..off as usize + HEADER];
-    let le = |r: Range<usize>| {
-        h[r].iter()
-            .rev()
-            .fold(0u64, |v, &b| (v << 8) | u64::from(b))
-    };
+    let u64_at = |i: usize| u64::from_le_bytes(std::array::from_fn(|k| h[i + k]));
+    let u32_at = |i: usize| u32::from_le_bytes(std::array::from_fn(|k| h[i + k]));
     let start = off as usize + HEADER;
-    (
-        le(0..8),
-        le(8..16),
-        le(16..20) as u32,
-        start..start + le(20..24) as usize,
-    )
+    (u64_at(0), u64_at(8), u32_at(16), start..start + u32_at(20) as usize)
 }
 
 /// One bucket's log: its pages in append order and its earliest `at`.

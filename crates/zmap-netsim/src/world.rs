@@ -369,9 +369,14 @@ impl World {
     /// reply, rendered once into `self.reply`, then scheduled.
     ///
     /// Kept out of line: most probes stop at one of `send`'s filters
-    /// (every probe of a blacked-out scan does), and with this path
-    /// inlined those early returns ran ~1 ns slower per probe (a dark
-    /// `/8` scan used ~4 % more CPU than out of line, 2-core x86-64 host).
+    /// (every probe of a blacked-out scan does), and in a build without
+    /// LTO, with this path inlined, those early returns ran ~1 ns slower
+    /// per probe (a dark `/8` scan used ~4 % more CPU, 2-core x86-64
+    /// host). Under the fat-LTO release profile the attribute changes no
+    /// instruction — the inliner leaves this fn out of line on its own
+    /// (`.text` byte-identical with and without it) — so it holds the
+    /// decision for the builds without LTO, such as the benchmark's
+    /// layer replay.
     #[inline(never)]
     fn answer(&mut self, eth: &EthernetView<'_>, ip: &Ipv4View<'_>, dst: u32, now_ns: u64) {
         // The destination's draws, made as the reply reads them; the

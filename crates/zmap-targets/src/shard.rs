@@ -133,6 +133,8 @@ pub struct ShardIter<'a> {
     current: u64,
     /// Multiplier applied between yields (g for pizza, g^(N·T) interleaved).
     step: u64,
+    /// `step`'s Shoup quotient, so a walk step multiplies without dividing.
+    step_w: u64,
     /// Elements remaining.
     remaining: u64,
     /// Elements yielded (or skipped via [`ShardIter::fast_forward`]) so
@@ -166,13 +168,7 @@ impl<'a> ShardIter<'a> {
                 } else {
                     0
                 };
-                ShardIter {
-                    cycle,
-                    current: cycle.element_at_position(lane),
-                    step: cycle.stride(lanes),
-                    remaining,
-                    consumed: 0,
-                }
+                ShardIter::at(cycle, cycle.element_at_position(lane), cycle.stride(lanes), remaining)
             }
             ShardAlgorithm::Pizza => {
                 // Shard n covers exponents [n·order/N, (n+1)·order/N);
@@ -189,15 +185,21 @@ impl<'a> ShardIter<'a> {
                 let span = shard_hi - shard_lo;
                 let lo = shard_lo + (span as u128 * t as u128 / tt as u128) as u64;
                 let hi = shard_lo + (span as u128 * (t as u128 + 1) / tt as u128) as u64;
-                ShardIter {
-                    cycle,
-                    current: cycle.element_at_position(lo),
-                    step: cycle.generator(),
-                    remaining: hi - lo,
-                    consumed: 0,
-                }
+                ShardIter::at(cycle, cycle.element_at_position(lo), cycle.generator(), hi - lo)
             }
         })
+    }
+
+    /// A walk from `current` by `step`, with `remaining` elements to go.
+    fn at(cycle: &'a Cycle, current: u64, step: u64, remaining: u64) -> Self {
+        ShardIter {
+            cycle,
+            current,
+            step,
+            step_w: zmap_math::shoup_quotient(step, cycle.group().prime()),
+            remaining,
+            consumed: 0,
+        }
     }
 
     /// Elements left to yield.
@@ -238,7 +240,8 @@ impl Iterator for ShardIter<'_> {
         self.remaining -= 1;
         self.consumed += 1;
         let out = self.current;
-        self.current = zmap_math::modmul(self.current, self.step, self.cycle.group().prime());
+        let p = self.cycle.group().prime();
+        self.current = zmap_math::modmul_shoup(self.current, self.step, self.step_w, p);
         Some(out)
     }
 
@@ -447,6 +450,40 @@ mod tests {
             ShardIter::new(&c, zero, ShardAlgorithm::Pizza).unwrap_err(),
             ShardError::ZeroShards
         );
+    }
+
+    #[test]
+    fn every_ladder_walk_steps_as_modmul_does() {
+        // Each lane from its first element, stepped by `modmul` (the
+        // division-based product): the whole walk up to 2^17 steps, so
+        // the two smallest groups are walked to the end.
+        for p in crate::group::GROUP_MODULI {
+            let c = Cycle::new(CyclicGroup::new(p).unwrap(), p ^ 0x5EED);
+            for (n, t) in [(1u32, 1u32), (3, 2)] {
+                for alg in [ShardAlgorithm::Interleaved, ShardAlgorithm::Pizza] {
+                    let step = match alg {
+                        ShardAlgorithm::Interleaved => c.stride(u64::from(n * t)),
+                        ShardAlgorithm::Pizza => c.generator(),
+                    };
+                    for shard in 0..n {
+                        for subshard in 0..t {
+                            let spec = ShardSpec {
+                                shard,
+                                num_shards: n,
+                                subshard,
+                                num_subshards: t,
+                            };
+                            let mut it = ShardIter::new(&c, spec, alg).unwrap();
+                            let mut want = it.current;
+                            for k in 0..it.remaining().min(1 << 17) {
+                                assert_eq!(it.next(), Some(want), "p {p} {alg:?} {spec:?} step {k}");
+                                want = zmap_math::modmul(want, step, p);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
