@@ -127,12 +127,12 @@ RATE & SHARDING
   --seed N                 scan seed (permutation + validation key)
   --shard I --shards N     this machine's shard (default 0 of 1)
   --threads T              send subshards (default 1)
-  --tx-pipeline            decouple probe generation from transport:
-                           per-thread generator/transport pairs joined
-                           by SPSC frame rings (netmap model; identical
-                           output, pure performance topology). Walks
-                           whole subshards: not with --max-targets
-                           or --max-results
+  --tx-pipeline            run the threaded driver: one send thread
+                           per --threads lane walks, renders and
+                           flushes its subshard, one thread receives
+                           (identical output, pure performance
+                           topology). Walks whole subshards: not with
+                           --max-targets or --max-results
   --interleaved            2014 interleaved sharding (default: pizza)
 
 OUTPUT (four streams: data, logs, status, metadata)
@@ -513,8 +513,8 @@ mod tests {
         let o = parse_args(&args("--tx-pipeline --threads 4")).unwrap();
         assert!(o.config.tx_pipeline);
         assert_eq!(o.config.subshards, 4);
-        // Single-threaded pipelining is allowed (one generator/transport
-        // pair) — it is a topology knob, not a thread-count constraint.
+        // Single-threaded pipelining is allowed (one send thread) — it is
+        // a topology knob, not a thread-count constraint.
         assert!(parse_args(&args("--tx-pipeline")).unwrap().config.tx_pipeline);
         assert!(USAGE.contains("--tx-pipeline"));
     }

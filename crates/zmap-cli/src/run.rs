@@ -123,8 +123,8 @@ pub fn run_scan(mut opts: CliOptions) -> io::Result<i32> {
     let mut out = open_output()?;
     let run_opts = RunOptions { checkpoint, ..RunOptions::default() };
     let transport = SimNet::new(world).transport(opts.config.source_ip);
-    // --tx-pipeline selects the threaded driver: generator threads render
-    // into per-pair frame rings, transport threads drain them.
+    // --tx-pipeline selects the threaded driver: one send thread per lane
+    // walks, renders and flushes its subshard; this thread receives.
     let summary = if opts.config.tx_pipeline {
         let mut summary = scan.run(&transport, run_opts);
         // Receive order depends on thread interleaving; the output

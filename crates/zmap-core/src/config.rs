@@ -117,9 +117,8 @@ pub struct ScanConfig {
     /// `true` asks for the threaded driver, `false` for the inline one
     /// ([`Scanner`](crate::Scanner)). Only the gate reads it here — the
     /// threaded driver ([`PreparedScan::run`](crate::PreparedScan::run))
-    /// is always the generator → SPSC ring → transport pipeline (the
-    /// netmap/PF_RING shape from §4.2), whoever calls it. Like `batch`,
-    /// it is excluded from the config digest.
+    /// is always one send thread per lane plus a receive loop, whoever
+    /// calls it. Like `batch`, it is excluded from the config digest.
     pub tx_pipeline: bool,
     /// Internal: whether `allowlist_prefix` has replaced the default
     /// allow-all constraint yet.

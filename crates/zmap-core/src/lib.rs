@@ -23,8 +23,9 @@
 //! `emit` → `flush` → `rx_tick` → `cooldown` → `finish` — and the inline
 //! driver ([`Scanner`], which owns its transport and runs the stages on
 //! the calling thread); [`parallel`] holds the threaded driver
-//! ([`PreparedScan::run`]: a generator/transport thread pair per lane
-//! over a transport shared as `&T: Transport`). Both drivers run on
+//! ([`PreparedScan::run`]: one send thread per lane and a receive loop
+//! that parks between turns, over a transport shared as
+//! `&T: Transport`). Both drivers run on
 //! [`transport::SimTransport`], which drives the zmap-netsim simulated
 //! Internet deterministically, which is how every experiment in this
 //! repository runs.

@@ -90,6 +90,11 @@ impl Monitor {
         }
     }
 
+    /// When the next sample is due, on the clock [`tick`](Self::tick) reads.
+    pub fn next_tick(&self) -> u64 {
+        self.next_tick
+    }
+
     /// All samples so far.
     pub fn samples(&self) -> &[StatusUpdate] {
         &self.samples

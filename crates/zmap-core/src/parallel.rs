@@ -1,11 +1,11 @@
 //! The threaded driver: the engine shape real ZMap uses (Adrian et al.
-//! 2014) — N send paths, each owning one subshard of the cyclic group,
-//! plus one receive thread — over a transport shared by reference and
-//! paced by a *shared virtual clock*. Each send path is a TX pipeline
-//! (paper §4.2, the netmap shape): a generator thread that walks, paces
-//! and renders into batches (`scanner::emit`), and a transport thread
-//! that sends them (`scanner::flush`), joined by a pair of bounded SPSC
-//! rings; the calling thread runs `Engine::rx_tick`, `cooldown`, `finish`.
+//! 2014) — N send threads, each owning one subshard of the cyclic group,
+//! plus one receive loop — over a transport shared by reference and
+//! paced by a *shared virtual clock*. A lane is one thread running the
+//! inline driver's send shape over its subshard: walk → `scanner::emit`
+//! → `scanner::flush` per batch, then publish its position. The calling
+//! thread runs `Engine::rx_tick`, parked between turns until a lane's
+//! clock reaches its next delivery or tick, then `cooldown`, `finish`.
 //! The stages live in `scanner.rs`; this file is who runs them where.
 //!
 //! A transport is shareable the way `&TcpStream: Write` says it in std:
@@ -21,20 +21,17 @@ use crate::config::ScanConfig;
 use crate::log::Logger;
 use crate::metrics::{CounterId, ScanMetrics};
 use crate::ratecontrol::RateController;
-use crate::ring::SpscRing;
 use crate::scanner::{emit, flush, Engine, Exit, PreparedScan, RunOptions, ScanSummary};
 use crate::transport::{FrameBatch, SimTransport, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use zmap_targets::generator::BuildError;
 
+/// Flushes between a lane's looks for deliveries that have fallen due:
+/// each wake of the receive loop costs a context switch.
+const DRAIN_EVERY: u64 = 64;
+
 /// The former name of [`SimTransport`].
 pub type SharedSimTransport = SimTransport;
-
-/// Batches in flight per generator/transport pair, per ring direction.
-/// The pre-filled recycle pool is the *only* source of TX buffers, so
-/// pipeline memory is bounded at `depth × batch × frame` per pair —
-/// netmap's preallocated-ring model.
-const TX_RING_DEPTH: usize = 4;
 
 /// Runs `cfg` through the threaded driver with default options and no
 /// logger (see [`PreparedScan::run`]).
@@ -48,11 +45,11 @@ where
 
 impl PreparedScan {
     /// The threaded driver: runs the scan over a shared `transport` with
-    /// `cfg.subshards` generator/transport thread pairs and collects the
+    /// one send thread per lane (`cfg.subshards`) and collects the
     /// records into the summary (arrival order depends on thread
     /// scheduling; front-ends sort them once the scan is over).
     ///
-    /// The receive side runs on the calling thread until all senders
+    /// The receive side runs on the calling thread until all lanes
     /// finish, then through the cooldown. Pacing is virtual: each lane
     /// owns every `threads`-th slot of the global schedule — fixed slots,
     /// a lane that runs dry leaves them empty — and the scan completes at
@@ -64,10 +61,12 @@ impl PreparedScan {
         for<'a> &'a T: Transport,
     {
         let (scan, cfg, opts) = (&self, &self.cfg, &opts);
-        // [atomics] finished_senders: Release increment as each sender's
-        // last visible write, Acquire load by the receive loop so a full
-        // count means every sender's effects are visible. (Closures bind
-        // it as `finished`; same protocol.)
+        // [atomics] finished_senders: Release increment as each lane's
+        // last visible write, followed by an unconditional unpark of the
+        // receive thread, so the loop cannot stay parked past the last
+        // lane; Acquire load by the receive loop so a full count means
+        // every lane's effects are visible. (Closures bind it as
+        // `finished`; same protocol.)
         let finished_senders = AtomicU64::new(0);
         // [atomics] interrupted_senders: Relaxed count of senders that
         // bailed on shutdown/kill; read after the join barrier, which
@@ -77,20 +76,27 @@ impl PreparedScan {
         // kill, Acquire load so whoever sees the flag also sees the
         // killing state.
         let killed = AtomicBool::new(false);
+        // [atomics] wake_at: Relaxed store by the receive loop of when its
+        // next status sample or journal is due, Relaxed load by a lane
+        // after each flush, which unparks the loop once its clock has
+        // reached that or a pending delivery. It guards no data: a stale
+        // read only delays a drain to the lane's next flush or final
+        // unpark, and frames carry their own timestamps.
+        let wake_at = AtomicU64::new(0);
+        let receiver = std::thread::current();
         let start = transport.now();
         let threads = cfg.subshards;
 
-        // The metrics registry: one counter/histogram shard per hot-path
-        // thread (the generator and the transport half of each pair) plus
+        // The metrics registry: one counter/histogram shard per lane plus
         // one for the receive loop, so every hot-path increment is an
         // uncontended atomic add.
-        let metrics = ScanMetrics::new(2 * threads as usize + 1, scan.baseline);
+        let metrics = ScanMetrics::new(threads as usize + 1, scan.baseline);
 
-        // Per-sender element positions, observable by the receive loop
-        // for checkpointing without stopping the senders.
+        // Per-lane element positions, observable by the receive loop for
+        // checkpointing without stopping the lanes.
         // [atomics] positions: Relaxed stores/loads — checkpoint snapshots
         // tolerate slight staleness (a rewound resume re-sends, never
-        // skips).
+        // skips). (Each lane binds its own as `position`; same protocol.)
         let positions: Vec<AtomicU64> = (0..threads as usize)
             .map(|t| {
                 let resumed = scan.start_positions.as_ref().and_then(|p| p.get(t).copied());
@@ -104,131 +110,89 @@ impl PreparedScan {
         let mut engine =
             Engine::start(scan, &metrics, opts, start, targets, resumed_at, &mut results);
 
-        // TX pipeline plumbing (paper §4.2, the netmap shape): one `ready`
-        // ring carrying rendered batches generator → transport and one
-        // `recycle` ring carrying drained buffers back, per pair. The
-        // recycle rings are pre-filled with every TX buffer that will ever
-        // exist, so the steady state allocates nothing.
-        let rings: Vec<(SpscRing<FrameBatch>, SpscRing<FrameBatch>)> = (0..threads)
-            .map(|_| {
-                let ready = SpscRing::with_capacity(TX_RING_DEPTH);
-                let recycle = SpscRing::with_capacity(TX_RING_DEPTH);
-                for _ in 0..TX_RING_DEPTH {
-                    recycle
-                        .try_push(FrameBatch::new(cfg.batch))
-                        .unwrap_or_else(|_| unreachable!("fresh ring holds its own depth"));
-                }
-                (ready, recycle)
-            })
-            .collect();
-
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let metrics = &metrics;
-                let finished = &finished_senders;
-                let interrupted = &interrupted_senders;
-                let killed = &killed;
-                let positions = &positions;
-                let (ready, recycle) = &rings[t as usize];
-                // Generator half of the pair: walks the subshard, paces,
-                // renders — and never touches the transport.
+                let (metrics, finished, killed) = (&metrics, &finished_senders, &killed);
+                let (interrupted, position) = (&interrupted_senders, &positions[t as usize]);
+                let (wake_at, receiver) = (&wake_at, &receiver);
                 scope.spawn(move || {
-                    // Interleaved pacing: pair t owns global schedule
+                    let mut transport = transport;
+                    // Interleaved pacing: lane t owns global schedule
                     // slots t, t+threads, t+2·threads, … so the union
-                    // across all pairs is exactly the single-sender
+                    // across all lanes is exactly the single-sender
                     // schedule and the aggregate rate is conserved — no
                     // truncated remainder, and rates below the thread
                     // count still work.
                     let (base, stride) = (u64::from(t), u64::from(threads));
                     let mut rc = RateController::new_interleaved(start, cfg.rate_pps, base, stride);
                     let mut entropy: u16 = t as u16;
-                    let mut ip_id_entropy = || {
+                    let mut ip_id = || {
                         entropy = entropy.wrapping_add(0x9E37);
                         entropy
                     };
-                    let mut it = scan.lane(t);
-                    // The recycle ring is pre-filled at setup, so an empty
-                    // pop means the transport half already died (pre-start
-                    // kill closed both rings): nothing to render.
-                    let Some(mut batch) = recycle.pop() else {
-                        interrupted.fetch_add(1, Ordering::Relaxed);
-                        ready.close();
-                        return;
-                    };
-                    loop {
-                        // Cycle boundary: the only place a generator stops
-                        // — for shutdown, a dead process, or an exhausted
-                        // walk.
-                        if opts.shutdown.as_ref().is_some_and(|s| s.is_requested())
-                            || killed.load(Ordering::Acquire)
-                        {
-                            interrupted.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        let Some(target) = it.next() else {
-                            break;
-                        };
-                        metrics.add_at(t as usize, CounterId::TargetsTotal, 1);
-                        // Tagged with the walk position, which the
-                        // transport half publishes once the frame has left.
-                        let tag = it.elements_consumed();
-                        emit(scan, metrics, &mut rc, &mut batch, target, tag, &mut ip_id_entropy);
-                        if !batch.is_full() {
-                            continue;
-                        }
-                        // Hand the full batch to the transport thread and
-                        // take a drained buffer back. Either ring closing
-                        // means the transport thread died (kill); stop
-                        // rendering — resume re-walks from its positions.
-                        match ready.push(batch).ok().and_then(|()| recycle.pop()) {
-                            Some(b) => batch = b,
-                            None => {
-                                ready.close();
-                                return;
+                    let (mut it, mut batch) = (scan.lane(t), FrameBatch::new(cfg.batch));
+                    let (retries, shard) = (cfg.max_retries, t as usize);
+                    let (mut clock, mut walking, mut flushes) = (start, true, 0u64);
+                    while walking {
+                        let mut targets = 0;
+                        while !batch.is_full() {
+                            // Cycle boundary: the only place a lane stops
+                            // walking — for shutdown, a dead process, or an
+                            // exhausted walk. The partial batch still ships.
+                            if opts.shutdown.as_ref().is_some_and(|s| s.is_requested())
+                                || killed.load(Ordering::Acquire)
+                            {
+                                interrupted.fetch_add(1, Ordering::Relaxed);
+                                walking = false;
+                                break;
                             }
+                            let Some(target) = it.next() else {
+                                walking = false;
+                                break;
+                            };
+                            targets += 1;
+                            // Tagged with the walk position, published
+                            // once the frame has left.
+                            let tag = it.elements_consumed();
+                            emit(scan, metrics, &mut rc, &mut batch, target, tag, &mut ip_id);
                         }
-                    }
-                    // The final partial batch still ships: every consumed
-                    // target's frame reaches the transport thread (or dies
-                    // with it) before this generator reports done.
-                    if !batch.is_empty() {
-                        let _ = ready.push(batch);
-                    }
-                    ready.close();
-                });
-                // Transport half: drains rendered batches and owns all NIC
-                // interaction plus this pair's checkpoint position — a
-                // position advances only once its batch's frames have
-                // actually left, so a checkpoint can never record a target
-                // whose frame is still queued (resume re-walks, never
-                // skips).
-                scope.spawn(move || {
-                    let mut transport = transport;
-                    let mut lane_clock = start;
-                    let (retries, shard) = (cfg.max_retries, (threads + t) as usize);
-                    while let Some(mut batch) = ready.pop() {
+                        if batch.is_empty() {
+                            break;
+                        }
+                        metrics.add_at(shard, CounterId::TargetsTotal, targets);
                         let flushed =
-                            flush(&mut transport, &mut batch, &mut lane_clock, retries, metrics, shard);
+                            flush(&mut transport, &mut batch, &mut clock, retries, metrics, shard);
                         if flushed.is_err() {
                             killed.store(true, Ordering::Release);
                             break;
                         }
-                        positions[t as usize].store(batch.tag(batch.len() - 1), Ordering::Relaxed);
+                        // Published only once every frame has left: a
+                        // checkpoint can never record a target whose frame
+                        // has not (resume re-walks, never skips).
+                        position.store(batch.tag(batch.len() - 1), Ordering::Relaxed);
                         batch.clear();
-                        let _ = recycle.try_push(batch);
+                        // A delivery this lane's sends scheduled can fall due
+                        // before the time the receive loop parked until;
+                        // look every `DRAIN_EVERY` flushes.
+                        flushes += 1;
+                        if clock >= wake_at.load(Ordering::Relaxed)
+                            || (flushes % DRAIN_EVERY == 0
+                                && transport.next_rx_at().is_some_and(|at| at <= clock))
+                        {
+                            receiver.unpark();
+                        }
                     }
-                    // Unblock a generator waiting on either ring, then
-                    // report this pair's send path done.
-                    ready.close();
-                    recycle.close();
                     finished.fetch_add(1, Ordering::Release);
+                    receiver.unpark();
                 });
             }
 
-            // The receive side on this thread. While senders run, the
-            // clock is theirs to advance — this thread only ticks
-            // (yielding so they get the mutex). A scheduled kill can land
-            // on the receive path too: stop immediately.
+            // The receive side on this thread. While lanes run, the clock
+            // is theirs to advance: after each turn this thread publishes
+            // when its next status sample or periodic journal is due and
+            // parks until a lane's clock reaches that or a delivery. A
+            // scheduled kill can land on the receive path too: stop
+            // immediately.
             loop {
                 engine.rx_tick(&mut transport, snapshot_positions);
                 if killed.load(Ordering::Acquire) || transport.killed() {
@@ -238,14 +202,18 @@ impl PreparedScan {
                 if finished_senders.load(Ordering::Acquire) == u64::from(threads) {
                     break;
                 }
-                std::thread::yield_now();
+                let due = engine.next_due();
+                wake_at.store(due, Ordering::Relaxed);
+                if transport.now() < due {
+                    std::thread::park();
+                }
             }
         });
 
-        // Senders have quiesced: the clock reads the last scheduled send
+        // Lanes have quiesced: the clock reads the last scheduled send
         // time and this thread is again its only writer, so the marks the
         // cooldown and the exit record replay deterministically. The walk
-        // is complete only if every sender exhausted its subshard.
+        // is complete only if every lane exhausted its subshard.
         let killed = killed.load(Ordering::Acquire);
         let exit = if killed { Exit::Killed } else { engine.cooldown(&mut transport) };
         let interrupted = interrupted_senders.load(Ordering::Relaxed) > 0;
@@ -264,6 +232,8 @@ mod tests {
     use crate::transport::{RxBatch, SimNet};
     use std::collections::HashSet;
     use std::net::{IpAddr, Ipv4Addr};
+    use std::sync::Mutex;
+    use std::thread::Thread;
     use zmap_netsim::loss::LossModel;
     use zmap_netsim::{FaultPlan, SendError, ServiceModel, WorldConfig};
 
@@ -312,13 +282,16 @@ mod tests {
         healthy: u64,
         batches: AtomicU64,
         polls: AtomicU64,
+        /// The thread that last polled, unparked while a send waits on it.
+        poller: Mutex<Option<Thread>>,
         wedged: AtomicBool,
     }
 
     impl Wedging {
         fn after(healthy: u64, faults: FaultPlan) -> Self {
             let (batches, polls) = (AtomicU64::new(0), AtomicU64::new(0));
-            Wedging { inner: dense_world(faults), healthy, batches, polls, wedged: false.into() }
+            let (poller, wedged) = (Mutex::new(None), false.into());
+            Wedging { inner: dense_world(faults), healthy, batches, polls, poller, wedged }
         }
     }
 
@@ -336,9 +309,13 @@ mod tests {
                 // Force the interleaving a mid-scan wedge is tested under:
                 // two receive polls — so one whole `rx_tick` — see the last
                 // healthy batch before the clock stops. (Threaded driver
-                // only: the inline one polls on this very thread.)
+                // only: the inline one polls on this very thread.) A parked
+                // receive loop polls only when woken, so wake it.
                 let seen = self.polls.load(Ordering::SeqCst);
                 while self.healthy > 0 && self.polls.load(Ordering::SeqCst) < seen + 2 {
+                    if let Some(poller) = self.poller.lock().unwrap().as_ref() {
+                        poller.unpark();
+                    }
                     std::thread::yield_now();
                 }
                 self.wedged.store(true, Ordering::SeqCst);
@@ -350,6 +327,7 @@ mod tests {
             (&self.inner).send_batch(batch, from)
         }
         fn recv_into(&mut self, rx: &mut RxBatch) {
+            *self.poller.lock().unwrap() = Some(std::thread::current());
             self.polls.fetch_add(1, Ordering::SeqCst);
             if !self.wedged.load(Ordering::SeqCst) {
                 (&self.inner).recv_into(rx);
@@ -699,6 +677,52 @@ mod tests {
             std::panic::set_hook(prev);
             assert!(result.is_err(), "poll {fault_at}: the panic must reach the caller");
         }
+    }
+
+    /// A world that counts the receive loop's polls.
+    struct CountsPolls {
+        inner: SimTransport,
+        polls: AtomicU64,
+    }
+
+    impl Transport for &CountsPolls {
+        fn now(&self) -> u64 {
+            self.inner.now()
+        }
+        fn advance_to(&mut self, t: u64) {
+            (&self.inner).advance_to(t);
+        }
+        fn send_batch(&mut self, batch: &FrameBatch, from: usize) -> (usize, Option<SendError>) {
+            (&self.inner).send_batch(batch, from)
+        }
+        fn recv_into(&mut self, rx: &mut RxBatch) {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+            (&self.inner).recv_into(rx);
+        }
+        fn next_rx_at(&self) -> Option<u64> {
+            self.inner.next_rx_at()
+        }
+        fn killed(&self) -> bool {
+            self.inner.killed()
+        }
+    }
+
+    /// With nothing to receive, the receive loop wakes only when a lane's
+    /// clock passes a status tick, plus spurious wake-ups — at most one
+    /// per flush — and its first and cooldown polls: it parks, not spins.
+    #[test]
+    fn the_receive_loop_parks_while_the_lanes_send() {
+        let dark = FaultPlan::builder().blackout(Ipv4Addr::new(44, 12, 0, 0), 16, 0, u64::MAX);
+        let transport =
+            CountsPolls { inner: dense_world(dark.build()), polls: AtomicU64::new(0) };
+        let cfg = prefix_cfg(12, 20, 1, 1_000);
+        let batches = 4096u64.div_ceil(cfg.batch as u64);
+        let s = run_parallel(&cfg, &transport).unwrap();
+        assert_eq!((s.sent, s.responses_validated), (4096, 0), "a dark /20");
+        let ticks = s.status.len() as u64;
+        assert!(ticks >= 4, "4096 probes at 1 kpps span 4 s: {ticks} status ticks");
+        let polls = transport.polls.load(Ordering::SeqCst);
+        assert!(polls <= 2 * batches + ticks + 2, "{polls} polls for {batches} batches");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! A bounded single-producer/single-consumer ring for handing rendered
-//! frame batches from generator threads to transport threads — the
-//! engine-side analogue of a netmap TX ring (paper §4.2: ZMap's 10GbE
-//! push came from decoupling packet *generation* from packet *I/O* and
-//! meeting the NIC with preloaded buffers).
+//! A bounded single-producer/single-consumer ring, the engine-side
+//! analogue of a netmap TX ring. The engine no longer uses it: the
+//! threaded driver's lanes are one thread each and hand nothing between
+//! threads. It stays, with its tests and its model check, only because
+//! the benchmark's `core.ring_handoff_ns` still measures it; it goes
+//! with that metric.
 //!
 //! Shape: monotonically increasing head/tail sequence counters over a
 //! fixed slot array. The producer owns `tail`, the consumer owns `head`;
@@ -17,10 +18,9 @@
 //! Close semantics: either side may [`close`](SpscRing::close) the ring.
 //! A closed ring refuses new pushes immediately (the producer learns the
 //! consumer is gone) but still drains queued values (the consumer never
-//! loses frames that were already rendered). The TX pipeline closes a
-//! pair's rings from whichever side exits first, so a blocked peer always
-//! unblocks promptly — no frame is silently dropped, and no thread can
-//! deadlock on a dead partner.
+//! loses frames that were already rendered). Closing from whichever side
+//! exits first means a blocked peer always unblocks promptly — no value
+//! is silently dropped, and no thread can deadlock on a dead partner.
 
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;

@@ -856,6 +856,14 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// When `rx_tick` next has work of its own, on the transport clock:
+    /// the next status sample or the next periodic journal.
+    pub(crate) fn next_due(&self) -> u64 {
+        let journal =
+            self.ckpt.map_or(u64::MAX, |(p, _)| self.last_ckpt_at.saturating_add(p.interval_ns));
+        self.start.saturating_add(self.monitor.next_tick().min(journal))
+    }
+
     /// Stage 4, once the send phase has ended without a kill: drains
     /// stragglers for `cooldown_secs` of virtual time, jumping the clock
     /// from one pending delivery to the next. A scheduled kill can still

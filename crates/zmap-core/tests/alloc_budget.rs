@@ -7,11 +7,11 @@
 //! A counting global allocator tallies every allocation made on any
 //! thread while the run is in progress. A run's fixed costs — the dedup
 //! table, the output buffer, the receive ring, the threaded driver's
-//! threads and rings — cancel in the difference between the two runs;
-//! what cannot cancel is a cost per probe or per frame. The budget is at
-//! most one marginal allocation per 1 000 extra probes and per 1 000 extra
-//! received frames: room for a container's amortised doubling, none for a
-//! `format!` or a `to_vec` on the path.
+//! lane threads and their batches — cancel in the difference between the
+//! two runs; what cannot cancel is a cost per probe or per frame. The
+//! budget is at most one marginal allocation per 1 000 extra probes and
+//! per 1 000 extra received frames: room for a container's amortised
+//! doubling, none for a `format!` or a `to_vec` on the path.
 //!
 //! The cells together run every hot-path root:
 //!
@@ -22,7 +22,7 @@
 //! | `emit`, `flush` | every cell |
 //! | `ProbeModule::render_into` | SYN: `cyclic`; ICMP echo: `icmp`; UDP: `udp` |
 //! | `send_batch` on `&SimTransport` | every cell |
-//! | `SpscRing` push and pop | `threaded` |
+//! | the one-thread lane (walk → `emit` → `flush`) and the parked receive loop | `threaded` |
 //! | `Engine::drain` → `on_frame`, `ProbeModule::parse_response` | v4: every other cell; v6: `v6` |
 //! | dedup: an evicting window | `blackrock` |
 //! | dedup: `--full-bitmap-dedup` | `legacy-blackrock` |

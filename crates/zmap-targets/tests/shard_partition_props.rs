@@ -1,5 +1,5 @@
-//! Property tests: the per-thread subshard walks the TX pipeline's
-//! generator threads own must form an exact partition of the shard —
+//! Property tests: the per-thread subshard walks the threaded driver's
+//! send threads own must form an exact partition of the shard —
 //! pairwise disjoint, and their union equal (as a set) to the
 //! single-subshard cyclic walk — for arbitrary (shards, subshards, seed)
 //! and both sharding algorithms. A violated partition would mean a
@@ -83,7 +83,7 @@ proptest! {
     ) {
         // One shard, many subshards: the union over subshards must hit
         // all 1024 addresses exactly once — the exact contract the
-        // pipelined generator threads rely on.
+        // threaded driver's send threads rely on.
         let g = generator(seed, 1, subshards, ShardAlgorithm::Pizza);
         let mut seen = HashSet::new();
         for sub in 0..subshards {
