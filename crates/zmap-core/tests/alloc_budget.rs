@@ -22,7 +22,7 @@
 //! | `emit`, `flush` | every cell |
 //! | `ProbeModule::render_into` | SYN: `cyclic`; ICMP echo: `icmp`; UDP: `udp` |
 //! | `send_batch` on `&SimTransport` | every cell |
-//! | the one-thread lane (walk → `emit` → `flush`) and the parked receive loop | `threaded` |
+//! | the one-thread lane (walk → `emit` → `flush`), the wire and the parked receive loop | `threaded-1`, `threaded` |
 //! | `Engine::drain` → `on_frame`, `ProbeModule::parse_response` | v4: every other cell; v6: `v6` |
 //! | dedup: an evicting window | `blackrock` |
 //! | dedup: `--full-bitmap-dedup` | `legacy-blackrock` |
@@ -35,11 +35,17 @@
 //! scan size and the world's pool is warm long before the n-th probe;
 //! netsim's own budget is its `tests/alloc_budget.rs`.
 //!
-//! The threaded driver's receive thread may trail its senders by a whole
-//! scan, so the frames in flight, and the world's pool, grow with the
-//! scan. The threaded cell therefore runs at 1 Mpps on one world warmed
-//! by a scan of 4n targets, and — its count still depending on thread
-//! scheduling — is bounded on the median of five runs at each size.
+//! One lane runs as the inline cells do. Its frames wait on the wire for
+//! the receive thread, which routes them and then receives, so routing
+//! trails the lane by at most the wire's length and, while that thread
+//! is parked, the lane routes its own.
+//!
+//! Two lanes drift apart in virtual time, and a lagging lane's replies
+//! land behind the delivery queue's current bucket, so the frames in
+//! flight, and the world's pool, can grow with the scan. The two-lane
+//! cell therefore runs at 1 Mpps on one world warmed by a scan of 4n
+//! targets, and — its count still depending on thread scheduling — is
+//! bounded on the median of five runs at each size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;
@@ -107,7 +113,7 @@ fn tallied<R>(f: impl FnOnce() -> R) -> (R, u64) {
 const SRC: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 9);
 /// log2 of n, the smaller run's target count.
 const LOG_N: u8 = 15;
-/// Repeated runs per size for the threaded cell.
+/// Repeated runs per size for the two-lane cell.
 const THREADED_RUNS: usize = 5;
 
 /// How a cell's scan is driven.
@@ -116,8 +122,10 @@ enum Driver {
     /// [`Scanner::run_into`] on a [`SimNet`] transport, rows streamed
     /// through an [`OutputModule`] in this format.
     Inline(OutputFormat),
-    /// [`PreparedScan::run`] with two lanes over the same transport.
+    /// [`PreparedScan::run`] on a fresh world, as the inline cells run.
     Threaded,
+    /// [`PreparedScan::run`] with two lanes over one warmed transport.
+    TwoLanes,
 }
 
 struct Cell {
@@ -127,7 +135,7 @@ struct Cell {
     tweak: fn(&mut ScanConfig),
 }
 
-const CELLS: [Cell; 8] = [
+const CELLS: [Cell; 9] = [
     Cell {
         name: "cyclic",
         driver: Driver::Inline(OutputFormat::Csv),
@@ -175,8 +183,13 @@ const CELLS: [Cell; 8] = [
         },
     },
     Cell {
-        name: "threaded",
+        name: "threaded-1",
         driver: Driver::Threaded,
+        tweak: |_| {},
+    },
+    Cell {
+        name: "threaded",
+        driver: Driver::TwoLanes,
         tweak: |c| {
             c.subshards = 2;
             c.rate_pps = 1_000_000;
@@ -227,8 +240,8 @@ fn config(cell: &Cell, log_n: u8) -> ScanConfig {
 }
 
 /// One run of `cell` over `2^log_n` targets: `(probes, frames,
-/// allocations)`. An inline run gets a world of its own; a threaded run
-/// goes through `shared`.
+/// allocations)`. A two-lane run goes through `shared`; every other run
+/// gets a world of its own.
 fn run(cell: &Cell, log_n: u8, shared: &SimTransport) -> (u64, u64, u64) {
     let cfg = config(cell, log_n);
     let (s, allocs): (ScanSummary, u64) = match cell.driver {
@@ -246,6 +259,11 @@ fn run(cell: &Cell, log_n: u8, shared: &SimTransport) -> (u64, u64, u64) {
             (s, allocs)
         }
         Driver::Threaded => {
+            let transport = SimNet::new(world(None)).transport(SRC);
+            let scan = PreparedScan::new(cfg, Logger::null()).unwrap();
+            tallied(|| scan.run(&transport, RunOptions::default()))
+        }
+        Driver::TwoLanes => {
             let scan = PreparedScan::new(cfg, Logger::null()).unwrap();
             tallied(|| scan.run(shared, RunOptions::default()))
         }
@@ -274,7 +292,7 @@ fn median(mut v: Vec<u64>) -> u64 {
 /// `(extra probes, extra frames, marginal allocations)` from n to 2n.
 fn marginal(cell: &Cell) -> (u64, u64, i64) {
     let shared = SimNet::new(world(None)).transport(SRC);
-    let runs = if cell.driver == Driver::Threaded {
+    let runs = if cell.driver == Driver::TwoLanes {
         // Warm the shared world's queue with a scan twice the largest.
         run(cell, LOG_N + 2, &shared);
         THREADED_RUNS

@@ -46,7 +46,7 @@ pub use profile::{HostProfile, OptionSensitivity, StackOs};
 pub use rx::RxBatch;
 pub use services::ServiceModel;
 pub use v6::V6Population;
-pub use world::{EndpointId, World, WorldConfig};
+pub use world::{Admitted, EndpointId, Nic, World, WorldConfig};
 
 /// Nanoseconds per second, the simulator's clock unit.
 pub const NS_PER_SEC: u64 = 1_000_000_000;
