@@ -10,7 +10,7 @@
 //! lanes leave their admitted frames to it, so the simulated network's
 //! work runs on the receive thread and the lanes only render and admit.
 //! A parked loop is woken by a lane whose clock reaches its
-//! next status sample or journal, or, every [`DRAIN_EVERY`] flushes, a
+//! next status sample or journal, or, every `DRAIN_EVERY` flushes, a
 //! pending delivery. The stages live in `scanner.rs`; this file is who runs them
 //! where.
 //!
@@ -93,6 +93,9 @@ impl PreparedScan {
         for<'a> &'a T: Transport,
     {
         let (scan, cfg, opts) = (&self, &self.cfg, &opts);
+        // None of the atomics below guards data: the scope's join or the
+        // world's lock orders what they announce (DESIGN §9, "Flags that
+        // guard no data").
         // [atomics] finished_senders: Release increment as each lane's
         // last visible write, followed by an unconditional unpark of the
         // receive thread, so the loop cannot stay parked past the last

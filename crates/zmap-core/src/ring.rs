@@ -23,15 +23,19 @@
 //! is silently dropped, and no thread can deadlock on a dead partner.
 
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 
-// Test builds swap the sequence counters for zmap-sched shims so the
-// model checker (src/model_check.rs) can explore every interleaving of
-// the real ring code; release builds use the std atomics unchanged.
+// Test builds swap the sequence counters for zmap-sched shims, and the
+// slot mutexes for `Tracked` cells, which are no happens-before edge, so
+// the model checker (src/model_check.rs) explores every interleaving of
+// the real ring code and fails any slot access the counters do not
+// order; release builds use the std types unchanged.
 #[cfg(not(test))]
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::{
+    atomic::{AtomicBool, AtomicU64},
+    Mutex,
+};
 #[cfg(test)]
-use zmap_sched::{ShimAtomicBool as AtomicBool, ShimAtomicU64 as AtomicU64};
+use zmap_sched::{ShimAtomicBool as AtomicBool, ShimAtomicU64 as AtomicU64, Tracked as Mutex};
 
 /// Bounded SPSC queue. See the module docs for the concurrency contract:
 /// one pushing thread, one popping thread, either may close.

@@ -17,7 +17,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 // Test builds swap the flag for a zmap-sched shim so the model checker
-// (src/model_check.rs) can explore request/observe interleavings.
+// (src/model_check.rs) can explore request/observe interleavings and
+// check that a request publishes what its requester wrote before it.
 #[cfg(not(test))]
 use std::sync::atomic::AtomicBool;
 #[cfg(test)]

@@ -466,14 +466,15 @@ impl SimNet {
 /// `&SimTransport` is the [`Transport`] (any number of threads drive it
 /// through copies of the reference), and the owned one forwards to it.
 ///
-/// Poisoned locks are simply taken (see [`lock`]).
+/// Poisoned locks are simply taken (see `lock`).
 pub struct SimTransport {
     world: Arc<Mutex<World>>,
     wire: Arc<Wire>,
     ep: EndpointId,
     // [atomics] clock: monotone virtual time — AcqRel fetch_max, once per
     // batch (the latest slot attempted) and per advance_to; Acquire load so
-    // a reader sees every event at or before the observed instant.
+    // a reader sees every event at or before the observed instant. It
+    // guards no data (DESIGN §9): those events sit behind the world lock.
     clock: AtomicU64,
 }
 
