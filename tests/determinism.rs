@@ -1,8 +1,9 @@
-//! Cross-engine determinism: the single-threaded virtual-time Scanner
-//! and the multi-threaded wall-clock engine must agree on *what* they
-//! found. Timing differs (one is simulated, one is real), but over a
+//! Cross-driver determinism: the inline driver (`Scanner`) and the
+//! threaded one (`run_parallel`, here four lanes) must agree on *what*
+//! they found. Both run on the virtual clock (DESIGN §6), but the lanes
+//! interleave their sends, so send times and row order differ; over a
 //! lossless world the discovered target set is an invariant of the
-//! (seed, constraint) pair, not of the engine.
+//! (seed, constraint) pair, not of the driver.
 
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
