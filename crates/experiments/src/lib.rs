@@ -44,27 +44,30 @@ pub struct Experiment {
     pub name: &'static str,
     /// The file under `results/` that holds its output.
     pub file: &'static str,
+    /// The flags it takes, each with its value's name; the binary refuses
+    /// any other word after the name.
+    pub flags: &'static [(&'static str, &'static str)],
     /// Runs it; the arguments are the command line after the name.
     pub run: fn(&[String]) -> Output,
 }
 
 /// Every experiment, in `results/`' file order.
 pub static EXPERIMENTS: &[Experiment] = &[
-    Experiment { name: "exp_attribution", file: "exp_attribution.json", run: exp_attribution::run },
-    Experiment { name: "exp_generator_attempts", file: "exp_generator_attempts.txt", run: exp_generator_attempts::run },
-    Experiment { name: "exp_ipid", file: "exp_ipid.txt", run: exp_ipid::run },
-    Experiment { name: "exp_l4_l7", file: "exp_l4_l7.txt", run: exp_l4_l7::run },
-    Experiment { name: "exp_masscan_vs_zmap", file: "exp_masscan_vs_zmap.txt", run: exp_masscan_vs_zmap::run },
-    Experiment { name: "exp_v6_hitrate", file: "exp_v6_hitrate.txt", run: exp_v6_hitrate::run },
-    Experiment { name: "exp_vantage", file: "exp_vantage.txt", run: exp_vantage::run },
-    Experiment { name: "fig1_adoption", file: "fig1_adoption.txt", run: fig1_adoption::run },
-    Experiment { name: "fig2_all_ports", file: "fig2_all_ports.txt", run: fig2_all_ports::run },
-    Experiment { name: "fig3_zmap_ports", file: "fig3_zmap_ports.txt", run: fig3_zmap_ports::run },
-    Experiment { name: "fig4_countries", file: "fig4_countries.txt", run: fig4_countries::run },
-    Experiment { name: "fig5_dedup_window", file: "fig5_dedup_window.txt", run: fig5_dedup_window::run },
-    Experiment { name: "fig6_sharding", file: "fig6_sharding.txt", run: fig6_sharding::run },
-    Experiment { name: "fig7_tcp_options", file: "fig7_tcp_options.txt", run: fig7_tcp_options::run },
-    Experiment { name: "fig8_bibliography", file: "fig8_bibliography.txt", run: fig8_bibliography::run },
+    Experiment { name: "exp_attribution", file: "exp_attribution.json", flags: &[("--scenario", "FILE"), ("--report", "OUT")], run: exp_attribution::run },
+    Experiment { name: "exp_generator_attempts", file: "exp_generator_attempts.txt", flags: &[], run: exp_generator_attempts::run },
+    Experiment { name: "exp_ipid", file: "exp_ipid.txt", flags: &[], run: exp_ipid::run },
+    Experiment { name: "exp_l4_l7", file: "exp_l4_l7.txt", flags: &[], run: exp_l4_l7::run },
+    Experiment { name: "exp_masscan_vs_zmap", file: "exp_masscan_vs_zmap.txt", flags: &[], run: exp_masscan_vs_zmap::run },
+    Experiment { name: "exp_v6_hitrate", file: "exp_v6_hitrate.txt", flags: &[], run: exp_v6_hitrate::run },
+    Experiment { name: "exp_vantage", file: "exp_vantage.txt", flags: &[], run: exp_vantage::run },
+    Experiment { name: "fig1_adoption", file: "fig1_adoption.txt", flags: &[], run: fig1_adoption::run },
+    Experiment { name: "fig2_all_ports", file: "fig2_all_ports.txt", flags: &[], run: fig2_all_ports::run },
+    Experiment { name: "fig3_zmap_ports", file: "fig3_zmap_ports.txt", flags: &[], run: fig3_zmap_ports::run },
+    Experiment { name: "fig4_countries", file: "fig4_countries.txt", flags: &[], run: fig4_countries::run },
+    Experiment { name: "fig5_dedup_window", file: "fig5_dedup_window.txt", flags: &[], run: fig5_dedup_window::run },
+    Experiment { name: "fig6_sharding", file: "fig6_sharding.txt", flags: &[], run: fig6_sharding::run },
+    Experiment { name: "fig7_tcp_options", file: "fig7_tcp_options.txt", flags: &[], run: fig7_tcp_options::run },
+    Experiment { name: "fig8_bibliography", file: "fig8_bibliography.txt", flags: &[], run: fig8_bibliography::run },
 ];
 
 /// The registry row named `name`.

@@ -1,7 +1,8 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
-//! `experiments NAME [ARGS]` prints what experiment NAME's `results/`
-//! file holds; `experiments` alone lists the names.
+//! `experiments NAME [FLAG VALUE]...` prints what experiment NAME's
+//! `results/` file holds; `experiments` alone lists the names. A word
+//! that NAME does not take exits 2 with NAME's usage line.
 
 use experiments::{find, EXPERIMENTS};
 use std::process::ExitCode;
@@ -15,7 +16,16 @@ fn main() -> ExitCode {
         }
         return ExitCode::from(2);
     };
-    match (experiment.run)(&args[1..]) {
+    // Flag-value pairs, each flag one the entry takes: any other word
+    // would be dropped without a trace.
+    let takes = |flag: &String| experiment.flags.iter().any(|(f, _)| f == flag);
+    let words = &args[1..];
+    if words.len() % 2 == 1 || !words.iter().step_by(2).all(takes) {
+        let flags: String = experiment.flags.iter().map(|(f, v)| format!(" [{f} {v}]")).collect();
+        eprintln!("usage: experiments {}{flags}", experiment.name);
+        return ExitCode::from(2);
+    }
+    match (experiment.run)(words) {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS

@@ -131,8 +131,7 @@ RATE & SHARDING
                            per --threads lane walks, renders and
                            flushes its subshard, one thread receives
                            (identical output, pure performance
-                           topology). Walks whole subshards: not with
-                           --max-targets or --max-results
+                           topology). Not with --max-results
   --interleaved            2014 interleaved sharding (default: pizza)
 
 OUTPUT (four streams: data, logs, status, metadata)
@@ -618,10 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn tx_pipeline_rejects_max_targets() {
-        let why = invalid_why("--tx-pipeline --max-targets 10");
-        assert!(why.contains("--max-targets"), "{why}");
-        assert!(parse_args(&args("--max-targets 10")).is_ok());
+    fn tx_pipeline_accepts_max_targets() {
+        let o = parse_args(&args("--tx-pipeline --max-targets 10")).unwrap();
+        assert!(o.config.tx_pipeline);
+        assert_eq!(o.config.max_targets, 10);
     }
 
     #[test]

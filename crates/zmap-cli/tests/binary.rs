@@ -167,6 +167,23 @@ fn the_four_lane_pipelined_scan_replays_data_and_metadata() {
     );
 }
 
+/// `--max-targets` splits over the lanes (lane t of k gets ⌊N/k⌋, plus
+/// one while t < N mod k): exactly N targets leave, and the scan replays.
+#[test]
+fn capped_pipelined_scans_send_exactly_n_and_replay() {
+    for threads in ["2", "4"] {
+        let run = twice(
+            &format!("pipe-capped-{threads}"),
+            &[
+                "--subnet", "23.128.16.0/20", "-p", "80,443", "-r", "100000", "--seed", "42",
+                "--sim-seed", "9", "--sim-live-fraction", "0.5", "-O", "csv", "-q",
+                "--tx-pipeline", "--threads", threads, "--max-targets", "1001",
+            ],
+        );
+        assert_eq!((run.counter("targets_total"), run.counter("sent")), (1001, 1001), "{threads}");
+    }
+}
+
 #[test]
 fn the_v6_scan_replays_every_stream() {
     let prefixes = repo().join("scenarios/ipv6-xmap.txt");
@@ -186,8 +203,8 @@ fn the_v6_scan_replays_every_stream() {
 // One engine, two drivers: at one lane the inline driver and the
 // threaded one (`--tx-pipeline`) are the same schedule, so the sorted
 // data stream and the whole metadata document (counters, histograms,
-// trace) match byte for byte, on a clean world and with 30% of sends
-// refused (one retry loop).
+// trace) match byte for byte, on a clean world, with 30% of sends
+// refused (one retry loop) and with a `--max-targets` cap.
 
 #[test]
 fn inline_and_threaded_drivers_write_the_same_streams() {
@@ -204,7 +221,12 @@ fn inline_and_threaded_drivers_write_the_same_streams() {
         rows.sort();
         (rows, run.metadata)
     };
-    for (world, faults) in [("clean", vec![]), ("refused", vec!["--fault-plan", plan.as_str()])] {
+    let worlds = [
+        ("clean", vec![]),
+        ("refused", vec!["--fault-plan", plan.as_str()]),
+        ("capped", vec!["--max-targets", "1001"]),
+    ];
+    for (world, faults) in worlds {
         let (inline_rows, inline_meta) = drive(&format!("{world}-inline"), &faults);
         let threaded = [&faults[..], &["--tx-pipeline"]].concat();
         let (threaded_rows, threaded_meta) = drive(&format!("{world}-threaded"), &threaded);
@@ -220,6 +242,8 @@ fn inline_and_threaded_drivers_write_the_same_streams() {
         let meta: serde_json::Value = serde_json::from_str(&inline_meta).unwrap();
         let retries = meta["counters"]["send_retries"].as_u64().unwrap();
         assert_eq!(retries > 0, world == "refused", "{world}: {retries} send retries");
+        let targets = meta["counters"]["targets_total"].as_u64().unwrap();
+        assert_eq!(targets == 1001, world == "capped", "{world}: {targets} targets");
     }
 }
 

@@ -118,15 +118,6 @@ impl ScanMetrics {
         self.bank.add(shard, id as usize, n);
     }
 
-    /// Overwrites a counter's shard-0 lane so the registry total
-    /// (baseline + lanes) equals the absolute value `v`. Single-writer
-    /// counters only (`targets_total` rollback after a mid-batch kill).
-    #[inline]
-    pub fn store_absolute(&self, id: CounterId, v: u64) {
-        self.bank
-            .store(0, id as usize, v.saturating_sub(self.baseline.get(id)));
-    }
-
     /// Current total of one counter (baseline + all shards).
     #[inline]
     pub fn get(&self, id: CounterId) -> u64 {
@@ -244,19 +235,6 @@ mod tests {
         m.add_at(1, CounterId::Sent, 3);
         assert_eq!(m.counters().sent, 110);
         assert_eq!(m.counters().resume_count, 1);
-    }
-
-    #[test]
-    fn store_absolute_rolls_a_counter_back() {
-        let baseline = Counters {
-            targets_total: 50,
-            ..Counters::default()
-        };
-        let m = ScanMetrics::new(1, baseline);
-        m.add(CounterId::TargetsTotal, 20);
-        assert_eq!(m.get(CounterId::TargetsTotal), 70);
-        m.store_absolute(CounterId::TargetsTotal, 63);
-        assert_eq!(m.get(CounterId::TargetsTotal), 63);
     }
 
     /// Distinct keys that are (or are not) RTT-sampled, in a fixed order.

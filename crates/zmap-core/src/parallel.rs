@@ -1,18 +1,18 @@
 //! The threaded driver: the engine shape real ZMap uses (Adrian et al.
 //! 2014) — N send threads, each owning one subshard of the cyclic group,
 //! plus one receive loop — over a transport shared by reference and
-//! paced by a *shared virtual clock*. A lane is one thread running the
-//! inline driver's send shape over its subshard: walk → `scanner::emit`
-//! → `scanner::flush` per batch, then publish its position. The calling
-//! thread runs `Engine::rx_tick`, then `cooldown`, `finish`. Between
-//! turns it parks, unless the transport wants it to go on routing (see
-//! [`Transport::receiver_parks`]): while it is awake, the simulator's
-//! lanes leave their admitted frames to it, so the simulated network's
-//! work runs on the receive thread and the lanes only render and admit.
-//! A parked loop is woken by a lane whose clock reaches its
-//! next status sample or journal, or, every `DRAIN_EVERY` flushes, a
-//! pending delivery. The stages live in `scanner.rs`; this file is who runs them
-//! where.
+//! paced by a *shared virtual clock*. A lane is one thread stepping a
+//! `scanner::Lane` — the inline driver's one lane, with one walk and
+//! every k-th slot of the schedule — and publishing its position after
+//! each step. The calling thread runs `Engine::rx_tick`, then
+//! `cooldown`, `finish`. Between turns it parks, unless the transport
+//! wants it to go on routing (see [`Transport::receiver_parks`]): while
+//! it is awake, the simulator's lanes leave their admitted frames to it,
+//! so the simulated network's work runs on the receive thread and the
+//! lanes only render and admit. A parked loop is woken by a lane whose
+//! clock reaches its next status sample or journal, or, every
+//! `DRAIN_EVERY` flushes, a pending delivery. The stages live in
+//! `scanner.rs`; this file is who runs them where.
 //!
 //! A transport is shareable the way `&TcpStream: Write` says it in std:
 //! `T: Sync` and `&T: Transport` (the simulator's `&SimTransport`), each
@@ -25,10 +25,9 @@
 
 use crate::config::ScanConfig;
 use crate::log::Logger;
-use crate::metrics::{CounterId, ScanMetrics};
-use crate::ratecontrol::RateController;
-use crate::scanner::{emit, flush, Engine, Exit, PreparedScan, RunOptions, ScanSummary};
-use crate::transport::{FrameBatch, SimTransport, Transport};
+use crate::metrics::ScanMetrics;
+use crate::scanner::{Engine, Exit, Lane, PreparedScan, RunOptions, ScanSummary};
+use crate::transport::{SimTransport, Transport};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use zmap_targets::generator::BuildError;
 
@@ -82,11 +81,10 @@ impl PreparedScan {
     /// scheduling; front-ends sort them once the scan is over).
     ///
     /// The receive side runs on the calling thread until all lanes
-    /// finish, then through the cooldown. Pacing is virtual: each lane
-    /// owns every `threads`-th slot of the global schedule — fixed slots,
-    /// a lane that runs dry leaves them empty — and the scan completes at
-    /// memory speed while timestamps, and therefore replay, stay
-    /// independent of host timing.
+    /// finish, then through the cooldown. Pacing is virtual — lane t of k
+    /// owns slots t, t + k, … and leaves them empty once it runs dry — so
+    /// the scan runs at memory speed and replays independent of host
+    /// timing.
     pub fn run<T>(self, mut transport: &T, opts: RunOptions) -> ScanSummary
     where
         T: Sync,
@@ -144,9 +142,8 @@ impl PreparedScan {
             positions.iter().map(|OwnLine(position)| position.load(Ordering::Relaxed)).collect()
         };
         let mut results = Vec::new();
-        let (targets, resumed_at) = (scan.shard_targets(), snapshot_positions());
         let mut engine =
-            Engine::start(scan, &metrics, opts, start, targets, resumed_at, &mut results);
+            Engine::start(scan, &metrics, opts, start, snapshot_positions(), &mut results);
 
         std::thread::scope(|scope| {
             for t in 0..threads {
@@ -155,60 +152,17 @@ impl PreparedScan {
                 let (wake_at, receiver) = (&wake_at, &receiver);
                 scope.spawn(move || {
                     let mut transport = transport;
-                    // Interleaved pacing: lane t owns global schedule
-                    // slots t, t+threads, t+2·threads, … so the union
-                    // across all lanes is exactly the single-sender
-                    // schedule and the aggregate rate is conserved — no
-                    // truncated remainder, and rates below the thread
-                    // count still work.
-                    let (base, stride) = (u64::from(t), u64::from(threads));
-                    let mut rc = RateController::new_interleaved(start, cfg.rate_pps, base, stride);
-                    let mut entropy: u16 = t as u16;
-                    let mut ip_id = || {
-                        entropy = entropy.wrapping_add(0x9E37);
-                        entropy
-                    };
-                    let (mut it, mut batch) = (scan.lane(t), FrameBatch::new(cfg.batch));
-                    let (retries, shard) = (cfg.max_retries, t as usize);
-                    let (mut clock, mut walking, mut flushes) = (start, true, 0u64);
-                    while walking {
-                        let mut targets = 0;
-                        while !batch.is_full() {
-                            // Cycle boundary: the only place a lane stops
-                            // walking — for shutdown, a dead process, or an
-                            // exhausted walk. The partial batch still ships.
-                            if opts.shutdown.as_ref().is_some_and(|s| s.is_requested())
-                                || killed.load(Ordering::Acquire)
-                            {
-                                interrupted.fetch_add(1, Ordering::Relaxed);
-                                walking = false;
-                                break;
-                            }
-                            let Some(target) = it.next() else {
-                                walking = false;
-                                break;
-                            };
-                            targets += 1;
-                            // Tagged with the walk position, published
-                            // once the frame has left.
-                            let tag = it.elements_consumed();
-                            emit(scan, metrics, &mut rc, &mut batch, target, tag, &mut ip_id);
-                        }
-                        if batch.is_empty() {
-                            break;
-                        }
-                        metrics.add_at(shard, CounterId::TargetsTotal, targets);
-                        let flushed =
-                            flush(&mut transport, &mut batch, &mut clock, retries, metrics, shard);
-                        if flushed.is_err() {
-                            killed.store(true, Ordering::Release);
+                    let mut lane = Lane::new(scan, metrics, (t, threads), t..t + 1, start);
+                    let mut flushes = 0u64;
+                    loop {
+                        let more = lane.step(&mut transport, opts.shutdown.as_ref(), killed);
+                        if killed.load(Ordering::Acquire) {
                             break;
                         }
                         // Published only once every frame has left: a
                         // checkpoint can never record a target whose frame
                         // has not (resume re-walks, never skips).
-                        position.store(batch.tag(batch.len() - 1), Ordering::Relaxed);
-                        batch.clear();
+                        position.store(lane.walks[0].elements_consumed(), Ordering::Relaxed);
                         // A delivery this lane's sends scheduled can fall due
                         // before the time the receive loop parked until, and
                         // a scan that is answered has routing worth taking
@@ -217,14 +171,18 @@ impl PreparedScan {
                         // is pending.
                         flushes += 1;
                         let wake = wake_at.load(Ordering::Relaxed);
-                        if clock >= wake
+                        if lane.clock >= wake
                             || (wake != AWAKE
-                                && flushes % DRAIN_EVERY == 0
+                                && flushes.is_multiple_of(DRAIN_EVERY)
                                 && transport.next_rx_at().is_some())
                         {
                             receiver.unpark();
                         }
+                        if !more {
+                            break;
+                        }
                     }
+                    interrupted.fetch_add(u64::from(lane.interrupted), Ordering::Relaxed);
                     finished.fetch_add(1, Ordering::Release);
                     receiver.unpark();
                 });
@@ -277,7 +235,7 @@ mod tests {
     use crate::checkpoint::{CheckpointPolicy, CheckpointState};
     use crate::log::Level;
     use crate::shutdown::ShutdownToken;
-    use crate::transport::{RxBatch, SimNet};
+    use crate::transport::{FrameBatch, RxBatch, SimNet};
     use std::collections::HashSet;
     use std::net::{IpAddr, Ipv4Addr};
     use std::sync::Mutex;
@@ -436,7 +394,7 @@ mod tests {
     };
 
     /// Each row names the per-engine tests it replaced.
-    const ROWS: [Row; 7] = [
+    const ROWS: [Row; 8] = [
         // single_thread_parallel_matches_engine_coverage,
         // parallel_scan_covers_everything_once (the four-lane driver),
         // status_stream_reports_virtual_progress (256 probes at 100 pps
@@ -470,7 +428,7 @@ mod tests {
         Row {
             name: "kill, then resume",
             faults: || FaultPlan::builder().kill_at(150).build(),
-            tweak: |c| c.rate_pps = 1_000,
+            tweak: |c| (c.rate_pps, c.probes_per_target) = (1_000, 1),
             resume_after_kill: true,
             sent: None,
             ..CLEAN
@@ -496,6 +454,15 @@ mod tests {
             tweak: |c| c.max_retries = 2,
             sent: None,
             found: None,
+            ..CLEAN
+        },
+        // New: the threaded driver used to refuse `max_targets`. Split
+        // over four lanes, 102 is 26 + 26 + 25 + 25.
+        Row {
+            name: "max targets 102",
+            tweak: |c| c.max_targets = 102,
+            sent: Some(102),
+            found: Some(102),
             ..CLEAN
         },
         // New: the threaded engine used to drop `probes_per_target`.
@@ -539,6 +506,12 @@ mod tests {
                 let mut found: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
                 if row.resume_after_kill {
                     assert!(s.killed && s.shutdown_clean == 0 && s.sent < 256, "{at}");
+                    // Each lane whose flush met the kill counts the one
+                    // target whose frame was in flight. A threaded kill
+                    // can also land on the receive path between flushes.
+                    let in_flight = s.targets_total - s.sent;
+                    assert!(in_flight <= u64::from(lanes), "{at}: {in_flight} in flight");
+                    assert!(driver != "inline" || in_flight == 1, "{at}: {in_flight} in flight");
                     let journal = CheckpointState::load(&path).unwrap();
                     assert!(!journal.complete, "{at}");
                     let resumed = PreparedScan::resume(cfg.clone(), &journal, Logger::null());
@@ -623,7 +596,7 @@ mod tests {
             ..Default::default()
         };
         let scan = PreparedScan::new(prefix_cfg(21, 24, 1, 100_000), Logger::null()).unwrap();
-        let mut walk = scan.lane(0);
+        let mut walk = scan.walk(0);
         walk.nth(2 * scan.cfg.batch - 1);
         let sent_before_the_stall = walk.elements_consumed();
         let s = scan.run(&transport, opts);

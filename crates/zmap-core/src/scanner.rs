@@ -1,15 +1,16 @@
 //! The scan engine: target walk → paced probes → validated, deduplicated,
 //! classified results — every stage written once, in this file.
 //!
-//! A [`PreparedScan`] goes through `emit` (pace + render a target's
-//! probes), `flush` (batched send, the one retry loop), `Engine::rx_tick`
-//! (drain, status, periodic journal), `Engine::cooldown` (drain
-//! stragglers under the stall watchdog) and `Engine::finish` (the only
-//! exit). Two drivers decide which thread runs which stage: the
-//! **inline** one here ([`Scanner::run_into`] — a [`Scanner`] owns its
-//! transport, so the calling thread does it all) and the **threaded** one
-//! in `parallel.rs` ([`PreparedScan::run`] — the transport is borrowed and
-//! `Sync`, so each lane gets a thread pair).
+//! A [`PreparedScan`] goes through a lane's step — `emit` (pace + render
+//! a target's probes) per target, then `flush` (batched send, the one
+//! retry loop) — `Engine::rx_tick` (drain, status, periodic journal),
+//! `Engine::cooldown` (drain stragglers under the stall watchdog) and
+//! `Engine::finish` (the only exit). Two drivers decide which thread runs
+//! which stage: the **inline** one here ([`Scanner::run_into`] — a
+//! [`Scanner`] owns its transport, so the calling thread steps one lane
+//! and receives) and the **threaded** one in `parallel.rs`
+//! ([`PreparedScan::run`] — the transport is borrowed and `Sync`, so each
+//! lane is a thread of its own and the calling thread receives).
 
 use crate::checkpoint::{config_digest, CheckpointPolicy, CheckpointState, JournalError};
 use crate::config::{DedupMethod, ScanConfig};
@@ -27,6 +28,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use zmap_dedup::{PagedBitmap, SlidingWindow};
 use zmap_metrics::{MetricsSnapshot, TraceSnapshot};
 use zmap_netsim::SendError;
@@ -305,9 +307,8 @@ impl PreparedScan {
         Scanner { scan: self, transport }
     }
 
-    /// Lane `t`'s walk (subshard `t` of this shard), fast-forwarded to
-    /// its resume position.
-    pub(crate) fn lane(&self, t: u32) -> PlanIter<'_> {
+    /// Subshard `t`'s walk, fast-forwarded to its resume position.
+    pub(crate) fn walk(&self, t: u32) -> PlanIter<'_> {
         let mut it = self.plan.iter_shard(self.cfg.shard, t);
         if let Some(&p) = self.start_positions.as_ref().and_then(|p| p.get(t as usize)) {
             it.fast_forward_elements(p);
@@ -315,10 +316,14 @@ impl PreparedScan {
         it
     }
 
-    /// Shard-local target count (exact only for the whole scan; for a
-    /// shard we estimate as total/shards for progress display).
+    /// The targets this run expects to send: `max_targets` when set, else
+    /// the shard-local count (exact only for the whole scan; for a shard
+    /// we estimate as total/shards for progress display).
     pub(crate) fn shard_targets(&self) -> u64 {
-        self.plan.target_count() / u64::from(self.cfg.num_shards)
+        match self.cfg.max_targets {
+            0 => self.plan.target_count() / u64::from(self.cfg.num_shards),
+            cap => cap,
+        }
     }
 }
 
@@ -350,22 +355,12 @@ impl<T: Transport> Scanner<T> {
     }
 
     /// The v4 target generator (inspectable before running); `None` in
-    /// IPv6 mode — use [`plan`](Self::plan) for the family-generic view.
+    /// IPv6 mode.
     pub fn generator(&self) -> Option<&TargetGenerator> {
         match &self.scan.plan {
             ScanPlan::V4(gen) => Some(gen),
             ScanPlan::V6(_) => None,
         }
-    }
-
-    /// The address-family plan (inspectable before running).
-    pub fn plan(&self) -> &ScanPlan {
-        &self.scan.plan
-    }
-
-    /// The configuration (read-only).
-    pub fn config(&self) -> &ScanConfig {
-        &self.scan.cfg
     }
 
     /// Runs the scan to completion (send phase + cooldown) and returns
@@ -389,149 +384,50 @@ impl<T: Transport> Scanner<T> {
     /// an [`OutputModule`](crate::output::OutputModule) streams the data
     /// file with no row held in memory.
     ///
-    /// This is the inline driver: the lanes are interleaved round-robin
-    /// into one batch on the calling thread (the temporal mixing of
-    /// ZMap's concurrent send threads, deterministically; a lane that
-    /// runs dry gives up its slots), with an `Engine::rx_tick` after
-    /// every full flush. `max_targets`, `max_results` and `align_resume`
-    /// live here: they need one global, ordered count of targets.
+    /// This is the inline driver: one lane over all `cfg.subshards` walks,
+    /// taken round-robin (the temporal mixing of ZMap's concurrent send
+    /// threads, deterministically), stepped on the calling thread with an
+    /// `Engine::rx_tick` and the `max_results` check between steps.
+    /// `max_results` and `align_resume` need one ordered count: here only.
     pub fn run_into(self, opts: RunOptions, rows: &mut dyn RowSink) -> ScanSummary {
         let Scanner { scan, mut transport } = self;
-        let cfg = &scan.cfg;
-        let start = transport.now();
-        let mut rc = RateController::new(start, cfg.rate_pps);
+        let (cfg, start) = (&scan.cfg, transport.now());
         let metrics = ScanMetrics::new(1, scan.baseline);
-        let shard_targets = match cfg.max_targets {
-            0 => scan.shard_targets(),
-            cap => cap,
-        };
-        let mut iters: Vec<_> = (0..cfg.subshards).map(|t| scan.lane(t)).collect();
+        let mut lane = Lane::new(&scan, &metrics, (0, 1), 0..cfg.subshards, start);
         if let Some(positions) = scan.start_positions.as_ref().filter(|_| opts.align_resume) {
-            // Schedule-aligned resume: the first replayed probe must
-            // depart at the slot its uninterrupted twin occupied, not
-            // at slot 0 of a restarted schedule. Count the targets
-            // the walk accepted before each rewound position with a
-            // throwaway iterator — an accept that lands past the
-            // position is the resumed stream's first yield, so it is
-            // not counted — then skip the schedule that many slots.
+            // Schedule-aligned resume: the first replayed probe departs at
+            // the slot its uninterrupted twin occupied. Count the targets
+            // each walk accepted before its rewound position (an accept
+            // past it is the resumed stream's first yield), then skip the
+            // schedule that many slots.
             let mut replayed = 0u64;
-            for (t, &p) in positions.iter().enumerate() {
-                let mut probe_iter = scan.plan.iter_shard(cfg.shard, t as u32);
-                while probe_iter.elements_consumed() < p {
-                    if probe_iter.next().is_none() {
-                        break;
-                    }
-                    if probe_iter.elements_consumed() <= p {
-                        replayed += 1;
-                    } else {
-                        break;
-                    }
+            for (t, &p) in (0..).zip(positions) {
+                let mut walk = scan.plan.iter_shard(cfg.shard, t);
+                while walk.elements_consumed() < p
+                    && walk.next().is_some()
+                    && walk.elements_consumed() <= p
+                {
+                    replayed += 1;
                 }
             }
             let slots = replayed * u64::from(cfg.probes_per_target);
-            rc.fast_forward(slots);
+            lane.rc.fast_forward(slots);
             metrics.trace(0, "resume_align", slots);
         }
-        let positions =
-            |iters: &[PlanIter<'_>]| iters.iter().map(|it| it.elements_consumed()).collect();
-        let mut engine =
-            Engine::start(&scan, &metrics, &opts, start, shard_targets, positions(&iters), rows);
-
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x005E_ED1D);
-        let mut live: Vec<usize> = (0..iters.len()).collect();
-        let mut next = 0usize;
-        let mut walking = true;
-        let mut killed = false;
-        let mut interrupted = false;
-        // The TX hot path: each probe is rendered from the per-scan
-        // template straight into its slot of a reusable frame pool as it
-        // is paced, and the pool is flushed through one batched transport
-        // call per `cfg.batch` targets — ZMap's packet template plus
-        // sendmmsg shape. After the first batch fills, the loop performs
-        // zero allocations per probe.
-        let mut batch = FrameBatch::new(cfg.batch);
-        let mut lane_clock = start;
-        // Local mirror of the TargetsTotal counter (which includes any
-        // resume baseline): the hot loop reads it once per target, and a
-        // registry read walks every counter shard. It is published to the
-        // registry once per batch, before the flush: every reader (kill
-        // rollback, `rx_tick`'s status sample and journal, `finish`) looks
-        // after one.
-        let mut targets_total = metrics.get(CounterId::TargetsTotal);
-        loop {
-            while walking && !batch.is_full() {
-                let target = if opts.shutdown.as_ref().is_some_and(|t| t.is_requested()) {
-                    interrupted = true;
-                    metrics.trace(
-                        transport.now().saturating_sub(start),
-                        "shutdown_requested",
-                        0,
-                    );
-                    scan.logger.info(format_args!(
-                        "shutdown requested; stopping sends at cycle boundary"
-                    ));
-                    None
-                } else if cfg.max_targets > 0 && targets_total >= cfg.max_targets {
-                    None
-                } else {
-                    // Pick the next target, rotating across subshards.
-                    loop {
-                        if live.is_empty() {
-                            break None;
-                        }
-                        next %= live.len();
-                        match iters[live[next]].next() {
-                            Some(t) => {
-                                next += 1;
-                                break Some(t);
-                            }
-                            None => {
-                                live.remove(next);
-                            }
-                        }
-                    }
-                };
-                let Some(target) = target else {
-                    walking = false;
-                    break;
-                };
-                targets_total += 1;
-                // Tag each frame with the target count including its own
-                // target, so a mid-batch kill can roll the count back to
-                // exactly the targets whose probes were in flight.
-                emit(&scan, &metrics, &mut rc, &mut batch, target, targets_total, || rng.gen());
-            }
-            // A full batch, or whatever is still queued when the walk
-            // ends (exhausted, shard cap, max-results, or shutdown
-            // request): those targets are already counted, so their
-            // probes must still leave.
-            if batch.is_empty() {
-                break;
-            }
-            metrics.store_absolute(CounterId::TargetsTotal, targets_total);
-            let flushed =
-                flush(&mut transport, &mut batch, &mut lane_clock, cfg.max_retries, &metrics, 0);
-            if let Err(targets_in_flight) = flushed {
-                metrics.store_absolute(CounterId::TargetsTotal, targets_in_flight);
-                killed = true;
-                break;
-            }
-            batch.clear();
-            if !walking {
-                break;
-            }
-            engine.rx_tick(&mut transport, || positions(&iters));
-            if cfg.max_results > 0 && metrics.get(CounterId::UniqueSuccesses) >= cfg.max_results
-            {
+        let mut engine = Engine::start(&scan, &metrics, &opts, start, lane.positions(), rows);
+        let killed = AtomicBool::new(false);
+        while lane.step(&mut transport, opts.shutdown.as_ref(), &killed) {
+            engine.rx_tick(&mut transport, || lane.positions());
+            if cfg.max_results > 0 && metrics.get(CounterId::UniqueSuccesses) >= cfg.max_results {
                 scan.logger.info(format_args!(
                     "max-results {} reached; entering cooldown",
                     cfg.max_results
                 ));
-                walking = false;
+                break;
             }
         }
-        let exit = if killed { Exit::Killed } else { engine.cooldown(&mut transport) };
-        engine.finish(&transport, exit, interrupted, positions(&iters))
+        let exit = if killed.into_inner() { Exit::Killed } else { engine.cooldown(&mut transport) };
+        engine.finish(&transport, exit, lane.interrupted, lane.positions())
     }
 }
 
@@ -548,100 +444,205 @@ fn check_shard_spec(journal: &CheckpointState, cfg: &ScanConfig) -> Result<(), R
         return Ok(());
     }
     let mut as_journal = cfg.clone();
-    as_journal.shard = journal.shard;
-    as_journal.num_shards = journal.num_shards;
-    as_journal.subshards = journal.num_subshards;
+    (as_journal.shard, as_journal.num_shards, as_journal.subshards) = recorded;
     if config_digest(&as_journal) == journal.config_digest {
         return Err(ResumeError::ShardSpec { journal: recorded, config });
     }
     Ok(())
 }
 
-/// Stage 1, once per target: paces, renders and RTT-stamps the target's
-/// `probes_per_target` probes into `batch`, each tagged `tag` (the
-/// driver's bookkeeping for rolling progress back to the frames that
-/// left). The target arrives with the RTT key its walk derived, so TX
-/// makes no key lookup. `ip_id_entropy` is the driver's IP-ID stream,
-/// drawn per probe.
-#[inline]
-pub(crate) fn emit(
-    scan: &PreparedScan,
-    metrics: &ScanMetrics,
-    rc: &mut RateController,
-    batch: &mut FrameBatch,
-    (ip, port, rtt_key): (IpAddr, u16, Option<u64>),
-    tag: u64,
-    mut ip_id_entropy: impl FnMut() -> u16,
-) {
-    for _ in 0..scan.cfg.probes_per_target {
-        let at = rc.mark_sent();
-        scan.module.render_into(ip, port, ip_id_entropy(), batch.reserve(at, tag));
-        // Stamp the scheduled send time for RTT measurement; retransmits
-        // to the same target keep the first stamp.
-        if let Some(key) = rtt_key {
-            metrics.note_probe(key, at);
-        }
-    }
+/// The send side, written once. A lane owns its walks (taken
+/// round-robin; one that runs dry gives up its turn), its pacing, its
+/// frame batch and clock, its IP-ID stream and its share of
+/// `max_targets`, and counts in metrics shard t. The inline driver steps
+/// lane 0 of 1 over every subshard on the calling thread; the threaded
+/// one, lane t of k over subshard t on a thread of its own.
+pub(crate) struct Lane<'s> {
+    scan: &'s PreparedScan,
+    metrics: &'s ScanMetrics,
+    shard: usize,
+    pub(crate) walks: Vec<PlanIter<'s>>,
+    /// The walks not yet dry, and whose turn is next among them.
+    live: Vec<usize>,
+    next: usize,
+    pub(crate) rc: RateController,
+    batch: FrameBatch,
+    /// When this lane's last frame left (see [`flush`](Self::flush)).
+    pub(crate) clock: u64,
+    ip_id: StdRng,
+    /// Targets this lane may still emit.
+    quota: u64,
+    /// Scan start on the transport clock.
+    start: u64,
+    /// A shutdown request or the kill flag stopped the walks.
+    pub(crate) interrupted: bool,
 }
 
-/// Stage 2: flushes a frame batch through [`Transport::send_batch`],
-/// retrying each transiently refused frame (EAGAIN) up to `max_retries`
-/// times with exponential virtual-time backoff (50 µs, then doubling —
-/// ZMap's sendto retry shape). Exhausted probes count as
-/// `sendto_failures` and are never re-queued: a single-pass scanner
-/// treats them like any other lost probe. Counters land in metrics shard
-/// `shard`, which the calling thread must own.
-///
-/// A refusal delays every frame behind it, as a blocked socket would:
-/// the backoff is written into the batch's own slot times, and
-/// `lane_clock` (when this lane's last frame left) carries it into the
-/// lane's next batch. The transport's clock, which other lanes may be
-/// advancing, is never read, so the schedule and the recorded flush
-/// latency (paced span + accrued backoff) replay identically. `Err` is a
-/// scheduled kill — never retried, no counter moves for the dead frame —
-/// and carries the tag of the frame it landed on.
-pub(crate) fn flush<T: Transport>(
-    transport: &mut T,
-    batch: &mut FrameBatch,
-    lane_clock: &mut u64,
-    max_retries: u32,
-    metrics: &ScanMetrics,
-    shard: usize,
-) -> Result<(), u64> {
-    let span = batch.span_ns();
-    batch.delay_from(0, *lane_clock);
-    let mut idx = 0usize;
-    let mut attempt = 0u32;
-    let mut backoff_total = 0u64;
-    while idx < batch.len() {
-        let (accepted, err) = transport.send_batch(batch, idx);
-        metrics.add_at(shard, CounterId::Sent, accepted as u64);
-        idx += accepted;
-        if accepted > 0 {
-            attempt = 0;
+impl<'s> Lane<'s> {
+    /// Lane `t` of `k` over `subshards` from transport time `start`. It owns
+    /// global schedule slots t, t + k, t + 2k, … — the union over the
+    /// lanes is the one-sender schedule, so the aggregate rate holds for
+    /// any k, also below it — and of the q = `max_targets` the resume
+    /// baseline has not counted, it may emit ⌊q/k⌋, plus one if t < q mod k.
+    pub(crate) fn new(
+        scan: &'s PreparedScan,
+        metrics: &'s ScanMetrics,
+        (t, k): (u32, u32),
+        subshards: std::ops::Range<u32>,
+        start: u64,
+    ) -> Self {
+        let walks: Vec<_> = subshards.map(|s| scan.walk(s)).collect();
+        let (cfg, t, k) = (&scan.cfg, u64::from(t), u64::from(k));
+        let q = cfg.max_targets.saturating_sub(scan.baseline.targets_total);
+        let quota = if cfg.max_targets == 0 { u64::MAX } else { q / k + u64::from(t < q % k) };
+        Lane {
+            scan,
+            metrics,
+            shard: t as usize,
+            live: (0..walks.len()).collect(),
+            walks,
+            next: 0,
+            rc: RateController::new_interleaved(start, cfg.rate_pps, t, k),
+            batch: FrameBatch::new(cfg.batch),
+            clock: start,
+            ip_id: StdRng::seed_from_u64((cfg.seed ^ 0x005E_ED1D).wrapping_add(t)),
+            quota,
+            start,
+            interrupted: false,
         }
-        match err {
-            None => {}
-            Some(SendError::Killed) => return Err(batch.tag(idx)),
-            Some(_) if attempt == max_retries => {
-                metrics.add_at(shard, CounterId::SendtoFailures, 1);
-                idx += 1;
+    }
+
+    /// Each walk's position: after a step that met no kill, every target
+    /// before it has left.
+    pub(crate) fn positions(&self) -> Vec<u64> {
+        self.walks.iter().map(PlanIter::elements_consumed).collect()
+    }
+
+    /// Fills the batch up to a shutdown request, the kill flag, the quota
+    /// or the end of the walks, flushes it, and counts the targets whose
+    /// frames left: all of them, or, on a kill at frame `idx` (which sets
+    /// `killed`), the `idx / probes_per_target + 1` in flight. True when
+    /// the batch filled and left: step again.
+    pub(crate) fn step<T: Transport>(
+        &mut self,
+        transport: &mut T,
+        shutdown: Option<&ShutdownToken>,
+        killed: &AtomicBool,
+    ) -> bool {
+        let (scan, metrics, mut targets) = (self.scan, self.metrics, 0u64);
+        // The cycle boundary is the only place a lane stops walking; the
+        // partial batch still ships.
+        let full = loop {
+            if self.batch.is_full() {
+                break true;
+            }
+            let shut = shutdown.is_some_and(ShutdownToken::is_requested);
+            if shut {
+                let rel = transport.now().saturating_sub(self.start);
+                metrics.trace(rel, "shutdown_requested", self.shard as u64);
+                scan.logger
+                    .info(format_args!("shutdown requested; stopping sends at cycle boundary"));
+            }
+            if shut || killed.load(Ordering::Acquire) {
+                self.interrupted = true;
+                break false;
+            }
+            let Some(target) = self.next_target() else { break false };
+            targets += 1;
+            self.emit(target);
+        };
+        if self.batch.is_empty() {
+            return false;
+        }
+        let flushed = self.flush(transport);
+        if let Err(idx) = flushed {
+            targets = idx as u64 / u64::from(scan.cfg.probes_per_target) + 1;
+            killed.store(true, Ordering::Release);
+        }
+        metrics.add_at(self.shard, CounterId::TargetsTotal, targets);
+        self.batch.clear();
+        full && flushed.is_ok()
+    }
+
+    /// The next target of the round-robin, within the quota.
+    fn next_target(&mut self) -> Option<(IpAddr, u16, Option<u64>)> {
+        while self.quota > 0 && !self.live.is_empty() {
+            self.next %= self.live.len();
+            if let Some(target) = self.walks[self.live[self.next]].next() {
+                (self.next, self.quota) = (self.next + 1, self.quota - 1);
+                return Some(target);
+            }
+            self.live.remove(self.next);
+        }
+        None
+    }
+
+    /// Stage 2: flushes the batch through [`Transport::send_batch`],
+    /// retrying each transiently refused frame (EAGAIN) up to
+    /// `max_retries` times with exponential virtual-time backoff (50 µs,
+    /// then doubling — ZMap's sendto retry shape). Exhausted probes count
+    /// as `sendto_failures` and are never re-queued: a single-pass scanner
+    /// treats them like any other lost probe. Counters land in the lane's
+    /// metrics shard.
+    ///
+    /// A refusal delays every frame behind it, as a blocked socket would:
+    /// the backoff is written into the batch's own slot times, and the
+    /// lane's `clock` (when its last frame left) carries it into the next
+    /// batch. The transport's clock, which other lanes may be advancing,
+    /// is never read, so the schedule and the recorded flush latency
+    /// (paced span + accrued backoff) replay identically. `Err` is a
+    /// scheduled kill — never retried, no counter moves for the dead
+    /// frame — and carries the index of the frame it landed on.
+    fn flush<T: Transport>(&mut self, transport: &mut T) -> Result<(), usize> {
+        let (batch, metrics, shard) = (&mut self.batch, self.metrics, self.shard);
+        let span = batch.span_ns();
+        batch.delay_from(0, self.clock);
+        let (mut idx, mut attempt, mut backoff_total) = (0usize, 0u32, 0u64);
+        while idx < batch.len() {
+            let (accepted, err) = transport.send_batch(batch, idx);
+            metrics.add_at(shard, CounterId::Sent, accepted as u64);
+            idx += accepted;
+            if accepted > 0 {
                 attempt = 0;
             }
-            // Push the refused frame (and so the rest of the batch) out
-            // by the backoff and re-enter the batched path at it.
-            Some(_) => {
-                metrics.add_at(shard, CounterId::SendRetries, 1);
-                let backoff = 50_000u64 << attempt.min(10);
-                backoff_total += backoff;
-                attempt += 1;
-                batch.delay_from(idx, batch.frame(idx).0 + backoff);
+            match err {
+                None => {}
+                Some(SendError::Killed) => return Err(idx),
+                Some(_) if attempt == self.scan.cfg.max_retries => {
+                    metrics.add_at(shard, CounterId::SendtoFailures, 1);
+                    idx += 1;
+                    attempt = 0;
+                }
+                // Push the refused frame (and so the rest of the batch) out
+                // by the backoff and re-enter the batched path at it.
+                Some(_) => {
+                    metrics.add_at(shard, CounterId::SendRetries, 1);
+                    let backoff = 50_000u64 << attempt.min(10);
+                    backoff_total += backoff;
+                    attempt += 1;
+                    batch.delay_from(idx, batch.frame(idx).0 + backoff);
+                }
+            }
+        }
+        self.clock = batch.last_at().unwrap_or(self.clock);
+        metrics.record_at(shard, HistId::BatchFlush, span + backoff_total);
+        Ok(())
+    }
+
+    /// Stage 1, once per target: paces, renders (IP-ID entropy from the
+    /// lane's stream) and RTT-stamps its `probes_per_target` probes into
+    /// the batch. The target arrives with the RTT key its walk derived,
+    /// so TX makes no key lookup; retransmits keep the first stamp.
+    #[inline]
+    fn emit(&mut self, (ip, port, rtt_key): (IpAddr, u16, Option<u64>)) {
+        for _ in 0..self.scan.cfg.probes_per_target {
+            let (at, entropy) = (self.rc.mark_sent(), self.ip_id.gen());
+            self.scan.module.render_into(ip, port, entropy, self.batch.reserve(at, 0));
+            if let Some(key) = rtt_key {
+                self.metrics.note_probe(key, at);
             }
         }
     }
-    *lane_clock = batch.last_at().unwrap_or(*lane_clock);
-    metrics.record_at(shard, HistId::BatchFlush, span + backoff_total);
-    Ok(())
 }
 
 /// How a run left its cooldown.
@@ -687,10 +688,10 @@ impl<'a> Engine<'a> {
         metrics: &'a ScanMetrics,
         opts: &'a RunOptions,
         start: u64,
-        shard_targets: u64,
         positions: Vec<u64>,
         rows: &'a mut dyn RowSink,
     ) -> Self {
+        let shard_targets = scan.shard_targets();
         metrics.trace(0, "scan_start", shard_targets);
         if scan.start_positions.is_some() {
             metrics.trace(0, "resume_rewind", scan.baseline.resume_count);
@@ -1461,22 +1462,24 @@ mod tests {
         // 3 likewise) are refused; the budget is two retries.
         t.fail_attempts = vec![1, 2, 3, 5, 6, 7];
         let metrics = ScanMetrics::new(1, Counters::default());
-        let mut batch = FrameBatch::new(4);
+        let mut cfg = base_cfg(&[80]);
+        cfg.max_retries = 2;
+        let scan = PreparedScan::new(cfg, Logger::null()).unwrap();
+        let mut lane = Lane::new(&scan, &metrics, (0, 1), 0..0, 0);
         for i in 0..4u64 {
-            batch.slot(i * 10_000, i).push(i as u8);
+            lane.batch.slot(i * 10_000, i).push(i as u8);
         }
-        let mut lane_clock = 0;
-        flush(&mut t, &mut batch, &mut lane_clock, 2, &metrics, 0).unwrap();
+        lane.flush(&mut t).unwrap();
         // Frame 1 (slot 10 µs) is retried 50 µs and then 100 µs later and
         // abandoned; frame 2 (slot 20 µs) leaves behind that backoff.
         let sent: Vec<(u64, u8)> = t.sent.iter().map(|(at, f)| (*at, f[0])).collect();
         assert_eq!(sent, vec![(0, 0), (160_000, 2)]);
         let c = metrics.counters();
         assert_eq!((c.sent, c.send_retries, c.sendto_failures), (2, 4, 2));
-        assert_eq!(lane_clock, 310_000, "the lane's next batch starts behind the backoff");
-        batch.clear();
-        batch.slot(40_000, 4).push(4);
-        flush(&mut t, &mut batch, &mut lane_clock, 2, &metrics, 0).unwrap();
+        assert_eq!(lane.clock, 310_000, "the lane's next batch starts behind the backoff");
+        lane.batch.clear();
+        lane.batch.slot(40_000, 4).push(4);
+        lane.flush(&mut t).unwrap();
         assert_eq!(t.sent.last().map(|(at, _)| *at), Some(310_000));
     }
 

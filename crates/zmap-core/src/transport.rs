@@ -37,10 +37,9 @@ use zmap_netsim::{Admitted, EndpointId, Nic, SendError, World, WorldConfig};
 /// renders each probe straight into [`reserve`](Self::reserve)'s buffer
 /// with `ProbeModule::render_into`.
 ///
-/// The tag is driver-defined bookkeeping carried alongside the frame
-/// (the inline driver stores its target count, the threaded one its walk
-/// position) so a partially accepted batch can roll progress back to
-/// exactly the frames that left the NIC.
+/// The tag is the caller's bookkeeping, carried alongside the frame. The
+/// engine's lanes pass 0: a partially accepted batch is rolled back by
+/// frame index, which is all they need to know.
 pub struct FrameBatch {
     slots: Vec<(u64, u64, Vec<u8>)>,
     len: usize,

@@ -51,13 +51,6 @@ impl CounterBank {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrites counter `idx` in `shard`. Single-writer slots only.
-    #[inline]
-    pub fn store(&self, shard: usize, idx: usize, v: u64) {
-        self.shards[shard.min(self.shards.len() - 1)][idx.min(self.width - 1)]
-            .store(v, Ordering::Relaxed);
-    }
-
     /// Sum of counter `idx` across all shards.
     pub fn sum(&self, idx: usize) -> u64 {
         let idx = idx.min(self.width - 1);
@@ -83,15 +76,6 @@ mod tests {
         assert_eq!(b.sum(0), 12);
         assert_eq!(b.sum(1), 1);
         assert_eq!(b.totals(), vec![12, 1]);
-    }
-
-    #[test]
-    fn store_overwrites_one_shard_only() {
-        let b = CounterBank::new(2, 1);
-        b.add(0, 0, 10);
-        b.add(1, 0, 3);
-        b.store(0, 0, 2);
-        assert_eq!(b.sum(0), 5, "store replaced shard 0's 10 with 2");
     }
 
     #[test]

@@ -7,10 +7,27 @@ fn args(s: &str) -> Vec<String> {
     s.split_whitespace().map(String::from).collect()
 }
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
+/// A scratch directory, removed with everything in it on drop.
+struct TmpDir(std::path::PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(name: &str) -> TmpDir {
     let d = std::env::temp_dir().join(format!("zmap-it-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
-    d
+    TmpDir(d)
 }
 
 #[test]
