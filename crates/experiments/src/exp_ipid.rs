@@ -41,7 +41,8 @@ fn trial(ip_id: IpIdMode, trial_idx: u64, scan_seed: u64) -> (u64, u64) {
             cfg.cooldown_secs = 3;
         },
     );
-    (s.unique_successes, s.targets_total)
+    let c = &s.metadata.counters;
+    (c.unique_successes, c.targets_total)
 }
 
 pub fn run(_: &[String]) -> Output {

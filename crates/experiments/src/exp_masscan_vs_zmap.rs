@@ -54,7 +54,8 @@ fn scan(walk: Walk, masscan: bool) -> (u64, u64, u64) {
     let gen = scanner.generator().expect("an IPv4 scan");
     let distinct = gen.iter_shard(0, 0).collect::<HashSet<_>>().len() as u64;
     let s = scanner.run();
-    (s.sent, distinct, s.unique_successes)
+    let c = &s.metadata.counters;
+    (c.sent, distinct, c.unique_successes)
 }
 
 pub fn run(_: &[String]) -> Output {

@@ -46,6 +46,7 @@ pub fn run(_: &[String]) -> Output {
     cfg.rate_pps = 1_000_000;
     cfg.cooldown_secs = 2;
     let summary = Scanner::new(cfg, net.transport(src)).expect("valid config").run();
+    let c = &summary.metadata.counters;
 
     // Attribute each discovery to its /48 (byte 5 of the address
     // distinguishes the scenario's prefixes: 0x01..0x04 after 2001:db8:).
@@ -81,14 +82,14 @@ pub fn run(_: &[String]) -> Output {
     writeln!(
         out,
         "\ntotal: {} probes, {} hits, oracle {}, {} dups, {} discarded",
-        summary.sent,
-        summary.unique_successes,
+        c.sent,
+        c.unique_successes,
         oracle_total,
-        summary.duplicates_suppressed,
-        summary.responses_discarded
+        c.duplicates_suppressed,
+        c.responses_discarded
     )?;
-    assert_eq!(summary.unique_successes, oracle_total, "hits must equal the oracle");
-    assert_eq!(summary.duplicates_suppressed, 0);
-    assert_eq!(summary.responses_discarded, 0);
+    assert_eq!(c.unique_successes, oracle_total, "hits must equal the oracle");
+    assert_eq!(c.duplicates_suppressed, 0);
+    assert_eq!(c.responses_discarded, 0);
     Ok(out)
 }

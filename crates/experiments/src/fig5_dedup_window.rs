@@ -75,7 +75,7 @@ pub fn run(_: &[String]) -> Output {
             // RTT quantiles straight from the scan's metrics registry:
             // the blowback tail shows up as a fat p99 long before the
             // duplicate counters do.
-            let rtt = summary.metrics.histograms.get("probe_rtt_ns");
+            let rtt = summary.metadata.histograms.get("probe_rtt_ns");
             let ms = |ns: u64| format!("{:.0}", ns as f64 / 1e6);
             rows.push(vec![
                 format!("{rate}"),
@@ -83,7 +83,7 @@ pub fn run(_: &[String]) -> Output {
                 total.to_string(),
                 dups.to_string(),
                 pct(dups as f64 / total.max(1) as f64),
-                summary.duplicates_suppressed.to_string(),
+                summary.metadata.counters.duplicates_suppressed.to_string(),
                 rtt.map_or_else(|| "-".into(), |h| ms(h.p50)),
                 rtt.map_or_else(|| "-".into(), |h| ms(h.p99)),
             ]);

@@ -62,7 +62,7 @@ pub fn run(_: &[String]) -> Output {
                 cfg.cooldown_secs = 2;
             },
         );
-        results.push((layout, summary.unique_successes));
+        results.push((layout, summary.metadata.counters.unique_successes));
     }
     let best = results.iter().map(|&(_, n)| n).max().unwrap() as f64;
     for &(layout, found) in &results {

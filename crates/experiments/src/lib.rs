@@ -250,7 +250,7 @@ mod tests {
             1,
             |cfg| cfg.cooldown_secs = 1,
         );
-        assert_eq!(s.unique_successes, 256);
+        assert_eq!(s.metadata.counters.unique_successes, 256);
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //! let summary = Scanner::new(cfg, net.transport("192.0.2.9".parse().unwrap()))
 //!     .unwrap()
 //!     .run();
-//! assert_eq!(summary.sent, 256);
-//! assert_eq!(summary.unique_successes, 256); // dense world: all open
+//! let c = &summary.metadata.counters;
+//! assert_eq!(c.sent, 256);
+//! assert_eq!(c.unique_successes, 256); // dense world: all open
 //! ```
 
 pub mod checkpoint;

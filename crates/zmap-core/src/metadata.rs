@@ -8,7 +8,7 @@
 use crate::config::ScanConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use zmap_metrics::{HistogramSnapshot, MetricsSnapshot, TraceSnapshot};
+use zmap_metrics::{HistogramSnapshot, TraceSnapshot};
 use zmap_targets::Walk;
 
 /// Machine-readable scan metadata, serialized as a single JSON object at
@@ -265,14 +265,6 @@ impl ScanMetadata {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("metadata is always serializable")
     }
-
-    /// Folds a registry snapshot into the metadata's `histograms`,
-    /// `trace`, and `rtt_sample_one_in` sections.
-    pub fn attach_metrics(&mut self, snap: MetricsSnapshot) {
-        self.histograms = snap.histograms;
-        self.trace = snap.trace;
-        self.rtt_sample_one_in = snap.rtt_sample_one_in;
-    }
 }
 
 #[cfg(test)]
@@ -302,6 +294,15 @@ mod tests {
     #[test]
     fn metadata_roundtrips_through_json() {
         let cfg = ScanConfig::new(Ipv4Addr::new(192, 0, 2, 1));
+        let mut rtt = zmap_metrics::Log2Histogram::new();
+        rtt.record(50_000);
+        rtt.record(75_000);
+        let mut trace = TraceSnapshot::default();
+        trace.events.push(zmap_metrics::TraceEventSnapshot {
+            t_ns: 0,
+            kind: "scan_start".into(),
+            detail: 100,
+        });
         let md = ScanMetadata {
             version: env!("CARGO_PKG_VERSION").to_string(),
             config: ConfigEcho::from_config(&cfg),
@@ -331,25 +332,10 @@ mod tests {
                 migrations: 2,
             },
             duration_ns: 5_000_000_000,
-            histograms: BTreeMap::new(),
-            trace: TraceSnapshot::default(),
-            rtt_sample_one_in: 0,
-        };
-        let mut rtt = zmap_metrics::Log2Histogram::new();
-        rtt.record(50_000);
-        rtt.record(75_000);
-        let mut md = md;
-        let mut snap = MetricsSnapshot {
+            histograms: BTreeMap::from([("probe_rtt_ns".into(), rtt.snapshot())]),
+            trace,
             rtt_sample_one_in: 64,
-            ..MetricsSnapshot::default()
         };
-        snap.histograms.insert("probe_rtt_ns".into(), rtt.snapshot());
-        snap.trace.events.push(zmap_metrics::TraceEventSnapshot {
-            t_ns: 0,
-            kind: "scan_start".into(),
-            detail: 100,
-        });
-        md.attach_metrics(snap);
         let json = md.to_json();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(v["config"]["source_ip"], "192.0.2.1");

@@ -505,11 +505,12 @@ mod tests {
                 assert_eq!(logged("scan complete"), orderly && !s.killed, "{at}");
                 let mut found: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
                 if row.resume_after_kill {
-                    assert!(s.killed && s.shutdown_clean == 0 && s.sent < 256, "{at}");
+                    let c = &s.metadata.counters;
+                    assert!(s.killed && c.shutdown_clean == 0 && c.sent < 256, "{at}");
                     // Each lane whose flush met the kill counts the one
                     // target whose frame was in flight. A threaded kill
                     // can also land on the receive path between flushes.
-                    let in_flight = s.targets_total - s.sent;
+                    let in_flight = c.targets_total - c.sent;
                     assert!(in_flight <= u64::from(lanes), "{at}: {in_flight} in flight");
                     assert!(driver != "inline" || in_flight == 1, "{at}: {in_flight} in flight");
                     let journal = CheckpointState::load(&path).unwrap();
@@ -517,32 +518,35 @@ mod tests {
                     let resumed = PreparedScan::resume(cfg.clone(), &journal, Logger::null());
                     let healthy_world = Wedging::after(u64::MAX, FaultPlan::none());
                     let second = run(resumed.unwrap(), &healthy_world, opts());
-                    assert!(second.sent >= s.sent, "{at}: counters are cumulative");
-                    assert_eq!(second.resume_count, 1, "{at}");
+                    let c2 = &second.metadata.counters;
+                    assert!(c2.sent >= c.sent, "{at}: counters are cumulative");
+                    assert_eq!(c2.resume_count, 1, "{at}");
                     // The final journal: complete, counted, cumulative.
                     let j2 = CheckpointState::load(&path).unwrap();
                     assert!(j2.complete, "{at}");
                     let j2 = j2.counters;
                     assert_eq!(
                         (j2.resume_count, j2.shutdown_clean, j2.sent, j2.checkpoints_written),
-                        (1, 1, second.sent, second.checkpoints_written),
+                        (1, 1, c2.sent, c2.checkpoints_written),
                         "{at}"
                     );
                     found.extend(second.results.iter().map(|r| r.saddr));
                     s = second;
                 } else {
-                    let probes = s.targets_total * u64::from(cfg.probes_per_target);
-                    assert_eq!(s.sent + s.sendto_failures, probes, "{at}: every probe accounted");
+                    let c = &s.metadata.counters;
+                    let probes = c.targets_total * u64::from(cfg.probes_per_target);
+                    assert_eq!(c.sent + c.sendto_failures, probes, "{at}: every probe accounted");
                 }
+                let c = &s.metadata.counters;
                 let in_prefix = |ip: &IpAddr| match ip {
                     IpAddr::V4(a) => a.octets()[..3] == [44, 100 + i as u8, 0],
                     IpAddr::V6(_) => false,
                 };
                 assert!(found.iter().all(in_prefix), "{at}: a result outside the oracle");
-                assert_eq!(found.len() as u64, row.found.unwrap_or(s.sent), "{at}");
-                assert_eq!(s.sent, row.sent.unwrap_or(s.sent), "{at}");
+                assert_eq!(found.len() as u64, row.found.unwrap_or(c.sent), "{at}");
+                assert_eq!(c.sent, row.sent.unwrap_or(c.sent), "{at}");
                 assert_eq!(
-                    (s.shutdown_clean, s.killed, s.watchdog_stalls),
+                    (c.shutdown_clean, s.killed, c.watchdog_stalls),
                     (row.shutdown_clean, false, row.watchdog_stalls),
                     "{at}"
                 );
@@ -558,7 +562,7 @@ mod tests {
                         s.results.iter().map(|r| (r.ts_ns, r.saddr)).collect();
                     arrivals.sort();
                     let books =
-                        (s.sent, s.send_retries, s.sendto_failures, s.unique_successes, arrivals);
+                        (c.sent, c.send_retries, c.sendto_failures, c.unique_successes, arrivals);
                     assert_eq!(*agreed.get_or_insert(books.clone()), books, "{at}");
                 }
             }
@@ -576,8 +580,9 @@ mod tests {
             ..Default::default()
         };
         let s = scan.run(&dense_world(FaultPlan::none()), opts);
-        assert_eq!((s.sent, s.unique_successes, s.shutdown_clean), (64, 64, 1));
-        assert_eq!(s.checkpoints_written, 0);
+        let c = &s.metadata.counters;
+        assert_eq!((c.sent, c.unique_successes, c.shutdown_clean), (64, 64, 1));
+        assert_eq!(c.checkpoints_written, 0);
         assert!(log
             .lines()
             .iter()
@@ -600,11 +605,12 @@ mod tests {
         walk.nth(2 * scan.cfg.batch - 1);
         let sent_before_the_stall = walk.elements_consumed();
         let s = scan.run(&transport, opts);
-        assert_eq!((s.watchdog_stalls, s.shutdown_clean, s.killed), (1, 0, false));
-        assert_eq!(s.sent, 256, "the wedged transport swallowed the rest");
-        assert!(s.checkpoints_written >= 2, "the initial journal and a periodic one");
+        let c = &s.metadata.counters;
+        assert_eq!((c.watchdog_stalls, c.shutdown_clean, s.killed), (1, 0, false));
+        assert_eq!(c.sent, 256, "the wedged transport swallowed the rest");
+        assert!(c.checkpoints_written >= 2, "the initial journal and a periodic one");
         let journal = CheckpointState::load(&path).unwrap();
-        assert_eq!(journal.counters.checkpoints_written, s.checkpoints_written, "the last write");
+        assert_eq!(journal.counters.checkpoints_written, c.checkpoints_written, "the last write");
         assert!(!journal.complete);
         assert_eq!(journal.counters.watchdog_stalls, 0, "written before the stall");
         assert!(journal.positions[0] <= sent_before_the_stall, "{:?}", journal.positions);
@@ -622,12 +628,12 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.unique_successes, b.unique_successes);
+        let (ca, cb) = (&a.metadata.counters, &b.metadata.counters);
+        assert_eq!((ca.sent, ca.unique_successes), (cb.sent, cb.unique_successes));
         let times_a: Vec<_> = a.results.iter().map(|r| (r.ts_ns, r.saddr)).collect();
         let times_b: Vec<_> = b.results.iter().map(|r| (r.ts_ns, r.saddr)).collect();
         assert_eq!(times_a, times_b, "virtual timestamps must replay exactly");
-        assert_eq!(a.duration_ns, b.duration_ns);
+        assert_eq!(a.metadata.duration_ns, b.metadata.duration_ns);
     }
 
     /// A thread that panicked while holding the world lock, or the wire's,
@@ -658,7 +664,8 @@ mod tests {
         std::panic::set_hook(prev);
         assert!(results.iter().all(Result::is_err), "the poisoning closures must panic");
         let s = run_parallel(&prefix_cfg(3, 26, 2, 100_000), &transport).unwrap();
-        assert_eq!((s.sent, s.unique_successes), (64, 64), "a poisoned lock loses no coverage");
+        let c = &s.metadata.counters;
+        assert_eq!((c.sent, c.unique_successes), (64, 64), "a poisoned lock loses no coverage");
         let w = net.with_world(|w| w.stats());
         assert_eq!((w.frames_sent, w.responses_generated), (72, 72), "nor a staged frame");
     }
@@ -678,10 +685,11 @@ mod tests {
             let net = dense_net(faults.build());
             let transport = net.transport(SRC);
             let s = run_parallel(&prefix_cfg(13, 16, lanes, 20_000), &transport).unwrap();
+            let c = &s.metadata.counters;
             assert_eq!(s.killed, kill_at.is_some(), "{at}");
-            assert!(s.sent == 1 << 16 || s.killed && s.sent < 40_000, "{at}: {} sent", s.sent);
+            assert!(c.sent == 1 << 16 || s.killed && c.sent < 40_000, "{at}: {} sent", c.sent);
             let w = net.with_world(|w| w.stats());
-            assert_eq!((w.frames_sent, w.drops_blackout), (s.sent, s.sent), "{at}");
+            assert_eq!((w.frames_sent, w.drops_blackout), (c.sent, c.sent), "{at}");
         }
     }
 
@@ -776,7 +784,8 @@ mod tests {
         let cfg = prefix_cfg(12, 20, 1, 1_000);
         let batches = 4096u64.div_ceil(cfg.batch as u64);
         let s = run_parallel(&cfg, &transport).unwrap();
-        assert_eq!((s.sent, s.responses_validated), (4096, 0), "a dark /20");
+        let c = &s.metadata.counters;
+        assert_eq!((c.sent, c.responses_validated), (4096, 0), "a dark /20");
         let ticks = s.status.len() as u64;
         assert!(ticks >= 4, "4096 probes at 1 kpps span 4 s: {ticks} status ticks");
         let polls = transport.polls.load(Ordering::SeqCst);
@@ -790,14 +799,14 @@ mod tests {
         // last probe of a /24 is global slot 255 → t = 255 ms exactly.
         let transport = dense_world(FaultPlan::none());
         let s = run_parallel(&prefix_cfg(9, 24, 7, 1000), &transport).unwrap();
-        assert_eq!(s.sent, 256);
+        assert_eq!(s.metadata.counters.sent, 256);
         // Send phase spans [0, 255 ms]; the clock can only have been
         // pushed past that by the cooldown drain (+1 s) afterwards.
         let send_span_ns = 255 * 1_000_000;
         assert!(
-            s.duration_ns >= send_span_ns,
+            s.metadata.duration_ns >= send_span_ns,
             "aggregate rate ran hot: {} < {}",
-            s.duration_ns,
+            s.metadata.duration_ns,
             send_span_ns
         );
     }
@@ -808,12 +817,13 @@ mod tests {
         // 7 pps. 16 targets at a true 3 pps put the last send at 5 s.
         let transport = dense_world(FaultPlan::none());
         let s = run_parallel(&prefix_cfg(10, 28, 7, 3), &transport).unwrap();
-        assert_eq!(s.sent, 16);
+        let c = &s.metadata.counters;
+        assert_eq!(c.sent, 16);
         assert!(
-            s.duration_ns >= 5_000_000_000,
+            s.metadata.duration_ns >= 5_000_000_000,
             "16 probes at 3 pps span 5 s; got {} ns",
-            s.duration_ns
+            s.metadata.duration_ns
         );
-        assert_eq!(s.unique_successes, 16, "slow scans still cover everything");
+        assert_eq!(c.unique_successes, 16, "slow scans still cover everything");
     }
 }

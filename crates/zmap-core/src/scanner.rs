@@ -25,71 +25,41 @@ use crate::shutdown::ShutdownToken;
 use crate::transport::{FrameBatch, RxBatch, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use zmap_dedup::{PagedBitmap, SlidingWindow};
-use zmap_metrics::{MetricsSnapshot, TraceSnapshot};
+use zmap_metrics::MetricsSnapshot;
 use zmap_netsim::SendError;
 use zmap_targets::generator::BuildError;
 use zmap_targets::TargetGenerator;
 
-/// Outcome of a completed scan.
+/// Outcome of a completed scan: its metadata document (stream #4 —
+/// counters, duration, histograms, trace), the records and the status
+/// samples.
 #[derive(Debug)]
 pub struct ScanSummary {
-    /// Probes sent.
-    pub sent: u64,
-    /// Targets in this shard.
-    pub targets_total: u64,
-    /// Responses that validated (cookie matched).
-    pub responses_validated: u64,
-    /// Frames that parsed but were not ours / failed validation.
-    pub responses_discarded: u64,
-    /// Duplicate responses suppressed by dedup.
-    pub duplicates_suppressed: u64,
-    /// Unique successful targets (open/answering).
-    pub unique_successes: u64,
-    /// Unique failed targets (RST/unreachable).
-    pub unique_failures: u64,
-    /// Send attempts retried after transient transport failures.
-    pub send_retries: u64,
-    /// Probes abandoned after exhausting retries.
-    pub sendto_failures: u64,
-    /// Responses rejected by checksum validation.
-    pub responses_corrupted: u64,
-    /// Checkpoint journals written (periodic plus final).
-    pub checkpoints_written: u64,
-    /// Times this scan has been resumed from a checkpoint journal.
-    pub resume_count: u64,
-    /// Cooldown drains the stall watchdog abandoned.
-    pub watchdog_stalls: u64,
-    /// 1 when the engine exited through the orderly shutdown path.
-    pub shutdown_clean: u64,
+    /// Machine-readable metadata (stream #4): the one record of every
+    /// counter, the virtual duration and the metrics registry dump.
+    pub metadata: ScanMetadata,
     /// True when a fault schedule killed the process mid-flight: the
     /// summary is whatever a post-mortem harness could recover, not the
     /// product of an orderly exit.
     pub killed: bool,
-    /// Virtual scan duration (ns), including cooldown.
-    pub duration_ns: u64,
     /// The success records (plus failures when `report_failures`).
     pub results: Vec<ScanResult>,
     /// Per-second status samples.
     pub status: Vec<StatusUpdate>,
-    /// Machine-readable metadata (stream #4).
-    pub metadata: ScanMetadata,
-    /// The metrics registry dump: latency histograms, the event trace,
-    /// and the RTT sampling rate (also folded into `metadata`).
-    pub metrics: MetricsSnapshot,
 }
 
 impl ScanSummary {
     /// Fraction of targets that answered successfully.
     pub fn hitrate(&self) -> f64 {
-        if self.targets_total == 0 {
+        let c = &self.metadata.counters;
+        if c.targets_total == 0 {
             0.0
         } else {
-            self.unique_successes as f64 / self.targets_total as f64
+            c.unique_successes as f64 / c.targets_total as f64
         }
     }
 }
@@ -993,45 +963,30 @@ impl<'a> Engine<'a> {
         // The registry and the status samples become the metadata
         // document (stream #4) and the summary; the records went to the
         // row sink (a collecting caller moves them into `results`).
-        let counters = metrics.counters();
-        let snapshot = metrics.snapshot();
+        let MetricsSnapshot {
+            histograms,
+            trace,
+            rtt_sample_one_in,
+        } = metrics.snapshot();
         let (group_prime, generator, offset) = scan.plan.permutation();
-        let mut metadata = ScanMetadata {
-            version: env!("CARGO_PKG_VERSION").to_string(),
-            config: ConfigEcho::from_config(&scan.cfg),
-            permutation: PermutationEcho {
-                group_prime,
-                generator,
-                offset,
-            },
-            counters,
-            duration_ns: rel,
-            histograms: BTreeMap::new(),
-            trace: TraceSnapshot::default(),
-            rtt_sample_one_in: 0,
-        };
-        metadata.attach_metrics(snapshot.clone());
         ScanSummary {
-            sent: counters.sent,
-            targets_total: counters.targets_total,
-            responses_validated: counters.responses_validated,
-            responses_discarded: counters.responses_discarded,
-            duplicates_suppressed: counters.duplicates_suppressed,
-            unique_successes: counters.unique_successes,
-            unique_failures: counters.unique_failures,
-            send_retries: counters.send_retries,
-            sendto_failures: counters.sendto_failures,
-            responses_corrupted: counters.responses_corrupted,
-            checkpoints_written: counters.checkpoints_written,
-            resume_count: counters.resume_count,
-            watchdog_stalls: counters.watchdog_stalls,
-            shutdown_clean: counters.shutdown_clean,
+            metadata: ScanMetadata {
+                version: env!("CARGO_PKG_VERSION").to_string(),
+                config: ConfigEcho::from_config(&scan.cfg),
+                permutation: PermutationEcho {
+                    group_prime,
+                    generator,
+                    offset,
+                },
+                counters: metrics.counters(),
+                duration_ns: rel,
+                histograms,
+                trace,
+                rtt_sample_one_in,
+            },
             killed: exit == Exit::Killed,
-            duration_ns: rel,
             results: Vec::new(),
             status: self.monitor.samples().to_vec(),
-            metadata,
-            metrics: snapshot,
         }
     }
 }
@@ -1073,10 +1028,11 @@ mod tests {
         let net = dense_net(&[80]);
         let cfg = base_cfg(&[80]);
         let s = scan(&net, cfg);
-        assert_eq!(s.sent, 256);
-        assert_eq!(s.unique_successes, 256);
-        assert_eq!(s.duplicates_suppressed, 0);
-        assert_eq!(s.responses_discarded, 0);
+        let c = &s.metadata.counters;
+        assert_eq!(c.sent, 256);
+        assert_eq!(c.unique_successes, 256);
+        assert_eq!(c.duplicates_suppressed, 0);
+        assert_eq!(c.responses_discarded, 0);
         assert!((s.hitrate() - 1.0).abs() < 1e-9);
         assert_eq!(s.results.len(), 256);
         // Every result is a distinct IP in the scanned /24.
@@ -1095,8 +1051,9 @@ mod tests {
         let net = dense_net(&[80, 443]);
         let cfg = base_cfg(&[80, 443]);
         let s = scan(&net, cfg);
-        assert_eq!(s.sent, 512);
-        assert_eq!(s.unique_successes, 512);
+        let c = &s.metadata.counters;
+        assert_eq!(c.sent, 512);
+        assert_eq!(c.unique_successes, 512);
         // Results carry both ports.
         assert!(s.results.iter().any(|r| r.sport == 80));
         assert!(s.results.iter().any(|r| r.sport == 443));
@@ -1108,8 +1065,9 @@ mod tests {
         let mut cfg = base_cfg(&[81]);
         cfg.report_failures = true;
         let s = scan(&net, cfg);
-        assert_eq!(s.unique_successes, 0);
-        assert_eq!(s.unique_failures, 256, "dense world RSTs on closed");
+        let c = &s.metadata.counters;
+        assert_eq!(c.unique_successes, 0);
+        assert_eq!(c.unique_failures, 256, "dense world RSTs on closed");
         assert_eq!(s.results.len(), 256);
         assert!(s.results.iter().all(|r| r.classification == Classification::Rst));
     }
@@ -1120,7 +1078,7 @@ mod tests {
         let cfg = base_cfg(&[81]);
         let s = scan(&net, cfg);
         assert!(s.results.is_empty());
-        assert_eq!(s.unique_failures, 256);
+        assert_eq!(s.metadata.counters.unique_failures, 256);
     }
 
     #[test]
@@ -1129,7 +1087,8 @@ mod tests {
         let mut cfg = base_cfg(&[80]);
         cfg.max_targets = 10;
         let s = scan(&net, cfg);
-        assert!(s.sent <= 11, "sent {}", s.sent);
+        let c = &s.metadata.counters;
+        assert!(c.sent <= 11, "sent {}", c.sent);
     }
 
     #[test]
@@ -1142,8 +1101,9 @@ mod tests {
         cfg.rate_pps = 1_000;
         cfg.batch = 8;
         let s = scan(&net, cfg);
-        assert!(s.unique_successes >= 5);
-        assert!(s.sent < 256, "must stop before the whole /24: {}", s.sent);
+        let c = &s.metadata.counters;
+        assert!(c.unique_successes >= 5);
+        assert!(c.sent < 256, "must stop before the whole /24: {}", c.sent);
     }
 
     #[test]
@@ -1164,7 +1124,7 @@ mod tests {
         let mut cfg = base_cfg(&[80]);
         cfg.dedup = DedupMethod::FullBitmap;
         let s = scan(&net, cfg);
-        assert_eq!(s.unique_successes, 256);
+        assert_eq!(s.metadata.counters.unique_successes, 256);
     }
 
     #[test]
@@ -1191,9 +1151,9 @@ mod tests {
         let odd = run(7); // /24 is not a multiple: final partial batch
         assert_eq!(one.results, dflt.results, "batching is invisible in output");
         assert_eq!(one.results, odd.results);
-        assert_eq!(one.sent, 256);
-        assert_eq!(dflt.sent, 256);
-        assert_eq!(odd.sent, 256);
+        assert_eq!(one.metadata.counters.sent, 256);
+        assert_eq!(dflt.metadata.counters.sent, 256);
+        assert_eq!(odd.metadata.counters.sent, 256);
     }
 
     #[test]
@@ -1202,8 +1162,9 @@ mod tests {
         let mut cfg = base_cfg(&[80]);
         cfg.probe = ProbeKind::IcmpEcho;
         let s = scan(&net, cfg);
-        assert_eq!(s.sent, 256, "one echo per host regardless of ports");
-        assert_eq!(s.unique_successes, 256);
+        let c = &s.metadata.counters;
+        assert_eq!(c.sent, 256, "one echo per host regardless of ports");
+        assert_eq!(c.unique_successes, 256);
         assert!(s
             .results
             .iter()
@@ -1216,7 +1177,7 @@ mod tests {
         let mut cfg = base_cfg(&[53]);
         cfg.probe = ProbeKind::Udp(b"probe".to_vec());
         let s = scan(&net, cfg);
-        assert_eq!(s.unique_successes, 256);
+        assert_eq!(s.metadata.counters.unique_successes, 256);
         assert!(s.results.iter().all(|r| r.classification == Classification::UdpData));
     }
 
@@ -1234,11 +1195,12 @@ mod tests {
         cfg.rate_pps = 100_000;
         cfg.cooldown_secs = 400; // long enough for the duplicate tail
         let s = scan(&net, cfg);
-        assert_eq!(s.unique_successes, 256, "dups must not inflate successes");
+        let c = &s.metadata.counters;
+        assert_eq!(c.unique_successes, 256, "dups must not inflate successes");
         assert!(
-            s.duplicates_suppressed > 1000,
+            c.duplicates_suppressed > 1000,
             "blowback should produce heavy duplication: {}",
-            s.duplicates_suppressed
+            c.duplicates_suppressed
         );
         assert_eq!(s.results.len(), 256);
     }
@@ -1292,8 +1254,9 @@ mod tests {
         let mut transport = LoopbackTransport::default();
         transport.inbox = vec![(1_000, forged), (2_000, synack)];
         let s = Scanner::new(cfg, transport).unwrap().run();
-        assert_eq!((s.unique_successes, s.unique_failures), (1, 0));
-        assert_eq!((s.responses_discarded, s.duplicates_suppressed), (1, 0));
+        let c = &s.metadata.counters;
+        assert_eq!((c.unique_successes, c.unique_failures), (1, 0));
+        assert_eq!((c.responses_discarded, c.duplicates_suppressed), (1, 0));
         assert_eq!(s.results.len(), 1);
         assert_eq!(s.results[0].saddr, IpAddr::V4(host));
         assert_eq!(s.results[0].classification, Classification::SynAck);
@@ -1314,10 +1277,11 @@ mod tests {
         cfg.cooldown_secs = 400;
         cfg.dedup = DedupMethod::None;
         let s = scan(&net, cfg);
+        let c = &s.metadata.counters;
         assert!(
-            s.unique_successes > 1000,
+            c.unique_successes > 1000,
             "no dedup: every duplicate counts ({})",
-            s.unique_successes
+            c.unique_successes
         );
     }
 
@@ -1329,8 +1293,8 @@ mod tests {
         cfg.cooldown_secs = 1;
         let s = scan(&net, cfg);
         // ~1 s sending + 1 s cooldown.
-        assert!(s.duration_ns >= 1_900_000_000, "{}", s.duration_ns);
-        assert!(s.duration_ns < 3_000_000_000, "{}", s.duration_ns);
+        assert!(s.metadata.duration_ns >= 1_900_000_000, "{}", s.metadata.duration_ns);
+        assert!(s.metadata.duration_ns < 3_000_000_000, "{}", s.metadata.duration_ns);
         assert!(!s.status.is_empty(), "status stream populated");
     }
 
@@ -1345,7 +1309,7 @@ mod tests {
             cfg.num_shards = 3;
             cfg.subshards = 2;
             let s = scan(&net, cfg);
-            total_sent += s.sent;
+            total_sent += s.metadata.counters.sent;
             for r in &s.results {
                 assert!(all.insert((r.saddr, r.sport)), "{} duplicated", r.saddr);
             }
@@ -1380,7 +1344,11 @@ mod tests {
         let order = |s: &ScanSummary| s.results.iter().map(|r| r.saddr).collect::<Vec<_>>();
         assert_eq!(order(&a), order(&b), "determinism");
         assert_ne!(order(&a), order(&c), "seed changes order");
-        assert_eq!(a.unique_successes, c.unique_successes, "same coverage");
+        assert_eq!(
+            a.metadata.counters.unique_successes,
+            c.metadata.counters.unique_successes,
+            "same coverage"
+        );
     }
 
     fn temp_journal(name: &str) -> std::path::PathBuf {
@@ -1428,7 +1396,7 @@ mod tests {
                 checkpoint: Some(CheckpointPolicy::new(&path)),
                 ..Default::default()
             });
-        assert_eq!(s.shutdown_clean, 1);
+        assert_eq!(s.metadata.counters.shutdown_clean, 1);
         let journal = CheckpointState::load(&path).unwrap();
         let resume = |cfg| PreparedScan::resume(cfg, &journal, Logger::null()).err();
         assert!(resume(sliced(1, 0)).is_none(), "the scan that wrote it resumes");

@@ -73,8 +73,8 @@ pub(super) fn run(
             // Neither killed nor orderly: the drain watchdog gave up on a
             // frozen transport.
             death: (summary.killed.then_some("kill"))
-                .or((summary.shutdown_clean == 0).then_some("stall")),
-            duration_ns: summary.duration_ns,
+                .or((summary.metadata.counters.shutdown_clean == 0).then_some("stall")),
+            duration_ns: summary.metadata.duration_ns,
             results: summary.results,
         }),
         Ok(Err(e)) => Err(e),

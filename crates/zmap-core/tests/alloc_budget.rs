@@ -250,12 +250,8 @@ fn run(cell: &Cell, log_n: u8, shared: &SimTransport) -> (u64, u64, u64) {
             let scanner = Scanner::new(cfg, net.transport(SRC)).unwrap();
             let mut out = OutputModule::new(format, io::sink());
             let (s, allocs) = tallied(|| scanner.run_into(RunOptions::default(), &mut out));
-            assert_eq!(
-                out.records(),
-                s.unique_successes + s.unique_failures,
-                "{}",
-                cell.name
-            );
+            let c = &s.metadata.counters;
+            assert_eq!(out.records(), c.unique_successes + c.unique_failures, "{}", cell.name);
             (s, allocs)
         }
         Driver::Threaded => {
@@ -268,20 +264,16 @@ fn run(cell: &Cell, log_n: u8, shared: &SimTransport) -> (u64, u64, u64) {
             tallied(|| scan.run(shared, RunOptions::default()))
         }
     };
-    let frames = s.responses_validated;
-    assert_eq!(
-        s.sent,
-        1 << log_n,
-        "{}: every target probed once",
-        cell.name
-    );
+    let c = &s.metadata.counters;
+    let frames = c.responses_validated;
+    assert_eq!(c.sent, 1 << log_n, "{}: every target probed once", cell.name);
     assert!(
-        frames >= s.sent * 9 / 10,
+        frames >= c.sent * 9 / 10,
         "{}: the world answers ({frames} of {})",
         cell.name,
-        s.sent
+        c.sent
     );
-    (s.sent, frames, allocs)
+    (c.sent, frames, allocs)
 }
 
 fn median(mut v: Vec<u64>) -> u64 {

@@ -52,11 +52,12 @@ fn scanner_results_identical_across_batch_sizes() {
     for batch in [2, 7, 64, 1024] {
         let (b, stats_b) = run_scanner(batch, FaultPlan::default());
         assert_eq!(one.results, b.results, "results differ at batch={batch}");
-        assert_eq!(one.sent, b.sent);
-        assert_eq!(one.targets_total, b.targets_total);
-        assert_eq!(one.responses_validated, b.responses_validated);
-        assert_eq!(one.unique_successes, b.unique_successes);
-        assert_eq!(one.duplicates_suppressed, b.duplicates_suppressed);
+        let (c1, cb) = (&one.metadata.counters, &b.metadata.counters);
+        assert_eq!(c1.sent, cb.sent);
+        assert_eq!(c1.targets_total, cb.targets_total);
+        assert_eq!(c1.responses_validated, cb.responses_validated);
+        assert_eq!(c1.unique_successes, cb.unique_successes);
+        assert_eq!(c1.duplicates_suppressed, cb.duplicates_suppressed);
         assert_eq!(
             stats_one.frames_sent, stats_b.frames_sent,
             "world saw different traffic at batch={batch}"
@@ -71,7 +72,7 @@ fn scanner_double_runs_are_deterministic_on_both_paths() {
         let (a, _) = run_scanner(batch, FaultPlan::default());
         let (b, _) = run_scanner(batch, FaultPlan::default());
         assert_eq!(a.results, b.results, "batch={batch} must replay exactly");
-        assert_eq!(a.duration_ns, b.duration_ns);
+        assert_eq!(a.metadata.duration_ns, b.metadata.duration_ns);
         assert_eq!(a.status.len(), b.status.len());
         assert_eq!(a.metadata.to_json(), b.metadata.to_json());
     }
@@ -88,9 +89,10 @@ fn early_kill_lands_on_the_same_ordinal_mid_batch() {
     let (one, stats_one) = run_scanner(1, kill());
     let (batched, stats_b) = run_scanner(64, kill());
     assert!(one.killed && batched.killed);
-    assert_eq!(one.sent, 39, "kill_at(40) admits 39 frames");
-    assert_eq!(one.sent, batched.sent);
-    assert_eq!(one.targets_total, batched.targets_total, "rollback to in-flight target");
+    let (c1, cb) = (&one.metadata.counters, &batched.metadata.counters);
+    assert_eq!(c1.sent, 39, "kill_at(40) admits 39 frames");
+    assert_eq!(c1.sent, cb.sent);
+    assert_eq!(c1.targets_total, cb.targets_total, "rollback to in-flight target");
     assert_eq!(stats_one.frames_sent, stats_b.frames_sent);
     assert_eq!(one.results, batched.results);
 }
@@ -109,8 +111,9 @@ fn parallel_results_identical_across_batch_sizes() {
     let one = run(1);
     for batch in [3, 64] {
         let b = run(batch);
-        assert_eq!(one.sent, b.sent, "batch={batch}");
-        assert_eq!(one.unique_successes, b.unique_successes);
+        let (c1, cb) = (&one.metadata.counters, &b.metadata.counters);
+        assert_eq!(c1.sent, cb.sent, "batch={batch}");
+        assert_eq!(c1.unique_successes, cb.unique_successes);
         let key = |s: &zmap_core::ScanSummary| {
             s.results
                 .iter()

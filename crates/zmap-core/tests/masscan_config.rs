@@ -126,10 +126,11 @@ fn masscan_config_sends_the_pinned_frames() {
         (Walk::Blackrock, 0xe770_bd33_50a5_12bf, 262_144, 6_425),
     ] {
         let (s, walked, frames) = run(world(), masscan(cfg.clone(), walk));
-        assert_eq!((frames.len(), s.sent), (262_144, 262_144), "{walk:?}");
+        let c = &s.metadata.counters;
+        assert_eq!((frames.len(), c.sent), (262_144, 262_144), "{walk:?}");
         assert_eq!(frames.last().map(|f| f.0), Some(131_071_500), "{walk:?}");
         assert_eq!(fnv1a(&frames), digest, "{walk:?}");
-        assert_eq!((walked, s.unique_successes), (distinct, found), "{walk:?}");
+        assert_eq!((walked, c.unique_successes), (distinct, found), "{walk:?}");
     }
 }
 
@@ -151,19 +152,21 @@ fn dense(ports: &[u16], prefix_len: u8, walk: Walk) -> (ScanSummary, u64, Sent) 
 #[test]
 fn fixed_blackrock_finds_every_dense_host() {
     let (s, walked, _) = dense(&[80], 20, Walk::Blackrock);
-    assert_eq!((s.sent, walked, s.unique_successes), (4096, 4096, 4096));
+    let c = &s.metadata.counters;
+    assert_eq!((c.sent, walked, c.unique_successes), (4096, 4096, 4096));
 }
 
 #[test]
 fn legacy_blackrock_misses_targets_at_the_same_budget() {
     let (s, walked, _) = dense(&[80], 20, Walk::LegacyBlackrock);
-    assert_eq!(s.sent, 4096, "same probe budget");
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, 4096, "same probe budget");
     assert!(
         walked < 4096,
         "the legacy shuffle must skip targets: {walked}"
     );
     assert_eq!(
-        s.unique_successes, walked,
+        c.unique_successes, walked,
         "every probed host answers in the dense world"
     );
 }
@@ -187,7 +190,8 @@ fn probes_are_optionless_with_masscan_ip_id() {
 #[test]
 fn multiport_blackrock_sweep_finds_both_ports() {
     let (s, walked, _) = dense(&[80, 443], 24, Walk::Blackrock);
-    assert_eq!((s.sent, walked, s.unique_successes), (512, 512, 512));
+    let c = &s.metadata.counters;
+    assert_eq!((c.sent, walked, c.unique_successes), (512, 512, 512));
     for port in [80, 443] {
         assert_eq!(
             s.results.iter().filter(|r| r.sport == port).count(),

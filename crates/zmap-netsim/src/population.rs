@@ -17,11 +17,9 @@
 use crate::geo::{country_of, Country};
 use crate::{hash3, unit};
 use std::net::Ipv4Addr;
-use zmap_wire::ethernet::{EtherType, EthernetRepr, MacAddr};
-use zmap_wire::ipv4::{masscan_ip_id, IpProtocol, Ipv4Repr, ZMAP_STATIC_IP_ID};
+use zmap_wire::ipv4::IpIdMode;
 use zmap_wire::options::OptionLayout;
-use zmap_wire::tcp::{TcpFlags, TcpRepr};
-use zmap_wire::checksum;
+use zmap_wire::ProbeBuilder;
 
 /// A calendar quarter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -252,62 +250,24 @@ impl PopulationModel {
 
 impl ScannerInstance {
     /// Synthesizes the `i`-th probe frame this instance lands on a
-    /// telescope address, with the tool's on-the-wire fingerprint.
-    ///
-    /// # Panics
-    /// Panics if the probe overflows the IPv4 length field — unreachable
-    /// for the header-only SYNs built here; `emit` checks it.
-    #[expect(clippy::expect_used)]
+    /// telescope address, with the tool's on-the-wire fingerprint (its
+    /// option layout and IP-ID rule), rendered by zmap-wire's probe
+    /// builder.
     pub fn probe_frame(&self, dark_dst: Ipv4Addr, i: u64) -> Vec<u8> {
-        let dst = u32::from(dark_dst);
-        let h = hash3(self.seed, dst, i);
-        let seq = h as u32;
-        let sport = match self.tool {
-            // ZMap draws from its fixed ephemeral range.
-            ScannerTool::ZMap | ScannerTool::ZMapFork => 32768 + (h % 28233) as u16,
-            ScannerTool::Masscan => 40000 + (h % 24000) as u16,
-            ScannerTool::Other => 1025 + (h % 60000) as u16,
+        let (layout, ip_id) = match self.tool {
+            ScannerTool::ZMap => (OptionLayout::MssOnly, IpIdMode::Static),
+            // The fork strips the static marker.
+            ScannerTool::ZMapFork => (OptionLayout::MssOnly, IpIdMode::Random),
+            ScannerTool::Masscan => (OptionLayout::NoOptions, IpIdMode::DestinationDerived),
+            ScannerTool::Other => (OptionLayout::Linux, IpIdMode::Random),
         };
-        let ip_id = match self.tool {
-            ScannerTool::ZMap => ZMAP_STATIC_IP_ID,
-            ScannerTool::ZMapFork => (h >> 32) as u16, // marker stripped
-            ScannerTool::Masscan => masscan_ip_id(dst, self.port, seq),
-            ScannerTool::Other => (h >> 32) as u16,
+        let builder = ProbeBuilder {
+            layout,
+            ip_id,
+            ..ProbeBuilder::new(Ipv4Addr::from(self.src_ip), self.seed)
         };
-        let options = match self.tool {
-            ScannerTool::ZMap | ScannerTool::ZMapFork => OptionLayout::MssOnly.bytes(),
-            ScannerTool::Masscan => OptionLayout::NoOptions.bytes(),
-            ScannerTool::Other => OptionLayout::Linux.bytes(),
-        };
-        let tcp = TcpRepr {
-            src_port: sport,
-            dst_port: self.port,
-            seq,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: 65535,
-            options,
-        };
-        let tcp_len = tcp.header_len() as u16;
-        let mut buf = Vec::with_capacity(14 + 20 + tcp.header_len());
-        EthernetRepr {
-            dst: MacAddr::local(1),
-            src: MacAddr::local(self.src_ip),
-            ethertype: EtherType::Ipv4,
-        }
-        .emit(&mut buf);
-        Ipv4Repr {
-            src: Ipv4Addr::from(self.src_ip),
-            dst: dark_dst,
-            protocol: IpProtocol::Tcp,
-            id: ip_id,
-            ttl: 250u8.wrapping_sub((h % 30) as u8),
-            payload_len: tcp_len,
-        }
-        .emit(&mut buf).expect("telescope frame fits IPv4 length");
-        let pseudo = checksum::pseudo_header(self.src_ip, dst, 6, tcp_len);
-        tcp.emit(pseudo, &[], &mut buf);
-        buf
+        let entropy = (hash3(self.seed, u32::from(dark_dst), i) >> 32) as u16;
+        builder.tcp_syn(dark_dst, self.port, entropy)
     }
 }
 
@@ -408,7 +368,9 @@ mod tests {
             match inst.tool {
                 ScannerTool::ZMap => assert_eq!(ip.id(), 54321),
                 ScannerTool::Masscan => {
-                    assert_eq!(ip.id(), masscan_ip_id(u32::from(ip.dst()), tcp.dst_port(), tcp.seq()));
+                    let (dst, seq) = (ip.dst().into(), tcp.seq());
+                    let want = zmap_wire::ipv4::masscan_ip_id(dst, tcp.dst_port(), seq);
+                    assert_eq!(ip.id(), want);
                 }
                 _ => {}
             }

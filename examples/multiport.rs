@@ -46,6 +46,7 @@ fn main() {
     };
 
     let summary = scanner.run();
+    let c = &summary.metadata.counters;
 
     let mut per_port: BTreeMap<u16, u64> = BTreeMap::new();
     for r in &summary.results {
@@ -58,7 +59,7 @@ fn main() {
     }
     println!(
         "\ntotal: {} open (ip, port) targets out of {} probed",
-        summary.unique_successes, summary.sent
+        c.unique_successes, c.sent
     );
-    assert_eq!(summary.sent, target_count, "every target exactly once");
+    assert_eq!(c.sent, target_count, "every target exactly once");
 }

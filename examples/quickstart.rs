@@ -32,6 +32,7 @@ fn main() {
         scanner.generator().expect("v4 scan").cycle().group().prime()
     );
     let summary = scanner.run();
+    let c = &summary.metadata.counters;
 
     println!("\nfirst 10 open hosts:");
     for r in summary.results.iter().take(10) {
@@ -39,14 +40,14 @@ fn main() {
     }
     println!(
         "\nsent {} probes in {:.1}s (virtual), {} hosts with port 80 open ({:.2}% hitrate)",
-        summary.sent,
-        summary.duration_ns as f64 / 1e9,
-        summary.unique_successes,
+        c.sent,
+        summary.metadata.duration_ns as f64 / 1e9,
+        c.unique_successes,
         100.0 * summary.hitrate()
     );
     println!(
         "duplicates suppressed: {}, stray/invalid frames ignored: {}",
-        summary.duplicates_suppressed, summary.responses_discarded
+        c.duplicates_suppressed, c.responses_discarded
     );
     println!("\nmetadata: {}", summary.metadata.to_json());
 }

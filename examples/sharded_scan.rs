@@ -40,12 +40,13 @@ fn main() {
         let summary = Scanner::new(cfg, net.transport(source))
             .expect("valid config")
             .run();
+        let c = &summary.metadata.counters;
         println!(
             "machine {shard}: sent {:>6} probes, found {:>5} open",
-            summary.sent, summary.unique_successes
+            c.sent, c.unique_successes
         );
-        total_sent += summary.sent;
-        total_found += summary.unique_successes;
+        total_sent += c.sent;
+        total_found += c.unique_successes;
         for r in &summary.results {
             assert!(
                 union.insert((r.saddr, r.sport)),

@@ -37,6 +37,11 @@ pub use zmap_telescope as telescope;
 /// The scanner engine and its four output streams.
 pub use zmap_core as core;
 
+/// README's Rust blocks, compiled by `cargo test --doc`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// Most-used types, one import away.
 pub mod prelude {
     pub use zmap_core::{

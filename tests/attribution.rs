@@ -177,11 +177,12 @@ fn adversarial_matrix_with_golden_report() {
     assert_eq!(a.tool, Fingerprint::Unknown);
     assert_eq!(a.method, AttributionMethod::Unattributed);
     assert!(a.confidence < 0.5, "re-keyed walk must not attribute: {a:?}");
+    let (stealth, random) = (&stealth_summary.metadata.counters, &random_summary.metadata.counters);
     assert_eq!(
-        stealth_summary.unique_successes, random_summary.unique_successes,
+        stealth.unique_successes, random.unique_successes,
         "stealth changes probe order only: validation is walk-independent"
     );
-    assert_eq!(stealth_summary.sent, random_summary.sent);
+    assert_eq!(stealth.sent, random.sent);
 
     // The full report is byte-stable: golden snapshot plus a complete
     // re-run of the cryptanalytic arm reproducing it exactly.
@@ -336,7 +337,7 @@ fn kill_then_resume_equals_uninterrupted(walk: Walk) {
                 ..RunOptions::default()
             });
         assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
+        assert_eq!(second.metadata.counters.resume_count, 1);
 
         let mut got = discovered(&first);
         got.extend(discovered(&second));

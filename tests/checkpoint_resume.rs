@@ -168,9 +168,9 @@ fn kill_anywhere_then_resume_equals_uninterrupted() {
                 ..RunOptions::default()
             });
         assert!(first.killed, "kill_at {kill_at} must fire");
-        assert_eq!(first.shutdown_clean, 0, "a killed scan is not clean");
+        assert_eq!(first.metadata.counters.shutdown_clean, 0, "a killed scan is not clean");
         if kill_at >= 420 {
-            assert_eq!(first.sent, 256, "mid-cooldown kill: all sends done");
+            assert_eq!(first.metadata.counters.sent, 256, "mid-cooldown kill: all sends done");
         }
         let journal = CheckpointState::load(&path).unwrap();
         assert!(!journal.complete);
@@ -185,9 +185,9 @@ fn kill_anywhere_then_resume_equals_uninterrupted() {
                 ..RunOptions::default()
             });
         assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
-        assert_eq!(second.shutdown_clean, 1);
-        assert!(second.sent >= 256, "cumulative sends cover the space");
+        let c = &second.metadata.counters;
+        assert_eq!((c.resume_count, c.shutdown_clean), (1, 1));
+        assert!(c.sent >= 256, "cumulative sends cover the space");
 
         let mut got = discovered(&first);
         got.extend(discovered(&second));
@@ -229,9 +229,10 @@ fn graceful_interrupt_then_resume_covers_everything() {
             shutdown: Some(token),
             ..RunOptions::default()
         });
+    let c = &first.metadata.counters;
     assert!(!first.killed);
-    assert_eq!(first.sent, 0, "interrupt honored at the cycle boundary");
-    assert_eq!(first.shutdown_clean, 1, "an interrupt is still orderly");
+    assert_eq!(c.sent, 0, "interrupt honored at the cycle boundary");
+    assert_eq!(c.shutdown_clean, 1, "an interrupt is still orderly");
     // The metadata stream is well-formed even for an empty attempt.
     assert!(first.metadata.to_json().contains("\"counters\""));
 

@@ -121,16 +121,17 @@ fn dup_records(summary: &ScanSummary) -> u64 {
 #[test]
 fn engine_full_bitmap_suppresses_every_duplicate() {
     let s = blowback_scan(DedupMethod::FullBitmap);
-    assert!(s.duplicates_suppressed > 0, "blowback world produced no dups");
+    let c = &s.metadata.counters;
+    assert!(c.duplicates_suppressed > 0, "blowback world produced no dups");
     assert_eq!(dup_records(&s), 0, "exact filter leaked a duplicate");
-    assert_eq!(s.unique_successes, s.results.len() as u64);
+    assert_eq!(c.unique_successes, s.results.len() as u64);
 }
 
 #[test]
 fn engine_window_trades_exactness_for_memory() {
     // A window big enough for the whole /24 behaves exactly...
     let wide = blowback_scan(DedupMethod::Window(1_000_000));
-    assert!(wide.duplicates_suppressed > 0);
+    assert!(wide.metadata.counters.duplicates_suppressed > 0);
     assert_eq!(dup_records(&wide), 0, "wide window leaked a duplicate");
 
     // ...while a window smaller than the duplicate spread lets repeats
@@ -142,5 +143,8 @@ fn engine_window_trades_exactness_for_memory() {
         "2-entry window cannot hold a /24's duplicate tail"
     );
     // Both engines saw the same world: total validated responses match.
-    assert_eq!(wide.responses_validated, narrow.responses_validated);
+    assert_eq!(
+        wide.metadata.counters.responses_validated,
+        narrow.metadata.counters.responses_validated
+    );
 }

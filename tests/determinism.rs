@@ -46,9 +46,10 @@ fn sequential_and_parallel_engines_find_the_same_targets() {
     let transport = SimNet::new(world_cfg(31)).transport(src);
     let parallel = run_parallel(&scan_cfg(src, 4), &transport).unwrap();
 
-    assert_eq!(sequential.sent, 512);
-    assert_eq!(parallel.sent, 512);
-    assert_eq!(sequential.unique_successes, parallel.unique_successes);
+    let (cs, cp) = (&sequential.metadata.counters, &parallel.metadata.counters);
+    assert_eq!(cs.sent, 512);
+    assert_eq!(cp.sent, 512);
+    assert_eq!(cs.unique_successes, cp.unique_successes);
 
     let a: BTreeSet<(std::net::IpAddr, u16)> = sequential
         .results
@@ -61,5 +62,5 @@ fn sequential_and_parallel_engines_find_the_same_targets() {
         .map(|r| (r.saddr, r.sport))
         .collect();
     assert_eq!(a, b, "engines disagree on the discovered set");
-    assert_eq!(a.len() as u64, sequential.unique_successes);
+    assert_eq!(a.len() as u64, cs.unique_successes);
 }

@@ -52,17 +52,18 @@ fn duplicated_responses_are_suppressed_by_the_window() {
         dense_world(5, plan),
         cfg_for(Ipv4Addr::new(55, 44, 0, 0), 24),
     );
-    assert_eq!(summary.sent, 256);
-    assert_eq!(summary.unique_successes, 256, "dups must not cost coverage");
+    let c = &summary.metadata.counters;
+    assert_eq!(c.sent, 256);
+    assert_eq!(c.unique_successes, 256, "dups must not cost coverage");
     assert!(
-        summary.duplicates_suppressed > 20,
+        c.duplicates_suppressed > 20,
         "fraction 0.25 of 256 responses must duplicate: {}",
-        summary.duplicates_suppressed
+        c.duplicates_suppressed
     );
     // Every validated response is either the first sighting or a dup.
     assert_eq!(
-        summary.responses_validated,
-        256 + summary.duplicates_suppressed
+        c.responses_validated,
+        256 + c.duplicates_suppressed
     );
     // The output stream itself carries no duplicates.
     let mut seen = HashSet::new();
@@ -81,18 +82,19 @@ fn corrupted_responses_never_reach_the_output() {
         dense_world(6, plan),
         cfg_for(Ipv4Addr::new(55, 44, 0, 0), 24),
     );
+    let c = &summary.metadata.counters;
     assert!(
-        summary.responses_corrupted > 60,
+        c.responses_corrupted > 60,
         "corruption must be observed: {}",
-        summary.responses_corrupted
+        c.responses_corrupted
     );
     // Exactly one response per target in this world: flips caught by a
     // checksum are counted, flips that mangle the IP header itself (dst
     // address, IHL…) fail to parse and are silently discarded — either
     // way the target reads as a miss, never as a bogus record.
-    assert!(summary.unique_successes < 256, "flipped targets must be missed");
+    assert!(c.unique_successes < 256, "flipped targets must be missed");
     assert!(
-        summary.unique_successes + summary.responses_corrupted <= 256,
+        c.unique_successes + c.responses_corrupted <= 256,
         "corrupted frames must never also validate"
     );
     // Nothing corrupt leaked: all records are real dense-world hosts.
@@ -114,8 +116,9 @@ fn blackout_ranges_show_as_misses() {
         dense_world(7, plan),
         cfg_for(Ipv4Addr::new(55, 44, 0, 0), 23),
     );
-    assert_eq!(summary.sent, 512, "probes into the blackout still count as sent");
-    assert_eq!(summary.unique_successes, 256, "only the lit /24 answers");
+    let c = &summary.metadata.counters;
+    assert_eq!(c.sent, 512, "probes into the blackout still count as sent");
+    assert_eq!(c.unique_successes, 256, "only the lit /24 answers");
     for r in &summary.results {
         assert_eq!(
             v4(r.saddr) >> 8,
@@ -134,19 +137,21 @@ fn retries_recover_transient_send_failures() {
     let mut cfg = cfg_for(Ipv4Addr::new(55, 44, 0, 0), 24);
     cfg.max_retries = 8;
     let summary = scan(dense_world(8, plan.clone()), cfg);
-    assert_eq!(summary.sent, 256, "every probe eventually leaves the NIC");
-    assert_eq!(summary.sent, summary.targets_total);
-    assert!(summary.send_retries > 40, "retries: {}", summary.send_retries);
-    assert_eq!(summary.sendto_failures, 0);
-    assert_eq!(summary.unique_successes, 256);
+    let c = &summary.metadata.counters;
+    assert_eq!(c.sent, 256, "every probe eventually leaves the NIC");
+    assert_eq!(c.sent, c.targets_total);
+    assert!(c.send_retries > 40, "retries: {}", c.send_retries);
+    assert_eq!(c.sendto_failures, 0);
+    assert_eq!(c.unique_successes, 256);
 
     // With no retry budget the same plan visibly drops probes.
     let mut cfg = cfg_for(Ipv4Addr::new(55, 44, 0, 0), 24);
     cfg.max_retries = 0;
     let summary = scan(dense_world(8, plan), cfg);
-    assert!(summary.sendto_failures > 40, "{}", summary.sendto_failures);
-    assert_eq!(summary.sent + summary.sendto_failures, 256);
-    assert_eq!(summary.unique_successes, summary.sent);
+    let c = &summary.metadata.counters;
+    assert!(c.sendto_failures > 40, "{}", c.sendto_failures);
+    assert_eq!(c.sent + c.sendto_failures, 256);
+    assert_eq!(c.unique_successes, c.sent);
 }
 
 #[test]
@@ -157,9 +162,10 @@ fn icmp_storm_converts_successes_into_failures() {
     let mut cfg = cfg_for(Ipv4Addr::new(55, 44, 0, 0), 24);
     cfg.report_failures = true;
     let summary = scan(dense_world(9, plan), cfg);
-    assert!(summary.unique_failures > 50, "{}", summary.unique_failures);
+    let c = &summary.metadata.counters;
+    assert!(c.unique_failures > 50, "{}", c.unique_failures);
     assert_eq!(
-        summary.unique_successes + summary.unique_failures,
+        c.unique_successes + c.unique_failures,
         256,
         "every probe is answered: SYN-ACK or storm ICMP"
     );
@@ -185,17 +191,18 @@ fn acceptance_lossy_network_scenario() {
         scan(dense_world(10, plan.clone()), cfg)
     };
     let a = run();
+    let ca = &a.metadata.counters;
 
-    assert_eq!(a.sent, 4096, "retries absorb every transient send failure");
-    assert!(a.send_retries > 0);
-    assert_eq!(a.sendto_failures, 0);
-    assert!(a.duplicates_suppressed > 0, "2% duplication must show up");
+    assert_eq!(ca.sent, 4096, "retries absorb every transient send failure");
+    assert!(ca.send_retries > 0);
+    assert_eq!(ca.sendto_failures, 0);
+    assert!(ca.duplicates_suppressed > 0, "2% duplication must show up");
     // Burst loss hits the probe and the response independently, so the
     // effective miss rate is ~1 - 0.95^2 ≈ 9.75%.
     assert!(
-        a.unique_successes > 3400 && a.unique_successes < 3950,
+        ca.unique_successes > 3400 && ca.unique_successes < 3950,
         "burst loss leaves misses: {}",
-        a.unique_successes
+        ca.unique_successes
     );
     // Zero corrupted records: every output row is a unique genuine host.
     let mut seen = HashSet::new();
@@ -207,8 +214,8 @@ fn acceptance_lossy_network_scenario() {
 
     // Counters surface in the status stream…
     let last = a.status.last().expect("scan spans whole seconds");
-    assert_eq!(last.counters.send_retries, a.send_retries);
-    assert_eq!(last.counters.duplicates_suppressed, a.duplicates_suppressed);
+    assert_eq!(last.counters.send_retries, ca.send_retries);
+    assert_eq!(last.counters.duplicates_suppressed, ca.duplicates_suppressed);
     // …and in the metadata document.
     let meta = a.metadata.to_json();
     assert!(meta.contains("\"send_retries\""), "{meta}");
@@ -217,10 +224,11 @@ fn acceptance_lossy_network_scenario() {
 
     // Same seed, same plan: byte-identical replay.
     let b = run();
-    assert_eq!(a.sent, b.sent);
-    assert_eq!(a.send_retries, b.send_retries);
-    assert_eq!(a.duplicates_suppressed, b.duplicates_suppressed);
-    assert_eq!(a.responses_corrupted, b.responses_corrupted);
+    let cb = &b.metadata.counters;
+    assert_eq!(ca.sent, cb.sent);
+    assert_eq!(ca.send_retries, cb.send_retries);
+    assert_eq!(ca.duplicates_suppressed, cb.duplicates_suppressed);
+    assert_eq!(ca.responses_corrupted, cb.responses_corrupted);
     let ra: Vec<_> = a.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
     let rb: Vec<_> = b.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
     assert_eq!(ra, rb);

@@ -71,7 +71,7 @@ fn scan_results_match_ground_truth_exactly() {
         })
         .collect();
     assert_eq!(found, expected, "scanner output must equal ground truth");
-    assert_eq!(summary.sent, 1 << 15);
+    assert_eq!(summary.metadata.counters.sent, 1 << 15);
 }
 
 #[test]
@@ -95,8 +95,8 @@ fn hitrates_are_internet_plausible() {
 fn deterministic_across_runs() {
     let a = scan(sparse_world(5), 2, &[80, 443]);
     let b = scan(sparse_world(5), 2, &[80, 443]);
-    assert_eq!(a.sent, b.sent);
-    assert_eq!(a.unique_successes, b.unique_successes);
+    let (ca, cb) = (&a.metadata.counters, &b.metadata.counters);
+    assert_eq!((ca.sent, ca.unique_successes), (cb.sent, cb.unique_successes));
     let ra: Vec<_> = a.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
     let rb: Vec<_> = b.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
     assert_eq!(ra, rb, "identical seeds must replay identically");
@@ -126,22 +126,21 @@ fn icmp_and_tcp_find_consistent_populations() {
     cfg.rate_pps = 1_000_000;
     cfg.cooldown_secs = 2;
     let icmp = Scanner::new(cfg, net.transport(src)).unwrap().run();
-    assert!(
-        icmp.unique_successes > tcp.unique_successes,
-        "more hosts answer ping ({}) than have port 80 open ({})",
-        icmp.unique_successes,
-        tcp.unique_successes
+    let (icmp, tcp) = (
+        icmp.metadata.counters.unique_successes,
+        tcp.metadata.counters.unique_successes,
     );
+    assert!(icmp > tcp, "more hosts answer ping ({icmp}) than have port 80 open ({tcp})");
 }
 
 #[test]
 fn loss_shapes_match_wan_et_al() {
     // Single-probe scan under the default loss model misses ~2.7%.
     let world_lossless = sparse_world(12);
-    let truth = scan(world_lossless, 3, &[80]).unique_successes as f64;
+    let truth = scan(world_lossless, 3, &[80]).metadata.counters.unique_successes as f64;
     let mut lossy_world = sparse_world(12);
     lossy_world.loss = LossModel::default();
-    let found = scan(lossy_world, 3, &[80]).unique_successes as f64;
+    let found = scan(lossy_world, 3, &[80]).metadata.counters.unique_successes as f64;
     let miss = 1.0 - found / truth;
     // Bounds are loose: the exact value depends on where transient-loss
     // draws land in the (seed-derived) probe order.
@@ -184,9 +183,10 @@ fn sampled_rtt_equals_the_simulators_ground_truth() {
         (summary, net.with_world(|w| w.delivery_latency().snapshot()))
     };
     let (summary, truth) = inline();
-    let rtt = &summary.metrics.histograms["probe_rtt_ns"];
+    let rtt = &summary.metadata.histograms["probe_rtt_ns"];
 
-    let validated = summary.unique_successes + summary.unique_failures;
+    let c = &summary.metadata.counters;
+    let validated = c.unique_successes + c.unique_failures;
     assert_eq!(summary.results.len() as u64, validated);
     assert!(validated > 40_000, "a dense world answers most probes: {validated}");
     let sampled = summary
@@ -198,7 +198,7 @@ fn sampled_rtt_equals_the_simulators_ground_truth() {
         })
         .count() as u64;
     assert_eq!(rtt.count, sampled, "one sample per sampled target that answered");
-    assert_eq!(summary.metrics.rtt_sample_one_in, 64);
+    assert_eq!(summary.metadata.rtt_sample_one_in, 64);
     let (n, p) = (validated as f64, 1.0 / RTT_SAMPLE_ONE_IN as f64);
     let sigma = (n * p * (1.0 - p)).sqrt();
     assert!(
@@ -210,7 +210,11 @@ fn sampled_rtt_equals_the_simulators_ground_truth() {
     assert_eq!(bucket_index(rtt.p50), bucket_index(truth.p50));
 
     // The sample is a function of the targets, not of the run or the driver.
-    assert_eq!(inline().0.metrics, summary.metrics);
+    let registry = |s: &ScanSummary| {
+        let md = &s.metadata;
+        (md.histograms.clone(), md.trace.clone(), md.rtt_sample_one_in)
+    };
+    assert_eq!(registry(&inline().0), registry(&summary));
     let threaded = run_parallel(&cfg, &SimNet::new(world.clone()).transport(src)).unwrap();
-    assert_eq!(threaded.metrics, summary.metrics);
+    assert_eq!(registry(&threaded), registry(&summary));
 }

@@ -56,6 +56,32 @@ fn render<S: AsRef<str>>(sections: &[(S, String)]) -> String {
     s
 }
 
+/// The "metrics (json)" section: the registry dump the metadata
+/// document folds in (histograms, trace, RTT sampling rate).
+fn metrics_section(md: &zmap_core::ScanMetadata) -> String {
+    serde_json::to_string(&MetricsSnapshot {
+        histograms: md.histograms.clone(),
+        trace: md.trace.clone(),
+        rtt_sample_one_in: md.rtt_sample_one_in,
+    })
+    .expect("metrics serialize")
+}
+
+/// The "counters" section of the threaded-engine snapshots.
+fn counters_section(c: &zmap_core::metadata::Counters) -> String {
+    format!(
+        "sent={} validated={} dups={} successes={} retries={} sendto_failures={} corrupted={} clean={}\n",
+        c.sent,
+        c.responses_validated,
+        c.duplicates_suppressed,
+        c.unique_successes,
+        c.send_retries,
+        c.sendto_failures,
+        c.responses_corrupted,
+        c.shutdown_clean,
+    )
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -130,10 +156,7 @@ fn scan_and_snapshot(name: &str, mutate: impl FnOnce(&mut ScanConfig)) {
         ("logs", logs),
         ("status (json)", status),
         ("metadata (json)", summary.metadata.to_json()),
-        (
-            "metrics (json)",
-            serde_json::to_string(&summary.metrics).expect("metrics serialize"),
-        ),
+        ("metrics (json)", metrics_section(&summary.metadata)),
     ]);
     check_golden(name, &actual);
 }
@@ -209,10 +232,7 @@ fn scan_and_snapshot_v6(name: &str, mutate: impl FnOnce(&mut ScanConfig)) {
         ("logs", logs),
         ("status (json)", status),
         ("metadata (json)", summary.metadata.to_json()),
-        (
-            "metrics (json)",
-            serde_json::to_string(&summary.metrics).expect("metrics serialize"),
-        ),
+        ("metrics (json)", metrics_section(&summary.metadata)),
     ]);
     check_golden(name, &actual);
 }
@@ -250,24 +270,10 @@ fn golden_parallel_two_threads() {
 
     let mut results = summary.results.clone();
     results.sort_by_key(|r| (r.saddr, r.sport, r.ts_ns));
-    let counters = format!(
-        "sent={} validated={} dups={} successes={} retries={} sendto_failures={} corrupted={} clean={}\n",
-        summary.sent,
-        summary.responses_validated,
-        summary.duplicates_suppressed,
-        summary.unique_successes,
-        summary.send_retries,
-        summary.sendto_failures,
-        summary.responses_corrupted,
-        summary.shutdown_clean,
-    );
     let actual = render(&[
         ("data (csv, sorted)", data_section(&results)),
-        ("counters", counters),
-        (
-            "metrics (json)",
-            serde_json::to_string(&summary.metrics).expect("metrics serialize"),
-        ),
+        ("counters", counters_section(&summary.metadata.counters)),
+        ("metrics (json)", metrics_section(&summary.metadata)),
     ]);
     check_golden("parallel_2t_24", &actual);
 }
@@ -292,20 +298,9 @@ fn golden_parallel_tx_pipeline() {
         assert!(!summary.killed, "golden scans are fault-free");
         let mut results = summary.results.clone();
         results.sort_by_key(|r| (r.saddr, r.sport, r.ts_ns));
-        let counters = format!(
-            "sent={} validated={} dups={} successes={} retries={} sendto_failures={} corrupted={} clean={}\n",
-            summary.sent,
-            summary.responses_validated,
-            summary.duplicates_suppressed,
-            summary.unique_successes,
-            summary.send_retries,
-            summary.sendto_failures,
-            summary.responses_corrupted,
-            summary.shutdown_clean,
-        );
         render(&[
             ("data (csv, sorted)", data_section(&results)),
-            ("counters", counters),
+            ("counters", counters_section(&summary.metadata.counters)),
         ])
     };
 

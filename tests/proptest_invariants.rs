@@ -224,13 +224,14 @@ proptest! {
     ) {
         let a = faulted_scan(world_seed, scan_seed, plan.clone(), 4);
         let b = faulted_scan(world_seed, scan_seed, plan, 4);
-        prop_assert_eq!(a.sent, b.sent);
-        prop_assert_eq!(a.send_retries, b.send_retries);
-        prop_assert_eq!(a.sendto_failures, b.sendto_failures);
-        prop_assert_eq!(a.responses_validated, b.responses_validated);
-        prop_assert_eq!(a.duplicates_suppressed, b.duplicates_suppressed);
-        prop_assert_eq!(a.responses_corrupted, b.responses_corrupted);
-        prop_assert_eq!(a.unique_successes, b.unique_successes);
+        let (ca, cb) = (&a.metadata.counters, &b.metadata.counters);
+        prop_assert_eq!(ca.sent, cb.sent);
+        prop_assert_eq!(ca.send_retries, cb.send_retries);
+        prop_assert_eq!(ca.sendto_failures, cb.sendto_failures);
+        prop_assert_eq!(ca.responses_validated, cb.responses_validated);
+        prop_assert_eq!(ca.duplicates_suppressed, cb.duplicates_suppressed);
+        prop_assert_eq!(ca.responses_corrupted, cb.responses_corrupted);
+        prop_assert_eq!(ca.unique_successes, cb.unique_successes);
         let ra: Vec<_> = a.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
         let rb: Vec<_> = b.results.iter().map(|r| (r.saddr, r.sport, r.ts_ns)).collect();
         prop_assert_eq!(ra, rb);
@@ -248,8 +249,9 @@ proptest! {
         let plan = FaultPlan::builder().salt(salt).send_failures(send_f).build();
         // P(single probe exhausted) <= 0.3^11 — negligible over 64 targets.
         let s = faulted_scan(world_seed, 7, plan, 10);
-        prop_assert_eq!(s.sendto_failures, 0, "budget of 10 must absorb f <= 0.3");
-        prop_assert_eq!(s.sent, s.targets_total);
+        let c = &s.metadata.counters;
+        prop_assert_eq!(c.sendto_failures, 0, "budget of 10 must absorb f <= 0.3");
+        prop_assert_eq!(c.sent, c.targets_total);
     }
 
     /// Response accounting never leaks: every validated response is a
@@ -260,9 +262,10 @@ proptest! {
         plan in arb_plan(),
     ) {
         let s = faulted_scan(world_seed, 13, plan, 4);
+        let c = &s.metadata.counters;
         prop_assert!(
-            s.duplicates_suppressed + s.unique_successes + s.unique_failures
-                <= s.responses_validated
+            c.duplicates_suppressed + c.unique_successes + c.unique_failures
+                <= c.responses_validated
         );
     }
 }
@@ -349,7 +352,7 @@ proptest! {
             }));
             for (driver, run) in [("inline", inline), ("threaded", threaded)] {
                 let s = run.unwrap_or_else(|_| panic!("{driver} driver panicked on {cfg:?}"));
-                prop_assert_eq!(s.shutdown_clean, 1, "{} {:?}", driver, cfg);
+                prop_assert_eq!(s.metadata.counters.shutdown_clean, 1, "{} {:?}", driver, cfg);
             }
         }
     }

@@ -40,7 +40,7 @@ fn assert_exact_partition(alg: ShardAlgorithm, num_shards: u32, subshards: u32, 
     let mut sent = 0u64;
     for shard in 0..num_shards {
         let s = run_shard(alg, shard, num_shards, subshards, ports);
-        sent += s.sent;
+        sent += s.metadata.counters.sent;
         for r in &s.results {
             assert!(
                 union.insert((r.saddr, r.sport)),

@@ -70,9 +70,10 @@ fn tcp_v6_scan_finds_every_host() {
     let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
         .unwrap()
         .run();
-    assert_eq!(s.sent, HOSTS);
-    assert_eq!(s.unique_successes, HOSTS);
-    assert_eq!(s.responses_discarded, 0);
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, HOSTS);
+    assert_eq!(c.unique_successes, HOSTS);
+    assert_eq!(c.responses_discarded, 0);
     assert!((s.hitrate() - 1.0).abs() < 1e-9);
     let found = discovered(&s);
     assert_eq!(found.len() as u64, HOSTS);
@@ -87,8 +88,9 @@ fn icmpv6_scan_finds_every_host() {
     let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
         .unwrap()
         .run();
-    assert_eq!(s.sent, HOSTS);
-    assert_eq!(s.unique_successes, HOSTS, "echo replies ignore port state");
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, HOSTS);
+    assert_eq!(c.unique_successes, HOSTS, "echo replies ignore port state");
     assert!(discovered(&s).iter().all(|&(ip, _)| in_scanned_prefixes(ip)));
 }
 
@@ -100,8 +102,9 @@ fn udp_v6_scan_finds_every_open_host() {
     let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
         .unwrap()
         .run();
-    assert_eq!(s.sent, HOSTS);
-    assert_eq!(s.unique_successes, HOSTS);
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, HOSTS);
+    assert_eq!(c.unique_successes, HOSTS);
 }
 
 /// Sparse prefixes (density < 1) produce partial hit rates without any
@@ -115,15 +118,16 @@ fn sparse_density_hits_a_subset() {
     let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
         .unwrap()
         .run();
-    assert_eq!(s.sent, 256, "the walk covers the full 2^8 pattern space");
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, 256, "the walk covers the full 2^8 pattern space");
     let oracle = V6Population::from_prefix_list(sparse, vec![443])
         .unwrap()
         .responsive_count(5);
     assert_eq!(
-        s.unique_successes, oracle,
+        c.unique_successes, oracle,
         "hits must equal the population's responsive-host oracle"
     );
-    assert!(s.unique_successes > 0 && s.unique_successes < 256);
+    assert!(c.unique_successes > 0 && c.unique_successes < 256);
 }
 
 #[test]
@@ -141,7 +145,10 @@ fn sequential_and_parallel_engines_agree() {
         cfg.subshards = 2;
         run_parallel(&cfg, &transport).unwrap()
     };
-    assert_eq!(seq.unique_successes, par.unique_successes);
+    assert_eq!(
+        seq.metadata.counters.unique_successes,
+        par.metadata.counters.unique_successes
+    );
     assert_eq!(discovered(&seq), found_in(&par.results));
 }
 
@@ -159,7 +166,7 @@ fn shards_partition_the_v6_space() {
         let s = Scanner::new(cfg, net.transport(Ipv4Addr::new(192, 0, 2, 9)))
             .unwrap()
             .run();
-        total_sent += s.sent;
+        total_sent += s.metadata.counters.sent;
         for t in discovered(&s) {
             assert!(union.insert(t), "shard overlap at {t:?}");
         }
@@ -212,14 +219,21 @@ fn v6_double_run_is_byte_identical() {
 /// v6 space fingerprint in the group-prime slot and the walk position in
 /// the cycle parts, so the union of a killed attempt and its resume must
 /// equal an uninterrupted run.
+///
+/// The 80 probes leave in 0.8 ms, so a 10 ms journal interval leaves
+/// only the initial journal behind. At a 500 µs interval the first flush
+/// (64 probes) is journaled; ordinal 100 kills the scan after that,
+/// while 49 of their replies are still in flight. Only the resume's
+/// rewind re-probes those targets: without it the union misses them.
 #[test]
 fn v6_kill_then_resume_equals_uninterrupted() {
     let dir = std::env::temp_dir().join("zmap-v6-resume-test");
     std::fs::create_dir_all(&dir).unwrap();
-    for kill_at in [20u64, 70, 130] {
+    let cases = [(20u64, 10_000_000), (70, 10_000_000), (130, 10_000_000), (100, 500_000)];
+    for (kill_at, interval_ns) in cases {
         let path: PathBuf = dir.join(format!("v6-{kill_at}.ckpt"));
         let _ = std::fs::remove_file(&path);
-        let policy = CheckpointPolicy::new(&path).with_interval_ns(10_000_000);
+        let policy = CheckpointPolicy::new(&path).with_interval_ns(interval_ns);
 
         let baseline = {
             let net = SimNet::new(v6_world(5, PREFIXES, &[443]));
@@ -259,7 +273,7 @@ fn v6_kill_then_resume_equals_uninterrupted() {
             })
         };
         assert!(!second.killed);
-        assert_eq!(second.resume_count, 1);
+        assert_eq!(second.metadata.counters.resume_count, 1);
 
         let mut got = discovered(&first);
         got.extend(discovered(&second));
@@ -406,7 +420,7 @@ fn response_outside_the_target_space_degrades_not_aborts() {
     let wire = Scripted::default();
     let probes = {
         let s = Scanner::new(cfg.clone(), wire.clone()).unwrap().run();
-        assert_eq!(s.sent, 4);
+        assert_eq!(s.metadata.counters.sent, 4);
         wire.0.lock().unwrap().sent.clone()
     };
 
@@ -428,9 +442,10 @@ fn response_outside_the_target_space_degrades_not_aborts() {
         w.inbox.push((1, foreign_reply));
     }
     let s = Scanner::new(cfg, wire).unwrap().run();
-    assert_eq!(s.sent, 4);
-    assert_eq!(s.unique_successes, 4, "in-space responses still land");
-    assert_eq!(s.responses_discarded, 1, "the foreign response is dropped");
+    let c = &s.metadata.counters;
+    assert_eq!(c.sent, 4);
+    assert_eq!(c.unique_successes, 4, "in-space responses still land");
+    assert_eq!(c.responses_discarded, 1, "the foreign response is dropped");
     assert!(!s.killed);
     assert!(discovered(&s).iter().all(|&(ip, _)| ip != IpAddr::V6(foreign)));
 }
