@@ -397,16 +397,23 @@ fn a_killed_scan_exits_3_and_resumes_to_a_clean_finish() {
     assert_eq!(resumed.counter("shutdown_clean"), 1);
 }
 
-/// Kills the scan `args` describes at NIC event 400, resumes it, and
-/// runs it once uninterrupted: the killed run's hosts plus the resumed
-/// run's must be exactly the uninterrupted run's. Both multi-walk streams
-/// resume by a closed-form jump to the journaled position; at 50 pps the
-/// 2 s rewind lands mid-walk, so the jump is exercised.
-fn kill_and_resume(name: &str, args: &[&str]) {
+/// Kills the scan `args` describes at NIC event `kill_at`, resumes it,
+/// and runs it once uninterrupted: the killed run's hosts plus the
+/// resumed run's must be exactly the uninterrupted run's. Each case's
+/// `kill_at` lands just after a periodic journal (1 s of virtual time
+/// apart) while replies to probes before the journaled positions are in
+/// flight, so a resume that skipped its rewind would miss their hosts.
+/// At 50 pps the 2 s rewind lands mid-walk, so the multi-walk streams'
+/// closed-form jump to the journaled position is exercised too.
+fn kill_and_resume(name: &str, kill_at: u64, args: &[&str]) {
     let dir = Scratch::new(&format!("kill-resume-{name}"));
-    let kill = dir.write("kill.json", r#"{"kill_at": 400}"#);
+    let kill = dir.write("kill.json", &format!(r#"{{"kill_at": {kill_at}}}"#));
     let journal = dir.0.join("scan.ckpt");
-    let journaled = [args, &["--checkpoint", journal.to_str().unwrap()]].concat();
+    let journaled = [
+        args,
+        &["--checkpoint", journal.to_str().unwrap(), "--checkpoint-interval-secs", "1"],
+    ]
+    .concat();
     let (code, killed) = run(&dir.0, "killed", &[&journaled[..], &["--fault-plan", &kill]].concat());
     assert_eq!(code, Some(3), "{name}: killed run: {}", killed.stderr);
     let resumed = scan(&dir.0, "resumed", &[&journaled[..], &["--resume"]].concat());
@@ -421,11 +428,13 @@ fn kill_and_resume(name: &str, args: &[&str]) {
     assert!(whole.len() > 100, "{name}: {} hosts", whole.len());
 }
 
+/// Without the rewind the resumed run misses 26 hosts.
 #[test]
 fn a_killed_v6_scan_resumes_to_the_uninterrupted_hosts() {
     let prefixes = repo().join("scenarios/ipv6-xmap.txt");
     kill_and_resume(
         "v6",
+        350,
         &[
             "--ipv6", "2001:db8:ffff::1", "--prefix-list", prefixes.to_str().unwrap(), "-p", "443",
             "-r", "50", "--seed", "7", "--sim-seed", "3", "-O", "csv", "-q",
@@ -433,10 +442,12 @@ fn a_killed_v6_scan_resumes_to_the_uninterrupted_hosts() {
     );
 }
 
+/// Without the rewind the resumed run misses 9 hosts.
 #[test]
 fn a_killed_stealth_scan_resumes_to_the_uninterrupted_hosts() {
     kill_and_resume(
         "stealth",
+        400,
         &[
             "--subnet", "23.129.0.0/22", "-p", "80", "-r", "50", "--seed", "7", "--sim-seed", "3",
             "--sim-live-fraction", "1.0", "--stealth", "-O", "csv", "-q",

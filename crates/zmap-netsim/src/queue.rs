@@ -1,5 +1,9 @@
-//! The delivery queue: every frame the world has scheduled and not yet
-//! handed out, popped in `(at_ns, seq)` order.
+//! The delivery queue: every record the world has scheduled and not yet
+//! handed out, popped in `(at_ns, push order)` order.
+//!
+//! A record is opaque bytes to the queue: the world stores what each host
+//! answered there (`responder::Reply`'s record) and renders it at
+//! delivery.
 //!
 //! A calendar queue (Brown, CACM 1988) of paged record logs:
 //!
@@ -13,18 +17,23 @@
 //!   An overflow page goes back to the pool once its last record has
 //!   moved. A push into an empty queue restarts the ring at its own
 //!   bucket.
-//! * **Pages.** A bucket is an append-only log of records, each a
-//!   `(at, seq, endpoint, len)` header followed by the frame bytes, kept
-//!   in 4 KiB pages from one free list. A drained bucket returns its
-//!   pages, so a scan's queue costs the bytes in flight and no allocation
-//!   per frame once the pool has grown.
-//! * **Order.** Only bucket `cur` is indexed: its `(at, seq, page, off)`
-//!   entries are collected into one reused `Vec` and sorted once. A push
-//!   earlier than `cur` (a sender whose clock lags the one that drained)
-//!   is clamped into `cur`, and a push into `cur` while it is indexed is
+//! * **Pages.** A bucket is an append-only log of records, each an
+//!   `(at, endpoint, len)` header followed by the record bytes, kept in
+//!   4 KiB pages from one free list. A drained bucket returns its pages,
+//!   so a scan's queue costs the bytes in flight and no allocation per
+//!   record once the pool has grown.
+//! * **Order.** Within one bucket, append order is push order: overflow
+//!   records move into a bucket, in `(at, push)` order, as soon as the
+//!   bucket enters the horizon, before any ring push can reach it, and
+//!   every later push appends after them. So the header needs no
+//!   sequence number. Only bucket `cur` is indexed: its `(at, ordinal,
+//!   page, off)` entries, numbered in append order, are collected into one
+//!   reused `Vec` and sorted once. A push earlier than `cur` (a sender
+//!   whose clock lags the one that drained) is clamped into `cur`, and a
+//!   push into `cur` while it is indexed takes the next ordinal and is
 //!   inserted at its sorted place. Every other record sits in a later
 //!   bucket or past the horizon, so the indexed minimum is the global
-//!   minimum and pops come out in exactly `(at_ns, seq)` order — the
+//!   minimum and pops come out in exactly `(at_ns, push)` order — the
 //!   order a binary heap of the same pushes gives.
 
 use std::cmp::Reverse;
@@ -39,22 +48,24 @@ const RING: u64 = 256;
 const WORDS: usize = RING as usize / 64;
 /// Bytes per page; a record larger than a page gets a page of its own.
 const PAGE: usize = 4096;
-/// A record's header: `at` (8), `seq` (8), `endpoint` (4), `len` (4).
-const HEADER: usize = 24;
+/// A record's header: `at` (8), `endpoint` (4), `len` (4).
+const HEADER: usize = 16;
 
-/// One record's pop key and where its bytes sit. `(at, seq)` is unique,
-/// so the derived order is the `(at, seq)` order.
+/// One record's pop key and where its bytes sit. `ord` is the record's
+/// place in push order among the records it is compared with: its ordinal
+/// in the indexed bucket, or its push count in the overflow heap. `(at,
+/// ord)` is unique there, so the derived order is the pop order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: u64,
-    seq: u64,
+    ord: u64,
     page: u32,
     off: u32,
 }
 
 impl Entry {
     fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
+        (self.at, self.ord)
     }
 }
 
@@ -90,52 +101,44 @@ impl Pages {
     /// returns the page used and the record's offset in it.
     ///
     /// # Panics
-    /// Panics on a frame of 4 GiB or more, whose length the header cannot
-    /// hold.
+    /// Panics on a record of 4 GiB or more, whose length the header
+    /// cannot hold.
     #[expect(clippy::expect_used)]
-    fn append(
-        &mut self,
-        tail: Option<u32>,
-        at: u64,
-        seq: u64,
-        endpoint: u32,
-        frame: &[u8],
-    ) -> (u32, u32) {
+    fn append(&mut self, tail: Option<u32>, at: u64, endpoint: u32, record: &[u8]) -> (u32, u32) {
         let page = match tail {
-            Some(p) if self.pages[p as usize].len() + HEADER + frame.len() <= PAGE => p,
+            Some(p) if self.pages[p as usize].len() + HEADER + record.len() <= PAGE => p,
             _ => self.take(),
         };
         let buf = &mut self.pages[page as usize];
         let off = u32::try_from(buf.len()).expect("a page holds under 4 GiB");
-        let len = u32::try_from(frame.len()).expect("a frame is under 4 GiB");
+        let len = u32::try_from(record.len()).expect("a record is under 4 GiB");
         buf.extend_from_slice(&at.to_le_bytes());
-        buf.extend_from_slice(&seq.to_le_bytes());
         buf.extend_from_slice(&endpoint.to_le_bytes());
         buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(frame);
+        buf.extend_from_slice(record);
         (page, off)
     }
 
-    /// `(at, seq, endpoint, frame range)` of the record at `off` in `page`.
-    fn header(&self, page: u32, off: u32) -> (u64, u64, u32, Range<usize>) {
+    /// `(at, endpoint, record range)` of the record at `off` in `page`.
+    fn header(&self, page: u32, off: u32) -> (u64, u32, Range<usize>) {
         header_at(&self.pages[page as usize], off)
     }
 
-    /// The endpoint and frame of the record at `off` in `page`.
+    /// The endpoint and bytes of the record at `off` in `page`.
     fn record(&self, page: u32, off: u32) -> (u32, &[u8]) {
-        let (_, _, endpoint, frame) = self.header(page, off);
-        (endpoint, &self.pages[page as usize][frame])
+        let (_, endpoint, record) = self.header(page, off);
+        (endpoint, &self.pages[page as usize][record])
     }
 }
 
-/// `(at, seq, endpoint, frame range)` of the record at `off` in the page
-/// bytes `page`.
-fn header_at(page: &[u8], off: u32) -> (u64, u64, u32, Range<usize>) {
+/// `(at, endpoint, record range)` of the record at `off` in the page bytes
+/// `page`.
+fn header_at(page: &[u8], off: u32) -> (u64, u32, Range<usize>) {
     let h = &page[off as usize..off as usize + HEADER];
     let u64_at = |i: usize| u64::from_le_bytes(std::array::from_fn(|k| h[i + k]));
     let u32_at = |i: usize| u32::from_le_bytes(std::array::from_fn(|k| h[i + k]));
     let start = off as usize + HEADER;
-    (u64_at(0), u64_at(8), u32_at(16), start..start + u32_at(20) as usize)
+    (u64_at(0), u32_at(8), start..start + u32_at(12) as usize)
 }
 
 /// One bucket's log: its pages in append order and its earliest `at`.
@@ -172,19 +175,11 @@ impl Ring {
         self.occupied == [0; WORDS]
     }
 
-    fn append(
-        &mut self,
-        pages: &mut Pages,
-        b: u64,
-        at: u64,
-        seq: u64,
-        endpoint: u32,
-        frame: &[u8],
-    ) -> (u32, u32) {
+    fn append(&mut self, pages: &mut Pages, b: u64, at: u64, endpoint: u32, record: &[u8]) -> (u32, u32) {
         let slot = Self::slot(b);
         let bucket = &mut self.buckets[slot];
         let tail = bucket.pages.last().copied();
-        let (page, off) = pages.append(tail, at, seq, endpoint, frame);
+        let (page, off) = pages.append(tail, at, endpoint, record);
         if tail != Some(page) {
             bucket.pages.push(page);
         }
@@ -226,10 +221,12 @@ impl Ring {
 }
 
 /// The deliveries past the ring's horizon: records appended to their own
-/// pages, popped in `(at, seq)` order.
+/// pages, popped in `(at, push)` order.
 #[derive(Default)]
 struct Overflow {
     heap: BinaryHeap<Reverse<Entry>>,
+    /// Records pushed here so far: each heap entry's `ord`.
+    pushes: u64,
     /// The page new records are appended to.
     tail: Option<u32>,
     /// Records not yet moved into the ring, per page index (0 for pages
@@ -238,14 +235,15 @@ struct Overflow {
 }
 
 impl Overflow {
-    fn push(&mut self, pages: &mut Pages, at: u64, seq: u64, endpoint: u32, frame: &[u8]) {
-        let (page, off) = pages.append(self.tail, at, seq, endpoint, frame);
+    fn push(&mut self, pages: &mut Pages, at: u64, endpoint: u32, record: &[u8]) {
+        let (page, off) = pages.append(self.tail, at, endpoint, record);
         self.tail = Some(page);
         if self.live.len() <= page as usize {
             self.live.resize(pages.pages.len(), 0);
         }
         self.live[page as usize] += 1;
-        self.heap.push(Reverse(Entry { at, seq, page, off }));
+        self.pushes += 1;
+        self.heap.push(Reverse(Entry { at, ord: self.pushes, page, off }));
     }
 
     /// Marks the record on `page` moved; the page goes back to the pool
@@ -269,11 +267,12 @@ pub(crate) struct DeliveryQueue {
     /// Every ring record's bucket lies in `[cur, cur + RING)`; every
     /// overflow record's at or past `cur + RING`.
     cur: u64,
-    /// Bucket `cur`'s entries, sorted by descending `(at, seq)`; non-empty
+    /// Bucket `cur`'s entries, sorted by descending `(at, ord)`; non-empty
     /// exactly while `cur` is indexed.
     index: Vec<Entry>,
+    /// The ordinal the next record indexed in bucket `cur` takes.
+    next_ord: u64,
     far: Overflow,
-    seq: u64,
 }
 
 impl DeliveryQueue {
@@ -283,36 +282,33 @@ impl DeliveryQueue {
             ring: Ring::new(),
             cur: 0,
             index: Vec::new(),
+            next_ord: 0,
             far: Overflow::default(),
-            seq: 0,
         }
     }
 
-    /// Schedules a copy of `frame` for `endpoint` at `at`, behind every
+    /// Schedules a copy of `record` for `endpoint` at `at`, behind every
     /// earlier push with the same `at`.
     ///
     /// # Panics
-    /// Panics on an endpoint index or a frame length past 32 bits.
+    /// Panics on an endpoint index or a record length past 32 bits.
     #[expect(clippy::expect_used)]
-    pub(crate) fn push(&mut self, at: u64, endpoint: usize, frame: &[u8]) {
+    pub(crate) fn push(&mut self, at: u64, endpoint: usize, record: &[u8]) {
         let endpoint = u32::try_from(endpoint).expect("fewer than 2^32 endpoints");
-        self.seq += 1;
-        let seq = self.seq;
         let b = (at >> BUCKET_SHIFT).max(self.cur);
         if b - self.cur >= RING {
             if !(self.far.heap.is_empty() && self.ring.is_empty()) {
-                self.far.push(&mut self.pages, at, seq, endpoint, frame);
+                self.far.push(&mut self.pages, at, endpoint, record);
                 return;
             }
             // Nothing pending: the ring restarts at this push, however
             // long the queue sat idle.
             self.cur = b;
         }
-        let (page, off) = self
-            .ring
-            .append(&mut self.pages, b, at, seq, endpoint, frame);
+        let (page, off) = self.ring.append(&mut self.pages, b, at, endpoint, record);
         if b == self.cur && !self.index.is_empty() {
-            let e = Entry { at, seq, page, off };
+            let e = Entry { at, ord: self.next_ord, page, off };
+            self.next_ord += 1;
             let pos = self.index.partition_point(|x| x.key() > e.key());
             self.index.insert(pos, e);
         }
@@ -330,7 +326,7 @@ impl DeliveryQueue {
     }
 
     /// Pops the earliest delivery if it is due by `now`: its time,
-    /// endpoint and frame.
+    /// endpoint and record.
     pub(crate) fn pop_due(&mut self, now: u64) -> Option<(u64, usize, &[u8])> {
         if self.index.is_empty() && !self.advance(now) {
             return None;
@@ -340,12 +336,13 @@ impl DeliveryQueue {
         if self.index.is_empty() {
             self.ring.release(&mut self.pages, self.cur);
         }
-        let (endpoint, frame) = self.pages.record(e.page, e.off);
-        Some((e.at, endpoint as usize, frame))
+        let (endpoint, record) = self.pages.record(e.page, e.off);
+        Some((e.at, endpoint as usize, record))
     }
 
     /// With nothing indexed: moves `cur` to the earliest bucket holding a
-    /// record due by `now` and indexes it. When a record is pending but
+    /// record due by `now` and indexes it, numbering its records in append
+    /// order. When a record is pending but
     /// not due, `cur` still moves up to `now`'s bucket (never past the
     /// record), so pushes after an idle gap land in the ring rather than
     /// past its horizon; the result is then false. (An empty queue needs
@@ -368,17 +365,32 @@ impl DeliveryQueue {
             return false;
         }
         let slot = Ring::slot(b);
+        let mut ord = 0;
         for &page in &self.ring.buckets[slot].pages {
             let filled = self.pages.pages[page as usize].len();
             let mut off = 0u32;
             while (off as usize) < filled {
-                let (at, seq, _, frame) = self.pages.header(page, off);
-                self.index.push(Entry { at, seq, page, off });
-                off = frame.end as u32;
+                let (at, _, record) = self.pages.header(page, off);
+                self.index.push(Entry { at, ord, page, off });
+                ord += 1;
+                off = record.end as u32;
             }
         }
+        self.next_ord = ord;
         self.index.sort_unstable_by_key(|e| Reverse(e.key()));
         true
+    }
+
+    /// Bytes held in the pages in use: every queued record's header and
+    /// bytes, plus any records an overflow page holds that have already
+    /// moved into the ring.
+    #[cfg(test)]
+    pub(crate) fn bytes_held(&self) -> usize {
+        let free: std::collections::HashSet<u32> = self.pages.free.iter().copied().collect();
+        (0..self.pages.pages.len())
+            .filter(|&p| !free.contains(&(p as u32)))
+            .map(|p| self.pages.pages[p].len())
+            .sum()
     }
 
     /// Copies every overflow record now inside the horizon into its bucket.
@@ -393,9 +405,8 @@ impl DeliveryQueue {
             // are appended to a ring page (never the same page: an overflow
             // page holds overflow records only), then put back unchanged.
             let src = std::mem::take(&mut self.pages.pages[e.page as usize]);
-            let (_, _, endpoint, frame) = header_at(&src, e.off);
-            self.ring
-                .append(&mut self.pages, b, e.at, e.seq, endpoint, &src[frame]);
+            let (_, endpoint, record) = header_at(&src, e.off);
+            self.ring.append(&mut self.pages, b, e.at, endpoint, &src[record]);
             self.pages.pages[e.page as usize] = src;
             self.far.moved(&mut self.pages, e.page);
         }

@@ -2,9 +2,10 @@
 
 /// A reusable buffer of received frames — the engine-side model of a
 /// receive ring: one byte arena plus a `(t_ns, offset, len)` entry per
-/// frame. The world appends each delivered frame with one copy; a reader
-/// takes the frames back as borrowed slices and clears the batch, keeping
-/// both allocations, so a warm receive path allocates nothing per frame.
+/// frame. The world renders each delivered frame straight into the arena;
+/// a reader takes the frames back as borrowed slices and clears the
+/// batch, keeping both allocations, so a warm receive path allocates
+/// nothing per frame.
 /// The world also parks frames popped for another endpoint in one of
 /// these until that endpoint's next receive.
 #[derive(Debug, Default)]
@@ -22,8 +23,15 @@ impl RxBatch {
     /// Appends a copy of `frame`, received at `t_ns`.
     #[inline]
     pub fn push(&mut self, t_ns: u64, frame: &[u8]) {
-        self.frames.push((t_ns, self.bytes.len(), frame.len()));
-        self.bytes.extend_from_slice(frame);
+        self.push_with(t_ns, |bytes| bytes.extend_from_slice(frame));
+    }
+
+    /// Appends the frame `write` appends to the arena, received at `t_ns`.
+    #[inline]
+    pub(crate) fn push_with(&mut self, t_ns: u64, write: impl FnOnce(&mut Vec<u8>)) {
+        let off = self.bytes.len();
+        write(&mut self.bytes);
+        self.frames.push((t_ns, off, self.bytes.len() - off));
     }
 
     /// Frames held.

@@ -17,7 +17,7 @@
 //! in the v6 space — including on-pattern addresses of dead hosts — is
 //! silent, exactly the behavior XMap-style target generation exploits.
 
-use crate::responder::Reply;
+use crate::responder::{kind, Fields, Reply};
 use crate::{unit, NS_PER_SEC};
 use std::net::Ipv6Addr;
 use zmap_targets::v6::{parse_prefix_list, PrefixSpec, PrefixTable, V6ParseError};
@@ -103,7 +103,7 @@ impl V6Population {
         self.open_ports.contains(&port)
     }
 
-    /// Renders the reply a v6 probe frame elicits into `out` (silent for
+    /// Writes the reply a v6 probe frame elicits into `out` (silent for
     /// dead space; v6 hosts never blow back). The caller applies delays
     /// and routing, as with the v4 responder.
     pub fn respond(&self, seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>, out: &mut Reply) {
@@ -111,11 +111,10 @@ impl V6Population {
         if !self.responsive(seed, ip.dst()) {
             return;
         }
-        let frame = &mut out.frame;
         let answered = match ip.next_header() {
-            IpProtocol::Tcp => self.respond_tcp(seed, eth, ip, frame),
-            IpProtocol::Udp => self.respond_udp(seed, eth, ip, frame),
-            IpProtocol::Other(NEXT_HEADER_ICMPV6) => self.respond_icmpv6(seed, eth, ip, frame),
+            IpProtocol::Tcp => self.respond_tcp(seed, eth, ip, out),
+            IpProtocol::Udp => self.respond_udp(seed, eth, ip, out),
+            IpProtocol::Other(NEXT_HEADER_ICMPV6) => respond_icmpv6(seed, eth, ip, out),
             _ => false,
         };
         if answered {
@@ -123,86 +122,31 @@ impl V6Population {
         }
     }
 
-    /// Renders a SYN's SYN-ACK or RST into `frame`; false for any other
+    /// Writes a SYN's SYN-ACK or RST into `out`; false for any other
     /// segment.
-    fn respond_tcp(
-        &self,
-        seed: u64,
-        eth: &EthernetView<'_>,
-        ip: &Ipv6View<'_>,
-        frame: &mut Vec<u8>,
-    ) -> bool {
+    fn respond_tcp(&self, seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>, out: &mut Reply) -> bool {
         let Ok(tcp) = TcpView::parse(ip.payload()) else {
             return false;
         };
         if !tcp.flags().syn() || tcp.flags().ack() {
             return false;
         }
-        let dst = ip.dst();
         let open = self.port_open(tcp.dst_port());
-        let reply = TcpRepr {
-            src_port: tcp.dst_port(),
-            dst_port: tcp.src_port(),
-            seq: if open { hash6(seed, dst, 0x5EB) as u32 } else { 0 },
+        Tcp6Answer {
+            head: V6Header::new(seed, eth, ip),
+            host_port: tcp.dst_port(),
+            scanner_port: tcp.src_port(),
+            seq: if open { hash6(seed, ip.dst(), 0x5EB) as u32 } else { 0 },
             ack: tcp.seq().wrapping_add(1),
-            flags: if open { TcpFlags::SYN_ACK } else { TcpFlags::RST_ACK },
-            window: if open { 65535 } else { 0 },
-            options: if open { OptionLayout::MssOnly.bytes() } else { &[] },
-        };
-        let tcp_len = reply.header_len() as u16;
-        let r = reply_v6(seed, eth, ip, IpProtocol::Tcp, tcp_len, frame);
-        let pseudo = checksum::pseudo_header_v6(
-            &r.src.octets(),
-            &r.dst.octets(),
-            6,
-            u32::from(tcp_len),
-        );
-        reply.emit(pseudo, &[], frame);
+            open,
+        }
+        .encode(out);
         true
     }
 
-    /// Renders an echo request's reply into `frame`; false for any other
-    /// ICMPv6 message.
-    fn respond_icmpv6(
-        &self,
-        seed: u64,
-        eth: &EthernetView<'_>,
-        ip: &Ipv6View<'_>,
-        frame: &mut Vec<u8>,
-    ) -> bool {
-        let Ok(icmp) = Icmpv6View::parse(ip.payload()) else {
-            return false;
-        };
-        if icmp.icmp_type() != Icmpv6Type::EchoRequest {
-            return false;
-        }
-        let payload = icmp.payload();
-        let len = (8 + payload.len()) as u16;
-        let r = reply_v6(seed, eth, ip, IpProtocol::Other(NEXT_HEADER_ICMPV6), len, frame);
-        let pseudo = checksum::pseudo_header_v6(
-            &r.src.octets(),
-            &r.dst.octets(),
-            NEXT_HEADER_ICMPV6,
-            u32::from(len),
-        );
-        Icmpv6Repr {
-            icmp_type: Icmpv6Type::EchoReply,
-            id: icmp.id(),
-            seq: icmp.seq(),
-        }
-        .emit(pseudo, payload, frame);
-        true
-    }
-
-    /// Renders an open port's echo of the datagram into `frame`; false
-    /// for a closed port.
-    fn respond_udp(
-        &self,
-        seed: u64,
-        eth: &EthernetView<'_>,
-        ip: &Ipv6View<'_>,
-        frame: &mut Vec<u8>,
-    ) -> bool {
+    /// Writes an open port's echo of the datagram into `out`; false for a
+    /// closed port.
+    fn respond_udp(&self, seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>, out: &mut Reply) -> bool {
         let Ok(udp) = UdpView::parse(ip.payload()) else {
             return false;
         };
@@ -214,20 +158,40 @@ impl V6Population {
         }
         let payload = udp.payload();
         let len = (8 + payload.len()) as u16;
-        let r = reply_v6(seed, eth, ip, IpProtocol::Udp, len, frame);
-        let pseudo = checksum::pseudo_header_v6(
-            &r.src.octets(),
-            &r.dst.octets(),
-            17,
-            u32::from(len),
-        );
-        UdpRepr {
-            src_port: udp.dst_port(),
-            dst_port: udp.src_port(),
-        }
-        .emit(pseudo, payload, frame);
+        out.raw(|frame| {
+            let pseudo = V6Header::new(seed, eth, ip).emit(IpProtocol::Udp, len, frame);
+            UdpRepr {
+                src_port: udp.dst_port(),
+                dst_port: udp.src_port(),
+            }
+            .emit(pseudo, payload, frame);
+        });
         true
     }
+}
+
+/// Writes an echo request's reply into `out`; false for any other ICMPv6
+/// message.
+fn respond_icmpv6(seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>, out: &mut Reply) -> bool {
+    let Ok(icmp) = Icmpv6View::parse(ip.payload()) else {
+        return false;
+    };
+    if icmp.icmp_type() != Icmpv6Type::EchoRequest {
+        return false;
+    }
+    let payload = icmp.payload();
+    let len = (8 + payload.len()) as u16;
+    out.raw(|frame| {
+        let next = IpProtocol::Other(NEXT_HEADER_ICMPV6);
+        let pseudo = V6Header::new(seed, eth, ip).emit(next, len, frame);
+        Icmpv6Repr {
+            icmp_type: Icmpv6Type::EchoReply,
+            id: icmp.id(),
+            seq: icmp.seq(),
+        }
+        .emit(pseudo, payload, frame);
+    });
+    true
 }
 
 /// Hop count between the core and a v6 host (shapes the hop limit the
@@ -241,37 +205,138 @@ pub(crate) fn owd6(seed: u64, addr: Ipv6Addr) -> u64 {
     5_000_000 + hash6(seed, addr, 0xDE1A) % (NS_PER_SEC / 22)
 }
 
-/// Emits Ethernet + IPv6 reply headers (src/dst swapped from the probe)
-/// and returns the emitted IPv6 repr so callers can derive the
-/// pseudo-header for their L4 payload.
-fn reply_v6(
-    seed: u64,
-    eth: &EthernetView<'_>,
-    ip: &Ipv6View<'_>,
-    next_header: IpProtocol,
-    payload_len: u16,
-    frame: &mut Vec<u8>,
-) -> Ipv6Repr {
-    EthernetRepr {
-        dst: eth.src(),
-        src: MacAddr::local(hash6(seed, ip.dst(), 0x6D_61_63) as u32),
-        ethertype: EtherType::Ipv6,
+/// What a v6 reply's Ethernet and IPv6 headers hold: the probe's
+/// addresses swapped, and the host's MAC word and hop limit, drawn at
+/// send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct V6Header {
+    /// The probe's Ethernet source.
+    to: MacAddr,
+    /// The word the host's MAC derives from.
+    mac_word: u32,
+    /// The probed address: the reply's source.
+    host: Ipv6Addr,
+    /// The probe's source: the reply's destination.
+    scanner: Ipv6Addr,
+    hop_limit: u8,
+}
+
+impl V6Header {
+    fn new(seed: u64, eth: &EthernetView<'_>, ip: &Ipv6View<'_>) -> Self {
+        V6Header {
+            to: eth.src(),
+            mac_word: hash6(seed, ip.dst(), 0x6D_61_63) as u32,
+            host: ip.dst(),
+            scanner: ip.src(),
+            hop_limit: 64u8.saturating_sub(hops6(seed, ip.dst())),
+        }
     }
-    .emit(frame);
-    let repr = Ipv6Repr {
-        src: ip.dst(),
-        dst: ip.src(),
-        next_header,
-        hop_limit: 64u8.saturating_sub(hops6(seed, ip.dst())),
-        payload_len,
-    };
-    repr.emit(frame);
-    repr
+
+    /// Emits the Ethernet + IPv6 reply headers for a `payload_len`-byte
+    /// `next_header` payload, and returns that payload's pseudo-header
+    /// sum.
+    fn emit(&self, next_header: IpProtocol, payload_len: u16, frame: &mut Vec<u8>) -> u32 {
+        EthernetRepr {
+            dst: self.to,
+            src: MacAddr::local(self.mac_word),
+            ethertype: EtherType::Ipv6,
+        }
+        .emit(frame);
+        Ipv6Repr {
+            src: self.host,
+            dst: self.scanner,
+            next_header,
+            hop_limit: self.hop_limit,
+            payload_len,
+        }
+        .emit(frame);
+        checksum::pseudo_header_v6(
+            &self.host.octets(),
+            &self.scanner.octets(),
+            next_header.into(),
+            u32::from(payload_len),
+        )
+    }
+}
+
+/// A v6 SYN's answer as the host decided it at send: a SYN-ACK from an
+/// open port, else an RST-ACK.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tcp6Answer {
+    head: V6Header,
+    host_port: u16,
+    scanner_port: u16,
+    seq: u32,
+    ack: u32,
+    open: bool,
+}
+
+impl Tcp6Answer {
+    fn repr(&self) -> TcpRepr<'static> {
+        let open = self.open;
+        TcpRepr {
+            src_port: self.host_port,
+            dst_port: self.scanner_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: if open { TcpFlags::SYN_ACK } else { TcpFlags::RST_ACK },
+            window: if open { 65535 } else { 0 },
+            options: if open { OptionLayout::MssOnly.bytes() } else { &[] },
+        }
+    }
+
+    fn frame_len(&self) -> usize {
+        14 + 40 + self.repr().header_len()
+    }
+
+    /// Writes the answer into `out`: 56 bytes after the kind.
+    fn encode(&self, out: &mut Reply) {
+        let h = &self.head;
+        let r = out.start(kind::TCP6, self.frame_len());
+        r.push(u8::from(self.open));
+        r.extend_from_slice(&h.to.0);
+        r.extend_from_slice(&h.mac_word.to_le_bytes());
+        r.extend_from_slice(&h.host.octets());
+        r.extend_from_slice(&h.scanner.octets());
+        r.push(h.hop_limit);
+        r.extend_from_slice(&self.host_port.to_le_bytes());
+        r.extend_from_slice(&self.scanner_port.to_le_bytes());
+        r.extend_from_slice(&self.seq.to_le_bytes());
+        r.extend_from_slice(&self.ack.to_le_bytes());
+    }
+
+    /// The answer `encode` wrote.
+    pub(crate) fn decode(fields: &[u8]) -> Self {
+        let mut f = Fields(fields);
+        Tcp6Answer {
+            open: f.u8() != 0,
+            head: V6Header {
+                to: MacAddr(f.take()),
+                mac_word: f.u32(),
+                host: Ipv6Addr::from(f.take::<16>()),
+                scanner: Ipv6Addr::from(f.take::<16>()),
+                hop_limit: f.u8(),
+            },
+            host_port: f.u16(),
+            scanner_port: f.u16(),
+            seq: f.u32(),
+            ack: f.u32(),
+        }
+    }
+
+    /// Renders the frame.
+    pub(crate) fn render(&self, frame: &mut Vec<u8>) {
+        frame.reserve(self.frame_len());
+        let reply = self.repr();
+        let pseudo = self.head.emit(IpProtocol::Tcp, reply.header_len() as u16, frame);
+        reply.emit(pseudo, &[], frame);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::responder::Rendered;
     use zmap_wire::{ProbeBuilderV6, ResponseKind};
 
     fn src_ip() -> Ipv6Addr {
@@ -314,12 +379,12 @@ mod tests {
         .unwrap()
     }
 
-    fn respond_to(pop: &V6Population, seed: u64, frame: &[u8]) -> Reply {
+    fn respond_to(pop: &V6Population, seed: u64, frame: &[u8]) -> Rendered {
         let eth = EthernetView::parse(frame).unwrap();
         let ip = Ipv6View::parse(eth.payload()).unwrap();
         let mut out = Reply::default();
         pop.respond(seed, &eth, &ip, &mut out);
-        out
+        out.rendered()
     }
 
     /// First responsive host of spec 0 under `seed`.
