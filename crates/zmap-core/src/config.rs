@@ -201,6 +201,13 @@ impl ScanConfig {
                 return Err(format!("{flag} must be at least 1"));
             }
         }
+        if window > zmap_dedup::window::MAX_CAPACITY as u64 {
+            return Err(format!(
+                "--dedup-window {window} is above {}, the most entries a window's \
+                 4-byte ring positions can index",
+                zmap_dedup::window::MAX_CAPACITY
+            ));
+        }
         if self.shard >= self.num_shards {
             return Err(format!(
                 "--shard {} is out of range for --shards {} (shard indices are 0-based)",
@@ -286,7 +293,7 @@ mod tests {
             });
         };
         type Tweak = fn(&mut ScanConfig);
-        let rows: [(&str, Tweak, &[&str]); 17] = [
+        let rows: [(&str, Tweak, &[&str]); 18] = [
             ("v4 shard 3 of 2", |c| (c.shard, c.num_shards) = (3, 2), &["--shard 3", "--shards 2"]),
             ("zero shards", |c| c.num_shards = 0, &["--shards"]),
             ("zero rate", |c| c.rate_pps = 0, &["--rate", "rate_pps"]),
@@ -294,6 +301,11 @@ mod tests {
             ("zero threads", |c| c.subshards = 0, &["--threads"]),
             ("zero batch", |c| c.batch = 0, &["--batch"]),
             ("dedup window 0", |c| c.dedup = DedupMethod::Window(0), &["--dedup-window"]),
+            (
+                "dedup window past u32 positions",
+                |c| c.dedup = DedupMethod::Window(4_294_967_295),
+                &["--dedup-window 4294967295", "4294967294"],
+            ),
             (
                 "bitmap, two ports",
                 |c| (c.dedup, c.ports) = (DedupMethod::FullBitmap, vec![80, 443]),

@@ -291,7 +291,7 @@ mod tests {
         m.note_probe(oldest, 0);
         for (t, key) in sampled.by_ref().take(4 * RTT_HORIZON).enumerate() {
             m.note_probe(key, t as u64);
-            assert!(m.rtt_stamps().memory_bytes() <= 40 * RTT_HORIZON as u64);
+            assert!(m.rtt_stamps().memory_bytes() <= 26 * RTT_HORIZON as u64);
         }
         // A probe sent now is still measured ...
         let fresh = sampled.next().unwrap();

@@ -15,13 +15,13 @@
 //!
 //! * [`PagedBitmap`] — the exact, single-port-era structure,
 //! * [`SlidingWindow`] — the modern FIFO window deduplicator. The window
-//!   semantics are the reproduction; its membership set is a private
-//!   open-addressed table (`table.rs`) where upstream uses a Judy array
-//!   (DESIGN.md §1 says why).
+//!   semantics are the reproduction; its ring is found through a private
+//!   open-addressed index of ring positions (`table.rs`) where upstream
+//!   uses a Judy array (DESIGN.md §1 says why).
 //!
 //! Both implement [`Deduplicator`]. [`FifoMap`] is the window's shape
-//! with a value per key — the same table with its value column in use —
-//! and holds the engine's sampled RTT stamps (DESIGN.md §5).
+//! with a value beside each key in the ring, and holds the engine's
+//! sampled RTT stamps (DESIGN.md §5).
 
 pub mod bitmap;
 mod table;

@@ -1,29 +1,82 @@
 //! The sliding-window deduplicator (ZMap's multiport-era design).
 //!
-//! Keeps the last `capacity` *distinct* response keys in a FIFO ring with
-//! an open-addressed table (`table.rs`) for membership. A repeat inside
-//! the window is suppressed; a repeat that arrives after the key has been
-//! evicted passes through — that controlled imprecision is the
-//! memory/accuracy trade-off Figure 5 sweeps. ZMap's default window is
-//! 10^6 entries, which empirically removes nearly all duplicates at
-//! 1 Gbps scan rates.
+//! Keeps the last `capacity` *distinct* response keys in a FIFO ring. A
+//! repeat inside the window is suppressed; a repeat that arrives after
+//! the key has been evicted passes through — that controlled imprecision
+//! is the memory/accuracy trade-off Figure 5 sweeps. ZMap's default
+//! window is 10^6 entries, which empirically removes nearly all
+//! duplicates at 1 Gbps scan rates.
 //!
-//! Ring and table both start small and grow with the keys held, so an
-//! idle window costs under a kilobyte whatever its capacity; full, the
-//! default window is 8 MB of ring and 16 MB of table.
-//!
-//! [`FifoMap`] is the same ring-plus-table shape with a value per key:
-//! the engine's RTT stamps live in one.
+//! The ring is the only store of the keys; membership is an index of
+//! 4-byte ring positions (`table.rs`), 1⅓–2⅔ slots a key. Both grow with
+//! the keys held, so an idle window costs under a kilobyte whatever its
+//! capacity; full, the default window is 8 MB of ring and 8 MB of index.
+//! [`FifoMap`] is the same shape with a value beside each key: the
+//! engine's RTT stamps live in one, at 16 B of ring and ≤ 8 of index each.
 
-use crate::table::KeyTable;
+use crate::table::{KeyTable, Keyed};
 use crate::Deduplicator;
-use std::collections::VecDeque;
+
+/// The largest capacity: a ring position is a `u32`, and `u32::MAX`
+/// marks a free index slot.
+pub const MAX_CAPACITY: usize = u32::MAX as usize - 1;
+
+/// The last `capacity` entries pushed, in a ring, and an index of the
+/// keys held: what [`SlidingWindow`] and [`FifoMap`] share.
+struct Fifo<E> {
+    index: KeyTable,
+    /// Grows by `push` to `capacity`, then overwrites the oldest entry,
+    /// at `head`. A removed key's entry stays until overwritten.
+    ring: Vec<E>,
+    head: usize,
+    capacity: usize,
+}
+
+impl<E: Keyed> Fifo<E> {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "capacity must be positive");
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "capacity must be at most {MAX_CAPACITY}"
+        );
+        Fifo {
+            index: KeyTable::new(),
+            ring: Vec::new(),
+            head: 0,
+            capacity,
+        }
+    }
+
+    /// Appends `entry` unless its key is held; `true` if appended. Once
+    /// the ring is full this overwrites the oldest entry and removes that
+    /// entry's key from the index, wherever the index holds it.
+    fn try_push(&mut self, entry: E) -> bool {
+        if self.index.get(entry.key(), &self.ring).is_some() {
+            return false;
+        }
+        let pos = if self.ring.len() < self.capacity {
+            self.ring.push(entry);
+            self.ring.len() - 1
+        } else {
+            let pos = self.head;
+            self.index.remove(self.ring[pos].key(), &self.ring);
+            self.ring[pos] = entry;
+            self.head = if pos + 1 < self.capacity { pos + 1 } else { 0 };
+            pos
+        };
+        self.index.insert(entry.key(), pos, &self.ring);
+        true
+    }
+
+    /// Bytes allocated: the ring's capacity in entries plus the index.
+    fn memory_bytes(&self) -> u64 {
+        (self.ring.capacity() * std::mem::size_of::<E>() + self.index.memory_bytes()) as u64
+    }
+}
 
 /// FIFO sliding-window deduplicator.
 pub struct SlidingWindow {
-    set: KeyTable<()>,
-    ring: VecDeque<u64>,
-    capacity: usize,
+    fifo: Fifo<u64>,
     suppressed: u64,
     observed: u64,
 }
@@ -33,13 +86,11 @@ impl SlidingWindow {
     ///
     /// # Panics
     /// Panics if `capacity == 0` (a zero window would suppress nothing
-    /// and the ring logic assumes at least one slot).
+    /// and the ring logic assumes at least one slot), or if it exceeds
+    /// [`MAX_CAPACITY`] (4 294 967 294): positions are 4-byte slots.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
         SlidingWindow {
-            set: KeyTable::new(),
-            ring: VecDeque::new(),
-            capacity,
+            fifo: Fifo::new(capacity),
             suppressed: 0,
             observed: 0,
         }
@@ -54,35 +105,24 @@ impl SlidingWindow {
     /// window), `false` if suppressed as a duplicate.
     pub fn check_and_insert(&mut self, key: u64) -> bool {
         self.observed += 1;
-        if self.set.contains(key) {
-            self.suppressed += 1;
-            return false;
-        }
-        if self.ring.len() == self.capacity {
-            // At capacity the ring is non-empty, so this always evicts;
-            // written as an if-let so a live scan can never panic here.
-            if let Some(oldest) = self.ring.pop_front() {
-                self.set.remove(oldest);
-            }
-        }
-        self.set.try_insert(key, ());
-        self.ring.push_back(key);
-        true
+        let fresh = self.fifo.try_push(key);
+        self.suppressed += u64::from(!fresh);
+        fresh
     }
 
     /// Keys currently remembered.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.fifo.ring.len()
     }
 
     /// True when no keys are remembered.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.fifo.ring.is_empty()
     }
 
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.fifo.capacity
     }
 
     /// Total keys observed (fresh + suppressed).
@@ -101,78 +141,61 @@ impl Deduplicator for SlidingWindow {
         self.check_and_insert(key)
     }
 
-    /// Bytes in use: one `u64` per remembered key in the ring plus one
-    /// per table slot.
+    /// Bytes allocated: 8 per ring entry of capacity, 4 per index slot.
     fn memory_bytes(&self) -> u64 {
-        (self.ring.len() * 8 + self.set.memory_bytes()) as u64
+        self.fifo.memory_bytes()
     }
 }
 
 /// A `key → u64` map that remembers its last `capacity` insertions and
 /// forgets the oldest first, so entries nobody takes age out instead of
-/// accumulating. Grows from a new table's 64 slots with the entries held.
-pub struct FifoMap {
-    map: KeyTable<u64>,
-    /// Inserted keys, oldest first. A taken key keeps its place until it
-    /// ages out, so the ring counts insertions, not entries held.
-    ring: VecDeque<u64>,
-    capacity: usize,
-}
+/// accumulating. The ring holds `(key, value)` per insertion: a taken key
+/// keeps its place until it ages out, so it counts insertions, not
+/// entries held.
+pub struct FifoMap(Fifo<(u64, u64)>);
 
 impl FifoMap {
     /// A map remembering the last `capacity` insertions.
     ///
     /// # Panics
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or `capacity` exceeds [`MAX_CAPACITY`].
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "map capacity must be positive");
-        FifoMap {
-            map: KeyTable::new(),
-            ring: VecDeque::new(),
-            capacity,
-        }
+        FifoMap(Fifo::new(capacity))
     }
 
     /// Inserts `key → val` unless `key` is held (the first value wins);
     /// returns `true` if it was inserted. The insertion `capacity` back
-    /// is forgotten.
+    /// is forgotten, and with it its key's value, even one inserted
+    /// again after a `take`.
     pub fn try_insert(&mut self, key: u64, val: u64) -> bool {
-        if self.map.contains(key) {
-            return false;
-        }
-        if self.ring.len() == self.capacity {
-            if let Some(oldest) = self.ring.pop_front() {
-                self.map.remove(oldest);
-            }
-        }
-        self.map.try_insert(key, val);
-        self.ring.push_back(key);
-        true
+        self.0.try_push((key, val))
     }
 
     /// Removes `key` and returns its value; `None` if it was never
     /// inserted, was already taken, or has aged out.
     pub fn take(&mut self, key: u64) -> Option<u64> {
-        self.map.remove(key)
+        let fifo = &mut self.0;
+        fifo.index
+            .remove(key, &fifo.ring)
+            .map(|pos| fifo.ring[pos].1)
     }
 
     /// True when nothing was ever inserted.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.0.ring.is_empty()
     }
 
-    /// Bytes in use: one `u64` per remembered insertion plus a key and a
-    /// value per table slot. Bounded by the capacity: a table just past
-    /// a doubling is 3/8 full, so under 51 bytes per insertion (8 of
-    /// ring, 2⅔ slots of 16) on top of an empty table's kilobyte.
+    /// Bytes allocated: 16 per ring entry of capacity, 4 per index slot
+    /// (at most 2⅔ slots per entry held, just past a doubling).
     pub fn memory_bytes(&self) -> u64 {
-        (self.ring.len() * 8 + self.map.memory_bytes()) as u64
+        self.0.memory_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn suppresses_duplicates_within_window() {
@@ -205,7 +228,10 @@ mod tests {
         w.check_and_insert(3);
         assert!(!w.check_and_insert(1)); // suppressed, not refreshed
         w.check_and_insert(4); // evicts 1 (still oldest)
-        assert!(w.check_and_insert(1), "1 was evicted despite recent duplicate");
+        assert!(
+            w.check_and_insert(1),
+            "1 was evicted despite recent duplicate"
+        );
     }
 
     #[test]
@@ -224,16 +250,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "capacity must be at most 4294967294")]
+    fn a_capacity_positions_cannot_index_panics() {
+        FifoMap::new(MAX_CAPACITY + 1);
+    }
+
+    #[test]
     fn set_and_ring_stay_consistent() {
         let mut w = SlidingWindow::new(500);
         let mut state = 1u64;
         for _ in 0..50_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
             w.check_and_insert(state >> 40); // small key space → duplicates
-            assert_eq!(w.set.len(), w.ring.len());
-            assert!(w.ring.len() <= 500);
+            assert_eq!(w.fifo.index.len(), w.len());
+            assert!(w.len() <= 500);
         }
-        assert!(w.suppressed() > 0, "small key space must produce duplicates");
+        assert!(
+            w.suppressed() > 0,
+            "small key space must produce duplicates"
+        );
     }
 
     #[test]
@@ -245,7 +280,10 @@ mod tests {
         for i in 0..999u64 {
             w.check_and_insert(1_000_000 + i);
         }
-        assert!(!w.check_and_insert(42), "within window distance — must suppress");
+        assert!(
+            !w.check_and_insert(42),
+            "within window distance — must suppress"
+        );
         // One more distinct key evicts 42.
         w.check_and_insert(2_000_000);
         assert!(w.check_and_insert(42), "beyond window distance — passes");
@@ -277,7 +315,11 @@ mod tests {
         // Taken, then inserted again: a new entry with the new value.
         assert!(m.try_insert(42, 3_000));
         assert_eq!(m.take(42), Some(3_000));
-        assert_eq!(m.ring.len(), 2, "both insertions are remembered until they age out");
+        assert_eq!(
+            m.0.ring.len(),
+            2,
+            "both insertions are remembered until they age out"
+        );
     }
 
     #[test]
@@ -286,8 +328,12 @@ mod tests {
         let mut m = FifoMap::new(cap);
         for k in 0..10 * cap as u64 {
             assert!(m.try_insert(k.wrapping_mul(0x2545_F491_4F6C_DD1D), k));
-            assert!(m.ring.len() <= cap);
-            assert!(m.memory_bytes() <= 51 * cap as u64 + 1024, "{} bytes at {k}", m.memory_bytes());
+            assert!(m.0.ring.len() <= cap);
+            assert!(
+                m.memory_bytes() <= 51 * cap as u64 + 1024,
+                "{} bytes at {k}",
+                m.memory_bytes()
+            );
         }
         let key = |k: u64| k.wrapping_mul(0x2545_F491_4F6C_DD1D);
         assert_eq!(m.take(key(8_999)), None, "one past the horizon");
@@ -308,6 +354,44 @@ mod tests {
         assert!(m.try_insert(1, 40)); // evicts the stale entry for 1
         assert_eq!(m.take(1), Some(40));
         assert_eq!(m.take(2), Some(20));
+    }
+
+    #[test]
+    fn fifo_map_evicting_a_stale_copy_takes_the_reinserted_value() {
+        // 1 is inserted, taken and inserted again, so the ring holds two
+        // copies of it. When the older copy ages out, the index drops 1,
+        // and the newer value goes with it.
+        let mut m = FifoMap::new(3);
+        m.try_insert(1, 10);
+        assert_eq!(m.take(1), Some(10));
+        m.try_insert(1, 40);
+        m.try_insert(2, 20);
+        m.try_insert(3, 30); // evicts the older copy of 1
+        assert_eq!(m.take(1), None);
+        assert_eq!((m.take(2), m.take(3)), (Some(20), Some(30)));
+    }
+
+    #[test]
+    fn fifo_map_holds_a_full_rtt_horizon_in_24_bytes_per_insertion() {
+        // The engine's RTT tracker: 2^16 stamps, none of them answered.
+        let horizon = 1usize << 16;
+        let mut m = FifoMap::new(horizon);
+        for k in 0..2 * horizon as u64 {
+            m.try_insert(k.wrapping_mul(0x2545_F491_4F6C_DD1D), k);
+        }
+        let per = m.memory_bytes() as f64 / horizon as f64;
+        assert!(per <= 26.0, "{per} bytes per insertion");
+    }
+
+    #[test]
+    fn a_window_holds_a_key_in_under_24_bytes() {
+        let mut w = SlidingWindow::with_default_capacity();
+        for i in 0..100_000u64 {
+            w.check_and_insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16);
+        }
+        assert_eq!(w.len(), 100_000);
+        let per = w.memory_bytes() as f64 / 100_000.0;
+        assert!(per <= 24.0, "{per} bytes per key");
     }
 
     /// The FIFO rule written out: what every verdict is checked against.
@@ -371,6 +455,66 @@ mod tests {
                 prop_assert_eq!(w.len(), m.ring.len());
                 prop_assert_eq!(w.observed(), m.observed);
                 prop_assert_eq!(w.suppressed(), m.suppressed);
+            }
+        }
+    }
+
+    /// [`FifoMap`]'s rule written out: the newest `capacity` insertions
+    /// in a ring, and an entry's eviction forgets its key, whether that
+    /// key's value came from this insertion or a later one.
+    struct MapModel {
+        ring: VecDeque<u64>,
+        held: std::collections::HashMap<u64, u64>,
+        capacity: usize,
+    }
+
+    impl MapModel {
+        fn try_insert(&mut self, key: u64, val: u64) -> bool {
+            if self.held.contains_key(&key) {
+                return false;
+            }
+            if self.ring.len() == self.capacity {
+                let oldest = self.ring.pop_front().unwrap();
+                self.held.remove(&oldest);
+            }
+            self.ring.push_back(key);
+            self.held.insert(key, val);
+            true
+        }
+    }
+
+    proptest! {
+        /// Inserts and takes over the window's key families, with few
+        /// enough keys per family that a stream takes keys, inserts them
+        /// again while an older copy is still in the ring, and evicts
+        /// both live and stale copies.
+        #[test]
+        fn fifo_map_agrees_with_the_reference_model(
+            capacity in 1usize..=64,
+            percent in 1u64..=200,
+            draws in prop::collection::vec((0u8..4, any::<bool>(), any::<u64>()), 1..3000),
+        ) {
+            let per_family = (capacity as u64 * percent / 100).max(1);
+            let mut map = FifoMap::new(capacity);
+            let mut m = MapModel { ring: VecDeque::new(), held: Default::default(), capacity };
+            for (step, (family, take, r)) in draws.into_iter().enumerate() {
+                let i = r % per_family;
+                let key = match family {
+                    0 => i,
+                    1 => u64::MAX - i,
+                    2 => (0x0B16_0000u64 << 16) + i,
+                    _ => i.wrapping_mul(0x2545_F491_4F6C_DD1D),
+                };
+                if take {
+                    prop_assert_eq!(map.take(key), m.held.remove(&key), "take {}", key);
+                } else {
+                    let val = step as u64;
+                    prop_assert_eq!(map.try_insert(key, val), m.try_insert(key, val), "insert {}", key);
+                }
+                prop_assert_eq!(map.is_empty(), m.ring.is_empty());
+            }
+            for (&k, &v) in &m.held {
+                prop_assert_eq!(map.take(k), Some(v), "final {}", k);
             }
         }
     }
